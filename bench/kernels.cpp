@@ -1,8 +1,10 @@
 // Kernel-layer microbench: blocked GEMM vs the retained reference kernels
 // over the paper-shaped sizes (every conv/dense GEMM of the MNIST cnn2 and
 // CIFAR-10 cnn3 forward and backward passes, plus a square point), with a
-// per-shape exact-equality spot check. Results are printed as a table and
-// written as BENCH_kernels.json.
+// per-shape exact-equality spot check. Every GEMM variant this CPU can run
+// (baseline, AVX2, AVX-512) gets its own row per shape; the "variant" field
+// is part of each row's identity for bench_diff. Results are printed as a
+// table and written as BENCH_kernels.json.
 //
 //   ./kernels [--min_ms 150] [--out BENCH_kernels.json]
 #include <algorithm>
@@ -13,10 +15,12 @@
 #include <vector>
 
 #include "common/cli.h"
+#include "common/cpu_isa.h"
 #include "common/rng.h"
 #include "common/table.h"
 #include "obs/json.h"
 #include "obs/resource.h"
+#include "tensor/kernels/gemm_variants.h"
 #include "tensor/kernels/kernels.h"
 
 namespace {
@@ -35,6 +39,7 @@ struct Case {
 
 struct Result {
   Case shape;
+  std::string variant;
   double ref_gflops = 0.0;
   double blocked_gflops = 0.0;
   double speedup = 0.0;
@@ -51,21 +56,31 @@ const char* op_name(Op op) {
 }
 
 // A and B storage sizes depend on the op (tn stores A as [k,m], nt stores B
-// as [n,k]); C is always m x n.
-void run_op(Op op, bool blocked, const float* a, const float* b, float* c,
-            std::size_t m, std::size_t k, std::size_t n) {
+// as [n,k]); C is always m x n. variant == nullptr runs the reference.
+void run_op(Op op, const kern::detail::GemmVariant* variant, const float* a,
+            const float* b, float* c, std::size_t m, std::size_t k,
+            std::size_t n) {
   switch (op) {
     case Op::Nn:
-      (blocked ? kern::gemm_nn : kern::ref::gemm_nn)(
-          {a, m, k}, {b, k, n}, {c, m, n}, false, nullptr, nullptr);
+      if (variant == nullptr) {
+        kern::ref::gemm_nn({a, m, k}, {b, k, n}, {c, m, n});
+      } else {
+        kern::detail::gemm_nn(*variant, {a, m, k}, {b, k, n}, {c, m, n});
+      }
       break;
     case Op::Tn:
-      (blocked ? kern::gemm_tn : kern::ref::gemm_tn)({a, k, m}, {b, k, n},
-                                                     {c, m, n}, false);
+      if (variant == nullptr) {
+        kern::ref::gemm_tn({a, k, m}, {b, k, n}, {c, m, n});
+      } else {
+        kern::detail::gemm_tn(*variant, {a, k, m}, {b, k, n}, {c, m, n});
+      }
       break;
     case Op::Nt:
-      (blocked ? kern::gemm_nt : kern::ref::gemm_nt)({a, m, k}, {b, n, k},
-                                                     {c, m, n}, false);
+      if (variant == nullptr) {
+        kern::ref::gemm_nt({a, m, k}, {b, n, k}, {c, m, n});
+      } else {
+        kern::detail::gemm_nt(*variant, {a, m, k}, {b, n, k}, {c, m, n});
+      }
       break;
   }
 }
@@ -77,12 +92,13 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 
 /// Times one implementation: doubles the repetition count until the batch
 /// takes at least min_ms, then reports seconds per call from the final batch.
-double time_impl(Op op, bool blocked, const float* a, const float* b, float* c,
-                 std::size_t m, std::size_t k, std::size_t n, double min_ms) {
-  run_op(op, blocked, a, b, c, m, k, n);  // warm-up (pack buffers, caches)
+double time_impl(Op op, const kern::detail::GemmVariant* variant,
+                 const float* a, const float* b, float* c, std::size_t m,
+                 std::size_t k, std::size_t n, double min_ms) {
+  run_op(op, variant, a, b, c, m, k, n);  // warm-up (pack buffers, caches)
   for (std::size_t reps = 1;; reps *= 2) {
     const auto start = std::chrono::steady_clock::now();
-    for (std::size_t r = 0; r < reps; ++r) run_op(op, blocked, a, b, c, m, k, n);
+    for (std::size_t r = 0; r < reps; ++r) run_op(op, variant, a, b, c, m, k, n);
     const double elapsed = seconds_since(start);
     if (elapsed * 1000.0 >= min_ms || reps > (1u << 28)) {
       return elapsed / static_cast<double>(reps);
@@ -121,8 +137,27 @@ int main(int argc, char** argv) {
       {"cifar_dense1_dw", "cifar", Op::Tn, 512, 32, 64},
       {"cifar_dense1_dx", "cifar", Op::Nt, 32, 64, 512},
       {"square_256", "square", Op::Nn, 256, 256, 256},
+      // The same layers on the synthetic images the simulator trains on
+      // (3x16x16 CIFAR-like, 1x12x12 MNIST-like; bench/e2e): n is 16-256,
+      // which is what the wide variants' tiles are chosen for.
+      {"bench_cifar_conv1_fwd", "bench", Op::Nn, 8, 27, 256},
+      {"bench_cifar_conv2_fwd", "bench", Op::Nn, 16, 72, 64},
+      {"bench_cifar_conv3_fwd", "bench", Op::Nn, 32, 144, 16},
+      {"bench_cifar_conv1_dw", "bench", Op::Nt, 8, 256, 27},
+      {"bench_cifar_conv2_dw", "bench", Op::Nt, 16, 64, 72},
+      {"bench_cifar_conv3_dw", "bench", Op::Nt, 32, 16, 144},
+      {"bench_cifar_conv1_dcols", "bench", Op::Tn, 27, 8, 256},
+      {"bench_cifar_conv2_dcols", "bench", Op::Tn, 72, 16, 64},
+      {"bench_cifar_conv3_dcols", "bench", Op::Tn, 144, 32, 16},
+      {"bench_mnist_conv1_fwd", "bench", Op::Nn, 8, 9, 144},
+      {"bench_mnist_conv2_fwd", "bench", Op::Nn, 16, 72, 36},
+      {"bench_mnist_conv2_dw", "bench", Op::Nt, 16, 36, 72},
+      {"bench_mnist_conv2_dcols", "bench", Op::Tn, 72, 16, 36},
   };
 
+  const auto variants = kern::detail::host_variants();
+  const std::string active =
+      common::gemm_isa_name(kern::detail::active_variant().isa);
   common::Rng rng(99);
   std::vector<Result> results;
   for (const auto& c : cases) {
@@ -130,33 +165,36 @@ int main(int argc, char** argv) {
     for (auto& v : a) v = static_cast<float>(rng.normal());
     for (auto& v : b) v = static_cast<float>(rng.normal());
     std::vector<float> c_ref(c.m * c.n, 0.0f), c_blk(c.m * c.n, 0.0f);
-
-    Result r;
-    r.shape = c;
-    run_op(c.op, false, a.data(), b.data(), c_ref.data(), c.m, c.k, c.n);
-    run_op(c.op, true, a.data(), b.data(), c_blk.data(), c.m, c.k, c.n);
-    r.exact = c_ref == c_blk;
-
-    const double ref_s = time_impl(c.op, false, a.data(), b.data(),
+    run_op(c.op, nullptr, a.data(), b.data(), c_ref.data(), c.m, c.k, c.n);
+    const double ref_s = time_impl(c.op, nullptr, a.data(), b.data(),
                                    c_ref.data(), c.m, c.k, c.n, min_ms);
-    const double blk_s = time_impl(c.op, true, a.data(), b.data(),
-                                   c_blk.data(), c.m, c.k, c.n, min_ms);
     const double flops =
         2.0 * static_cast<double>(c.m) * static_cast<double>(c.k) *
         static_cast<double>(c.n);
-    r.ref_gflops = flops / ref_s * 1e-9;
-    r.blocked_gflops = flops / blk_s * 1e-9;
-    r.speedup = ref_s / blk_s;
-    results.push_back(r);
+    for (const auto* variant : variants) {
+      Result r;
+      r.shape = c;
+      r.variant = common::gemm_isa_name(variant->isa);
+      run_op(c.op, variant, a.data(), b.data(), c_blk.data(), c.m, c.k, c.n);
+      r.exact = c_ref == c_blk;
+      const double blk_s = time_impl(c.op, variant, a.data(), b.data(),
+                                     c_blk.data(), c.m, c.k, c.n, min_ms);
+      r.ref_gflops = flops / ref_s * 1e-9;
+      r.blocked_gflops = flops / blk_s * 1e-9;
+      r.speedup = ref_s / blk_s;
+      results.push_back(r);
+    }
   }
 
   common::Table table(
-      {"case", "op", "m", "k", "n", "ref GF/s", "blk GF/s", "speedup", "exact"});
+      {"case", "variant", "op", "m", "k", "n", "ref GF/s", "blk GF/s", "speedup",
+       "exact"});
   double min_cifar_speedup = 1e9;
   bool all_exact = true;
   for (const auto& r : results) {
     table.row()
         .cell(r.shape.name)
+        .cell(r.variant)
         .cell(op_name(r.shape.op))
         .cell(r.shape.m)
         .cell(r.shape.k)
@@ -165,14 +203,15 @@ int main(int argc, char** argv) {
         .cell(r.blocked_gflops, 2)
         .cell(r.speedup, 2)
         .cell(r.exact ? "yes" : "NO");
-    if (r.shape.group == "cifar") {
+    if (r.shape.group == "cifar" && r.variant == active) {
       min_cifar_speedup = std::min(min_cifar_speedup, r.speedup);
     }
     all_exact = all_exact && r.exact;
   }
   std::cout << "=== kernel microbench (blocked vs reference) ===\n";
   table.print(std::cout);
-  std::cout << "\nmin speedup over CIFAR-shaped GEMMs: " << min_cifar_speedup
+  std::cout << "\nmin speedup over CIFAR-shaped GEMMs ("
+            << active << "): " << min_cifar_speedup
             << "x; exact equality: " << (all_exact ? "yes" : "NO") << "\n";
 
   std::string json_results = "[";
@@ -182,6 +221,7 @@ int main(int argc, char** argv) {
     w.begin();
     w.field("case", r.shape.name);
     w.field("group", r.shape.group);
+    w.field("variant", r.variant);
     w.field("op", op_name(r.shape.op));
     w.field("m", static_cast<std::uint64_t>(r.shape.m));
     w.field("k", static_cast<std::uint64_t>(r.shape.k));
@@ -199,6 +239,7 @@ int main(int argc, char** argv) {
   w.begin();
   w.field("bench", "kernels");
   w.field("min_ms", min_ms);
+  w.field("active_variant", active);
   w.field("min_cifar_speedup", min_cifar_speedup);
   w.field("all_exact", all_exact);
   w.raw_field("hardware", obs::hardware_json());

@@ -19,6 +19,35 @@ cmake -B "$BUILD_DIR" -S .
 echo "== build (-j$JOBS) =="
 cmake --build "$BUILD_DIR" -j "$JOBS"
 
+# The AVX2/AVX-512 GEMM variants are compiled with wider -m flags than the
+# rest of the program (DESIGN.md §9). A weak (W/V) or unique (u) symbol in
+# one of those objects — an inline function or template instantiation the
+# linker may pick for every caller — would run AVX-512 code on any CPU and
+# die with SIGILL where the ISA is missing. They may define only local
+# symbols and their variant table.
+check_isa_objects() {
+  local dir="$1" objects
+  objects="$(find "$dir" -name 'gemm_avx*.cpp.o' | sort)"
+  if [ -z "$objects" ]; then
+    if [ "$(uname -m)" = x86_64 ]; then
+      echo "no ISA-specific GEMM objects under $dir"; exit 1
+    fi
+    return 0
+  fi
+  local obj leaked
+  for obj in $objects; do
+    leaked="$(nm -C "$obj" | awk '$2 ~ /^[WVu]$/')"
+    if [ -n "$leaked" ]; then
+      echo "ISA object $obj defines weak/unique symbols:"
+      echo "$leaked"
+      exit 1
+    fi
+  done
+}
+
+echo "== ISA object guard =="
+check_isa_objects "$BUILD_DIR"
+
 echo "== tier-1 tests =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
@@ -228,8 +257,10 @@ cmp "$sweep_dir/report.before" "$sweep_dir/out/report.json"
 
 if [ "${UBSAN:-1}" != "0" ]; then
   # Undefined-behaviour check over the kernel layer: a separate UBSan build
-  # running the blocked-vs-reference equivalence suite (pointer arithmetic,
-  # masked edge tiles and the packed-panel indexing are the risky parts),
+  # running the blocked-vs-reference equivalence suite for every GEMM
+  # variant the CPU runs (pointer arithmetic, masked edge tiles, the packed
+  # and image-panel indexing are the risky parts) plus the ISA-selection
+  # unit test, with the ISA-object guard re-run on the instrumented objects,
   # plus the checkpoint suite (byte-codec casts, CRC table indexing and the
   # raw-byte RNG state round-trips are the risky parts), plus the comm suite
   # (float<->bits bit_casts, wire byte packing and int8 narrowing are the
@@ -244,13 +275,15 @@ if [ "${UBSAN:-1}" != "0" ]; then
   # and the orchestrator's waitpid status decoding are the risky parts; the
   # e2e tests fork UBSan-built child binaries, so the engine's drain/hang
   # harness paths run sanitized too).
-  echo "== undefined behaviour sanitizer (kernels + faults + ckpt + comm + sampling + mobility + scale + sweep) =="
+  echo "== undefined behaviour sanitizer (kernels + ISA selection + faults + ckpt + comm + sampling + mobility + scale + sweep) =="
   UBSAN_DIR="${UBSAN_DIR:-${BUILD_DIR}-ubsan}"
   cmake -B "$UBSAN_DIR" -S . \
     -DCMAKE_CXX_FLAGS="-fsanitize=undefined -fno-sanitize-recover=all -g -O1" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=undefined"
-  cmake --build "$UBSAN_DIR" -j "$JOBS" --target test_tensor test_fault test_ckpt test_comm test_sampling test_mobility test_scale test_sweep
+  cmake --build "$UBSAN_DIR" -j "$JOBS" --target test_tensor test_common test_fault test_ckpt test_comm test_sampling test_mobility test_scale test_sweep
+  check_isa_objects "$UBSAN_DIR"
   "$UBSAN_DIR/tests/test_tensor"
+  "$UBSAN_DIR/tests/test_common" --gtest_filter='GemmIsaSelection.*'
   "$UBSAN_DIR/tests/test_fault"
   "$UBSAN_DIR/tests/test_ckpt"
   "$UBSAN_DIR/tests/test_comm"

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/cpu_isa.h"
 #include "obs/json.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -129,6 +130,7 @@ HardwareInfo read_hardware_info() {
   }
   info.hardware_threads = std::thread::hardware_concurrency();
   info.peak_rss_kb = sample_resource_usage().peak_rss_kb;
+  info.gemm_isa = common::gemm_isa_name(common::host_gemm_isa());
   return info;
 }
 
@@ -140,6 +142,7 @@ std::string hardware_json() {
   out.field("hardware_threads",
             static_cast<std::uint64_t>(info.hardware_threads));
   out.field("peak_rss_kb", static_cast<std::int64_t>(info.peak_rss_kb));
+  out.field("gemm_isa", info.gemm_isa);
   return out.end();
 }
 

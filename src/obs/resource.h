@@ -67,12 +67,13 @@ struct HardwareInfo {
   std::string cpu_model;        // "unknown" when /proc/cpuinfo is unreadable
   std::size_t hardware_threads = 0;
   long peak_rss_kb = 0;         // process high-water mark at capture time
+  std::string gemm_isa;         // GEMM micro-kernel this CPU runs
 };
 
 HardwareInfo read_hardware_info();
 
-/// JSON object string {"cpu_model":...,"hardware_threads":...,"peak_rss_kb":...}
-/// for embedding via JsonObjectWriter::raw_field.
+/// JSON object string {"cpu_model":...,"hardware_threads":...,"peak_rss_kb":...,
+/// "gemm_isa":...} for embedding via JsonObjectWriter::raw_field.
 std::string hardware_json();
 
 }  // namespace mach::obs

@@ -10,9 +10,9 @@
 // the determinism contract (gradient-norm observables must not depend on
 // thread count or ISA), so they intentionally stay serial chains.
 //
-// No function multi-versioning here: target_clones de-optimises hot loops on
-// GCC 12 (see gemm_blocked.cpp). Wider-than-baseline vectors are available
-// via the opt-in MACH_NATIVE_ARCH CMake option.
+// These loops are memory-bound at the paper's model sizes, so they are built
+// for the baseline ISA only; the GEMMs are where wider vectors pay (see
+// gemm_variants.h).
 #include "tensor/kernels/kernels.h"
 
 #include <cmath>
@@ -24,7 +24,13 @@ void relu(std::size_t n, const float* x, float* y) {
 }
 
 void relu_bwd(std::size_t n, const float* x, const float* gy, float* gx) {
-  for (std::size_t i = 0; i < n; ++i) gx[i] = x[i] > 0.0f ? gy[i] : 0.0f;
+  // gy[i] is loaded whether or not it is selected: a load under the
+  // condition may not be speculated, which kept this loop a scalar,
+  // mispredicting branch.
+  for (std::size_t i = 0; i < n; ++i) {
+    const float g = gy[i];
+    gx[i] = x[i] > 0.0f ? g : 0.0f;
+  }
 }
 
 void axpy(std::size_t n, float alpha, const float* x, float* y) {

@@ -1,0 +1,198 @@
+// Runtime dispatch over the GEMM variants (gemm_variants.h).
+//
+// The variant is chosen once per process from cpuid (common::host_gemm_isa)
+// and every call goes through one function pointer. This TU is compiled for
+// the baseline ISA and owns everything the ISA TUs must not contain: the
+// degenerate-shape handling, the thread-local pack buffers (grown on first
+// use per thread, then reused, so steady-state GEMM calls perform zero heap
+// allocations) and the choice itself.
+#include <algorithm>
+#include <vector>
+
+#include "tensor/kernels/conv_geometry.h"
+#include "tensor/kernels/gemm_variants.h"
+
+namespace mach::tensor::kernels {
+
+namespace detail {
+
+namespace {
+
+constexpr const GemmVariant* kCompiled[] = {
+    &kBaselineVariant,
+#if defined(__x86_64__)
+    &kAvx2Variant,
+    &kAvx512Variant,
+#endif
+};
+
+struct ThreadPackBuffers {
+  std::vector<float> a;
+  std::vector<float> b;
+};
+
+ThreadPackBuffers& tls_buffers() {
+  thread_local ThreadPackBuffers buffers;
+  return buffers;
+}
+
+float* ensure(std::vector<float>& buf, std::size_t count) {
+  if (buf.size() < count) buf.resize(count);
+  return buf.data();
+}
+
+std::size_t round_up(std::size_t x, std::size_t to) {
+  return (x + to - 1) / to * to;
+}
+
+/// Pack buffers for an m x n x k gemm_nn/gemm_tn/conv_forward call, sized to
+/// the blocks this call actually packs rather than the full MC x KC and
+/// KC x NC. At the paper's layer sizes that keeps every buffer well under
+/// glibc's mmap threshold: a 256 KiB per-thread buffer is mmapped, its
+/// release at thread exit raises the allocator's dynamic mmap threshold,
+/// and later allocations then fragment the per-thread arenas (peak RSS rose
+/// by ~20% on the 4-thread MNIST benchmark before this sizing).
+PackBuffers panel_buffers(const GemmVariant& v, std::size_t m, std::size_t n,
+                          std::size_t k) {
+  ThreadPackBuffers& t = tls_buffers();
+  const std::size_t kc = std::min(v.nn.kc, k);
+  return {ensure(t.a, std::min(v.nn.mc, round_up(m, v.nn.mr)) * kc),
+          ensure(t.b, kc * std::min(v.nn.nc, round_up(n, v.nn.nr)))};
+}
+
+/// C = (accumulate ? C : 0), then the optional biases, for k == 0.
+void empty_product(Mat c, bool accumulate, const float* bias_row,
+                   const float* bias_col) {
+  const std::size_t m = c.rows, n = c.cols;
+  if (!accumulate) std::fill_n(c.data, m * n, 0.0f);
+  for (std::size_t i = 0; i < m; ++i) {
+    float* crow = c.data + i * n;
+    if (bias_row != nullptr) {
+      for (std::size_t j = 0; j < n; ++j) crow[j] += bias_row[i];
+    }
+    if (bias_col != nullptr) {
+      for (std::size_t j = 0; j < n; ++j) crow[j] += bias_col[j];
+    }
+  }
+}
+
+}  // namespace
+
+std::vector<const GemmVariant*> host_variants() {
+  const common::GemmIsa host = common::host_gemm_isa();
+  std::vector<const GemmVariant*> out;
+  for (const GemmVariant* v : kCompiled) {
+    if (v->isa <= host) out.push_back(v);
+  }
+  return out;
+}
+
+const GemmVariant& active_variant() {
+  static const GemmVariant& chosen = *host_variants().back();
+  return chosen;
+}
+
+void gemm_nn(const GemmVariant& variant, ConstMat a, ConstMat b, Mat c,
+             bool accumulate, const float* bias_row, const float* bias_col) {
+  if (c.rows == 0 || c.cols == 0) return;
+  if (a.cols == 0) {
+    empty_product(c, accumulate, bias_row, bias_col);
+    return;
+  }
+  variant.gemm_nn(a, b, c, accumulate, bias_row, bias_col,
+                  panel_buffers(variant, c.rows, c.cols, a.cols));
+}
+
+void gemm_tn(const GemmVariant& variant, ConstMat a, ConstMat b, Mat c,
+             bool accumulate) {
+  if (c.rows == 0 || c.cols == 0) return;
+  if (a.rows == 0) {
+    empty_product(c, accumulate, nullptr, nullptr);
+    return;
+  }
+  variant.gemm_tn(a, b, c, accumulate,
+                  panel_buffers(variant, c.rows, c.cols, a.rows));
+}
+
+void gemm_nt(const GemmVariant& variant, ConstMat a, ConstMat b, Mat c,
+             bool accumulate) {
+  const std::size_t m = a.rows, k = a.cols, n = b.rows;
+  if (m == 0 || n == 0) return;
+  if (k == 0) {
+    for (std::size_t i = 0; i < m * n; ++i) {
+      const float base = accumulate ? c.data[i] : 0.0f;
+      c.data[i] = base + 0.0f;
+    }
+    return;
+  }
+  float* apack = ensure(tls_buffers().a, round_up(m, variant.nt.mr) * k);
+  variant.gemm_nt(a, b, c, accumulate, {apack, nullptr});
+}
+
+void conv_forward(const GemmVariant& variant, const float* images,
+                  std::size_t count, const ConvShape& shape, ConstMat weight,
+                  const float* bias, float* out) {
+  const std::size_t oh = conv_out_extent(shape.height, shape);
+  const std::size_t ow = conv_out_extent(shape.width, shape);
+  const std::size_t plane = weight.rows * oh * ow;
+  if (count == 0 || plane == 0) return;
+  if (weight.cols == 0) {
+    for (std::size_t img = 0; img < count; ++img) {
+      empty_product({out + img * plane, weight.rows, oh * ow}, false, bias,
+                    nullptr);
+    }
+    return;
+  }
+  variant.conv_forward(
+      images, count, shape, weight, bias, out,
+      panel_buffers(variant, weight.rows, oh * ow, weight.cols));
+}
+
+void im2col(const GemmVariant& variant, const float* image,
+            const ConvShape& shape, float* cols) {
+  variant.im2col(image, shape, cols);
+}
+
+void col2im(const GemmVariant& variant, const float* cols,
+            const ConvShape& shape, float* grad_image) {
+  variant.col2im(cols, shape, grad_image);
+}
+
+}  // namespace detail
+
+void gemm_nn(ConstMat a, ConstMat b, Mat c, bool accumulate,
+             const float* bias_row, const float* bias_col) {
+  detail::gemm_nn(detail::active_variant(), a, b, c, accumulate, bias_row,
+                  bias_col);
+}
+
+void gemm_tn(ConstMat a, ConstMat b, Mat c, bool accumulate) {
+  detail::gemm_tn(detail::active_variant(), a, b, c, accumulate);
+}
+
+void gemm_nt(ConstMat a, ConstMat b, Mat c, bool accumulate) {
+  detail::gemm_nt(detail::active_variant(), a, b, c, accumulate);
+}
+
+void im2col(const float* image, std::size_t channels, std::size_t height,
+            std::size_t width, std::size_t kernel, std::size_t pad,
+            std::size_t stride, float* cols) {
+  detail::active_variant().im2col(
+      image, {channels, height, width, kernel, pad, stride}, cols);
+}
+
+void col2im(const float* cols, std::size_t channels, std::size_t height,
+            std::size_t width, std::size_t kernel, std::size_t pad,
+            std::size_t stride, float* grad_image) {
+  detail::active_variant().col2im(
+      cols, {channels, height, width, kernel, pad, stride}, grad_image);
+}
+
+void conv_forward(const float* images, std::size_t count,
+                  const ConvShape& shape, ConstMat weight, const float* bias,
+                  float* out) {
+  detail::conv_forward(detail::active_variant(), images, count, shape, weight,
+                       bias, out);
+}
+
+}  // namespace mach::tensor::kernels

@@ -1,0 +1,679 @@
+// Register-blocked, cache-tiled GEMM drivers shared by every ISA variant.
+//
+// Each gemm_<isa>.cpp translation unit defines a Cfg (vector traits plus
+// blocking) and instantiates GemmKernels<Cfg> once, under its own -m flags.
+//
+// Structure of gemm_nn / gemm_tn / conv_forward (classic BLIS-style,
+// single-threaded):
+//   * the driver tiles N into NC panels, K into KC blocks and M into MC
+//     blocks, packing the B panel (KC x NC, interleaved in NR-wide strips)
+//     and the A block (MC x KC, interleaved in MR-wide strips) into the
+//     caller's pack buffers so the micro-kernel streams contiguous memory;
+//     conv_forward instead builds each B panel straight from the NCHW image
+//     (a row-major slice of the virtual im2col matrix), which fuses im2col
+//     into the packing pass — the same builder is the production im2col;
+//   * the micro-kernel keeps an MR x NR accumulator tile in vector registers
+//     (MR rows of NV vectors) and applies kc rank-1 updates in increasing p
+//     order; edge tiles run the same kernel on a zero-padded copy.
+// gemm_nt keeps its dot-product form: each tile holds MR_nt rows of C in
+// vector lanes and NR_nt columns, sums the full k into fresh accumulators
+// (A packed in MR_nt-row strips, B rows broadcast in place, so B needs no
+// transposed packing) and adds the result to C once. A variant may add a
+// narrow nt tile (half-width vectors) for m <= its lane count, so a small
+// m does not leave half of every wide vector idle.
+//
+// Determinism: every C element accumulates its k contributions in strictly
+// increasing p order with separate multiply and add (the TUs are compiled
+// with -ffp-contract=off, so no FMA), and KC blocking spills the exact
+// partial sum to C between blocks. The float chains are therefore those of
+// the reference kernels for every variant and every vector width.
+//
+// One-definition rule: everything here has internal linkage (anonymous
+// namespace), and the ISA TUs use no std:: templates, no thread_local and no
+// dynamic initialisers. An inline or template function instantiated under
+// -mavx512f would otherwise be a weak symbol the linker may pick for the
+// whole program, and a CPU without AVX-512 would die with SIGILL in code it
+// never asked for. scripts/ci.sh checks the ISA objects for weak symbols.
+#pragma once
+
+#include <cstddef>
+
+#include "tensor/kernels/conv_geometry.h"
+#include "tensor/kernels/gemm_variants.h"
+
+#define MACH_INLINE inline __attribute__((always_inline))
+
+namespace mach::tensor::kernels::detail {
+namespace {
+
+MACH_INLINE std::size_t min_size(std::size_t a, std::size_t b) {
+  return a < b ? a : b;
+}
+
+/// One run of an im2col row, for x in [xa, xb):
+///   out[x - xa] = x in [lo, hi) ? row[x + dx] : 0,
+/// reading only row[lo + dx, hi + dx) (lo <= hi are clamped to [xa, xb]).
+MACH_INLINE void copy_run(float* out, const float* row, std::ptrdiff_t dx,
+                          std::size_t xa, std::size_t xb, std::size_t lo,
+                          std::size_t hi) {
+  for (std::size_t x = xa; x < lo; ++x) out[x - xa] = 0.0f;
+  if (lo < hi) {
+    const float* from = row + (static_cast<std::ptrdiff_t>(lo) + dx);
+    for (std::size_t x = lo; x < hi; ++x) out[x - xa] = from[x - lo];
+  }
+  for (std::size_t x = hi; x < xb; ++x) out[x - xa] = 0.0f;
+}
+
+/// Cfg provides:
+///   Isa            vector traits: V, kW lanes, zero/load/store/bcast/add/mul
+///   kMR, kNV       gemm_nn/gemm_tn register tile: kMR rows x kNV vectors
+///   kKC, kMC, kNC  cache blocks (kMC % kMR == 0, kNC % (kNV * kW) == 0)
+///   kNtNV, kNtNR   gemm_nt tile: kNtNV vectors of rows x kNtNR columns
+/// and optionally NarrowIsa + kNarrowNtNR, the gemm_nt tile (one NarrowIsa
+/// vector of rows) used when m <= NarrowIsa::kW.
+template <class Cfg>
+struct GemmKernels {
+  using Isa = typename Cfg::Isa;
+  using V = typename Isa::V;
+  static constexpr std::size_t kW = Isa::kW;
+  static constexpr std::size_t kMR = Cfg::kMR;
+  static constexpr std::size_t kNV = Cfg::kNV;
+  static constexpr std::size_t kNR = kNV * kW;
+  static constexpr std::size_t kKC = Cfg::kKC;
+  static constexpr std::size_t kMC = Cfg::kMC;
+  static constexpr std::size_t kNC = Cfg::kNC;
+  static constexpr std::size_t kNtNV = Cfg::kNtNV;
+  static constexpr std::size_t kNtMR = kNtNV * kW;
+  static constexpr std::size_t kNtNR = Cfg::kNtNR;
+  static_assert(kMC % kMR == 0 && kNC % kNR == 0,
+                "blocks must hold whole tiles");
+
+  // -------------------------------------------------------------------------
+  // Packing
+  // -------------------------------------------------------------------------
+
+  /// Packs an mc x kc block of A (row-major, leading dimension lda) into
+  /// MR-row strips: apack[strip][p * MR + r] = block[i0 + r][p], with rows
+  /// beyond mc zero-padded so the micro-kernel never branches on mr.
+  template <std::size_t MR>
+  static MACH_INLINE void pack_a_n(const float* block, std::size_t lda,
+                                   std::size_t mc, std::size_t kc,
+                                   float* apack) {
+    for (std::size_t i0 = 0; i0 < mc; i0 += MR) {
+      const std::size_t mr = min_size(MR, mc - i0);
+      for (std::size_t p = 0; p < kc; ++p) {
+        float* dst = apack + p * MR;
+        for (std::size_t r = 0; r < mr; ++r) dst[r] = block[(i0 + r) * lda + p];
+        for (std::size_t r = mr; r < MR; ++r) dst[r] = 0.0f;
+      }
+      apack += kc * MR;
+    }
+  }
+
+  /// Same strip layout for a transposed-A block: the source is stored [k, m]
+  /// and we pack columns ic..ic+mc of rows pc..pc+kc. Reads are contiguous.
+  static MACH_INLINE void pack_a_t(const float* block, std::size_t lda,
+                                   std::size_t mc, std::size_t kc,
+                                   float* apack) {
+    for (std::size_t i0 = 0; i0 < mc; i0 += kMR) {
+      const std::size_t mr = min_size(kMR, mc - i0);
+      for (std::size_t p = 0; p < kc; ++p) {
+        const float* src = block + p * lda + i0;
+        float* dst = apack + p * kMR;
+        for (std::size_t r = 0; r < mr; ++r) dst[r] = src[r];
+        for (std::size_t r = mr; r < kMR; ++r) dst[r] = 0.0f;
+      }
+      apack += kc * kMR;
+    }
+  }
+
+  /// Packs a kc x nc block of B (leading dimension ldb) into NR-wide strips:
+  /// bpack[strip][p * NR + j] = block[p][j0 + j], zero-padded past nc.
+  static MACH_INLINE void pack_b(const float* block, std::size_t ldb,
+                                 std::size_t kc, std::size_t nc, float* bpack) {
+    for (std::size_t j0 = 0; j0 < nc; j0 += kNR) {
+      const std::size_t nr = min_size(kNR, nc - j0);
+      for (std::size_t p = 0; p < kc; ++p) {
+        const float* src = block + p * ldb + j0;
+        float* dst = bpack + p * kNR;
+        for (std::size_t j = 0; j < nr; ++j) dst[j] = src[j];
+        for (std::size_t j = nr; j < kNR; ++j) dst[j] = 0.0f;
+      }
+      bpack += kc * kNR;
+    }
+  }
+
+  /// Columns [jc, jc + nc) of rows [pc, pc + kc) of the virtual im2col
+  /// matrix of one image (rows are (channel, ky, kx) kernel offsets, columns
+  /// output pixels), read straight from the image into a row-major panel
+  /// with leading dimension ldb; columns [nc, ldb) are zero-filled. Every
+  /// element equals what the reference im2col writes.
+  static void image_panel(const float* image, const ConvShape& s,
+                          std::size_t oh, std::size_t ow, std::size_t pc,
+                          std::size_t kc, std::size_t jc, std::size_t nc,
+                          std::size_t ldb, float* panel) {
+    const std::size_t taps = s.kernel * s.kernel;
+    // (ch, ky, kx) of row pc + p, advanced without dividing per row.
+    std::size_t ch = pc / taps;
+    std::size_t ky = (pc % taps) / s.kernel;
+    std::size_t kx = pc % s.kernel;
+    const std::size_t first_oy = jc / ow;
+    const std::size_t first_xa = jc % ow;
+    for (std::size_t p = 0; p < kc; ++p) {
+      if (p > 0 && ++kx == s.kernel) {
+        kx = 0;
+        if (++ky == s.kernel) {
+          ky = 0;
+          ++ch;
+        }
+      }
+      const auto dy = static_cast<std::ptrdiff_t>(ky) -
+                      static_cast<std::ptrdiff_t>(s.pad);
+      const auto dx = static_cast<std::ptrdiff_t>(kx) -
+                      static_cast<std::ptrdiff_t>(s.pad);
+      const ValidRange ry = valid_range(dy, s.stride, s.height, oh);
+      const ValidRange rx = valid_range(dx, s.stride, s.width, ow);
+      const float* plane = image + ch * s.height * s.width;
+      float* out = panel + p * ldb;
+      for (std::size_t j = nc; j < ldb; ++j) out[j] = 0.0f;
+      if (s.stride == 1 && ow == s.width) {
+        const std::ptrdiff_t shift =
+            dy * static_cast<std::ptrdiff_t>(s.width) + dx;
+        same_size_row(plane, s, ow, shift, ry, rx, jc, nc, first_oy, out);
+        continue;
+      }
+      std::size_t oy = first_oy;
+      std::size_t xa = first_xa;
+      for (std::size_t done = 0; done < nc;) {
+        // One run of consecutive pixels [xa, xb) within output row oy.
+        const std::size_t xb = min_size(ow, xa + (nc - done));
+        std::size_t lo = xa, hi = xa;
+        if (oy >= ry.lo && oy < ry.hi) {
+          lo = rx.lo < xa ? xa : min_size(rx.lo, xb);
+          hi = rx.hi < lo ? lo : min_size(rx.hi, xb);
+        }
+        const float* src = plane;
+        if (lo < hi) {
+          src += static_cast<std::size_t>(
+                     static_cast<std::ptrdiff_t>(oy * s.stride) + dy) *
+                 s.width;
+        }
+        if (s.stride == 1) {
+          copy_run(out + done, src, dx, xa, xb, lo, hi);
+        } else {
+          float* d = out + done;
+          for (std::size_t x = xa; x < lo; ++x) d[x - xa] = 0.0f;
+          for (std::size_t x = lo; x < hi; ++x) {
+            d[x - xa] = src[static_cast<std::size_t>(
+                static_cast<std::ptrdiff_t>(x * s.stride) + dx)];
+          }
+          for (std::size_t x = hi; x < xb; ++x) d[x - xa] = 0.0f;
+        }
+        done += xb - xa;
+        xa = 0;
+        ++oy;
+      }
+    }
+  }
+
+  /// image_panel row for a stride-1 conv whose output is as wide as its
+  /// input: pixel j reads plane[j + shift] (shift = dy * width + dx), so the
+  /// valid output rows are one contiguous block copy. The copy also fills
+  /// the border columns (ox outside rx, which read a neighbouring row), and
+  /// those are zeroed afterwards. The copy is trimmed at both ends to stay
+  /// inside the plane; the trimmed pixels are border columns too.
+  static MACH_INLINE void same_size_row(const float* plane, const ConvShape& s,
+                                        std::size_t ow, std::ptrdiff_t shift,
+                                        ValidRange ry, ValidRange rx,
+                                        std::size_t jc, std::size_t nc,
+                                        std::size_t first_oy, float* out) {
+    const std::size_t jend = jc + nc;
+    std::size_t a = ry.lo * ow, b = ry.hi * ow;
+    if (a < jc) a = jc;
+    if (b > jend) b = jend;
+    if (a >= b) {
+      for (std::size_t j = 0; j < nc; ++j) out[j] = 0.0f;
+      return;
+    }
+    for (std::size_t j = jc; j < a; ++j) out[j - jc] = 0.0f;
+    for (std::size_t j = b; j < jend; ++j) out[j - jc] = 0.0f;
+    const auto plane_size = static_cast<std::ptrdiff_t>(s.height * s.width);
+    auto lo = static_cast<std::ptrdiff_t>(a);
+    auto hi = static_cast<std::ptrdiff_t>(b);
+    if (lo + shift < 0) lo = -shift;
+    if (hi + shift > plane_size) hi = plane_size - shift;
+    if (lo < hi) {
+      const auto ulo = static_cast<std::size_t>(lo);
+      const auto uhi = static_cast<std::size_t>(hi);
+      copy_run(out + (ulo - jc), plane, shift, ulo, uhi, ulo, uhi);
+    }
+    // Border columns: a strided column of zeros per invalid ox.
+    const std::size_t first_row = (first_oy > ry.lo ? first_oy : ry.lo) * ow;
+    const auto zero_column = [&](std::size_t ox) {
+      std::size_t j = first_row + ox;
+      if (j < a) j += ow;
+      for (; j < b; j += ow) out[j - jc] = 0.0f;
+    };
+    for (std::size_t ox = 0; ox < rx.lo; ++ox) zero_column(ox);
+    for (std::size_t ox = rx.hi; ox < ow; ++ox) zero_column(ox);
+  }
+
+  // -------------------------------------------------------------------------
+  // Micro-kernels
+  // -------------------------------------------------------------------------
+
+  /// MR x NR tile for gemm_nn / gemm_tn (B rows ldb apart): load C (or
+  /// start from zero), apply kc rank-1 updates in increasing p order, add
+  /// the optional bias (row bias first, then column bias, as the reference
+  /// does), store.
+  static MACH_INLINE void micro_nn(std::size_t kc, const float* ap,
+                                   const float* bp, std::size_t ldb, float* ct,
+                                   std::size_t ldc, bool zero_init,
+                                   const float* bias_row,
+                                   const float* bias_col) {
+    V acc[kMR][kNV];
+    if (zero_init) {
+#pragma GCC unroll 16
+      for (std::size_t r = 0; r < kMR; ++r) {
+#pragma GCC unroll 16
+        for (std::size_t v = 0; v < kNV; ++v) acc[r][v] = Isa::zero();
+      }
+    } else {
+#pragma GCC unroll 16
+      for (std::size_t r = 0; r < kMR; ++r) {
+#pragma GCC unroll 16
+        for (std::size_t v = 0; v < kNV; ++v) {
+          acc[r][v] = Isa::load(ct + r * ldc + v * kW);
+        }
+      }
+    }
+    for (std::size_t p = 0; p < kc; ++p) {
+      const float* apr = ap + p * kMR;
+      const float* bpr = bp + p * ldb;
+      V b[kNV];
+#pragma GCC unroll 16
+      for (std::size_t v = 0; v < kNV; ++v) b[v] = Isa::load(bpr + v * kW);
+#pragma GCC unroll 16
+      for (std::size_t r = 0; r < kMR; ++r) {
+        const V av = Isa::bcast(apr[r]);
+#pragma GCC unroll 16
+        for (std::size_t v = 0; v < kNV; ++v) {
+          acc[r][v] = Isa::add(acc[r][v], Isa::mul(av, b[v]));
+        }
+      }
+    }
+    if (bias_row != nullptr) {
+#pragma GCC unroll 16
+      for (std::size_t r = 0; r < kMR; ++r) {
+        const V br = Isa::bcast(bias_row[r]);
+#pragma GCC unroll 16
+        for (std::size_t v = 0; v < kNV; ++v) {
+          acc[r][v] = Isa::add(acc[r][v], br);
+        }
+      }
+    }
+    if (bias_col != nullptr) {
+#pragma GCC unroll 16
+      for (std::size_t v = 0; v < kNV; ++v) {
+        const V bc = Isa::load(bias_col + v * kW);
+#pragma GCC unroll 16
+        for (std::size_t r = 0; r < kMR; ++r) {
+          acc[r][v] = Isa::add(acc[r][v], bc);
+        }
+      }
+    }
+#pragma GCC unroll 16
+    for (std::size_t r = 0; r < kMR; ++r) {
+#pragma GCC unroll 16
+      for (std::size_t v = 0; v < kNV; ++v) {
+        Isa::store(ct + r * ldc + v * kW, acc[r][v]);
+      }
+    }
+  }
+
+  /// Fringe tile (mr < MR or nr < NR): the full-tile kernel on a zero-padded
+  /// copy of the C tile and bias, then only the valid part is stored back.
+  static void micro_nn_edge(std::size_t kc, const float* ap, const float* bp,
+                            std::size_t ldb, float* ct, std::size_t ldc,
+                            std::size_t mr, std::size_t nr, bool zero_init,
+                            const float* bias_row, const float* bias_col) {
+    alignas(64) float tile[kMR * kNR];
+    alignas(64) float brow[kMR];
+    alignas(64) float bcol[kNR];
+    for (std::size_t i = 0; i < kMR * kNR; ++i) tile[i] = 0.0f;
+    if (!zero_init) {
+      for (std::size_t r = 0; r < mr; ++r) {
+        for (std::size_t j = 0; j < nr; ++j) tile[r * kNR + j] = ct[r * ldc + j];
+      }
+    }
+    if (bias_row != nullptr) {
+      for (std::size_t r = 0; r < kMR; ++r) brow[r] = r < mr ? bias_row[r] : 0.0f;
+    }
+    if (bias_col != nullptr) {
+      for (std::size_t j = 0; j < kNR; ++j) bcol[j] = j < nr ? bias_col[j] : 0.0f;
+    }
+    micro_nn(kc, ap, bp, ldb, tile, kNR, zero_init,
+             bias_row != nullptr ? brow : nullptr,
+             bias_col != nullptr ? bcol : nullptr);
+    for (std::size_t r = 0; r < mr; ++r) {
+      for (std::size_t j = 0; j < nr; ++j) ct[r * ldc + j] = tile[r * kNR + j];
+    }
+  }
+
+  /// gemm_nt tile in dot-product form, computed transposed: the lanes of NV
+  /// NI vectors run over NV * NI::kW rows of C (a packed A strip), the NJ
+  /// columns come from the B rows `brows`, broadcast one element at a time.
+  /// Fresh accumulators sum the full k in increasing p order; tile[j * rows +
+  /// i] receives the sums.
+  template <class NI, std::size_t NV, std::size_t NJ>
+  static MACH_INLINE void micro_nt(std::size_t k, const float* ap,
+                                   const float* const* brows, float* tile) {
+    using NV_t = typename NI::V;
+    constexpr std::size_t kRows = NV * NI::kW;
+    NV_t acc[NJ][NV];
+    const float* bj[NJ];
+#pragma GCC unroll 32
+    for (std::size_t j = 0; j < NJ; ++j) {
+      bj[j] = brows[j];
+#pragma GCC unroll 16
+      for (std::size_t v = 0; v < NV; ++v) acc[j][v] = NI::zero();
+    }
+    for (std::size_t p = 0; p < k; ++p) {
+      NV_t a[NV];
+#pragma GCC unroll 16
+      for (std::size_t v = 0; v < NV; ++v) {
+        a[v] = NI::load(ap + p * kRows + v * NI::kW);
+      }
+#pragma GCC unroll 32
+      for (std::size_t j = 0; j < NJ; ++j) {
+        const NV_t bv = NI::bcast(bj[j][p]);
+#pragma GCC unroll 16
+        for (std::size_t v = 0; v < NV; ++v) {
+          acc[j][v] = NI::add(acc[j][v], NI::mul(a[v], bv));
+        }
+      }
+    }
+#pragma GCC unroll 32
+    for (std::size_t j = 0; j < NJ; ++j) {
+#pragma GCC unroll 16
+      for (std::size_t v = 0; v < NV; ++v) {
+        NI::store(tile + j * kRows + v * NI::kW, acc[j][v]);
+      }
+    }
+  }
+
+  // -------------------------------------------------------------------------
+  // Drivers
+  // -------------------------------------------------------------------------
+
+  /// Where a packed B panel's NR-wide strip j0 starts and how far apart its
+  /// rows are: NR-strip layout (pack_b) or one row-major panel (image).
+  struct PanelLayout {
+    std::size_t strip_step;  // floats between consecutive strips
+    std::size_t ldb;         // floats between consecutive rows of a strip
+  };
+
+  /// Shared packed-panel driver for gemm_nn, gemm_tn and conv_forward (they
+  /// differ only in how the A block and the B panel are packed). Loop order
+  /// jc -> pc -> ic keeps the k-blocks of any C element in increasing order.
+  /// pack_b_panel(pc, kc, jc, nc, bpack) fills bpack and returns its layout.
+  /// With kPrepackedA the caller has already packed A as one block (m <= MC,
+  /// k <= KC) into buf.a.
+  template <bool kTransposedA, bool kPrepackedA = false, class PackB>
+  static MACH_INLINE void nn_driver(ConstMat a, std::size_t k,
+                                    const PackB& pack_b_panel, Mat c,
+                                    bool accumulate, const float* bias_row,
+                                    const float* bias_col, PackBuffers buf) {
+    const std::size_t m = c.rows, n = c.cols;
+    for (std::size_t jc = 0; jc < n; jc += kNC) {
+      const std::size_t nc = min_size(kNC, n - jc);
+      for (std::size_t pc = 0; pc < k; pc += kKC) {
+        const std::size_t kc = min_size(kKC, k - pc);
+        const bool zero_init = pc == 0 && !accumulate;
+        const bool last = pc + kc == k;
+        const PanelLayout layout = pack_b_panel(pc, kc, jc, nc, buf.b);
+        for (std::size_t ic = 0; ic < m; ic += kMC) {
+          const std::size_t mc = min_size(kMC, m - ic);
+          if constexpr (kPrepackedA) {
+          } else if constexpr (kTransposedA) {
+            pack_a_t(a.data + pc * a.cols + ic, a.cols, mc, kc, buf.a);
+          } else {
+            pack_a_n<kMR>(a.data + ic * a.cols + pc, a.cols, mc, kc, buf.a);
+          }
+          for (std::size_t j0 = 0; j0 < nc; j0 += kNR) {
+            const std::size_t nr = min_size(kNR, nc - j0);
+            const float* bp = buf.b + (j0 / kNR) * layout.strip_step;
+            const float* bc =
+                last && bias_col != nullptr ? bias_col + jc + j0 : nullptr;
+            for (std::size_t i0 = 0; i0 < mc; i0 += kMR) {
+              const std::size_t mr = min_size(kMR, mc - i0);
+              const float* ap = buf.a + (i0 / kMR) * kc * kMR;
+              float* ct = c.data + (ic + i0) * c.cols + jc + j0;
+              const float* br =
+                  last && bias_row != nullptr ? bias_row + ic + i0 : nullptr;
+              if (mr == kMR && nr == kNR) {
+                micro_nn(kc, ap, bp, layout.ldb, ct, c.cols, zero_init, br, bc);
+              } else {
+                micro_nn_edge(kc, ap, bp, layout.ldb, ct, c.cols, mr, nr,
+                              zero_init, br, bc);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+
+  static void gemm_nn(ConstMat a, ConstMat b, Mat c, bool accumulate,
+                      const float* bias_row, const float* bias_col,
+                      PackBuffers buf) {
+    const auto pack = [b](std::size_t pc, std::size_t kc, std::size_t jc,
+                          std::size_t nc, float* bpack) {
+      pack_b(b.data + pc * b.cols + jc, b.cols, kc, nc, bpack);
+      return PanelLayout{kc * kNR, kNR};
+    };
+    nn_driver<false>(a, a.cols, pack, c, accumulate, bias_row, bias_col, buf);
+  }
+
+  static void gemm_tn(ConstMat a, ConstMat b, Mat c, bool accumulate,
+                      PackBuffers buf) {
+    const auto pack = [b](std::size_t pc, std::size_t kc, std::size_t jc,
+                          std::size_t nc, float* bpack) {
+      pack_b(b.data + pc * b.cols + jc, b.cols, kc, nc, bpack);
+      return PanelLayout{kc * kNR, kNR};
+    };
+    nn_driver<true>(a, a.rows, pack, c, accumulate, nullptr, nullptr, buf);
+  }
+
+  /// conv_forward over `count` consecutive images. When the weights fit one
+  /// A block they are packed once for the whole batch.
+  static void conv_forward(const float* images, std::size_t count,
+                           const ConvShape& shape, ConstMat weight,
+                           const float* bias, float* out, PackBuffers buf) {
+    const std::size_t oh = conv_out_extent(shape.height, shape);
+    const std::size_t ow = conv_out_extent(shape.width, shape);
+    const std::size_t m = weight.rows, k = weight.cols, n = oh * ow;
+    const std::size_t image_size = shape.channels * shape.height * shape.width;
+    const bool shared_a = m <= kMC && k <= kKC;
+    if (shared_a) pack_a_n<kMR>(weight.data, k, m, k, buf.a);
+    for (std::size_t img = 0; img < count; ++img) {
+      const float* image = images + img * image_size;
+      const auto pack = [image, &shape, oh, ow](std::size_t pc, std::size_t kc,
+                                                std::size_t jc, std::size_t nc,
+                                                float* bpack) {
+        const std::size_t ldb = (nc + kNR - 1) / kNR * kNR;
+        image_panel(image, shape, oh, ow, pc, kc, jc, nc, ldb, bpack);
+        return PanelLayout{kNR, ldb};
+      };
+      const Mat c{out + img * m * n, m, n};
+      if (shared_a) {
+        nn_driver<false, true>(weight, k, pack, c, false, bias, nullptr, buf);
+      } else {
+        nn_driver<false>(weight, k, pack, c, false, bias, nullptr, buf);
+      }
+    }
+  }
+
+  static void im2col(const float* image, const ConvShape& shape, float* cols) {
+    const std::size_t oh = conv_out_extent(shape.height, shape);
+    const std::size_t ow = conv_out_extent(shape.width, shape);
+    const std::size_t n = oh * ow;
+    image_panel(image, shape, oh, ow, 0,
+                shape.channels * shape.kernel * shape.kernel, 0, n, n, cols);
+  }
+
+  /// Adjoint of im2col: accumulates cols into the (caller-initialised) image
+  /// gradient. Each (channel, ky, kx) row adds at most one contribution to
+  /// any pixel, and rows are applied in increasing order — exactly the
+  /// additions of the reference loop, so every pixel's float chain matches.
+  static void col2im(const float* cols, const ConvShape& s, float* grad) {
+    const std::size_t oh = conv_out_extent(s.height, s);
+    const std::size_t ow = conv_out_extent(s.width, s);
+    const std::size_t n = oh * ow;
+    std::size_t p = 0;
+    for (std::size_t ch = 0; ch < s.channels; ++ch) {
+      float* plane = grad + ch * s.height * s.width;
+      for (std::size_t ky = 0; ky < s.kernel; ++ky) {
+        const auto dy = static_cast<std::ptrdiff_t>(ky) -
+                        static_cast<std::ptrdiff_t>(s.pad);
+        const ValidRange ry = valid_range(dy, s.stride, s.height, oh);
+        for (std::size_t kx = 0; kx < s.kernel; ++kx, ++p) {
+          const auto dx = static_cast<std::ptrdiff_t>(kx) -
+                          static_cast<std::ptrdiff_t>(s.pad);
+          const ValidRange rx = valid_range(dx, s.stride, s.width, ow);
+          const float* src = cols + p * n;
+          if (s.stride == 1 && ow == s.width && s.pad <= kSavedTargets) {
+            same_size_col2im_row(
+                src, s, ow, dy * static_cast<std::ptrdiff_t>(s.width) + dx, ry,
+                rx, plane);
+            continue;
+          }
+          for (std::size_t oy = ry.lo; oy < ry.hi; ++oy) {
+            float* dst_row =
+                plane + static_cast<std::size_t>(
+                            static_cast<std::ptrdiff_t>(oy * s.stride) + dy) *
+                            s.width;
+            const float* src_row = src + oy * ow;
+            for (std::size_t ox = rx.lo; ox < rx.hi; ++ox) {
+              const auto ix = static_cast<std::ptrdiff_t>(ox * s.stride) + dx;
+              dst_row[static_cast<std::size_t>(ix)] += src_row[ox];
+            }
+          }
+        }
+      }
+    }
+  }
+
+  /// col2im row for a stride-1 conv whose output is as wide as its input:
+  /// pixel j of the row adds into plane[j + shift], so the valid rows are
+  /// one contiguous vector add. That add also hits the targets of the
+  /// border columns (ox outside rx, whose targets are real pixels of a
+  /// neighbouring row), so those targets are saved first and written back
+  /// after — the restored bits are exactly the originals. Rows are taken in
+  /// chunks so the saved values fit a fixed stack buffer; a row has at most
+  /// pad border columns, so pad <= kSavedTargets guarantees a chunk of at
+  /// least one row.
+  static constexpr std::size_t kSavedTargets = 256;
+
+  static MACH_INLINE void same_size_col2im_row(const float* src,
+                                               const ConvShape& s,
+                                               std::size_t ow,
+                                               std::ptrdiff_t shift,
+                                               ValidRange ry, ValidRange rx,
+                                               float* plane) {
+    if (ry.lo >= ry.hi || rx.lo >= rx.hi) return;
+    const std::size_t border = rx.lo + (ow - rx.hi);
+    const std::size_t chunk_rows =
+        border == 0 ? ry.hi - ry.lo : kSavedTargets / border;
+    const auto plane_size = static_cast<std::ptrdiff_t>(s.height * s.width);
+    float saved[kSavedTargets];
+    for (std::size_t r0 = ry.lo; r0 < ry.hi; r0 += chunk_rows) {
+      const std::size_t r1 = min_size(ry.hi, r0 + chunk_rows);
+      auto lo = static_cast<std::ptrdiff_t>(r0 * ow);
+      auto hi = static_cast<std::ptrdiff_t>(r1 * ow);
+      if (lo + shift < 0) lo = -shift;
+      if (hi + shift > plane_size) hi = plane_size - shift;
+      // Border targets inside [lo, hi), column by column.
+      std::size_t count = 0;
+      const auto for_border = [&](auto&& visit) {
+        const auto column = [&](std::size_t ox) {
+          for (std::ptrdiff_t j = static_cast<std::ptrdiff_t>(r0 * ow + ox);
+               j < hi; j += static_cast<std::ptrdiff_t>(ow)) {
+            if (j >= lo) visit(plane + (j + shift));
+          }
+        };
+        for (std::size_t ox = 0; ox < rx.lo; ++ox) column(ox);
+        for (std::size_t ox = rx.hi; ox < ow; ++ox) column(ox);
+      };
+      for_border([&](float* t) { saved[count++] = *t; });
+      float* dst = plane + (lo + shift);
+      const float* from = src + lo;
+      for (std::ptrdiff_t t = 0; t < hi - lo; ++t) dst[t] += from[t];
+      count = 0;
+      for_border([&](float* t) { *t = saved[count++]; });
+    }
+  }
+
+  /// gemm_nt over NV x NJ tiles of NI vectors: A is packed once over the full
+  /// k (strips of NV * NI::kW rows, reused by every column tile); B rows are
+  /// read in place.
+  template <class NI, std::size_t NV, std::size_t NJ>
+  static MACH_INLINE void nt_driver(ConstMat a, ConstMat b, Mat c,
+                                    bool accumulate, PackBuffers buf) {
+    constexpr std::size_t kRows = NV * NI::kW;
+    const std::size_t m = a.rows, k = a.cols, n = b.rows;
+    pack_a_n<kRows>(a.data, k, m, k, buf.a);
+    for (std::size_t i0 = 0; i0 < m; i0 += kRows) {
+      const std::size_t mr = min_size(kRows, m - i0);
+      const float* ap = buf.a + (i0 / kRows) * k * kRows;
+      for (std::size_t j0 = 0; j0 < n; j0 += NJ) {
+        const std::size_t nr = min_size(NJ, n - j0);
+        // Fringe columns re-read the last valid B row; their sums are
+        // discarded below.
+        const float* brows[NJ];
+        for (std::size_t j = 0; j < NJ; ++j) {
+          brows[j] = b.data + (j0 + (j < nr ? j : nr - 1)) * k;
+        }
+        alignas(64) float tile[NJ * kRows];
+        micro_nt<NI, NV, NJ>(k, ap, brows, tile);
+        for (std::size_t i = 0; i < mr; ++i) {
+          float* crow = c.data + (i0 + i) * c.cols + j0;
+          for (std::size_t j = 0; j < nr; ++j) {
+            const float base = accumulate ? crow[j] : 0.0f;
+            crow[j] = base + tile[j * kRows + i];
+          }
+        }
+      }
+    }
+  }
+
+  static constexpr bool kHasNarrowNt = requires { typename Cfg::NarrowIsa; };
+
+  static void gemm_nt(ConstMat a, ConstMat b, Mat c, bool accumulate,
+                      PackBuffers buf) {
+    if constexpr (kHasNarrowNt) {
+      if (a.rows <= Cfg::NarrowIsa::kW) {
+        nt_driver<typename Cfg::NarrowIsa, 1, Cfg::kNarrowNtNR>(a, b, c,
+                                                               accumulate, buf);
+        return;
+      }
+    }
+    nt_driver<Isa, kNtNV, kNtNR>(a, b, c, accumulate, buf);
+  }
+
+  static constexpr NtBlocking nt_blocking() {
+    if constexpr (kHasNarrowNt) {
+      return {kNtMR, kNtNR, Cfg::NarrowIsa::kW, Cfg::kNarrowNtNR};
+    } else {
+      return {kNtMR, kNtNR, 0, 0};
+    }
+  }
+
+  static constexpr GemmVariant variant(common::GemmIsa isa) {
+    return {isa,      {kMR, kNR, kKC, kMC, kNC}, nt_blocking(), &gemm_nn,
+            &gemm_tn, &gemm_nt, &conv_forward, &im2col, &col2im};
+  }
+};
+
+}  // namespace
+}  // namespace mach::tensor::kernels::detail

@@ -1,0 +1,102 @@
+// The GEMM variant table behind kernels::gemm_nn / gemm_tn / gemm_nt and
+// kernels::conv_forward (internal to the kernel layer and its tests).
+//
+// Each variant is one instantiation of the shared drivers in gemm_driver.h,
+// compiled in its own translation unit with its own ISA flags:
+//
+//   gemm_baseline.cpp  plain x86-64 (SSE2)      -O3 -ffp-contract=off
+//   gemm_avx2.cpp      -mavx2                   -O3 -ffp-contract=off
+//   gemm_avx512.cpp    -mavx512f -mavx512vl     -O3 -ffp-contract=off
+//
+// gemm_dispatch.cpp picks the widest variant the CPU supports, once, via
+// common::host_gemm_isa(). All variants keep the summation order kernels.h
+// specifies, so they are bitwise interchangeable.
+#pragma once
+
+#include <cstddef>
+#include <vector>
+
+#include "common/cpu_isa.h"
+#include "tensor/kernels/kernels.h"
+
+namespace mach::tensor::kernels::detail {
+
+/// Register tile and cache blocks of the gemm_nn / gemm_tn / conv_forward
+/// driver: an mr x nr micro-kernel tile over kc x nc packed B panels and
+/// mc x kc packed A blocks.
+struct Blocking {
+  std::size_t mr, nr, kc, mc, nc;
+};
+
+/// gemm_nt computes C transposed in registers: each tile covers mr rows of
+/// C held in vector lanes (A packed in mr-row strips over the full k) and
+/// nr columns whose B rows are broadcast straight from memory, so B needs
+/// no transposed packing. A variant may also have a narrow tile (narrow_mr
+/// rows of half-width vectors x narrow_nr columns) that it uses whenever
+/// m <= narrow_mr; both are zero when it has none.
+struct NtBlocking {
+  std::size_t mr, nr, narrow_mr, narrow_nr;
+};
+
+/// Caller-owned pack buffers. The ISA translation units never allocate:
+/// library code instantiated under wider ISA flags (std::vector growth, for
+/// one) could be picked by the linker for the whole program.
+struct PackBuffers {
+  float* a;
+  float* b;
+};
+
+struct GemmVariant {
+  common::GemmIsa isa;  // common::gemm_isa_name(isa) names the variant
+  Blocking nn;
+  NtBlocking nt;
+  // Preconditions (the dispatcher handles everything else): m, n, k > 0 and
+  // the pack buffers hold mc * kc (a) and kc * nc (b) floats of the nn
+  // blocking, or round_up(m, nt.mr) * k (a) for gemm_nt.
+  void (*gemm_nn)(ConstMat a, ConstMat b, Mat c, bool accumulate,
+                  const float* bias_row, const float* bias_col,
+                  PackBuffers buffers);
+  void (*gemm_tn)(ConstMat a, ConstMat b, Mat c, bool accumulate,
+                  PackBuffers buffers);
+  void (*gemm_nt)(ConstMat a, ConstMat b, Mat c, bool accumulate,
+                  PackBuffers buffers);
+  void (*conv_forward)(const float* images, std::size_t count,
+                       const ConvShape& shape, ConstMat weight,
+                       const float* bias, float* out, PackBuffers buffers);
+  // The B-panel builder of conv_forward run over the whole image: writes
+  // the [channels*kernel*kernel, out_h*out_w] im2col matrix.
+  void (*im2col)(const float* image, const ConvShape& shape, float* cols);
+  // Its adjoint: accumulates cols into the image gradient.
+  void (*col2im)(const float* cols, const ConvShape& shape, float* grad_image);
+};
+
+extern const GemmVariant kBaselineVariant;
+#if defined(__x86_64__)
+extern const GemmVariant kAvx2Variant;
+extern const GemmVariant kAvx512Variant;
+#endif
+
+/// The compiled variants this CPU can execute, narrowest first.
+std::vector<const GemmVariant*> host_variants();
+/// The variant the public kernels run: the widest one the CPU supports.
+const GemmVariant& active_variant();
+
+// Variant-explicit entry points. They handle the degenerate shapes, size
+// the calling thread's pack buffers and call into the variant; the public
+// kernels are these with active_variant().
+void gemm_nn(const GemmVariant& variant, ConstMat a, ConstMat b, Mat c,
+             bool accumulate = false, const float* bias_row = nullptr,
+             const float* bias_col = nullptr);
+void gemm_tn(const GemmVariant& variant, ConstMat a, ConstMat b, Mat c,
+             bool accumulate = false);
+void gemm_nt(const GemmVariant& variant, ConstMat a, ConstMat b, Mat c,
+             bool accumulate = false);
+void conv_forward(const GemmVariant& variant, const float* images,
+                  std::size_t count, const ConvShape& shape, ConstMat weight,
+                  const float* bias, float* out);
+void im2col(const GemmVariant& variant, const float* image,
+            const ConvShape& shape, float* cols);
+void col2im(const GemmVariant& variant, const float* cols,
+            const ConvShape& shape, float* grad_image);
+
+}  // namespace mach::tensor::kernels::detail

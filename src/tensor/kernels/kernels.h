@@ -8,7 +8,10 @@
 //   * kernels::*       — the production kernels: register-blocked micro-kernel
 //                        GEMMs over packed A/B panels, branch-free elementwise
 //                        loops the compiler auto-vectorises, fused bias-add
-//                        epilogues for the forward paths.
+//                        epilogues for the forward paths. The GEMMs come in
+//                        one variant per instruction set (baseline x86-64,
+//                        AVX2, AVX-512), picked once per process from cpuid;
+//                        gemm_variants.h holds the table and its blocking.
 //   * kernels::ref::*  — the retained reference kernels (the seed's naive
 //                        loops). They define the summation-order contract and
 //                        serve as the equivalence-test and microbench baseline.
@@ -22,10 +25,10 @@
 //   * gemm_nt: a fresh accumulator per element sums k products in increasing
 //     p order and is added to C once at the end (dot-product form);
 //   * reductions (dot, squared_norm, col/row sums): strict element order.
-// Because the order is fixed and float mul/add are exactly rounded, blocked
-// and reference kernels produce bitwise-identical results, at any thread
-// count, provided FMA contraction is disabled (see the build flags: the
-// kernel TUs are compiled with -ffp-contract=off).
+// Because the order is fixed and float mul/add are exactly rounded, every
+// GEMM variant and the reference kernels produce bitwise-identical results,
+// at any thread count and on any CPU, provided FMA contraction is disabled
+// (see the build flags: the kernel TUs are compiled with -ffp-contract=off).
 #pragma once
 
 #include <cstddef>
@@ -52,15 +55,6 @@ struct Mat {
   operator ConstMat() const noexcept { return {data, rows, cols}; }
 };
 
-// Blocking parameters (exported so the equivalence suite can probe
-// non-multiple-of-block shapes deliberately). MR x NR is the register tile
-// of the micro-kernel; KC/MC/NC are the cache-tiling panel sizes.
-inline constexpr std::size_t kMR = 4;
-inline constexpr std::size_t kNR = 8;
-inline constexpr std::size_t kKC = 256;
-inline constexpr std::size_t kMC = 64;
-inline constexpr std::size_t kNC = 256;
-
 // ---------------------------------------------------------------------------
 // GEMM. Shapes (rows x cols of the stored views):
 //   gemm_nn: C[m,n] (+)= A[m,k]  · B[k,n]
@@ -80,10 +74,10 @@ void gemm_nt(ConstMat a, ConstMat b, Mat c, bool accumulate = false);
 // ---------------------------------------------------------------------------
 // im2col / col2im on one NCHW image plane (square kernel, symmetric zero
 // padding). `image` points at [channels, height, width]; `cols` holds
-// [channels*kernel*kernel, out_h*out_w]. The production im2col splits the
-// zero-padded border from the interior so the interior of each (channel,
-// ky, kx) row is a straight contiguous row copy for stride 1 (and a
-// branch-free strided copy otherwise).
+// [channels*kernel*kernel, out_h*out_w]. Both split the zero-padded border
+// from the interior once per (channel, ky, kx) row instead of testing bounds
+// per element; im2col is conv_forward's B-panel builder run over the whole
+// image, built for each GEMM variant's ISA.
 // ---------------------------------------------------------------------------
 void im2col(const float* image, std::size_t channels, std::size_t height,
             std::size_t width, std::size_t kernel, std::size_t pad,
@@ -95,10 +89,34 @@ void col2im(const float* cols, std::size_t channels, std::size_t height,
             std::size_t stride, float* grad_image);
 
 // ---------------------------------------------------------------------------
+// Fused convolution forward over `count` consecutive NCHW images: weight is
+// [out_c, patch] with patch = channels*kernel*kernel, and out holds `count`
+// consecutive [out_c, out_h*out_w] planes with
+//   out[o, q] = (sum_p weight[o, p] * im2col(image)[p, q]) + bias[o]
+// — exactly the float chains of im2col followed by gemm_nn with a fused
+// bias_row, but the GEMM's B panels are packed straight from the image, so
+// no column buffer is written or read. bias may be nullptr.
+// ---------------------------------------------------------------------------
+struct ConvShape {
+  std::size_t channels = 0;
+  std::size_t height = 0;
+  std::size_t width = 0;
+  std::size_t kernel = 0;
+  std::size_t pad = 0;
+  std::size_t stride = 1;
+};
+
+void conv_forward(const float* images, std::size_t count,
+                  const ConvShape& shape, ConstMat weight, const float* bias,
+                  float* out);
+
+// ---------------------------------------------------------------------------
 // Elementwise kernels (branch-free, auto-vectorizable; exact per-element
 // semantics match the naive loops they replaced).
 // ---------------------------------------------------------------------------
 void relu(std::size_t n, const float* x, float* y);
+/// gx[i] = x[i] > 0 ? gy[i] : 0 (gy is read unconditionally, so the loop
+/// if-converts to a blend instead of a data-dependent branch).
 void relu_bwd(std::size_t n, const float* x, const float* gy, float* gx);
 /// y[i] += alpha * x[i]
 void axpy(std::size_t n, float alpha, const float* x, float* y);

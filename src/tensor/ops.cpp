@@ -118,22 +118,16 @@ void conv2d_forward(const Tensor& input, const Tensor& weight, const Tensor& bia
       output.dim(2) != oh || output.dim(3) != ow) {
     throw std::invalid_argument("conv2d_forward: bad output shape");
   }
-  // In-place views: weight as [out_c, patch], each image's output plane as
-  // [out_c, oh*ow]; the im2col buffer lives in the arena. Bias is fused into
-  // the GEMM epilogue (same float chain as GEMM-then-add).
-  arena.reset();
-  arena.reserve(patch * oh * ow);
-  float* cols = arena.alloc(patch * oh * ow);
-  const kern::ConstMat weight2d{weight.data(), out_c, patch};
-  for (std::size_t img = 0; img < batch; ++img) {
-    kern::im2col(input.data() + img * spec.in_channels * h * w,
-                 spec.in_channels, h, w, spec.kernel, spec.pad, spec.stride,
-                 cols);
-    kern::gemm_nn(weight2d, {cols, patch, oh * ow},
-                  {output.data() + img * out_c * oh * ow, out_c, oh * ow},
-                  /*accumulate=*/false, /*bias_row=*/bias.data(),
-                  /*bias_col=*/nullptr);
-  }
+  // Weight viewed in place as [out_c, patch], each image's output plane as
+  // [out_c, oh*ow]. The GEMM packs its B panels straight from the image (no
+  // im2col buffer) and fuses the bias into its epilogue — the same float
+  // chains as im2col, GEMM, then bias add. The arena is not needed here; it
+  // stays in the signature because backward shares it.
+  (void)arena;
+  const kern::ConvShape shape{spec.in_channels, h, w, spec.kernel, spec.pad,
+                              spec.stride};
+  kern::conv_forward(input.data(), batch, shape, {weight.data(), out_c, patch},
+                     bias.data(), output.data());
 }
 
 void conv2d_backward(const Tensor& input, const Tensor& weight,

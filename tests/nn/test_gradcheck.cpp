@@ -21,6 +21,11 @@ struct GradCheckCase {
   std::vector<std::size_t> input_shape;
 };
 
+// Print a case by name. The default printer dumps the object's raw bytes,
+// which include heap addresses, so the listed test names would change from
+// run to run.
+void PrintTo(const GradCheckCase& c, std::ostream* os) { *os << c.name; }
+
 class GradCheck : public ::testing::TestWithParam<GradCheckCase> {};
 
 double loss_of(Sequential& model, const tensor::Tensor& x,

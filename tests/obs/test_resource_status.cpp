@@ -7,6 +7,7 @@
 #include <fstream>
 #include <string>
 
+#include "common/cpu_isa.h"
 #include "obs/json.h"
 #include "obs/resource.h"
 #include "obs/status_writer.h"
@@ -80,6 +81,10 @@ TEST(HardwareInfo, ReportsThreadsAndEmbeddableJson) {
   EXPECT_EQ((*parsed).number_or("hardware_threads", 0),
             static_cast<double>(info.hardware_threads));
   EXPECT_GT((*parsed).number_or("peak_rss_kb", 0), 0.0);
+  // Names the GEMM micro-kernel the process dispatches to.
+  EXPECT_EQ((*parsed).string_or("gemm_isa", ""),
+            common::gemm_isa_name(common::host_gemm_isa()));
+  EXPECT_EQ(info.gemm_isa, (*parsed).string_or("gemm_isa", ""));
 }
 
 TEST(StatusWriter, WritesParseableDocumentAndCleansUpTheTemp) {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/rng.h"
+#include "tensor/kernels/gemm_variants.h"
+#include "tensor/kernels/kernels.h"
 #include "tensor/ops.h"
 
 namespace mach::tensor {
@@ -150,6 +153,99 @@ TEST(Conv2D, BackwardMatchesNumericalGradient) {
   // Bias gradient of a sum loss is the number of output pixels per channel.
   EXPECT_NEAR(grad_bias[0], 16.0f, 1e-3f);
   EXPECT_NEAR(grad_bias[1], 16.0f, 1e-3f);
+}
+
+/// Reference forward for image `img`: the retained im2col into a column
+/// buffer, then the reference GEMM with the bias fused as bias_row.
+std::vector<float> reference_conv_image(const Tensor& input, std::size_t img,
+                                        const Tensor& weight, const Tensor& bias,
+                                        const ConvSpec& spec) {
+  const std::size_t c = input.dim(1), h = input.dim(2), w = input.dim(3);
+  const std::size_t oh = spec.out_dim(h), ow = spec.out_dim(w);
+  const std::size_t patch = c * spec.kernel * spec.kernel;
+  std::vector<float> cols(patch * oh * ow);
+  kernels::ref::im2col(input.data() + img * c * h * w, c, h, w, spec.kernel,
+                       spec.pad, spec.stride, cols.data());
+  std::vector<float> out(spec.out_channels * oh * ow, 0.0f);
+  kernels::ref::gemm_nn({weight.data(), spec.out_channels, patch},
+                        {cols.data(), patch, oh * ow},
+                        {out.data(), spec.out_channels, oh * ow}, false,
+                        bias.data(), nullptr);
+  return out;
+}
+
+TEST(Conv2D, PackFromImageMatchesReferenceIm2ColGemmBitwise) {
+  // The fused path packs GEMM B panels straight from the image instead of
+  // materialising im2col; it must reproduce im2col+GEMM bit for bit for
+  // every variant this CPU runs, through the public op as well.
+  common::Rng rng(15);
+  const std::size_t channels = 3, out_c = 5;
+  const std::pair<std::size_t, std::size_t> sizes[] = {{7, 11}, {12, 5}, {9, 9}};
+  for (std::size_t kernel : {1u, 3u, 5u}) {
+    for (std::size_t pad : {0u, 2u}) {
+      for (std::size_t stride : {1u, 2u}) {
+        for (const auto& [h, w] : sizes) {
+          if (h + 2 * pad < kernel || w + 2 * pad < kernel) continue;
+          for (std::size_t batch : {1u, 3u}) {
+            const ConvSpec spec{.in_channels = channels, .out_channels = out_c,
+                                .kernel = kernel, .pad = pad, .stride = stride};
+            const Tensor input = random_tensor({batch, channels, h, w}, rng);
+            const Tensor weight =
+                random_tensor({out_c, channels, kernel, kernel}, rng);
+            const Tensor bias = random_tensor({out_c}, rng);
+            const std::size_t oh = spec.out_dim(h), ow = spec.out_dim(w);
+            const std::size_t plane = out_c * oh * ow;
+            Tensor output({batch, out_c, oh, ow});
+            ScratchArena arena;
+            conv2d_forward(input, weight, bias, spec, output, arena);
+            const kernels::ConvShape shape{channels, h, w, kernel, pad, stride};
+            std::vector<float> want;
+            for (std::size_t img = 0; img < batch; ++img) {
+              const auto one =
+                  reference_conv_image(input, img, weight, bias, spec);
+              want.insert(want.end(), one.begin(), one.end());
+            }
+            const std::vector<float> got(output.data(),
+                                         output.data() + batch * plane);
+            ASSERT_EQ(got, want) << "op kernel=" << kernel << " pad=" << pad
+                                 << " stride=" << stride << " " << h << "x" << w
+                                 << " batch=" << batch;
+            for (const auto* v : kernels::detail::host_variants()) {
+              std::vector<float> direct(batch * plane, -3.0f);
+              kernels::detail::conv_forward(
+                  *v, input.data(), batch, shape,
+                  {weight.data(), out_c, channels * kernel * kernel},
+                  bias.data(), direct.data());
+              ASSERT_EQ(direct, want) << common::gemm_isa_name(v->isa) << " kernel=" << kernel
+                                      << " pad=" << pad << " stride=" << stride
+                                      << " " << h << "x" << w
+                                      << " batch=" << batch;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Conv2D, PackFromImageCoversWidePatchesAcrossKBlocks) {
+  // patch = 40 * 3 * 3 = 360 > KC for every variant, and 33 x 17 output
+  // pixels leave ragged NR strips: the image packer must honour both cuts.
+  common::Rng rng(16);
+  const ConvSpec spec{.in_channels = 40, .out_channels = 6, .kernel = 3,
+                      .pad = 1, .stride = 1};
+  const Tensor input = random_tensor({1, 40, 33, 17}, rng);
+  const Tensor weight = random_tensor({6, 40, 3, 3}, rng);
+  const Tensor bias = random_tensor({6}, rng);
+  const auto want = reference_conv_image(input, 0, weight, bias, spec);
+  const kernels::ConvShape shape{40, 33, 17, 3, 1, 1};
+  for (const auto* v : kernels::detail::host_variants()) {
+    std::vector<float> got(want.size());
+    kernels::detail::conv_forward(*v, input.data(), 1, shape,
+                                  {weight.data(), 6, 360}, bias.data(),
+                                  got.data());
+    ASSERT_EQ(got, want) << common::gemm_isa_name(v->isa);
+  }
 }
 
 TEST(ConvSpec, OutputDimension) {

@@ -1,5 +1,8 @@
 // Property-style equivalence suite: blocked kernels vs the retained
-// reference kernels over randomized and adversarial shapes.
+// reference kernels over randomized and adversarial shapes. Every GEMM case
+// runs once per variant this CPU supports (baseline, AVX2, AVX-512), reached
+// through the internal variant table, with the tile-edge cases derived from
+// that variant's own blocking.
 //
 // Tolerance policy: EXACT bitwise equality (EXPECT_EQ on floats, no
 // epsilon). The blocked kernels are required to reproduce the reference's
@@ -10,10 +13,17 @@
 // near-miss here is a real defect, not rounding noise.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
+#include "common/cpu_isa.h"
 #include "common/rng.h"
+#include "tensor/kernels/gemm_variants.h"
 #include "tensor/kernels/kernels.h"
 
 namespace mach::tensor::kernels {
@@ -38,20 +48,29 @@ struct GemmCase {
   std::size_t m, k, n;
 };
 
-std::vector<GemmCase> gemm_cases() {
+/// Shapes for one variant: degenerate, around its register tiles and cache
+/// panels, skinny, paper-shaped, and random.
+std::vector<GemmCase> gemm_cases(const detail::GemmVariant& v) {
+  const detail::Blocking& b = v.nn;
+  const detail::NtBlocking& t = v.nt;
   std::vector<GemmCase> cases = {
       // Degenerate / tiny.
       {1, 1, 1},
       {1, 5, 9},
       {7, 1, 3},  // k = 1
-      // Off-by-one around the register tile (kMR=4, kNR=8).
-      {kMR - 1, 3, kNR - 1},
-      {kMR + 1, 17, kNR + 1},
-      {2 * kMR, 5, 2 * kNR},
-      // Around the cache panels (kKC=256, kMC=64, kNC=256).
-      {kMC, kKC, kNC},
-      {kMC + 1, kKC + 1, 13},
-      {3, kKC + 7, kNC + 9},
+      // Off-by-one around the gemm_nn/gemm_tn register tile.
+      {b.mr - 1, 3, b.nr - 1},
+      {b.mr + 1, 17, b.nr + 1},
+      {2 * b.mr, 5, 2 * b.nr},
+      // Off-by-one around the gemm_nt tile.
+      {t.mr - 1, 9, t.nr - 1},
+      {t.mr + 1, 33, t.nr + 1},
+      {2 * t.mr, 4, 2 * t.nr},
+      // Around the cache panels.
+      {b.mc, b.kc, b.nc},
+      {b.mc + 1, b.kc + 1, 13},
+      {3, b.kc + 7, b.nc + 9},
+      {b.mc - 1, 2 * b.kc + 3, b.nc - 1},
       {257, 1, 8},
       // Tall / wide / skinny.
       {80, 3, 2},
@@ -65,7 +84,14 @@ std::vector<GemmCase> gemm_cases() {
       {16, 72, 256},
       {32, 144, 64},
       {32, 512, 64},
+      {8, 1024, 27},
+      {27, 8, 1024},
   };
+  if (t.narrow_mr > 0) {  // the narrow gemm_nt tile runs for m <= narrow_mr
+    cases.push_back({t.narrow_mr - 1, 9, t.narrow_nr - 1});
+    cases.push_back({t.narrow_mr, 70, t.narrow_nr + 1});
+    cases.push_back({t.narrow_mr + 1, 5, 2 * t.narrow_nr});
+  }
   common::Rng rng(20240806);
   for (int i = 0; i < 40; ++i) {
     cases.push_back({rng.uniform_index(80) + 1, rng.uniform_index(80) + 1,
@@ -74,23 +100,38 @@ std::vector<GemmCase> gemm_cases() {
   return cases;
 }
 
+std::string describe(const detail::GemmVariant& v, const GemmCase& c) {
+  return std::string(common::gemm_isa_name(v.isa)) +
+         " m=" + std::to_string(c.m) +
+         " k=" + std::to_string(c.k) + " n=" + std::to_string(c.n);
+}
+
+TEST(GemmDispatch, ActiveVariantIsTheWidestTheHostSupports) {
+  const auto host = detail::host_variants();
+  ASSERT_FALSE(host.empty());
+  EXPECT_EQ(host.front(), &detail::kBaselineVariant);
+  EXPECT_EQ(&detail::active_variant(), host.back());
+  EXPECT_EQ(detail::active_variant().isa, common::host_gemm_isa());
+}
+
 TEST(KernelEquivalence, GemmNnExact) {
   common::Rng rng(1);
-  for (const auto& c : gemm_cases()) {
-    for (bool accumulate : {false, true}) {
-      auto a = random_vec(c.m * c.k, rng);
-      auto b = random_vec(c.k * c.n, rng);
-      sprinkle_zeros(a, rng);
-      auto c_ref = random_vec(c.m * c.n, rng);
-      auto c_blk = c_ref;
-      ref::gemm_nn({a.data(), c.m, c.k}, {b.data(), c.k, c.n},
-                   {c_ref.data(), c.m, c.n}, accumulate);
-      gemm_nn({a.data(), c.m, c.k}, {b.data(), c.k, c.n},
-              {c_blk.data(), c.m, c.n}, accumulate);
-      for (std::size_t i = 0; i < c_ref.size(); ++i) {
-        ASSERT_EQ(c_blk[i], c_ref[i])
-            << "m=" << c.m << " k=" << c.k << " n=" << c.n
-            << " accumulate=" << accumulate << " i=" << i;
+  for (const auto* v : detail::host_variants()) {
+    for (const auto& c : gemm_cases(*v)) {
+      for (bool accumulate : {false, true}) {
+        auto a = random_vec(c.m * c.k, rng);
+        auto b = random_vec(c.k * c.n, rng);
+        sprinkle_zeros(a, rng);
+        auto c_ref = random_vec(c.m * c.n, rng);
+        auto c_blk = c_ref;
+        ref::gemm_nn({a.data(), c.m, c.k}, {b.data(), c.k, c.n},
+                     {c_ref.data(), c.m, c.n}, accumulate);
+        detail::gemm_nn(*v, {a.data(), c.m, c.k}, {b.data(), c.k, c.n},
+                        {c_blk.data(), c.m, c.n}, accumulate);
+        for (std::size_t i = 0; i < c_ref.size(); ++i) {
+          ASSERT_EQ(c_blk[i], c_ref[i])
+              << describe(*v, c) << " accumulate=" << accumulate << " i=" << i;
+        }
       }
     }
   }
@@ -98,27 +139,28 @@ TEST(KernelEquivalence, GemmNnExact) {
 
 TEST(KernelEquivalence, GemmNnFusedBiasExact) {
   common::Rng rng(2);
-  for (const auto& c : gemm_cases()) {
-    const auto a = random_vec(c.m * c.k, rng);
-    const auto b = random_vec(c.k * c.n, rng);
-    const auto bias_row = random_vec(c.m, rng);
-    const auto bias_col = random_vec(c.n, rng);
-    for (int variant = 0; variant < 3; ++variant) {
-      const float* br = (variant == 0) ? bias_row.data() : nullptr;
-      const float* bc = (variant == 1) ? bias_col.data() : nullptr;
-      if (variant == 2) {
-        br = bias_row.data();
-        bc = bias_col.data();
-      }
-      std::vector<float> c_ref(c.m * c.n, 0.0f), c_blk(c.m * c.n, 0.0f);
-      ref::gemm_nn({a.data(), c.m, c.k}, {b.data(), c.k, c.n},
-                   {c_ref.data(), c.m, c.n}, false, br, bc);
-      gemm_nn({a.data(), c.m, c.k}, {b.data(), c.k, c.n},
-              {c_blk.data(), c.m, c.n}, false, br, bc);
-      for (std::size_t i = 0; i < c_ref.size(); ++i) {
-        ASSERT_EQ(c_blk[i], c_ref[i])
-            << "m=" << c.m << " k=" << c.k << " n=" << c.n
-            << " variant=" << variant << " i=" << i;
+  for (const auto* v : detail::host_variants()) {
+    for (const auto& c : gemm_cases(*v)) {
+      const auto a = random_vec(c.m * c.k, rng);
+      const auto b = random_vec(c.k * c.n, rng);
+      const auto bias_row = random_vec(c.m, rng);
+      const auto bias_col = random_vec(c.n, rng);
+      for (int form = 0; form < 3; ++form) {
+        const float* br = (form == 0) ? bias_row.data() : nullptr;
+        const float* bc = (form == 1) ? bias_col.data() : nullptr;
+        if (form == 2) {
+          br = bias_row.data();
+          bc = bias_col.data();
+        }
+        std::vector<float> c_ref(c.m * c.n, 0.0f), c_blk(c.m * c.n, 0.0f);
+        ref::gemm_nn({a.data(), c.m, c.k}, {b.data(), c.k, c.n},
+                     {c_ref.data(), c.m, c.n}, false, br, bc);
+        detail::gemm_nn(*v, {a.data(), c.m, c.k}, {b.data(), c.k, c.n},
+                        {c_blk.data(), c.m, c.n}, false, br, bc);
+        for (std::size_t i = 0; i < c_ref.size(); ++i) {
+          ASSERT_EQ(c_blk[i], c_ref[i])
+              << describe(*v, c) << " form=" << form << " i=" << i;
+        }
       }
     }
   }
@@ -126,21 +168,22 @@ TEST(KernelEquivalence, GemmNnFusedBiasExact) {
 
 TEST(KernelEquivalence, GemmTnExact) {
   common::Rng rng(3);
-  for (const auto& c : gemm_cases()) {
-    for (bool accumulate : {false, true}) {
-      auto a = random_vec(c.k * c.m, rng);  // stored [k, m]
-      auto b = random_vec(c.k * c.n, rng);
-      sprinkle_zeros(a, rng);
-      auto c_ref = random_vec(c.m * c.n, rng);
-      auto c_blk = c_ref;
-      ref::gemm_tn({a.data(), c.k, c.m}, {b.data(), c.k, c.n},
-                   {c_ref.data(), c.m, c.n}, accumulate);
-      gemm_tn({a.data(), c.k, c.m}, {b.data(), c.k, c.n},
-              {c_blk.data(), c.m, c.n}, accumulate);
-      for (std::size_t i = 0; i < c_ref.size(); ++i) {
-        ASSERT_EQ(c_blk[i], c_ref[i])
-            << "m=" << c.m << " k=" << c.k << " n=" << c.n
-            << " accumulate=" << accumulate << " i=" << i;
+  for (const auto* v : detail::host_variants()) {
+    for (const auto& c : gemm_cases(*v)) {
+      for (bool accumulate : {false, true}) {
+        auto a = random_vec(c.k * c.m, rng);  // stored [k, m]
+        auto b = random_vec(c.k * c.n, rng);
+        sprinkle_zeros(a, rng);
+        auto c_ref = random_vec(c.m * c.n, rng);
+        auto c_blk = c_ref;
+        ref::gemm_tn({a.data(), c.k, c.m}, {b.data(), c.k, c.n},
+                     {c_ref.data(), c.m, c.n}, accumulate);
+        detail::gemm_tn(*v, {a.data(), c.k, c.m}, {b.data(), c.k, c.n},
+                        {c_blk.data(), c.m, c.n}, accumulate);
+        for (std::size_t i = 0; i < c_ref.size(); ++i) {
+          ASSERT_EQ(c_blk[i], c_ref[i])
+              << describe(*v, c) << " accumulate=" << accumulate << " i=" << i;
+        }
       }
     }
   }
@@ -148,24 +191,47 @@ TEST(KernelEquivalence, GemmTnExact) {
 
 TEST(KernelEquivalence, GemmNtExact) {
   common::Rng rng(4);
-  for (const auto& c : gemm_cases()) {
-    for (bool accumulate : {false, true}) {
-      auto a = random_vec(c.m * c.k, rng);
-      auto b = random_vec(c.n * c.k, rng);  // stored [n, k]
-      sprinkle_zeros(a, rng);
-      auto c_ref = random_vec(c.m * c.n, rng);
-      auto c_blk = c_ref;
-      ref::gemm_nt({a.data(), c.m, c.k}, {b.data(), c.n, c.k},
-                   {c_ref.data(), c.m, c.n}, accumulate);
-      gemm_nt({a.data(), c.m, c.k}, {b.data(), c.n, c.k},
-              {c_blk.data(), c.m, c.n}, accumulate);
-      for (std::size_t i = 0; i < c_ref.size(); ++i) {
-        ASSERT_EQ(c_blk[i], c_ref[i])
-            << "m=" << c.m << " k=" << c.k << " n=" << c.n
-            << " accumulate=" << accumulate << " i=" << i;
+  for (const auto* v : detail::host_variants()) {
+    for (const auto& c : gemm_cases(*v)) {
+      for (bool accumulate : {false, true}) {
+        auto a = random_vec(c.m * c.k, rng);
+        auto b = random_vec(c.n * c.k, rng);  // stored [n, k]
+        sprinkle_zeros(a, rng);
+        auto c_ref = random_vec(c.m * c.n, rng);
+        auto c_blk = c_ref;
+        ref::gemm_nt({a.data(), c.m, c.k}, {b.data(), c.n, c.k},
+                     {c_ref.data(), c.m, c.n}, accumulate);
+        detail::gemm_nt(*v, {a.data(), c.m, c.k}, {b.data(), c.n, c.k},
+                        {c_blk.data(), c.m, c.n}, accumulate);
+        for (std::size_t i = 0; i < c_ref.size(); ++i) {
+          ASSERT_EQ(c_blk[i], c_ref[i])
+              << describe(*v, c) << " accumulate=" << accumulate << " i=" << i;
+        }
       }
     }
   }
+}
+
+TEST(KernelEquivalence, PublicGemmsMatchTheActiveVariant) {
+  common::Rng rng(8);
+  const auto& active = detail::active_variant();
+  const GemmCase c{13, 37, 45};
+  const auto a = random_vec(c.m * c.k, rng);
+  const auto b = random_vec(c.k * c.n, rng);
+  const auto bt = random_vec(c.n * c.k, rng);
+  std::vector<float> got(c.m * c.n), want(c.m * c.n);
+  gemm_nn({a.data(), c.m, c.k}, {b.data(), c.k, c.n}, {got.data(), c.m, c.n});
+  detail::gemm_nn(active, {a.data(), c.m, c.k}, {b.data(), c.k, c.n},
+                  {want.data(), c.m, c.n});
+  EXPECT_EQ(got, want);
+  gemm_tn({a.data(), c.k, c.m}, {b.data(), c.k, c.n}, {got.data(), c.m, c.n});
+  detail::gemm_tn(active, {a.data(), c.k, c.m}, {b.data(), c.k, c.n},
+                  {want.data(), c.m, c.n});
+  EXPECT_EQ(got, want);
+  gemm_nt({a.data(), c.m, c.k}, {bt.data(), c.n, c.k}, {got.data(), c.m, c.n});
+  detail::gemm_nt(active, {a.data(), c.m, c.k}, {bt.data(), c.n, c.k},
+                  {want.data(), c.m, c.n});
+  EXPECT_EQ(got, want);
 }
 
 TEST(KernelEquivalence, Im2ColCol2ImExact) {
@@ -180,36 +246,82 @@ TEST(KernelEquivalence, Im2ColCol2ImExact) {
           const std::size_t ncols = oh * oh;
           const std::size_t rows = channels * kernel * kernel;
           const auto image = random_vec(channels * hw * hw, rng);
-
-          // Poison the destination: im2col must overwrite every element.
-          std::vector<float> cols_ref(rows * ncols, -7.5f);
-          std::vector<float> cols_blk(rows * ncols, 7.5f);
-          ref::im2col(image.data(), channels, hw, hw, kernel, pad, stride,
-                      cols_ref.data());
-          im2col(image.data(), channels, hw, hw, kernel, pad, stride,
-                 cols_blk.data());
-          for (std::size_t i = 0; i < cols_ref.size(); ++i) {
-            ASSERT_EQ(cols_blk[i], cols_ref[i])
-                << "kernel=" << kernel << " pad=" << pad
-                << " stride=" << stride << " hw=" << hw << " i=" << i;
-          }
-
           const auto gcols = random_vec(rows * ncols, rng);
           // col2im accumulates into a caller-zeroed image; seed both with
           // the same nonzero values to check pure accumulation too.
-          auto gimg_ref = random_vec(channels * hw * hw, rng);
-          auto gimg_blk = gimg_ref;
+          const auto gimg_seed = random_vec(channels * hw * hw, rng);
+          const ConvShape shape{channels, hw, hw, kernel, pad, stride};
+
+          // Poison the destination: im2col must overwrite every element.
+          std::vector<float> cols_ref(rows * ncols, -7.5f);
+          ref::im2col(image.data(), channels, hw, hw, kernel, pad, stride,
+                      cols_ref.data());
+          auto gimg_ref = gimg_seed;
           ref::col2im(gcols.data(), channels, hw, hw, kernel, pad, stride,
                       gimg_ref.data());
-          col2im(gcols.data(), channels, hw, hw, kernel, pad, stride,
-                 gimg_blk.data());
-          for (std::size_t i = 0; i < gimg_ref.size(); ++i) {
-            ASSERT_EQ(gimg_blk[i], gimg_ref[i])
-                << "kernel=" << kernel << " pad=" << pad
-                << " stride=" << stride << " hw=" << hw << " i=" << i;
+          for (const auto* v : detail::host_variants()) {
+            std::vector<float> cols_blk(rows * ncols, 7.5f);
+            detail::im2col(*v, image.data(), shape, cols_blk.data());
+            for (std::size_t i = 0; i < cols_ref.size(); ++i) {
+              ASSERT_EQ(cols_blk[i], cols_ref[i])
+                  << common::gemm_isa_name(v->isa) << " kernel=" << kernel << " pad=" << pad
+                  << " stride=" << stride << " hw=" << hw << " i=" << i;
+            }
+            auto gimg_blk = gimg_seed;
+            detail::col2im(*v, gcols.data(), shape, gimg_blk.data());
+            for (std::size_t i = 0; i < gimg_ref.size(); ++i) {
+              ASSERT_EQ(gimg_blk[i], gimg_ref[i])
+                  << common::gemm_isa_name(v->isa) << " kernel=" << kernel << " pad=" << pad
+                  << " stride=" << stride << " hw=" << hw << " i=" << i;
+            }
           }
+          // The public entry points run the active variant.
+          std::vector<float> cols_pub(rows * ncols, 1.0f);
+          im2col(image.data(), channels, hw, hw, kernel, pad, stride,
+                 cols_pub.data());
+          ASSERT_EQ(cols_pub, cols_ref);
+          auto gimg_pub = gimg_seed;
+          col2im(gcols.data(), channels, hw, hw, kernel, pad, stride,
+                 gimg_pub.data());
+          ASSERT_EQ(gimg_pub, gimg_ref);
         }
       }
+    }
+  }
+}
+
+TEST(KernelEquivalence, Col2ImExactOnTallNonSquareImages) {
+  // Same-size convolutions on tall images: the vectorised col2im saves and
+  // restores the border targets in row chunks, so these shapes cross chunk
+  // boundaries.
+  common::Rng rng(10);
+  const struct {
+    std::size_t channels, height, width, kernel, pad;
+  } shapes[] = {{2, 300, 5, 3, 1}, {1, 200, 9, 5, 2}, {2, 130, 3, 1, 0},
+                {1, 90, 7, 7, 3}};
+  for (const auto& sh : shapes) {
+    const std::size_t oh = sh.height + 2 * sh.pad - sh.kernel + 1;
+    const std::size_t ow = sh.width + 2 * sh.pad - sh.kernel + 1;
+    const std::size_t rows = sh.channels * sh.kernel * sh.kernel;
+    const auto gcols = random_vec(rows * oh * ow, rng);
+    const auto seed = random_vec(sh.channels * sh.height * sh.width, rng);
+    auto want = seed;
+    ref::col2im(gcols.data(), sh.channels, sh.height, sh.width, sh.kernel,
+                sh.pad, 1, want.data());
+    const auto image = random_vec(sh.channels * sh.height * sh.width, rng);
+    std::vector<float> cols_ref(rows * oh * ow);
+    ref::im2col(image.data(), sh.channels, sh.height, sh.width, sh.kernel,
+                sh.pad, 1, cols_ref.data());
+    const ConvShape shape{sh.channels, sh.height, sh.width, sh.kernel, sh.pad, 1};
+    for (const auto* v : detail::host_variants()) {
+      auto got = seed;
+      detail::col2im(*v, gcols.data(), shape, got.data());
+      ASSERT_EQ(got, want) << common::gemm_isa_name(v->isa) << " " << sh.height << "x" << sh.width
+                           << " kernel=" << sh.kernel;
+      std::vector<float> cols(rows * oh * ow, 3.0f);
+      detail::im2col(*v, image.data(), shape, cols.data());
+      ASSERT_EQ(cols, cols_ref) << common::gemm_isa_name(v->isa) << " " << sh.height << "x"
+                                << sh.width << " kernel=" << sh.kernel;
     }
   }
 }
@@ -257,6 +369,40 @@ TEST(KernelEquivalence, ElementwiseExact) {
   vadd(n, x.data(), got.data());
   for (std::size_t i = 0; i < n; ++i) want[i] = y0[i] + x[i];
   EXPECT_EQ(got, want);
+}
+
+/// Bit patterns, so NaNs and signed zeros compare exactly.
+std::vector<std::uint32_t> bits(const std::vector<float>& v) {
+  std::vector<std::uint32_t> out(v.size());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    out[i] = std::bit_cast<std::uint32_t>(v[i]);
+  }
+  return out;
+}
+
+TEST(KernelEquivalence, ReluBackwardExactOnSignedZerosAndNaN) {
+  // x mixes signs, +-0, NaN and infinities; gy carries the same specials so
+  // a selected NaN or -0 must pass through unchanged and a masked one must
+  // become +0, exactly as the conditional-load form produced.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> specials = {1.5f, -2.0f, 0.0f, -0.0f, nan, -nan,
+                                       inf,  -inf,  1e-40f, -1e-40f};
+  common::Rng rng(9);
+  const std::size_t n = 1031;
+  std::vector<float> x(n), gy(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = i < specials.size() * specials.size()
+               ? specials[i / specials.size()]
+               : static_cast<float>(rng.normal());
+    gy[i] = i < specials.size() * specials.size()
+                ? specials[i % specials.size()]
+                : static_cast<float>(rng.normal());
+  }
+  std::vector<float> got(n, 7.0f), want(n);
+  relu_bwd(n, x.data(), gy.data(), got.data());
+  for (std::size_t i = 0; i < n; ++i) want[i] = x[i] > 0.0f ? gy[i] : 0.0f;
+  EXPECT_EQ(bits(got), bits(want));
 }
 
 TEST(KernelEquivalence, ReductionsMatchStrictOrderChains) {
