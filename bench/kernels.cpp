@@ -3,12 +3,17 @@
 // CIFAR-10 cnn3 forward and backward passes, plus a square point), with a
 // per-shape exact-equality spot check. Every GEMM variant this CPU can run
 // (baseline, AVX2, AVX-512) gets its own row per shape; the "variant" field
-// is part of each row's identity for bench_diff. Results are printed as a
-// table and written as BENCH_kernels.json.
+// is part of each row's identity for bench_diff. Layer rows follow at the
+// end-to-end benchmark's shapes (16 images): the minibatch conv backward per
+// variant, with and without the input gradient, against the per-image
+// reference composition, and 2x2 max pooling against the seed loops (not
+// per variant: pooling is plain C++). Layer rows also carry ms per call.
+// Results are printed as a table and written as BENCH_kernels.json.
 //
 //   ./kernels [--min_ms 150] [--out BENCH_kernels.json]
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -22,13 +27,15 @@
 #include "obs/resource.h"
 #include "tensor/kernels/gemm_variants.h"
 #include "tensor/kernels/kernels.h"
+#include "tensor/ops.h"
+#include "tensor/tensor.h"
 
 namespace {
 
 using namespace mach;
 namespace kern = tensor::kernels;
 
-enum class Op { Nn, Tn, Nt };
+enum class Op { Nn, Tn, Nt, ConvBwd, ConvBwdNoDx, PoolFwd, PoolBwd };
 
 struct Case {
   std::string name;   // e.g. "cifar_conv2_fwd"
@@ -44,6 +51,9 @@ struct Result {
   double blocked_gflops = 0.0;
   double speedup = 0.0;
   bool exact = false;
+  // Layer rows only: ms per call (pool rows have no flop count).
+  double ref_ms = 0.0;
+  double blocked_ms = 0.0;
 };
 
 const char* op_name(Op op) {
@@ -51,6 +61,10 @@ const char* op_name(Op op) {
     case Op::Nn: return "nn";
     case Op::Tn: return "tn";
     case Op::Nt: return "nt";
+    case Op::ConvBwd: return "conv_bwd";
+    case Op::ConvBwdNoDx: return "conv_bwd_nodx";
+    case Op::PoolFwd: return "pool_fwd";
+    case Op::PoolBwd: return "pool_bwd";
   }
   return "?";
 }
@@ -82,12 +96,215 @@ void run_op(Op op, const kern::detail::GemmVariant* variant, const float* a,
         kern::detail::gemm_nt(*variant, {a, m, k}, {b, n, k}, {c, m, n});
       }
       break;
+    default:
+      break;
   }
 }
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
       .count();
+}
+
+/// Doubles the repetition count of `call` until a batch takes min_ms;
+/// returns seconds per call from the final batch (after one warm-up call).
+template <class F>
+double time_call(const F& call, double min_ms) {
+  call();
+  for (std::size_t reps = 1;; reps *= 2) {
+    const auto start = std::chrono::steady_clock::now();
+    for (std::size_t r = 0; r < reps; ++r) call();
+    const double elapsed = seconds_since(start);
+    if (elapsed * 1000.0 >= min_ms || reps > (1u << 28)) {
+      return elapsed / static_cast<double>(reps);
+    }
+  }
+}
+
+/// A conv layer of the benchmark models: channels -> out_c over h x h
+/// images, 3x3 kernel, pad 1.
+struct ConvLayer {
+  std::string name;
+  std::size_t channels, out_c, h;
+};
+
+/// Gradients of a 16-image conv backward: the retained per-image reference
+/// composition (zero fills, ref::im2col, ref::gemm_nt accumulate, and with
+/// dx ref::gemm_tn + ref::col2im, then the bias row sums).
+struct ConvBackwardBench {
+  static constexpr std::size_t kBatch = 16;
+  kern::ConvShape shape;
+  std::size_t out_c, n, patch, image;
+  std::vector<float> input, weight, grad_out;
+  std::vector<float> cols, gcols;
+
+  ConvBackwardBench(const ConvLayer& l, common::Rng& rng)
+      : shape{l.channels, l.h, l.h, 3, 1, 1},
+        out_c(l.out_c),
+        n(l.h * l.h),
+        patch(l.channels * 9),
+        image(l.channels * l.h * l.h),
+        input(kBatch * image),
+        weight(out_c * patch),
+        grad_out(kBatch * out_c * n),
+        cols(patch * n),
+        gcols(patch * n) {
+    for (auto& v : input) v = static_cast<float>(rng.normal());
+    for (auto& v : weight) v = static_cast<float>(rng.normal());
+    for (auto& v : grad_out) v = static_cast<float>(rng.normal());
+  }
+
+  void reference(bool dx, float* grad_images, float* dw, float* db) {
+    std::fill_n(dw, out_c * patch, 0.0f);
+    std::fill_n(db, out_c, 0.0f);
+    if (dx) std::fill_n(grad_images, kBatch * image, 0.0f);
+    for (std::size_t img = 0; img < kBatch; ++img) {
+      const float* gout = grad_out.data() + img * out_c * n;
+      kern::ref::im2col(input.data() + img * image, shape.channels,
+                        shape.height, shape.width, 3, 1, 1, cols.data());
+      kern::ref::gemm_nt({gout, out_c, n}, {cols.data(), patch, n},
+                         {dw, out_c, patch}, /*accumulate=*/true);
+      if (dx) {
+        kern::ref::gemm_tn({weight.data(), out_c, patch}, {gout, out_c, n},
+                           {gcols.data(), patch, n});
+        kern::ref::col2im(gcols.data(), shape.channels, shape.height,
+                          shape.width, 3, 1, 1, grad_images + img * image);
+      }
+      for (std::size_t o = 0; o < out_c; ++o) {
+        float acc = 0.0f;
+        for (std::size_t q = 0; q < n; ++q) acc += gout[o * n + q];
+        db[o] += acc;
+      }
+    }
+  }
+};
+
+/// Conv-backward rows (per variant, with and without dx) and pooling rows
+/// at the end-to-end benchmark's layer shapes.
+void layer_rows(const std::vector<const kern::detail::GemmVariant*>& variants,
+                double min_ms, common::Rng& rng, std::vector<Result>& results) {
+  const std::vector<ConvLayer> convs = {
+      {"bench_cifar_conv1", 3, 8, 16},  {"bench_cifar_conv2", 8, 16, 8},
+      {"bench_cifar_conv3", 16, 32, 4}, {"bench_mnist_conv1", 1, 8, 12},
+      {"bench_mnist_conv2", 8, 16, 6},
+  };
+  for (const ConvLayer& l : convs) {
+    ConvBackwardBench b(l, rng);
+    const std::size_t pixels = ConvBackwardBench::kBatch * b.n;
+    for (bool dx : {true, false}) {
+      Case c{l.name + (dx ? "_bwd" : "_bwd_nodx"), "bench",
+             dx ? Op::ConvBwd : Op::ConvBwdNoDx, b.out_c, b.patch, pixels};
+      std::vector<float> want_dx(dx ? pixels / b.n * b.image : 0),
+          want_dw(b.out_c * b.patch), want_db(b.out_c);
+      b.reference(dx, want_dx.data(), want_dw.data(), want_db.data());
+      const double ref_s = time_call(
+          [&] {
+            b.reference(dx, want_dx.data(), want_dw.data(), want_db.data());
+          },
+          min_ms);
+      // dW is one GEMM of 2 m k n flops; dX is a second.
+      const double flops = (dx ? 4.0 : 2.0) * static_cast<double>(c.m) *
+                           static_cast<double>(c.k) * static_cast<double>(c.n);
+      for (const auto* variant : variants) {
+        std::vector<float> got_dx(want_dx.size()), got_dw(want_dw.size()),
+            got_db(want_db.size());
+        std::vector<float> scratch(kern::detail::conv_backward_scratch(
+            *variant, ConvBackwardBench::kBatch, b.shape, b.out_c, dx));
+        const auto run = [&] {
+          kern::detail::conv_backward(
+              *variant, b.input.data(), ConvBackwardBench::kBatch, b.shape,
+              {b.weight.data(), b.out_c, b.patch}, b.grad_out.data(),
+              dx ? got_dx.data() : nullptr, got_dw.data(), got_db.data(),
+              scratch.data());
+        };
+        run();
+        Result r;
+        r.shape = c;
+        r.variant = common::gemm_isa_name(variant->isa);
+        r.exact = got_dx == want_dx && got_dw == want_dw && got_db == want_db;
+        const double blk_s = time_call(run, min_ms);
+        r.ref_gflops = flops / ref_s * 1e-9;
+        r.blocked_gflops = flops / blk_s * 1e-9;
+        r.speedup = ref_s / blk_s;
+        r.ref_ms = ref_s * 1e3;
+        r.blocked_ms = blk_s * 1e3;
+        results.push_back(r);
+      }
+    }
+  }
+
+  // Pooling inputs of the same models: [channels, h, h] per image. Each
+  // call takes the next of kInputs distinct inputs: replaying one input
+  // lets the branch predictor learn the reference's data-dependent
+  // branches, which real activations never allow.
+  constexpr std::size_t kInputs = 16;
+  const std::vector<ConvLayer> pools = {
+      {"bench_cifar_pool1", 8, 0, 16}, {"bench_cifar_pool2", 16, 0, 8},
+      {"bench_cifar_pool3", 32, 0, 4}, {"bench_mnist_pool1", 8, 0, 12},
+      {"bench_mnist_pool2", 16, 0, 6},
+  };
+  const std::string active =
+      common::gemm_isa_name(kern::detail::active_variant().isa);
+  for (const ConvLayer& l : pools) {
+    const std::size_t batch = ConvBackwardBench::kBatch;
+    const std::size_t planes = batch * l.channels, h = l.h;
+    const std::size_t outputs = planes * (h / 2) * (h / 2);
+    std::vector<tensor::Tensor> inputs;
+    for (std::size_t i = 0; i < kInputs; ++i) {
+      inputs.emplace_back(std::vector<std::size_t>{batch, l.channels, h, h});
+      for (auto& v : inputs.back().flat()) v = static_cast<float>(rng.normal());
+    }
+    tensor::Tensor output({batch, l.channels, h / 2, h / 2});
+    tensor::Tensor grad_out(output.shape()), grad_in(inputs[0].shape());
+    for (auto& v : grad_out.flat()) v = static_cast<float>(rng.normal());
+    std::vector<std::uint32_t> argmax, ref_argmax(outputs);
+    std::vector<float> ref_out(outputs), ref_grad(planes * h * h);
+    for (bool fwd : {true, false}) {
+      Case c{l.name + (fwd ? "_fwd" : "_bwd"), "bench",
+             fwd ? Op::PoolFwd : Op::PoolBwd, planes, h, h};
+      std::size_t ref_next = 0, next = 0;
+      const auto reference = [&] {
+        if (fwd) {
+          kern::ref::maxpool2x2_forward(inputs[ref_next++ % kInputs].data(),
+                                        planes, h, h, ref_out.data(),
+                                        ref_argmax.data());
+        } else {
+          kern::ref::maxpool2x2_backward(grad_out.data(), ref_argmax.data(),
+                                         planes, h, h, ref_grad.data());
+        }
+      };
+      const auto run = [&] {
+        if (fwd) {
+          tensor::maxpool2x2_forward(inputs[next++ % kInputs], output, argmax);
+        } else {
+          tensor::maxpool2x2_backward(grad_out, argmax, grad_in);
+        }
+      };
+      // Same input on both sides for the equality check (the backward
+      // rows scatter through both forwards' argmax of inputs[0]).
+      if (!fwd) {
+        kern::ref::maxpool2x2_forward(inputs[0].data(), planes, h, h,
+                                      ref_out.data(), ref_argmax.data());
+        tensor::maxpool2x2_forward(inputs[0], output, argmax);
+      }
+      ref_next = next = 0;
+      reference();
+      run();
+      Result r;
+      r.shape = c;
+      r.variant = active;
+      r.exact = fwd ? std::equal(ref_out.begin(), ref_out.end(),
+                                 output.flat().begin())
+                    : std::equal(ref_grad.begin(), ref_grad.end(),
+                                 grad_in.flat().begin());
+      const double ref_s = time_call(reference, min_ms);
+      const double blk_s = time_call(run, min_ms);
+      r.speedup = ref_s / blk_s;
+      r.ref_ms = ref_s * 1e3;
+      r.blocked_ms = blk_s * 1e3;
+      results.push_back(r);
+    }
+  }
 }
 
 /// Times one implementation: doubles the repetition count until the batch
@@ -186,9 +403,11 @@ int main(int argc, char** argv) {
     }
   }
 
+  layer_rows(variants, min_ms, rng, results);
+
   common::Table table(
-      {"case", "variant", "op", "m", "k", "n", "ref GF/s", "blk GF/s", "speedup",
-       "exact"});
+      {"case", "variant", "op", "m", "k", "n", "ref GF/s", "blk GF/s", "blk ms",
+       "speedup", "exact"});
   double min_cifar_speedup = 1e9;
   bool all_exact = true;
   for (const auto& r : results) {
@@ -201,6 +420,7 @@ int main(int argc, char** argv) {
         .cell(r.shape.n)
         .cell(r.ref_gflops, 2)
         .cell(r.blocked_gflops, 2)
+        .cell(r.blocked_ms, 4)
         .cell(r.speedup, 2)
         .cell(r.exact ? "yes" : "NO");
     if (r.shape.group == "cifar" && r.variant == active) {
@@ -230,6 +450,10 @@ int main(int argc, char** argv) {
     w.field("blocked_gflops", r.blocked_gflops);
     w.field("speedup", r.speedup);
     w.field("exact_match", r.exact);
+    if (r.blocked_ms > 0.0) {
+      w.field("ref_ms", r.ref_ms);
+      w.field("blocked_ms", r.blocked_ms);
+    }
     if (i != 0) json_results += ',';
     json_results += w.end();
   }

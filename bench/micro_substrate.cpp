@@ -45,9 +45,8 @@ void BM_Conv2dForward(benchmark::State& state) {
   const auto weight = random_tensor({16, 8, 3, 3}, rng);
   const auto bias = random_tensor({16}, rng);
   tensor::Tensor output({8, 16, 12, 12});
-  tensor::ScratchArena scratch;
   for (auto _ : state) {
-    tensor::conv2d_forward(input, weight, bias, spec, output, scratch);
+    tensor::conv2d_forward(input, weight, bias, spec, output);
     benchmark::DoNotOptimize(output.data());
   }
 }

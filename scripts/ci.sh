@@ -261,6 +261,9 @@ if [ "${UBSAN:-1}" != "0" ]; then
   # variant the CPU runs (pointer arithmetic, masked edge tiles, the packed
   # and image-panel indexing are the risky parts) plus the ISA-selection
   # unit test, with the ISA-object guard re-run on the instrumented objects,
+  # plus the nn suite (the backward_params hook, the skipped first-layer
+  # input gradient and every layer's backward feed the minibatch
+  # conv_backward's scratch carving and fused col2im),
   # plus the checkpoint suite (byte-codec casts, CRC table indexing and the
   # raw-byte RNG state round-trips are the risky parts), plus the comm suite
   # (float<->bits bit_casts, wire byte packing and int8 narrowing are the
@@ -275,15 +278,16 @@ if [ "${UBSAN:-1}" != "0" ]; then
   # and the orchestrator's waitpid status decoding are the risky parts; the
   # e2e tests fork UBSan-built child binaries, so the engine's drain/hang
   # harness paths run sanitized too).
-  echo "== undefined behaviour sanitizer (kernels + ISA selection + faults + ckpt + comm + sampling + mobility + scale + sweep) =="
+  echo "== undefined behaviour sanitizer (kernels + ISA selection + nn + faults + ckpt + comm + sampling + mobility + scale + sweep) =="
   UBSAN_DIR="${UBSAN_DIR:-${BUILD_DIR}-ubsan}"
   cmake -B "$UBSAN_DIR" -S . \
     -DCMAKE_CXX_FLAGS="-fsanitize=undefined -fno-sanitize-recover=all -g -O1" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=undefined"
-  cmake --build "$UBSAN_DIR" -j "$JOBS" --target test_tensor test_common test_fault test_ckpt test_comm test_sampling test_mobility test_scale test_sweep
+  cmake --build "$UBSAN_DIR" -j "$JOBS" --target test_tensor test_common test_nn test_fault test_ckpt test_comm test_sampling test_mobility test_scale test_sweep
   check_isa_objects "$UBSAN_DIR"
   "$UBSAN_DIR/tests/test_tensor"
   "$UBSAN_DIR/tests/test_common" --gtest_filter='GemmIsaSelection.*'
+  "$UBSAN_DIR/tests/test_nn"
   "$UBSAN_DIR/tests/test_fault"
   "$UBSAN_DIR/tests/test_ckpt"
   "$UBSAN_DIR/tests/test_comm"

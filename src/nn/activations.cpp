@@ -8,15 +8,14 @@
 namespace mach::nn {
 
 const tensor::Tensor& ReLU::forward(const tensor::Tensor& input) {
-  input_ = input;
   if (!output_.same_shape(input)) output_ = tensor::Tensor(input.shape());
-  tensor::relu_forward(input_, output_);
+  tensor::relu_forward(input, output_);
   return output_;
 }
 
 const tensor::Tensor& ReLU::backward(const tensor::Tensor& grad_output) {
-  if (!grad_input_.same_shape(input_)) grad_input_ = tensor::Tensor(input_.shape());
-  tensor::relu_backward(input_, grad_output, grad_input_);
+  if (!grad_input_.same_shape(output_)) grad_input_ = tensor::Tensor(output_.shape());
+  tensor::relu_backward(output_, grad_output, grad_input_);
   return grad_input_;
 }
 

@@ -15,7 +15,8 @@ class ReLU final : public Layer {
   std::string name() const override { return "ReLU"; }
 
  private:
-  tensor::Tensor input_;
+  // Backward masks on the output: y = x > 0 ? x : 0 is positive exactly
+  // where x is, so no copy of the input is kept.
   tensor::Tensor output_;
   tensor::Tensor grad_input_;
 };

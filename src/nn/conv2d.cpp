@@ -39,7 +39,7 @@ const tensor::Tensor& Conv2D::forward(const tensor::Tensor& input) {
       output_.dim(3) != ow) {
     output_ = tensor::Tensor({batch, spec_.out_channels, oh, ow});
   }
-  tensor::conv2d_forward(input_, weight_, bias_, spec_, output_, arena_);
+  tensor::conv2d_forward(input_, weight_, bias_, spec_, output_);
   return output_;
 }
 
@@ -50,9 +50,17 @@ const tensor::Tensor& Conv2D::backward(const tensor::Tensor& grad_output) {
   if (!grad_input_.same_shape(input_)) {
     grad_input_ = tensor::Tensor(input_.shape());
   }
-  tensor::conv2d_backward(input_, weight_, grad_output, spec_, grad_input_,
+  tensor::conv2d_backward(input_, weight_, grad_output, spec_, &grad_input_,
                           grad_weight_, grad_bias_, arena_);
   return grad_input_;
+}
+
+void Conv2D::backward_params(const tensor::Tensor& grad_output) {
+  if (!grad_output.same_shape(output_)) {
+    throw std::invalid_argument("Conv2D::backward: bad grad shape");
+  }
+  tensor::conv2d_backward(input_, weight_, grad_output, spec_, nullptr,
+                          grad_weight_, grad_bias_, arena_);
 }
 
 std::vector<ParamRef> Conv2D::params() {

@@ -1,5 +1,7 @@
-// 2-D convolution layer (square kernel, stride 1, symmetric zero padding),
-// implemented via im2col + GEMM. Input/output layout is NCHW.
+// 2-D convolution layer (square kernel, stride 1, symmetric zero padding).
+// Input/output layout is NCHW. Forward and backward each run the whole
+// minibatch through one kernel (kernels::conv_forward / conv_backward), whose
+// GEMMs read im2col rows built from the image.
 #pragma once
 
 #include "nn/layer.h"
@@ -14,6 +16,8 @@ class Conv2D final : public Layer {
 
   const tensor::Tensor& forward(const tensor::Tensor& input) override;
   const tensor::Tensor& backward(const tensor::Tensor& grad_output) override;
+  /// Parameter gradients only: skips the input gradient's GEMM and col2im.
+  void backward_params(const tensor::Tensor& grad_output) override;
   std::vector<ParamRef> params() override;
   void init_params(common::Rng& rng) override;
   std::string name() const override { return "Conv2D"; }
@@ -30,7 +34,7 @@ class Conv2D final : public Layer {
   tensor::Tensor input_;
   tensor::Tensor output_;
   tensor::Tensor grad_input_;
-  tensor::ScratchArena arena_;  // im2col cols + grad-cols scratch
+  tensor::ScratchArena arena_;  // conv_backward's per-minibatch scratch
 };
 
 }  // namespace mach::nn

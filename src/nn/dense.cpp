@@ -36,15 +36,20 @@ const tensor::Tensor& Dense::forward(const tensor::Tensor& input) {
   return output_;
 }
 
-const tensor::Tensor& Dense::backward(const tensor::Tensor& grad_output) {
-  const std::size_t batch = input_.dim(0);
-  if (grad_output.rank() != 2 || grad_output.dim(0) != batch ||
+void Dense::backward_params(const tensor::Tensor& grad_output) {
+  if (grad_output.rank() != 2 || grad_output.dim(0) != input_.dim(0) ||
       grad_output.dim(1) != out_) {
     throw std::invalid_argument("Dense::backward: bad grad shape");
   }
-  // dW = x^T * dy ; db = column sums of dy ; dx = dy * W^T
+  // dW = x^T * dy ; db = column sums of dy
   tensor::gemm_at_b(input_, grad_output, grad_weight_);
   tensor::sum_rows(grad_output, grad_bias_);
+}
+
+const tensor::Tensor& Dense::backward(const tensor::Tensor& grad_output) {
+  backward_params(grad_output);
+  // dx = dy * W^T
+  const std::size_t batch = input_.dim(0);
   if (grad_input_.rank() != 2 || grad_input_.dim(0) != batch ||
       grad_input_.dim(1) != in_) {
     grad_input_ = tensor::Tensor({batch, in_});

@@ -11,6 +11,8 @@ class Dense final : public Layer {
 
   const tensor::Tensor& forward(const tensor::Tensor& input) override;
   const tensor::Tensor& backward(const tensor::Tensor& grad_output) override;
+  /// Parameter gradients only: skips dx = dy Wᵀ.
+  void backward_params(const tensor::Tensor& grad_output) override;
   std::vector<ParamRef> params() override;
   void init_params(common::Rng& rng) override;
   std::string name() const override { return "Dense"; }

@@ -37,6 +37,17 @@ class Layer {
   /// parameter gradients and returning a reference to the cached input grad.
   virtual const tensor::Tensor& backward(const tensor::Tensor& grad_output) = 0;
 
+  /// Like backward(), but only the parameter gradients are wanted: the
+  /// caller will not read the input gradient. Sequential::forward_backward
+  /// calls this on its first parameterised layer, whose input gradient
+  /// nothing reads. Contract: afterwards every parameter gradient holds
+  /// exactly the bits backward() would have left; the input gradient need
+  /// not be computed. The default runs backward(), so a layer or wrapper
+  /// that does not override this stays correct.
+  virtual void backward_params(const tensor::Tensor& grad_output) {
+    backward(grad_output);
+  }
+
   /// Parameter handles; empty for stateless layers.
   virtual std::vector<ParamRef> params() { return {}; }
 

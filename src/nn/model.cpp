@@ -42,10 +42,14 @@ StepStats Sequential::forward_backward(const tensor::Tensor& input,
   if (!grad_logits_.same_shape(logits)) grad_logits_ = tensor::Tensor(logits.shape());
   tensor::softmax_cross_entropy_backward(probs_, labels, grad_logits_);
 
+  // Layers before the first parameterised one need no gradient, and that
+  // layer's own input gradient is never read.
+  const std::size_t first = first_param_layer();
   const tensor::Tensor* grad = &grad_logits_;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    grad = &(*it)->backward(*grad);
+  for (std::size_t i = layers_.size(); i-- > first + 1;) {
+    grad = &layers_[i]->backward(*grad);
   }
+  if (first < layers_.size()) layers_[first]->backward_params(*grad);
 
   for (const ParamRef& ref : param_refs()) {
     stats.grad_squared_norm += ref.grad->squared_norm();
@@ -76,9 +80,19 @@ std::vector<ParamRef> Sequential::params() {
 const std::vector<ParamRef>& Sequential::param_refs() {
   if (!param_refs_valid_) {
     cached_param_refs_ = params();
+    first_param_layer_ = 0;
+    while (first_param_layer_ < layers_.size() &&
+           layers_[first_param_layer_]->params().empty()) {
+      ++first_param_layer_;
+    }
     param_refs_valid_ = true;
   }
   return cached_param_refs_;
+}
+
+std::size_t Sequential::first_param_layer() {
+  param_refs();
+  return first_param_layer_;
 }
 
 std::size_t Sequential::scratch_grow_events() const {

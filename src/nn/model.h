@@ -41,7 +41,10 @@ class Sequential {
   const tensor::Tensor& forward(const tensor::Tensor& input);
 
   /// Forward + loss + backward; gradients are left in the layers' grad
-  /// tensors for the optimiser. Labels are class indices.
+  /// tensors for the optimiser. Labels are class indices. Only parameter
+  /// gradients are produced: the first parameterised layer gets
+  /// backward_params() and the parameter-free layers before it get no
+  /// backward call at all.
   StepStats forward_backward(const tensor::Tensor& input, std::span<const int> labels);
 
   /// Loss/accuracy evaluation without gradient computation.
@@ -71,10 +74,16 @@ class Sequential {
   std::vector<float> get_gradients();
 
   std::size_t num_layers() const noexcept { return layers_.size(); }
+  Layer& layer(std::size_t index) { return *layers_.at(index); }
 
  private:
+  /// Index of the first layer with parameters (num_layers() if none),
+  /// cached with the parameter refs.
+  std::size_t first_param_layer();
+
   std::vector<std::unique_ptr<Layer>> layers_;
   std::vector<ParamRef> cached_param_refs_;
+  std::size_t first_param_layer_ = 0;
   bool param_refs_valid_ = false;
   tensor::Tensor probs_;
   tensor::Tensor grad_logits_;

@@ -5,8 +5,8 @@
 // may vectorise the independent-lane loops freely, but must not fuse mul+add
 // into FMA (which would round differently from the scalar reference).
 //
-// The reductions (dot, squared_norm) and the ordered sums (col_sums,
-// row_sums) are NOT reassociated: their fixed summation chains are part of
+// The reductions (dot, squared_norm) and the ordered sums (col_sums) are
+// NOT reassociated: their fixed summation chains are part of
 // the determinism contract (gradient-norm observables must not depend on
 // thread count or ISA), so they intentionally stay serial chains.
 //
@@ -72,13 +72,11 @@ void col_sums(std::size_t m, std::size_t n, const float* x, float* out,
   }
 }
 
-void row_sums(std::size_t m, std::size_t n, const float* x, float* out) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* row = x + i * n;
-    float acc = 0.0f;
-    for (std::size_t j = 0; j < n; ++j) acc += row[j];
-    out[i] += acc;
-  }
+void maxpool2x2_backward(std::size_t outputs, const float* gy,
+                         const std::uint32_t* argmax, std::size_t inputs,
+                         float* gx) {
+  for (std::size_t i = 0; i < inputs; ++i) gx[i] = 0.0f;
+  for (std::size_t i = 0; i < outputs; ++i) gx[argmax[i]] = 0.0f + gy[i];
 }
 
 double dot(std::size_t n, const float* x, const float* y) {

@@ -5,7 +5,8 @@
 // the baseline ISA and owns everything the ISA TUs must not contain: the
 // degenerate-shape handling, the thread-local pack buffers (grown on first
 // use per thread, then reused, so steady-state GEMM calls perform zero heap
-// allocations) and the choice itself.
+// allocations), conv_backward's grouping of large minibatches, and the choice
+// itself.
 #include <algorithm>
 #include <vector>
 
@@ -148,6 +149,65 @@ void conv_forward(const GemmVariant& variant, const float* images,
       panel_buffers(variant, weight.rows, oh * ow, weight.cols));
 }
 
+namespace {
+
+/// Scratch (in floats) conv_backward aims to stay under: a minibatch runs as
+/// one group while its im2col rows and packed output gradients fit, and is
+/// split into groups of whole images beyond that. Splitting is lossless: a
+/// group continues from the weight and bias gradients the previous one
+/// stored.
+constexpr std::size_t kBackwardScratchBudget = std::size_t{1} << 18;
+
+std::size_t backward_group(std::size_t count, const ConvShape& shape,
+                           std::size_t out_channels) {
+  const std::size_t n = conv_out_extent(shape.height, shape) *
+                        conv_out_extent(shape.width, shape);
+  const std::size_t patch = shape.channels * shape.kernel * shape.kernel;
+  const std::size_t per_image = (patch + round_up(out_channels, 16)) * n;
+  return std::clamp<std::size_t>(kBackwardScratchBudget / per_image, 1,
+                                 std::max<std::size_t>(count, 1));
+}
+
+}  // namespace
+
+std::size_t conv_backward_scratch(const GemmVariant& variant,
+                                  std::size_t count, const ConvShape& shape,
+                                  std::size_t out_channels, bool input_grad) {
+  if (count == 0 || out_channels == 0 || shape.channels * shape.kernel == 0) {
+    return 0;
+  }
+  return variant.conv_backward_scratch(
+      backward_group(count, shape, out_channels), shape, out_channels,
+      input_grad);
+}
+
+void conv_backward(const GemmVariant& variant, const float* images,
+                   std::size_t count, const ConvShape& shape, ConstMat weight,
+                   const float* grad_out, float* grad_images,
+                   float* grad_weight, float* grad_bias, float* scratch) {
+  const std::size_t image_size = shape.channels * shape.height * shape.width;
+  const std::size_t out_c = weight.rows, patch = weight.cols;
+  if (count == 0 || out_c == 0 || patch == 0) {
+    // No image, output channel or tap contributes: every gradient is zero.
+    std::fill_n(grad_weight, out_c * patch, 0.0f);
+    std::fill_n(grad_bias, out_c, 0.0f);
+    if (grad_images != nullptr) {
+      std::fill_n(grad_images, count * image_size, 0.0f);
+    }
+    return;
+  }
+  const std::size_t out_size = out_c * conv_out_extent(shape.height, shape) *
+                               conv_out_extent(shape.width, shape);
+  const std::size_t group = backward_group(count, shape, out_c);
+  for (std::size_t first = 0; first < count; first += group) {
+    variant.conv_backward(
+        images + first * image_size, std::min(group, count - first), shape,
+        weight, grad_out + first * out_size,
+        grad_images != nullptr ? grad_images + first * image_size : nullptr,
+        grad_weight, grad_bias, /*accumulate=*/first > 0, scratch);
+  }
+}
+
 void im2col(const GemmVariant& variant, const float* image,
             const ConvShape& shape, float* cols) {
   variant.im2col(image, shape, cols);
@@ -193,6 +253,21 @@ void conv_forward(const float* images, std::size_t count,
                   float* out) {
   detail::conv_forward(detail::active_variant(), images, count, shape, weight,
                        bias, out);
+}
+
+std::size_t conv_backward_scratch(std::size_t count, const ConvShape& shape,
+                                  std::size_t out_channels, bool input_grad) {
+  return detail::conv_backward_scratch(detail::active_variant(), count, shape,
+                                       out_channels, input_grad);
+}
+
+void conv_backward(const float* images, std::size_t count,
+                   const ConvShape& shape, ConstMat weight,
+                   const float* grad_out, float* grad_images,
+                   float* grad_weight, float* grad_bias, float* scratch) {
+  detail::conv_backward(detail::active_variant(), images, count, shape, weight,
+                        grad_out, grad_images, grad_weight, grad_bias,
+                        scratch);
 }
 
 }  // namespace mach::tensor::kernels

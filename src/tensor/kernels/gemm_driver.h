@@ -15,6 +15,10 @@
 //   * the micro-kernel keeps an MR x NR accumulator tile in vector registers
 //     (MR rows of NV vectors) and applies kc rank-1 updates in increasing p
 //     order; edge tiles run the same kernel on a zero-padded copy.
+// conv_backward runs a whole minibatch: the weight gradient keeps gemm_nt's
+// dot-product tiles with the image loop inside the tile loop, and the input
+// gradient is one gemm_tn-shaped GEMM over images laid side by side with
+// col2im fused into it (see conv_backward below).
 // gemm_nt keeps its dot-product form: each tile holds MR_nt rows of C in
 // vector lanes and NR_nt columns, sums the full k into fresh accumulators
 // (A packed in MR_nt-row strips, B rows broadcast in place, so B needs no
@@ -364,8 +368,8 @@ struct GemmKernels {
   /// NI vectors run over NV * NI::kW rows of C (a packed A strip), the NJ
   /// columns come from the B rows `brows`, broadcast one element at a time.
   /// Fresh accumulators sum the full k in increasing p order; tile[j * rows +
-  /// i] receives the sums.
-  template <class NI, std::size_t NV, std::size_t NJ>
+  /// i] receives the sums (kAdd: tile[j * rows + i] + the sums).
+  template <class NI, std::size_t NV, std::size_t NJ, bool kAdd = false>
   static MACH_INLINE void micro_nt(std::size_t k, const float* ap,
                                    const float* const* brows, float* tile) {
     using NV_t = typename NI::V;
@@ -397,7 +401,8 @@ struct GemmKernels {
     for (std::size_t j = 0; j < NJ; ++j) {
 #pragma GCC unroll 16
       for (std::size_t v = 0; v < NV; ++v) {
-        NI::store(tile + j * kRows + v * NI::kW, acc[j][v]);
+        float* t = tile + j * kRows + v * NI::kW;
+        NI::store(t, kAdd ? NI::add(NI::load(t), acc[j][v]) : acc[j][v]);
       }
     }
   }
@@ -522,6 +527,47 @@ struct GemmKernels {
                 shape.channels * shape.kernel * shape.kernel, 0, n, n, cols);
   }
 
+  /// One im2col row p = (channel, ky, kx) of a convolution: the input
+  /// offset of its taps and the output pixels whose taps land inside the
+  /// image.
+  struct KernelRow {
+    std::size_t channel;
+    std::ptrdiff_t dy, dx;
+    ValidRange ry, rx;
+  };
+
+  static MACH_INLINE KernelRow kernel_row(std::size_t p, const ConvShape& s,
+                                          std::size_t oh, std::size_t ow) {
+    const std::size_t taps = s.kernel * s.kernel;
+    const auto pad = static_cast<std::ptrdiff_t>(s.pad);
+    KernelRow row;
+    row.channel = p / taps;
+    row.dy = static_cast<std::ptrdiff_t>((p % taps) / s.kernel) - pad;
+    row.dx = static_cast<std::ptrdiff_t>(p % s.kernel) - pad;
+    row.ry = valid_range(row.dy, s.stride, s.height, oh);
+    row.rx = valid_range(row.dx, s.stride, s.width, ow);
+    return row;
+  }
+
+  /// Adds im2col row `row` (src, ow-wide output rows) into its channel
+  /// plane of the image gradient: each valid output pixel adds into the
+  /// input pixel its tap reads, so no pixel gets two additions.
+  static MACH_INLINE void col2im_row(const float* src, const ConvShape& s,
+                                     std::size_t ow, const KernelRow& row,
+                                     float* plane) {
+    for (std::size_t oy = row.ry.lo; oy < row.ry.hi; ++oy) {
+      float* dst_row =
+          plane + static_cast<std::size_t>(
+                      static_cast<std::ptrdiff_t>(oy * s.stride) + row.dy) *
+                      s.width;
+      const float* src_row = src + oy * ow;
+      for (std::size_t ox = row.rx.lo; ox < row.rx.hi; ++ox) {
+        const auto ix = static_cast<std::ptrdiff_t>(ox * s.stride) + row.dx;
+        dst_row[static_cast<std::size_t>(ix)] += src_row[ox];
+      }
+    }
+  }
+
   /// Adjoint of im2col: accumulates cols into the (caller-initialised) image
   /// gradient. Each (channel, ky, kx) row adds at most one contribution to
   /// any pixel, and rows are applied in increasing order — exactly the
@@ -530,87 +576,85 @@ struct GemmKernels {
     const std::size_t oh = conv_out_extent(s.height, s);
     const std::size_t ow = conv_out_extent(s.width, s);
     const std::size_t n = oh * ow;
-    std::size_t p = 0;
-    for (std::size_t ch = 0; ch < s.channels; ++ch) {
-      float* plane = grad + ch * s.height * s.width;
-      for (std::size_t ky = 0; ky < s.kernel; ++ky) {
-        const auto dy = static_cast<std::ptrdiff_t>(ky) -
-                        static_cast<std::ptrdiff_t>(s.pad);
-        const ValidRange ry = valid_range(dy, s.stride, s.height, oh);
-        for (std::size_t kx = 0; kx < s.kernel; ++kx, ++p) {
-          const auto dx = static_cast<std::ptrdiff_t>(kx) -
-                          static_cast<std::ptrdiff_t>(s.pad);
-          const ValidRange rx = valid_range(dx, s.stride, s.width, ow);
-          const float* src = cols + p * n;
-          if (s.stride == 1 && ow == s.width && s.pad <= kSavedTargets) {
-            same_size_col2im_row(
-                src, s, ow, dy * static_cast<std::ptrdiff_t>(s.width) + dx, ry,
-                rx, plane);
-            continue;
-          }
-          for (std::size_t oy = ry.lo; oy < ry.hi; ++oy) {
-            float* dst_row =
-                plane + static_cast<std::size_t>(
-                            static_cast<std::ptrdiff_t>(oy * s.stride) + dy) *
-                            s.width;
-            const float* src_row = src + oy * ow;
-            for (std::size_t ox = rx.lo; ox < rx.hi; ++ox) {
-              const auto ix = static_cast<std::ptrdiff_t>(ox * s.stride) + dx;
-              dst_row[static_cast<std::size_t>(ix)] += src_row[ox];
-            }
-          }
-        }
-      }
+    const std::size_t patch = s.channels * s.kernel * s.kernel;
+    for (std::size_t p = 0; p < patch; ++p) {
+      const KernelRow row = kernel_row(p, s, oh, ow);
+      col2im_row(cols + p * n, s, ow, row,
+                 grad + row.channel * s.height * s.width);
     }
   }
 
-  /// col2im row for a stride-1 conv whose output is as wide as its input:
-  /// pixel j of the row adds into plane[j + shift], so the valid rows are
-  /// one contiguous vector add. That add also hits the targets of the
-  /// border columns (ox outside rx, whose targets are real pixels of a
-  /// neighbouring row), so those targets are saved first and written back
-  /// after — the restored bits are exactly the originals. Rows are taken in
-  /// chunks so the saved values fit a fixed stack buffer; a row has at most
-  /// pad border columns, so pad <= kSavedTargets guarantees a chunk of at
-  /// least one row.
-  static constexpr std::size_t kSavedTargets = 256;
+  /// A kernel row p of a same-size conv (stride 1, output as wide as the
+  /// input) as one contiguous run: output pixel j reads (im2col) or adds
+  /// into (col2im) input pixel j + shift of the channel plane, and every
+  /// valid tap lies in the non-empty [lo, hi). Border columns (ox outside
+  /// rx) would wrap into a neighbouring row; `border` lists those whose
+  /// wrapped pixel lies inside the plane. One run serves every image of a
+  /// minibatch, so its geometry is worked out once per kernel row.
+  static constexpr std::size_t kMaxBorder = 256;
+  struct SameSizeRun {
+    std::size_t lo = 0, hi = 0;
+    std::ptrdiff_t shift = 0;
+    std::size_t borders = 0;
+    std::size_t border[kMaxBorder];
+  };
 
-  static MACH_INLINE void same_size_col2im_row(const float* src,
-                                               const ConvShape& s,
-                                               std::size_t ow,
-                                               std::ptrdiff_t shift,
-                                               ValidRange ry, ValidRange rx,
-                                               float* plane) {
-    if (ry.lo >= ry.hi || rx.lo >= rx.hi) return;
-    const std::size_t border = rx.lo + (ow - rx.hi);
-    const std::size_t chunk_rows =
-        border == 0 ? ry.hi - ry.lo : kSavedTargets / border;
+  /// Fills `run` for `row`; false when the shape is not same-size, the row
+  /// has no valid tap at all (a pad as large as the image), or it has more
+  /// than kMaxBorder border pixels.
+  static bool same_size_run(const ConvShape& s, std::size_t ow,
+                            const KernelRow& row, SameSizeRun& run) {
+    const ValidRange ry = row.ry, rx = row.rx;
+    if (!same_size(s, ow) || ry.lo >= ry.hi || rx.lo >= rx.hi) return false;
+    run.shift = row.dy * static_cast<std::ptrdiff_t>(s.width) + row.dx;
+    run.borders = 0;
+    const std::size_t oh = s.height;  // same-size
+    if (oh * (ow - (rx.hi - rx.lo)) > kMaxBorder) return false;
+    // Trim the run to the plane; the trimmed pixels are border columns.
     const auto plane_size = static_cast<std::ptrdiff_t>(s.height * s.width);
-    float saved[kSavedTargets];
-    for (std::size_t r0 = ry.lo; r0 < ry.hi; r0 += chunk_rows) {
-      const std::size_t r1 = min_size(ry.hi, r0 + chunk_rows);
-      auto lo = static_cast<std::ptrdiff_t>(r0 * ow);
-      auto hi = static_cast<std::ptrdiff_t>(r1 * ow);
-      if (lo + shift < 0) lo = -shift;
-      if (hi + shift > plane_size) hi = plane_size - shift;
-      // Border targets inside [lo, hi), column by column.
-      std::size_t count = 0;
-      const auto for_border = [&](auto&& visit) {
-        const auto column = [&](std::size_t ox) {
-          for (std::ptrdiff_t j = static_cast<std::ptrdiff_t>(r0 * ow + ox);
-               j < hi; j += static_cast<std::ptrdiff_t>(ow)) {
-            if (j >= lo) visit(plane + (j + shift));
-          }
-        };
-        for (std::size_t ox = 0; ox < rx.lo; ++ox) column(ox);
-        for (std::size_t ox = rx.hi; ox < ow; ++ox) column(ox);
-      };
-      for_border([&](float* t) { saved[count++] = *t; });
-      float* dst = plane + (lo + shift);
-      const float* from = src + lo;
-      for (std::ptrdiff_t t = 0; t < hi - lo; ++t) dst[t] += from[t];
-      count = 0;
-      for_border([&](float* t) { *t = saved[count++]; });
+    auto lo = static_cast<std::ptrdiff_t>(ry.lo * ow);
+    auto hi = static_cast<std::ptrdiff_t>(ry.hi * ow);
+    if (lo + run.shift < 0) lo = -run.shift;
+    if (hi + run.shift > plane_size) hi = plane_size - run.shift;
+    run.lo = static_cast<std::size_t>(lo);
+    run.hi = static_cast<std::size_t>(hi);
+    const auto add_border = [&](std::size_t j) {
+      const std::ptrdiff_t tap = static_cast<std::ptrdiff_t>(j) + run.shift;
+      if (tap >= 0 && tap < plane_size) run.border[run.borders++] = j;
+    };
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+      for (std::size_t ox = 0; ox < rx.lo; ++ox) add_border(oy * ow + ox);
+      for (std::size_t ox = rx.hi; ox < ow; ++ox) add_border(oy * ow + ox);
+    }
+    return true;
+  }
+
+  /// Sets the border pixels of a run's source row to +0.
+  static MACH_INLINE void zero_borders(const SameSizeRun& run, float* row) {
+    for (std::size_t b = 0; b < run.borders; ++b) row[run.border[b]] = 0.0f;
+  }
+
+  /// col2im row of one image along a run whose border pixels in `src` are
+  /// +0 (zero_borders), so the run is one contiguous add: x + +0 is x for
+  /// every x the gradient can hold (it starts at +0 and a sum is -0 only if
+  /// both addends are). With `first` (the channel's first kernel row) the
+  /// plane is written rather than added to: 0.0f + x inside the run and
+  /// 0.0f outside, the values a zero fill followed by the add would leave.
+  static MACH_INLINE void run_col2im(const SameSizeRun& run,
+                                     std::size_t plane_size, bool first,
+                                     const float* src, float* plane) {
+    const std::size_t count = run.hi - run.lo;
+    const auto start = static_cast<std::size_t>(
+        static_cast<std::ptrdiff_t>(run.lo) + run.shift);
+    // The panel row and the gradient plane never overlap.
+    float* __restrict dst = plane + start;
+    const float* __restrict from = src + run.lo;
+    if (first) {
+      for (std::size_t t = 0; t < start; ++t) plane[t] = 0.0f;
+      for (std::size_t t = 0; t < count; ++t) dst[t] = 0.0f + from[t];
+      for (std::size_t t = start + count; t < plane_size; ++t) plane[t] = 0.0f;
+    } else {
+      for (std::size_t t = 0; t < count; ++t) dst[t] += from[t];
     }
   }
 
@@ -661,6 +705,352 @@ struct GemmKernels {
     nt_driver<Isa, kNtNV, kNtNR>(a, b, c, accumulate, buf);
   }
 
+  // -------------------------------------------------------------------------
+  // Convolution backward over a minibatch
+  // -------------------------------------------------------------------------
+
+  static constexpr std::size_t round_up(std::size_t x, std::size_t to) {
+    return (x + to - 1) / to * to;
+  }
+
+  /// Rows per weight-gradient strip: gemm_nt's tile for m = out_c.
+  static constexpr std::size_t dw_rows(std::size_t out_c) {
+    if constexpr (kHasNarrowNt) {
+      if (out_c <= Cfg::NarrowIsa::kW) return Cfg::NarrowIsa::kW;
+    }
+    return kNtMR;
+  }
+
+  /// Images per input-gradient block: as many whole images as fit
+  /// kDxBlockColumns output columns, at least one. Blocks never split an
+  /// image, so each pixel gets all its contributions inside one block; a
+  /// block's panel (MR rows of it) stays within L1-sized scratch, and each
+  /// kernel row's geometry is worked out once per block.
+  static constexpr std::size_t kDxBlockColumns = 1024;
+  static std::size_t dx_block_images(std::size_t count, std::size_t n) {
+    return min_size(count, n >= kDxBlockColumns ? 1 : kDxBlockColumns / n);
+  }
+
+  /// Offsets of conv_backward's scratch spans (in floats) and their total.
+  struct BackwardScratch {
+    std::size_t cols = 0;    // count x [patch, n]: every image's im2col
+    std::size_t gout = 0;    // count x grad_out packed in dw_rows strips
+    std::size_t padded = 0;  // same-size convs: input planes, zero margins
+    std::size_t wpack = 0;   // Wᵀ packed in MR-row strips over k = out_c
+    std::size_t bpack = 0;   // one block's straddling grad_out NR strips
+    std::size_t panel = 0;   // one row tile of the block's column gradients
+    std::size_t total = 0;
+  };
+
+  /// Zeros kept around each input plane of a same-size conv (stride 1,
+  /// output as wide as the input) so that every kernel row reads a whole
+  /// im2col row from it: |dy * width + dx| <= pad * (width + 1).
+  static constexpr bool same_size(const ConvShape& s, std::size_t ow) {
+    return s.stride == 1 && ow == s.width;
+  }
+  static constexpr std::size_t plane_margin(const ConvShape& s) {
+    return s.pad * (s.width + 1);
+  }
+
+  static BackwardScratch backward_scratch(std::size_t count,
+                                          const ConvShape& s,
+                                          std::size_t out_c,
+                                          bool input_grad) {
+    const std::size_t n =
+        conv_out_extent(s.height, s) * conv_out_extent(s.width, s);
+    const std::size_t patch = s.channels * s.kernel * s.kernel;
+    BackwardScratch at;
+    at.gout = count * patch * n;
+    at.padded = at.gout + count * round_up(out_c, dw_rows(out_c)) * n;
+    at.total = at.padded;
+    if (same_size(s, conv_out_extent(s.width, s))) {
+      at.total += plane_margin(s) +
+                  count * s.channels * (s.height * s.width + plane_margin(s));
+    }
+    if (input_grad) {
+      const std::size_t cols = round_up(dx_block_images(count, n) * n, kNR);
+      at.wpack = at.total;
+      at.bpack = at.wpack + round_up(patch, kMR) * out_c;
+      // NR strips straddle two images (and need packing) only when n is not
+      // a multiple of NR.
+      at.panel = at.bpack + (n % kNR == 0 ? 0 : out_c * cols);
+      at.total = at.panel + kMR * cols;
+    }
+    return at;
+  }
+
+  static std::size_t conv_backward_scratch(std::size_t count,
+                                           const ConvShape& shape,
+                                           std::size_t out_c,
+                                           bool input_grad) {
+    return backward_scratch(count, shape, out_c, input_grad).total;
+  }
+
+  /// Every image's im2col rows, cols[img] = [patch, n]. A same-size conv
+  /// first copies each input plane into `padded` with plane_margin zeros
+  /// on both sides; then each kernel row of every plane is one whole-row
+  /// copy from its plane at the row's shift (taps outside the image read
+  /// margin zeros) plus zeros at the row's border columns, whose taps wrap
+  /// into a neighbouring row. The row geometry is worked out once per
+  /// kernel offset for all planes. Other shapes use image_panel per row.
+  static void im2col_rows(const float* images, std::size_t count,
+                          const ConvShape& s, std::size_t oh, std::size_t ow,
+                          float* padded, float* cols) {
+    const std::size_t n = oh * ow, taps = s.kernel * s.kernel;
+    const std::size_t patch = s.channels * taps;
+    const std::size_t plane = s.height * s.width;
+    const std::size_t image_size = s.channels * plane;
+    const auto general_row = [&](std::size_t img, std::size_t p) {
+      image_panel(images + img * image_size, s, oh, ow, p, 1, 0, n, n,
+                  cols + (img * patch + p) * n);
+    };
+    if (!same_size(s, ow)) {
+      for (std::size_t img = 0; img < count; ++img) {
+        for (std::size_t p = 0; p < patch; ++p) general_row(img, p);
+      }
+      return;
+    }
+    const std::size_t margin = plane_margin(s);
+    const std::size_t planes = count * s.channels;
+    for (std::size_t i = 0; i < margin; ++i) padded[i] = 0.0f;
+    for (std::size_t pl = 0; pl < planes; ++pl) {
+      float* dst = padded + margin + pl * (plane + margin);
+      const float* src = images + pl * plane;
+      for (std::size_t i = 0; i < plane; ++i) dst[i] = src[i];
+      for (std::size_t i = plane; i < plane + margin; ++i) dst[i] = 0.0f;
+    }
+    SameSizeRun run;
+    for (std::size_t t = 0; t < taps; ++t) {
+      const KernelRow row = kernel_row(t, s, oh, ow);
+      const bool runs = same_size_run(s, ow, row, run);
+      for (std::size_t img = 0, pl = 0; img < count; ++img) {
+        for (std::size_t p = t; p < patch; p += taps, ++pl) {
+          if (!runs) {
+            general_row(img, p);
+            continue;
+          }
+          float* __restrict out = cols + (img * patch + p) * n;
+          const float* __restrict src =
+              padded +
+              (static_cast<std::ptrdiff_t>(margin + pl * (plane + margin)) +
+               run.shift);
+          for (std::size_t j = 0; j < n; ++j) out[j] = src[j];
+          zero_borders(run, out);
+        }
+      }
+    }
+  }
+
+  /// Weight and bias gradients over `count` images. Each image's dot
+  /// products (and bias rows) are summed into fresh accumulators in
+  /// increasing pixel order, and the per-image results are added to the
+  /// running tile in image order: the chains of one gemm_nt(accumulate)
+  /// and one bias row sum per image. The image loop runs inside the tile
+  /// loop, so every dW tile is transposed and written back once. The
+  /// running sums start from zero (0.0f + the first image's sum, as after a
+  /// zero fill) or, with accumulate, from the stored gradients.
+  template <class NI, std::size_t NV, std::size_t NJ>
+  static void weight_grad(const float* grad_out, std::size_t count,
+                          std::size_t out_c, std::size_t n, const float* cols,
+                          std::size_t patch, float* grad_weight,
+                          float* grad_bias, bool accumulate, float* gpack) {
+    using NV_t = typename NI::V;
+    constexpr std::size_t kRows = NV * NI::kW;
+    const std::size_t strips = (out_c + kRows - 1) / kRows;
+    const std::size_t strip_size = n * kRows;
+    for (std::size_t img = 0; img < count; ++img) {
+      pack_a_n<kRows>(grad_out + img * out_c * n, n, out_c, n,
+                      gpack + img * strips * strip_size);
+    }
+    for (std::size_t st = 0; st < strips; ++st) {
+      const std::size_t i0 = st * kRows;
+      const std::size_t mr = min_size(kRows, out_c - i0);
+      const auto strip = [&](std::size_t img) {
+        return gpack + (img * strips + st) * strip_size;
+      };
+      // Bias: the packed strip holds pixel q's rows side by side, so the
+      // kRows row sums run as interleaved chains, one per vector lane.
+      alignas(64) float bsum[kRows];
+      for (std::size_t r = 0; r < kRows; ++r) {
+        bsum[r] = accumulate && r < mr ? grad_bias[i0 + r] : 0.0f;
+      }
+      for (std::size_t img = 0; img < count; ++img) {
+        const float* ap = strip(img);
+        NV_t acc[NV];
+#pragma GCC unroll 16
+        for (std::size_t v = 0; v < NV; ++v) acc[v] = NI::zero();
+        for (std::size_t q = 0; q < n; ++q) {
+#pragma GCC unroll 16
+          for (std::size_t v = 0; v < NV; ++v) {
+            acc[v] = NI::add(acc[v], NI::load(ap + q * kRows + v * NI::kW));
+          }
+        }
+#pragma GCC unroll 16
+        for (std::size_t v = 0; v < NV; ++v) {
+          float* b = bsum + v * NI::kW;
+          NI::store(b, NI::add(NI::load(b), acc[v]));
+        }
+      }
+      for (std::size_t r = 0; r < mr; ++r) grad_bias[i0 + r] = bsum[r];
+
+      for (std::size_t j0 = 0; j0 < patch; j0 += NJ) {
+        const std::size_t nr = min_size(NJ, patch - j0);
+        alignas(64) float tile[NJ * kRows];
+        for (std::size_t j = 0; j < NJ; ++j) {
+          for (std::size_t i = 0; i < kRows; ++i) {
+            tile[j * kRows + i] = accumulate && i < mr && j < nr
+                                      ? grad_weight[(i0 + i) * patch + j0 + j]
+                                      : 0.0f;
+          }
+        }
+        for (std::size_t img = 0; img < count; ++img) {
+          // Fringe columns re-read the last valid im2col row; their sums
+          // are discarded below.
+          const float* image_cols = cols + img * patch * n;
+          const float* brows[NJ];
+          for (std::size_t j = 0; j < NJ; ++j) {
+            brows[j] = image_cols + (j0 + (j < nr ? j : nr - 1)) * n;
+          }
+          micro_nt<NI, NV, NJ, true>(n, strip(img), brows, tile);
+        }
+        for (std::size_t i = 0; i < mr; ++i) {
+          float* drow = grad_weight + (i0 + i) * patch + j0;
+          for (std::size_t j = 0; j < nr; ++j) drow[j] = tile[j * kRows + i];
+        }
+      }
+    }
+  }
+
+  /// Input gradient over `count` images: dX = col2im(Wᵀ · grad_out) per
+  /// image. The GEMM runs over blocks of whole images laid side by side
+  /// along n, with Wᵀ packed once, and col2im is fused into it: a row tile
+  /// of kernel offsets p is computed across every column of the block into
+  /// `panel`, then its rows are added into the image gradients in
+  /// increasing p before the next row tile starts. Each column-gradient
+  /// element is the fresh k = out_c chain of gemm_tn, and each pixel adds
+  /// its contributions in col2im's order. On same-size runs a channel
+  /// plane's first offset row writes it (0.0f + x, or 0.0f where that row
+  /// has no tap) instead of adding, so no zero fill is needed; other shapes
+  /// zero the plane just before that row.
+  static void input_grad(const float* grad_out, std::size_t count,
+                         const ConvShape& s, ConstMat weight,
+                         float* grad_images, const BackwardScratch& at,
+                         float* scratch) {
+    const std::size_t oh = conv_out_extent(s.height, s);
+    const std::size_t ow = conv_out_extent(s.width, s);
+    const std::size_t n = oh * ow;
+    const std::size_t out_c = weight.rows, patch = weight.cols;
+    const std::size_t taps = s.kernel * s.kernel;
+    const std::size_t plane = s.height * s.width;
+    const std::size_t image_size = s.channels * plane;
+    float* wpack = scratch + at.wpack;
+    float* bpack = scratch + at.bpack;
+    float* panel = scratch + at.panel;
+    pack_a_t(weight.data, patch, patch, out_c, wpack);
+    const std::size_t per_block = dx_block_images(count, n);
+    for (std::size_t img0 = 0; img0 < count; img0 += per_block) {
+      const std::size_t images = min_size(per_block, count - img0);
+      const std::size_t cols = images * n;
+      const std::size_t ldp = round_up(cols, kNR);
+      // B: the block's output gradients, column img * n + q of row o being
+      // grad_out[img0 + img][o][q]. An NR-wide strip inside one image's
+      // row is read in place (rows n apart); strips that straddle two
+      // images or run past the block are packed, zero-padded, into bpack.
+      const float* gout = grad_out + img0 * out_c * n;
+      const auto in_place = [&](std::size_t j0) { return j0 % n + kNR <= n; };
+      for (std::size_t j0 = 0; j0 < ldp; j0 += kNR) {
+        if (in_place(j0)) continue;
+        float* strip = bpack + j0 * out_c;
+        for (std::size_t o = 0; o < out_c; ++o) {
+          std::size_t img = j0 / n, q = j0 % n;
+          for (std::size_t j = 0; j < kNR; ++j) {
+            strip[o * kNR + j] =
+                img < images ? gout[(img * out_c + o) * n + q] : 0.0f;
+            if (++q == n) {
+              q = 0;
+              ++img;
+            }
+          }
+        }
+      }
+      float* block_grad = grad_images + img0 * image_size;
+      SameSizeRun run;
+      for (std::size_t i0 = 0; i0 < patch; i0 += kMR) {
+        const float* ap = wpack + (i0 / kMR) * out_c * kMR;
+        for (std::size_t j0 = 0; j0 < ldp; j0 += kNR) {
+          if (in_place(j0)) {
+            micro_nn(out_c, ap, gout + (j0 / n * out_c) * n + j0 % n, n,
+                     panel + j0, ldp, /*zero_init=*/true, nullptr, nullptr);
+          } else {
+            micro_nn(out_c, ap, bpack + j0 * out_c, kNR, panel + j0, ldp,
+                     /*zero_init=*/true, nullptr, nullptr);
+          }
+        }
+        const std::size_t mr = min_size(kMR, patch - i0);
+        for (std::size_t r = 0; r < mr; ++r) {
+          const KernelRow row = kernel_row(i0 + r, s, oh, ow);
+          const bool first = (i0 + r) % taps == 0;
+          float* src = panel + r * ldp;
+          float* target = block_grad + row.channel * plane;
+          if (same_size_run(s, ow, row, run)) {
+            // Borders of every image first, so no add reloads a lane just
+            // stored.
+            for (std::size_t img = 0; img < images; ++img) {
+              zero_borders(run, src + img * n);
+            }
+            for (std::size_t img = 0; img < images; ++img) {
+              run_col2im(run, plane, first, src + img * n,
+                         target + img * image_size);
+            }
+            continue;
+          }
+          for (std::size_t img = 0; img < images; ++img) {
+            float* image_target = target + img * image_size;
+            if (first) {
+              for (std::size_t t = 0; t < plane; ++t) image_target[t] = 0.0f;
+            }
+            col2im_row(src + img * n, s, ow, row, image_target);
+          }
+        }
+      }
+    }
+  }
+
+  /// conv_forward's backward over `count` images (kernels.h): im2col of
+  /// every image once, then weight_grad and, when grad_images is not null,
+  /// input_grad. `scratch` holds conv_backward_scratch(count, ...) floats.
+  static void conv_backward(const float* images, std::size_t count,
+                            const ConvShape& s, ConstMat weight,
+                            const float* grad_out, float* grad_images,
+                            float* grad_weight, float* grad_bias,
+                            bool accumulate, float* scratch) {
+    const std::size_t oh = conv_out_extent(s.height, s);
+    const std::size_t ow = conv_out_extent(s.width, s);
+    const std::size_t n = oh * ow;
+    const std::size_t out_c = weight.rows, patch = weight.cols;
+    const BackwardScratch at =
+        backward_scratch(count, s, out_c, grad_images != nullptr);
+    float* cols = scratch + at.cols;
+    im2col_rows(images, count, s, oh, ow, scratch + at.padded, cols);
+    bool narrow = false;
+    if constexpr (kHasNarrowNt) {
+      if (out_c <= Cfg::NarrowIsa::kW) {
+        narrow = true;
+        weight_grad<typename Cfg::NarrowIsa, 1, Cfg::kNarrowNtNR>(
+            grad_out, count, out_c, n, cols, patch, grad_weight, grad_bias,
+            accumulate, scratch + at.gout);
+      }
+    }
+    if (!narrow) {
+      weight_grad<Isa, kNtNV, kNtNR>(grad_out, count, out_c, n, cols, patch,
+                                     grad_weight, grad_bias, accumulate,
+                                     scratch + at.gout);
+    }
+    if (grad_images != nullptr) {
+      input_grad(grad_out, count, s, weight, grad_images, at, scratch);
+    }
+  }
+
   static constexpr NtBlocking nt_blocking() {
     if constexpr (kHasNarrowNt) {
       return {kNtMR, kNtNR, Cfg::NarrowIsa::kW, Cfg::kNarrowNtNR};
@@ -670,8 +1060,17 @@ struct GemmKernels {
   }
 
   static constexpr GemmVariant variant(common::GemmIsa isa) {
-    return {isa,      {kMR, kNR, kKC, kMC, kNC}, nt_blocking(), &gemm_nn,
-            &gemm_tn, &gemm_nt, &conv_forward, &im2col, &col2im};
+    return {isa,
+            {kMR, kNR, kKC, kMC, kNC},
+            nt_blocking(),
+            &gemm_nn,
+            &gemm_tn,
+            &gemm_nt,
+            &conv_forward,
+            &conv_backward_scratch,
+            &conv_backward,
+            &im2col,
+            &col2im};
   }
 };
 

@@ -5,6 +5,8 @@
 // its value is being the simple, obviously-correct yardstick.
 #include "tensor/kernels/kernels.h"
 
+#include <cstdint>
+
 namespace mach::tensor::kernels::ref {
 
 void gemm_nn(ConstMat a, ConstMat b, Mat c, bool accumulate,
@@ -126,6 +128,48 @@ void col2im(const float* cols, std::size_t channels, std::size_t height,
           }
         }
       }
+    }
+  }
+}
+
+void maxpool2x2_forward(const float* input, std::size_t planes,
+                        std::size_t height, std::size_t width, float* output,
+                        std::uint32_t* argmax) {
+  const std::size_t oh = height / 2, ow = width / 2;
+  std::size_t oidx = 0;
+  for (std::size_t pl = 0; pl < planes; ++pl) {
+    const float* plane = input + pl * height * width;
+    for (std::size_t oy = 0; oy < oh; ++oy) {
+      for (std::size_t ox = 0; ox < ow; ++ox) {
+        const std::size_t base = (2 * oy) * width + 2 * ox;
+        float best = plane[base];
+        std::uint32_t best_idx = static_cast<std::uint32_t>(base);
+        const std::size_t candidates[3] = {base + 1, base + width,
+                                           base + width + 1};
+        for (std::size_t cand : candidates) {
+          if (plane[cand] > best) {
+            best = plane[cand];
+            best_idx = static_cast<std::uint32_t>(cand);
+          }
+        }
+        output[oidx] = best;
+        argmax[oidx] = best_idx;
+        ++oidx;
+      }
+    }
+  }
+}
+
+void maxpool2x2_backward(const float* grad_output, const std::uint32_t* argmax,
+                         std::size_t planes, std::size_t height,
+                         std::size_t width, float* grad_input) {
+  const std::size_t outputs = (height / 2) * (width / 2);
+  for (std::size_t i = 0; i < planes * height * width; ++i) grad_input[i] = 0.0f;
+  std::size_t oidx = 0;
+  for (std::size_t pl = 0; pl < planes; ++pl) {
+    float* plane = grad_input + pl * height * width;
+    for (std::size_t i = 0; i < outputs; ++i, ++oidx) {
+      plane[argmax[oidx]] += grad_output[oidx];
     }
   }
 }

@@ -1,5 +1,6 @@
 // The GEMM variant table behind kernels::gemm_nn / gemm_tn / gemm_nt and
-// kernels::conv_forward (internal to the kernel layer and its tests).
+// kernels::conv_forward / conv_backward (internal to the kernel layer and
+// its tests).
 //
 // Each variant is one instantiation of the shared drivers in gemm_driver.h,
 // compiled in its own translation unit with its own ISA flags:
@@ -63,6 +64,18 @@ struct GemmVariant {
   void (*conv_forward)(const float* images, std::size_t count,
                        const ConvShape& shape, ConstMat weight,
                        const float* bias, float* out, PackBuffers buffers);
+  // conv_backward over one group of images: its scratch size in floats, and
+  // the kernel (preconditions: count, out_c, patch and output pixels > 0;
+  // accumulate adds to grad_weight/grad_bias instead of overwriting them).
+  std::size_t (*conv_backward_scratch)(std::size_t count,
+                                       const ConvShape& shape,
+                                       std::size_t out_channels,
+                                       bool input_grad);
+  void (*conv_backward)(const float* images, std::size_t count,
+                        const ConvShape& shape, ConstMat weight,
+                        const float* grad_out, float* grad_images,
+                        float* grad_weight, float* grad_bias, bool accumulate,
+                        float* scratch);
   // The B-panel builder of conv_forward run over the whole image: writes
   // the [channels*kernel*kernel, out_h*out_w] im2col matrix.
   void (*im2col)(const float* image, const ConvShape& shape, float* cols);
@@ -94,6 +107,13 @@ void gemm_nt(const GemmVariant& variant, ConstMat a, ConstMat b, Mat c,
 void conv_forward(const GemmVariant& variant, const float* images,
                   std::size_t count, const ConvShape& shape, ConstMat weight,
                   const float* bias, float* out);
+std::size_t conv_backward_scratch(const GemmVariant& variant,
+                                  std::size_t count, const ConvShape& shape,
+                                  std::size_t out_channels, bool input_grad);
+void conv_backward(const GemmVariant& variant, const float* images,
+                   std::size_t count, const ConvShape& shape, ConstMat weight,
+                   const float* grad_out, float* grad_images,
+                   float* grad_weight, float* grad_bias, float* scratch);
 void im2col(const GemmVariant& variant, const float* image,
             const ConvShape& shape, float* cols);
 void col2im(const GemmVariant& variant, const float* cols,

@@ -24,7 +24,8 @@
 //     spills/reloads the exact partial value, which is lossless);
 //   * gemm_nt: a fresh accumulator per element sums k products in increasing
 //     p order and is added to C once at the end (dot-product form);
-//   * reductions (dot, squared_norm, col/row sums): strict element order.
+//   * reductions (dot, squared_norm, column and bias sums): strict element
+//     order.
 // Because the order is fixed and float mul/add are exactly rounded, every
 // GEMM variant and the reference kernels produce bitwise-identical results,
 // at any thread count and on any CPU, provided FMA contraction is disabled
@@ -32,6 +33,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace mach::tensor::kernels {
 
@@ -111,6 +113,28 @@ void conv_forward(const float* images, std::size_t count,
                   float* out);
 
 // ---------------------------------------------------------------------------
+// Convolution backward over the same `count` images, given grad_out (count
+// [out_c, out_h*out_w] planes). Overwrites
+//   grad_weight[o, p] = sum over images of (sum_q grad_out[o, q] * cols[p, q])
+//   grad_bias[o]      = sum over images of (sum_q grad_out[o, q])
+//   grad_images       = col2im(weightᵀ · grad_out) per image
+// with exactly the float chains of the per-image composition im2col,
+// gemm_nt(accumulate), gemm_tn, col2im and per-row bias sums into zero-filled
+// gradients: each image's sums start from fresh accumulators in increasing q
+// and are added in image order. grad_images may be nullptr, which skips the
+// input gradient (a first layer's, which nothing reads); grad_weight and
+// grad_bias come out the same either way. `scratch` is caller-owned and
+// holds conv_backward_scratch(count, shape, out_c, grad_images != nullptr)
+// floats.
+// ---------------------------------------------------------------------------
+std::size_t conv_backward_scratch(std::size_t count, const ConvShape& shape,
+                                  std::size_t out_channels, bool input_grad);
+void conv_backward(const float* images, std::size_t count,
+                   const ConvShape& shape, ConstMat weight,
+                   const float* grad_out, float* grad_images,
+                   float* grad_weight, float* grad_bias, float* scratch);
+
+// ---------------------------------------------------------------------------
 // Elementwise kernels (branch-free, auto-vectorizable; exact per-element
 // semantics match the naive loops they replaced).
 // ---------------------------------------------------------------------------
@@ -134,9 +158,12 @@ void add_bias_rows(std::size_t m, std::size_t n, const float* bias, float* x);
 /// out[j] (+)= sum_i x[i,j]; rows accumulated in increasing i order.
 void col_sums(std::size_t m, std::size_t n, const float* x, float* out,
               bool accumulate);
-/// out[i] += sum_j x[i,j]; each row summed into a fresh accumulator in
-/// increasing j order, then added to out once (conv bias gradient).
-void row_sums(std::size_t m, std::size_t n, const float* x, float* out);
+/// Max-pool backward: gx = 0, then gx[argmax[i]] = 0.0f + gy[i]. Each
+/// input cell lies in at most one window, so this equals the zero fill plus
+/// scatter-add.
+void maxpool2x2_backward(std::size_t outputs, const float* gy,
+                         const std::uint32_t* argmax, std::size_t inputs,
+                         float* gx);
 
 // ---------------------------------------------------------------------------
 // Reductions. Double accumulators in strict element order — the fixed order
@@ -175,6 +202,15 @@ void im2col(const float* image, std::size_t channels, std::size_t height,
 void col2im(const float* cols, std::size_t channels, std::size_t height,
             std::size_t width, std::size_t kernel, std::size_t pad,
             std::size_t stride, float* grad_image);
+/// 2x2 max pooling over `planes` [height, width] planes; argmax holds the
+/// winner's index within its plane.
+void maxpool2x2_forward(const float* input, std::size_t planes,
+                        std::size_t height, std::size_t width, float* output,
+                        std::uint32_t* argmax);
+/// Zero-fills grad_input, then adds each output gradient at its argmax.
+void maxpool2x2_backward(const float* grad_output, const std::uint32_t* argmax,
+                         std::size_t planes, std::size_t height,
+                         std::size_t width, float* grad_input);
 }  // namespace ref
 
 }  // namespace mach::tensor::kernels

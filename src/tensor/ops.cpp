@@ -105,7 +105,7 @@ void col2im(const Tensor& columns, std::size_t image_index, const ConvSpec& spec
 }
 
 void conv2d_forward(const Tensor& input, const Tensor& weight, const Tensor& bias,
-                    const ConvSpec& spec, Tensor& output, ScratchArena& arena) {
+                    const ConvSpec& spec, Tensor& output) {
   const std::size_t batch = input.dim(0);
   const std::size_t h = input.dim(2), w = input.dim(3);
   const std::size_t oh = spec.out_dim(h), ow = spec.out_dim(w);
@@ -121,9 +121,7 @@ void conv2d_forward(const Tensor& input, const Tensor& weight, const Tensor& bia
   // Weight viewed in place as [out_c, patch], each image's output plane as
   // [out_c, oh*ow]. The GEMM packs its B panels straight from the image (no
   // im2col buffer) and fuses the bias into its epilogue — the same float
-  // chains as im2col, GEMM, then bias add. The arena is not needed here; it
-  // stays in the signature because backward shares it.
-  (void)arena;
+  // chains as im2col, GEMM, then bias add.
   const kern::ConvShape shape{spec.in_channels, h, w, spec.kernel, spec.pad,
                               spec.stride};
   kern::conv_forward(input.data(), batch, shape, {weight.data(), out_c, patch},
@@ -132,43 +130,33 @@ void conv2d_forward(const Tensor& input, const Tensor& weight, const Tensor& bia
 
 void conv2d_backward(const Tensor& input, const Tensor& weight,
                      const Tensor& grad_output, const ConvSpec& spec,
-                     Tensor& grad_input, Tensor& grad_weight, Tensor& grad_bias,
+                     Tensor* grad_input, Tensor& grad_weight, Tensor& grad_bias,
                      ScratchArena& arena) {
+  if (input.rank() != 4 || input.dim(1) != spec.in_channels) {
+    throw std::invalid_argument("conv2d_backward: bad input shape");
+  }
   const std::size_t batch = input.dim(0);
   const std::size_t h = input.dim(2), w = input.dim(3);
-  const std::size_t oh = spec.out_dim(h), ow = spec.out_dim(w);
   const std::size_t out_c = spec.out_channels;
   const std::size_t patch = spec.in_channels * spec.kernel * spec.kernel;
-  grad_input.zero();
-  grad_weight.zero();
-  grad_bias.zero();
-  // Two arena spans: im2col columns and the W^T*gout column gradients.
-  // Reserve the combined footprint up front so the second alloc cannot move
-  // the first (ScratchArena pointer-stability rule).
-  arena.reset();
-  arena.reserve(2 * patch * oh * ow);
-  float* cols = arena.alloc(patch * oh * ow);
-  float* gcols = arena.alloc(patch * oh * ow);
-  const kern::ConstMat weight2d{weight.data(), out_c, patch};
-  const kern::Mat grad_weight2d{grad_weight.data(), out_c, patch};
-  for (std::size_t img = 0; img < batch; ++img) {
-    kern::im2col(input.data() + img * spec.in_channels * h * w,
-                 spec.in_channels, h, w, spec.kernel, spec.pad, spec.stride,
-                 cols);
-    // This image's grad_output viewed in place as [out_c, oh*ow].
-    const kern::ConstMat gout2d{grad_output.data() + img * out_c * oh * ow,
-                                out_c, oh * ow};
-    // dW += gout2d * cols^T
-    kern::gemm_nt(gout2d, {cols, patch, oh * ow}, grad_weight2d,
-                  /*accumulate=*/true);
-    // dcols = W^T * gout2d
-    kern::gemm_tn(weight2d, gout2d, {gcols, patch, oh * ow});
-    kern::col2im(gcols, spec.in_channels, h, w, spec.kernel, spec.pad,
-                 spec.stride,
-                 grad_input.data() + img * spec.in_channels * h * w);
-    // dbias: each channel row summed into a fresh accumulator, added once.
-    kern::row_sums(out_c, oh * ow, gout2d.data, grad_bias.data());
+  if (grad_output.rank() != 4 || grad_output.dim(0) != batch ||
+      grad_output.dim(1) != out_c || grad_output.dim(2) != spec.out_dim(h) ||
+      grad_output.dim(3) != spec.out_dim(w) ||
+      weight.numel() != out_c * patch || grad_weight.numel() != out_c * patch ||
+      grad_bias.numel() != out_c ||
+      (grad_input != nullptr && !grad_input->same_shape(input))) {
+    throw std::invalid_argument("conv2d_backward: shape mismatch");
   }
+  const kern::ConvShape shape{spec.in_channels, h, w, spec.kernel, spec.pad,
+                              spec.stride};
+  // One arena span, so there is no second allocation that could move it.
+  arena.reset();
+  float* scratch = arena.alloc(
+      kern::conv_backward_scratch(batch, shape, out_c, grad_input != nullptr));
+  kern::conv_backward(input.data(), batch, shape, {weight.data(), out_c, patch},
+                      grad_output.data(),
+                      grad_input != nullptr ? grad_input->data() : nullptr,
+                      grad_weight.data(), grad_bias.data(), scratch);
 }
 
 void maxpool2x2_forward(const Tensor& input, Tensor& output,
@@ -178,35 +166,49 @@ void maxpool2x2_forward(const Tensor& input, Tensor& output,
   if (h % 2 != 0 || w % 2 != 0) {
     throw std::invalid_argument("maxpool2x2: odd input dimensions");
   }
-  const std::size_t oh = h / 2, ow = w / 2;
+  const std::size_t ow = w / 2;
   if (output.rank() != 4 || output.dim(0) != batch || output.dim(1) != c ||
-      output.dim(2) != oh || output.dim(3) != ow) {
+      output.dim(2) != h / 2 || output.dim(3) != ow) {
     throw std::invalid_argument("maxpool2x2: bad output shape");
   }
-  argmax.assign(batch * c * oh * ow, 0);
+  if (input.numel() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("maxpool2x2: input too large for argmax");
+  }
+  // Every entry is written below, so a warm vector is only resized.
+  if (argmax.size() != output.numel()) argmax.resize(output.numel());
+  // H is even, so pairs of input rows never straddle two planes: the whole
+  // tensor is batch*c*h/2 row pairs of ow windows each. The loop is
+  // branch-free and stays scalar (at these widths, 2-8 windows per row
+  // pair, a vectorised loop spends its time in prologues).
+  const std::size_t row_pairs = batch * c * h / 2;
+  const auto w32 = static_cast<std::uint32_t>(w);
   const float* in = input.data();
   float* out = output.data();
-  std::size_t oidx = 0;
-  for (std::size_t img = 0; img < batch; ++img) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      const float* plane = in + (img * c + ch) * h * w;
-      for (std::size_t oy = 0; oy < oh; ++oy) {
-        for (std::size_t ox = 0; ox < ow; ++ox) {
-          const std::size_t base = (2 * oy) * w + 2 * ox;
-          float best = plane[base];
-          std::uint32_t best_idx = static_cast<std::uint32_t>(base);
-          const std::size_t candidates[3] = {base + 1, base + w, base + w + 1};
-          for (std::size_t cand : candidates) {
-            if (plane[cand] > best) {
-              best = plane[cand];
-              best_idx = static_cast<std::uint32_t>(cand);
-            }
-          }
-          out[oidx] = best;
-          argmax[oidx] = best_idx;
-          ++oidx;
-        }
-      }
+  std::uint32_t* index = argmax.data();
+  for (std::size_t rp = 0; rp < row_pairs; ++rp) {
+    const float* top = in + rp * 2 * w;
+    const float* bottom = top + w;
+    const auto row_base = static_cast<std::uint32_t>(rp * 2 * w);
+    for (std::size_t ox = 0; ox < ow; ++ox) {
+      // The first strictly greater candidate wins, in the order top-left,
+      // top-right, bottom-left, bottom-right (NaN never wins a comparison).
+      // The index selects are mask arithmetic: left as ?:, the compiler
+      // may branch on real activations, which mispredicts.
+      float best = top[2 * ox];
+      std::uint32_t at = 0;
+      const float c1 = top[2 * ox + 1], c2 = bottom[2 * ox],
+                  c3 = bottom[2 * ox + 1];
+      std::uint32_t take = 0u - static_cast<std::uint32_t>(c1 > best);
+      at = (at & ~take) | (1u & take);
+      best = c1 > best ? c1 : best;
+      take = 0u - static_cast<std::uint32_t>(c2 > best);
+      at = (at & ~take) | (w32 & take);
+      best = c2 > best ? c2 : best;
+      take = 0u - static_cast<std::uint32_t>(c3 > best);
+      at = (at & ~take) | ((w32 + 1u) & take);
+      best = c3 > best ? c3 : best;
+      out[rp * ow + ox] = best;
+      index[rp * ow + ox] = row_base + static_cast<std::uint32_t>(2 * ox) + at;
     }
   }
 }
@@ -214,21 +216,12 @@ void maxpool2x2_forward(const Tensor& input, Tensor& output,
 void maxpool2x2_backward(const Tensor& grad_output,
                          const std::vector<std::uint32_t>& argmax,
                          Tensor& grad_input) {
-  const std::size_t batch = grad_input.dim(0), c = grad_input.dim(1),
-                    h = grad_input.dim(2), w = grad_input.dim(3);
-  const std::size_t oh = h / 2, ow = w / 2;
-  grad_input.zero();
-  const float* gout = grad_output.data();
-  float* gin = grad_input.data();
-  std::size_t oidx = 0;
-  for (std::size_t img = 0; img < batch; ++img) {
-    for (std::size_t ch = 0; ch < c; ++ch) {
-      float* plane = gin + (img * c + ch) * h * w;
-      for (std::size_t i = 0; i < oh * ow; ++i, ++oidx) {
-        plane[argmax[oidx]] += gout[oidx];
-      }
-    }
+  if (grad_output.numel() != grad_input.numel() / 4 ||
+      argmax.size() != grad_output.numel()) {
+    throw std::invalid_argument("maxpool2x2_backward: shape mismatch");
   }
+  kern::maxpool2x2_backward(argmax.size(), grad_output.data(), argmax.data(),
+                            grad_input.numel(), grad_input.data());
 }
 
 void relu_forward(const Tensor& input, Tensor& output) {
@@ -236,11 +229,11 @@ void relu_forward(const Tensor& input, Tensor& output) {
   kern::relu(input.numel(), input.data(), output.data());
 }
 
-void relu_backward(const Tensor& input, const Tensor& grad_output, Tensor& grad_input) {
-  if (!input.same_shape(grad_output) || !input.same_shape(grad_input)) {
+void relu_backward(const Tensor& mask, const Tensor& grad_output, Tensor& grad_input) {
+  if (!mask.same_shape(grad_output) || !mask.same_shape(grad_input)) {
     throw std::invalid_argument("relu_backward: shape mismatch");
   }
-  kern::relu_bwd(input.numel(), input.data(), grad_output.data(), grad_input.data());
+  kern::relu_bwd(mask.numel(), mask.data(), grad_output.data(), grad_input.data());
 }
 
 void softmax(const Tensor& logits, Tensor& probs) {

@@ -1,12 +1,13 @@
-// Dense kernels backing the neural-network layers: GEMM variants, im2col
-// convolution, pooling, activations and the softmax cross-entropy head.
+// Dense kernels backing the neural-network layers: GEMM variants, the
+// convolution forward and backward, pooling, activations and the softmax
+// cross-entropy head.
 //
 // All kernels are single-threaded (the simulator runs many small models, not
-// one big one). Since PR 3 the Tensor-level entry points here are thin
-// shape-checked adapters over the register-blocked kernel layer in
-// tensor/kernels/ (see kernels.h for the blocking scheme and the determinism
-// contract); the conv path runs over raw views + a caller-owned ScratchArena
-// so steady-state training allocates nothing.
+// one big one). The Tensor-level entry points here are thin shape-checked
+// adapters over the register-blocked kernel layer in tensor/kernels/ (see
+// kernels.h for the blocking scheme and the determinism contract); the conv
+// backward runs over raw views + a caller-owned ScratchArena so steady-state
+// training allocates nothing.
 #pragma once
 
 #include <cstddef>
@@ -38,8 +39,8 @@ void add_row_bias(Tensor& x, const Tensor& bias);
 void sum_rows(const Tensor& grad, Tensor& bias_grad, bool accumulate = false);
 
 // ---------------------------------------------------------------------------
-// Convolution via im2col. Input NCHW, kernel [out_c, in_c, kh, kw], stride 1,
-// symmetric zero padding `pad`.
+// Convolution as GEMMs over the im2col matrix. Input NCHW, kernel [out_c,
+// in_c, kh, kw], symmetric zero padding `pad`.
 // ---------------------------------------------------------------------------
 struct ConvSpec {
   std::size_t in_channels = 0;
@@ -60,22 +61,25 @@ void im2col(const Tensor& input, std::size_t image_index, const ConvSpec& spec,
 void col2im(const Tensor& columns, std::size_t image_index, const ConvSpec& spec,
             Tensor& grad_input);
 
-/// Forward convolution. output must be [n, out_c, out_h, out_w]. `arena`
-/// provides the im2col scratch (reset + reserved internally); the weight is
-/// viewed in place as [out_c, patch] and each image's output plane as
-/// [out_c, oh*ow] — no copies, no per-call heap allocations once the arena
-/// is warm. Bias is fused into the GEMM epilogue.
+/// Forward convolution over the whole minibatch. output must be [n, out_c,
+/// out_h, out_w]. The weight is viewed in place as [out_c, patch], the GEMM
+/// packs its B panels straight from the image and fuses the bias into its
+/// epilogue — no copies, no heap allocations once the pack buffers are warm.
 void conv2d_forward(const Tensor& input, const Tensor& weight, const Tensor& bias,
-                    const ConvSpec& spec, Tensor& output, ScratchArena& arena);
-/// Backward convolution: fills grad_input / accumulates grad_weight, grad_bias.
-/// `arena` provides both the cols and grad-cols scratch buffers.
+                    const ConvSpec& spec, Tensor& output);
+/// Backward convolution over the whole minibatch (kernels::conv_backward):
+/// overwrites grad_weight and grad_bias and, unless grad_input is nullptr,
+/// grad_input (nullptr skips the input gradient; the parameter gradients are
+/// the same either way). `arena` provides the scratch, one span per call.
 void conv2d_backward(const Tensor& input, const Tensor& weight,
                      const Tensor& grad_output, const ConvSpec& spec,
-                     Tensor& grad_input, Tensor& grad_weight, Tensor& grad_bias,
+                     Tensor* grad_input, Tensor& grad_weight, Tensor& grad_bias,
                      ScratchArena& arena);
 
 // ---------------------------------------------------------------------------
-// 2x2 max pooling, stride 2 (dimensions must be even).
+// 2x2 max pooling, stride 2 (dimensions must be even). argmax[i] is the
+// flat input index of output i's maximum (the first strictly greater
+// candidate of its window wins).
 // ---------------------------------------------------------------------------
 void maxpool2x2_forward(const Tensor& input, Tensor& output,
                         std::vector<std::uint32_t>& argmax);
@@ -87,8 +91,10 @@ void maxpool2x2_backward(const Tensor& grad_output,
 // Activations.
 // ---------------------------------------------------------------------------
 void relu_forward(const Tensor& input, Tensor& output);
-/// grad_input = grad_output where input > 0 else 0.
-void relu_backward(const Tensor& input, const Tensor& grad_output, Tensor& grad_input);
+/// grad_input = grad_output where mask > 0 else 0. The mask may be the ReLU's
+/// input x or its output y = x > 0 ? x : 0: y > 0 exactly when x > 0,
+/// including NaN and signed zeros, so both give the same gradient.
+void relu_backward(const Tensor& mask, const Tensor& grad_output, Tensor& grad_input);
 
 // ---------------------------------------------------------------------------
 // Softmax cross-entropy head.

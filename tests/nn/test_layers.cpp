@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <limits>
+
 #include "nn/activations.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
@@ -71,6 +75,27 @@ TEST(ReLULayer, ZeroesNegativeAndRoutesGradient) {
   const auto& gin = layer.backward(g);
   EXPECT_FLOAT_EQ(gin[0], 0.0f);
   EXPECT_FLOAT_EQ(gin[2], 1.0f);
+}
+
+TEST(ReLULayer, BackwardMasksLikeTheInputOnNaNSignedZerosAndInfinities) {
+  // Backward masks on the layer's output: y > 0 must hold exactly where
+  // x > 0 does, so the gradient is the one the input mask gives.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const std::vector<float> xs = {nan, -nan, 0.0f, -0.0f, inf, -inf, 2.5f, -1.0f};
+  ReLU layer;
+  tensor::Tensor x({1, xs.size()}, xs);
+  layer.forward(x);
+  tensor::Tensor g({1, xs.size()}, {1, -2, 3, -4, 5, -6, 7, -0.0f});
+  const auto& gin = layer.backward(g);
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const float want = xs[i] > 0.0f ? g[i] : 0.0f;
+    const float got = gin[i];
+    std::uint32_t got_bits = 0, want_bits = 0;
+    std::memcpy(&got_bits, &got, sizeof got_bits);
+    std::memcpy(&want_bits, &want, sizeof want_bits);
+    EXPECT_EQ(got_bits, want_bits) << "x[" << i << "] = " << xs[i];
+  }
 }
 
 TEST(FlattenLayer, RoundTripsShape) {

@@ -1,13 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "nn/activations.h"
+#include "nn/conv2d.h"
 #include "nn/dense.h"
 #include "nn/factory.h"
 #include "nn/model.h"
 #include "nn/sgd.h"
+#include "tensor/ops.h"
 
 namespace mach::nn {
 namespace {
@@ -161,6 +168,175 @@ TEST(Training, LossDecreasesOnSeparableData) {
   const StepStats final = m.evaluate(x, labels);
   EXPECT_LT(final.loss, initial_loss * 0.5);
   EXPECT_GT(static_cast<double>(final.correct) / n, 0.95);
+}
+
+std::vector<std::uint32_t> float_bits(const std::vector<float>& v) {
+  std::vector<std::uint32_t> out(v.size());
+  std::memcpy(out.data(), v.data(), v.size() * sizeof(float));
+  return out;
+}
+
+tensor::Tensor random_input(std::vector<std::size_t> shape, common::Rng& rng) {
+  tensor::Tensor x(std::move(shape));
+  for (auto& v : x.flat()) v = static_cast<float>(rng.normal());
+  return x;
+}
+
+TEST(ForwardBackward, MatchesEveryLayersBackwardBitwise) {
+  // forward_backward skips the first parameterised layer's input gradient
+  // and the backward of the parameter-free layers before it. Its loss and
+  // gradients must be bit for bit those of a loop that runs every layer's
+  // backward(), on the paper models and the MLP, over two SGD steps (the
+  // second runs on warm scratch).
+  struct ModelCase {
+    std::string name;
+    std::function<Sequential()> make;
+    std::vector<std::size_t> input;
+  };
+  const std::vector<ModelCase> cases = {
+      {"cnn2", [] { return make_cnn2(1, 12, 12, 10); }, {16, 1, 12, 12}},
+      {"cnn3", [] { return make_cnn3(3, 16, 16, 10); }, {16, 3, 16, 16}},
+      {"mlp", [] { return make_mlp(20, 12, 10); }, {16, 20}},
+  };
+  for (const ModelCase& c : cases) {
+    common::Rng rng(31);
+    Sequential fast = c.make(), full = c.make();
+    fast.init_params(rng);
+    full.set_parameters(fast.get_parameters());
+    Sgd sgd_fast({.learning_rate = 0.05}), sgd_full({.learning_rate = 0.05});
+    for (int step = 0; step < 2; ++step) {
+      const tensor::Tensor x = random_input(c.input, rng);
+      std::vector<int> labels(c.input[0]);
+      for (auto& l : labels) l = static_cast<int>(rng.uniform_index(10));
+      const StepStats stats = fast.forward_backward(x, labels);
+
+      full.set_training(true);
+      const tensor::Tensor& logits = full.forward(x);
+      tensor::Tensor probs(logits.shape()), grad(logits.shape());
+      tensor::softmax(logits, probs);
+      const double loss = tensor::cross_entropy_loss(probs, labels);
+      tensor::softmax_cross_entropy_backward(probs, labels, grad);
+      const tensor::Tensor* g = &grad;
+      for (std::size_t i = full.num_layers(); i-- > 0;) {
+        g = &full.layer(i).backward(*g);
+      }
+      EXPECT_EQ(std::memcmp(&stats.loss, &loss, sizeof loss), 0) << c.name;
+      ASSERT_EQ(float_bits(fast.get_gradients()),
+                float_bits(full.get_gradients()))
+          << c.name << " step " << step;
+      sgd_fast.step(fast);
+      sgd_full.step(full);
+    }
+  }
+}
+
+/// Forwards the layer interface as it was before backward_params existed
+/// (like the end-to-end benchmark's timing wrapper): the hook is not
+/// overridden, so its default runs backward(). Counts backward() calls.
+class Forwarding : public Layer {
+ public:
+  explicit Forwarding(std::unique_ptr<Layer> inner) : inner_(std::move(inner)) {}
+  const tensor::Tensor& forward(const tensor::Tensor& x) override {
+    return inner_->forward(x);
+  }
+  const tensor::Tensor& backward(const tensor::Tensor& g) override {
+    ++backward_calls;
+    return inner_->backward(g);
+  }
+  std::vector<ParamRef> params() override { return inner_->params(); }
+  void init_params(common::Rng& rng) override { inner_->init_params(rng); }
+  void set_training(bool training) override { inner_->set_training(training); }
+  const tensor::ScratchArena* scratch_arena() const override {
+    return inner_->scratch_arena();
+  }
+  std::string name() const override { return inner_->name(); }
+
+  int backward_calls = 0;
+
+ protected:
+  std::unique_ptr<Layer> inner_;
+};
+
+/// Also forwards (and counts) the hook.
+class Counting final : public Forwarding {
+ public:
+  using Forwarding::Forwarding;
+  void backward_params(const tensor::Tensor& g) override {
+    ++param_calls;
+    inner_->backward_params(g);
+  }
+
+  int param_calls = 0;
+};
+
+template <class Wrapper>
+std::vector<Wrapper*> wrap_all(Sequential& model,
+                               std::vector<std::unique_ptr<Layer>> layers) {
+  std::vector<Wrapper*> wrappers;
+  for (auto& layer : layers) {
+    auto wrapper = std::make_unique<Wrapper>(std::move(layer));
+    wrappers.push_back(wrapper.get());
+    model.add(std::move(wrapper));
+  }
+  return wrappers;
+}
+
+std::vector<std::unique_ptr<Layer>> flatten_mlp_layers() {
+  std::vector<std::unique_ptr<Layer>> layers;
+  layers.push_back(std::make_unique<Flatten>());
+  layers.push_back(std::make_unique<Dense>(12, 6));
+  layers.push_back(std::make_unique<ReLU>());
+  layers.push_back(std::make_unique<Dense>(6, 3));
+  return layers;
+}
+
+TEST(ForwardBackward, SkipsBackwardBeforeAndInsideTheFirstParameterisedLayer) {
+  Sequential model;
+  const auto layers = wrap_all<Counting>(model, flatten_mlp_layers());
+  common::Rng rng(32);
+  model.init_params(rng);
+  const tensor::Tensor x = random_input({4, 3, 2, 2}, rng);
+  const std::vector<int> labels = {0, 1, 2, 1};
+  for (int step = 1; step <= 2; ++step) {
+    model.forward_backward(x, labels);
+    EXPECT_EQ(layers[0]->backward_calls, 0);  // Flatten: nothing reads it
+    EXPECT_EQ(layers[0]->param_calls, 0);
+    EXPECT_EQ(layers[1]->backward_calls, 0);  // first Dense: params only
+    EXPECT_EQ(layers[1]->param_calls, step);
+    EXPECT_EQ(layers[2]->backward_calls, step);
+    EXPECT_EQ(layers[3]->backward_calls, step);
+    EXPECT_EQ(layers[3]->param_calls, 0);
+  }
+}
+
+TEST(ForwardBackward, WrapperWithoutTheHookStillGetsExactGradients) {
+  // A conv model behind wrappers that do not override backward_params: the
+  // first conv runs its full backward (input gradient included) through
+  // the hook's default, and every gradient matches the direct model's.
+  const auto layers = [] {
+    std::vector<std::unique_ptr<Layer>> l;
+    l.push_back(std::make_unique<Conv2D>(2, 4, 3, 1));
+    l.push_back(std::make_unique<ReLU>());
+    l.push_back(std::make_unique<MaxPool2x2>());
+    l.push_back(std::make_unique<Flatten>());
+    l.push_back(std::make_unique<Dense>(4 * 4 * 4, 5));
+    return l;
+  };
+  Sequential direct, wrapped;
+  for (auto& layer : layers()) direct.add(std::move(layer));
+  const auto wrappers = wrap_all<Forwarding>(wrapped, layers());
+  common::Rng rng(33);
+  direct.init_params(rng);
+  wrapped.set_parameters(direct.get_parameters());
+  const tensor::Tensor x = random_input({6, 2, 8, 8}, rng);
+  const std::vector<int> labels = {0, 1, 2, 3, 4, 0};
+  const StepStats a = direct.forward_backward(x, labels);
+  const StepStats b = wrapped.forward_backward(x, labels);
+  EXPECT_EQ(a.loss, b.loss);
+  EXPECT_EQ(a.grad_squared_norm, b.grad_squared_norm);
+  EXPECT_EQ(float_bits(direct.get_gradients()),
+            float_bits(wrapped.get_gradients()));
+  EXPECT_EQ(wrappers[0]->backward_calls, 1);
 }
 
 TEST(Factory, Cnn2RejectsBadDimensions) {

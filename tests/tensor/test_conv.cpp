@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -62,8 +66,7 @@ TEST(Conv2D, ForwardMatchesNaiveReference) {
   const Tensor weight = random_tensor({3, 2, 3, 3}, rng);
   const Tensor bias = random_tensor({3}, rng);
   Tensor output({2, 3, 6, 6});
-  ScratchArena arena;
-  conv2d_forward(input, weight, bias, spec, output, arena);
+  conv2d_forward(input, weight, bias, spec, output);
   const Tensor expected = naive_conv(input, weight, bias, spec);
   for (std::size_t i = 0; i < output.numel(); ++i) {
     ASSERT_NEAR(output[i], expected[i], 1e-4f) << "i=" << i;
@@ -77,8 +80,7 @@ TEST(Conv2D, ForwardNoPadding) {
   const Tensor weight = random_tensor({2, 1, 3, 3}, rng);
   const Tensor bias = random_tensor({2}, rng);
   Tensor output({1, 2, 3, 3});
-  ScratchArena arena;
-  conv2d_forward(input, weight, bias, spec, output, arena);
+  conv2d_forward(input, weight, bias, spec, output);
   const Tensor expected = naive_conv(input, weight, bias, spec);
   for (std::size_t i = 0; i < output.numel(); ++i) {
     ASSERT_NEAR(output[i], expected[i], 1e-4f);
@@ -122,13 +124,12 @@ TEST(Conv2D, BackwardMatchesNumericalGradient) {
   Tensor grad_input(input.shape());
   Tensor grad_weight(weight.shape());
   Tensor grad_bias(bias.shape());
-  conv2d_backward(input, weight, grad_output, spec, grad_input, grad_weight,
+  conv2d_backward(input, weight, grad_output, spec, &grad_input, grad_weight,
                   grad_bias, arena);
 
   auto loss = [&](const Tensor& in, const Tensor& wt) {
     Tensor out({1, 2, 4, 4});
-    ScratchArena s;
-    conv2d_forward(in, wt, bias, spec, out, s);
+    conv2d_forward(in, wt, bias, spec, out);
     double total = 0.0;
     for (std::size_t i = 0; i < out.numel(); ++i) total += out[i];
     return total;
@@ -196,8 +197,7 @@ TEST(Conv2D, PackFromImageMatchesReferenceIm2ColGemmBitwise) {
             const std::size_t oh = spec.out_dim(h), ow = spec.out_dim(w);
             const std::size_t plane = out_c * oh * ow;
             Tensor output({batch, out_c, oh, ow});
-            ScratchArena arena;
-            conv2d_forward(input, weight, bias, spec, output, arena);
+            conv2d_forward(input, weight, bias, spec, output);
             const kernels::ConvShape shape{channels, h, w, kernel, pad, stride};
             std::vector<float> want;
             for (std::size_t img = 0; img < batch; ++img) {
@@ -246,6 +246,195 @@ TEST(Conv2D, PackFromImageCoversWidePatchesAcrossKBlocks) {
                                   got.data());
     ASSERT_EQ(got, want) << common::gemm_isa_name(v->isa);
   }
+}
+
+/// Gradients of the per-image reference composition: zero-filled dX, dW
+/// and db, then per image ref::im2col, ref::gemm_nt accumulating into dW,
+/// ref::gemm_tn into column gradients, ref::col2im into dX and the bias row
+/// sums (a fresh accumulator per row, added once).
+struct ConvGrads {
+  std::vector<float> dx, dw, db;
+};
+
+ConvGrads reference_conv_backward(const std::vector<float>& input,
+                                  std::size_t batch,
+                                  const kernels::ConvShape& s,
+                                  const std::vector<float>& weight,
+                                  std::size_t out_c,
+                                  const std::vector<float>& grad_out) {
+  const std::size_t oh = (s.height + 2 * s.pad - s.kernel) / s.stride + 1;
+  const std::size_t ow = (s.width + 2 * s.pad - s.kernel) / s.stride + 1;
+  const std::size_t n = oh * ow, patch = s.channels * s.kernel * s.kernel;
+  const std::size_t image = s.channels * s.height * s.width;
+  ConvGrads g{std::vector<float>(batch * image, 0.0f),
+              std::vector<float>(out_c * patch, 0.0f),
+              std::vector<float>(out_c, 0.0f)};
+  std::vector<float> cols(patch * n), gcols(patch * n);
+  for (std::size_t img = 0; img < batch; ++img) {
+    const float* gout = grad_out.data() + img * out_c * n;
+    kernels::ref::im2col(input.data() + img * image, s.channels, s.height,
+                         s.width, s.kernel, s.pad, s.stride, cols.data());
+    kernels::ref::gemm_nt({gout, out_c, n}, {cols.data(), patch, n},
+                          {g.dw.data(), out_c, patch}, /*accumulate=*/true);
+    kernels::ref::gemm_tn({weight.data(), out_c, patch}, {gout, out_c, n},
+                          {gcols.data(), patch, n});
+    kernels::ref::col2im(gcols.data(), s.channels, s.height, s.width, s.kernel,
+                         s.pad, s.stride, g.dx.data() + img * image);
+    for (std::size_t o = 0; o < out_c; ++o) {
+      float acc = 0.0f;
+      for (std::size_t q = 0; q < n; ++q) acc += gout[o * n + q];
+      g.db[o] += acc;
+    }
+  }
+  return g;
+}
+
+/// Bit patterns, with every NaN mapped to one pattern: which NaN an
+/// operation returns depends on operand order, which the compiler may
+/// commute in the scalar reference, so only NaN positions are compared.
+std::vector<std::uint32_t> bits(const std::vector<float>& v) {
+  std::vector<std::uint32_t> out(v.size());
+  std::memcpy(out.data(), v.data(), v.size() * sizeof(float));
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (std::isnan(v[i])) out[i] = 0x7fc00000u;
+  }
+  return out;
+}
+
+/// Random values with exact signed zeros, NaN and infinities mixed in.
+std::vector<float> special_vec(std::size_t count, common::Rng& rng,
+                               bool specials) {
+  std::vector<float> v(count);
+  for (auto& x : v) {
+    x = static_cast<float>(rng.normal());
+    if (!specials) continue;
+    // Signed zeros are common; NaN and infinities rare enough that many
+    // sums stay finite.
+    const std::size_t pick = rng.uniform_index(128);
+    if (pick < 8) x = 0.0f;
+    if (pick >= 8 && pick < 16) x = -0.0f;
+    if (pick == 16) x = std::numeric_limits<float>::quiet_NaN();
+    if (pick == 17) x = std::numeric_limits<float>::infinity();
+    if (pick == 18) x = -std::numeric_limits<float>::infinity();
+  }
+  return v;
+}
+
+TEST(ConvBackward, MinibatchKernelMatchesReferenceCompositionBitwise) {
+  // Every host variant, with and without the input gradient, over pads,
+  // kernel sizes, strides, batch sizes, non-square images, a patch wider
+  // than KC and more output channels than MC; the parameter gradients must
+  // not depend on whether dX is computed. Images and output gradients carry ±0, NaN
+  // and ±inf (weights stay finite and nonzero: the reference gemm_tn skips
+  // zero weights, which the contract only matches for finite products).
+  common::Rng rng(21);
+  struct Case {
+    std::size_t channels, out_c, h, w, kernel, pad, stride;
+  };
+  const Case cases[] = {
+      {3, 8, 16, 16, 3, 1, 1}, {8, 16, 8, 8, 3, 1, 1}, {16, 32, 4, 4, 3, 1, 1},
+      {1, 8, 12, 12, 3, 1, 1}, {8, 16, 6, 6, 3, 1, 1}, {2, 5, 7, 11, 1, 0, 1},
+      {3, 4, 9, 5, 5, 2, 1},   {2, 3, 6, 9, 3, 0, 1},  {3, 6, 5, 7, 5, 1, 1},
+      {40, 6, 5, 9, 3, 1, 1},  {2, 70, 6, 5, 3, 1, 1}, {1, 3, 13, 4, 3, 2, 1},
+      {3, 4, 9, 7, 3, 1, 2},   {2, 5, 8, 8, 1, 0, 2},
+  };
+  for (const Case& c : cases) {
+    for (std::size_t batch : {1u, 3u, 16u}) {
+      for (bool specials : {false, true}) {
+        const kernels::ConvShape shape{c.channels, c.h, c.w, c.kernel, c.pad,
+                                       c.stride};
+        const std::size_t oh = (c.h + 2 * c.pad - c.kernel) / c.stride + 1;
+        const std::size_t ow = (c.w + 2 * c.pad - c.kernel) / c.stride + 1;
+        const std::size_t patch = c.channels * c.kernel * c.kernel;
+        const auto input =
+            special_vec(batch * c.channels * c.h * c.w, rng, specials);
+        const auto weight = special_vec(c.out_c * patch, rng, false);
+        const auto grad_out =
+            special_vec(batch * c.out_c * oh * ow, rng, specials);
+        const ConvGrads want =
+            reference_conv_backward(input, batch, shape, weight, c.out_c,
+                                    grad_out);
+        for (const auto* v : kernels::detail::host_variants()) {
+          for (bool with_dx : {true, false}) {
+            std::vector<float> scratch(kernels::detail::conv_backward_scratch(
+                *v, batch, shape, c.out_c, with_dx));
+            ConvGrads got{std::vector<float>(want.dx.size(), -7.0f),
+                          std::vector<float>(want.dw.size(), -7.0f),
+                          std::vector<float>(want.db.size(), -7.0f)};
+            kernels::detail::conv_backward(
+                *v, input.data(), batch, shape,
+                {weight.data(), c.out_c, patch}, grad_out.data(),
+                with_dx ? got.dx.data() : nullptr, got.dw.data(),
+                got.db.data(), scratch.data());
+            const std::string where =
+                std::string(common::gemm_isa_name(v->isa)) +
+                " c=" + std::to_string(c.channels) +
+                " out_c=" + std::to_string(c.out_c) + " " +
+                std::to_string(c.h) + "x" + std::to_string(c.w) +
+                " k=" + std::to_string(c.kernel) +
+                " pad=" + std::to_string(c.pad) +
+                " stride=" + std::to_string(c.stride) +
+                " batch=" + std::to_string(batch) +
+                (specials ? " specials" : "") + (with_dx ? " dx" : " no-dx");
+            ASSERT_EQ(bits(got.dw), bits(want.dw)) << where;
+            ASSERT_EQ(bits(got.db), bits(want.db)) << where;
+            if (with_dx) {
+              ASSERT_EQ(bits(got.dx), bits(want.dx)) << where;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ConvBackward, LargeMinibatchesSplitIntoGroupsLosslessly) {
+  // Enough images that the minibatch runs as several groups, each
+  // continuing from the gradients the previous one stored.
+  common::Rng rng(22);
+  const kernels::ConvShape shape{8, 28, 28, 3, 1, 1};
+  const std::size_t batch = 40, out_c = 16, patch = 72;
+  const auto input = special_vec(batch * 8 * 28 * 28, rng, false);
+  const auto weight = special_vec(out_c * patch, rng, false);
+  const auto grad_out = special_vec(batch * out_c * 28 * 28, rng, false);
+  const ConvGrads want =
+      reference_conv_backward(input, batch, shape, weight, out_c, grad_out);
+  std::vector<float> scratch(
+      kernels::conv_backward_scratch(batch, shape, out_c, true));
+  EXPECT_LT(scratch.size(),
+            kernels::conv_backward_scratch(1, shape, out_c, true) * batch);
+  ConvGrads got{std::vector<float>(want.dx.size()),
+                std::vector<float>(want.dw.size()),
+                std::vector<float>(want.db.size())};
+  kernels::conv_backward(input.data(), batch, shape, {weight.data(), out_c, patch},
+                         grad_out.data(), got.dx.data(), got.dw.data(),
+                         got.db.data(), scratch.data());
+  EXPECT_EQ(bits(got.dw), bits(want.dw));
+  EXPECT_EQ(bits(got.db), bits(want.db));
+  EXPECT_EQ(bits(got.dx), bits(want.dx));
+}
+
+TEST(ConvBackward, TensorOpSkipsOnlyTheInputGradient) {
+  common::Rng rng(23);
+  const ConvSpec spec{.in_channels = 3, .out_channels = 4, .kernel = 3,
+                      .pad = 1, .stride = 1};
+  const Tensor input = random_tensor({5, 3, 6, 6}, rng);
+  const Tensor weight = random_tensor({4, 3, 3, 3}, rng);
+  const Tensor grad_output = random_tensor({5, 4, 6, 6}, rng);
+  ScratchArena arena;
+  Tensor dx(input.shape()), dw(weight.shape()), db({4});
+  conv2d_backward(input, weight, grad_output, spec, &dx, dw, db, arena);
+  Tensor dw2(weight.shape()), db2({4});
+  conv2d_backward(input, weight, grad_output, spec, nullptr, dw2, db2, arena);
+  const auto vec = [](const Tensor& t) {
+    return std::vector<float>(t.flat().begin(), t.flat().end());
+  };
+  EXPECT_EQ(bits(vec(dw)), bits(vec(dw2)));
+  EXPECT_EQ(bits(vec(db)), bits(vec(db2)));
+  Tensor bad({5, 3, 6, 5});
+  EXPECT_THROW(
+      conv2d_backward(input, weight, grad_output, spec, &bad, dw, db, arena),
+      std::invalid_argument);
 }
 
 TEST(ConvSpec, OutputDimension) {

@@ -291,9 +291,8 @@ TEST(KernelEquivalence, Im2ColCol2ImExact) {
 }
 
 TEST(KernelEquivalence, Col2ImExactOnTallNonSquareImages) {
-  // Same-size convolutions on tall images: the vectorised col2im saves and
-  // restores the border targets in row chunks, so these shapes cross chunk
-  // boundaries.
+  // Same-size convolutions on tall, narrow images: many output rows, and
+  // border columns (taps wrapping into a neighbouring row) on most of them.
   common::Rng rng(10);
   const struct {
     std::size_t channels, height, width, kernel, pad;
@@ -431,15 +430,6 @@ TEST(KernelEquivalence, ReductionsMatchStrictOrderChains) {
     for (std::size_t j = 0; j < cols; ++j) want_cols[j] += mat[i * cols + j];
   }
   EXPECT_EQ(got_cols, want_cols);
-
-  std::vector<float> got_rows(m, -2.0f), want_rows(m, -2.0f);
-  row_sums(m, cols, mat.data(), got_rows.data());
-  for (std::size_t i = 0; i < m; ++i) {
-    float acc = 0.0f;
-    for (std::size_t j = 0; j < cols; ++j) acc += mat[i * cols + j];
-    want_rows[i] += acc;
-  }
-  EXPECT_EQ(got_rows, want_rows);
 }
 
 }  // namespace

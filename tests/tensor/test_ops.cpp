@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 
 #include "common/rng.h"
+#include "tensor/kernels/kernels.h"
 
 namespace mach::tensor {
 namespace {
@@ -197,6 +201,48 @@ TEST(MaxPool, ForwardSelectsMaxAndBackwardRoutesGradient) {
   float total = 0.0f;
   for (std::size_t i = 0; i < 16; ++i) total += gin[i];
   EXPECT_FLOAT_EQ(total, 10.0f);
+}
+
+TEST(MaxPool, MatchesTheSeedLoopsBitwiseOnTiesNaNAndSignedZeros) {
+  // Branch-free forward and fill-plus-scatter backward against the
+  // retained seed loops: ties keep the first candidate, NaN never wins, and
+  // a -0 gradient lands as 0.0f + -0 = +0.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float values[] = {-1.0f, 0.0f, -0.0f, 1.0f, 1.0f, nan, inf, -inf};
+  common::Rng rng(41);
+  const std::vector<std::vector<std::size_t>> shapes = {
+      {2, 3, 4, 6}, {1, 2, 8, 2}, {3, 1, 2, 10}, {16, 8, 16, 16}};
+  for (const auto& shape : shapes) {
+    Tensor x(shape);
+    for (auto& v : x.flat()) v = values[rng.uniform_index(8)];
+    const std::size_t planes = shape[0] * shape[1];
+    Tensor y({shape[0], shape[1], shape[2] / 2, shape[3] / 2});
+    Tensor gout(y.shape());
+    for (auto& v : gout.flat()) {
+      v = rng.uniform_index(4) == 0 ? -0.0f : static_cast<float>(rng.normal());
+    }
+    std::vector<std::uint32_t> argmax;
+    maxpool2x2_forward(x, y, argmax);
+    Tensor gin(x.shape());
+    gin.fill(5.0f);  // every cell must be overwritten
+    maxpool2x2_backward(gout, argmax, gin);
+
+    std::vector<float> ref_y(y.numel()), ref_gin(x.numel());
+    std::vector<std::uint32_t> ref_argmax(y.numel());
+    kernels::ref::maxpool2x2_forward(x.data(), planes, shape[2], shape[3],
+                                     ref_y.data(), ref_argmax.data());
+    kernels::ref::maxpool2x2_backward(gout.data(), ref_argmax.data(), planes,
+                                      shape[2], shape[3], ref_gin.data());
+    const auto bits = [](const float* p, std::size_t n) {
+      std::vector<std::uint32_t> out(n);
+      std::memcpy(out.data(), p, n * sizeof(float));
+      return out;
+    };
+    EXPECT_EQ(bits(y.data(), y.numel()), bits(ref_y.data(), ref_y.size()));
+    EXPECT_EQ(bits(gin.data(), gin.numel()),
+              bits(ref_gin.data(), ref_gin.size()));
+  }
 }
 
 TEST(MaxPool, OddDimensionsThrow) {
