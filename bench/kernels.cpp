@@ -8,17 +8,23 @@
 // variant, with and without the input gradient, against the per-image
 // reference composition, and 2x2 max pooling against the seed loops (not
 // per variant: pooling is plain C++). Layer rows also carry ms per call.
+// Codec rows time the int8 transcode of a whole model message (the fleet MLP
+// and the CIFAR CNN) against the codec's scalar reference, in us per call;
+// their variant is the codec's compile-time path (sse2 or scalar).
 // Results are printed as a table and written as BENCH_kernels.json.
 //
 //   ./kernels [--min_ms 150] [--out BENCH_kernels.json]
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "comm/codec.h"
+#include "comm/codec_impl.h"
 #include "common/cli.h"
 #include "common/cpu_isa.h"
 #include "common/rng.h"
@@ -35,7 +41,9 @@ namespace {
 using namespace mach;
 namespace kern = tensor::kernels;
 
-enum class Op { Nn, Tn, Nt, ConvBwd, ConvBwdNoDx, PoolFwd, PoolBwd };
+enum class Op {
+  Nn, Tn, Nt, ConvBwd, ConvBwdNoDx, PoolFwd, PoolBwd, Int8Encode, Int8Decode
+};
 
 struct Case {
   std::string name;   // e.g. "cifar_conv2_fwd"
@@ -54,6 +62,9 @@ struct Result {
   // Layer rows only: ms per call (pool rows have no flop count).
   double ref_ms = 0.0;
   double blocked_ms = 0.0;
+  // Codec rows only: us per call.
+  double ref_us = 0.0;
+  double blocked_us = 0.0;
 };
 
 const char* op_name(Op op) {
@@ -65,6 +76,8 @@ const char* op_name(Op op) {
     case Op::ConvBwdNoDx: return "conv_bwd_nodx";
     case Op::PoolFwd: return "pool_fwd";
     case Op::PoolBwd: return "pool_bwd";
+    case Op::Int8Encode: return "int8_encode";
+    case Op::Int8Decode: return "int8_decode";
   }
   return "?";
 }
@@ -307,6 +320,73 @@ void layer_rows(const std::vector<const kern::detail::GemmVariant*>& variants,
   }
 }
 
+/// int8 encode and decode of one model message, production path against
+/// the scalar reference, at the parameter counts of the fleet MLP and the
+/// CIFAR CNN. Each call takes the next of kInputs distinct tensors.
+void codec_rows(double min_ms, common::Rng& rng, std::vector<Result>& results) {
+#if defined(__SSE2__)
+  const std::string path = "sse2";
+#else
+  const std::string path = "scalar";
+#endif
+  constexpr std::size_t kInputs = 4;
+  const auto codec = comm::make_codec({.kind = comm::CodecKind::Int8});
+  const std::vector<std::pair<std::string, std::size_t>> models = {
+      {"bench_fleet_int8", 2410}, {"bench_cifar_int8", 14938}};
+  for (const auto& [name, count] : models) {
+    std::vector<std::vector<float>> inputs(kInputs, std::vector<float>(count));
+    for (auto& input : inputs) {
+      for (auto& v : input) v = static_cast<float>(rng.normal() * 0.05);
+    }
+    std::vector<comm::Encoded> wires(kInputs);
+    bool encode_exact = true, decode_exact = true;
+    for (std::size_t i = 0; i < kInputs; ++i) {
+      comm::Encoded want;
+      codec->encode(inputs[i], {}, {}, wires[i]);
+      comm::detail::int8_encode_reference(inputs[i], want);
+      encode_exact = encode_exact && wires[i].bytes == want.bytes;
+      std::vector<float> got_out, want_out;
+      codec->decode(wires[i], count, {}, got_out);
+      comm::detail::int8_decode_reference(wires[i], count, want_out);
+      decode_exact = decode_exact &&
+                     std::memcmp(got_out.data(), want_out.data(),
+                                 count * sizeof(float)) == 0;
+    }
+    comm::Encoded wire;
+    std::vector<float> out;
+    std::size_t next = 0;
+    for (bool encode : {true, false}) {
+      const auto reference = [&] {
+        const std::size_t i = next++ % kInputs;
+        if (encode) {
+          comm::detail::int8_encode_reference(inputs[i], wire);
+        } else {
+          comm::detail::int8_decode_reference(wires[i], count, out);
+        }
+      };
+      const auto run = [&] {
+        const std::size_t i = next++ % kInputs;
+        if (encode) {
+          codec->encode(inputs[i], {}, {}, wire);
+        } else {
+          codec->decode(wires[i], count, {}, out);
+        }
+      };
+      Result r;
+      r.shape = {name + (encode ? "_encode" : "_decode"), "bench",
+                 encode ? Op::Int8Encode : Op::Int8Decode, count, 1, 1};
+      r.variant = path;
+      r.exact = encode ? encode_exact : decode_exact;
+      const double ref_s = time_call(reference, min_ms);
+      const double prod_s = time_call(run, min_ms);
+      r.speedup = ref_s / prod_s;
+      r.ref_us = ref_s * 1e6;
+      r.blocked_us = prod_s * 1e6;
+      results.push_back(r);
+    }
+  }
+}
+
 /// Times one implementation: doubles the repetition count until the batch
 /// takes at least min_ms, then reports seconds per call from the final batch.
 double time_impl(Op op, const kern::detail::GemmVariant* variant,
@@ -404,6 +484,7 @@ int main(int argc, char** argv) {
   }
 
   layer_rows(variants, min_ms, rng, results);
+  codec_rows(min_ms, rng, results);
 
   common::Table table(
       {"case", "variant", "op", "m", "k", "n", "ref GF/s", "blk GF/s", "blk ms",
@@ -420,7 +501,7 @@ int main(int argc, char** argv) {
         .cell(r.shape.n)
         .cell(r.ref_gflops, 2)
         .cell(r.blocked_gflops, 2)
-        .cell(r.blocked_ms, 4)
+        .cell(r.blocked_us > 0.0 ? r.blocked_us * 1e-3 : r.blocked_ms, 4)
         .cell(r.speedup, 2)
         .cell(r.exact ? "yes" : "NO");
     if (r.shape.group == "cifar" && r.variant == active) {
@@ -453,6 +534,10 @@ int main(int argc, char** argv) {
     if (r.blocked_ms > 0.0) {
       w.field("ref_ms", r.ref_ms);
       w.field("blocked_ms", r.blocked_ms);
+    }
+    if (r.blocked_us > 0.0) {
+      w.field("ref_us", r.ref_us);
+      w.field("blocked_us", r.blocked_us);
     }
     if (i != 0) json_results += ',';
     json_results += w.end();

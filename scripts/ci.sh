@@ -266,8 +266,10 @@ if [ "${UBSAN:-1}" != "0" ]; then
   # conv_backward's scratch carving and fused col2im),
   # plus the checkpoint suite (byte-codec casts, CRC table indexing and the
   # raw-byte RNG state round-trips are the risky parts), plus the comm suite
-  # (float<->bits bit_casts, wire byte packing and int8 narrowing are the
-  # risky parts), plus the sampling + scale suites (Fenwick node index
+  # with a raised fuzz budget (float<->bits bit_casts, wire byte packing,
+  # int8 narrowing and the int8 codec's SSE2 casts, saturating packs and
+  # tail loops, checked against its scalar reference over many random
+  # lengths, are the risky parts), plus the sampling + scale suites (Fenwick node index
   # arithmetic, alias-bucket uniform splitting and the hash-based synthetic
   # gradient mixing are the risky parts; test_sampling now also carries the
   # whole-registry conformance suite, so every zoo sampler's probability
@@ -290,7 +292,7 @@ if [ "${UBSAN:-1}" != "0" ]; then
   "$UBSAN_DIR/tests/test_nn"
   "$UBSAN_DIR/tests/test_fault"
   "$UBSAN_DIR/tests/test_ckpt"
-  "$UBSAN_DIR/tests/test_comm"
+  MACH_CODEC_FUZZ_ITERS=2000 "$UBSAN_DIR/tests/test_comm"
   "$UBSAN_DIR/tests/test_sampling"
   "$UBSAN_DIR/tests/test_mobility"
   "$UBSAN_DIR/tests/test_scale"

@@ -16,8 +16,10 @@
 //     mantissa bits; the classic bitfield-union idiom, done with bit_cast).
 //     Relative error ≤ 2^-7 for normal values; 2 bytes/parameter.
 //   * int8 — per-tensor symmetric quantisation: scale = max|x| / 127,
-//     q = round(x/scale) clamped to [-127, 127]. Absolute error ≤ scale/2;
-//     4 + 1·count bytes.
+//     q = x · (1/scale) rounded half away from zero, clamped to [-127, 127]
+//     (x / scale when 1/scale overflows; NaN encodes as -127). The product
+//     can differ from x / scale in the last bit, and so round differently.
+//     Absolute error ≤ scale/2; 4 + 1·count bytes.
 //   * topk — sparsified *delta* transfer with error-feedback residuals:
 //     encodes the k = ceil(density·count) largest-magnitude entries of
 //     (value − reference) + residual, banks what it did not send back into

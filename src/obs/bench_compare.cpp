@@ -57,8 +57,8 @@ MetricDirection metric_direction(std::string_view name) {
       contains(name, "speedup")) {
     return MetricDirection::HigherIsBetter;
   }
-  if (ends_with(name, "_ms") || ends_with(name, "_seconds") ||
-      name == "seconds") {
+  if (ends_with(name, "_us") || ends_with(name, "_ms") ||
+      ends_with(name, "_seconds") || name == "seconds") {
     return MetricDirection::LowerIsBetter;
   }
   // Communication volume (BENCH_comm.json and the byte ledger): shipping

@@ -2,7 +2,7 @@
 // tools/bench_diff and the CI perf gate). Two documents produced by the same
 // bench are matched case-by-case on their identity fields, per-metric deltas
 // are computed with a direction convention inferred from the metric name
-// (gflops/speedup/*_per_second are higher-is-better, *_ms/*_seconds are
+// (gflops/speedup/*_per_second are higher-is-better, *_us/*_ms/*_seconds are
 // lower-is-better), and the worst regression is surfaced so a single
 // threshold can gate CI.
 #pragma once
@@ -24,8 +24,8 @@ enum class MetricDirection {
 
 /// Classifies a results[] field by name. The convention matches every
 /// emitter in bench/: throughput metrics contain "per_second"/"gflops"/
-/// "speedup", latencies end in "_ms"/"_seconds", counts contain "trained"/
-/// "count", and everything else identifies the case.
+/// "speedup", latencies end in "_us"/"_ms"/"_seconds", counts contain
+/// "trained"/"count", and everything else identifies the case.
 MetricDirection metric_direction(std::string_view name);
 
 struct MetricDelta {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "comm/codec.h"
+#include "comm/codec_impl.h"
 #include "comm/wire.h"
 #include "common/rng.h"
 
@@ -123,6 +124,101 @@ TEST(CodecFuzz, Int8StaysWithinHalfScale) {
           << " scale " << scale;
       ASSERT_LE(std::fabs(out[i]), max_abs * (1.0f + 1e-5f))
           << "iter " << iter << " index " << i;
+    }
+  }
+}
+
+TEST(CodecFuzz, Int8MatchesReference) {
+  // The production int8 loops (SSE2 on x86-64) against the scalar
+  // reference: identical bytes, bit-identical decodes. Lengths cover every
+  // tail mod 16; the specials cover NaN, ±inf, subnormals, exact ties and
+  // scales whose reciprocal overflows.
+  common::Rng rng(0x18ef);
+  const auto codec = make_codec({.kind = CodecKind::Int8});
+  for (std::size_t iter = 0; iter < fuzz_iters(); ++iter) {
+    const std::size_t count = rng.uniform_index(600);
+    std::vector<float> values = random_tensor(rng, count);
+    if (count > 0) {
+      const auto at = [&] { return rng.uniform_index(count); };
+      if (rng.uniform() < 0.1) {
+        values[at()] = std::numeric_limits<float>::quiet_NaN();
+      }
+      if (rng.uniform() < 0.05) {
+        values[at()] = (rng.uniform() < 0.5 ? 1.0f : -1.0f) *
+                       std::numeric_limits<float>::infinity();
+      }
+      if (rng.uniform() < 0.1) {
+        values[at()] = static_cast<float>(rng.uniform(-1.0, 1.0) * 1e-39);
+      }
+      const double shape = rng.uniform();
+      if (shape < 0.15) {
+        // Exact ties: scale = 2^e, entries ±(k+½)·2^e.
+        const int exponent = static_cast<int>(rng.uniform_index(60)) - 30;
+        const float step = std::ldexp(1.0f, exponent);
+        for (float& v : values) {
+          const float k = static_cast<float>(rng.uniform_index(127));
+          v = (rng.uniform() < 0.5 ? 1.0f : -1.0f) * (k + 0.5f) * step;
+        }
+        values[at()] = 127.0f * step;
+      } else if (shape < 0.3) {
+        // Down to and across the tiny threshold 127 / FLT_MAX.
+        const float factor =
+            std::pow(10.0f, static_cast<float>(rng.uniform(-40.0, -34.0)));
+        for (float& v : values) v *= factor;
+      }
+    }
+    Encoded got, want;
+    codec->encode(values, {}, {}, got);
+    detail::int8_encode_reference(values, want);
+    ASSERT_EQ(got.bytes, want.bytes) << "iter " << iter << " count " << count;
+    std::vector<float> got_out, want_out;
+    codec->decode(got, count, {}, got_out);
+    detail::int8_decode_reference(want, count, want_out);
+    ASSERT_EQ(got_out.size(), count);
+    for (std::size_t i = 0; i < count; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(got_out[i]),
+                std::bit_cast<std::uint32_t>(want_out[i]))
+          << "iter " << iter << " index " << i;
+    }
+  }
+}
+
+TEST(CodecFuzz, Int8TinyTensorsKeepZerosAndSigns) {
+  // random_tensor never goes below ~1e-6, so tensors whose 1/scale
+  // overflows (max|x| < 127 / FLT_MAX ≈ 3.7e-37) need their own draw:
+  // max|x| log-uniform over [1e-44, 1e-35].
+  common::Rng rng(0x7191);
+  const auto codec = make_codec({.kind = CodecKind::Int8});
+  for (std::size_t iter = 0; iter < fuzz_iters(); ++iter) {
+    const std::size_t count = rng.uniform_index(300) + 1;
+    const float max_abs =
+        std::pow(10.0f, static_cast<float>(rng.uniform(-44.0, -35.0)));
+    std::vector<float> values(count);
+    for (float& v : values) {
+      v = rng.uniform() < 0.15
+              ? 0.0f
+              : static_cast<float>(rng.uniform(-1.0, 1.0)) * max_abs;
+    }
+    values[rng.uniform_index(count)] = rng.uniform() < 0.5 ? max_abs : -max_abs;
+    Encoded wire;
+    codec->encode(values, {}, {}, wire);
+    std::vector<float> out;
+    codec->decode(wire, count, {}, out);
+    ASSERT_EQ(out.size(), count);
+    // The scale is subnormal for most of this range, so it can round up by
+    // a large fraction of itself: |q·scale| may pass max|x| by up to half a
+    // grid step, never more.
+    const float half_step = 0.5f * (max_abs / 127.0f);
+    for (std::size_t i = 0; i < count; ++i) {
+      if (values[i] == 0.0f) {
+        ASSERT_EQ(out[i], 0.0f) << "iter " << iter << " index " << i;
+      }
+      ASSERT_FALSE(values[i] > 0.0f && out[i] < 0.0f)
+          << "iter " << iter << " index " << i << " value " << values[i];
+      ASSERT_FALSE(values[i] < 0.0f && out[i] > 0.0f)
+          << "iter " << iter << " index " << i << " value " << values[i];
+      ASSERT_LE(std::fabs(out[i]), max_abs + half_step)
+          << "iter " << iter << " index " << i << " max " << max_abs;
     }
   }
 }

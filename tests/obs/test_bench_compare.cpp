@@ -41,6 +41,7 @@ TEST(MetricDirection, NameConventionMatchesTheEmitters) {
   EXPECT_EQ(metric_direction("wall_seconds"), MetricDirection::LowerIsBetter);
   EXPECT_EQ(metric_direction("seconds"), MetricDirection::LowerIsBetter);
   EXPECT_EQ(metric_direction("mean_ms"), MetricDirection::LowerIsBetter);
+  EXPECT_EQ(metric_direction("blocked_us"), MetricDirection::LowerIsBetter);
   // Communication volume (BENCH_comm.json): more bytes is a regression.
   EXPECT_EQ(metric_direction("device_upload_bytes"),
             MetricDirection::LowerIsBetter);
