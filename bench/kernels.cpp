@@ -10,7 +10,11 @@
 // per variant: pooling is plain C++). Layer rows also carry ms per call.
 // Codec rows time the int8 transcode of a whole model message (the fleet MLP
 // and the CIFAR CNN) against the codec's scalar reference, in us per call;
-// their variant is the codec's compile-time path (sse2 or scalar).
+// their variant is the codec's compile-time path (sse2 or scalar). Fleet
+// rows time, per variant and in us per call, the fleet MLP's Dense GEMMs at
+// the local step's batch of 4 and the MACH-P probe's 16, and one 8-lane
+// squared_norms call over 2,410-parameter gradients against eight serial
+// squared_norm chains.
 // Results are printed as a table and written as BENCH_kernels.json.
 //
 //   ./kernels [--min_ms 150] [--out BENCH_kernels.json]
@@ -42,14 +46,16 @@ using namespace mach;
 namespace kern = tensor::kernels;
 
 enum class Op {
-  Nn, Tn, Nt, ConvBwd, ConvBwdNoDx, PoolFwd, PoolBwd, Int8Encode, Int8Decode
+  Nn, Tn, Nt, ConvBwd, ConvBwdNoDx, PoolFwd, PoolBwd, Int8Encode, Int8Decode,
+  GradNorms
 };
 
 struct Case {
   std::string name;   // e.g. "cifar_conv2_fwd"
-  std::string group;  // "mnist", "cifar" or "square"
+  std::string group;  // "mnist", "cifar", "square" or "bench"
   Op op;
   std::size_t m, k, n;
+  bool per_call_us = false;  // also report us per call (ref_us/blocked_us)
 };
 
 struct Result {
@@ -78,6 +84,7 @@ const char* op_name(Op op) {
     case Op::PoolBwd: return "pool_bwd";
     case Op::Int8Encode: return "int8_encode";
     case Op::Int8Decode: return "int8_decode";
+    case Op::GradNorms: return "grad_norms";
   }
   return "?";
 }
@@ -387,6 +394,55 @@ void codec_rows(double min_ms, common::Rng& rng, std::vector<Result>& results) {
   }
 }
 
+/// One squared_norms call over eight 2,410-float gradients (the fleet MLP's
+/// parameter count) per variant, against eight serial squared_norm chains.
+/// Each call takes the next of kInputs distinct gradient sets.
+void grad_norm_rows(const std::vector<const kern::detail::GemmVariant*>& variants,
+                    double min_ms, common::Rng& rng,
+                    std::vector<Result>& results) {
+  constexpr std::size_t kInputs = 4, kLanes = kern::kMaxNormLanes, kCount = 2410;
+  std::vector<std::vector<float>> inputs(kInputs,
+                                         std::vector<float>(kLanes * kCount));
+  for (auto& input : inputs) {
+    for (auto& v : input) v = static_cast<float>(rng.normal() * 0.05);
+  }
+  double want[kLanes] = {}, got[kLanes] = {};
+  std::size_t next = 0;
+  const auto reference = [&] {
+    const float* x = inputs[next++ % kInputs].data();
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      want[l] = kern::squared_norm(kCount, x + l * kCount);
+    }
+  };
+  const double ref_s = time_call(reference, min_ms);
+  for (const auto* variant : variants) {
+    bool exact = true;
+    for (std::size_t i = 0; i < kInputs; ++i) {
+      next = i;
+      reference();
+      kern::detail::squared_norms(*variant, kLanes, kCount, inputs[i].data(),
+                                  kCount, got);
+      exact = exact && std::memcmp(got, want, sizeof(want)) == 0;
+    }
+    const double blk_s = time_call(
+        [&] {
+          kern::detail::squared_norms(*variant, kLanes, kCount,
+                                      inputs[next++ % kInputs].data(), kCount,
+                                      got);
+        },
+        min_ms);
+    Result r;
+    r.shape = {"bench_fleet_grad_norms", "bench", Op::GradNorms, kLanes, 1,
+               kCount, true};
+    r.variant = common::gemm_isa_name(variant->isa);
+    r.exact = exact;
+    r.speedup = ref_s / blk_s;
+    r.ref_us = ref_s * 1e6;
+    r.blocked_us = blk_s * 1e6;
+    results.push_back(r);
+  }
+}
+
 /// Times one implementation: doubles the repetition count until the batch
 /// takes at least min_ms, then reports seconds per call from the final batch.
 double time_impl(Op op, const kern::detail::GemmVariant* variant,
@@ -417,7 +473,7 @@ int main(int argc, char** argv) {
   // GEMM shapes of the paper's models (batch 32 for the dense layers):
   //   mnist cnn2 on 1x28x28, cifar cnn3 on 3x32x32 (see nn/factory.cpp).
   // Forward = nn, weight-gradient = nt, column-gradient = tn.
-  const std::vector<Case> cases = {
+  std::vector<Case> cases = {
       {"mnist_conv1_fwd", "mnist", Op::Nn, 8, 9, 784},
       {"mnist_conv2_fwd", "mnist", Op::Nn, 16, 72, 196},
       {"mnist_dense1_fwd", "mnist", Op::Nn, 32, 784, 32},
@@ -451,6 +507,22 @@ int main(int argc, char** argv) {
       {"bench_mnist_conv2_dw", "bench", Op::Nt, 16, 36, 72},
       {"bench_mnist_conv2_dcols", "bench", Op::Tn, 72, 16, 36},
   };
+  // The fleet MLP's Dense layers (64 -> 32 -> 10) at the local step's batch
+  // (4) and the MACH-P probe's (16): forward y = x·W, weight gradient
+  // dW = xᵀ·dy and input gradient dx = dy·Wᵀ.
+  struct DenseLayer {
+    std::string name;
+    std::size_t in, out;
+  };
+  const DenseLayer fleet_layers[] = {{"bench_fleet_dense1", 64, 32},
+                                     {"bench_fleet_dense2", 32, 10}};
+  for (const DenseLayer& d : fleet_layers) {
+    for (const std::size_t batch : {4, 16}) {
+      cases.push_back({d.name + "_fwd", "bench", Op::Nn, batch, d.in, d.out, true});
+      cases.push_back({d.name + "_dw", "bench", Op::Tn, d.in, batch, d.out, true});
+      cases.push_back({d.name + "_dx", "bench", Op::Nt, batch, d.out, d.in, true});
+    }
+  }
 
   const auto variants = kern::detail::host_variants();
   const std::string active =
@@ -479,12 +551,17 @@ int main(int argc, char** argv) {
       r.ref_gflops = flops / ref_s * 1e-9;
       r.blocked_gflops = flops / blk_s * 1e-9;
       r.speedup = ref_s / blk_s;
+      if (c.per_call_us) {
+        r.ref_us = ref_s * 1e6;
+        r.blocked_us = blk_s * 1e6;
+      }
       results.push_back(r);
     }
   }
 
   layer_rows(variants, min_ms, rng, results);
   codec_rows(min_ms, rng, results);
+  grad_norm_rows(variants, min_ms, rng, results);
 
   common::Table table(
       {"case", "variant", "op", "m", "k", "n", "ref GF/s", "blk GF/s", "blk ms",

@@ -14,23 +14,37 @@ BUILD_DIR="${BUILD_DIR:-build}"
 JOBS="${JOBS:-$(nproc 2>/dev/null || echo 4)}"
 
 echo "== configure =="
-cmake -B "$BUILD_DIR" -S .
+# compile_commands.json lists every object's flags for the ISA object guard.
+cmake -B "$BUILD_DIR" -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
 
 echo "== build (-j$JOBS) =="
 cmake --build "$BUILD_DIR" -j "$JOBS"
 
-# The AVX2/AVX-512 GEMM variants are compiled with wider -m flags than the
+# The AVX2/AVX-512 kernel variants are compiled with wider -m flags than the
 # rest of the program (DESIGN.md §9). A weak (W/V) or unique (u) symbol in
 # one of those objects — an inline function or template instantiation the
 # linker may pick for every caller — would run AVX-512 code on any CPU and
 # die with SIGILL where the ISA is missing. They may define only local
-# symbols and their variant table.
+# symbols and their variant table. The objects are every one whose compile
+# command (compile_commands.json) carries an instruction-set flag past the
+# x86-64 baseline, so a kernel in a new translation unit is covered too.
+isa_objects() {
+  python3 - "$1/compile_commands.json" <<'PY'
+import json, os, re, shlex, sys
+wider = re.compile(r"-m(avx|sse[34]|ssse3|fma|f16c|bmi|lzcnt|popcnt|arch=)")
+for entry in json.load(open(sys.argv[1])):
+    args = entry.get("arguments") or shlex.split(entry["command"])
+    if any(wider.match(arg) for arg in args):
+        print(os.path.join(entry["directory"], args[args.index("-o") + 1]))
+PY
+}
+
 check_isa_objects() {
   local dir="$1" objects
-  objects="$(find "$dir" -name 'gemm_avx*.cpp.o' | sort)"
+  objects="$(isa_objects "$dir" | sort)"
   if [ -z "$objects" ]; then
     if [ "$(uname -m)" = x86_64 ]; then
-      echo "no ISA-specific GEMM objects under $dir"; exit 1
+      echo "no ISA-specific kernel objects under $dir"; exit 1
     fi
     return 0
   fi
@@ -259,11 +273,14 @@ if [ "${UBSAN:-1}" != "0" ]; then
   # Undefined-behaviour check over the kernel layer: a separate UBSan build
   # running the blocked-vs-reference equivalence suite for every GEMM
   # variant the CPU runs (pointer arithmetic, masked edge tiles, the packed
-  # and image-panel indexing are the risky parts) plus the ISA-selection
+  # and image-panel indexing, the unpacked path's masked and zero-padded
+  # fringe accesses and the lane-norm kernels' transposed row loads are the
+  # risky parts) plus the ISA-selection
   # unit test, with the ISA-object guard re-run on the instrumented objects,
   # plus the nn suite (the backward_params hook, the skipped first-layer
   # input gradient and every layer's backward feed the minibatch
-  # conv_backward's scratch carving and fused col2im),
+  # conv_backward's scratch carving and fused col2im; GradNormBatch's
+  # staging lanes feed the lane-norm kernels),
   # plus the checkpoint suite (byte-codec casts, CRC table indexing and the
   # raw-byte RNG state round-trips are the risky parts), plus the comm suite
   # with a raised fuzz budget (float<->bits bit_casts, wire byte packing,
@@ -282,7 +299,7 @@ if [ "${UBSAN:-1}" != "0" ]; then
   # harness paths run sanitized too).
   echo "== undefined behaviour sanitizer (kernels + ISA selection + nn + faults + ckpt + comm + sampling + mobility + scale + sweep) =="
   UBSAN_DIR="${UBSAN_DIR:-${BUILD_DIR}-ubsan}"
-  cmake -B "$UBSAN_DIR" -S . \
+  cmake -B "$UBSAN_DIR" -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
     -DCMAKE_CXX_FLAGS="-fsanitize=undefined -fno-sanitize-recover=all -g -O1" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=undefined"
   cmake --build "$UBSAN_DIR" -j "$JOBS" --target test_tensor test_common test_nn test_fault test_ckpt test_comm test_sampling test_mobility test_scale test_sweep
@@ -311,6 +328,8 @@ if [ "${TSAN:-1}" != "0" ]; then
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   cmake --build "$TSAN_DIR" -j "$JOBS" --target test_runtime test_hfl test_fault test_obs test_comm test_sampling test_scale
   "$TSAN_DIR/tests/test_runtime"
+  # ParallelDeterminism includes a MACH-P run: probes batch their gradient
+  # norms on the coordinator while each worker slot batches its own.
   "$TSAN_DIR/tests/test_hfl" --gtest_filter='ParallelDeterminism.*:ProfilerIntegration.*'
   # Every registered sampler driven through real 2- and 4-worker simulator
   # runs: samplers are coordinator-only by contract; TSan proves none of the

@@ -41,16 +41,29 @@ class Dataset {
 
   /// Stacks the referenced examples into a contiguous batch.
   Batch gather(std::span<const std::size_t> indices) const;
+  /// The same into `out`, reusing its storage: nothing is allocated once
+  /// `out` has held a batch of this size.
+  void gather(std::span<const std::size_t> indices, Batch& out) const;
 
   /// Uniformly samples `batch_size` of the given indices with replacement —
   /// the random local-data draw xi in Eq. (4).
   Batch sample_batch(std::span<const std::size_t> indices, std::size_t batch_size,
                      common::Rng& rng) const;
+  /// The same into `out` (storage reused as by gather), with the same RNG
+  /// draws in the same order.
+  void sample_batch(std::span<const std::size_t> indices, std::size_t batch_size,
+                    common::Rng& rng, Batch& out) const;
 
   /// Histogram of labels restricted to `indices` (size == num_classes()).
   std::vector<std::size_t> class_histogram(std::span<const std::size_t> indices) const;
 
  private:
+  /// Shapes `out` for `count` examples (features reallocated only when
+  /// the shape changes).
+  void shape_batch(std::size_t count, Batch& out) const;
+  /// Copies example `idx` into row `row` of `out`.
+  void copy_example(std::size_t idx, std::size_t row, Batch& out) const;
+
   tensor::Tensor features_;
   std::vector<int> labels_;
   std::size_t num_classes_ = 0;

@@ -67,6 +67,7 @@ HflSimulator::HflSimulator(const data::Dataset& train, const data::Dataset& test
   if (workers > 1) {
     pool_ = std::make_unique<runtime::ThreadPool>(workers);
     replicas_ = std::make_unique<runtime::ModelReplicaPool>(model_factory, workers);
+    worker_scratch_.resize(workers);
   }
   // Transfer codecs: built once (immutable), encoded sizes cached — the
   // ledger charges per message without touching the model path.
@@ -124,48 +125,45 @@ double HflSimulator::learning_rate_at(std::size_t t) const {
   return options_.learning_rate / (1.0 + options_.lr_decay * static_cast<double>(t));
 }
 
-TrainingObservation HflSimulator::train_device(std::size_t t, std::uint32_t device,
-                                               std::size_t edge,
-                                               const std::vector<float>& edge_model,
-                                               double learning_rate,
-                                               nn::Sequential& model,
-                                               std::vector<float>& params_out) {
+void HflSimulator::train_device(std::size_t t, std::uint32_t device,
+                                std::size_t edge,
+                                const std::vector<float>& edge_model,
+                                double learning_rate, nn::Sequential& model,
+                                StepScratch& scratch, DeviceSlot& out) {
   model.set_parameters(edge_model);
   nn::Sgd sgd({.learning_rate = learning_rate, .momentum = 0.0, .weight_decay = 0.0});
-  TrainingObservation obs;
+  TrainingObservation& obs = out.observation;
   obs.t = t;
   obs.device = device;
   obs.edge = edge;
-  obs.local_grad_sq_norms.reserve(options_.local_epochs);
+  obs.local_grad_sq_norms.assign(options_.local_epochs, 0.0);
   double loss_total = 0.0;
   auto& rng = device_rngs_[device];
   const obs::SpanGuard span("local_sgd", static_cast<std::int64_t>(t), device);
+  data::Batch& batch = scratch.batch;
   for (std::size_t tau = 0; tau < options_.local_epochs; ++tau) {
-    const data::Batch batch =
-        train_.sample_batch(partition_[device], options_.batch_size, rng);
+    train_.sample_batch(partition_[device], options_.batch_size, rng, batch);
     const nn::StepStats stats = model.forward_backward(batch.features, batch.labels);
+    scratch.norms.add(model, &obs.local_grad_sq_norms[tau]);
     sgd.step(model);
-    obs.local_grad_sq_norms.push_back(stats.grad_squared_norm);
     loss_total += stats.loss;
   }
   obs.mean_loss = loss_total / static_cast<double>(options_.local_epochs);
-  params_out = model.get_parameters();
-  return obs;
+  model.get_parameters(out.params);
 }
 
-double HflSimulator::probe_gradient_norm(std::uint32_t device,
-                                         const std::vector<float>& params) {
+void HflSimulator::probe_gradient_norm(std::uint32_t device, double* result) {
   // Oracle probe (MACH-P): the true gradient norm at the current edge model,
   // computed over a fixed prefix of the device's shard (capped for cost).
   // Deterministic so the oracle baseline is noise-free, as the paper assumes
   // ("training experiences for each device in every time step are known").
-  model_.set_parameters(params);
   constexpr std::size_t kProbeCap = 16;
   const auto& shard = partition_[device];
   const std::size_t count = std::min(shard.size(), kProbeCap);
-  const data::Batch batch =
-      train_.gather(std::span<const std::size_t>(shard.data(), count));
-  return model_.forward_backward(batch.features, batch.labels).grad_squared_norm;
+  data::Batch& batch = coordinator_scratch_.batch;
+  train_.gather(std::span<const std::size_t>(shard.data(), count), batch);
+  model_.forward_backward(batch.features, batch.labels);
+  coordinator_scratch_.norms.add(model_, result);
 }
 
 EvalPoint HflSimulator::evaluate_global(std::size_t t) {
@@ -225,8 +223,8 @@ EvalPoint HflSimulator::evaluate_global(std::size_t t) {
     for (std::size_t i = 0; i < count; ++i) sample[i] = i;
     const data::Batch batch = train_.gather(sample);
     model_.set_parameters(global_);
-    point.global_grad_sq_norm =
-        model_.forward_backward(batch.features, batch.labels).grad_squared_norm;
+    model_.forward_backward(batch.features, batch.labels);
+    point.global_grad_sq_norm = model_.grad_squared_norm();
   }
   return point;
 }
@@ -778,9 +776,14 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
                       static_cast<std::int64_t>(n));
             probe_view = &probe_model_;
           }
+          // Probing never changes parameters: one load serves every probe,
+          // and the norms are evaluated in batches before the sampler reads
+          // them.
+          model_.set_parameters(*probe_view);
           for (std::size_t i = 0; i < devices.size(); ++i) {
-            oracle_norms[i] = probe_gradient_norm(devices[i], *probe_view);
+            probe_gradient_norm(devices[i], &oracle_norms[i]);
           }
+          coordinator_scratch_.norms.flush();
           cost_.probe_downloads += devices.size();
           cost_.ledger.probe_download.add(devices.size(), bytes_probe_);
           ctx.oracle_grad_sq_norms = oracle_norms;
@@ -886,11 +889,13 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
                                         static_cast<std::int64_t>(t),
                                         devices[sampled_[k]]);
               const obs::Stopwatch watch;
-              out.observation =
-                  train_device(t, devices[sampled_[k]], n, *device_view, lr,
-                               replicas_->model(slot), out.params);
+              train_device(t, devices[sampled_[k]], n, *device_view, lr,
+                           replicas_->model(slot), worker_scratch_[slot], out);
               out.seconds = watch.seconds();
             });
+        // The workers' partial norm batches, before the reduction reads
+        // any norm.
+        for (StepScratch& scratch : worker_scratch_) scratch.norms.flush();
       } else {
         for (std::size_t k = 0; k < sampled_.size(); ++k) {
           // Non-arriving devices never train here: their update is lost
@@ -903,10 +908,11 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
           const obs::SpanGuard span("device_train",
                                     static_cast<std::int64_t>(t),
                                     devices[sampled_[k]]);
-          out.observation = train_device(t, devices[sampled_[k]], n,
-                                         *device_view, lr, model_, out.params);
+          train_device(t, devices[sampled_[k]], n, *device_view, lr, model_,
+                       coordinator_scratch_, out);
           out.seconds = timer.elapsed_seconds();
         }
+        coordinator_scratch_.norms.flush();
       }
 
       // Ordered reduction: observer events, sampler experience and the

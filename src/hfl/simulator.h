@@ -41,6 +41,7 @@
 #include "hfl/sampler.h"
 #include "mobility/schedule.h"
 #include "nn/model.h"
+#include "nn/norm_batch.h"
 #include "obs/observer.h"
 #include "obs/registry.h"
 #include "obs/resource.h"
@@ -262,17 +263,27 @@ class HflSimulator {
     double seconds = 0.0;       // wall time of this device's local updates
   };
 
-  /// One local-update phase for a device (Eq. 4) on the given scratch model
-  /// (the shared serial model or a worker replica); returns its observation
-  /// and leaves the trained parameters in `params_out`.
-  TrainingObservation train_device(std::size_t t, std::uint32_t device,
-                                   std::size_t edge,
-                                   const std::vector<float>& edge_model,
-                                   double learning_rate, nn::Sequential& model,
-                                   std::vector<float>& params_out);
+  /// Reused buffers of the per-device hot path, one set per scratch model
+  /// (the coordinator's model_ and each worker replica): the minibatch and
+  /// the gradient-norm batch its local steps and probes feed.
+  struct StepScratch {
+    data::Batch batch;
+    nn::GradNormBatch norms;
+  };
 
-  /// ||g||^2 probe used for samplers with needs_oracle() (MACH-P).
-  double probe_gradient_norm(std::uint32_t device, const std::vector<float>& params);
+  /// One local-update phase for a device (Eq. 4) on the given scratch model
+  /// (the shared serial model or a worker replica) into `out`: the trained
+  /// parameters and the observation. Each local step's ||g||^2 is staged in
+  /// scratch.norms and lands in out.observation when that batch is flushed.
+  void train_device(std::size_t t, std::uint32_t device, std::size_t edge,
+                    const std::vector<float>& edge_model, double learning_rate,
+                    nn::Sequential& model, StepScratch& scratch,
+                    DeviceSlot& out);
+
+  /// ||g||^2 probe used for samplers with needs_oracle() (MACH-P), on
+  /// model_, which must hold the probed edge model. Staged in the
+  /// coordinator's norm batch; `*result` is written when it is flushed.
+  void probe_gradient_norm(std::uint32_t device, double* result);
 
   /// One wire round-trip through `codec`: encodes `values` (against
   /// `reference` / `residual` where the codec uses them) into the reusable
@@ -321,6 +332,8 @@ class HflSimulator {
   std::unique_ptr<runtime::ModelReplicaPool> replicas_;
   std::vector<std::uint32_t> sampled_;     // per-edge realised Bernoulli draws
   std::vector<DeviceSlot> device_slots_;   // one per sampled device, reused
+  StepScratch coordinator_scratch_;        // with model_
+  std::vector<StepScratch> worker_scratch_;  // one per pool slot
   std::vector<nn::StepStats> eval_slots_;  // one per evaluation chunk, reused
 
   // Fault-injection runtime (inactive with an empty schedule). Fates are

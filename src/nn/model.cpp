@@ -1,5 +1,6 @@
 #include "nn/model.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "tensor/ops.h"
@@ -50,11 +51,13 @@ StepStats Sequential::forward_backward(const tensor::Tensor& input,
     grad = &layers_[i]->backward(*grad);
   }
   if (first < layers_.size()) layers_[first]->backward_params(*grad);
-
-  for (const ParamRef& ref : param_refs()) {
-    stats.grad_squared_norm += ref.grad->squared_norm();
-  }
   return stats;
+}
+
+double Sequential::grad_squared_norm() {
+  double total = 0.0;
+  for (const ParamRef& ref : param_refs()) total += ref.grad->squared_norm();
+  return total;
 }
 
 StepStats Sequential::evaluate(const tensor::Tensor& input, std::span<const int> labels) {
@@ -113,11 +116,16 @@ std::size_t Sequential::num_parameters() {
 
 std::vector<float> Sequential::get_parameters() {
   std::vector<float> flat;
-  flat.reserve(num_parameters());
-  for (const ParamRef& ref : param_refs()) {
-    flat.insert(flat.end(), ref.value->flat().begin(), ref.value->flat().end());
-  }
+  get_parameters(flat);
   return flat;
+}
+
+void Sequential::get_parameters(std::vector<float>& flat) {
+  flat.resize(num_parameters());
+  float* out = flat.data();
+  for (const ParamRef& ref : param_refs()) {
+    out = std::copy(ref.value->flat().begin(), ref.value->flat().end(), out);
+  }
 }
 
 void Sequential::set_parameters(std::span<const float> flat) {

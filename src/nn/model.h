@@ -1,5 +1,10 @@
 // Sequential model with a softmax cross-entropy head, plus flat-parameter
 // accessors used by the federated aggregation code.
+//
+// The gradient norm ||g||^2 the samplers consume is not part of a training
+// step: grad_squared_norm() evaluates it for the gradients a step left, and
+// nn::GradNormBatch (nn/norm_batch.h) evaluates it for up to eight models'
+// gradients at once with the same bits.
 #pragma once
 
 #include <memory>
@@ -15,9 +20,6 @@ struct StepStats {
   double loss = 0.0;
   std::size_t correct = 0;
   std::size_t batch_size = 0;
-  /// Squared L2 norm of the concatenated parameter gradient — the observable
-  /// the paper's statistical/MACH samplers consume (Assumption 3's ||g||^2).
-  double grad_squared_norm = 0.0;
 };
 
 class Sequential {
@@ -50,13 +52,19 @@ class Sequential {
   /// Loss/accuracy evaluation without gradient computation.
   StepStats evaluate(const tensor::Tensor& input, std::span<const int> labels);
 
+  /// Squared L2 norm of the concatenated parameter gradient — the observable
+  /// the paper's statistical/MACH samplers consume (Assumption 3's ||g||^2).
+  /// Each gradient tensor is one serial kernels::squared_norm chain, and the
+  /// per-tensor results are summed in param_refs() order from 0.0; this is
+  /// the reference GradNormBatch reproduces bit for bit.
+  double grad_squared_norm();
+
   /// All parameter handles across layers, in layer order.
   std::vector<ParamRef> params();
 
   /// Cached parameter handles (built once, invalidated by add()). The hot
-  /// path — forward_backward's grad-norm reduction and the optimiser steps —
-  /// uses this instead of params() so steady-state training allocates
-  /// nothing.
+  /// path — the optimiser steps, gradient norms and parameter copies — uses
+  /// this instead of params() so steady-state training allocates nothing.
   const std::vector<ParamRef>& param_refs();
 
   /// Sum of scratch-arena grow events across layers. Flat once training is
@@ -68,6 +76,9 @@ class Sequential {
 
   /// Copies all parameters into one flat vector (layer order).
   std::vector<float> get_parameters();
+  /// The same into `flat`, resized to num_parameters() (no allocation once
+  /// its capacity suffices).
+  void get_parameters(std::vector<float>& flat);
   /// Restores parameters from a flat vector produced by get_parameters().
   void set_parameters(std::span<const float> flat);
   /// Copies all gradients into one flat vector (layer order).

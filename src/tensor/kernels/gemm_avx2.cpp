@@ -19,8 +19,46 @@ struct Avx2 {
   static MACH_INLINE V bcast(float x) { return _mm256_set1_ps(x); }
   static MACH_INLINE V add(V a, V b) { return _mm256_add_ps(a, b); }
   static MACH_INLINE V mul(V a, V b) { return _mm256_mul_ps(a, b); }
-
+  // The first `count` lanes (1..8); masked-off lanes are not read or
+  // written, so the access may end anywhere.
+  static MACH_INLINE __m256i mask(std::size_t count) {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(count)),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  }
+  static MACH_INLINE V load_n(const float* p, std::size_t count) {
+    return _mm256_maskload_ps(p, mask(count));
+  }
+  static MACH_INLINE void store_n(float* p, V v, std::size_t count) {
+    _mm256_maskstore_ps(p, mask(count), v);
+  }
 };
+
+/// Eight lane norms in two 256-bit accumulators (lanes 0-3 and 4-7): each
+/// 8x8 block is transposed so that vector j holds element i + j of every
+/// row, and its halves are widened with cvtps2pd, squared and added — lane
+/// l adds row l's squares in element order, squared_norm's chain.
+void avx2_squared_norms(std::size_t lanes, std::size_t n, const float* x,
+                        std::size_t stride, double* out) {
+  const float* row[kMaxNormLanes];
+  norm_rows(lanes, x, stride, row);
+  __m256d lo = _mm256_setzero_pd(), hi = _mm256_setzero_pd();
+  std::size_t i = 0;
+  for (; i + kMaxNormLanes <= n; i += kMaxNormLanes) {
+    __m256 col[kMaxNormLanes];
+    transpose8x8(row, i, col);
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < kMaxNormLanes; ++j) {
+      const __m256d vl = _mm256_cvtps_pd(_mm256_castps256_ps128(col[j]));
+      const __m256d vh = _mm256_cvtps_pd(_mm256_extractf128_ps(col[j], 1));
+      lo = _mm256_add_pd(lo, _mm256_mul_pd(vl, vl));
+      hi = _mm256_add_pd(hi, _mm256_mul_pd(vh, vh));
+    }
+  }
+  alignas(32) double sums[kMaxNormLanes];
+  _mm256_store_pd(sums, lo);
+  _mm256_store_pd(sums + 4, hi);
+  finish_norms(lanes, n, i, row, sums, out);
+}
 
 struct Avx2Config {
   using Isa = Avx2;
@@ -31,6 +69,7 @@ struct Avx2Config {
   static constexpr std::size_t kNC = 256;
   static constexpr std::size_t kNtNV = 1;
   static constexpr std::size_t kNtNR = 8;
+  static constexpr auto squared_norms = &avx2_squared_norms;
 };
 
 }  // namespace

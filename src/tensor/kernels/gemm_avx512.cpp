@@ -21,7 +21,17 @@ struct Avx512 {
   static MACH_INLINE V bcast(float x) { return _mm512_set1_ps(x); }
   static MACH_INLINE V add(V a, V b) { return _mm512_add_ps(a, b); }
   static MACH_INLINE V mul(V a, V b) { return _mm512_mul_ps(a, b); }
-
+  // The first `count` lanes (1..16); masked-off lanes are not read or
+  // written, so the access may end anywhere.
+  static MACH_INLINE __mmask16 mask(std::size_t count) {
+    return static_cast<__mmask16>((1u << count) - 1u);
+  }
+  static MACH_INLINE V load_n(const float* p, std::size_t count) {
+    return _mm512_maskz_loadu_ps(mask(count), p);
+  }
+  static MACH_INLINE void store_n(float* p, V v, std::size_t count) {
+    _mm512_mask_storeu_ps(p, mask(count), v);
+  }
 };
 
 /// 256-bit lanes for the narrow gemm_nt tile (AVX-512VL gives them all 32
@@ -37,6 +47,32 @@ struct Avx512Ymm {
   static MACH_INLINE V mul(V a, V b) { return _mm256_mul_ps(a, b); }
 };
 
+/// Eight lane norms in one 512-bit accumulator: each 8x8 block is
+/// transposed so that vector j holds element i + j of every row, widened
+/// with cvtps2pd, squared and added — lane l adds row l's squares in
+/// element order, squared_norm's chain.
+void avx512_squared_norms(std::size_t lanes, std::size_t n, const float* x,
+                          std::size_t stride, double* out) {
+  const float* row[kMaxNormLanes];
+  norm_rows(lanes, x, stride, row);
+  __m512d acc = _mm512_setzero_pd();
+  std::size_t i = 0;
+  for (; i + kMaxNormLanes <= n; i += kMaxNormLanes) {
+    __m256 col[kMaxNormLanes];
+    transpose8x8(row, i, col);
+#pragma GCC unroll 8
+    for (std::size_t j = 0; j < kMaxNormLanes; ++j) {
+      // The all-lanes zero-masked form is plain cvtps2pd; the unmasked
+      // intrinsic trips GCC 12's -Wmaybe-uninitialized.
+      const __m512d v = _mm512_maskz_cvtps_pd(0xFF, col[j]);
+      acc = _mm512_add_pd(acc, _mm512_mul_pd(v, v));
+    }
+  }
+  alignas(64) double sums[kMaxNormLanes];
+  _mm512_store_pd(sums, acc);
+  finish_norms(lanes, n, i, row, sums, out);
+}
+
 struct Avx512Config {
   using Isa = Avx512;
   static constexpr std::size_t kMR = 8;
@@ -48,6 +84,7 @@ struct Avx512Config {
   static constexpr std::size_t kNtNR = 8;
   using NarrowIsa = Avx512Ymm;
   static constexpr std::size_t kNarrowNtNR = 16;
+  static constexpr auto squared_norms = &avx512_squared_norms;
 };
 
 }  // namespace

@@ -22,6 +22,25 @@ struct Sse2 {
   static MACH_INLINE V bcast(float x) { return _mm_set1_ps(x); }
   static MACH_INLINE V add(V a, V b) { return _mm_add_ps(a, b); }
   static MACH_INLINE V mul(V a, V b) { return _mm_mul_ps(a, b); }
+  // The first `count` lanes (1..4). SSE2 has no masked loads (and only a
+  // non-temporal masked store), so a fringe is copied into a zero-padded
+  // register, and back, with 4- and 8-byte accesses of just those lanes.
+  static MACH_INLINE V load_n(const float* p, std::size_t count) {
+    if (count == 1) return _mm_load_ss(p);
+    if (count >= kW) return load(p);
+    const V lo = _mm_loadl_pi(_mm_setzero_ps(), reinterpret_cast<const __m64*>(p));
+    return count == 2 ? lo : _mm_movelh_ps(lo, _mm_load_ss(p + 2));
+  }
+  static MACH_INLINE void store_n(float* p, V v, std::size_t count) {
+    if (count >= kW) {
+      store(p, v);
+    } else if (count == 1) {
+      _mm_store_ss(p, v);
+    } else {
+      _mm_storel_pi(reinterpret_cast<__m64*>(p), v);
+      if (count == 3) _mm_store_ss(p + 2, _mm_movehl_ps(v, v));
+    }
+  }
 };
 using BaselineIsa = Sse2;
 #else
@@ -34,8 +53,58 @@ struct Scalar {
   static MACH_INLINE V bcast(float x) { return x; }
   static MACH_INLINE V add(V a, V b) { return a + b; }
   static MACH_INLINE V mul(V a, V b) { return a * b; }
+  static MACH_INLINE V load_n(const float* p, std::size_t) { return *p; }
+  static MACH_INLINE void store_n(float* p, V v, std::size_t) { *p = v; }
 };
 using BaselineIsa = Scalar;
+#endif
+
+#if defined(__SSE2__)
+/// Eight lane norms in four 128-bit accumulators (two lanes each): each
+/// 4x4 block of four rows is transposed so that vector j holds element
+/// i + j of those rows, and its halves are widened with cvtps2pd, squared
+/// and added — lane l adds row l's squares in element order, squared_norm's
+/// chain.
+void baseline_squared_norms(std::size_t lanes, std::size_t n, const float* x,
+                            std::size_t stride, double* out) {
+  const float* row[kMaxNormLanes];
+  norm_rows(lanes, x, stride, row);
+  __m128d acc[kMaxNormLanes / 2];
+  for (auto& a : acc) a = _mm_setzero_pd();
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+#pragma GCC unroll 2
+    for (std::size_t g = 0; g < 2; ++g) {
+      __m128 r0 = _mm_loadu_ps(row[4 * g] + i);
+      __m128 r1 = _mm_loadu_ps(row[4 * g + 1] + i);
+      __m128 r2 = _mm_loadu_ps(row[4 * g + 2] + i);
+      __m128 r3 = _mm_loadu_ps(row[4 * g + 3] + i);
+      _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+      const __m128 cols[4] = {r0, r1, r2, r3};
+#pragma GCC unroll 4
+      for (const __m128 col : cols) {
+        const __m128d vl = _mm_cvtps_pd(col);
+        const __m128d vh = _mm_cvtps_pd(_mm_movehl_ps(col, col));
+        acc[2 * g] = _mm_add_pd(acc[2 * g], _mm_mul_pd(vl, vl));
+        acc[2 * g + 1] = _mm_add_pd(acc[2 * g + 1], _mm_mul_pd(vh, vh));
+      }
+    }
+  }
+  alignas(16) double sums[kMaxNormLanes];
+  for (std::size_t h = 0; h < kMaxNormLanes / 2; ++h) {
+    _mm_store_pd(sums + 2 * h, acc[h]);
+  }
+  finish_norms(lanes, n, i, row, sums, out);
+}
+#else
+/// One serial chain per lane.
+void baseline_squared_norms(std::size_t lanes, std::size_t n, const float* x,
+                            std::size_t stride, double* out) {
+  const float* row[kMaxNormLanes];
+  norm_rows(lanes, x, stride, row);
+  const double sums[kMaxNormLanes] = {};
+  finish_norms(lanes, n, 0, row, sums, out);
+}
 #endif
 
 struct BaselineConfig {
@@ -47,6 +116,7 @@ struct BaselineConfig {
   static constexpr std::size_t kNC = 256;
   static constexpr std::size_t kNtNV = 4 / Isa::kW;
   static constexpr std::size_t kNtNR = 8;
+  static constexpr auto squared_norms = &baseline_squared_norms;
 };
 
 }  // namespace

@@ -5,8 +5,8 @@
 // the baseline ISA and owns everything the ISA TUs must not contain: the
 // degenerate-shape handling, the thread-local pack buffers (grown on first
 // use per thread, then reused, so steady-state GEMM calls perform zero heap
-// allocations), conv_backward's grouping of large minibatches, and the choice
-// itself.
+// allocations), the packed-or-unpacked shape rule of gemm_nn / gemm_tn,
+// conv_backward's grouping of large minibatches, and the choice itself.
 #include <algorithm>
 #include <vector>
 
@@ -100,6 +100,10 @@ void gemm_nn(const GemmVariant& variant, ConstMat a, ConstMat b, Mat c,
     empty_product(c, accumulate, bias_row, bias_col);
     return;
   }
+  if (unpacked_gemm(a.cols, c.cols)) {
+    variant.gemm_nn_unpacked(a, b, c, accumulate, bias_row, bias_col);
+    return;
+  }
   variant.gemm_nn(a, b, c, accumulate, bias_row, bias_col,
                   panel_buffers(variant, c.rows, c.cols, a.cols));
 }
@@ -109,6 +113,10 @@ void gemm_tn(const GemmVariant& variant, ConstMat a, ConstMat b, Mat c,
   if (c.rows == 0 || c.cols == 0) return;
   if (a.rows == 0) {
     empty_product(c, accumulate, nullptr, nullptr);
+    return;
+  }
+  if (unpacked_gemm(a.rows, c.cols)) {
+    variant.gemm_tn_unpacked(a, b, c, accumulate);
     return;
   }
   variant.gemm_tn(a, b, c, accumulate,
@@ -128,6 +136,15 @@ void gemm_nt(const GemmVariant& variant, ConstMat a, ConstMat b, Mat c,
   }
   float* apack = ensure(tls_buffers().a, round_up(m, variant.nt.mr) * k);
   variant.gemm_nt(a, b, c, accumulate, {apack, nullptr});
+}
+
+void squared_norms(const GemmVariant& variant, std::size_t lanes,
+                   std::size_t n, const float* x, std::size_t stride,
+                   double* out) {
+  for (std::size_t first = 0; first < lanes; first += kMaxNormLanes) {
+    variant.squared_norms(std::min(kMaxNormLanes, lanes - first), n,
+                          x + first * stride, stride, out + first);
+  }
 }
 
 void conv_forward(const GemmVariant& variant, const float* images,
@@ -232,6 +249,11 @@ void gemm_tn(ConstMat a, ConstMat b, Mat c, bool accumulate) {
 
 void gemm_nt(ConstMat a, ConstMat b, Mat c, bool accumulate) {
   detail::gemm_nt(detail::active_variant(), a, b, c, accumulate);
+}
+
+void squared_norms(std::size_t lanes, std::size_t n, const float* x,
+                   std::size_t stride, double* out) {
+  detail::squared_norms(detail::active_variant(), lanes, n, x, stride, out);
 }
 
 void im2col(const float* image, std::size_t channels, std::size_t height,

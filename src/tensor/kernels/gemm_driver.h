@@ -45,6 +45,10 @@
 #include "tensor/kernels/conv_geometry.h"
 #include "tensor/kernels/gemm_variants.h"
 
+#if defined(__AVX__)
+#include <immintrin.h>
+#endif
+
 #define MACH_INLINE inline __attribute__((always_inline))
 
 namespace mach::tensor::kernels::detail {
@@ -68,11 +72,68 @@ MACH_INLINE void copy_run(float* out, const float* row, std::ptrdiff_t dx,
   for (std::size_t x = hi; x < xb; ++x) out[x - xa] = 0.0f;
 }
 
+/// Lane-norm helpers for each variant's squared_norms (kernels.h). The
+/// kernels run one double accumulator lane per row, so each row's sum is
+/// squared_norm's serial chain; rows past `lanes` re-read row 0 and their
+/// sums are dropped.
+static_assert(kMaxNormLanes == 8, "the lane-norm kernels transpose 8x8 blocks");
+
+MACH_INLINE void norm_rows(std::size_t lanes, const float* x,
+                           std::size_t stride, const float* (&row)[kMaxNormLanes]) {
+  for (std::size_t l = 0; l < kMaxNormLanes; ++l) {
+    row[l] = x + (l < lanes ? l : 0) * stride;
+  }
+}
+
+/// Continues each lane's chain from sums[l] over elements [i, n) and writes
+/// the first `lanes` results.
+MACH_INLINE void finish_norms(std::size_t lanes, std::size_t n, std::size_t i,
+                              const float* const (&row)[kMaxNormLanes],
+                              const double* sums, double* out) {
+  for (std::size_t l = 0; l < lanes; ++l) {
+    double total = sums[l];
+    for (std::size_t j = i; j < n; ++j) {
+      const double v = static_cast<double>(row[l][j]);
+      total += v * v;
+    }
+    out[l] = total;
+  }
+}
+
+#if defined(__AVX__)
+/// 8x8 transpose: on return col[j] holds row[l][i + j] in lane l.
+MACH_INLINE void transpose8x8(const float* const (&row)[kMaxNormLanes],
+                              std::size_t i, __m256 (&col)[kMaxNormLanes]) {
+  __m256 t[8], u[8];
+#pragma GCC unroll 8
+  for (std::size_t l = 0; l < 8; l += 2) {
+    const __m256 r0 = _mm256_loadu_ps(row[l] + i);
+    const __m256 r1 = _mm256_loadu_ps(row[l + 1] + i);
+    t[l] = _mm256_unpacklo_ps(r0, r1);
+    t[l + 1] = _mm256_unpackhi_ps(r0, r1);
+  }
+#pragma GCC unroll 8
+  for (std::size_t h = 0; h < 8; h += 4) {
+    u[h] = _mm256_shuffle_ps(t[h], t[h + 2], _MM_SHUFFLE(1, 0, 1, 0));
+    u[h + 1] = _mm256_shuffle_ps(t[h], t[h + 2], _MM_SHUFFLE(3, 2, 3, 2));
+    u[h + 2] = _mm256_shuffle_ps(t[h + 1], t[h + 3], _MM_SHUFFLE(1, 0, 1, 0));
+    u[h + 3] = _mm256_shuffle_ps(t[h + 1], t[h + 3], _MM_SHUFFLE(3, 2, 3, 2));
+  }
+#pragma GCC unroll 8
+  for (std::size_t j = 0; j < 4; ++j) {
+    col[j] = _mm256_permute2f128_ps(u[j], u[j + 4], 0x20);
+    col[j + 4] = _mm256_permute2f128_ps(u[j], u[j + 4], 0x31);
+  }
+}
+#endif
+
 /// Cfg provides:
 ///   Isa            vector traits: V, kW lanes, zero/load/store/bcast/add/mul
+///                  and load_n/store_n (the first count lanes only)
 ///   kMR, kNV       gemm_nn/gemm_tn register tile: kMR rows x kNV vectors
 ///   kKC, kMC, kNC  cache blocks (kMC % kMR == 0, kNC % (kNV * kW) == 0)
 ///   kNtNV, kNtNR   gemm_nt tile: kNtNV vectors of rows x kNtNR columns
+///   squared_norms  the variant's lane-norm kernel (kernels.h)
 /// and optionally NarrowIsa + kNarrowNtNR, the gemm_nt tile (one NarrowIsa
 /// vector of rows) used when m <= NarrowIsa::kW.
 template <class Cfg>
@@ -488,6 +549,168 @@ struct GemmKernels {
       return PanelLayout{kc * kNR, kNR};
     };
     nn_driver<true>(a, a.rows, pack, c, accumulate, nullptr, nullptr, buf);
+  }
+
+  // -------------------------------------------------------------------------
+  // Unpacked path for small B (gemm_nn / gemm_tn, see the dispatcher's shape
+  // rule): no pack buffers and no zero-padded edge tiles
+  // -------------------------------------------------------------------------
+
+  /// Loads columns of the last vector of a row that ends inside it (tail
+  /// valid lanes) or a whole vector.
+  template <bool kPartial>
+  static MACH_INLINE V load_cols(const float* p, std::size_t tail) {
+    if constexpr (kPartial) return Isa::load_n(p, tail);
+    return Isa::load(p);
+  }
+  template <bool kPartial>
+  static MACH_INLINE void store_cols(float* p, V v, std::size_t tail) {
+    if constexpr (kPartial) {
+      Isa::store_n(p, v, tail);
+    } else {
+      Isa::store(p, v);
+    }
+  }
+
+  /// R rows x NV vectors of C, A broadcast in place (gemm_nn: element (i, p)
+  /// at a[i * lda + p]; gemm_tn: a[p * lda + i]) and B rows read in place,
+  /// ldb apart. With kTail the last vector holds `tail` columns; its loads
+  /// and stores touch only those. Each element starts at +0 (or its stored
+  /// value), adds its k products in increasing p, then the row and column
+  /// bias: micro_nn's chain without a copy of A, B or C.
+  template <bool kTransposedA, std::size_t R, std::size_t NV, bool kTail>
+  static MACH_INLINE void unpacked_tile(const float* a, std::size_t lda,
+                                        const float* b, std::size_t ldb,
+                                        std::size_t k, float* c,
+                                        std::size_t ldc, std::size_t tail,
+                                        bool accumulate, const float* bias_row,
+                                        const float* bias_col) {
+    constexpr std::size_t kLast = NV - 1;
+    V acc[R][NV];
+#pragma GCC unroll 16
+    for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 16
+      for (std::size_t v = 0; v < kLast; ++v) {
+        acc[r][v] = accumulate ? Isa::load(c + r * ldc + v * kW) : Isa::zero();
+      }
+      acc[r][kLast] = accumulate
+                          ? load_cols<kTail>(c + r * ldc + kLast * kW, tail)
+                          : Isa::zero();
+    }
+    for (std::size_t p = 0; p < k; ++p) {
+      const float* brow = b + p * ldb;
+      V bv[NV];
+#pragma GCC unroll 16
+      for (std::size_t v = 0; v < kLast; ++v) bv[v] = Isa::load(brow + v * kW);
+      bv[kLast] = load_cols<kTail>(brow + kLast * kW, tail);
+#pragma GCC unroll 16
+      for (std::size_t r = 0; r < R; ++r) {
+        const V av = Isa::bcast(kTransposedA ? a[p * lda + r] : a[r * lda + p]);
+#pragma GCC unroll 16
+        for (std::size_t v = 0; v < NV; ++v) {
+          acc[r][v] = Isa::add(acc[r][v], Isa::mul(av, bv[v]));
+        }
+      }
+    }
+    if (bias_row != nullptr) {
+#pragma GCC unroll 16
+      for (std::size_t r = 0; r < R; ++r) {
+        const V br = Isa::bcast(bias_row[r]);
+#pragma GCC unroll 16
+        for (std::size_t v = 0; v < NV; ++v) acc[r][v] = Isa::add(acc[r][v], br);
+      }
+    }
+    if (bias_col != nullptr) {
+#pragma GCC unroll 16
+      for (std::size_t v = 0; v < NV; ++v) {
+        const V bc = v == kLast ? load_cols<kTail>(bias_col + v * kW, tail)
+                                : Isa::load(bias_col + v * kW);
+#pragma GCC unroll 16
+        for (std::size_t r = 0; r < R; ++r) acc[r][v] = Isa::add(acc[r][v], bc);
+      }
+    }
+#pragma GCC unroll 16
+    for (std::size_t r = 0; r < R; ++r) {
+#pragma GCC unroll 16
+      for (std::size_t v = 0; v < kLast; ++v) {
+        Isa::store(c + r * ldc + v * kW, acc[r][v]);
+      }
+      store_cols<kTail>(c + r * ldc + kLast * kW, acc[r][kLast], tail);
+    }
+  }
+
+  /// The last `vectors` (1..NV) vectors of an R-row block, the final one
+  /// holding `tail` columns.
+  template <bool kTransposedA, std::size_t R, std::size_t NV>
+  static MACH_INLINE void unpacked_fringe(std::size_t vectors, const float* a,
+                                          std::size_t lda, const float* b,
+                                          std::size_t ldb, std::size_t k,
+                                          float* c, std::size_t ldc,
+                                          std::size_t tail, bool accumulate,
+                                          const float* bias_row,
+                                          const float* bias_col) {
+    if constexpr (NV > 1) {
+      if (vectors < NV) {
+        unpacked_fringe<kTransposedA, R, NV - 1>(vectors, a, lda, b, ldb, k,
+                                                 c, ldc, tail, accumulate,
+                                                 bias_row, bias_col);
+        return;
+      }
+    }
+    unpacked_tile<kTransposedA, R, NV, true>(a, lda, b, ldb, k, c, ldc, tail,
+                                             accumulate, bias_row, bias_col);
+  }
+
+  /// One R-row block of C across all n columns: whole NR-wide tiles, then
+  /// one fringe tile of at most NR columns.
+  template <bool kTransposedA, std::size_t R>
+  static void unpacked_rows(const float* a, std::size_t lda, ConstMat b,
+                            float* c, std::size_t n, bool accumulate,
+                            const float* bias_row, const float* bias_col) {
+    const std::size_t k = b.rows;
+    const std::size_t whole = n / kNR * kNR;
+    for (std::size_t j0 = 0; j0 < whole; j0 += kNR) {
+      unpacked_tile<kTransposedA, R, kNV, false>(
+          a, lda, b.data + j0, n, k, c + j0, n, kW, accumulate, bias_row,
+          bias_col != nullptr ? bias_col + j0 : nullptr);
+    }
+    if (whole == n) return;
+    const std::size_t vectors = (n - whole + kW - 1) / kW;
+    unpacked_fringe<kTransposedA, R, kNV>(
+        vectors, a, lda, b.data + whole, n, k, c + whole, n,
+        n - whole - (vectors - 1) * kW, accumulate, bias_row,
+        bias_col != nullptr ? bias_col + whole : nullptr);
+  }
+
+  /// Rows [i0, m) in blocks of R, R/2, ..., 1 rows (fewer than 2R remain).
+  template <bool kTransposedA, std::size_t R>
+  static MACH_INLINE void unpacked_row_blocks(ConstMat a, ConstMat b, Mat c,
+                                              std::size_t i0, bool accumulate,
+                                              const float* bias_row,
+                                              const float* bias_col) {
+    for (; c.rows - i0 >= R; i0 += R) {
+      unpacked_rows<kTransposedA, R>(
+          kTransposedA ? a.data + i0 : a.data + i0 * a.cols, a.cols, b,
+          c.data + i0 * c.cols, c.cols, accumulate,
+          bias_row != nullptr ? bias_row + i0 : nullptr, bias_col);
+    }
+    if constexpr (R > 1) {
+      unpacked_row_blocks<kTransposedA, R / 2>(a, b, c, i0, accumulate,
+                                               bias_row, bias_col);
+    }
+  }
+
+  static_assert((kMR & (kMR - 1)) == 0, "row blocks halve down to one row");
+
+  static void gemm_nn_unpacked(ConstMat a, ConstMat b, Mat c, bool accumulate,
+                               const float* bias_row, const float* bias_col) {
+    unpacked_row_blocks<false, kMR>(a, b, c, 0, accumulate, bias_row,
+                                    bias_col);
+  }
+
+  static void gemm_tn_unpacked(ConstMat a, ConstMat b, Mat c,
+                               bool accumulate) {
+    unpacked_row_blocks<true, kMR>(a, b, c, 0, accumulate, nullptr, nullptr);
   }
 
   /// conv_forward over `count` consecutive images. When the weights fit one
@@ -1066,11 +1289,14 @@ struct GemmKernels {
             &gemm_nn,
             &gemm_tn,
             &gemm_nt,
+            &gemm_nn_unpacked,
+            &gemm_tn_unpacked,
             &conv_forward,
             &conv_backward_scratch,
             &conv_backward,
             &im2col,
-            &col2im};
+            &col2im,
+            Cfg::squared_norms};
   }
 };
 

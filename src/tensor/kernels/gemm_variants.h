@@ -1,6 +1,6 @@
-// The GEMM variant table behind kernels::gemm_nn / gemm_tn / gemm_nt and
-// kernels::conv_forward / conv_backward (internal to the kernel layer and
-// its tests).
+// The GEMM variant table behind kernels::gemm_nn / gemm_tn / gemm_nt,
+// kernels::conv_forward / conv_backward and kernels::squared_norms (internal
+// to the kernel layer and its tests).
 //
 // Each variant is one instantiation of the shared drivers in gemm_driver.h,
 // compiled in its own translation unit with its own ISA flags:
@@ -61,6 +61,11 @@ struct GemmVariant {
                   PackBuffers buffers);
   void (*gemm_nt)(ConstMat a, ConstMat b, Mat c, bool accumulate,
                   PackBuffers buffers);
+  // gemm_nn / gemm_tn without packing: A broadcast and B read in place,
+  // for the shapes unpacked_gemm() accepts (same preconditions otherwise).
+  void (*gemm_nn_unpacked)(ConstMat a, ConstMat b, Mat c, bool accumulate,
+                           const float* bias_row, const float* bias_col);
+  void (*gemm_tn_unpacked)(ConstMat a, ConstMat b, Mat c, bool accumulate);
   void (*conv_forward)(const float* images, std::size_t count,
                        const ConvShape& shape, ConstMat weight,
                        const float* bias, float* out, PackBuffers buffers);
@@ -81,7 +86,18 @@ struct GemmVariant {
   void (*im2col)(const float* image, const ConvShape& shape, float* cols);
   // Its adjoint: accumulates cols into the image gradient.
   void (*col2im)(const float* cols, const ConvShape& shape, float* grad_image);
+  // kernels::squared_norms (lanes in [1, kMaxNormLanes]; any n).
+  void (*squared_norms)(std::size_t lanes, std::size_t n, const float* x,
+                        std::size_t stride, double* out);
 };
+
+/// Whether gemm_nn / gemm_tn run unpacked: B (k x n) fits in L1 with room
+/// for the A rows and C tile being streamed. A shape rule only, so a call's
+/// path never depends on anything but its dimensions.
+constexpr std::size_t kUnpackedMaxB = 8192;  // floats (32 KiB)
+constexpr bool unpacked_gemm(std::size_t k, std::size_t n) {
+  return k * n <= kUnpackedMaxB;
+}
 
 extern const GemmVariant kBaselineVariant;
 #if defined(__x86_64__)
@@ -104,6 +120,9 @@ void gemm_tn(const GemmVariant& variant, ConstMat a, ConstMat b, Mat c,
              bool accumulate = false);
 void gemm_nt(const GemmVariant& variant, ConstMat a, ConstMat b, Mat c,
              bool accumulate = false);
+void squared_norms(const GemmVariant& variant, std::size_t lanes,
+                   std::size_t n, const float* x, std::size_t stride,
+                   double* out);
 void conv_forward(const GemmVariant& variant, const float* images,
                   std::size_t count, const ConvShape& shape, ConstMat weight,
                   const float* bias, float* out);

@@ -6,12 +6,14 @@
 // coexist:
 //
 //   * kernels::*       — the production kernels: register-blocked micro-kernel
-//                        GEMMs over packed A/B panels, branch-free elementwise
-//                        loops the compiler auto-vectorises, fused bias-add
-//                        epilogues for the forward paths. The GEMMs come in
-//                        one variant per instruction set (baseline x86-64,
-//                        AVX2, AVX-512), picked once per process from cpuid;
-//                        gemm_variants.h holds the table and its blocking.
+//                        GEMMs over packed A/B panels (or, for a B that fits
+//                        in L1, over A and B in place), branch-free
+//                        elementwise loops the compiler auto-vectorises, fused
+//                        bias-add epilogues for the forward paths. The GEMMs
+//                        and the lane norms come in one variant per
+//                        instruction set (baseline x86-64, AVX2, AVX-512),
+//                        picked once per process from cpuid; gemm_variants.h
+//                        holds the table and its blocking.
 //   * kernels::ref::*  — the retained reference kernels (the seed's naive
 //                        loops). They define the summation-order contract and
 //                        serve as the equivalence-test and microbench baseline.
@@ -168,10 +170,23 @@ void maxpool2x2_backward(std::size_t outputs, const float* gy,
 // ---------------------------------------------------------------------------
 // Reductions. Double accumulators in strict element order — the fixed order
 // is what keeps gradient-norm observables identical at any thread count, so
-// these intentionally stay serial chains (documented in DESIGN.md §9).
+// each sum stays one serial chain (documented in DESIGN.md §9). What can run
+// side by side is several independent chains: squared_norms evaluates up to
+// kMaxNormLanes vectors at once, one chain per double vector lane, so every
+// result is bitwise squared_norm's.
 // ---------------------------------------------------------------------------
 double dot(std::size_t n, const float* x, const float* y);
 double squared_norm(std::size_t n, const float* x);
+
+/// Vectors one squared_norms call evaluates together (more lanes run in
+/// groups of this many).
+inline constexpr std::size_t kMaxNormLanes = 8;
+/// out[l] = squared_norm(n, x + l * stride) for l < lanes, bit for bit.
+/// Each vector's chain runs in its own vector lane (8x8 transposes and
+/// cvtps2pd on AVX-512, two 4-lane chains on AVX2, four 2-lane ones on
+/// SSE2), dispatched per GEMM variant like the GEMMs.
+void squared_norms(std::size_t lanes, std::size_t n, const float* x,
+                   std::size_t stride, double* out);
 
 // ---------------------------------------------------------------------------
 // Fused optimiser update steps (per-element math identical to the loops

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "ckpt/bytes.h"
 #include "ckpt/manager.h"
 #include "ckpt/run_state.h"
@@ -67,7 +69,9 @@ HflOptions options_for(const ExperimentConfig& config, std::size_t threads,
 }
 
 std::string csv_of(const MetricsRecorder& metrics, const std::string& tag) {
-  const std::string path = testing::TempDir() + tag + ".csv";
+  // Unique per process: ctest runs the suite's tests concurrently.
+  const std::string path = testing::TempDir() + tag + "_" +
+                           std::to_string(::getpid()) + ".csv";
   EXPECT_TRUE(metrics.write_csv(path));
   std::string content = slurp(path);
   std::remove(path.c_str());

@@ -12,6 +12,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/registry.h"
 #include "fault/schedule.h"
 #include "hfl/experiment.h"
@@ -75,8 +77,10 @@ RunArtifacts run_with(const ExperimentArtifacts& artifacts,
 
   RunArtifacts result;
   result.params = simulator.global_parameters();
+  // Unique per process: ctest runs this suite's tests concurrently.
   const std::string csv_path = ::testing::TempDir() + "fault_determinism_" +
-                               std::to_string(threads) + ".csv";
+                               std::to_string(threads) + "_" +
+                               std::to_string(::getpid()) + ".csv";
   EXPECT_TRUE(metrics.write_csv(csv_path));
   result.csv = slurp(csv_path);
   std::remove(csv_path.c_str());

@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/registry.h"
 #include "hfl/experiment.h"
 #include "hfl/trace_canon.h"
@@ -49,7 +51,8 @@ struct RunArtifacts {
 
 RunArtifacts run_with_threads(const ExperimentArtifacts& artifacts,
                               const ExperimentConfig& config,
-                              std::size_t threads) {
+                              std::size_t threads,
+                              const std::string& sampler_name = "mach") {
   HflOptions options = config.hfl;
   options.seed = config.seed;
   options.parallel.threads = threads;
@@ -63,15 +66,16 @@ RunArtifacts run_with_threads(const ExperimentArtifacts& artifacts,
   obs::JsonlTraceWriter trace(trace_stream, trace_options);
   simulator.set_observer(&trace);
 
-  auto sampler = core::make_sampler("mach");
+  auto sampler = core::make_sampler(sampler_name);
   const MetricsRecorder metrics = simulator.run(*sampler, config.horizon);
 
   RunArtifacts result;
   result.params = simulator.global_parameters();
 
-  const std::string csv_path =
-      ::testing::TempDir() + "parallel_determinism_" + std::to_string(threads) +
-      ".csv";
+  // Unique per process: ctest runs this suite's tests concurrently.
+  const std::string csv_path = ::testing::TempDir() + "parallel_determinism_" +
+                               std::to_string(threads) + "_" +
+                               std::to_string(::getpid()) + ".csv";
   EXPECT_TRUE(metrics.write_csv(csv_path));
   result.csv = slurp(csv_path);
   std::remove(csv_path.c_str());
@@ -108,6 +112,28 @@ TEST(ParallelDeterminism, ThreadCountDoesNotChangeTheRun) {
     for (std::size_t i = 0; i < serial.trace.size(); ++i) {
       EXPECT_EQ(parallel.trace[i], serial.trace[i]) << "event " << i;
     }
+  }
+}
+
+TEST(ParallelDeterminism, OracleProbesBatchOnTheCoordinatorWhileWorkersTrain) {
+  // MACH-P: every edge round probes each present device on the
+  // coordinator's model (its norms batched and flushed before the sampler
+  // reads them), then trains the sampled devices on the workers, each
+  // worker slot batching its own local steps' norms. Same bits at 1, 2 and
+  // 4 threads, down to the per-device gradient norms in the trace.
+  const ExperimentConfig config = parallel_scenario(49);
+  const ExperimentArtifacts artifacts = build_experiment(config);
+  const RunArtifacts serial = run_with_threads(artifacts, config, 1, "mach_p");
+  ASSERT_FALSE(serial.params.empty());
+  ASSERT_GE(serial.trace.size(), 4u);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const RunArtifacts parallel =
+        run_with_threads(artifacts, config, threads, "mach_p");
+    EXPECT_EQ(parallel.params, serial.params);
+    EXPECT_EQ(parallel.csv, serial.csv);
+    EXPECT_EQ(parallel.confusion, serial.confusion);
+    EXPECT_EQ(parallel.trace, serial.trace);
   }
 }
 

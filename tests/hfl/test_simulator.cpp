@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <numeric>
+#include <span>
+#include <utility>
 
 #include "core/mach.h"
 #include "core/registry.h"
@@ -79,6 +82,53 @@ class BudgetCheckingSampler final : public Sampler {
   SamplerPtr inner_;
   std::size_t checks_ = 0;
 };
+
+/// MACH-P's interface without its policy: asks for oracle norms, records
+/// the ones of step 0 (every edge then still holds the initial global
+/// model) and samples uniformly.
+class OracleRecordingSampler final : public Sampler {
+ public:
+  std::string name() const override { return "oracle_recorder"; }
+  bool needs_oracle() const override { return true; }
+  std::vector<double> edge_probabilities(const EdgeSamplingContext& ctx) override {
+    EXPECT_EQ(ctx.oracle_grad_sq_norms.size(), ctx.devices.size());
+    for (std::size_t i = 0; i < ctx.devices.size() && ctx.t == 0; ++i) {
+      records_.emplace_back(ctx.devices[i], ctx.oracle_grad_sq_norms[i]);
+    }
+    const double q = std::min(1.0, ctx.capacity / static_cast<double>(ctx.devices.size()));
+    return std::vector<double>(ctx.devices.size(), q);
+  }
+  const std::vector<std::pair<std::uint32_t, double>>& records() const { return records_; }
+
+ private:
+  std::vector<std::pair<std::uint32_t, double>> records_;
+};
+
+TEST(Simulator, OracleProbesEqualUnbatchedGradientNorms) {
+  // Probes load the edge model once per edge round, stage their norms in
+  // batches of eight and flush before the sampler reads them. Each norm
+  // must still be the unbatched grad_squared_norm() of the device's
+  // 16-example shard prefix (the simulator's probe cap) at the initial
+  // model. ~20 devices per edge fill full batches and leave a partial one.
+  auto config = tiny_config(8);
+  config.num_devices = 40;
+  config.num_edges = 2;
+  auto built = build_sim(config);
+  const std::vector<float> initial = built.sim->global_parameters();
+  OracleRecordingSampler sampler;
+  built.sim->run(sampler, 1);
+  ASSERT_GT(sampler.records().size(), 16u);
+  nn::Sequential model = make_model_factory(config)();
+  model.set_parameters(initial);
+  for (const auto& [device, norm] : sampler.records()) {
+    const auto& shard = built.artifacts.partition[device];
+    const std::size_t count = std::min<std::size_t>(shard.size(), 16);
+    const data::Batch batch = built.artifacts.train.gather(
+        std::span<const std::size_t>(shard.data(), count));
+    model.forward_backward(batch.features, batch.labels);
+    EXPECT_EQ(norm, model.grad_squared_norm()) << "device " << device;
+  }
+}
 
 TEST(Simulator, RecordsEvalPointsOnCloudSchedule) {
   const auto config = tiny_config();

@@ -17,7 +17,11 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "data/dataset.h"
+#include "nn/activations.h"
+#include "nn/dense.h"
 #include "nn/factory.h"
+#include "nn/norm_batch.h"
 #include "nn/sgd.h"
 #include "tensor/tensor.h"
 
@@ -116,6 +120,53 @@ TEST(SteadyStateAllocation, MnistCnnTrainingStepAllocatesNothing) {
       << "warm MNIST-CNN training steps must not allocate";
   EXPECT_EQ(model.scratch_grow_events(), grow_events_before)
       << "scratch arenas must not grow once warm";
+}
+
+TEST(SteadyStateAllocation, MlpDeviceStepAllocatesNothing) {
+  // The simulator's per-device step on the fleet MLP (batch 4): sample a
+  // minibatch into a reused Batch, forward/backward, stage the gradient
+  // norm, a fresh SGD optimiser's step, copy the parameters into a reused
+  // buffer — and flush the norm batch after every eight devices.
+  common::Rng rng(5);
+  Sequential model;
+  model.add(std::make_unique<Flatten>())
+      .add(std::make_unique<Dense>(64, 32))
+      .add(std::make_unique<ReLU>())
+      .add(std::make_unique<Dense>(32, 10));
+  model.init_params(rng);
+  tensor::Tensor features({64, 1, 8, 8});
+  for (auto& v : features.flat()) v = static_cast<float>(rng.normal());
+  std::vector<int> labels(64);
+  for (auto& l : labels) l = static_cast<int>(rng.uniform_index(10));
+  const data::Dataset dataset(std::move(features), std::move(labels), 10);
+  std::vector<std::size_t> shard(64);
+  for (std::size_t i = 0; i < shard.size(); ++i) shard[i] = i;
+
+  data::Batch batch;
+  GradNormBatch norms;
+  std::vector<float> params;
+  std::vector<double> results(GradNormBatch::kLanes);
+  const auto device_steps = [&] {
+    for (double& result : results) {
+      Sgd sgd({.learning_rate = 0.05, .momentum = 0.0, .weight_decay = 0.0});
+      dataset.sample_batch(shard, 4, rng, batch);
+      model.forward_backward(batch.features, batch.labels);
+      norms.add(model, &result);
+      sgd.step(model);
+      model.get_parameters(params);
+    }
+    norms.flush();
+  };
+
+  device_steps();  // warm-up: batch, activations, staging, param buffer
+  const std::uint64_t allocs_before =
+      g_alloc_count.load(std::memory_order_relaxed);
+  for (int round = 0; round < 3; ++round) device_steps();
+  const std::uint64_t allocs_after =
+      g_alloc_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(allocs_after - allocs_before, 0u)
+      << "warm MLP device steps must not allocate";
+  EXPECT_EQ(results.back(), model.grad_squared_norm());
 }
 
 TEST(SteadyStateAllocation, EvaluationIsAllocationFreeWhenWarm) {

@@ -87,12 +87,12 @@ TEST(Sequential, StepStatsConsistent) {
   EXPECT_EQ(stats.batch_size, 5u);
   EXPECT_LE(stats.correct, 5u);
   EXPECT_GT(stats.loss, 0.0);
-  EXPECT_GT(stats.grad_squared_norm, 0.0);
+  EXPECT_GT(m.grad_squared_norm(), 0.0);
 
   // grad_squared_norm must equal the norm of the flattened gradient vector.
   double manual = 0.0;
   for (float g : m.get_gradients()) manual += static_cast<double>(g) * g;
-  EXPECT_NEAR(stats.grad_squared_norm, manual, 1e-9);
+  EXPECT_NEAR(m.grad_squared_norm(), manual, 1e-9);
 }
 
 TEST(Sgd, SingleStepMatchesManualUpdate) {
@@ -333,7 +333,7 @@ TEST(ForwardBackward, WrapperWithoutTheHookStillGetsExactGradients) {
   const StepStats a = direct.forward_backward(x, labels);
   const StepStats b = wrapped.forward_backward(x, labels);
   EXPECT_EQ(a.loss, b.loss);
-  EXPECT_EQ(a.grad_squared_norm, b.grad_squared_norm);
+  EXPECT_EQ(direct.grad_squared_norm(), wrapped.grad_squared_norm());
   EXPECT_EQ(float_bits(direct.get_gradients()),
             float_bits(wrapped.get_gradients()));
   EXPECT_EQ(wrappers[0]->backward_calls, 1);

@@ -212,6 +212,126 @@ TEST(KernelEquivalence, GemmNtExact) {
   }
 }
 
+/// The Dense GEMMs of the benchmark workloads: forward (gemm_nn with the
+/// fused bias_col), weight gradient (gemm_tn) and input gradient (gemm_nt)
+/// of every (in, out) layer at every batch size they run at, plus shapes
+/// just inside and just outside the unpacked path's shape rule.
+struct DenseShape {
+  std::size_t in, out;
+  bool workload;  // a benchmark layer (every batch) or a rule edge (small m)
+};
+
+std::vector<DenseShape> dense_shapes() {
+  const std::size_t edge = detail::kUnpackedMaxB;  // 128 x 64 sits on it
+  return {
+      {64, 32, true}, {32, 10, true}, {128, 64, true}, {64, 10, true},
+      {144, 32, true},
+      {edge / 64 + 1, 64, false}, {1, edge, false}, {1, edge + 1, false},
+      {edge, 1, false}, {edge + 1, 1, false}, {edge / 16, 16, false},
+      {edge / 16, 17, false},
+  };
+}
+
+/// Checks one GEMM of one variant against the reference, bit for bit.
+void expect_same(const std::vector<float>& got, const std::vector<float>& want,
+                 const std::string& what) {
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << what << " i=" << i;
+  }
+}
+
+TEST(KernelEquivalence, DenseShapesExactOnEveryVariant) {
+  common::Rng rng(11);
+  for (const DenseShape& d : dense_shapes()) {
+    for (const std::size_t m : {1, 4, 16, 17, 256}) {
+      if (!d.workload && m > 4 && m != 17) continue;
+      SCOPED_TRACE("in=" + std::to_string(d.in) +
+                   " out=" + std::to_string(d.out) + " m=" + std::to_string(m) +
+                   (detail::unpacked_gemm(d.in, d.out) ? " unpacked"
+                                                       : " packed"));
+      auto x = random_vec(m * d.in, rng);  // activations [m, in]
+      sprinkle_zeros(x, rng);
+      const auto w = random_vec(d.in * d.out, rng);   // weight [in, out]
+      const auto dy = random_vec(m * d.out, rng);     // grad_out [m, out]
+      const auto bias = random_vec(d.out, rng);
+      const auto bias_row = random_vec(m, rng);
+      for (const auto* v : detail::host_variants()) {
+        const std::string isa = common::gemm_isa_name(v->isa);
+        for (bool accumulate : {false, true}) {
+          const std::string what =
+              isa + (accumulate ? " accumulate" : " overwrite");
+          // Forward: y = x · W (+ bias_col, and with bias_row too).
+          for (int form = 0; form < 3; ++form) {
+            const float* bc = form >= 1 ? bias.data() : nullptr;
+            const float* br = form == 2 ? bias_row.data() : nullptr;
+            auto want = random_vec(m * d.out, rng);
+            auto got = want;
+            ref::gemm_nn({x.data(), m, d.in}, {w.data(), d.in, d.out},
+                         {want.data(), m, d.out}, accumulate, br, bc);
+            detail::gemm_nn(*v, {x.data(), m, d.in}, {w.data(), d.in, d.out},
+                            {got.data(), m, d.out}, accumulate, br, bc);
+            expect_same(got, want, what + " nn form=" + std::to_string(form));
+          }
+          // Weight gradient: dW = xᵀ · dy (k = the batch).
+          {
+            auto want = random_vec(d.in * d.out, rng);
+            auto got = want;
+            ref::gemm_tn({x.data(), m, d.in}, {dy.data(), m, d.out},
+                         {want.data(), d.in, d.out}, accumulate);
+            detail::gemm_tn(*v, {x.data(), m, d.in}, {dy.data(), m, d.out},
+                            {got.data(), d.in, d.out}, accumulate);
+            expect_same(got, want, what + " tn");
+          }
+          // Input gradient: dx = dy · Wᵀ.
+          {
+            auto want = random_vec(m * d.in, rng);
+            auto got = want;
+            ref::gemm_nt({dy.data(), m, d.out}, {w.data(), d.in, d.out},
+                         {want.data(), m, d.in}, accumulate);
+            detail::gemm_nt(*v, {dy.data(), m, d.out}, {w.data(), d.in, d.out},
+                            {got.data(), m, d.in}, accumulate);
+            expect_same(got, want, what + " nt");
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalence, UnpackedEntriesExactOnEveryShape) {
+  // The unpacked kernels themselves, past the shape rule too (the rule is a
+  // speed choice, not a correctness limit).
+  common::Rng rng(12);
+  for (const auto* v : detail::host_variants()) {
+    for (const auto& c : gemm_cases(*v)) {
+      for (bool accumulate : {false, true}) {
+        const auto a = random_vec(c.m * c.k, rng);
+        const auto b = random_vec(c.k * c.n, rng);
+        const auto bias_row = random_vec(c.m, rng);
+        const auto bias_col = random_vec(c.n, rng);
+        auto want = random_vec(c.m * c.n, rng);
+        auto got = want;
+        ref::gemm_nn({a.data(), c.m, c.k}, {b.data(), c.k, c.n},
+                     {want.data(), c.m, c.n}, accumulate, bias_row.data(),
+                     bias_col.data());
+        v->gemm_nn_unpacked({a.data(), c.m, c.k}, {b.data(), c.k, c.n},
+                            {got.data(), c.m, c.n}, accumulate,
+                            bias_row.data(), bias_col.data());
+        expect_same(got, want, describe(*v, c) + " nn");
+        want = random_vec(c.m * c.n, rng);
+        got = want;
+        ref::gemm_tn({a.data(), c.k, c.m}, {b.data(), c.k, c.n},
+                     {want.data(), c.m, c.n}, accumulate);
+        v->gemm_tn_unpacked({a.data(), c.k, c.m}, {b.data(), c.k, c.n},
+                            {got.data(), c.m, c.n}, accumulate);
+        expect_same(got, want, describe(*v, c) + " tn");
+      }
+    }
+  }
+}
+
 TEST(KernelEquivalence, PublicGemmsMatchTheActiveVariant) {
   common::Rng rng(8);
   const auto& active = detail::active_variant();
@@ -430,6 +550,69 @@ TEST(KernelEquivalence, ReductionsMatchStrictOrderChains) {
     for (std::size_t j = 0; j < cols; ++j) want_cols[j] += mat[i * cols + j];
   }
   EXPECT_EQ(got_cols, want_cols);
+}
+
+double reference_norm(std::size_t n, const float* x) {
+  double total = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double v = static_cast<double>(x[i]);
+    total += v * v;
+  }
+  return total;
+}
+
+TEST(KernelEquivalence, LaneNormsAreBitwiseSquaredNorm) {
+  // Every lane count, every length up to three 16-wide vectors + 1, and
+  // +-0, NaN, +-inf and subnormals at every position (one special per lane,
+  // at a different position in each lane). Lanes sit stride > n apart.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {0.0f, -0.0f, nan, -nan, inf, -inf, 1e-40f, -3e-39f};
+  common::Rng rng(13);
+  const auto bits = [](double d) { return std::bit_cast<std::uint64_t>(d); };
+  for (const auto* v : detail::host_variants()) {
+    const std::string isa = common::gemm_isa_name(v->isa);
+    for (std::size_t n = 0; n <= 3 * 16 + 1; ++n) {
+      const std::size_t stride = n + 3;
+      for (std::size_t lanes = 1; lanes <= kMaxNormLanes; ++lanes) {
+        const auto check = [&](const std::vector<float>& x,
+                               const std::string& what) {
+          double got[kMaxNormLanes] = {};
+          detail::squared_norms(*v, lanes, n, x.data(), stride, got);
+          for (std::size_t l = 0; l < lanes; ++l) {
+            ASSERT_EQ(bits(got[l]), bits(squared_norm(n, x.data() + l * stride)))
+                << isa << " n=" << n << " lanes=" << lanes << " lane=" << l
+                << " " << what;
+            ASSERT_EQ(bits(got[l]),
+                      bits(reference_norm(n, x.data() + l * stride)));
+          }
+        };
+        auto x = random_vec(lanes * stride, rng);
+        check(x, "normal");
+        for (const float special : specials) {
+          for (std::size_t pos = 0; pos < n; ++pos) {
+            auto y = x;
+            for (std::size_t l = 0; l < lanes; ++l) {
+              y[l * stride + (pos + l) % n] = special;
+            }
+            check(y, "special=" + std::to_string(special) +
+                         " pos=" + std::to_string(pos));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalence, PublicLaneNormsRunManyLanesInGroups) {
+  common::Rng rng(14);
+  const std::size_t lanes = 2 * kMaxNormLanes + 3, n = 2410;
+  const auto x = random_vec(lanes * n, rng);
+  std::vector<double> got(lanes);
+  squared_norms(lanes, n, x.data(), n, got.data());
+  for (std::size_t l = 0; l < lanes; ++l) {
+    EXPECT_EQ(got[l], squared_norm(n, x.data() + l * n)) << "lane " << l;
+  }
 }
 
 }  // namespace
