@@ -103,7 +103,9 @@ int main(int argc, char** argv) {
   }
   std::cout << '\n';
   table.print(std::cout);
-  if (cli.get_bool("phase_times")) bench::print_phase_times(sweep_phases);
+  if (cli.get_bool("phase_times")) {
+    bench::print_phase_times(sweep_phases, std::cout);
+  }
   if (table.write_csv(cli.get_string("csv"))) {
     std::cout << "\nwritten to " << cli.get_string("csv") << '\n';
   }

@@ -23,7 +23,7 @@
 #include "fault/schedule.h"
 #include "hfl/experiment.h"
 #include "obs/jsonl_writer.h"
-#include "obs/timer.h"
+#include "obs/span_profiler.h"
 
 namespace mach::bench {
 
@@ -83,24 +83,9 @@ inline void add_phase_times_flag(common::CliParser& cli) {
                "whole sweep after the results table");
 }
 
-/// Prints one phase-breakdown table (same layout as experiment_runner's
-/// --phase_times) for timers accumulated across a sweep via
-/// PhaseTimerSet::merge.
-inline void print_phase_times(const obs::PhaseTimerSet& timers) {
-  common::Table table({"phase", "scopes", "total s", "share %"});
-  const double total = timers.total_seconds();
-  for (std::size_t i = 0; i < obs::kNumPhases; ++i) {
-    const auto phase = static_cast<obs::Phase>(i);
-    const auto& acc = timers[phase];
-    table.row()
-        .cell(std::string(obs::phase_name(phase)))
-        .cell(acc.count)
-        .cell(acc.total_seconds, 3)
-        .cell(total > 0.0 ? acc.total_seconds / total * 100.0 : 0.0, 1);
-  }
-  std::cout << '\n';
-  table.print(std::cout);
-}
+/// The --phase_times table (experiment_runner's), here for timers
+/// accumulated across a sweep via PhaseTimerSet::merge.
+using obs::print_phase_times;
 
 /// Registers the shared --faults flag: robustness sweeps rerun any figure
 /// under an injected failure schedule (fault/schedule.h spec grammar). The

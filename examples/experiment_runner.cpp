@@ -405,20 +405,7 @@ int main(int argc, char** argv) {
   }
 
   if (cli.get_bool("phase_times")) {
-    const auto& timers = simulator.phase_timers();
-    mach::common::Table table({"phase", "scopes", "total s", "share %"});
-    const double total = timers.total_seconds();
-    for (std::size_t i = 0; i < mach::obs::kNumPhases; ++i) {
-      const auto phase = static_cast<mach::obs::Phase>(i);
-      const auto& acc = timers[phase];
-      table.row()
-          .cell(std::string(mach::obs::phase_name(phase)))
-          .cell(acc.count)
-          .cell(acc.total_seconds, 3)
-          .cell(total > 0.0 ? acc.total_seconds / total * 100.0 : 0.0, 1);
-    }
-    std::cout << '\n';
-    table.print(std::cout);
+    mach::obs::print_phase_times(simulator.phase_timers(), std::cout);
   }
 
   const std::string csv = cli.get_string("csv");

@@ -66,11 +66,25 @@ echo "== tier-1 tests =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
 echo "== telemetry smoke =="
+# Only run_end carries wall time (its phase totals): a trace recorded at one
+# thread and one at four must match byte for byte once that line is dropped.
+# The --phase_times table must name all six phases.
 "$BUILD_DIR/tools/trace_summary" --help > /dev/null
 trace="$(mktemp -t hfl_trace_XXXXXX.jsonl)"
-trap 'rm -f "$trace"' EXIT
+trace4="$(mktemp -t hfl_trace4_XXXXXX.jsonl)"
+trap 'rm -f "$trace" "$trace4"' EXIT
+phase_table="$("$BUILD_DIR/examples/experiment_runner" \
+  --devices 8 --edges 2 --steps 10 --local_epochs 2 --threads 1 \
+  --trace "$trace" --phase_times)"
+for phase in sampler_decision device_training edge_aggregation \
+  cloud_aggregation evaluation checkpoint; do
+  grep -q "| $phase " <<< "$phase_table"
+done
 "$BUILD_DIR/examples/experiment_runner" \
-  --devices 8 --edges 2 --steps 10 --local_epochs 2 --trace "$trace" > /dev/null
+  --devices 8 --edges 2 --steps 10 --local_epochs 2 --threads 4 \
+  --trace "$trace4" > /dev/null
+cmp <(grep -v '^{"event":"run_end"' "$trace") \
+  <(grep -v '^{"event":"run_end"' "$trace4")
 "$BUILD_DIR/tools/trace_summary" "$trace" > /dev/null
 
 echo "== kernels microbench smoke =="
@@ -78,7 +92,7 @@ echo "== kernels microbench smoke =="
 # reference kernels agree exactly (nonzero exit on mismatch). The committed
 # BENCH_kernels.json is produced by a full run (default --min_ms).
 kernels_json="$(mktemp -t hfl_kernels_XXXXXX.json)"
-trap 'rm -f "$trace" "$kernels_json"' EXIT
+trap 'rm -f "$trace" "$trace4" "$kernels_json"' EXIT
 "$BUILD_DIR/bench/kernels" --min_ms 2 --out "$kernels_json" > /dev/null
 
 echo "== span profiler smoke =="
@@ -86,7 +100,7 @@ echo "== span profiler smoke =="
 # and a status heartbeat, and trace_summary must classify and render both.
 prof_json="$(mktemp -t hfl_prof_XXXXXX.json)"
 status_json="$(mktemp -t hfl_status_XXXXXX.json)"
-trap 'rm -f "$trace" "$kernels_json" "$prof_json" "$status_json"' EXIT
+trap 'rm -f "$trace" "$trace4" "$kernels_json" "$prof_json" "$status_json"' EXIT
 "$BUILD_DIR/examples/experiment_runner" \
   --devices 8 --edges 2 --steps 10 --local_epochs 2 \
   --profile "$prof_json" --status "$status_json" \
@@ -118,7 +132,7 @@ echo "== faults smoke =="
 # End-to-end fault injection: a faulted run must complete, carry its fault
 # history in the trace, and the summary tool must render it.
 fault_trace="$(mktemp -t hfl_faults_XXXXXX.jsonl)"
-trap 'rm -f "$trace" "$kernels_json" "$prof_json" "$status_json" "$fault_trace"' EXIT
+trap 'rm -f "$trace" "$trace4" "$kernels_json" "$prof_json" "$status_json" "$fault_trace"' EXIT
 "$BUILD_DIR/examples/experiment_runner" \
   --devices 8 --edges 2 --steps 10 --local_epochs 2 --trace "$fault_trace" \
   --faults 'dropout:p=0.2;straggler:p=0.3,delay=1.5,timeout=1;edge_outage:edge=0,from=2,to=4;cloud_loss:p=0.2;seed=5' \
@@ -133,7 +147,7 @@ echo "== codec smoke + round-trip fuzz =="
 # randomized round-trip suite re-runs with a raised iteration budget (fp32
 # exact; bf16/int8/topk within their documented bounds).
 codec_trace="$(mktemp -t hfl_codec_XXXXXX.jsonl)"
-trap 'rm -f "$trace" "$kernels_json" "$prof_json" "$status_json" "$fault_trace" "$codec_trace"' EXIT
+trap 'rm -f "$trace" "$trace4" "$kernels_json" "$prof_json" "$status_json" "$fault_trace" "$codec_trace"' EXIT
 "$BUILD_DIR/examples/experiment_runner" \
   --devices 8 --edges 2 --steps 10 --local_epochs 2 --trace "$codec_trace" \
   --codec 'up=topk:k=0.05,down=bf16,probe=int8,edge_up=int8,cloud_down=bf16' \
@@ -149,7 +163,7 @@ echo "== comm bench smoke =="
 # reduction assertion (>= 3.9x) must hold. The committed BENCH_comm.json is
 # produced by a full default-horizon run.
 comm_json="$(mktemp -t hfl_comm_XXXXXX.json)"
-trap 'rm -f "$trace" "$kernels_json" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json"' EXIT
+trap 'rm -f "$trace" "$trace4" "$kernels_json" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json"' EXIT
 "$BUILD_DIR/bench/comm" --task mnist --horizon 20 --out "$comm_json" > /dev/null
 "$BUILD_DIR/tools/bench_diff" \
   --baseline "$comm_json" --current "$comm_json" > /dev/null
@@ -161,7 +175,7 @@ echo "== algorithm zoo smoke =="
 # steps_to_target/total_bytes lower-is-better). The committed BENCH_zoo.json
 # is produced by a full default run (all zoo samplers x all four presets).
 zoo_json="$(mktemp -t hfl_zoo_XXXXXX.json)"
-trap 'rm -f "$trace" "$kernels_json" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json" "$zoo_json"' EXIT
+trap 'rm -f "$trace" "$trace4" "$kernels_json" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json" "$zoo_json"' EXIT
 "$BUILD_DIR/bench/zoo" --task mnist --samplers mach,uniform \
   --scenarios metro,vehicular --horizon 20 --out "$zoo_json" > /dev/null
 "$BUILD_DIR/tools/trace_summary" "$zoo_json" | grep -q 'algorithm ranking'
@@ -188,7 +202,7 @@ echo "== scale smoke (10k devices, RSS ceiling) =="
 # process RSS ceiling, and trace_summary must render the result. The
 # committed BENCH_scale.json is produced by the full default sweep (to 1M).
 scale_json="$(mktemp -t hfl_scale_XXXXXX.json)"
-trap 'rm -f "$trace" "$kernels_json" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json" "$zoo_json" "$scale_json"' EXIT
+trap 'rm -f "$trace" "$trace4" "$kernels_json" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json" "$zoo_json" "$scale_json"' EXIT
 "$BUILD_DIR/bench/scale" --devices 10000 --edges 100 --rounds 2 \
   --rss_ceiling_mb 512 --out "$scale_json" > /dev/null
 "$BUILD_DIR/tools/trace_summary" "$scale_json" | grep -q 'worst round p95'
@@ -215,7 +229,7 @@ echo "== crash-resume smoke =="
 # count) must reproduce the uninterrupted reference CSV byte for byte and
 # leave checkpoint markers in the trace.
 ckpt_dir="$(mktemp -d -t hfl_ckpt_XXXXXX)"
-trap 'rm -f "$trace" "$kernels_json" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json" "$zoo_json" "$scale_json"; rm -rf "$ckpt_dir"' EXIT
+trap 'rm -f "$trace" "$trace4" "$kernels_json" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json" "$zoo_json" "$scale_json"; rm -rf "$ckpt_dir"' EXIT
 resume_args=(--task mnist --devices 8 --edges 2 --steps 12 --local_epochs 2 --seed 11)
 "$BUILD_DIR/examples/experiment_runner" "${resume_args[@]}" --threads 1 \
   --csv "$ckpt_dir/ref.csv" --trace "$ckpt_dir/ref.jsonl" > /dev/null
@@ -239,7 +253,7 @@ echo "== sweep orchestrator smoke =="
 # config watchdog-killed twice then quarantined — reported via exit code 1
 # and a journaled failure history the report renderer surfaces.
 sweep_dir="$(mktemp -d -t hfl_sweep_XXXXXX)"
-trap 'rm -f "$trace" "$kernels_json" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json" "$zoo_json" "$scale_json"; rm -rf "$ckpt_dir" "$sweep_dir"' EXIT
+trap 'rm -f "$trace" "$trace4" "$kernels_json" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json" "$zoo_json" "$scale_json"; rm -rf "$ckpt_dir" "$sweep_dir"' EXIT
 cat > "$sweep_dir/spec.json" <<'SPEC'
 {
   "name": "ci_smoke",
@@ -339,8 +353,9 @@ if [ "${TSAN:-1}" != "0" ]; then
   # injector active — the only new code reachable from worker threads.
   "$TSAN_DIR/tests/test_fault" --gtest_filter='FaultDeterminism.*:FailureReplay.*'
   # Span profiler: per-track rings written from worker threads, merged at the
-  # barrier — the thread_local binding and merge must be race-free.
-  "$TSAN_DIR/tests/test_obs" --gtest_filter='SpanProfiler.*'
+  # barrier — the thread_local binding and merge must be race-free; phase-
+  # tagged guards charge only their own thread's accumulators.
+  "$TSAN_DIR/tests/test_obs" --gtest_filter='SpanProfiler.*:PhaseSpanGuard.*'
   # Lossy-codec runs at 2 and 4 workers: transcodes are coordinator-only by
   # design; TSan proves no codec state is touched from worker threads.
   "$TSAN_DIR/tests/test_comm" --gtest_filter='CommIntegration.*'

@@ -13,7 +13,9 @@ out_dir="${1:-$repo_root/repro_out}"
 mkdir -p "$out_dir"
 cd "$repo_root"
 
-cmake -B build -G Ninja
+# No generator is forced: an existing build/ keeps the one it was configured
+# with (a different -G would make CMake refuse to reconfigure it).
+cmake -B build -S .
 cmake --build build
 ctest --test-dir build --output-on-failure | tee "$out_dir/tests.log"
 
@@ -24,6 +26,6 @@ cd "$out_dir"
 "$repo_root/build/bench/table1_local_epochs"   | tee table1.log
 "$repo_root/build/bench/ablation_mach" --task fmnist | tee ablation_mach.log
 "$repo_root/build/bench/ablation_mobility" --task mnist | tee ablation_mobility.log
-"$repo_root/build/bench/micro_substrate" --benchmark_min_time=0.2s | tee micro.log
+"$repo_root/build/bench/micro_substrate" --benchmark_min_time=0.2 | tee micro.log
 
 echo "All outputs in $out_dir"

@@ -557,7 +557,9 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
   // Deep-profiling runtime. Everything below is strictly passive (no RNG
   // use, no registry entries — the run_end registry snapshot stays identical
   // whether profiling is on or off) and entirely absent from the hot path
-  // when disabled: a SpanGuard on an unbound thread is one thread_local read.
+  // when disabled: a plain SpanGuard on an unbound thread is one thread_local
+  // read. The phase-tagged guards below are the run's only clock: they
+  // charge timers_ whether or not a profiler is bound.
   profiler_.reset();
   resources_.reset();
   status_.reset();
@@ -584,7 +586,6 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
   // parallel section to track slot+1.
   std::optional<obs::SpanProfiler::ThreadScope> profile_scope;
   if (profiler_ != nullptr) profile_scope.emplace(profiler_.get(), 0);
-  const obs::Stopwatch run_watch;
 
   // Inner-loop instruments: references are cached once here, so the hot path
   // pays one add per event. None of this touches the RNG stream — attaching
@@ -680,7 +681,7 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
     observer_->on_run_begin(event);
   }
 
-  const auto record_eval = [&](EvalPoint point, double seconds) {
+  const auto record_eval = [&](EvalPoint point) {
     metrics.record(point);
     ctr_evals.add();
     if (observer_ != nullptr) {
@@ -691,7 +692,6 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
       event.train_loss = point.train_loss;
       event.participants = point.participants;
       event.global_grad_sq_norm = point.global_grad_sq_norm;
-      event.seconds = seconds;
       observer_->on_eval(event);
     }
   };
@@ -699,10 +699,8 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
   // Baseline point: the untrained global model (already recorded in the
   // restored trajectory when resuming).
   if (!resumed) {
-    obs::ScopedTimer timer(timers_, obs::Phase::Evaluation);
-    const obs::SpanGuard span("evaluation", 0);
-    EvalPoint baseline = evaluate_global(0);
-    record_eval(baseline, timer.elapsed_seconds());
+    const obs::SpanGuard span(timers_[obs::Phase::Evaluation], "evaluation", 0);
+    record_eval(evaluate_global(0));
   }
 
   std::vector<float> aggregate(param_count_);
@@ -753,10 +751,9 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
                                      static_cast<std::int64_t>(n));
 
       // Sampler decision phase (Alg. 3 + any oracle probing).
-      double sampler_seconds = 0.0;
       {
-        obs::ScopedTimer timer(timers_, obs::Phase::SamplerDecision);
-        const obs::SpanGuard span("sampler_decision",
+        const obs::SpanGuard span(timers_[obs::Phase::SamplerDecision],
+                                  "sampler_decision",
                                   static_cast<std::int64_t>(t),
                                   static_cast<std::int64_t>(n));
         EdgeSamplingContext ctx;
@@ -797,7 +794,6 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
           q = std::clamp(q, options_.min_probability, 1.0);
           hist_q.observe(q);
         }
-        sampler_seconds = timer.elapsed_seconds();
       }
 
       // Device sampling: independent Bernoulli trials drawn in device-index
@@ -868,11 +864,14 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
         device_slots_.resize(sampled_.size());
       }
       if (pool_ != nullptr && sampled_.size() > 1) {
-        // One DeviceTraining scope per edge round: the accumulator records
-        // the wall time of the whole parallel section, so the phase
-        // breakdown shows the realised speedup; per-device wall times are
-        // kept in the slots for the trace events.
-        obs::ScopedTimer section_timer(timers_, obs::Phase::DeviceTraining);
+        // One DeviceTraining scope per edge round, on the coordinator's
+        // track: the phase records the wall time of the whole parallel
+        // section, so the breakdown shows the realised speedup. The workers'
+        // device_train spans are profile-only.
+        const obs::SpanGuard section_span(timers_[obs::Phase::DeviceTraining],
+                                          "train_section",
+                                          static_cast<std::int64_t>(t),
+                                          static_cast<std::int64_t>(n));
         pool_->parallel_for(
             0, sampled_.size(), [&](std::size_t k, std::size_t slot) {
               if (faults_on && !fates_[k].arrived) return;
@@ -888,10 +887,8 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
               const obs::SpanGuard span("device_train",
                                         static_cast<std::int64_t>(t),
                                         devices[sampled_[k]]);
-              const obs::Stopwatch watch;
               train_device(t, devices[sampled_[k]], n, *device_view, lr,
                            replicas_->model(slot), worker_scratch_[slot], out);
-              out.seconds = watch.seconds();
             });
         // The workers' partial norm batches, before the reduction reads
         // any norm.
@@ -903,14 +900,12 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
           // keeps their local RNG streams unconsumed (so a device's future
           // minibatch draws do not depend on past fault outcomes).
           if (faults_on && !fates_[k].arrived) continue;
-          DeviceSlot& out = device_slots_[k];
-          obs::ScopedTimer timer(timers_, obs::Phase::DeviceTraining);
-          const obs::SpanGuard span("device_train",
+          const obs::SpanGuard span(timers_[obs::Phase::DeviceTraining],
+                                    "device_train",
                                     static_cast<std::int64_t>(t),
                                     devices[sampled_[k]]);
           train_device(t, devices[sampled_[k]], n, *device_view, lr, model_,
-                       coordinator_scratch_, out);
-          out.seconds = timer.elapsed_seconds();
+                       coordinator_scratch_, device_slots_[k]);
         }
         coordinator_scratch_.norms.flush();
       }
@@ -930,123 +925,116 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
       std::size_t round_retries = 0;
       survivors_.clear();
       lost_.clear();
-      double train_seconds = 0.0;
-      double aggregate_seconds = 0.0;
-      std::optional<obs::SpanGuard> reduce_span;
-      if (profiler_ != nullptr) {
-        reduce_span.emplace("edge_reduce", static_cast<std::int64_t>(t),
-                            static_cast<std::int64_t>(n));
-      }
-      for (std::size_t k = 0; k < num_sampled; ++k) {
-        const std::size_t i = sampled_[k];
-        if (faults_on) {
-          const fault::DeviceFaultDecision& fate = fates_[k];
-          round_retries += fate.retries;
-          if (!fate.arrived) {
-            // Update lost: no observer event, no sampler experience, no HT
-            // contribution. Survivor weights absorb the loss below.
-            lost_.push_back(devices[i]);
-            if (fate.fate == fault::DeviceFate::Dropped) {
-              ++round_dropped;
-            } else {
-              ++round_straggler_timeouts;
+      // One EdgeAggregation scope per edge round: uplink transcodes, sampler
+      // observation and the Horvitz-Thompson accumulation and fold.
+      {
+        const obs::SpanGuard reduce_span(timers_[obs::Phase::EdgeAggregation],
+                                         "edge_reduce",
+                                         static_cast<std::int64_t>(t),
+                                         static_cast<std::int64_t>(n));
+        for (std::size_t k = 0; k < num_sampled; ++k) {
+          const std::size_t i = sampled_[k];
+          if (faults_on) {
+            const fault::DeviceFaultDecision& fate = fates_[k];
+            round_retries += fate.retries;
+            if (!fate.arrived) {
+              // Update lost: no observer event, no sampler experience, no HT
+              // contribution. Survivor weights absorb the loss below.
+              lost_.push_back(devices[i]);
+              if (fate.fate == fault::DeviceFate::Dropped) {
+                ++round_dropped;
+              } else {
+                ++round_straggler_timeouts;
+              }
+              continue;
             }
-            continue;
+            survivors_.push_back(devices[i]);
+            if (fate.fate == fault::DeviceFate::StragglerArrived) {
+              ++round_straggler_arrivals;
+            }
           }
-          survivors_.push_back(devices[i]);
-          if (fate.fate == fault::DeviceFate::StragglerArrived) {
-            ++round_straggler_arrivals;
+          ++num_arrived;
+          const DeviceSlot& device_slot = device_slots_[k];
+          const TrainingObservation& observation = device_slot.observation;
+          ctr_trained.add();
+          window_train_loss += observation.mean_loss;
+          ++window_participants;
+          if (observer_ != nullptr) {
+            obs::DeviceTrainedEvent event;
+            event.t = t;
+            event.device = devices[i];
+            event.edge = n;
+            event.q = probs[i];
+            event.mean_loss = observation.mean_loss;
+            event.last_grad_sq_norm = observation.local_grad_sq_norms.empty()
+                                          ? 0.0
+                                          : observation.local_grad_sq_norms.back();
+            observer_->on_device_trained(event);
+          }
+          sampler.observe_training(observation);
+          // Eq. 5's weight over the surviving set: the realised inclusion
+          // probability of an *arriving* device is q_m * a_m, where a_m is the
+          // schedule's analytic arrival probability (independent thinning), so
+          // dividing by it keeps the edge aggregate exactly unbiased.
+          double q_effective = probs[i];
+          if (faults_on) {
+            q_effective *= injector_.arrival_probability(n, devices[i]);
+          }
+          const double ht_weight = inv_edge_size / q_effective;
+          weight_total += ht_weight;
+          weight_sq_total += ht_weight * ht_weight;
+          const auto weight = static_cast<float>(ht_weight);
+          // Uplink transcode, on the coordinator in sampled order (bitwise
+          // deterministic at any thread count). The upload's reference frame
+          // is the *decoded downlink* the device trained from — for delta
+          // codecs (top-k) the edge reconstructs reference + sparse delta, and
+          // the untransmitted remainder feeds the device's error-feedback
+          // residual for its next participation.
+          const std::vector<float>* upload_view = &device_slot.params;
+          if (!codec_device_up_->lossless()) {
+            const std::span<float> residual =
+                codec_device_up_->stateful()
+                    ? upload_residuals_.get_or_alloc(devices[i])
+                    : std::span<float>{};
+            transcode(*codec_device_up_, device_slot.params, *device_view,
+                      residual, decoded_upload_, static_cast<std::int64_t>(t),
+                      static_cast<std::int64_t>(devices[i]));
+            upload_view = &decoded_upload_;
+          }
+          if (options_.aggregation == AggregationForm::UpdateForm) {
+            // HT-weighted deltas (the form the paper's proof analyses) against
+            // the model the device actually received.
+            tensor::kernels::axpy_delta(param_count_, weight,
+                                        upload_view->data(),
+                                        device_view->data(), aggregate.data());
+          } else {
+            // HT-weighted parameters (Eq. 5).
+            tensor::kernels::axpy(param_count_, weight,
+                                  upload_view->data(), aggregate.data());
           }
         }
-        ++num_arrived;
-        const DeviceSlot& device_slot = device_slots_[k];
-        const TrainingObservation& observation = device_slot.observation;
-        train_seconds += device_slot.seconds;
-        ctr_trained.add();
-        window_train_loss += observation.mean_loss;
-        ++window_participants;
-        if (observer_ != nullptr) {
-          obs::DeviceTrainedEvent event;
-          event.t = t;
-          event.device = devices[i];
-          event.edge = n;
-          event.q = probs[i];
-          event.mean_loss = observation.mean_loss;
-          event.last_grad_sq_norm = observation.local_grad_sq_norms.empty()
-                                        ? 0.0
-                                        : observation.local_grad_sq_norms.back();
-          event.seconds = device_slot.seconds;
-          observer_->on_device_trained(event);
+        // Edge aggregation (Eq. 5). With no arriving participant (nothing
+        // sampled, or every sampled update lost to faults) the edge model is
+        // carried over unchanged in every form.
+        if (num_arrived > 0) {
+          switch (options_.aggregation) {
+            case AggregationForm::Literal:
+              edge_model.assign(aggregate.begin(), aggregate.end());
+              break;
+            case AggregationForm::SelfNormalized: {
+              const auto inv = static_cast<float>(1.0 / weight_total);
+              tensor::kernels::scale_copy(param_count_, inv, aggregate.data(),
+                                          edge_model.data());
+              break;
+            }
+            case AggregationForm::UpdateForm:
+              tensor::kernels::vadd(param_count_, aggregate.data(),
+                                    edge_model.data());
+              break;
+          }
         }
-        sampler.observe_training(observation);
-        // Eq. 5's weight over the surviving set: the realised inclusion
-        // probability of an *arriving* device is q_m * a_m, where a_m is the
-        // schedule's analytic arrival probability (independent thinning), so
-        // dividing by it keeps the edge aggregate exactly unbiased.
-        double q_effective = probs[i];
-        if (faults_on) {
-          q_effective *= injector_.arrival_probability(n, devices[i]);
-        }
-        const double ht_weight = inv_edge_size / q_effective;
-        weight_total += ht_weight;
-        weight_sq_total += ht_weight * ht_weight;
-        const auto weight = static_cast<float>(ht_weight);
-        // Uplink transcode, on the coordinator in sampled order (bitwise
-        // deterministic at any thread count). The upload's reference frame
-        // is the *decoded downlink* the device trained from — for delta
-        // codecs (top-k) the edge reconstructs reference + sparse delta, and
-        // the untransmitted remainder feeds the device's error-feedback
-        // residual for its next participation.
-        const std::vector<float>* upload_view = &device_slot.params;
-        if (!codec_device_up_->lossless()) {
-          const std::span<float> residual =
-              codec_device_up_->stateful()
-                  ? upload_residuals_.get_or_alloc(devices[i])
-                  : std::span<float>{};
-          transcode(*codec_device_up_, device_slot.params, *device_view,
-                    residual, decoded_upload_, static_cast<std::int64_t>(t),
-                    static_cast<std::int64_t>(devices[i]));
-          upload_view = &decoded_upload_;
-        }
-        const obs::Stopwatch accumulate_watch;
-        if (options_.aggregation == AggregationForm::UpdateForm) {
-          // HT-weighted deltas (the form the paper's proof analyses) against
-          // the model the device actually received.
-          tensor::kernels::axpy_delta(param_count_, weight,
-                                      upload_view->data(),
-                                      device_view->data(), aggregate.data());
-        } else {
-          // HT-weighted parameters (Eq. 5).
-          tensor::kernels::axpy(param_count_, weight,
-                                upload_view->data(), aggregate.data());
-        }
-        aggregate_seconds += accumulate_watch.seconds();
       }
-      // Edge aggregation (Eq. 5). With no arriving participant (nothing
-      // sampled, or every sampled update lost to faults) the edge model is
-      // carried over unchanged in every form.
       const bool any_sampled = num_arrived > 0;
-      if (any_sampled) {
-        const obs::Stopwatch fold_watch;
-        switch (options_.aggregation) {
-          case AggregationForm::Literal:
-            edge_model.assign(aggregate.begin(), aggregate.end());
-            break;
-          case AggregationForm::SelfNormalized: {
-            const auto inv = static_cast<float>(1.0 / weight_total);
-            tensor::kernels::scale_copy(param_count_, inv, aggregate.data(),
-                                        edge_model.data());
-            break;
-          }
-          case AggregationForm::UpdateForm:
-            tensor::kernels::vadd(param_count_, aggregate.data(),
-                                  edge_model.data());
-            break;
-        }
-        aggregate_seconds += fold_watch.seconds();
-      }
-      timers_[obs::Phase::EdgeAggregation].add(aggregate_seconds);
-      reduce_span.reset();
       ctr_edge_aggs.add();
       if (!any_sampled) ctr_empty_edges.add();
       if (faults_on) {
@@ -1074,9 +1062,6 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
           event.ht_weight_variance =
               weight_sq_total / static_cast<double>(num_arrived) - mean_w * mean_w;
         }
-        event.sampler_seconds = sampler_seconds;
-        event.train_seconds = train_seconds;
-        event.aggregate_seconds = aggregate_seconds;
         if (faults_on) {
           event.faults.active = true;
           event.faults.num_dropped = round_dropped;
@@ -1092,11 +1077,10 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
 
     // Edge-to-cloud communication (Eq. 6) on the paper's t mod T_g schedule.
     if (t % options_.cloud_interval == 0) {
-      double cloud_seconds = 0.0;
       cloud_lost.clear();
       {
-        obs::ScopedTimer timer(timers_, obs::Phase::CloudAggregation);
-        const obs::SpanGuard span("cloud_aggregate",
+        const obs::SpanGuard span(timers_[obs::Phase::CloudAggregation],
+                                  "cloud_aggregate",
                                   static_cast<std::int64_t>(t));
         // Losing every upload must keep the previous global model; back it
         // up before the in-place fold (only when losses are possible).
@@ -1154,7 +1138,6 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
         }
         for (auto& edge_model : edge_models_) edge_model = *broadcast_view;
         if (comm_lossy_) last_broadcast_ = *broadcast_view;
-        cloud_seconds = timer.elapsed_seconds();
       }
       cost_.edge_uploads += num_edges();
       cost_.cloud_broadcasts += num_edges();
@@ -1165,8 +1148,8 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
       }
       {
         // UCB refresh (Alg. 2) is sampler work, charged to its phase.
-        obs::ScopedTimer timer(timers_, obs::Phase::SamplerDecision);
-        const obs::SpanGuard span("sampler_refresh",
+        const obs::SpanGuard span(timers_[obs::Phase::SamplerDecision],
+                                  "sampler_refresh",
                                   static_cast<std::int64_t>(t));
         sampler.on_cloud_round(t);
       }
@@ -1176,7 +1159,6 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
         event.t = t;
         event.round = cloud_rounds;
         event.num_edges = num_edges();
-        event.seconds = cloud_seconds;
         if (faults_on) {
           event.faults_active = true;
           event.lost_edges = cloud_lost;
@@ -1186,20 +1168,17 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
       }
       if (cloud_rounds % options_.eval_every_cloud_rounds == 0) {
         EvalPoint point;
-        double eval_seconds = 0.0;
         {
-          obs::ScopedTimer timer(timers_, obs::Phase::Evaluation);
-          const obs::SpanGuard span("evaluation",
-                                    static_cast<std::int64_t>(t));
+          const obs::SpanGuard span(timers_[obs::Phase::Evaluation],
+                                    "evaluation", static_cast<std::int64_t>(t));
           point = evaluate_global(t + 1);
-          eval_seconds = timer.elapsed_seconds();
         }
         point.train_loss = window_participants > 0
                                ? window_train_loss /
                                      static_cast<double>(window_participants)
                                : 0.0;
         point.participants = window_participants;
-        record_eval(point, eval_seconds);
+        record_eval(point);
         window_train_loss = 0.0;
         window_participants = 0;
       }
@@ -1212,8 +1191,7 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
     if (options_.checkpoint.every > 0 && done % options_.checkpoint.every == 0 &&
         done < steps) {
       {
-        obs::ScopedTimer timer(timers_, obs::Phase::Checkpoint);
-        const obs::SpanGuard span("checkpoint",
+        const obs::SpanGuard span(timers_[obs::Phase::Checkpoint], "checkpoint",
                                   static_cast<std::int64_t>(done));
         save_checkpoint(sampler, steps, done, cloud_rounds, window_train_loss,
                         window_participants, metrics);
@@ -1245,8 +1223,8 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
     if (options_.stop_flag != nullptr && *options_.stop_flag != 0 &&
         done < steps) {
       if (options_.checkpoint.every > 0 && done % options_.checkpoint.every != 0) {
-        obs::ScopedTimer timer(timers_, obs::Phase::Checkpoint);
-        const obs::SpanGuard span("checkpoint", static_cast<std::int64_t>(done));
+        const obs::SpanGuard span(timers_[obs::Phase::Checkpoint], "checkpoint",
+                                  static_cast<std::int64_t>(done));
         save_checkpoint(sampler, steps, done, cloud_rounds, window_train_loss,
                         window_participants, metrics);
       }
@@ -1263,20 +1241,10 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
       obs::StatusSnapshot snap;
       snap.sampler = sampler.name();
       snap.step = done;
+      snap.start_step = start_t;
       snap.total_steps = steps;
       snap.cloud_rounds = cloud_rounds;
       snap.devices_trained = ctr_trained.value();
-      snap.elapsed_seconds = run_watch.seconds();
-      if (snap.elapsed_seconds > 0.0) {
-        snap.devices_per_second =
-            static_cast<double>(snap.devices_trained) / snap.elapsed_seconds;
-      }
-      const std::size_t completed = done - start_t;
-      if (completed > 0) {
-        snap.eta_seconds = snap.elapsed_seconds /
-                           static_cast<double>(completed) *
-                           static_cast<double>(steps - done);
-      }
       if (ctr_fault_updates_lost != nullptr) {
         snap.faults_lost = ctr_fault_updates_lost->value();
       }
@@ -1308,14 +1276,10 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
     obs::StatusSnapshot snap;
     snap.sampler = sampler.name();
     snap.step = interrupted_at_.value_or(steps);
+    snap.start_step = start_t;
     snap.total_steps = steps;
     snap.cloud_rounds = cloud_rounds;
     snap.devices_trained = ctr_trained.value();
-    snap.elapsed_seconds = run_watch.seconds();
-    if (snap.elapsed_seconds > 0.0) {
-      snap.devices_per_second =
-          static_cast<double>(snap.devices_trained) / snap.elapsed_seconds;
-    }
     if (ctr_fault_updates_lost != nullptr) {
       snap.faults_lost = ctr_fault_updates_lost->value();
     }

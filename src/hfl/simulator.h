@@ -47,7 +47,6 @@
 #include "obs/resource.h"
 #include "obs/span_profiler.h"
 #include "obs/status_writer.h"
-#include "obs/timer.h"
 #include "runtime/parallel_config.h"
 #include "runtime/thread_pool.h"
 #include "runtime/worker_context.h"
@@ -127,8 +126,8 @@ struct HflOptions {
   fault::FaultSchedule faults;
   /// Deep profiling (src/obs/span_profiler.h). With `profile.trace_path` set
   /// the engine records hierarchical spans (round → edge round → device
-  /// train → local SGD) into per-track ring buffers — two steady_clock reads
-  /// and zero allocations per span — merges them at step barriers and writes
+  /// train → local SGD) into per-track ring buffers — two clock reads and
+  /// zero allocations per span — merges them at step barriers and writes
   /// a Chrome trace-event JSON (Perfetto-loadable) at run end. With
   /// `profile.status_path` set it additionally rewrites a status.json
   /// heartbeat (atomic rename) every `status_interval_seconds`. Profiling is
@@ -214,7 +213,8 @@ class HflSimulator {
   std::uint64_t run_fingerprint(const Sampler& sampler, std::size_t steps) const;
 
   /// Wall-clock phase breakdown of the most recent run() (always recorded,
-  /// observer or not — two steady_clock reads per phase scope).
+  /// observer or not — each phase scope is one phase-tagged obs::SpanGuard,
+  /// two clock reads).
   const obs::PhaseTimerSet& phase_timers() const noexcept { return timers_; }
 
   /// Counter/gauge/histogram registry of the most recent run().
@@ -260,7 +260,6 @@ class HflSimulator {
   struct DeviceSlot {
     TrainingObservation observation;
     std::vector<float> params;  // trained parameters w_m^{t+1}
-    double seconds = 0.0;       // wall time of this device's local updates
   };
 
   /// Reused buffers of the per-device hot path, one set per scratch model

@@ -234,7 +234,6 @@ void JsonlTraceWriter::on_device_trained(const DeviceTrainedEvent& event) {
   w.field("q", event.q);
   w.field("mean_loss", event.mean_loss);
   w.field("last_grad_sq_norm", event.last_grad_sq_norm);
-  w.field("seconds", event.seconds);
   write_line(w.end());
 }
 
@@ -250,9 +249,6 @@ void JsonlTraceWriter::on_edge_aggregated(const EdgeAggregatedEvent& event) {
   w.raw_field("q", q_summary_json(event.q));
   w.field("ht_weight_sum", event.ht_weight_sum);
   w.field("ht_weight_variance", event.ht_weight_variance);
-  w.field("sampler_seconds", event.sampler_seconds);
-  w.field("train_seconds", event.train_seconds);
-  w.field("aggregate_seconds", event.aggregate_seconds);
   if (event.faults.active) w.raw_field("faults", fault_summary_json(event.faults));
   write_line(w.end());
 }
@@ -264,7 +260,6 @@ void JsonlTraceWriter::on_cloud_round(const CloudRoundEvent& event) {
   w.field("t", event.t);
   w.field("round", event.round);
   w.field("num_edges", event.num_edges);
-  w.field("seconds", event.seconds);
   if (event.faults_active) w.field("uploads_lost", event.lost_edges);
   if (!event.sampler.empty()) {
     w.raw_field("g_squared_summary", summary_json(event.sampler.g_squared));
@@ -287,7 +282,6 @@ void JsonlTraceWriter::on_eval(const EvalEvent& event) {
   w.field("train_loss", event.train_loss);
   w.field("participants", event.participants);
   w.field("global_grad_sq_norm", event.global_grad_sq_norm);
-  w.field("seconds", event.seconds);
   write_line(w.end());
 }
 

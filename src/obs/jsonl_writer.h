@@ -3,7 +3,9 @@
 //   run_begin, step, device, edge_agg, cloud_round, eval, run_end.
 // Multiple runs may share one writer (benches append every seed's run to the
 // same trace); run_begin/run_end lines delimit them. tools/trace_summary
-// reads the format back.
+// reads the format back. Only run_end carries wall time (its phase totals):
+// every other line is a deterministic function of the run's configuration,
+// byte-identical at any thread count and with profiling on or off.
 #pragma once
 
 #include <cstdint>

@@ -19,7 +19,7 @@
 
 #include "comm/ledger.h"
 #include "obs/registry.h"
-#include "obs/timer.h"
+#include "obs/span_profiler.h"
 
 namespace mach::obs {
 
@@ -95,7 +95,6 @@ struct DeviceTrainedEvent {
   double q = 0.0;               // inclusion probability it was drawn with
   double mean_loss = 0.0;       // mean local loss over the I steps
   double last_grad_sq_norm = 0.0;
-  double seconds = 0.0;         // wall time of the local-update phase
 };
 
 struct EdgeAggregatedEvent {
@@ -111,9 +110,6 @@ struct EdgeAggregatedEvent {
   /// describes).
   double ht_weight_sum = 0.0;
   double ht_weight_variance = 0.0;
-  double sampler_seconds = 0.0;    // decision time (incl. oracle probes)
-  double train_seconds = 0.0;      // sum over this edge's sampled devices
-  double aggregate_seconds = 0.0;  // HT accumulation + fold
   /// Fault-injection outcome of this round (inactive when faults are off).
   /// When active, ht_weight_* and the aggregation cover only `survivors`.
   FaultSummary faults;
@@ -123,7 +119,6 @@ struct CloudRoundEvent {
   std::size_t t = 0;
   std::size_t round = 0;        // 1-based cloud-round index within the run
   std::size_t num_edges = 0;
-  double seconds = 0.0;         // cloud fold + broadcast wall time
   /// Sampler internals captured right after Sampler::on_cloud_round (i.e.
   /// the refreshed Eq. 15 estimates MACH will sample with next). Empty when
   /// the active sampler does not support introspection.
@@ -142,7 +137,6 @@ struct EvalEvent {
   double train_loss = 0.0;      // windowed train loss (0 for the baseline eval)
   std::size_t participants = 0;
   double global_grad_sq_norm = 0.0;
-  double seconds = 0.0;
 };
 
 /// Emitted right before the engine freezes a run-state snapshot: `t` steps

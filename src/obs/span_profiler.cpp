@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <ostream>
 
+#include "common/table.h"
 #include "obs/json.h"
 #include "obs/resource.h"
 
@@ -40,6 +42,35 @@ void append_us(std::string& out, std::uint64_t ns) {
 
 }  // namespace
 
+std::string_view phase_name(Phase phase) noexcept {
+  switch (phase) {
+    case Phase::SamplerDecision: return "sampler_decision";
+    case Phase::DeviceTraining: return "device_training";
+    case Phase::EdgeAggregation: return "edge_aggregation";
+    case Phase::CloudAggregation: return "cloud_aggregation";
+    case Phase::Evaluation: return "evaluation";
+    case Phase::Checkpoint: return "checkpoint";
+    case Phase::kCount: break;
+  }
+  return "unknown";
+}
+
+void print_phase_times(const PhaseTimerSet& timers, std::ostream& out) {
+  common::Table table({"phase", "scopes", "total s", "share %"});
+  const double total = timers.total_seconds();
+  for (std::size_t i = 0; i < kNumPhases; ++i) {
+    const auto phase = static_cast<Phase>(i);
+    const PhaseAccumulator& acc = timers[phase];
+    table.row()
+        .cell(std::string(phase_name(phase)))
+        .cell(acc.count)
+        .cell(acc.total_seconds, 3)
+        .cell(total > 0.0 ? acc.total_seconds / total * 100.0 : 0.0, 1);
+  }
+  out << '\n';
+  table.print(out);
+}
+
 SpanProfiler::SpanProfiler(std::size_t tracks, std::size_t ring_capacity)
     : epoch_(std::chrono::steady_clock::now()),
       ring_capacity_(ring_capacity == 0 ? 1 : ring_capacity),
@@ -59,10 +90,10 @@ SpanProfiler::ThreadScope::~ThreadScope() {
   tls_track = previous_track_;
 }
 
-std::uint64_t SpanProfiler::now_ns() const noexcept {
+std::uint64_t SpanProfiler::to_ns(
+    std::chrono::steady_clock::time_point time) const noexcept {
   return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - epoch_)
+      std::chrono::duration_cast<std::chrono::nanoseconds>(time - epoch_)
           .count());
 }
 
@@ -216,19 +247,41 @@ bool SpanProfiler::write_chrome_trace(const std::string& path,
 SpanGuard::SpanGuard(const char* name, std::int64_t t,
                      std::int64_t id) noexcept
     : profiler_(tls_profiler) {
-  if (profiler_ == nullptr) return;
-  span_.name = name;
-  span_.t = t;
-  span_.id = id;
-  span_.track = tls_track;
-  span_.depth = profiler_->begin_span(span_.track);
-  span_.start_ns = profiler_->now_ns();
+  if (profiler_ != nullptr) open(name, t, id);
+}
+
+SpanGuard::SpanGuard(PhaseAccumulator& phase, const char* name, std::int64_t t,
+                     std::int64_t id) noexcept
+    : profiler_(tls_profiler), phase_(&phase) {
+  open(name, t, id);
+}
+
+void SpanGuard::open(const char* name, std::int64_t t,
+                     std::int64_t id) noexcept {
+  if (profiler_ != nullptr) {
+    span_.name = name;
+    span_.t = t;
+    span_.id = id;
+    span_.track = tls_track;
+    span_.depth = profiler_->begin_span(span_.track);
+  }
+  start_ = std::chrono::steady_clock::now();
 }
 
 SpanGuard::~SpanGuard() {
-  if (profiler_ == nullptr) return;
-  span_.end_ns = profiler_->now_ns();
-  profiler_->end_span(span_.track, span_);
+  if (profiler_ == nullptr && phase_ == nullptr) return;
+  // One interval for both records: the span lasts exactly what the phase is
+  // charged.
+  const auto elapsed_ns = static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start_)
+          .count());
+  if (phase_ != nullptr) phase_->add(static_cast<double>(elapsed_ns) * 1e-9);
+  if (profiler_ != nullptr) {
+    span_.start_ns = profiler_->to_ns(start_);
+    span_.end_ns = span_.start_ns + elapsed_ns;
+    profiler_->end_span(span_.track, span_);
+  }
 }
 
 }  // namespace mach::obs

@@ -61,18 +61,30 @@ bool StatusWriter::write_document(const StatusSnapshot& snapshot, bool aborted) 
             std::chrono::duration<double>(
                 std::chrono::system_clock::now().time_since_epoch())
                 .count());
+  // elapsed_seconds, the rate and the ETA all derive from the writer's
+  // monotonic clock: elapsed time of this process, so a resumed run's ETA
+  // divides by the steps it ran itself (step - start_step).
+  const double elapsed = steady_seconds() - start_seconds_;
+  double devices_per_second = 0.0;
+  double eta_seconds = 0.0;
+  if (elapsed > 0.0) {
+    devices_per_second = static_cast<double>(snapshot.devices_trained) / elapsed;
+  }
+  if (!snapshot.finished && !aborted && snapshot.step > snapshot.start_step) {
+    eta_seconds = elapsed /
+                  static_cast<double>(snapshot.step - snapshot.start_step) *
+                  static_cast<double>(snapshot.total_steps - snapshot.step);
+  }
   out.field("pid", static_cast<std::int64_t>(pid_));
-  out.field("uptime_ms",
-            static_cast<std::uint64_t>(
-                (steady_seconds() - start_seconds_) * 1000.0));
+  out.field("uptime_ms", static_cast<std::uint64_t>(elapsed * 1000.0));
   out.field("sampler", snapshot.sampler);
   out.field("step", static_cast<std::uint64_t>(snapshot.step));
   out.field("total_steps", static_cast<std::uint64_t>(snapshot.total_steps));
   out.field("cloud_rounds", static_cast<std::uint64_t>(snapshot.cloud_rounds));
   out.field("devices_trained", snapshot.devices_trained);
-  out.field("devices_per_second", snapshot.devices_per_second);
-  out.field("elapsed_seconds", snapshot.elapsed_seconds);
-  out.field("eta_seconds", snapshot.eta_seconds);
+  out.field("devices_per_second", devices_per_second);
+  out.field("elapsed_seconds", elapsed);
+  out.field("eta_seconds", eta_seconds);
   out.field("faults_lost", snapshot.faults_lost);
   out.field("spans_dropped", snapshot.spans_dropped);
   out.field("current_rss_kb", static_cast<std::int64_t>(snapshot.current_rss_kb));

@@ -17,17 +17,16 @@
 
 namespace mach::obs {
 
-/// What the engine knows about the run right now. All rates/ETAs are
-/// computed by the caller so this stays a dumb serialisable snapshot.
+/// What the engine knows about the run right now. The writer adds the
+/// timing fields (elapsed_seconds, devices_per_second, eta_seconds) from its
+/// own monotonic clock, so the engine hands over counts only.
 struct StatusSnapshot {
   std::string sampler;
   std::size_t step = 0;            // current simulation step (0-based, done)
+  std::size_t start_step = 0;      // steps already done when this process began
   std::size_t total_steps = 0;
   std::size_t cloud_rounds = 0;
   std::uint64_t devices_trained = 0;
-  double devices_per_second = 0.0;
-  double elapsed_seconds = 0.0;
-  double eta_seconds = 0.0;        // 0 when unknown or finished
   std::uint64_t faults_lost = 0;   // devices lost to injected faults
   std::uint64_t spans_dropped = 0; // profiler ring overflow (0 = complete)
   long current_rss_kb = 0;

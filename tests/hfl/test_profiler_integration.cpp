@@ -1,7 +1,8 @@
 // Profiler passivity contract: turning --profile/--status on must not change
 // the simulation. Replays one scenario with profiling off and on across
 // thread counts and asserts bitwise-equal global parameters plus identical
-// canonical JSONL traces, then checks the exported Chrome trace actually
+// canonical JSONL traces — and byte-identical raw traces but for run_end, the
+// only line with wall time — then checks the exported Chrome trace actually
 // covers every round and phase and the heartbeat reached its final state.
 #include <gtest/gtest.h>
 
@@ -41,6 +42,7 @@ ExperimentConfig profiled_scenario(std::uint64_t seed) {
 struct ProfiledRun {
   std::vector<float> params;
   std::vector<std::string> trace;
+  std::string raw_trace;
 };
 
 ProfiledRun run_scenario(const ExperimentArtifacts& artifacts,
@@ -70,7 +72,8 @@ ProfiledRun run_scenario(const ExperimentArtifacts& artifacts,
   ProfiledRun result;
   result.params = simulator.global_parameters();
   simulator.set_observer(nullptr);
-  result.trace = canonical_trace(trace_stream.str());
+  result.raw_trace = trace_stream.str();
+  result.trace = canonical_trace(result.raw_trace);
   return result;
 }
 
@@ -113,6 +116,55 @@ TEST(ProfilerIntegration, ProfilingOnIsPassiveAtEveryThreadCount) {
 
     std::remove(profile.trace_path.c_str());
     std::remove(profile.status_path.c_str());
+  }
+}
+
+TEST(ProfilerIntegration, RawTraceIsByteIdenticalButForRunEnd) {
+  const ExperimentConfig config = profiled_scenario(54);
+  const ExperimentArtifacts artifacts = build_experiment(config);
+  // The raw lines, run_end dropped (its phase totals are wall time).
+  const auto lines_but_run_end = [](const std::string& trace) {
+    std::vector<std::string> lines;
+    std::size_t run_ends = 0;
+    std::istringstream in(trace);
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.rfind(R"({"event":"run_end")", 0) == 0) {
+        ++run_ends;
+      } else {
+        lines.push_back(line);
+      }
+    }
+    EXPECT_EQ(run_ends, 1u);
+    return lines;
+  };
+
+  const std::vector<std::string> reference = lines_but_run_end(
+      run_scenario(artifacts, config, 1, obs::ProfileOptions{}).raw_trace);
+  std::size_t device_lines = 0;
+  for (const std::string& line : reference) {
+    if (line.rfind(R"({"event":"device")", 0) == 0) ++device_lines;
+  }
+  ASSERT_GT(device_lines, 0u);
+
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    for (const bool profiled : {false, true}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   (profiled ? " profiled" : ""));
+      obs::ProfileOptions profile;
+      if (profiled) {
+        profile.trace_path = ::testing::TempDir() + "profiler_raw_" +
+                             std::to_string(threads) + ".json";
+      }
+      const std::vector<std::string> lines = lines_but_run_end(
+          run_scenario(artifacts, config, threads, profile).raw_trace);
+      ASSERT_EQ(lines.size(), reference.size());
+      for (std::size_t i = 0; i < reference.size(); ++i) {
+        EXPECT_EQ(lines[i], reference[i]) << "line " << i;
+      }
+      if (profiled) std::remove(profile.trace_path.c_str());
+    }
   }
 }
 

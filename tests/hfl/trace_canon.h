@@ -1,11 +1,11 @@
 // Shared trace-canonicalisation helpers for determinism/regression suites.
 //
-// JSONL traces carry wall-clock fields that legitimately differ between
-// runs; everything else is part of the engine's determinism contract. These
-// helpers re-serialise each trace line with object keys sorted and the
-// timing fields dropped, so two traces compare equal iff their deterministic
-// content matches — used by the parallel-determinism suite, the
-// fault-injection determinism/replay suites and the golden-trace regression.
+// JSONL traces carry wall time only in run_end's phase totals; everything
+// else is part of the engine's determinism contract. These helpers
+// re-serialise each trace line with object keys sorted and the phase totals
+// dropped, so two traces compare equal iff their deterministic content
+// matches — used by the parallel-determinism suite, the fault-injection
+// determinism/replay suites and the golden-trace regression.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -20,10 +20,8 @@
 namespace mach::test {
 
 inline bool is_timing_key(const std::string& key) {
-  // Wall-clock fields: legitimately different between runs.
-  return key == "seconds" || key == "sampler_seconds" ||
-         key == "train_seconds" || key == "aggregate_seconds" ||
-         key == "phases" || key == "phase_total_s";
+  // run_end's wall-clock phase totals: legitimately different between runs.
+  return key == "phases" || key == "phase_total_s";
 }
 
 inline std::string canonical(const obs::JsonValue& value);

@@ -2,10 +2,13 @@
 // the decimating periodic sampler, hardware context for BENCH_*.json, and
 // the atomic-rename status.json writer parsed back through obs/json.h.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 
 #include "common/cpu_isa.h"
 #include "obs/json.h"
@@ -97,9 +100,6 @@ TEST(StatusWriter, WritesParseableDocumentAndCleansUpTheTemp) {
   snapshot.total_steps = 20;
   snapshot.cloud_rounds = 1;
   snapshot.devices_trained = 42;
-  snapshot.devices_per_second = 10.5;
-  snapshot.elapsed_seconds = 4.0;
-  snapshot.eta_seconds = 7.4;
   snapshot.faults_lost = 3;
   snapshot.spans_dropped = 1;
   snapshot.current_rss_kb = 1000;
@@ -152,6 +152,45 @@ TEST(StatusWriter, IntervalGatesWritesButFinishedForcesOne) {
   ASSERT_TRUE(parsed.has_value()) << error;
   EXPECT_EQ((*parsed).number_or("sequence", 0), 2.0);
   EXPECT_TRUE((*parsed)["finished"].as_bool());
+  std::remove(path.c_str());
+}
+
+TEST(StatusWriter, DerivesElapsedRateAndEtaFromItsOwnClock) {
+  const std::string path = ::testing::TempDir() + "status_writer_clock_" +
+                           std::to_string(::getpid()) + ".json";
+  StatusWriter writer(path, /*interval_seconds=*/0.5);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+
+  StatusSnapshot snapshot;
+  snapshot.step = 6;        // a resumed run: steps 4 and 5 ran here
+  snapshot.start_step = 4;
+  snapshot.total_steps = 10;
+  snapshot.devices_trained = 30;
+  const auto read_back = [&] {
+    std::ifstream in(path);
+    std::string body((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    std::string error;
+    auto parsed = parse_json(body, &error);
+    EXPECT_TRUE(parsed.has_value()) << error;
+    return parsed.value_or(JsonValue{});
+  };
+
+  ASSERT_TRUE(writer.write_now(snapshot));
+  JsonValue doc = read_back();
+  const double elapsed = doc.number_or("elapsed_seconds", 0);
+  EXPECT_GE(elapsed, 0.002 * 0.5);
+  EXPECT_NEAR(doc.number_or("uptime_ms", 0), elapsed * 1000.0, 1.0);
+  EXPECT_NEAR(doc.number_or("devices_per_second", 0) * elapsed, 30.0, 1e-6);
+  // Two steps took `elapsed`; four remain.
+  EXPECT_NEAR(doc.number_or("eta_seconds", 0), elapsed * 2.0, elapsed * 1e-9);
+
+  snapshot.step = 10;
+  snapshot.finished = true;
+  ASSERT_TRUE(writer.write_now(snapshot));
+  doc = read_back();
+  EXPECT_EQ(doc.number_or("eta_seconds", -1), 0.0);
+  EXPECT_GE(doc.number_or("elapsed_seconds", 0), elapsed);
   std::remove(path.c_str());
 }
 

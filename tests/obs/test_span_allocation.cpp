@@ -1,12 +1,15 @@
 // Span-profiler hot-path allocation test, riding in the test_allocation
 // binary (tests/nn/test_allocation.cpp replaces the global allocation
 // functions with counting wrappers there): recording a span on a bound
-// thread must not allocate — the rings are pre-sized at construction — and
-// a guard on an unbound thread must be a complete no-op.
+// thread must not allocate — the rings are pre-sized at construction — a
+// plain guard on an unbound thread must be a complete no-op, and a
+// phase-tagged guard must charge its phase without allocating, bound or not.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
+#include <vector>
 
 #include "obs/span_profiler.h"
 
@@ -59,6 +62,46 @@ TEST(SpanAllocation, MergeAtBarrierMayAllocateButRecordingStaysClean) {
     const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0u);
   }
+}
+
+TEST(SpanAllocation, PhaseTaggedGuardChargesWithoutAllocating) {
+  SpanProfiler profiler(1, 128);  // holds every bound guard's span
+  PhaseTimerSet timers;
+  PhaseAccumulator& unbound = timers[Phase::DeviceTraining];
+  PhaseAccumulator& bound = timers[Phase::EdgeAggregation];
+
+  std::array<std::uint64_t, 100> open_counts{};  // count while guard i is open
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  for (std::int64_t i = 0; i < 100; ++i) {
+    SpanGuard guard(unbound, "device_train", i, i % 8);
+    open_counts[static_cast<std::size_t>(i)] = unbound.count;
+  }
+  {
+    SpanProfiler::ThreadScope scope(&profiler, 0);
+    for (std::int64_t i = 0; i < 100; ++i) {
+      SpanGuard guard(bound, "edge_reduce", i, i % 8);
+    }
+  }
+  const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u)
+      << "phase-tagged guards must stay allocation-free";
+
+  // A guard charges when it closes, not before.
+  for (std::size_t i = 0; i < open_counts.size(); ++i) {
+    EXPECT_EQ(open_counts[i], i);
+  }
+  EXPECT_EQ(unbound.count, 100u);
+  EXPECT_EQ(bound.count, 100u);
+  // Only the bound guards recorded spans, each lasting exactly what its
+  // guard charged: summed in completion order they reproduce the total.
+  const std::vector<Span> spans = profiler.drain();
+  ASSERT_EQ(spans.size(), 100u);
+  double span_seconds = 0.0;
+  for (const Span& span : spans) {
+    EXPECT_STREQ(span.name, "edge_reduce");
+    span_seconds += span.duration_seconds();
+  }
+  EXPECT_EQ(span_seconds, bound.total_seconds);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // SpanProfiler unit suite: ring-buffer overflow semantics, thread-binding
-// scopes, deterministic merge order, and the Chrome trace-event export
-// round-tripped through the in-tree JSON parser.
+// scopes, deterministic merge order, the Chrome trace-event export
+// round-tripped through the in-tree JSON parser, and the phase clock (phase
+// accumulators and the phase-tagged SpanGuard that charges them).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -206,6 +208,98 @@ TEST(SpanProfiler, ExportToUnwritablePathFails) {
   SpanProfiler profiler(1, 4);
   EXPECT_FALSE(
       profiler.write_chrome_trace("/nonexistent_dir_zz/profile.json"));
+}
+
+TEST(PhaseAccumulator, TracksCountTotalMinMax) {
+  PhaseAccumulator acc;
+  EXPECT_EQ(acc.count, 0u);
+  EXPECT_DOUBLE_EQ(acc.mean_seconds(), 0.0);
+  acc.add(2.0);
+  acc.add(1.0);
+  acc.add(4.0);
+  EXPECT_EQ(acc.count, 3u);
+  EXPECT_DOUBLE_EQ(acc.total_seconds, 7.0);
+  EXPECT_DOUBLE_EQ(acc.min_seconds, 1.0);
+  EXPECT_DOUBLE_EQ(acc.max_seconds, 4.0);
+  EXPECT_NEAR(acc.mean_seconds(), 7.0 / 3.0, 1e-12);
+}
+
+TEST(PhaseTimerSet, IndexesByPhaseAndSumsTotals) {
+  PhaseTimerSet timers;
+  timers[Phase::DeviceTraining].add(0.5);
+  timers[Phase::Evaluation].add(0.25);
+  EXPECT_DOUBLE_EQ(timers[Phase::DeviceTraining].total_seconds, 0.5);
+  EXPECT_DOUBLE_EQ(timers.total_seconds(), 0.75);
+  timers.reset();
+  EXPECT_EQ(timers[Phase::DeviceTraining].count, 0u);
+  EXPECT_DOUBLE_EQ(timers.total_seconds(), 0.0);
+}
+
+TEST(PhaseNames, AreStableAndDistinct) {
+  EXPECT_EQ(phase_name(Phase::SamplerDecision), "sampler_decision");
+  EXPECT_EQ(phase_name(Phase::DeviceTraining), "device_training");
+  EXPECT_EQ(phase_name(Phase::EdgeAggregation), "edge_aggregation");
+  EXPECT_EQ(phase_name(Phase::CloudAggregation), "cloud_aggregation");
+  EXPECT_EQ(phase_name(Phase::Evaluation), "evaluation");
+}
+
+// The phase-tagged SpanGuard is the engine's scoped phase timer.
+TEST(ScopedTimer, ChargesScopeDurationOnDestruction) {
+  PhaseTimerSet timers;
+  {
+    SpanGuard guard(timers[Phase::CloudAggregation], "cloud_aggregate");
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    // Nothing is recorded until the scope closes.
+    EXPECT_EQ(timers[Phase::CloudAggregation].count, 0u);
+  }
+  const PhaseAccumulator& acc = timers[Phase::CloudAggregation];
+  EXPECT_EQ(acc.count, 1u);
+  EXPECT_GE(acc.total_seconds, 0.002 * 0.5);  // generous slack for coarse clocks
+  EXPECT_DOUBLE_EQ(acc.min_seconds, acc.max_seconds);
+}
+
+TEST(PhaseSpanGuard, BoundGuardRecordsExactlyTheChargedInterval) {
+  SpanProfiler profiler(1, 16);
+  PhaseTimerSet timers;
+  {
+    SpanProfiler::ThreadScope scope(&profiler, 0);
+    SpanGuard outer("round", 2);
+    SpanGuard guard(timers[Phase::EdgeAggregation], "edge_reduce", 2, 5);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::vector<Span> spans = profiler.drain();
+  ASSERT_EQ(spans.size(), 2u);
+  const Span& reduce = spans[1];
+  EXPECT_STREQ(reduce.name, "edge_reduce");
+  EXPECT_EQ(reduce.t, 2);
+  EXPECT_EQ(reduce.id, 5);
+  EXPECT_EQ(reduce.depth, 1u);  // nests under the plain guard
+  const PhaseAccumulator& acc = timers[Phase::EdgeAggregation];
+  ASSERT_EQ(acc.count, 1u);
+  EXPECT_EQ(reduce.duration_seconds(), acc.total_seconds);
+  EXPECT_GE(acc.total_seconds, 0.001 * 0.5);
+}
+
+TEST(PhaseSpanGuard, ThreadsChargeTheirOwnSetsAndTracks) {
+  SpanProfiler profiler(3, 16);
+  PhaseTimerSet sets[2];
+  std::vector<std::thread> workers;
+  for (std::uint32_t slot = 0; slot < 2; ++slot) {
+    workers.emplace_back([&profiler, &sets, slot] {
+      SpanProfiler::ThreadScope scope(&profiler, slot + 1);
+      for (int i = 0; i <= static_cast<int>(slot); ++i) {
+        SpanGuard guard(sets[slot][Phase::DeviceTraining], "device_train", i);
+      }
+    });
+  }
+  for (auto& worker : workers) worker.join();
+  EXPECT_EQ(sets[0][Phase::DeviceTraining].count, 1u);
+  EXPECT_EQ(sets[1][Phase::DeviceTraining].count, 2u);
+  profiler.merge_thread_rings();
+  std::map<std::uint32_t, std::size_t> by_track;
+  for (const Span& span : profiler.drain()) ++by_track[span.track];
+  EXPECT_EQ(by_track[1], 1u);
+  EXPECT_EQ(by_track[2], 2u);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/registry.h"
+#include "fault/schedule.h"
 #include "hfl/experiment.h"
 #include "hfl/simulator.h"
 #include "obs/json.h"
@@ -145,7 +146,6 @@ TEST(TraceE2E, MachRunProducesConsistentTrace) {
       EXPECT_LT(edge, 2u);
       EXPECT_GE(e["q"].as_number(), floor);
       EXPECT_LE(e["q"].as_number(), 1.0);
-      EXPECT_GE(e["seconds"].as_number(), 0.0);
       ++device_lines[{t, edge}];
     } else if (kind == "eval") {
       EXPECT_GE(e["test_accuracy"].as_number(), 0.0);
@@ -266,6 +266,48 @@ TEST(TraceE2E, PhaseTimersAndRegistryRecordedWithoutObserver) {
     }
   }
   EXPECT_TRUE(saw_trained);
+}
+
+TEST(TraceE2E, PhaseScopeCountsMatchTheEngineCounters) {
+  auto config = tiny_config(15);
+  config.hfl.faults = fault::FaultSchedule::parse(
+      "dropout:p=0.2;edge_outage:edge=1,from=3,to=6;seed=4");
+  auto artifacts = build_experiment(config);
+  auto simulator = make_simulator(config, artifacts);
+  auto sampler = core::make_sampler("mach");
+  std::ostringstream out;
+  obs::JsonlTraceWriter trace(out);
+  simulator.set_observer(&trace);
+  simulator.run(*sampler, kSteps);
+
+  const obs::JsonValue* run_end = nullptr;
+  const auto events = parse_trace(out.str());
+  for (const auto& e : events) {
+    if (e.string_or("event", "") == "run_end") run_end = &e;
+  }
+  ASSERT_NE(run_end, nullptr);
+  const obs::JsonValue& counters = (*run_end)["metrics"]["counters"];
+  const obs::JsonValue& phases = (*run_end)["phases"];
+  const auto count = [](const obs::JsonValue& value) {
+    return static_cast<std::uint64_t>(value.as_number());
+  };
+  const std::uint64_t cloud_rounds = count((*run_end)["cloud_rounds"]);
+  EXPECT_EQ(cloud_rounds, count_events(events, "cloud_round"));
+  ASSERT_GT(count(counters["fault_dropouts"]), 0u);
+  ASSERT_GT(count(counters["fault_edge_outage_rounds"]), 0u);
+
+  // One thread: one DeviceTraining scope per device that trained, one
+  // EdgeAggregation scope per edge round that ran (outages run none), and
+  // one SamplerDecision scope per such edge round and per UCB refresh.
+  EXPECT_EQ(count(phases["device_training"]["count"]),
+            count(counters["devices_trained"]));
+  EXPECT_EQ(count(phases["edge_aggregation"]["count"]),
+            count(counters["edge_aggregations"]));
+  EXPECT_EQ(count(phases["sampler_decision"]["count"]),
+            count(counters["edge_aggregations"]) + cloud_rounds);
+  EXPECT_EQ(count(phases["cloud_aggregation"]["count"]), cloud_rounds);
+  EXPECT_EQ(count(phases["evaluation"]["count"]),
+            count(counters["evaluations"]));
 }
 
 }  // namespace
