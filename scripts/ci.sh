@@ -86,6 +86,17 @@ done
 cmp <(grep -v '^{"event":"run_end"' "$trace") \
   <(grep -v '^{"event":"run_end"' "$trace4")
 "$BUILD_DIR/tools/trace_summary" "$trace" > /dev/null
+# A faulted int8 world with ~160 arrivals per step: the 4-worker run trains
+# and reduces several times per step (16 arrivals per worker), the serial
+# one after every edge; the traces must still match.
+flush_args=(--devices 400 --edges 8 --steps 10 --local_epochs 1 --codec int8
+  --faults 'dropout:p=0.1;straggler:p=0.2,timeout=1.5;edge_outage:edge=0,from=2,to=4')
+"$BUILD_DIR/examples/experiment_runner" "${flush_args[@]}" --threads 1 \
+  --trace "$trace" > /dev/null
+"$BUILD_DIR/examples/experiment_runner" "${flush_args[@]}" --threads 4 \
+  --trace "$trace4" > /dev/null
+cmp <(grep -v '^{"event":"run_end"' "$trace") \
+  <(grep -v '^{"event":"run_end"' "$trace4")
 
 echo "== kernels microbench smoke =="
 # Tiny time budget: checks the bench runs end-to-end and that blocked and
@@ -343,8 +354,10 @@ if [ "${TSAN:-1}" != "0" ]; then
   cmake --build "$TSAN_DIR" -j "$JOBS" --target test_runtime test_hfl test_fault test_obs test_comm test_sampling test_scale
   "$TSAN_DIR/tests/test_runtime"
   # ParallelDeterminism includes a MACH-P run: probes batch their gradient
-  # norms on the coordinator while each worker slot batches its own.
-  "$TSAN_DIR/tests/test_hfl" --gtest_filter='ParallelDeterminism.*:ProfilerIntegration.*'
+  # norms on the coordinator while each worker slot batches its own. It and
+  # the call-order test also run a world whose steps train several
+  # sections, workers claiming jobs from one shared counter.
+  "$TSAN_DIR/tests/test_hfl" --gtest_filter='ParallelDeterminism.*:ProfilerIntegration.*:Simulator.SamplersObserveEachStepAfterItsLastDecision'
   # Every registered sampler driven through real 2- and 4-worker simulator
   # runs: samplers are coordinator-only by contract; TSan proves none of the
   # zoo's per-device state is touched from worker threads.

@@ -2,8 +2,9 @@
 //
 // The HFL engine asks the active Sampler, once per (time step, edge), for
 // the inclusion probabilities q[t][m,n] of the devices currently inside that
-// edge, then feeds back the training observations of the devices that
-// actually participated. Baselines live in src/sampling, MACH in src/core.
+// edge; once every edge of the step has decided, it feeds back the training
+// observations of the devices that actually participated. Baselines live in
+// src/sampling, MACH in src/core.
 #pragma once
 
 #include <cstdint>
@@ -73,7 +74,11 @@ class Sampler {
   /// implementations should already satisfy sum(q) <= capacity (Eq. 11/12).
   virtual std::vector<double> edge_probabilities(const EdgeSamplingContext& ctx) = 0;
 
-  /// Called after each participating device finishes its local updates.
+  /// Called once per participating device of step t, after every edge of
+  /// step t has decided (its last edge_probabilities call) and before that
+  /// step's on_cloud_round: in edge order, then in the order of the edge's
+  /// device list. Edges run their rounds concurrently, so no decision of
+  /// step t sees an observation of step t, at any thread count.
   /// Arrivals only: under fault injection, a sampled device whose update
   /// never reaches the edge (dropout, straggler timeout, edge outage) is
   /// invisible here — experience buffers must reflect what the edge actually

@@ -1,6 +1,7 @@
 #include "hfl/simulator.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <csignal>
 #include <stdexcept>
@@ -20,6 +21,10 @@ namespace mach::hfl {
 namespace {
 /// Examples per evaluation chunk — the shard unit of both evaluation paths.
 constexpr std::size_t kEvalChunk = 256;
+/// Pending edges are trained and reduced once their arrivals reach this many
+/// per pool worker, or after a step's last edge. It bounds the result slots
+/// held at once; a serial engine (no workers) flushes after every edge.
+constexpr std::size_t kFlushDevicesPerWorker = 16;
 }  // namespace
 
 HflSimulator::HflSimulator(const data::Dataset& train, const data::Dataset& test,
@@ -59,6 +64,8 @@ HflSimulator::HflSimulator(const data::Dataset& train, const data::Dataset& test
   global_ = model_.get_parameters();
   param_count_ = global_.size();
   edge_models_.assign(schedule_.num_edges(), global_);
+  // Sized once: a job's start view may point into a plan's downlink buffer.
+  plans_.resize(schedule_.num_edges());
   device_rngs_.reserve(partition_.size());
   for (std::size_t m = 0; m < partition_.size(); ++m) {
     device_rngs_.emplace_back(common::split_seed(options_.seed, 0xd00 + m));
@@ -150,6 +157,55 @@ void HflSimulator::train_device(std::size_t t, std::uint32_t device,
   }
   obs.mean_loss = loss_total / static_cast<double>(options_.local_epochs);
   model.get_parameters(out.params);
+}
+
+void HflSimulator::train_jobs(std::size_t t, double learning_rate) {
+  if (device_slots_.size() < jobs_.size()) device_slots_.resize(jobs_.size());
+  if (pool_ == nullptr) {
+    for (std::size_t j = 0; j < jobs_.size(); ++j) {
+      const TrainingJob& job = jobs_[j];
+      const obs::SpanGuard span(timers_[obs::Phase::DeviceTraining],
+                                "device_train", static_cast<std::int64_t>(t),
+                                job.device);
+      train_device(t, job.device, job.edge, *job.start, learning_rate, model_,
+                   coordinator_scratch_, device_slots_[j]);
+    }
+    coordinator_scratch_.norms.flush();
+    return;
+  }
+  if (jobs_.empty()) return;
+  // One DeviceTraining scope per section, on the coordinator's track: the
+  // phase records the section's wall time, so the breakdown shows the
+  // realised speedup. The workers' device_train spans are profile-only.
+  const obs::SpanGuard section_span(timers_[obs::Phase::DeviceTraining],
+                                    "train_section",
+                                    static_cast<std::int64_t>(t));
+  // Each slice claims job indices from one counter until none are left. A
+  // job reads only its start model, its shard and its device's RNG stream
+  // and writes only its own slot, so which worker ran it changes no bit.
+  std::atomic<std::size_t> next_job{0};
+  pool_->parallel_for(
+      0, std::min(jobs_.size(), pool_->num_workers()),
+      [&](std::size_t /*slice*/, std::size_t slot) {
+        // Bind this worker to its slot's span track for the duration of the
+        // slice (slot ownership is exclusive within a section, so the track
+        // ring is single-writer).
+        std::optional<obs::SpanProfiler::ThreadScope> track_scope;
+        if (profiler_ != nullptr) {
+          track_scope.emplace(profiler_.get(),
+                              static_cast<std::uint32_t>(slot + 1));
+        }
+        for (std::size_t j = next_job++; j < jobs_.size(); j = next_job++) {
+          const TrainingJob& job = jobs_[j];
+          const obs::SpanGuard span("device_train",
+                                    static_cast<std::int64_t>(t), job.device);
+          train_device(t, job.device, job.edge, *job.start, learning_rate,
+                       replicas_->model(slot), worker_scratch_[slot],
+                       device_slots_[j]);
+        }
+      });
+  // The workers' partial norm batches, before the reduction reads any norm.
+  for (StepScratch& scratch : worker_scratch_) scratch.norms.flush();
 }
 
 void HflSimulator::probe_gradient_norm(std::uint32_t device, double* result) {
@@ -704,10 +760,340 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
   }
 
   std::vector<float> aggregate(param_count_);
-  std::vector<double> probs;
   std::vector<double> oracle_norms;
   std::vector<std::uint64_t> cloud_lost;  // edges whose upload was lost
   std::vector<float> prev_global;         // w^t backup for all-lost rounds
+  std::size_t num_observed = 0;           // observations_ queued this step
+
+  // Plans one edge round on the coordinator: outage fate, oracle probes, the
+  // sampler's clamped q, the Bernoulli draws, the decoded downlink, fault
+  // fates and the byte ledger. Only arriving devices become training jobs.
+  const auto plan_edge = [&](EdgePlan& plan, std::size_t t, std::size_t n,
+                             const std::vector<std::uint32_t>& devices) {
+    plan.edge = n;
+    plan.first_job = jobs_.size();
+    // Transient edge outage: the edge runs no round at all — no sampling
+    // draws, no training, the edge model carries over unchanged. The
+    // Bernoulli stream is untouched because fault decisions never consume
+    // engine randomness.
+    plan.outage = faults_on && injector_.edge_out(t, n);
+    if (plan.outage) return;
+    const std::vector<float>& edge_model = edge_models_[n];
+    const obs::SpanGuard edge_span("edge_round", static_cast<std::int64_t>(t),
+                                   static_cast<std::int64_t>(n));
+
+    // Sampler decision phase (Alg. 3 + any oracle probing).
+    {
+      const obs::SpanGuard span(timers_[obs::Phase::SamplerDecision],
+                                "sampler_decision",
+                                static_cast<std::int64_t>(t),
+                                static_cast<std::int64_t>(n));
+      EdgeSamplingContext ctx;
+      ctx.t = t;
+      ctx.edge = n;
+      ctx.capacity = edge_capacity(n);
+      ctx.devices = devices;
+      if (sampler.needs_oracle()) {
+        oracle_norms.resize(devices.size());
+        // One encoded probe broadcast serves every device in this edge
+        // round: probing is memoryless (no reference, no residual), so the
+        // decode is shared and each device is charged one message.
+        const std::vector<float>* probe_view = &edge_model;
+        if (!codec_probe_->lossless()) {
+          transcode(*codec_probe_, edge_model, {}, {}, probe_model_,
+                    static_cast<std::int64_t>(t),
+                    static_cast<std::int64_t>(n));
+          probe_view = &probe_model_;
+        }
+        // Probing never changes parameters: one load serves every probe,
+        // and the norms are evaluated in batches before the sampler reads
+        // them.
+        model_.set_parameters(*probe_view);
+        for (std::size_t i = 0; i < devices.size(); ++i) {
+          probe_gradient_norm(devices[i], &oracle_norms[i]);
+        }
+        coordinator_scratch_.norms.flush();
+        cost_.probe_downloads += devices.size();
+        cost_.ledger.probe_download.add(devices.size(), bytes_probe_);
+        ctx.oracle_grad_sq_norms = oracle_norms;
+      }
+      plan.probs = sampler.edge_probabilities(ctx);
+      if (plan.probs.size() != devices.size()) {
+        throw std::logic_error("sampler returned wrong probability count");
+      }
+      for (auto& q : plan.probs) {
+        if (q < options_.min_probability) ctr_floor_clamps.add();
+        q = std::clamp(q, options_.min_probability, 1.0);
+        hist_q.observe(q);
+      }
+    }
+
+    // Device sampling: independent Bernoulli trials drawn in device-index
+    // order, edges in order, so the engine RNG stream is identical at any
+    // thread count.
+    plan.sampled.clear();
+    for (std::size_t i = 0; i < devices.size(); ++i) {
+      if (engine_rng_.bernoulli(plan.probs[i])) {
+        plan.sampled.push_back(static_cast<std::uint32_t>(i));
+      }
+    }
+    const std::size_t num_sampled = plan.sampled.size();
+    cost_.device_downloads += num_sampled;  // devices fetch w_n^t (Eq. 4)
+    cost_.ledger.device_download.add(num_sampled, bytes_device_down_);
+    // Downlink transcode: every sampled device trains from the *decoded*
+    // broadcast, so one decode per edge round, into the plan's own buffer,
+    // stands in for all of them (the encoding is deterministic, all devices
+    // receive the same bytes). The fp32 identity codec skips this entirely —
+    // `device_view` aliasing the edge model is what keeps the default path
+    // bitwise equal to pre-codec builds.
+    plan.device_view = &edge_model;
+    if (!codec_device_down_->lossless() && num_sampled > 0) {
+      transcode(*codec_device_down_, edge_model, {}, {}, plan.downlink,
+                static_cast<std::int64_t>(t), static_cast<std::int64_t>(n));
+      plan.device_view = &plan.downlink;
+    }
+    if (!faults_on) {
+      cost_.device_uploads += num_sampled;  // devices return w_m^{t+1}
+      cost_.ledger.device_upload.add(num_sampled, bytes_device_up_);
+    } else {
+      // Fates are decided on the coordinator before training, one hashed
+      // RNG stream per (t, edge, device): thread-count independent and
+      // exactly replayable. Dropped devices vanish before uploading;
+      // stragglers pay one upload per attempt (counted even when every
+      // attempt misses the timeout budget).
+      const obs::SpanGuard span("fault_fates", static_cast<std::int64_t>(t),
+                                static_cast<std::int64_t>(n));
+      plan.fates.resize(num_sampled);
+      for (std::size_t k = 0; k < num_sampled; ++k) {
+        plan.fates[k] = injector_.device_fate(t, n, devices[plan.sampled[k]]);
+        const fault::DeviceFaultDecision& fate = plan.fates[k];
+        switch (fate.fate) {
+          case fault::DeviceFate::Completed:
+            cost_.device_uploads += 1;
+            cost_.ledger.device_upload.add(1, bytes_device_up_);
+            break;
+          case fault::DeviceFate::Dropped:
+            break;
+          case fault::DeviceFate::StragglerArrived:
+          case fault::DeviceFate::StragglerTimedOut:
+            // Every attempt crosses the wire at the encoded size — codecs
+            // produce value-independent message sizes precisely so lost
+            // retransmissions can be charged without encoding anything.
+            cost_.device_uploads += 1 + fate.retries;
+            cost_.retry_uploads += fate.retries;
+            cost_.ledger.device_upload.add(1 + fate.retries, bytes_device_up_);
+            cost_.ledger.retry_upload.add(fate.retries, bytes_device_up_);
+            break;
+        }
+      }
+    }
+    // Non-arriving devices never train: their update is lost either way,
+    // the sampler must not observe them, and skipping keeps their local RNG
+    // streams unconsumed (so a device's future minibatch draws do not
+    // depend on past fault outcomes).
+    for (std::size_t k = 0; k < num_sampled; ++k) {
+      if (faults_on && !plan.fates[k].arrived) continue;
+      jobs_.push_back({devices[plan.sampled[k]], n, plan.device_view});
+    }
+  };
+
+  // Reduces one edge round once its arrivals have trained, in edge order:
+  // uplink transcodes, the Horvitz-Thompson accumulation and fold, counters
+  // and observer events. The arrivals' observations are queued for the
+  // sampler, which receives them after the step's last decision.
+  const auto reduce_edge = [&](const EdgePlan& plan, std::size_t t,
+                               const std::vector<std::uint32_t>& devices) {
+    const std::size_t n = plan.edge;
+    if (plan.outage) {
+      ctr_fault_outages->add();
+      if (observer_ != nullptr) {
+        obs::EdgeAggregatedEvent event;
+        event.t = t;
+        event.edge = n;
+        event.capacity = edge_capacity(n);
+        event.num_devices = devices.size();
+        event.faults.active = true;
+        event.faults.edge_outage = true;
+        observer_->on_edge_aggregated(event);
+      }
+      return;
+    }
+    std::vector<float>& edge_model = edge_models_[n];
+    const std::vector<float>& device_view = *plan.device_view;
+    // Ordered reduction: observer events, queued observations and the
+    // Horvitz-Thompson accumulation all walk the edge's slots in
+    // sampled-device order — float addition order matches at any thread
+    // count.
+    std::fill(aggregate.begin(), aggregate.end(), 0.0f);
+    const double inv_edge_size = 1.0 / static_cast<double>(devices.size());
+    double weight_total = 0.0;
+    double weight_sq_total = 0.0;  // for the HT-variance diagnostic
+    const std::size_t num_sampled = plan.sampled.size();
+    std::size_t num_arrived = 0;
+    std::size_t round_dropped = 0;
+    std::size_t round_straggler_arrivals = 0;
+    std::size_t round_straggler_timeouts = 0;
+    std::size_t round_retries = 0;
+    survivors_.clear();
+    lost_.clear();
+    // One EdgeAggregation scope per edge round: uplink transcodes, the
+    // queued observations and the Horvitz-Thompson accumulation and fold.
+    {
+      const obs::SpanGuard reduce_span(timers_[obs::Phase::EdgeAggregation],
+                                       "edge_reduce",
+                                       static_cast<std::int64_t>(t),
+                                       static_cast<std::int64_t>(n));
+      std::size_t job = plan.first_job;
+      for (std::size_t k = 0; k < num_sampled; ++k) {
+        const std::size_t i = plan.sampled[k];
+        if (faults_on) {
+          const fault::DeviceFaultDecision& fate = plan.fates[k];
+          round_retries += fate.retries;
+          if (!fate.arrived) {
+            // Update lost: no observer event, no sampler experience, no HT
+            // contribution. Survivor weights absorb the loss below.
+            lost_.push_back(devices[i]);
+            if (fate.fate == fault::DeviceFate::Dropped) {
+              ++round_dropped;
+            } else {
+              ++round_straggler_timeouts;
+            }
+            continue;
+          }
+          survivors_.push_back(devices[i]);
+          if (fate.fate == fault::DeviceFate::StragglerArrived) {
+            ++round_straggler_arrivals;
+          }
+        }
+        ++num_arrived;
+        const DeviceSlot& device_slot = device_slots_[job++];
+        const TrainingObservation& observation = device_slot.observation;
+        ctr_trained.add();
+        window_train_loss += observation.mean_loss;
+        ++window_participants;
+        if (observer_ != nullptr) {
+          obs::DeviceTrainedEvent event;
+          event.t = t;
+          event.device = devices[i];
+          event.edge = n;
+          event.q = plan.probs[i];
+          event.mean_loss = observation.mean_loss;
+          event.last_grad_sq_norm = observation.local_grad_sq_norms.empty()
+                                        ? 0.0
+                                        : observation.local_grad_sq_norms.back();
+          observer_->on_device_trained(event);
+        }
+        // Copy-assignment reuses the queued entry's capacity: no steady-state
+        // allocation.
+        if (num_observed == observations_.size()) observations_.emplace_back();
+        observations_[num_observed++] = observation;
+        // Eq. 5's weight over the surviving set: the realised inclusion
+        // probability of an *arriving* device is q_m * a_m, where a_m is the
+        // schedule's analytic arrival probability (independent thinning), so
+        // dividing by it keeps the edge aggregate exactly unbiased.
+        double q_effective = plan.probs[i];
+        if (faults_on) {
+          q_effective *= injector_.arrival_probability(n, devices[i]);
+        }
+        const double ht_weight = inv_edge_size / q_effective;
+        weight_total += ht_weight;
+        weight_sq_total += ht_weight * ht_weight;
+        const auto weight = static_cast<float>(ht_weight);
+        // Uplink transcode, on the coordinator in sampled order (bitwise
+        // deterministic at any thread count). The upload's reference frame
+        // is the *decoded downlink* the device trained from — for delta
+        // codecs (top-k) the edge reconstructs reference + sparse delta, and
+        // the untransmitted remainder feeds the device's error-feedback
+        // residual for its next participation.
+        const std::vector<float>* upload_view = &device_slot.params;
+        if (!codec_device_up_->lossless()) {
+          const std::span<float> residual =
+              codec_device_up_->stateful()
+                  ? upload_residuals_.get_or_alloc(devices[i])
+                  : std::span<float>{};
+          transcode(*codec_device_up_, device_slot.params, device_view,
+                    residual, decoded_upload_, static_cast<std::int64_t>(t),
+                    static_cast<std::int64_t>(devices[i]));
+          upload_view = &decoded_upload_;
+        }
+        if (options_.aggregation == AggregationForm::UpdateForm) {
+          // HT-weighted deltas (the form the paper's proof analyses) against
+          // the model the device actually received.
+          tensor::kernels::axpy_delta(param_count_, weight,
+                                      upload_view->data(), device_view.data(),
+                                      aggregate.data());
+        } else {
+          // HT-weighted parameters (Eq. 5).
+          tensor::kernels::axpy(param_count_, weight, upload_view->data(),
+                                aggregate.data());
+        }
+      }
+      // Edge aggregation (Eq. 5). With no arriving participant (nothing
+      // sampled, or every sampled update lost to faults) the edge model is
+      // carried over unchanged in every form.
+      if (num_arrived > 0) {
+        switch (options_.aggregation) {
+          case AggregationForm::Literal:
+            edge_model.assign(aggregate.begin(), aggregate.end());
+            break;
+          case AggregationForm::SelfNormalized: {
+            const auto inv = static_cast<float>(1.0 / weight_total);
+            tensor::kernels::scale_copy(param_count_, inv, aggregate.data(),
+                                        edge_model.data());
+            break;
+          }
+          case AggregationForm::UpdateForm:
+            tensor::kernels::vadd(param_count_, aggregate.data(),
+                                  edge_model.data());
+            break;
+        }
+      }
+    }
+    ctr_edge_aggs.add();
+    if (num_arrived == 0) ctr_empty_edges.add();
+    if (faults_on) {
+      if (round_dropped > 0) ctr_fault_drops->add(round_dropped);
+      if (round_straggler_arrivals > 0) {
+        ctr_fault_straggler_arrivals->add(round_straggler_arrivals);
+      }
+      if (round_straggler_timeouts > 0) {
+        ctr_fault_straggler_timeouts->add(round_straggler_timeouts);
+      }
+      if (round_retries > 0) ctr_fault_retries->add(round_retries);
+      if (!lost_.empty()) ctr_fault_updates_lost->add(lost_.size());
+    }
+    if (observer_ != nullptr) {
+      obs::EdgeAggregatedEvent event;
+      event.t = t;
+      event.edge = n;
+      event.capacity = edge_capacity(n);
+      event.num_devices = devices.size();
+      event.num_sampled = num_sampled;
+      event.q = obs::QSummary::from(plan.probs, options_.min_probability);
+      event.ht_weight_sum = weight_total;
+      if (num_arrived > 0) {
+        const double mean_w = weight_total / static_cast<double>(num_arrived);
+        event.ht_weight_variance =
+            weight_sq_total / static_cast<double>(num_arrived) - mean_w * mean_w;
+      }
+      if (faults_on) {
+        event.faults.active = true;
+        event.faults.num_dropped = round_dropped;
+        event.faults.num_straggler_arrivals = round_straggler_arrivals;
+        event.faults.num_straggler_timeouts = round_straggler_timeouts;
+        event.faults.num_retries = round_retries;
+        event.faults.survivors = survivors_;
+        event.faults.lost = lost_;
+      }
+      observer_->on_edge_aggregated(event);
+    }
+  };
+
+  // Pending edges flush (train, then reduce) once their arrivals reach this
+  // many: kFlushDevicesPerWorker per pool worker, which is every edge on a
+  // serial engine — the classic per-edge order and memory.
+  const std::size_t flush_at =
+      kFlushDevicesPerWorker * (pool_ != nullptr ? pool_->num_workers() : 0);
 
   for (std::size_t t = start_t; t < steps; ++t) {
     const obs::SpanGuard round_span("round", static_cast<std::int64_t>(t));
@@ -724,354 +1110,34 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
       }
       observer_->on_step_begin(event);
     }
+    // Algorithm 1's three phases (DESIGN §8): plan every edge round on the
+    // coordinator, train the planned arrivals together, reduce each edge in
+    // edge order.
+    std::size_t in_flight = 0;  // planned edges, plans_[0, in_flight)
+    const auto flush = [&] {
+      train_jobs(t, lr);
+      for (std::size_t p = 0; p < in_flight; ++p) {
+        reduce_edge(plans_[p], t, per_edge[plans_[p].edge]);
+      }
+      in_flight = 0;
+      jobs_.clear();
+    };
+    num_observed = 0;
     for (std::size_t n = 0; n < per_edge.size(); ++n) {
-      const auto& devices = per_edge[n];
-      if (devices.empty()) continue;
-
-      // Transient edge outage: the edge runs no round at all — no sampling
-      // draws, no training, the edge model carries over unchanged. The
-      // Bernoulli stream is untouched because fault decisions never consume
-      // engine randomness.
-      if (faults_on && injector_.edge_out(t, n)) {
-        ctr_fault_outages->add();
-        if (observer_ != nullptr) {
-          obs::EdgeAggregatedEvent event;
-          event.t = t;
-          event.edge = n;
-          event.capacity = edge_capacity(n);
-          event.num_devices = devices.size();
-          event.faults.active = true;
-          event.faults.edge_outage = true;
-          observer_->on_edge_aggregated(event);
-        }
-        continue;
-      }
-      std::vector<float>& edge_model = edge_models_[n];
-      const obs::SpanGuard edge_span("edge_round", static_cast<std::int64_t>(t),
-                                     static_cast<std::int64_t>(n));
-
-      // Sampler decision phase (Alg. 3 + any oracle probing).
-      {
-        const obs::SpanGuard span(timers_[obs::Phase::SamplerDecision],
-                                  "sampler_decision",
-                                  static_cast<std::int64_t>(t),
-                                  static_cast<std::int64_t>(n));
-        EdgeSamplingContext ctx;
-        ctx.t = t;
-        ctx.edge = n;
-        ctx.capacity = edge_capacity(n);
-        ctx.devices = devices;
-        if (sampler.needs_oracle()) {
-          oracle_norms.resize(devices.size());
-          // One encoded probe broadcast serves every device in this edge
-          // round: probing is memoryless (no reference, no residual), so the
-          // decode is shared and each device is charged one message.
-          const std::vector<float>* probe_view = &edge_model;
-          if (!codec_probe_->lossless()) {
-            transcode(*codec_probe_, edge_model, {}, {}, probe_model_,
-                      static_cast<std::int64_t>(t),
-                      static_cast<std::int64_t>(n));
-            probe_view = &probe_model_;
-          }
-          // Probing never changes parameters: one load serves every probe,
-          // and the norms are evaluated in batches before the sampler reads
-          // them.
-          model_.set_parameters(*probe_view);
-          for (std::size_t i = 0; i < devices.size(); ++i) {
-            probe_gradient_norm(devices[i], &oracle_norms[i]);
-          }
-          coordinator_scratch_.norms.flush();
-          cost_.probe_downloads += devices.size();
-          cost_.ledger.probe_download.add(devices.size(), bytes_probe_);
-          ctx.oracle_grad_sq_norms = oracle_norms;
-        }
-        probs = sampler.edge_probabilities(ctx);
-        if (probs.size() != devices.size()) {
-          throw std::logic_error("sampler returned wrong probability count");
-        }
-        for (auto& q : probs) {
-          if (q < options_.min_probability) ctr_floor_clamps.add();
-          q = std::clamp(q, options_.min_probability, 1.0);
-          hist_q.observe(q);
-        }
-      }
-
-      // Device sampling: independent Bernoulli trials drawn in device-index
-      // order, so the engine RNG stream is identical at any thread count.
-      sampled_.clear();
-      for (std::size_t i = 0; i < devices.size(); ++i) {
-        if (engine_rng_.bernoulli(probs[i])) {
-          sampled_.push_back(static_cast<std::uint32_t>(i));
-        }
-      }
-      cost_.device_downloads += sampled_.size();  // devices fetch w_n^t (Eq. 4)
-      cost_.ledger.device_download.add(sampled_.size(), bytes_device_down_);
-      // Downlink transcode: every sampled device trains from the *decoded*
-      // broadcast, so one shared decode per edge round stands in for all of
-      // them (the encoding is deterministic, all devices receive the same
-      // bytes). The fp32 identity codec skips this entirely — `device_view`
-      // aliasing `edge_model` is what keeps the default path bitwise equal
-      // to pre-codec builds.
-      const std::vector<float>* device_view = &edge_model;
-      if (!codec_device_down_->lossless() && !sampled_.empty()) {
-        transcode(*codec_device_down_, edge_model, {}, {},
-                  downlink_model_, static_cast<std::int64_t>(t),
-                  static_cast<std::int64_t>(n));
-        device_view = &downlink_model_;
-      }
-      if (!faults_on) {
-        cost_.device_uploads += sampled_.size();  // devices return w_m^{t+1}
-        cost_.ledger.device_upload.add(sampled_.size(), bytes_device_up_);
-      } else {
-        // Fates are decided on the coordinator before training dispatch, one
-        // hashed RNG stream per (t, edge, device): thread-count independent
-        // and exactly replayable. Dropped devices vanish before uploading;
-        // stragglers pay one upload per attempt (counted even when every
-        // attempt misses the timeout budget).
-        const obs::SpanGuard span("fault_fates", static_cast<std::int64_t>(t),
-                                  static_cast<std::int64_t>(n));
-        fates_.resize(sampled_.size());
-        for (std::size_t k = 0; k < sampled_.size(); ++k) {
-          fates_[k] = injector_.device_fate(t, n, devices[sampled_[k]]);
-          const fault::DeviceFaultDecision& fate = fates_[k];
-          switch (fate.fate) {
-            case fault::DeviceFate::Completed:
-              cost_.device_uploads += 1;
-              cost_.ledger.device_upload.add(1, bytes_device_up_);
-              break;
-            case fault::DeviceFate::Dropped:
-              break;
-            case fault::DeviceFate::StragglerArrived:
-            case fault::DeviceFate::StragglerTimedOut:
-              // Every attempt crosses the wire at the encoded size — codecs
-              // produce value-independent message sizes precisely so lost
-              // retransmissions can be charged without encoding anything.
-              cost_.device_uploads += 1 + fate.retries;
-              cost_.retry_uploads += fate.retries;
-              cost_.ledger.device_upload.add(1 + fate.retries, bytes_device_up_);
-              cost_.ledger.retry_upload.add(fate.retries, bytes_device_up_);
-              break;
-          }
-        }
-      }
-
-      // Local updating (Eq. 4): each sampled device trains into its own
-      // result slot. Sampled devices are independent — each touches only its
-      // shard and RNG stream plus a private scratch model — so the parallel
-      // path dispatches them across the worker replicas and is bitwise
-      // identical to the serial path (the reduction below never reorders).
-      if (device_slots_.size() < sampled_.size()) {
-        device_slots_.resize(sampled_.size());
-      }
-      if (pool_ != nullptr && sampled_.size() > 1) {
-        // One DeviceTraining scope per edge round, on the coordinator's
-        // track: the phase records the wall time of the whole parallel
-        // section, so the breakdown shows the realised speedup. The workers'
-        // device_train spans are profile-only.
-        const obs::SpanGuard section_span(timers_[obs::Phase::DeviceTraining],
-                                          "train_section",
-                                          static_cast<std::int64_t>(t),
-                                          static_cast<std::int64_t>(n));
-        pool_->parallel_for(
-            0, sampled_.size(), [&](std::size_t k, std::size_t slot) {
-              if (faults_on && !fates_[k].arrived) return;
-              // Bind this worker to its slot's span track for the duration
-              // of the slice (slot ownership is exclusive within a section,
-              // so the track ring is single-writer).
-              std::optional<obs::SpanProfiler::ThreadScope> track_scope;
-              if (profiler_ != nullptr) {
-                track_scope.emplace(profiler_.get(),
-                                    static_cast<std::uint32_t>(slot + 1));
-              }
-              DeviceSlot& out = device_slots_[k];
-              const obs::SpanGuard span("device_train",
-                                        static_cast<std::int64_t>(t),
-                                        devices[sampled_[k]]);
-              train_device(t, devices[sampled_[k]], n, *device_view, lr,
-                           replicas_->model(slot), worker_scratch_[slot], out);
-            });
-        // The workers' partial norm batches, before the reduction reads
-        // any norm.
-        for (StepScratch& scratch : worker_scratch_) scratch.norms.flush();
-      } else {
-        for (std::size_t k = 0; k < sampled_.size(); ++k) {
-          // Non-arriving devices never train here: their update is lost
-          // either way, the sampler must not observe them, and skipping
-          // keeps their local RNG streams unconsumed (so a device's future
-          // minibatch draws do not depend on past fault outcomes).
-          if (faults_on && !fates_[k].arrived) continue;
-          const obs::SpanGuard span(timers_[obs::Phase::DeviceTraining],
-                                    "device_train",
-                                    static_cast<std::int64_t>(t),
-                                    devices[sampled_[k]]);
-          train_device(t, devices[sampled_[k]], n, *device_view, lr, model_,
-                       coordinator_scratch_, device_slots_[k]);
-        }
-        coordinator_scratch_.norms.flush();
-      }
-
-      // Ordered reduction: observer events, sampler experience and the
-      // Horvitz-Thompson accumulation all walk the slots in device-index
-      // order — float addition order matches the serial path exactly.
-      std::fill(aggregate.begin(), aggregate.end(), 0.0f);
-      const double inv_edge_size = 1.0 / static_cast<double>(devices.size());
-      double weight_total = 0.0;
-      double weight_sq_total = 0.0;  // for the HT-variance diagnostic
-      const std::size_t num_sampled = sampled_.size();
-      std::size_t num_arrived = 0;
-      std::size_t round_dropped = 0;
-      std::size_t round_straggler_arrivals = 0;
-      std::size_t round_straggler_timeouts = 0;
-      std::size_t round_retries = 0;
-      survivors_.clear();
-      lost_.clear();
-      // One EdgeAggregation scope per edge round: uplink transcodes, sampler
-      // observation and the Horvitz-Thompson accumulation and fold.
-      {
-        const obs::SpanGuard reduce_span(timers_[obs::Phase::EdgeAggregation],
-                                         "edge_reduce",
-                                         static_cast<std::int64_t>(t),
-                                         static_cast<std::int64_t>(n));
-        for (std::size_t k = 0; k < num_sampled; ++k) {
-          const std::size_t i = sampled_[k];
-          if (faults_on) {
-            const fault::DeviceFaultDecision& fate = fates_[k];
-            round_retries += fate.retries;
-            if (!fate.arrived) {
-              // Update lost: no observer event, no sampler experience, no HT
-              // contribution. Survivor weights absorb the loss below.
-              lost_.push_back(devices[i]);
-              if (fate.fate == fault::DeviceFate::Dropped) {
-                ++round_dropped;
-              } else {
-                ++round_straggler_timeouts;
-              }
-              continue;
-            }
-            survivors_.push_back(devices[i]);
-            if (fate.fate == fault::DeviceFate::StragglerArrived) {
-              ++round_straggler_arrivals;
-            }
-          }
-          ++num_arrived;
-          const DeviceSlot& device_slot = device_slots_[k];
-          const TrainingObservation& observation = device_slot.observation;
-          ctr_trained.add();
-          window_train_loss += observation.mean_loss;
-          ++window_participants;
-          if (observer_ != nullptr) {
-            obs::DeviceTrainedEvent event;
-            event.t = t;
-            event.device = devices[i];
-            event.edge = n;
-            event.q = probs[i];
-            event.mean_loss = observation.mean_loss;
-            event.last_grad_sq_norm = observation.local_grad_sq_norms.empty()
-                                          ? 0.0
-                                          : observation.local_grad_sq_norms.back();
-            observer_->on_device_trained(event);
-          }
-          sampler.observe_training(observation);
-          // Eq. 5's weight over the surviving set: the realised inclusion
-          // probability of an *arriving* device is q_m * a_m, where a_m is the
-          // schedule's analytic arrival probability (independent thinning), so
-          // dividing by it keeps the edge aggregate exactly unbiased.
-          double q_effective = probs[i];
-          if (faults_on) {
-            q_effective *= injector_.arrival_probability(n, devices[i]);
-          }
-          const double ht_weight = inv_edge_size / q_effective;
-          weight_total += ht_weight;
-          weight_sq_total += ht_weight * ht_weight;
-          const auto weight = static_cast<float>(ht_weight);
-          // Uplink transcode, on the coordinator in sampled order (bitwise
-          // deterministic at any thread count). The upload's reference frame
-          // is the *decoded downlink* the device trained from — for delta
-          // codecs (top-k) the edge reconstructs reference + sparse delta, and
-          // the untransmitted remainder feeds the device's error-feedback
-          // residual for its next participation.
-          const std::vector<float>* upload_view = &device_slot.params;
-          if (!codec_device_up_->lossless()) {
-            const std::span<float> residual =
-                codec_device_up_->stateful()
-                    ? upload_residuals_.get_or_alloc(devices[i])
-                    : std::span<float>{};
-            transcode(*codec_device_up_, device_slot.params, *device_view,
-                      residual, decoded_upload_, static_cast<std::int64_t>(t),
-                      static_cast<std::int64_t>(devices[i]));
-            upload_view = &decoded_upload_;
-          }
-          if (options_.aggregation == AggregationForm::UpdateForm) {
-            // HT-weighted deltas (the form the paper's proof analyses) against
-            // the model the device actually received.
-            tensor::kernels::axpy_delta(param_count_, weight,
-                                        upload_view->data(),
-                                        device_view->data(), aggregate.data());
-          } else {
-            // HT-weighted parameters (Eq. 5).
-            tensor::kernels::axpy(param_count_, weight,
-                                  upload_view->data(), aggregate.data());
-          }
-        }
-        // Edge aggregation (Eq. 5). With no arriving participant (nothing
-        // sampled, or every sampled update lost to faults) the edge model is
-        // carried over unchanged in every form.
-        if (num_arrived > 0) {
-          switch (options_.aggregation) {
-            case AggregationForm::Literal:
-              edge_model.assign(aggregate.begin(), aggregate.end());
-              break;
-            case AggregationForm::SelfNormalized: {
-              const auto inv = static_cast<float>(1.0 / weight_total);
-              tensor::kernels::scale_copy(param_count_, inv, aggregate.data(),
-                                          edge_model.data());
-              break;
-            }
-            case AggregationForm::UpdateForm:
-              tensor::kernels::vadd(param_count_, aggregate.data(),
-                                    edge_model.data());
-              break;
-          }
-        }
-      }
-      const bool any_sampled = num_arrived > 0;
-      ctr_edge_aggs.add();
-      if (!any_sampled) ctr_empty_edges.add();
-      if (faults_on) {
-        if (round_dropped > 0) ctr_fault_drops->add(round_dropped);
-        if (round_straggler_arrivals > 0) {
-          ctr_fault_straggler_arrivals->add(round_straggler_arrivals);
-        }
-        if (round_straggler_timeouts > 0) {
-          ctr_fault_straggler_timeouts->add(round_straggler_timeouts);
-        }
-        if (round_retries > 0) ctr_fault_retries->add(round_retries);
-        if (!lost_.empty()) ctr_fault_updates_lost->add(lost_.size());
-      }
-      if (observer_ != nullptr) {
-        obs::EdgeAggregatedEvent event;
-        event.t = t;
-        event.edge = n;
-        event.capacity = edge_capacity(n);
-        event.num_devices = devices.size();
-        event.num_sampled = num_sampled;
-        event.q = obs::QSummary::from(probs, options_.min_probability);
-        event.ht_weight_sum = weight_total;
-        if (num_arrived > 0) {
-          const double mean_w = weight_total / static_cast<double>(num_arrived);
-          event.ht_weight_variance =
-              weight_sq_total / static_cast<double>(num_arrived) - mean_w * mean_w;
-        }
-        if (faults_on) {
-          event.faults.active = true;
-          event.faults.num_dropped = round_dropped;
-          event.faults.num_straggler_arrivals = round_straggler_arrivals;
-          event.faults.num_straggler_timeouts = round_straggler_timeouts;
-          event.faults.num_retries = round_retries;
-          event.faults.survivors = survivors_;
-          event.faults.lost = lost_;
-        }
-        observer_->on_edge_aggregated(event);
+      if (per_edge[n].empty()) continue;
+      plan_edge(plans_[in_flight++], t, n, per_edge[n]);
+      if (jobs_.size() >= flush_at) flush();
+    }
+    if (in_flight > 0) flush();
+    // Sampler experience, after the step's last decision: edges run their
+    // rounds concurrently, so no decision of step t sees an observation of
+    // step t. Delivered in edge order, then sampled-device order, so where
+    // the flushes fell (the worker count) cannot reach the sampler.
+    {
+      const obs::SpanGuard span("sampler_observe",
+                                static_cast<std::int64_t>(t));
+      for (std::size_t i = 0; i < num_observed; ++i) {
+        sampler.observe_training(observations_[i]);
       }
     }
 

@@ -100,10 +100,13 @@ struct HflOptions {
   std::uint64_t sampling_seed = 0;
   /// Worker threads for device training and evaluation sharding (1 = the
   /// classic serial path, 0 = hardware_concurrency). Any value produces
-  /// bitwise-identical runs: sampled devices train on per-worker model
-  /// replicas against their own RNG streams, and every floating-point
-  /// reduction (Eq. 5 edge aggregation, evaluation chunk folds) happens
-  /// serially in index order afterwards.
+  /// bitwise-identical runs. Each step plans every edge round on the
+  /// coordinator, trains the planned arrivals of several edges in one
+  /// parallel section (each device on a worker's model replica, against its
+  /// own RNG stream), then reduces the edges in edge order; every
+  /// floating-point reduction (Eq. 5 edge aggregation, evaluation chunk
+  /// folds) happens serially in index order, and samplers observe the
+  /// step's arrivals only after its last decision (see Sampler).
   runtime::ParallelConfig parallel;
   /// Crash-tolerant checkpointing (src/ckpt/). With `checkpoint.every` > 0
   /// the engine freezes its full run state — model parameters, every RNG
@@ -253,10 +256,33 @@ class HflSimulator {
   FederationInfo federation_info() const;
 
  private:
-  /// Per-sampled-device result slot for one edge round: the parallel path
-  /// trains into slots from workers, then the coordinator reduces them in
-  /// device-index order (the serial path fills the same slots in order, so
-  /// both paths share one reduction).
+  /// One edge round between its plan and its reduction: what the
+  /// coordinator decided for it and where its arrivals' result slots start.
+  /// One per edge in flight, reused across steps (capacity included).
+  struct EdgePlan {
+    std::size_t edge = 0;
+    bool outage = false;                 // the edge runs no round at all
+    std::vector<double> probs;           // clamped q per present device
+    std::vector<std::uint32_t> sampled;  // Bernoulli hits, device-list indices
+    std::vector<fault::DeviceFaultDecision> fates;  // parallel to sampled
+    std::vector<float> downlink;         // decoded downlink (lossy codecs)
+    /// The model its devices received: edge_models_[edge] or `downlink`.
+    const std::vector<float>* device_view = nullptr;
+    std::size_t first_job = 0;           // its first arrival's index in jobs_
+  };
+
+  /// One arriving device's local update (Eq. 4), trained from `start` into
+  /// the result slot of the same index.
+  struct TrainingJob {
+    std::uint32_t device = 0;
+    std::size_t edge = 0;
+    const std::vector<float>* start = nullptr;
+  };
+
+  /// Per-job result slot: the training section fills slot j from job j on
+  /// whichever worker claimed it, then the coordinator reduces the slots in
+  /// job order (edge order, then sampled order), so the float additions are
+  /// the same at any thread count.
   struct DeviceSlot {
     TrainingObservation observation;
     std::vector<float> params;  // trained parameters w_m^{t+1}
@@ -278,6 +304,11 @@ class HflSimulator {
                     const std::vector<float>& edge_model, double learning_rate,
                     nn::Sequential& model, StepScratch& scratch,
                     DeviceSlot& out);
+
+  /// Trains every job in jobs_ into device_slots_ (Eq. 4). With a pool, one
+  /// parallel section whose workers claim job indices from a shared counter;
+  /// without one, each job in order on model_.
+  void train_jobs(std::size_t t, double learning_rate);
 
   /// ||g||^2 probe used for samplers with needs_oracle() (MACH-P), on
   /// model_, which must hold the probed edge model. Staged in the
@@ -329,17 +360,18 @@ class HflSimulator {
   // Parallel execution runtime (null in serial mode, i.e. threads <= 1).
   std::unique_ptr<runtime::ThreadPool> pool_;
   std::unique_ptr<runtime::ModelReplicaPool> replicas_;
-  std::vector<std::uint32_t> sampled_;     // per-edge realised Bernoulli draws
-  std::vector<DeviceSlot> device_slots_;   // one per sampled device, reused
+  std::vector<EdgePlan> plans_;            // one per edge, used in flight order
+  std::vector<TrainingJob> jobs_;          // the pending edges' arrivals
+  std::vector<DeviceSlot> device_slots_;   // one per job, reused
+  std::vector<TrainingObservation> observations_;  // the step's, queued
   StepScratch coordinator_scratch_;        // with model_
   std::vector<StepScratch> worker_scratch_;  // one per pool slot
   std::vector<nn::StepStats> eval_slots_;  // one per evaluation chunk, reused
 
   // Fault-injection runtime (inactive with an empty schedule). Fates are
-  // decided on the coordinator before training dispatch, from per-event
+  // decided on the coordinator when an edge is planned, from per-event
   // hashed RNG streams — identical at any thread count.
   fault::FaultInjector injector_;
-  std::vector<fault::DeviceFaultDecision> fates_;  // parallel to sampled_
   std::vector<std::uint64_t> survivors_;           // device ids, per round
   std::vector<std::uint64_t> lost_;                // device ids, per round
 
@@ -365,7 +397,6 @@ class HflSimulator {
   /// The last cloud broadcast as the edges received it — the shared
   /// reference both ends of a delta-coded edge→cloud upload agree on.
   std::vector<float> last_broadcast_;
-  std::vector<float> downlink_model_;   // decoded device-download payload
   std::vector<float> probe_model_;      // decoded probe payload
   std::vector<float> decoded_upload_;   // decoded device/edge upload payload
   std::vector<float> broadcast_model_;  // decoded cloud broadcast payload

@@ -1,7 +1,8 @@
 // The runtime subsystem's core promise: a run is bitwise identical at any
-// thread count. Replays the fig3-style 2-edge/8-device scenario serially
-// and with 2 and 4 workers and asserts equal global parameters, metrics
-// CSVs, confusion matrices and JSONL trace event sequences (timing fields
+// thread count. Replays the fig3-style 2-edge/8-device scenario, and a
+// faulted int8 world that trains several sections per step, serially and
+// with 2 and 4 workers and asserts equal global parameters, metrics CSVs,
+// confusion matrices and JSONL trace event sequences (timing fields
 // stripped — wall-clock is the only thing allowed to differ).
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 
 #include "core/registry.h"
 #include "hfl/experiment.h"
+#include "hfl/flush_world.h"
 #include "hfl/trace_canon.h"
 #include "obs/jsonl_writer.h"
 
@@ -93,24 +95,40 @@ RunArtifacts run_with_threads(const ExperimentArtifacts& artifacts,
 }
 
 TEST(ParallelDeterminism, ThreadCountDoesNotChangeTheRun) {
-  const ExperimentConfig config = parallel_scenario(47);
-  const ExperimentArtifacts artifacts = build_experiment(config);
+  // The multi-flush world under mach, which reads only its own edge's
+  // experience, and under statistical and oort, which pool every edge's
+  // observations: where a step's training sections fall must not matter.
+  struct Input {
+    std::string world;
+    ExperimentConfig config;
+    std::string sampler;
+  };
+  const std::vector<Input> inputs = {
+      {"fig3", parallel_scenario(47), "mach"},
+      {"multi_flush", test::multi_flush_world(47), "mach"},
+      {"multi_flush", test::multi_flush_world(47), "statistical"},
+      {"multi_flush", test::multi_flush_world(47), "oort"}};
+  for (const Input& input : inputs) {
+    SCOPED_TRACE(input.world + "/" + input.sampler);
+    const ExperimentArtifacts artifacts = build_experiment(input.config);
+    const RunArtifacts serial =
+        run_with_threads(artifacts, input.config, 1, input.sampler);
+    ASSERT_FALSE(serial.params.empty());
+    ASSERT_FALSE(serial.csv.empty());
+    ASSERT_GE(serial.trace.size(), 4u);  // run_begin, steps, ..., run_end
 
-  const RunArtifacts serial = run_with_threads(artifacts, config, 1);
-  ASSERT_FALSE(serial.params.empty());
-  ASSERT_FALSE(serial.csv.empty());
-  ASSERT_GE(serial.trace.size(), 4u);  // run_begin, steps, ..., run_end
-
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    const RunArtifacts parallel = run_with_threads(artifacts, config, threads);
-    // Bitwise: float vectors compared element-exact, no tolerance.
-    EXPECT_EQ(parallel.params, serial.params);
-    EXPECT_EQ(parallel.csv, serial.csv);
-    EXPECT_EQ(parallel.confusion, serial.confusion);
-    ASSERT_EQ(parallel.trace.size(), serial.trace.size());
-    for (std::size_t i = 0; i < serial.trace.size(); ++i) {
-      EXPECT_EQ(parallel.trace[i], serial.trace[i]) << "event " << i;
+    for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      const RunArtifacts parallel =
+          run_with_threads(artifacts, input.config, threads, input.sampler);
+      // Bitwise: float vectors compared element-exact, no tolerance.
+      EXPECT_EQ(parallel.params, serial.params);
+      EXPECT_EQ(parallel.csv, serial.csv);
+      EXPECT_EQ(parallel.confusion, serial.confusion);
+      ASSERT_EQ(parallel.trace.size(), serial.trace.size());
+      for (std::size_t i = 0; i < serial.trace.size(); ++i) {
+        EXPECT_EQ(parallel.trace[i], serial.trace[i]) << "event " << i;
+      }
     }
   }
 }

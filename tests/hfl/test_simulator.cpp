@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <memory>
 #include <numeric>
 #include <span>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "core/mach.h"
 #include "core/registry.h"
@@ -15,6 +18,8 @@
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "hfl/experiment.h"
+#include "hfl/flush_world.h"
+#include "obs/observer.h"
 #include "sampling/baselines.h"
 
 namespace mach::hfl {
@@ -466,6 +471,149 @@ TEST(Simulator, EvalMaxExamplesCapsEvaluation) {
   const EvalPoint point = built.sim->evaluate_global(0);
   EXPECT_GE(point.test_accuracy, 0.0);
   EXPECT_LE(point.test_accuracy, 1.0);
+}
+
+/// One sampler call, as the engine made it.
+struct SamplerCall {
+  enum class Kind { Decide, Observe };
+  Kind kind = Kind::Decide;
+  std::size_t t = 0;
+  std::size_t edge = 0;
+  std::uint32_t device = 0;  // Observe only
+  bool operator==(const SamplerCall&) const = default;
+};
+
+/// Wraps a registry sampler and logs every edge_probabilities and
+/// observe_training call in order; as a RunObserver it also logs each edge
+/// round's arrivals and how many decisions preceded its reduction.
+class CallRecordingSampler final : public Sampler, public obs::RunObserver {
+ public:
+  struct Reduced {
+    std::size_t t = 0;
+    std::size_t edge = 0;
+    bool outage = false;
+    std::vector<std::uint64_t> arrivals;
+    std::size_t decisions_before = 0;  // in the log when it was reduced
+  };
+
+  explicit CallRecordingSampler(SamplerPtr inner) : inner_(std::move(inner)) {}
+  std::string name() const override { return inner_->name(); }
+  void bind(const FederationInfo& info) override { inner_->bind(info); }
+  std::vector<double> edge_probabilities(const EdgeSamplingContext& ctx) override {
+    calls_.push_back({SamplerCall::Kind::Decide, ctx.t, ctx.edge, 0});
+    ++decisions_;
+    return inner_->edge_probabilities(ctx);
+  }
+  void observe_training(const TrainingObservation& obs) override {
+    calls_.push_back({SamplerCall::Kind::Observe, obs.t, obs.edge, obs.device});
+    inner_->observe_training(obs);
+  }
+  void on_cloud_round(std::size_t t) override { inner_->on_cloud_round(t); }
+  bool needs_oracle() const override { return inner_->needs_oracle(); }
+
+  void on_edge_aggregated(const obs::EdgeAggregatedEvent& event) override {
+    reduced_.push_back({event.t, event.edge, event.faults.edge_outage,
+                        event.faults.survivors, decisions_});
+  }
+
+  const std::vector<SamplerCall>& calls() const noexcept { return calls_; }
+  const std::vector<Reduced>& reduced() const noexcept { return reduced_; }
+
+ private:
+  SamplerPtr inner_;
+  std::vector<SamplerCall> calls_;
+  std::vector<Reduced> reduced_;
+  std::size_t decisions_ = 0;
+};
+
+TEST(Simulator, SamplersObserveEachStepAfterItsLastDecision) {
+  // Every edge of a step decides before any of the step's observations
+  // reach the sampler, which then receives them in edge order and
+  // sampled-device order, arrivals only — the same calls at any thread
+  // count, however the step's training sections fall.
+  const ExperimentConfig config = test::multi_flush_world(61);
+  const ExperimentArtifacts artifacts = build_experiment(config);
+  std::vector<std::vector<SamplerCall>> logs;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    HflOptions options = config.hfl;
+    options.seed = config.seed;
+    options.parallel.threads = threads;
+    HflSimulator simulator(artifacts.train, artifacts.test, artifacts.partition,
+                           artifacts.schedule, make_model_factory(config), options);
+    CallRecordingSampler sampler(core::make_sampler("mach"));
+    simulator.set_observer(&sampler);
+    simulator.run(sampler, config.horizon);
+    simulator.set_observer(nullptr);
+
+    const auto& calls = sampler.calls();
+    std::size_t outages = 0;
+    std::size_t reduced_mid_step = 0;  // reductions before the step's last decision
+    std::size_t decisions = 0;
+    std::size_t observations = 0;
+    std::size_t next_call = 0;
+    std::size_t next_reduced = 0;
+    for (std::size_t t = 0; t < config.horizon; ++t) {
+      SCOPED_TRACE("t=" + std::to_string(t));
+      // The step's decisions come first, one per edge round that ran.
+      const std::size_t first_decision = next_call;
+      while (next_call < calls.size() && calls[next_call].t == t &&
+             calls[next_call].kind == SamplerCall::Kind::Decide) {
+        ++next_call;
+      }
+      const std::size_t step_decisions = next_call - first_decision;
+      decisions += step_decisions;
+      // Then its observations: exactly each reduced edge's arrivals, in edge
+      // order and, within an edge, in the order of the edge's device list.
+      const auto per_edge = artifacts.schedule.devices_per_edge(t);
+      std::size_t rounds = 0;
+      std::size_t rounds_run = 0;
+      std::size_t last_edge = 0;
+      for (; next_reduced < sampler.reduced().size() &&
+             sampler.reduced()[next_reduced].t == t;
+           ++next_reduced) {
+        const auto& reduced = sampler.reduced()[next_reduced];
+        if (rounds++ > 0) {
+          EXPECT_GT(reduced.edge, last_edge);
+        }
+        last_edge = reduced.edge;
+        if (reduced.decisions_before < decisions) ++reduced_mid_step;
+        if (reduced.outage) {
+          ++outages;
+          continue;
+        }
+        ++rounds_run;
+        const auto& devices = per_edge[reduced.edge];
+        std::ptrdiff_t last_position = -1;
+        for (const std::uint64_t device : reduced.arrivals) {
+          ASSERT_LT(next_call, calls.size());
+          const SamplerCall& call = calls[next_call++];
+          ASSERT_TRUE(call.kind == SamplerCall::Kind::Observe)
+              << "edge " << call.edge << " decided after an observation";
+          EXPECT_EQ(call.t, t);
+          EXPECT_EQ(call.edge, reduced.edge);
+          EXPECT_EQ(call.device, device);
+          const std::ptrdiff_t position =
+              std::find(devices.begin(), devices.end(), call.device) - devices.begin();
+          EXPECT_GT(position, last_position);
+          last_position = position;
+          ++observations;
+        }
+      }
+      EXPECT_EQ(step_decisions, rounds_run);
+    }
+    EXPECT_EQ(next_call, calls.size());  // nothing else was called
+    EXPECT_GT(observations, 0u);
+    EXPECT_EQ(outages, 2u);  // edge 0 at steps 2 and 3
+    // Several sections per step: some edge reduced before the step's last
+    // decision (every edge, on the serial engine).
+    if (threads < 4) {
+      EXPECT_GT(reduced_mid_step, 0u);
+    }
+    logs.push_back(calls);
+  }
+  EXPECT_EQ(logs[1], logs[0]);
+  EXPECT_EQ(logs[2], logs[0]);
 }
 
 }  // namespace

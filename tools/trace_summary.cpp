@@ -241,7 +241,7 @@ int summarize_profile(const JsonValue& doc, const std::string& path,
 
   print_span_agg_table("slowest devices by training time", "device", by_device,
                        top_n);
-  print_span_agg_table("slowest edges by round time", "edge", by_edge, top_n);
+  print_span_agg_table("slowest edges by plan time", "edge", by_edge, top_n);
 
   if (counter_samples > 0) {
     std::cout << "resource counters: " << counter_samples
