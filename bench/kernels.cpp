@@ -7,7 +7,11 @@
 // end-to-end benchmark's shapes (16 images): the minibatch conv backward per
 // variant, with and without the input gradient, against the per-image
 // reference composition, and 2x2 max pooling against the seed loops (not
-// per variant: pooling is plain C++). Layer rows also carry ms per call.
+// per variant: pooling is plain C++). Block rows time each conv stage's
+// fused nn::ConvBlock against the Conv2D -> ReLU -> MaxPool2x2 chain it
+// replaces, forward and backward, on the active variant; the first block's
+// backward skips the input gradient on both sides, as training does. Layer
+// rows also carry ms per call.
 // Codec rows time the int8 transcode of a whole model message (the fleet MLP
 // and the CIFAR CNN) against the codec's scalar reference, in us per call;
 // their variant is the codec's compile-time path (sse2 or scalar). Fleet
@@ -24,6 +28,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,6 +38,9 @@
 #include "common/cpu_isa.h"
 #include "common/rng.h"
 #include "common/table.h"
+#include "nn/activations.h"
+#include "nn/conv2d.h"
+#include "nn/conv_block.h"
 #include "obs/json.h"
 #include "obs/resource.h"
 #include "tensor/kernels/gemm_variants.h"
@@ -46,8 +54,8 @@ using namespace mach;
 namespace kern = tensor::kernels;
 
 enum class Op {
-  Nn, Tn, Nt, ConvBwd, ConvBwdNoDx, PoolFwd, PoolBwd, Int8Encode, Int8Decode,
-  GradNorms
+  Nn, Tn, Nt, ConvBwd, ConvBwdNoDx, PoolFwd, PoolBwd, BlockFwd, BlockBwd,
+  Int8Encode, Int8Decode, GradNorms
 };
 
 struct Case {
@@ -82,6 +90,8 @@ const char* op_name(Op op) {
     case Op::ConvBwdNoDx: return "conv_bwd_nodx";
     case Op::PoolFwd: return "pool_fwd";
     case Op::PoolBwd: return "pool_bwd";
+    case Op::BlockFwd: return "block_fwd";
+    case Op::BlockBwd: return "block_bwd";
     case Op::Int8Encode: return "int8_encode";
     case Op::Int8Decode: return "int8_decode";
     case Op::GradNorms: return "grad_norms";
@@ -126,19 +136,51 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Doubles the repetition count of `call` until a batch takes min_ms;
-/// returns seconds per call from the final batch (after one warm-up call).
-template <class F>
-double time_call(const F& call, double min_ms) {
-  call();
-  for (std::size_t reps = 1;; reps *= 2) {
+/// A row's timing: seconds per call of its reference and of its production
+/// side, from one round of time_pair.
+struct PairTiming {
+  double ref_s;
+  double run_s;
+  double speedup() const { return ref_s / run_s; }
+};
+
+/// Times `reference` and `run` side by side. Each side's repetition count
+/// doubles until one batch takes min_ms / kRounds (after one warm-up call);
+/// then kRounds rounds time one batch of each side in turn, and the round
+/// with the median ratio is the row's timing. The host's speed drifts, at
+/// times between states up to 2x apart for minutes: timed one after the
+/// other, a drift between the two sides passed for a change of speedup. A
+/// round's two batches share its state, and the median drops the round a
+/// change of state falls in.
+template <class R, class F>
+PairTiming time_pair(const R& reference, const F& run, double min_ms) {
+  constexpr std::size_t kRounds = 7;
+  const double batch_s = min_ms * 1e-3 / kRounds;
+  const auto batch = [](const auto& call, std::size_t reps) {
     const auto start = std::chrono::steady_clock::now();
     for (std::size_t r = 0; r < reps; ++r) call();
-    const double elapsed = seconds_since(start);
-    if (elapsed * 1000.0 >= min_ms || reps > (1u << 28)) {
-      return elapsed / static_cast<double>(reps);
+    return seconds_since(start) / static_cast<double>(reps);
+  };
+  const auto calibrate = [&](const auto& call) {
+    call();
+    std::size_t reps = 1;
+    while (batch(call, reps) * static_cast<double>(reps) < batch_s &&
+           reps <= (1u << 28)) {
+      reps *= 2;
     }
+    return reps;
+  };
+  const std::size_t ref_reps = calibrate(reference), run_reps = calibrate(run);
+  std::vector<PairTiming> rounds(kRounds);
+  for (PairTiming& round : rounds) {
+    round.ref_s = batch(reference, ref_reps);
+    round.run_s = batch(run, run_reps);
   }
+  std::nth_element(rounds.begin(), rounds.begin() + kRounds / 2, rounds.end(),
+                   [](const PairTiming& a, const PairTiming& b) {
+                     return a.speedup() < b.speedup();
+                   });
+  return rounds[kRounds / 2];
 }
 
 /// A conv layer of the benchmark models: channels -> out_c over h x h
@@ -216,12 +258,10 @@ void layer_rows(const std::vector<const kern::detail::GemmVariant*>& variants,
              dx ? Op::ConvBwd : Op::ConvBwdNoDx, b.out_c, b.patch, pixels};
       std::vector<float> want_dx(dx ? pixels / b.n * b.image : 0),
           want_dw(b.out_c * b.patch), want_db(b.out_c);
-      b.reference(dx, want_dx.data(), want_dw.data(), want_db.data());
-      const double ref_s = time_call(
-          [&] {
-            b.reference(dx, want_dx.data(), want_dw.data(), want_db.data());
-          },
-          min_ms);
+      const auto reference = [&] {
+        b.reference(dx, want_dx.data(), want_dw.data(), want_db.data());
+      };
+      reference();
       // dW is one GEMM of 2 m k n flops; dX is a second.
       const double flops = (dx ? 4.0 : 2.0) * static_cast<double>(c.m) *
                            static_cast<double>(c.k) * static_cast<double>(c.n);
@@ -242,12 +282,12 @@ void layer_rows(const std::vector<const kern::detail::GemmVariant*>& variants,
         r.shape = c;
         r.variant = common::gemm_isa_name(variant->isa);
         r.exact = got_dx == want_dx && got_dw == want_dw && got_db == want_db;
-        const double blk_s = time_call(run, min_ms);
-        r.ref_gflops = flops / ref_s * 1e-9;
-        r.blocked_gflops = flops / blk_s * 1e-9;
-        r.speedup = ref_s / blk_s;
-        r.ref_ms = ref_s * 1e3;
-        r.blocked_ms = blk_s * 1e3;
+        const PairTiming t = time_pair(reference, run, min_ms);
+        r.ref_gflops = flops / t.ref_s * 1e-9;
+        r.blocked_gflops = flops / t.run_s * 1e-9;
+        r.speedup = t.speedup();
+        r.ref_ms = t.ref_s * 1e3;
+        r.blocked_ms = t.run_s * 1e3;
         results.push_back(r);
       }
     }
@@ -317,11 +357,125 @@ void layer_rows(const std::vector<const kern::detail::GemmVariant*>& variants,
                                  output.flat().begin())
                     : std::equal(ref_grad.begin(), ref_grad.end(),
                                  grad_in.flat().begin());
-      const double ref_s = time_call(reference, min_ms);
-      const double blk_s = time_call(run, min_ms);
-      r.speedup = ref_s / blk_s;
-      r.ref_ms = ref_s * 1e3;
-      r.blocked_ms = blk_s * 1e3;
+      const PairTiming t = time_pair(reference, run, min_ms);
+      r.speedup = t.speedup();
+      r.ref_ms = t.ref_s * 1e3;
+      r.blocked_ms = t.run_s * 1e3;
+      results.push_back(r);
+    }
+  }
+}
+
+/// One conv stage both ways: the fused block and the chain, same weights.
+struct Stage {
+  nn::ConvBlock block;
+  nn::Conv2D conv;
+  nn::ReLU relu;
+  nn::MaxPool2x2 pool;
+
+  Stage(const ConvLayer& l, common::Rng& rng)
+      : block(l.channels, l.out_c, 3, 1), conv(l.channels, l.out_c, 3, 1) {
+    block.init_params(rng);
+    const auto from = block.params(), to = conv.params();
+    for (std::size_t i = 0; i < from.size(); ++i) *to[i].value = *from[i].value;
+  }
+  const tensor::Tensor& chain_forward(const tensor::Tensor& x) {
+    return pool.forward(relu.forward(conv.forward(x)));
+  }
+  /// The training step's backward: the input gradient, or nullptr for the
+  /// first block, which skips it.
+  const tensor::Tensor* chain_backward(const tensor::Tensor& g, bool first) {
+    const tensor::Tensor& grad_conv = relu.backward(pool.backward(g));
+    if (!first) return &conv.backward(grad_conv);
+    conv.backward_params(grad_conv);
+    return nullptr;
+  }
+  const tensor::Tensor* block_backward(const tensor::Tensor& g, bool first) {
+    if (!first) return &block.backward(g);
+    block.backward_params(g);
+    return nullptr;
+  }
+};
+
+bool same_bits(const tensor::Tensor& a, const tensor::Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+/// Fused conv stages (nn::ConvBlock) against the chain at the end-to-end
+/// benchmark's shapes, 16 images, on the active variant. Forward calls take
+/// the next of kInputs distinct minibatches; backward calls run on the next
+/// of kInputs stages, each left by the forward of a distinct minibatch, so
+/// neither side replays one winner pattern to the branch predictor.
+void block_rows(double min_ms, common::Rng& rng, std::vector<Result>& results) {
+  constexpr std::size_t kInputs = 4, kBatch = ConvBackwardBench::kBatch;
+  const std::vector<ConvLayer> blocks = {
+      {"bench_cifar_block1", 3, 8, 16},  {"bench_cifar_block2", 8, 16, 8},
+      {"bench_cifar_block3", 16, 32, 4}, {"bench_mnist_block1", 1, 8, 12},
+      {"bench_mnist_block2", 8, 16, 6},
+  };
+  const std::string active =
+      common::gemm_isa_name(kern::detail::active_variant().isa);
+  for (const ConvLayer& l : blocks) {
+    const bool first = l.name.back() == '1';  // its model's first layer
+    std::vector<std::unique_ptr<Stage>> stages;
+    std::vector<tensor::Tensor> inputs, grads;
+    for (std::size_t i = 0; i < kInputs; ++i) {
+      stages.push_back(std::make_unique<Stage>(l, rng));
+      inputs.emplace_back(std::vector<std::size_t>{kBatch, l.channels, l.h, l.h});
+      for (auto& v : inputs.back().flat()) v = static_cast<float>(rng.normal());
+      grads.emplace_back(std::vector<std::size_t>{kBatch, l.out_c, l.h / 2, l.h / 2});
+      for (auto& v : grads.back().flat()) v = static_cast<float>(rng.normal());
+    }
+    // Exactness, and each backward stage's forward state.
+    bool fwd_exact = true, bwd_exact = true;
+    for (std::size_t i = 0; i < kInputs; ++i) {
+      Stage& s = *stages[i];
+      fwd_exact = fwd_exact &&
+                  same_bits(s.block.forward(inputs[i]), s.chain_forward(inputs[i]));
+      const tensor::Tensor* got_dx = s.block_backward(grads[i], first);
+      const tensor::Tensor* want_dx = s.chain_backward(grads[i], first);
+      bwd_exact = bwd_exact && (first || same_bits(*got_dx, *want_dx));
+      const auto a = s.block.params(), b = s.conv.params();
+      for (std::size_t p = 0; p < a.size(); ++p) {
+        bwd_exact = bwd_exact && same_bits(*a[p].grad, *b[p].grad);
+      }
+    }
+    const std::size_t patch = l.channels * 9, pixels = kBatch * l.h * l.h;
+    for (bool fwd : {true, false}) {
+      Case c{l.name + (fwd ? "_fwd" : "_bwd"), "bench",
+             fwd ? Op::BlockFwd : Op::BlockBwd, l.out_c, patch, pixels};
+      std::size_t next = 0;
+      Stage& one = *stages[0];
+      const auto reference = [&] {
+        const std::size_t i = next++ % kInputs;
+        if (fwd) {
+          one.chain_forward(inputs[i]);
+        } else {
+          stages[i]->chain_backward(grads[i], first);
+        }
+      };
+      const auto run = [&] {
+        const std::size_t i = next++ % kInputs;
+        if (fwd) {
+          one.block.forward(inputs[i]);
+        } else {
+          stages[i]->block_backward(grads[i], first);
+        }
+      };
+      const PairTiming t = time_pair(reference, run, min_ms);
+      // The conv GEMMs: the forward, or dW plus (past the first block) dX.
+      const double flops = (fwd || first ? 2.0 : 4.0) * static_cast<double>(c.m) *
+                           static_cast<double>(c.k) * static_cast<double>(c.n);
+      Result r;
+      r.shape = c;
+      r.variant = active;
+      r.exact = fwd ? fwd_exact : bwd_exact;
+      r.ref_gflops = flops / t.ref_s * 1e-9;
+      r.blocked_gflops = flops / t.run_s * 1e-9;
+      r.speedup = t.speedup();
+      r.ref_ms = t.ref_s * 1e3;
+      r.blocked_ms = t.run_s * 1e3;
       results.push_back(r);
     }
   }
@@ -384,11 +538,10 @@ void codec_rows(double min_ms, common::Rng& rng, std::vector<Result>& results) {
                  encode ? Op::Int8Encode : Op::Int8Decode, count, 1, 1};
       r.variant = path;
       r.exact = encode ? encode_exact : decode_exact;
-      const double ref_s = time_call(reference, min_ms);
-      const double prod_s = time_call(run, min_ms);
-      r.speedup = ref_s / prod_s;
-      r.ref_us = ref_s * 1e6;
-      r.blocked_us = prod_s * 1e6;
+      const PairTiming t = time_pair(reference, run, min_ms);
+      r.speedup = t.speedup();
+      r.ref_us = t.ref_s * 1e6;
+      r.blocked_us = t.run_s * 1e6;
       results.push_back(r);
     }
   }
@@ -414,7 +567,6 @@ void grad_norm_rows(const std::vector<const kern::detail::GemmVariant*>& variant
       want[l] = kern::squared_norm(kCount, x + l * kCount);
     }
   };
-  const double ref_s = time_call(reference, min_ms);
   for (const auto* variant : variants) {
     bool exact = true;
     for (std::size_t i = 0; i < kInputs; ++i) {
@@ -424,7 +576,8 @@ void grad_norm_rows(const std::vector<const kern::detail::GemmVariant*>& variant
                                   kCount, got);
       exact = exact && std::memcmp(got, want, sizeof(want)) == 0;
     }
-    const double blk_s = time_call(
+    const PairTiming t = time_pair(
+        reference,
         [&] {
           kern::detail::squared_norms(*variant, kLanes, kCount,
                                       inputs[next++ % kInputs].data(), kCount,
@@ -436,26 +589,10 @@ void grad_norm_rows(const std::vector<const kern::detail::GemmVariant*>& variant
                kCount, true};
     r.variant = common::gemm_isa_name(variant->isa);
     r.exact = exact;
-    r.speedup = ref_s / blk_s;
-    r.ref_us = ref_s * 1e6;
-    r.blocked_us = blk_s * 1e6;
+    r.speedup = t.speedup();
+    r.ref_us = t.ref_s * 1e6;
+    r.blocked_us = t.run_s * 1e6;
     results.push_back(r);
-  }
-}
-
-/// Times one implementation: doubles the repetition count until the batch
-/// takes at least min_ms, then reports seconds per call from the final batch.
-double time_impl(Op op, const kern::detail::GemmVariant* variant,
-                 const float* a, const float* b, float* c, std::size_t m,
-                 std::size_t k, std::size_t n, double min_ms) {
-  run_op(op, variant, a, b, c, m, k, n);  // warm-up (pack buffers, caches)
-  for (std::size_t reps = 1;; reps *= 2) {
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t r = 0; r < reps; ++r) run_op(op, variant, a, b, c, m, k, n);
-    const double elapsed = seconds_since(start);
-    if (elapsed * 1000.0 >= min_ms || reps > (1u << 28)) {
-      return elapsed / static_cast<double>(reps);
-    }
   }
 }
 
@@ -470,9 +607,11 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
   const double min_ms = static_cast<double>(cli.get_int("min_ms"));
 
-  // GEMM shapes of the paper's models (batch 32 for the dense layers):
-  //   mnist cnn2 on 1x28x28, cifar cnn3 on 3x32x32 (see nn/factory.cpp).
-  // Forward = nn, weight-gradient = nt, column-gradient = tn.
+  // GEMM shapes of the paper's models at the original datasets' image
+  // sizes (batch 32 for the dense layers): cnn2 on MNIST's 1x28x28, cnn3 on
+  // CIFAR-10's 3x32x32. The simulator's synthetic presets are smaller,
+  // 1x12x12 and 3x16x16 (data/synthetic.cpp); the "bench" group below
+  // covers those. Forward = nn, weight-gradient = nt, column-gradient = tn.
   std::vector<Case> cases = {
       {"mnist_conv1_fwd", "mnist", Op::Nn, 8, 9, 784},
       {"mnist_conv2_fwd", "mnist", Op::Nn, 16, 72, 196},
@@ -534,9 +673,10 @@ int main(int argc, char** argv) {
     for (auto& v : a) v = static_cast<float>(rng.normal());
     for (auto& v : b) v = static_cast<float>(rng.normal());
     std::vector<float> c_ref(c.m * c.n, 0.0f), c_blk(c.m * c.n, 0.0f);
-    run_op(c.op, nullptr, a.data(), b.data(), c_ref.data(), c.m, c.k, c.n);
-    const double ref_s = time_impl(c.op, nullptr, a.data(), b.data(),
-                                   c_ref.data(), c.m, c.k, c.n, min_ms);
+    const auto reference = [&] {
+      run_op(c.op, nullptr, a.data(), b.data(), c_ref.data(), c.m, c.k, c.n);
+    };
+    reference();
     const double flops =
         2.0 * static_cast<double>(c.m) * static_cast<double>(c.k) *
         static_cast<double>(c.n);
@@ -544,22 +684,25 @@ int main(int argc, char** argv) {
       Result r;
       r.shape = c;
       r.variant = common::gemm_isa_name(variant->isa);
-      run_op(c.op, variant, a.data(), b.data(), c_blk.data(), c.m, c.k, c.n);
+      const auto run = [&] {
+        run_op(c.op, variant, a.data(), b.data(), c_blk.data(), c.m, c.k, c.n);
+      };
+      run();
       r.exact = c_ref == c_blk;
-      const double blk_s = time_impl(c.op, variant, a.data(), b.data(),
-                                     c_blk.data(), c.m, c.k, c.n, min_ms);
-      r.ref_gflops = flops / ref_s * 1e-9;
-      r.blocked_gflops = flops / blk_s * 1e-9;
-      r.speedup = ref_s / blk_s;
+      const PairTiming t = time_pair(reference, run, min_ms);
+      r.ref_gflops = flops / t.ref_s * 1e-9;
+      r.blocked_gflops = flops / t.run_s * 1e-9;
+      r.speedup = t.speedup();
       if (c.per_call_us) {
-        r.ref_us = ref_s * 1e6;
-        r.blocked_us = blk_s * 1e6;
+        r.ref_us = t.ref_s * 1e6;
+        r.blocked_us = t.run_s * 1e6;
       }
       results.push_back(r);
     }
   }
 
   layer_rows(variants, min_ms, rng, results);
+  block_rows(min_ms, rng, results);
   codec_rows(min_ms, rng, results);
   grad_norm_rows(variants, min_ms, rng, results);
 

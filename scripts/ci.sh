@@ -98,20 +98,24 @@ flush_args=(--devices 400 --edges 8 --steps 10 --local_epochs 1 --codec int8
 cmp <(grep -v '^{"event":"run_end"' "$trace") \
   <(grep -v '^{"event":"run_end"' "$trace4")
 
-echo "== kernels microbench smoke =="
-# Tiny time budget: checks the bench runs end-to-end and that blocked and
-# reference kernels agree exactly (nonzero exit on mismatch). The committed
-# BENCH_kernels.json is produced by a full run (default --min_ms).
-kernels_json="$(mktemp -t hfl_kernels_XXXXXX.json)"
-trap 'rm -f "$trace" "$trace4" "$kernels_json"' EXIT
-"$BUILD_DIR/bench/kernels" --min_ms 2 --out "$kernels_json" > /dev/null
+echo "== kernels microbench =="
+# Every row's production kernel must agree with its reference bit for bit:
+# the bench exits nonzero on a mismatch. Three runs at 20 ms per timing point
+# (~15 s each on the 4-core Xeon) feed the perf gate below; the committed
+# BENCH_kernels.json comes from one full-budget run (default --min_ms).
+kernels_dir="$(mktemp -d -t hfl_kernels_XXXXXX)"
+trap 'rm -f "$trace" "$trace4"; rm -rf "$kernels_dir"' EXIT
+for run in 1 2 3; do
+  "$BUILD_DIR/bench/kernels" --min_ms 20 --out "$kernels_dir/run$run.json" \
+    > /dev/null
+done
 
 echo "== span profiler smoke =="
 # Deep-profiling path end to end: a profiled run must emit a Chrome trace
 # and a status heartbeat, and trace_summary must classify and render both.
 prof_json="$(mktemp -t hfl_prof_XXXXXX.json)"
 status_json="$(mktemp -t hfl_status_XXXXXX.json)"
-trap 'rm -f "$trace" "$trace4" "$kernels_json" "$prof_json" "$status_json"' EXIT
+trap 'rm -f "$trace" "$trace4" "$prof_json" "$status_json"; rm -rf "$kernels_dir"' EXIT
 "$BUILD_DIR/examples/experiment_runner" \
   --devices 8 --edges 2 --steps 10 --local_epochs 2 \
   --profile "$prof_json" --status "$status_json" \
@@ -124,26 +128,66 @@ echo "== bench perf gate (bench_diff) =="
 # Self-comparison must always be clean (exit 0, zero deltas).
 "$BUILD_DIR/tools/bench_diff" \
   --baseline BENCH_kernels.json --current BENCH_kernels.json > /dev/null
-# Fresh microbench vs the committed baseline. The smoke run uses a tiny time
-# budget and CI machines differ from the baseline's, so the threshold is
-# generous — and on single-core containers (too noisy to gate) it only warns.
+# The fresh runs against the committed baseline, on what a shared host can
+# resolve. Absolute times and GFLOP/s follow the machine, whose speed (on
+# the 4-vCPU AVX-512 Xeon the committed file comes from) drifts between
+# states up to 2x apart for minutes at a time, so they are not gated. A row's `speedup` (its production kernel against its retained
+# reference, or the fused block against the chain, timed in alternating
+# batches) cancels most of that, but single rows still moved up to 2.5x
+# between runs minutes apart. So the gate compares kernel families: the
+# rows at the simulator's own shapes (group "bench") grouped by op and
+# variant, each row at its best speedup of the three runs, summarised by
+# the family's geometric mean. Against a baseline from a single run (the
+# committed file's kind), 280 such comparisons drawn from eight runs saw no
+# family fall by more than 32%, while a kernel made 2x slower halves its
+# families (conv_backward run twice: -36% to -61% over three runs). On
+# single-core containers (too noisy to gate) it only warns.
+python3 - BENCH_kernels.json "$kernels_dir" <<'PY'
+import json, math, os, sys
+from collections import defaultdict
+
+baseline, out_dir = sys.argv[1], sys.argv[2]
+runs = [os.path.join(out_dir, f"run{i}.json") for i in (1, 2, 3)]
+
+def speedups(path):
+    doc = json.load(open(path))
+    return {(r["case"], r["op"], r["variant"], r["m"], r["k"], r["n"]): r["speedup"]
+            for r in doc["results"] if r["group"] == "bench"}
+
+def families(rows):
+    logs = defaultdict(list)
+    for (case, op, variant, *_), speedup in rows.items():
+        logs[(op, variant)].append(math.log(speedup))
+    return {"bench": "kernels", "results": [
+        {"case": f"{op}/{variant}", "rows": len(v),
+         "speedup": math.exp(sum(v) / len(v))}
+        for (op, variant), v in sorted(logs.items())]}
+
+base = speedups(baseline)
+fresh = [speedups(path) for path in runs]
+best = {key: max(run[key] for run in fresh)
+        for key in base if all(key in run for run in fresh)}
+base = {key: base[key] for key in best}
+for name, rows in (("families_base", base), ("families_now", best)):
+    json.dump(families(rows), open(os.path.join(out_dir, name + ".json"), "w"))
+PY
 if [ "$(nproc 2>/dev/null || echo 1)" -le 1 ]; then
   "$BUILD_DIR/tools/bench_diff" \
-    --baseline BENCH_kernels.json --current "$kernels_json" \
-    --threshold_pct 30 \
+    --baseline "$kernels_dir/families_base.json" \
+    --current "$kernels_dir/families_now.json" --threshold_pct 35 \
     || echo "WARN: kernels regressed vs the committed baseline" \
             "(single-core container: warn-only, not gating)"
 else
   "$BUILD_DIR/tools/bench_diff" \
-    --baseline BENCH_kernels.json --current "$kernels_json" \
-    --threshold_pct 30
+    --baseline "$kernels_dir/families_base.json" \
+    --current "$kernels_dir/families_now.json" --threshold_pct 35
 fi
 
 echo "== faults smoke =="
 # End-to-end fault injection: a faulted run must complete, carry its fault
 # history in the trace, and the summary tool must render it.
 fault_trace="$(mktemp -t hfl_faults_XXXXXX.jsonl)"
-trap 'rm -f "$trace" "$trace4" "$kernels_json" "$prof_json" "$status_json" "$fault_trace"' EXIT
+trap 'rm -f "$trace" "$trace4" "$prof_json" "$status_json" "$fault_trace"; rm -rf "$kernels_dir"' EXIT
 "$BUILD_DIR/examples/experiment_runner" \
   --devices 8 --edges 2 --steps 10 --local_epochs 2 --trace "$fault_trace" \
   --faults 'dropout:p=0.2;straggler:p=0.3,delay=1.5,timeout=1;edge_outage:edge=0,from=2,to=4;cloud_loss:p=0.2;seed=5' \
@@ -158,7 +202,7 @@ echo "== codec smoke + round-trip fuzz =="
 # randomized round-trip suite re-runs with a raised iteration budget (fp32
 # exact; bf16/int8/topk within their documented bounds).
 codec_trace="$(mktemp -t hfl_codec_XXXXXX.jsonl)"
-trap 'rm -f "$trace" "$trace4" "$kernels_json" "$prof_json" "$status_json" "$fault_trace" "$codec_trace"' EXIT
+trap 'rm -f "$trace" "$trace4" "$prof_json" "$status_json" "$fault_trace" "$codec_trace"; rm -rf "$kernels_dir"' EXIT
 "$BUILD_DIR/examples/experiment_runner" \
   --devices 8 --edges 2 --steps 10 --local_epochs 2 --trace "$codec_trace" \
   --codec 'up=topk:k=0.05,down=bf16,probe=int8,edge_up=int8,cloud_down=bf16' \
@@ -174,7 +218,7 @@ echo "== comm bench smoke =="
 # reduction assertion (>= 3.9x) must hold. The committed BENCH_comm.json is
 # produced by a full default-horizon run.
 comm_json="$(mktemp -t hfl_comm_XXXXXX.json)"
-trap 'rm -f "$trace" "$trace4" "$kernels_json" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json"' EXIT
+trap 'rm -f "$trace" "$trace4" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json"; rm -rf "$kernels_dir"' EXIT
 "$BUILD_DIR/bench/comm" --task mnist --horizon 20 --out "$comm_json" > /dev/null
 "$BUILD_DIR/tools/bench_diff" \
   --baseline "$comm_json" --current "$comm_json" > /dev/null
@@ -186,7 +230,7 @@ echo "== algorithm zoo smoke =="
 # steps_to_target/total_bytes lower-is-better). The committed BENCH_zoo.json
 # is produced by a full default run (all zoo samplers x all four presets).
 zoo_json="$(mktemp -t hfl_zoo_XXXXXX.json)"
-trap 'rm -f "$trace" "$trace4" "$kernels_json" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json" "$zoo_json"' EXIT
+trap 'rm -f "$trace" "$trace4" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json" "$zoo_json"; rm -rf "$kernels_dir"' EXIT
 "$BUILD_DIR/bench/zoo" --task mnist --samplers mach,uniform \
   --scenarios metro,vehicular --horizon 20 --out "$zoo_json" > /dev/null
 "$BUILD_DIR/tools/trace_summary" "$zoo_json" | grep -q 'algorithm ranking'
@@ -213,7 +257,7 @@ echo "== scale smoke (10k devices, RSS ceiling) =="
 # process RSS ceiling, and trace_summary must render the result. The
 # committed BENCH_scale.json is produced by the full default sweep (to 1M).
 scale_json="$(mktemp -t hfl_scale_XXXXXX.json)"
-trap 'rm -f "$trace" "$trace4" "$kernels_json" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json" "$zoo_json" "$scale_json"' EXIT
+trap 'rm -f "$trace" "$trace4" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json" "$zoo_json" "$scale_json"; rm -rf "$kernels_dir"' EXIT
 "$BUILD_DIR/bench/scale" --devices 10000 --edges 100 --rounds 2 \
   --rss_ceiling_mb 512 --out "$scale_json" > /dev/null
 "$BUILD_DIR/tools/trace_summary" "$scale_json" | grep -q 'worst round p95'
@@ -240,7 +284,7 @@ echo "== crash-resume smoke =="
 # count) must reproduce the uninterrupted reference CSV byte for byte and
 # leave checkpoint markers in the trace.
 ckpt_dir="$(mktemp -d -t hfl_ckpt_XXXXXX)"
-trap 'rm -f "$trace" "$trace4" "$kernels_json" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json" "$zoo_json" "$scale_json"; rm -rf "$ckpt_dir"' EXIT
+trap 'rm -f "$trace" "$trace4" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json" "$zoo_json" "$scale_json"; rm -rf "$kernels_dir" "$ckpt_dir"' EXIT
 resume_args=(--task mnist --devices 8 --edges 2 --steps 12 --local_epochs 2 --seed 11)
 "$BUILD_DIR/examples/experiment_runner" "${resume_args[@]}" --threads 1 \
   --csv "$ckpt_dir/ref.csv" --trace "$ckpt_dir/ref.jsonl" > /dev/null
@@ -264,7 +308,7 @@ echo "== sweep orchestrator smoke =="
 # config watchdog-killed twice then quarantined — reported via exit code 1
 # and a journaled failure history the report renderer surfaces.
 sweep_dir="$(mktemp -d -t hfl_sweep_XXXXXX)"
-trap 'rm -f "$trace" "$trace4" "$kernels_json" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json" "$zoo_json" "$scale_json"; rm -rf "$ckpt_dir" "$sweep_dir"' EXIT
+trap 'rm -f "$trace" "$trace4" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json" "$zoo_json" "$scale_json"; rm -rf "$kernels_dir" "$ckpt_dir" "$sweep_dir"' EXIT
 cat > "$sweep_dir/spec.json" <<'SPEC'
 {
   "name": "ci_smoke",

@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "nn/activations.h"
-#include "nn/conv2d.h"
+#include "nn/conv_block.h"
 #include "nn/dense.h"
 
 namespace mach::nn {
@@ -16,12 +16,8 @@ Sequential make_cnn2(std::size_t channels, std::size_t height, std::size_t width
   }
   const std::size_t c1 = 8, c2 = 16, hidden = 32;
   Sequential model;
-  model.add(std::make_unique<Conv2D>(channels, c1, 3, 1))
-      .add(std::make_unique<ReLU>())
-      .add(std::make_unique<MaxPool2x2>())
-      .add(std::make_unique<Conv2D>(c1, c2, 3, 1))
-      .add(std::make_unique<ReLU>())
-      .add(std::make_unique<MaxPool2x2>())
+  model.add(std::make_unique<ConvBlock>(channels, c1, 3, 1))
+      .add(std::make_unique<ConvBlock>(c1, c2, 3, 1))
       .add(std::make_unique<Flatten>())
       .add(std::make_unique<Dense>(c2 * (height / 4) * (width / 4), hidden))
       .add(std::make_unique<ReLU>())
@@ -36,15 +32,9 @@ Sequential make_cnn3(std::size_t channels, std::size_t height, std::size_t width
   }
   const std::size_t c1 = 8, c2 = 16, c3 = 32, hidden = 64;
   Sequential model;
-  model.add(std::make_unique<Conv2D>(channels, c1, 3, 1))
-      .add(std::make_unique<ReLU>())
-      .add(std::make_unique<MaxPool2x2>())
-      .add(std::make_unique<Conv2D>(c1, c2, 3, 1))
-      .add(std::make_unique<ReLU>())
-      .add(std::make_unique<MaxPool2x2>())
-      .add(std::make_unique<Conv2D>(c2, c3, 3, 1))
-      .add(std::make_unique<ReLU>())
-      .add(std::make_unique<MaxPool2x2>())
+  model.add(std::make_unique<ConvBlock>(channels, c1, 3, 1))
+      .add(std::make_unique<ConvBlock>(c1, c2, 3, 1))
+      .add(std::make_unique<ConvBlock>(c2, c3, 3, 1))
       .add(std::make_unique<Flatten>())
       .add(std::make_unique<Dense>(c3 * (height / 8) * (width / 8), hidden))
       .add(std::make_unique<ReLU>())

@@ -10,14 +10,14 @@
 
 namespace mach::nn {
 
-/// Paper's MNIST/FMNIST network: conv-relu-pool ×2, then fc-relu-fc.
-/// Input must be [batch, channels, height, width] with height and width
+/// Paper's MNIST/FMNIST network: conv-relu-pool ×2 (one ConvBlock each),
+/// then flatten, fc-relu-fc. Input must be [batch, channels, height, width] with height and width
 /// divisible by 4 (two 2x2 poolings).
 Sequential make_cnn2(std::size_t channels, std::size_t height, std::size_t width,
                      std::size_t classes);
 
-/// Paper's CIFAR10 network: conv-relu-pool ×3, then fc-relu-fc. Height and
-/// width must be divisible by 8.
+/// Paper's CIFAR10 network: conv-relu-pool ×3 (one ConvBlock each), then
+/// flatten, fc-relu-fc. Height and width must be divisible by 8.
 Sequential make_cnn3(std::size_t channels, std::size_t height, std::size_t width,
                      std::size_t classes);
 

@@ -59,9 +59,9 @@ class Layer {
   /// behave identically in both modes and ignore this.
   virtual void set_training(bool /*training*/) {}
 
-  /// The layer's scratch arena, if it owns one (Conv2D does). Exposed so the
-  /// allocation test can assert the arenas stop growing once training is
-  /// warm.
+  /// The layer's scratch arena, if it owns one (Conv2D and ConvBlock do).
+  /// Exposed so the allocation test can assert the arenas stop growing once
+  /// training is warm.
   virtual const tensor::ScratchArena* scratch_arena() const { return nullptr; }
 
   virtual std::string name() const = 0;

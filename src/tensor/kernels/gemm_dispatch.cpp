@@ -6,7 +6,8 @@
 // degenerate-shape handling, the thread-local pack buffers (grown on first
 // use per thread, then reused, so steady-state GEMM calls perform zero heap
 // allocations), the packed-or-unpacked shape rule of gemm_nn / gemm_tn,
-// conv_backward's grouping of large minibatches, and the choice itself.
+// conv_backward's and conv_relu_pool_forward's grouping of minibatches, and
+// the choice itself.
 #include <algorithm>
 #include <vector>
 
@@ -185,6 +186,15 @@ std::size_t backward_group(std::size_t count, const ConvShape& shape,
                                  std::max<std::size_t>(count, 1));
 }
 
+/// Images conv_relu_pool_forward convolves per GEMM call: as many whole
+/// images as kConvPoolGroupFloats (kernels.h) holds, at least one. At the
+/// benchmark's shapes a 16-image training minibatch is one group and a
+/// 256-example evaluation chunk 4-16.
+std::size_t pool_group(std::size_t count, std::size_t plane) {
+  return std::clamp<std::size_t>(kConvPoolGroupFloats / plane, 1,
+                                 std::max<std::size_t>(count, 1));
+}
+
 }  // namespace
 
 std::size_t conv_backward_scratch(const GemmVariant& variant,
@@ -222,6 +232,25 @@ void conv_backward(const GemmVariant& variant, const float* images,
         weight, grad_out + first * out_size,
         grad_images != nullptr ? grad_images + first * image_size : nullptr,
         grad_weight, grad_bias, /*accumulate=*/first > 0, scratch);
+  }
+}
+
+void conv_relu_pool_forward(const GemmVariant& variant, const float* images,
+                            std::size_t count, const ConvShape& shape,
+                            ConstMat weight, const float* bias, float* pooled,
+                            std::uint8_t* codes, float* scratch) {
+  const std::size_t oh = conv_out_extent(shape.height, shape);
+  const std::size_t ow = conv_out_extent(shape.width, shape);
+  const std::size_t plane = weight.rows * oh * ow;
+  if (plane == 0) return;
+  const std::size_t image_size = shape.channels * shape.height * shape.width;
+  const std::size_t group = pool_group(count, plane);
+  for (std::size_t first = 0; first < count; first += group) {
+    const std::size_t images_in_group = std::min(group, count - first);
+    conv_forward(variant, images + first * image_size, images_in_group, shape,
+                 weight, bias, scratch);
+    relu_maxpool2x2(images_in_group * weight.rows * oh / 2, ow, scratch,
+                    pooled + first * plane / 4, codes + first * plane / 4);
   }
 }
 
@@ -290,6 +319,21 @@ void conv_backward(const float* images, std::size_t count,
   detail::conv_backward(detail::active_variant(), images, count, shape, weight,
                         grad_out, grad_images, grad_weight, grad_bias,
                         scratch);
+}
+
+std::size_t conv_relu_pool_scratch(std::size_t count, const ConvShape& shape,
+                                   std::size_t out_channels) {
+  const std::size_t plane = out_channels * conv_out_extent(shape.height, shape) *
+                            conv_out_extent(shape.width, shape);
+  return plane == 0 ? 0 : detail::pool_group(count, plane) * plane;
+}
+
+void conv_relu_pool_forward(const float* images, std::size_t count,
+                            const ConvShape& shape, ConstMat weight,
+                            const float* bias, float* pooled,
+                            std::uint8_t* codes, float* scratch) {
+  detail::conv_relu_pool_forward(detail::active_variant(), images, count,
+                                 shape, weight, bias, pooled, codes, scratch);
 }
 
 }  // namespace mach::tensor::kernels

@@ -1,6 +1,6 @@
 // The GEMM variant table behind kernels::gemm_nn / gemm_tn / gemm_nt,
-// kernels::conv_forward / conv_backward and kernels::squared_norms (internal
-// to the kernel layer and its tests).
+// kernels::conv_forward / conv_backward / conv_relu_pool_forward and
+// kernels::squared_norms (internal to the kernel layer and its tests).
 //
 // Each variant is one instantiation of the shared drivers in gemm_driver.h,
 // compiled in its own translation unit with its own ISA flags:
@@ -133,6 +133,10 @@ void conv_backward(const GemmVariant& variant, const float* images,
                    std::size_t count, const ConvShape& shape, ConstMat weight,
                    const float* grad_out, float* grad_images,
                    float* grad_weight, float* grad_bias, float* scratch);
+void conv_relu_pool_forward(const GemmVariant& variant, const float* images,
+                            std::size_t count, const ConvShape& shape,
+                            ConstMat weight, const float* bias, float* pooled,
+                            std::uint8_t* codes, float* scratch);
 void im2col(const GemmVariant& variant, const float* image,
             const ConvShape& shape, float* cols);
 void col2im(const GemmVariant& variant, const float* cols,

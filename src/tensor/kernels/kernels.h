@@ -137,6 +137,52 @@ void conv_backward(const float* images, std::size_t count,
                    float* grad_weight, float* grad_bias, float* scratch);
 
 // ---------------------------------------------------------------------------
+// One conv stage of the paper's CNNs in one pass: conv_forward, ReLU and 2x2
+// max pooling (stride 2) over `count` images whose conv output has even
+// height and width. The output is never held for the whole minibatch: the
+// GEMM runs over groups of whole images whose conv output fits
+// kConvPoolGroupFloats, into `scratch`, and each group is pooled while it is
+// still in cache. pooled holds count [out_c, out_h/2, out_w/2] planes and
+// codes one byte per window, laid out like pooled (relu_maxpool2x2).
+// `scratch` holds conv_relu_pool_scratch(count, shape, out_c) floats.
+// ---------------------------------------------------------------------------
+inline constexpr std::size_t kConvPoolGroupFloats = std::size_t{1} << 15;
+
+std::size_t conv_relu_pool_scratch(std::size_t count, const ConvShape& shape,
+                                   std::size_t out_channels);
+void conv_relu_pool_forward(const float* images, std::size_t count,
+                            const ConvShape& shape, ConstMat weight,
+                            const float* bias, float* pooled,
+                            std::uint8_t* codes, float* scratch);
+
+// ---------------------------------------------------------------------------
+// ReLU then 2x2 max pooling, stride 2, over `row_pairs` pairs of rows of
+// `width` (even) floats: an NCHW tensor of even height is planes * height / 2
+// row pairs, so no window straddles two planes. Bit for bit what relu()
+// followed by ref::maxpool2x2_forward leaves, with the winner stored as a
+// one-byte code (0 top-left, 1 top-right, 2 bottom-left, 3 bottom-right)
+// instead of a flat index:
+//   * every candidate first becomes r = x > 0 ? x : +0, so r is never NaN
+//     or -0 and equal values have equal bits;
+//   * the pooled value P is the largest r, and the code the first position
+//     (in the order above) whose r equals P, which is the pool's "first
+//     strictly greater candidate wins".
+// Windows are 2-8 wide at the paper's shapes, so the SSE2 loop puts four row
+// pairs in the vector lanes (4x4 transposes of their rows) and selects with
+// mask arithmetic only.
+// ---------------------------------------------------------------------------
+void relu_maxpool2x2(std::size_t row_pairs, std::size_t width, const float* x,
+                     float* pooled, std::uint8_t* codes);
+/// The gradient relu_maxpool2x2's input gets: +0 everywhere except at each
+/// window's code position, which holds P > 0 ? 0.0f + g : +0 — exactly
+/// what ref::maxpool2x2_backward and then relu_bwd (masked on the ReLU
+/// output) leave. Every cell is written once, two windows' four cells of a
+/// row per SSE2 store (no zero fill, no scatter).
+void relu_maxpool2x2_backward(std::size_t row_pairs, std::size_t width,
+                              const float* pooled, const std::uint8_t* codes,
+                              const float* grad_pooled, float* grad_x);
+
+// ---------------------------------------------------------------------------
 // Elementwise kernels (branch-free, auto-vectorizable; exact per-element
 // semantics match the naive loops they replaced).
 // ---------------------------------------------------------------------------

@@ -159,6 +159,52 @@ void conv2d_backward(const Tensor& input, const Tensor& weight,
                       grad_weight.data(), grad_bias.data(), scratch);
 }
 
+void conv2d_relu_pool_forward(const Tensor& input, const Tensor& weight,
+                              const Tensor& bias, const ConvSpec& spec,
+                              Tensor& pooled, std::vector<std::uint8_t>& codes,
+                              ScratchArena& arena) {
+  if (input.rank() != 4 || input.dim(1) != spec.in_channels) {
+    throw std::invalid_argument("conv2d_relu_pool_forward: bad input shape");
+  }
+  const std::size_t batch = input.dim(0);
+  const std::size_t h = input.dim(2), w = input.dim(3);
+  const std::size_t oh = spec.out_dim(h), ow = spec.out_dim(w);
+  const std::size_t out_c = spec.out_channels;
+  const std::size_t patch = spec.in_channels * spec.kernel * spec.kernel;
+  if (oh % 2 != 0 || ow % 2 != 0) {
+    throw std::invalid_argument("conv2d_relu_pool_forward: odd conv output");
+  }
+  if (pooled.rank() != 4 || pooled.dim(0) != batch || pooled.dim(1) != out_c ||
+      pooled.dim(2) != oh / 2 || pooled.dim(3) != ow / 2 ||
+      weight.numel() != out_c * patch || bias.numel() != out_c) {
+    throw std::invalid_argument("conv2d_relu_pool_forward: shape mismatch");
+  }
+  // Every entry is written, so a warm vector is only resized.
+  codes.resize(pooled.numel());
+  const kern::ConvShape shape{spec.in_channels, h, w, spec.kernel, spec.pad,
+                              spec.stride};
+  arena.reset();
+  float* scratch = arena.alloc(kern::conv_relu_pool_scratch(batch, shape, out_c));
+  kern::conv_relu_pool_forward(input.data(), batch, shape,
+                               {weight.data(), out_c, patch}, bias.data(),
+                               pooled.data(), codes.data(), scratch);
+}
+
+void relu_pool_backward(const Tensor& pooled,
+                        const std::vector<std::uint8_t>& codes,
+                        const Tensor& grad_pooled, Tensor& grad_conv) {
+  if (pooled.rank() != 4 || !pooled.same_shape(grad_pooled) ||
+      codes.size() != pooled.numel() || grad_conv.rank() != 4 ||
+      grad_conv.dim(0) != pooled.dim(0) || grad_conv.dim(1) != pooled.dim(1) ||
+      grad_conv.dim(2) != 2 * pooled.dim(2) ||
+      grad_conv.dim(3) != 2 * pooled.dim(3)) {
+    throw std::invalid_argument("relu_pool_backward: shape mismatch");
+  }
+  kern::relu_maxpool2x2_backward(pooled.dim(0) * pooled.dim(1) * pooled.dim(2),
+                                 grad_conv.dim(3), pooled.data(), codes.data(),
+                                 grad_pooled.data(), grad_conv.data());
+}
+
 void maxpool2x2_forward(const Tensor& input, Tensor& output,
                         std::vector<std::uint32_t>& argmax) {
   const std::size_t batch = input.dim(0), c = input.dim(1), h = input.dim(2),

@@ -11,7 +11,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
+#include <vector>
 
 #include "tensor/arena.h"
 #include "tensor/tensor.h"
@@ -75,6 +77,26 @@ void conv2d_backward(const Tensor& input, const Tensor& weight,
                      const Tensor& grad_output, const ConvSpec& spec,
                      Tensor* grad_input, Tensor& grad_weight, Tensor& grad_bias,
                      ScratchArena& arena);
+
+// ---------------------------------------------------------------------------
+// Conv -> ReLU -> 2x2 max pool in one pass (nn::ConvBlock), bit for bit the
+// chain conv2d_forward, relu_forward, maxpool2x2_forward. The conv output
+// (even height and width) is never kept: kernels::conv_relu_pool_forward
+// convolves groups of whole images into one `arena` span of at most
+// kernels::kConvPoolGroupFloats (or one image) and pools each group. pooled
+// must be [n, out_c, out_h/2, out_w/2]; codes is resized to one byte per
+// window (its winner, kernels::relu_maxpool2x2).
+// ---------------------------------------------------------------------------
+void conv2d_relu_pool_forward(const Tensor& input, const Tensor& weight,
+                              const Tensor& bias, const ConvSpec& spec,
+                              Tensor& pooled, std::vector<std::uint8_t>& codes,
+                              ScratchArena& arena);
+/// The conv output's gradient: +0 except at each window's winner, which gets
+/// pooled > 0 ? 0.0f + grad_pooled : +0 (maxpool2x2_backward followed by
+/// relu_backward). grad_conv must be [n, c, 2 * pooled_h, 2 * pooled_w].
+void relu_pool_backward(const Tensor& pooled,
+                        const std::vector<std::uint8_t>& codes,
+                        const Tensor& grad_pooled, Tensor& grad_conv);
 
 // ---------------------------------------------------------------------------
 // 2x2 max pooling, stride 2 (dimensions must be even). argmax[i] is the

@@ -136,12 +136,12 @@ TEST(ModelFactoryTest, PaperCnnSelectsDepthByTask) {
   auto config = tiny(7);
   config.model = ModelKind::PaperCnn;
   nn::Sequential cnn2 = make_model_factory(config)();
-  EXPECT_EQ(cnn2.num_layers(), 10u);  // conv relu pool x2 + flatten fc relu fc
+  EXPECT_EQ(cnn2.num_layers(), 6u);  // conv-relu-pool block x2 + flatten fc relu fc
 
   auto cifar = ExperimentConfig::smoke(data::TaskKind::CifarLike);
   cifar.model = ModelKind::PaperCnn;
   nn::Sequential cnn3 = make_model_factory(cifar)();
-  EXPECT_EQ(cnn3.num_layers(), 13u);  // conv relu pool x3 + flatten fc relu fc
+  EXPECT_EQ(cnn3.num_layers(), 7u);  // conv-relu-pool block x3 + flatten fc relu fc
 }
 
 TEST(RunExperiment, ProducesMetricsAndName) {

@@ -1,9 +1,10 @@
-// Steady-state allocation test: once training is warm, a full MNIST-CNN
-// training step (forward + backward + SGD update) must perform ZERO heap
-// allocations. The conv scratch lives in per-layer arenas, GEMM pack buffers
-// are thread-local and grown once, layer activations are cached tensors, and
-// the optimiser walks the model's cached parameter refs — so after a few
-// warm-up steps nothing on the hot path should touch the allocator.
+// Steady-state allocation test: once training is warm, a full MNIST-CNN or
+// CIFAR-CNN training step (forward + backward + SGD update) must perform
+// ZERO heap allocations. The conv scratch lives in per-layer arenas, GEMM
+// pack buffers are thread-local and grown once, layer activations are cached
+// tensors, and the optimiser walks the model's cached parameter refs — so
+// after a few warm-up steps nothing on the hot path should touch the
+// allocator.
 //
 // Mechanism: this TU replaces the global allocation functions with counting
 // wrappers (affecting the whole test binary, which is fine — we only compare
@@ -85,41 +86,59 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 namespace mach::nn {
 namespace {
 
+/// The paper CNNs these tests warm up: MNIST-CNN at the allocation test's
+/// original 28x28 and batch 32, and CIFAR-CNN at the benchmark's 3x16x16
+/// and training batch 16.
+struct CnnCase {
+  const char* name;
+  Sequential (*make)();
+  std::vector<std::size_t> input;
+};
+
+std::vector<CnnCase> cnn_cases(std::size_t mnist_batch) {
+  return {{"mnist cnn2", [] { return make_cnn2(1, 28, 28, 10); },
+           {mnist_batch, 1, 28, 28}},
+          {"cifar cnn3", [] { return make_cnn3(3, 16, 16, 10); },
+           {16, 3, 16, 16}}};
+}
+
 TEST(SteadyStateAllocation, MnistCnnTrainingStepAllocatesNothing) {
-  common::Rng rng(42);
-  Sequential model = make_cnn2(1, 28, 28, 10);
-  model.init_params(rng);
-  Sgd sgd({.learning_rate = 0.01, .momentum = 0.9, .weight_decay = 1e-4});
+  for (const CnnCase& c : cnn_cases(32)) {
+    common::Rng rng(42);
+    Sequential model = c.make();
+    model.init_params(rng);
+    Sgd sgd({.learning_rate = 0.01, .momentum = 0.9, .weight_decay = 1e-4});
 
-  const std::size_t batch = 32;
-  tensor::Tensor input({batch, 1, 28, 28});
-  for (auto& v : input.flat()) v = static_cast<float>(rng.normal());
-  std::vector<int> labels(batch);
-  for (auto& l : labels) l = static_cast<int>(rng.uniform_index(10));
-  const std::span<const int> label_span(labels);
+    const std::size_t batch = c.input[0];
+    tensor::Tensor input(c.input);
+    for (auto& v : input.flat()) v = static_cast<float>(rng.normal());
+    std::vector<int> labels(batch);
+    for (auto& l : labels) l = static_cast<int>(rng.uniform_index(10));
+    const std::span<const int> label_span(labels);
 
-  // Warm-up: grows arenas, pack buffers, cached activations, velocity
-  // buffers and the cached param refs.
-  for (int step = 0; step < 3; ++step) {
-    model.forward_backward(input, label_span);
-    sgd.step(model);
+    // Warm-up: grows arenas, pack buffers, cached activations, velocity
+    // buffers and the cached param refs.
+    for (int step = 0; step < 3; ++step) {
+      model.forward_backward(input, label_span);
+      sgd.step(model);
+    }
+
+    const std::size_t grow_events_before = model.scratch_grow_events();
+    const std::uint64_t allocs_before =
+        g_alloc_count.load(std::memory_order_relaxed);
+    for (int step = 0; step < 5; ++step) {
+      const StepStats stats = model.forward_backward(input, label_span);
+      sgd.step(model);
+      ASSERT_GT(stats.batch_size, 0u);
+    }
+    const std::uint64_t allocs_after =
+        g_alloc_count.load(std::memory_order_relaxed);
+
+    EXPECT_EQ(allocs_after - allocs_before, 0u)
+        << "warm " << c.name << " training steps must not allocate";
+    EXPECT_EQ(model.scratch_grow_events(), grow_events_before)
+        << c.name << " scratch arenas must not grow once warm";
   }
-
-  const std::size_t grow_events_before = model.scratch_grow_events();
-  const std::uint64_t allocs_before =
-      g_alloc_count.load(std::memory_order_relaxed);
-  for (int step = 0; step < 5; ++step) {
-    const StepStats stats = model.forward_backward(input, label_span);
-    sgd.step(model);
-    ASSERT_GT(stats.batch_size, 0u);
-  }
-  const std::uint64_t allocs_after =
-      g_alloc_count.load(std::memory_order_relaxed);
-
-  EXPECT_EQ(allocs_after - allocs_before, 0u)
-      << "warm MNIST-CNN training steps must not allocate";
-  EXPECT_EQ(model.scratch_grow_events(), grow_events_before)
-      << "scratch arenas must not grow once warm";
 }
 
 TEST(SteadyStateAllocation, MlpDeviceStepAllocatesNothing) {
@@ -170,23 +189,25 @@ TEST(SteadyStateAllocation, MlpDeviceStepAllocatesNothing) {
 }
 
 TEST(SteadyStateAllocation, EvaluationIsAllocationFreeWhenWarm) {
-  common::Rng rng(7);
-  Sequential model = make_cnn2(1, 28, 28, 10);
-  model.init_params(rng);
+  for (const CnnCase& c : cnn_cases(16)) {
+    common::Rng rng(7);
+    Sequential model = c.make();
+    model.init_params(rng);
 
-  const std::size_t batch = 16;
-  tensor::Tensor input({batch, 1, 28, 28});
-  for (auto& v : input.flat()) v = static_cast<float>(rng.normal());
-  std::vector<int> labels(batch);
-  for (auto& l : labels) l = static_cast<int>(rng.uniform_index(10));
-  const std::span<const int> label_span(labels);
+    const std::size_t batch = c.input[0];
+    tensor::Tensor input(c.input);
+    for (auto& v : input.flat()) v = static_cast<float>(rng.normal());
+    std::vector<int> labels(batch);
+    for (auto& l : labels) l = static_cast<int>(rng.uniform_index(10));
+    const std::span<const int> label_span(labels);
 
-  for (int i = 0; i < 2; ++i) model.evaluate(input, label_span);
+    for (int i = 0; i < 2; ++i) model.evaluate(input, label_span);
 
-  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-  for (int i = 0; i < 3; ++i) model.evaluate(input, label_span);
-  const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
-  EXPECT_EQ(after - before, 0u);
+    const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+    for (int i = 0; i < 3; ++i) model.evaluate(input, label_span);
+    const std::uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u) << c.name;
+  }
 }
 
 }  // namespace

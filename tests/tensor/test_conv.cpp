@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -435,6 +436,108 @@ TEST(ConvBackward, TensorOpSkipsOnlyTheInputGradient) {
   EXPECT_THROW(
       conv2d_backward(input, weight, grad_output, spec, &bad, dw, db, arena),
       std::invalid_argument);
+}
+
+TEST(ConvReluPool, GroupedForwardMatchesConvReluPoolOnEveryVariant) {
+  // conv_relu_pool_forward against conv_forward, relu and the seed pool
+  // loops on every host variant: the five benchmark conv stages, a shape
+  // with odd window counts, and one whose single image exceeds the group
+  // budget; minibatches of one group, several, and a partial last group;
+  // images and biases with ±0, NaN and ±inf.
+  common::Rng rng(24);
+  struct Case {
+    std::size_t channels, out_c, h, w;
+  };
+  const Case cases[] = {{3, 8, 16, 16}, {8, 16, 8, 8}, {16, 32, 4, 4},
+                        {1, 8, 12, 12}, {8, 16, 6, 6}, {2, 3, 10, 6},
+                        {2, 70, 24, 24}};
+  for (const Case& c : cases) {
+    for (std::size_t batch : {1u, 16u, 37u}) {
+      for (bool specials : {false, true}) {
+        const kernels::ConvShape shape{c.channels, c.h, c.w, 3, 1, 1};
+        const std::size_t patch = c.channels * 9, plane = c.out_c * c.h * c.w;
+        const std::size_t planes = batch * c.out_c, outputs = batch * plane / 4;
+        const auto input =
+            special_vec(batch * c.channels * c.h * c.w, rng, specials);
+        const auto weight = special_vec(c.out_c * patch, rng, false);
+        const auto bias = special_vec(c.out_c, rng, specials);
+        const std::size_t scratch_size =
+            kernels::conv_relu_pool_scratch(batch, shape, c.out_c);
+        EXPECT_LE(scratch_size, std::max(kernels::kConvPoolGroupFloats, plane));
+        EXPECT_EQ(scratch_size % plane, 0u);
+        for (const auto* v : kernels::detail::host_variants()) {
+          std::vector<float> conv(batch * plane), relu_out(batch * plane);
+          kernels::detail::conv_forward(*v, input.data(), batch, shape,
+                                        {weight.data(), c.out_c, patch},
+                                        bias.data(), conv.data());
+          kernels::relu(conv.size(), conv.data(), relu_out.data());
+          std::vector<float> want(outputs);
+          std::vector<std::uint32_t> argmax(outputs);
+          kernels::ref::maxpool2x2_forward(relu_out.data(), planes, c.h, c.w,
+                                           want.data(), argmax.data());
+
+          std::vector<float> scratch(scratch_size), got(outputs, -5.0f);
+          std::vector<std::uint8_t> codes(outputs, 9);
+          kernels::detail::conv_relu_pool_forward(
+              *v, input.data(), batch, shape, {weight.data(), c.out_c, patch},
+              bias.data(), got.data(), codes.data(), scratch.data());
+          const std::string where =
+              std::string(common::gemm_isa_name(v->isa)) +
+              " c=" + std::to_string(c.channels) +
+              " out_c=" + std::to_string(c.out_c) + " " +
+              std::to_string(c.h) + "x" + std::to_string(c.w) +
+              " batch=" + std::to_string(batch) + (specials ? " specials" : "");
+          ASSERT_EQ(bits(got), bits(want)) << where;
+          for (std::size_t i = 0; i < outputs; ++i) {
+            const std::uint32_t at = argmax[i];
+            ASSERT_EQ(codes[i], (at % c.w) % 2 + 2 * ((at / c.w) % 2))
+                << where << " window " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ConvReluPool, TensorOpMatchesTheChainOpsInOneGroupSpan) {
+  common::Rng rng(25);
+  const ConvSpec spec{.in_channels = 3, .out_channels = 8, .kernel = 3,
+                      .pad = 1, .stride = 1};
+  const Tensor input = random_tensor({40, 3, 16, 16}, rng);
+  const Tensor weight = random_tensor({8, 3, 3, 3}, rng);
+  const Tensor bias = random_tensor({8}, rng);
+  Tensor conv({40, 8, 16, 16}), relu_out(conv.shape()), want({40, 8, 8, 8});
+  std::vector<std::uint32_t> argmax;
+  conv2d_forward(input, weight, bias, spec, conv);
+  relu_forward(conv, relu_out);
+  maxpool2x2_forward(relu_out, want, argmax);
+
+  ScratchArena arena;
+  Tensor got(want.shape());
+  std::vector<std::uint8_t> codes;
+  conv2d_relu_pool_forward(input, weight, bias, spec, got, codes, arena);
+  const auto vec = [](const Tensor& t) {
+    return std::vector<float>(t.flat().begin(), t.flat().end());
+  };
+  EXPECT_EQ(bits(vec(got)), bits(vec(want)));
+  ASSERT_EQ(codes.size(), want.numel());
+  // 40 images of 2,048 conv outputs run as groups of 16.
+  EXPECT_EQ(arena.stats().capacity_floats, 16u * 8 * 16 * 16);
+
+  Tensor grad = random_tensor(want.shape(), rng);
+  Tensor want_dx(conv.shape()), got_dx(conv.shape());
+  Tensor pool_grad(conv.shape());
+  maxpool2x2_backward(grad, argmax, pool_grad);
+  relu_backward(relu_out, pool_grad, want_dx);
+  relu_pool_backward(got, codes, grad, got_dx);
+  EXPECT_EQ(bits(vec(got_dx)), bits(vec(want_dx)));
+
+  Tensor odd({40, 8, 7, 8});
+  EXPECT_THROW(conv2d_relu_pool_forward(random_tensor({40, 3, 15, 16}, rng),
+                                        weight, bias, spec, odd, codes, arena),
+               std::invalid_argument);
+  Tensor wrong({40, 8, 16, 14});
+  EXPECT_THROW(relu_pool_backward(got, codes, grad, wrong), std::invalid_argument);
 }
 
 TEST(ConvSpec, OutputDimension) {

@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "tensor/kernels/kernels.h"
@@ -242,6 +244,67 @@ TEST(MaxPool, MatchesTheSeedLoopsBitwiseOnTiesNaNAndSignedZeros) {
     EXPECT_EQ(bits(y.data(), y.numel()), bits(ref_y.data(), ref_y.size()));
     EXPECT_EQ(bits(gin.data(), gin.numel()),
               bits(ref_gin.data(), ref_gin.size()));
+  }
+}
+
+TEST(ReluMaxPool, MatchesReluThenTheSeedPoolBitwise) {
+  // The fused ReLU + pool kernel against relu() followed by the seed pool
+  // loops: ties keep the first candidate, NaN, -inf and -0 become +0 first,
+  // and each code names the seed loop's argmax. Widths with an odd window
+  // count and row-pair counts off a multiple of four reach the tails; the
+  // backward must equal the seed backward followed by relu_bwd masked on
+  // the ReLU output, which a -0 gradient leaves as +0.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float values[] = {-1.0f, 0.0f, -0.0f, 1.0f, 1.0f, 2.0f, nan, inf, -inf};
+  const auto bits = [](const std::vector<float>& v) {
+    std::vector<std::uint32_t> out(v.size());
+    std::memcpy(out.data(), v.data(), v.size() * sizeof(float));
+    return out;
+  };
+  common::Rng rng(43);
+  const std::vector<std::vector<std::size_t>> shapes = {  // planes, h, w
+      {1, 2, 2},  {3, 2, 6},   {5, 4, 4},    {2, 6, 10}, {7, 2, 12},
+      {1, 8, 14}, {9, 6, 6},   {16, 16, 16}, {128, 12, 12}, {512, 4, 4}};
+  for (const auto& s : shapes) {
+    const std::size_t planes = s[0], h = s[1], w = s[2];
+    const std::size_t size = planes * h * w, outputs = size / 4;
+    for (const bool normal : {false, true}) {
+      std::vector<float> x(size);
+      for (auto& v : x) {
+        v = normal && rng.uniform_index(4) != 0 ? static_cast<float>(rng.normal())
+                                                : values[rng.uniform_index(9)];
+      }
+      std::vector<float> relu_x(size), want(outputs), got(outputs, -5.0f);
+      std::vector<std::uint32_t> argmax(outputs);
+      std::vector<std::uint8_t> codes(outputs, 9);
+      kernels::relu(size, x.data(), relu_x.data());
+      kernels::ref::maxpool2x2_forward(relu_x.data(), planes, h, w, want.data(),
+                                       argmax.data());
+      kernels::relu_maxpool2x2(planes * h / 2, w, x.data(), got.data(),
+                               codes.data());
+      const std::string where = std::to_string(planes) + "x" +
+                                std::to_string(h) + "x" + std::to_string(w) +
+                                (normal ? " normal" : " specials");
+      ASSERT_EQ(bits(got), bits(want)) << where;
+      for (std::size_t i = 0; i < outputs; ++i) {
+        const std::uint32_t at = argmax[i];
+        ASSERT_EQ(codes[i], (at % w) % 2 + 2 * ((at / w) % 2)) << where << " " << i;
+      }
+
+      std::vector<float> gout(outputs);
+      for (auto& v : gout) {
+        v = rng.uniform_index(4) == 0 ? -0.0f : static_cast<float>(rng.normal());
+      }
+      std::vector<float> pool_grad(size), want_gx(size), got_gx(size, 5.0f);
+      kernels::ref::maxpool2x2_backward(gout.data(), argmax.data(), planes, h,
+                                        w, pool_grad.data());
+      kernels::relu_bwd(size, relu_x.data(), pool_grad.data(), want_gx.data());
+      kernels::relu_maxpool2x2_backward(planes * h / 2, w, got.data(),
+                                        codes.data(), gout.data(),
+                                        got_gx.data());
+      EXPECT_EQ(bits(got_gx), bits(want_gx)) << where;
+    }
   }
 }
 
