@@ -4,7 +4,8 @@
 // per-shape exact-equality spot check. Every GEMM variant this CPU can run
 // (baseline, AVX2, AVX-512) gets its own row per shape; the "variant" field
 // is part of each row's identity for bench_diff. Layer rows follow at the
-// end-to-end benchmark's shapes (16 images): the minibatch conv backward per
+// end-to-end benchmark's shapes (16 images): the production conv forward per
+// variant against its packed-GEMM entry, the minibatch conv backward per
 // variant, with and without the input gradient, against the per-image
 // reference composition, and 2x2 max pooling against the seed loops (not
 // per variant: pooling is plain C++). Block rows time each conv stage's
@@ -54,8 +55,8 @@ using namespace mach;
 namespace kern = tensor::kernels;
 
 enum class Op {
-  Nn, Tn, Nt, ConvBwd, ConvBwdNoDx, PoolFwd, PoolBwd, BlockFwd, BlockBwd,
-  Int8Encode, Int8Decode, GradNorms
+  Nn, Tn, Nt, ConvFwd, ConvBwd, ConvBwdNoDx, PoolFwd, PoolBwd, BlockFwd,
+  BlockBwd, Int8Encode, Int8Decode, GradNorms
 };
 
 struct Case {
@@ -86,6 +87,7 @@ const char* op_name(Op op) {
     case Op::Nn: return "nn";
     case Op::Tn: return "tn";
     case Op::Nt: return "nt";
+    case Op::ConvFwd: return "conv_fwd";
     case Op::ConvBwd: return "conv_bwd";
     case Op::ConvBwdNoDx: return "conv_bwd_nodx";
     case Op::PoolFwd: return "pool_fwd";
@@ -190,6 +192,97 @@ struct ConvLayer {
   std::size_t channels, out_c, h;
 };
 
+/// The conv layers of the end-to-end benchmark's models.
+const std::vector<ConvLayer>& bench_convs() {
+  static const std::vector<ConvLayer> convs = {
+      {"bench_cifar_conv1", 3, 8, 16},  {"bench_cifar_conv2", 8, 16, 8},
+      {"bench_cifar_conv3", 16, 32, 4}, {"bench_mnist_conv1", 1, 8, 12},
+      {"bench_mnist_conv2", 8, 16, 6},
+  };
+  return convs;
+}
+
+/// Conv-forward rows at the end-to-end benchmark's layer shapes, 16 images
+/// per call, per variant: the production conv_forward (direct, without
+/// im2col, where the dispatcher's direct_conv rule picks it) against the
+/// packed-GEMM entry it replaces there. Both sides are checked against the
+/// reference composition ref::im2col + ref::gemm_nn with a bias row. Each
+/// call takes the next of kInputs distinct minibatches.
+void conv_forward_rows(
+    const std::vector<const kern::detail::GemmVariant*>& variants,
+    double min_ms, common::Rng& rng, std::vector<Result>& results) {
+  constexpr std::size_t kInputs = 4, kBatch = 16;
+  for (const ConvLayer& l : bench_convs()) {
+    const kern::ConvShape shape{l.channels, l.h, l.h, 3, 1, 1};
+    const std::size_t patch = l.channels * 9, n = l.h * l.h;
+    const std::size_t image = l.channels * n, out = l.out_c * n;
+    std::vector<float> weight(l.out_c * patch), bias(l.out_c);
+    for (auto& v : weight) v = static_cast<float>(rng.normal());
+    for (auto& v : bias) v = static_cast<float>(rng.normal());
+    std::vector<std::vector<float>> inputs(kInputs), want(kInputs);
+    std::vector<float> cols(patch * n);
+    for (std::size_t i = 0; i < kInputs; ++i) {
+      inputs[i].resize(kBatch * image);
+      for (auto& v : inputs[i]) v = static_cast<float>(rng.normal());
+      want[i].resize(kBatch * out);
+      for (std::size_t img = 0; img < kBatch; ++img) {
+        kern::ref::im2col(inputs[i].data() + img * image, l.channels, l.h, l.h,
+                          3, 1, 1, cols.data());
+        kern::ref::gemm_nn({weight.data(), l.out_c, patch},
+                           {cols.data(), patch, n},
+                           {want[i].data() + img * out, l.out_c, n}, false,
+                           bias.data(), nullptr);
+      }
+    }
+    const Case c{l.name + "_fwd16", "bench", Op::ConvFwd, l.out_c, patch,
+                 kBatch * n};
+    const double flops = 2.0 * static_cast<double>(c.m) *
+                         static_cast<double>(c.k) * static_cast<double>(c.n);
+    for (const auto* variant : variants) {
+      // The packed entry's buffers: A packed once (out_c <= MC, patch <=
+      // KC at these shapes), B panels of at most KC x NC.
+      const kern::detail::Blocking& bl = variant->nn;
+      const auto round_up = [](std::size_t x, std::size_t to) {
+        return (x + to - 1) / to * to;
+      };
+      std::vector<float> apack(round_up(l.out_c, bl.mr) * patch),
+          bpack(std::min(patch, bl.kc) * round_up(std::min(n, bl.nc), bl.nr));
+      std::vector<float> got(kBatch * out), packed(kBatch * out);
+      std::size_t next = 0;
+      const auto reference = [&] {
+        variant->conv_forward(inputs[next++ % kInputs].data(), kBatch, shape,
+                              {weight.data(), l.out_c, patch}, bias.data(),
+                              packed.data(), {apack.data(), bpack.data()});
+      };
+      const auto run = [&] {
+        kern::detail::conv_forward(*variant, inputs[next++ % kInputs].data(),
+                                   kBatch, shape,
+                                   {weight.data(), l.out_c, patch},
+                                   bias.data(), got.data());
+      };
+      bool exact = true;
+      for (std::size_t i = 0; i < kInputs; ++i) {
+        next = i;
+        reference();
+        next = i;
+        run();
+        exact = exact && got == want[i] && packed == want[i];
+      }
+      const PairTiming t = time_pair(reference, run, min_ms);
+      Result r;
+      r.shape = c;
+      r.variant = common::gemm_isa_name(variant->isa);
+      r.exact = exact;
+      r.ref_gflops = flops / t.ref_s * 1e-9;
+      r.blocked_gflops = flops / t.run_s * 1e-9;
+      r.speedup = t.speedup();
+      r.ref_ms = t.ref_s * 1e3;
+      r.blocked_ms = t.run_s * 1e3;
+      results.push_back(r);
+    }
+  }
+}
+
 /// Gradients of a 16-image conv backward: the retained per-image reference
 /// composition (zero fills, ref::im2col, ref::gemm_nt accumulate, and with
 /// dx ref::gemm_tn + ref::col2im, then the bias row sums).
@@ -245,12 +338,7 @@ struct ConvBackwardBench {
 /// at the end-to-end benchmark's layer shapes.
 void layer_rows(const std::vector<const kern::detail::GemmVariant*>& variants,
                 double min_ms, common::Rng& rng, std::vector<Result>& results) {
-  const std::vector<ConvLayer> convs = {
-      {"bench_cifar_conv1", 3, 8, 16},  {"bench_cifar_conv2", 8, 16, 8},
-      {"bench_cifar_conv3", 16, 32, 4}, {"bench_mnist_conv1", 1, 8, 12},
-      {"bench_mnist_conv2", 8, 16, 6},
-  };
-  for (const ConvLayer& l : convs) {
+  for (const ConvLayer& l : bench_convs()) {
     ConvBackwardBench b(l, rng);
     const std::size_t pixels = ConvBackwardBench::kBatch * b.n;
     for (bool dx : {true, false}) {
@@ -701,6 +789,7 @@ int main(int argc, char** argv) {
     }
   }
 
+  conv_forward_rows(variants, min_ms, rng, results);
   layer_rows(variants, min_ms, rng, results);
   block_rows(min_ms, rng, results);
   codec_rows(min_ms, rng, results);

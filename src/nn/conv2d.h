@@ -1,7 +1,8 @@
 // 2-D convolution layer (square kernel, stride 1, symmetric zero padding).
 // Input/output layout is NCHW. Forward and backward each run the whole
-// minibatch through one kernel (kernels::conv_forward / conv_backward), whose
-// GEMMs read im2col rows built from the image.
+// minibatch through one kernel (kernels::conv_forward / conv_backward), which
+// reads the images in place or from zero-padded copies; no im2col matrix is
+// built.
 #pragma once
 
 #include "nn/layer.h"

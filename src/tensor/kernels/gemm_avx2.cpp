@@ -69,6 +69,8 @@ struct Avx2Config {
   static constexpr std::size_t kNC = 256;
   static constexpr std::size_t kNtNV = 1;
   static constexpr std::size_t kNtNR = 8;
+  static constexpr std::size_t kDirectNV = 2;
+  static constexpr std::size_t kDirectPixels = 12;
   static constexpr auto squared_norms = &avx2_squared_norms;
 };
 

@@ -82,6 +82,8 @@ struct Avx512Config {
   static constexpr std::size_t kNC = 256;
   static constexpr std::size_t kNtNV = 1;
   static constexpr std::size_t kNtNR = 8;
+  static constexpr std::size_t kDirectNV = 2;
+  static constexpr std::size_t kDirectPixels = 16;
   using NarrowIsa = Avx512Ymm;
   static constexpr std::size_t kNarrowNtNR = 16;
   static constexpr auto squared_norms = &avx512_squared_norms;

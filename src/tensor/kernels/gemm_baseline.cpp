@@ -116,6 +116,8 @@ struct BaselineConfig {
   static constexpr std::size_t kNC = 256;
   static constexpr std::size_t kNtNV = 4 / Isa::kW;
   static constexpr std::size_t kNtNR = 8;
+  static constexpr std::size_t kDirectNV = 2;
+  static constexpr std::size_t kDirectPixels = 12;
   static constexpr auto squared_norms = &baseline_squared_norms;
 };
 

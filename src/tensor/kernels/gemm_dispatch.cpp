@@ -162,6 +162,14 @@ void conv_forward(const GemmVariant& variant, const float* images,
     }
     return;
   }
+  if (direct_conv(weight.rows, variant.lanes)) {
+    ThreadPackBuffers& t = tls_buffers();
+    variant.conv_forward_direct(
+        images, count, shape, weight, bias, out,
+        {ensure(t.a, weight.rows * weight.cols),
+         ensure(t.b, padded_image_floats(shape))});
+    return;
+  }
   variant.conv_forward(
       images, count, shape, weight, bias, out,
       panel_buffers(variant, weight.rows, oh * ow, weight.cols));
@@ -170,8 +178,8 @@ void conv_forward(const GemmVariant& variant, const float* images,
 namespace {
 
 /// Scratch (in floats) conv_backward aims to stay under: a minibatch runs as
-/// one group while its im2col rows and packed output gradients fit, and is
-/// split into groups of whole images beyond that. Splitting is lossless: a
+/// one group while its padded input planes and packed output gradients fit,
+/// and is split into groups of whole images beyond that. Splitting is lossless: a
 /// group continues from the weight and bias gradients the previous one
 /// stored.
 constexpr std::size_t kBackwardScratchBudget = std::size_t{1} << 18;
@@ -180,8 +188,8 @@ std::size_t backward_group(std::size_t count, const ConvShape& shape,
                            std::size_t out_channels) {
   const std::size_t n = conv_out_extent(shape.height, shape) *
                         conv_out_extent(shape.width, shape);
-  const std::size_t patch = shape.channels * shape.kernel * shape.kernel;
-  const std::size_t per_image = (patch + round_up(out_channels, 16)) * n;
+  const std::size_t per_image =
+      padded_image_floats(shape) + round_up(out_channels, 16) * n;
   return std::clamp<std::size_t>(kBackwardScratchBudget / per_image, 1,
                                  std::max<std::size_t>(count, 1));
 }

@@ -15,10 +15,14 @@
 //   * the micro-kernel keeps an MR x NR accumulator tile in vector registers
 //     (MR rows of NV vectors) and applies kc rank-1 updates in increasing p
 //     order; edge tiles run the same kernel on a zero-padded copy.
+// conv_forward_direct (out_c in whole vectors) skips the GEMM form: output
+// channels sit in vector lanes and each input value is broadcast from a
+// zero-padded copy of the image's planes (see the direct section below).
 // conv_backward runs a whole minibatch: the weight gradient keeps gemm_nt's
-// dot-product tiles with the image loop inside the tile loop, and the input
-// gradient is one gemm_tn-shaped GEMM over images laid side by side with
-// col2im fused into it (see conv_backward below).
+// dot-product tiles with the image loop inside the tile loop, broadcasting
+// from the same padded planes, and the input gradient is one gemm_tn-shaped
+// GEMM over images laid side by side with col2im fused into it (see
+// conv_backward below).
 // gemm_nt keeps its dot-product form: each tile holds MR_nt rows of C in
 // vector lanes and NR_nt columns, sums the full k into fresh accumulators
 // (A packed in MR_nt-row strips, B rows broadcast in place, so B needs no
@@ -425,13 +429,22 @@ struct GemmKernels {
     }
   }
 
+  /// The B side of a micro_nt tile: `rows` runs of k elements, run r of
+  /// column j starting at brows[j] + r * row_step with elements `step`
+  /// apart. gemm_nt reads one contiguous run per B row; the conv weight
+  /// gradient reads each output row's taps from a zero-padded plane.
+  struct NtWalk {
+    std::size_t rows, k, row_step, step;
+  };
+
   /// gemm_nt tile in dot-product form, computed transposed: the lanes of NV
   /// NI vectors run over NV * NI::kW rows of C (a packed A strip), the NJ
   /// columns come from the B rows `brows`, broadcast one element at a time.
-  /// Fresh accumulators sum the full k in increasing p order; tile[j * rows +
-  /// i] receives the sums (kAdd: tile[j * rows + i] + the sums).
+  /// Fresh accumulators sum the walk's rows * k elements in increasing
+  /// order; tile[j * NV * NI::kW + i] receives the sums (kAdd: that element
+  /// plus the sums).
   template <class NI, std::size_t NV, std::size_t NJ, bool kAdd = false>
-  static MACH_INLINE void micro_nt(std::size_t k, const float* ap,
+  static MACH_INLINE void micro_nt(NtWalk walk, const float* ap,
                                    const float* const* brows, float* tile) {
     using NV_t = typename NI::V;
     constexpr std::size_t kRows = NV * NI::kW;
@@ -443,20 +456,22 @@ struct GemmKernels {
 #pragma GCC unroll 16
       for (std::size_t v = 0; v < NV; ++v) acc[j][v] = NI::zero();
     }
-    for (std::size_t p = 0; p < k; ++p) {
-      NV_t a[NV];
+    for (std::size_t r = 0; r < walk.rows; ++r) {
+      for (std::size_t p = 0; p < walk.k; ++p, ap += kRows) {
+        NV_t a[NV];
 #pragma GCC unroll 16
-      for (std::size_t v = 0; v < NV; ++v) {
-        a[v] = NI::load(ap + p * kRows + v * NI::kW);
-      }
+        for (std::size_t v = 0; v < NV; ++v) a[v] = NI::load(ap + v * NI::kW);
 #pragma GCC unroll 32
-      for (std::size_t j = 0; j < NJ; ++j) {
-        const NV_t bv = NI::bcast(bj[j][p]);
+        for (std::size_t j = 0; j < NJ; ++j) {
+          const NV_t bv = NI::bcast(bj[j][p * walk.step]);
 #pragma GCC unroll 16
-        for (std::size_t v = 0; v < NV; ++v) {
-          acc[j][v] = NI::add(acc[j][v], NI::mul(a[v], bv));
+          for (std::size_t v = 0; v < NV; ++v) {
+            acc[j][v] = NI::add(acc[j][v], NI::mul(a[v], bv));
+          }
         }
       }
+#pragma GCC unroll 32
+      for (std::size_t j = 0; j < NJ; ++j) bj[j] += walk.row_step;
     }
 #pragma GCC unroll 32
     for (std::size_t j = 0; j < NJ; ++j) {
@@ -742,6 +757,245 @@ struct GemmKernels {
     }
   }
 
+  // -------------------------------------------------------------------------
+  // Convolutions on zero-padded planes (no im2col)
+  // -------------------------------------------------------------------------
+
+  /// An image's planes copied into (height + 2 pad) x (width + 2 pad) planes
+  /// whose margins hold +0.0f, the value im2col writes for a tap outside the
+  /// image: tap (c, ky, kx) of output pixel (oy, ox) is then element
+  /// (oy * stride + ky) * wp + ox * stride + kx of padded plane c, with no
+  /// bounds test.
+  struct PaddedLayout {
+    std::size_t wp;     // padded row length
+    std::size_t plane;  // floats per padded plane
+    std::size_t image;  // floats per padded image
+  };
+
+  static MACH_INLINE PaddedLayout padded_layout(const ConvShape& s) {
+    const std::size_t wp = s.width + 2 * s.pad;
+    return {wp, (s.height + 2 * s.pad) * wp, padded_image_floats(s)};
+  }
+
+  /// Copies an image into the interior of its padded planes (the margins
+  /// are left as they are).
+  static void pad_image(const float* image, const ConvShape& s,
+                        const PaddedLayout& g, float* padded) {
+    for (std::size_t c = 0; c < s.channels; ++c) {
+      float* dst = padded + c * g.plane + s.pad * g.wp + s.pad;
+      for (std::size_t y = 0; y < s.height; ++y, dst += g.wp, image += s.width) {
+        for (std::size_t x = 0; x < s.width; ++x) dst[x] = image[x];
+      }
+    }
+  }
+
+  /// Offset of tap p = (c, ky, kx) in a padded image.
+  static MACH_INLINE std::size_t tap_offset(std::size_t p, const ConvShape& s,
+                                            const PaddedLayout& g) {
+    const std::size_t taps = s.kernel * s.kernel;
+    return p / taps * g.plane + (p % taps) / s.kernel * g.wp + p % s.kernel;
+  }
+
+  /// Register budget of the direct forward: kDirectNV vectors of output
+  /// channels per block, RY = 2 output rows x up to kDirectPixels / (2 NV)
+  /// pixels of each per tile.
+  static constexpr std::size_t kDirectNV = Cfg::kDirectNV;
+  static constexpr std::size_t kDirectPixels = Cfg::kDirectPixels;
+
+  /// The direct forward's geometry for one image: output rows and columns
+  /// and the distances, in the padded image, between output rows and
+  /// between neighbouring pixels.
+  struct DirectGeometry {
+    const ConvShape& s;
+    PaddedLayout g;
+    std::size_t oh, ow, row_step, step, out_c;
+  };
+
+  /// One tile: RY output rows x RX pixels x NV vectors of output channels,
+  /// the channels in vector lanes. `in` is tap (0, 0, 0) of the tile's first
+  /// pixel in the padded image, `w` the block's first channel in the
+  /// transposed weights [patch][out_c]. Every accumulator starts at +0, adds
+  /// weight * input over the taps p = (c, ky, kx) in increasing order (each
+  /// input value broadcast to all lanes) and then the bias: micro_nn's chain
+  /// for every pixel and channel, with the same operand order. The sums are
+  /// transposed through a stack tile into the NCHW output at `out`.
+  template <std::size_t NV, std::size_t RY, std::size_t RX>
+  static MACH_INLINE void direct_tile(const DirectGeometry& d, const float* in,
+                                      const float* w, const float* bias,
+                                      float* out) {
+    V acc[RY][RX][NV];
+#pragma GCC unroll 16
+    for (std::size_t t = 0; t < RY; ++t) {
+#pragma GCC unroll 16
+      for (std::size_t x = 0; x < RX; ++x) {
+#pragma GCC unroll 16
+        for (std::size_t v = 0; v < NV; ++v) acc[t][x][v] = Isa::zero();
+      }
+    }
+    const ConvShape& s = d.s;
+    for (std::size_t c = 0; c < s.channels; ++c, in += d.g.plane) {
+      const float* row = in;
+      for (std::size_t ky = 0; ky < s.kernel; ++ky, row += d.g.wp) {
+        for (std::size_t kx = 0; kx < s.kernel; ++kx, w += d.out_c) {
+          V wv[NV];
+#pragma GCC unroll 16
+          for (std::size_t v = 0; v < NV; ++v) wv[v] = Isa::load(w + v * kW);
+#pragma GCC unroll 16
+          for (std::size_t t = 0; t < RY; ++t) {
+#pragma GCC unroll 16
+            for (std::size_t x = 0; x < RX; ++x) {
+              const V xv = Isa::bcast(row[t * d.row_step + x * d.step + kx]);
+#pragma GCC unroll 16
+              for (std::size_t v = 0; v < NV; ++v) {
+                acc[t][x][v] = Isa::add(acc[t][x][v], Isa::mul(wv[v], xv));
+              }
+            }
+          }
+        }
+      }
+    }
+    constexpr std::size_t kChannels = NV * kW;
+    alignas(64) float tile[RY * RX * kChannels];
+#pragma GCC unroll 16
+    for (std::size_t v = 0; v < NV; ++v) {
+      const V b = bias != nullptr ? Isa::load(bias + v * kW) : Isa::zero();
+#pragma GCC unroll 16
+      for (std::size_t t = 0; t < RY; ++t) {
+#pragma GCC unroll 16
+        for (std::size_t x = 0; x < RX; ++x) {
+          const V sum = bias != nullptr ? Isa::add(acc[t][x][v], b) : acc[t][x][v];
+          Isa::store(tile + (t * RX + x) * kChannels + v * kW, sum);
+        }
+      }
+    }
+    const std::size_t n = d.oh * d.ow;
+    for (std::size_t o = 0; o < kChannels; ++o) {
+#pragma GCC unroll 16
+      for (std::size_t t = 0; t < RY; ++t) {
+#pragma GCC unroll 16
+        for (std::size_t x = 0; x < RX; ++x) {
+          out[o * n + t * d.ow + x] = tile[(t * RX + x) * kChannels + o];
+        }
+      }
+    }
+  }
+
+  /// A tile of `pixels` (1..RX) pixels per row: RX is a compile-time count,
+  /// so each pixel's input offset is an immediate when the step is 1.
+  template <std::size_t NV, std::size_t RY, std::size_t RX>
+  static MACH_INLINE void direct_fringe(std::size_t pixels,
+                                        const DirectGeometry& d,
+                                        const float* in, const float* w,
+                                        const float* bias, float* out) {
+    if constexpr (RX > 1) {
+      if (pixels < RX) {
+        direct_fringe<NV, RY, RX - 1>(pixels, d, in, w, bias, out);
+        return;
+      }
+    }
+    direct_tile<NV, RY, RX>(d, in, w, bias, out);
+  }
+
+  /// RY output rows starting at oy, all columns, one block of NV vectors.
+  template <std::size_t NV, std::size_t RY>
+  static MACH_INLINE void direct_rows(const DirectGeometry& d,
+                                      const float* padded, std::size_t oy,
+                                      const float* w, const float* bias,
+                                      float* out) {
+    constexpr std::size_t kRX = kDirectPixels / (2 * NV);
+    static_assert(kRX >= 1, "the direct tile holds at least one pixel");
+    for (std::size_t ox = 0; ox < d.ow; ox += kRX) {
+      direct_fringe<NV, RY, kRX>(min_size(kRX, d.ow - ox), d,
+                                 padded + oy * d.row_step + ox * d.step, w,
+                                 bias, out + oy * d.ow + ox);
+    }
+  }
+
+  /// Every output pixel of one image for a block of NV channel vectors.
+  template <std::size_t NV>
+  static MACH_INLINE void direct_block(const DirectGeometry& d,
+                                       const float* padded, const float* w,
+                                       const float* bias, float* out) {
+    std::size_t oy = 0;
+    for (; oy + 2 <= d.oh; oy += 2) {
+      direct_rows<NV, 2>(d, padded, oy, w, bias, out);
+    }
+    if (oy < d.oh) direct_rows<NV, 1>(d, padded, oy, w, bias, out);
+  }
+
+  /// The channel blocks [v0, vectors) of one image, kDirectNV vectors per
+  /// block and a narrower last one.
+  template <std::size_t NV>
+  static MACH_INLINE void direct_blocks(const DirectGeometry& d,
+                                        std::size_t vectors,
+                                        const float* padded, const float* wt,
+                                        const float* bias, float* out) {
+    const std::size_t n = d.oh * d.ow;
+    std::size_t v0 = 0;
+    for (; v0 + NV <= vectors; v0 += NV) {
+      direct_block<NV>(d, padded, wt + v0 * kW,
+                       bias != nullptr ? bias + v0 * kW : nullptr,
+                       out + v0 * kW * n);
+    }
+    if constexpr (NV > 1) {
+      if (v0 < vectors) {
+        direct_blocks<NV - 1>(d, vectors - v0, padded, wt + v0 * kW,
+                              bias != nullptr ? bias + v0 * kW : nullptr,
+                              out + v0 * kW * n);
+      }
+    }
+  }
+
+  /// Each image copied into the padded planes once, then every channel
+  /// block over it.
+  static MACH_INLINE void direct_images(const float* images, std::size_t count,
+                                        const DirectGeometry& d,
+                                        const float* wt, const float* bias,
+                                        float* out, float* padded) {
+    const ConvShape& s = d.s;
+    const std::size_t image_size = s.channels * s.height * s.width;
+    const std::size_t out_size = d.out_c * d.oh * d.ow;
+    for (std::size_t img = 0; img < count; ++img) {
+      pad_image(images + img * image_size, s, d.g, padded);
+      direct_blocks<kDirectNV>(d, d.out_c / kW, padded, wt, bias,
+                               out + img * out_size);
+    }
+  }
+
+  /// conv_forward for out_c a multiple of kW (the dispatcher's direct_conv
+  /// rule): the weights are transposed once per call into buf.a =
+  /// [patch][out_c], and each image is copied once into the zero-padded
+  /// planes in buf.b, which every tile reads in place (direct_tile). The
+  /// sums are the packed path's: its KC blocks spill exact partial sums, so
+  /// one unsplit chain per output matches it.
+  static void conv_forward_direct(const float* images, std::size_t count,
+                                  const ConvShape& s, ConstMat weight,
+                                  const float* bias, float* out,
+                                  PackBuffers buf) {
+    const std::size_t out_c = weight.rows, patch = weight.cols;
+    for (std::size_t p = 0; p < patch; ++p) {
+      for (std::size_t o = 0; o < out_c; ++o) {
+        buf.a[p * out_c + o] = weight.data[o * patch + p];
+      }
+    }
+    const PaddedLayout g = padded_layout(s);
+    for (std::size_t i = 0; i < g.image; ++i) buf.b[i] = 0.0f;
+    DirectGeometry d{s,
+                     g,
+                     conv_out_extent(s.height, s),
+                     conv_out_extent(s.width, s),
+                     s.stride * g.wp,
+                     s.stride,
+                     out_c};
+    if (s.stride == 1) {
+      // A literal step: every pixel offset in a tile becomes an immediate.
+      d.step = 1;
+      direct_images(images, count, d, buf.a, bias, out, buf.b);
+    } else {
+      direct_images(images, count, d, buf.a, bias, out, buf.b);
+    }
+  }
+
   static void im2col(const float* image, const ConvShape& shape, float* cols) {
     const std::size_t oh = conv_out_extent(shape.height, shape);
     const std::size_t ow = conv_out_extent(shape.width, shape);
@@ -902,7 +1156,7 @@ struct GemmKernels {
           brows[j] = b.data + (j0 + (j < nr ? j : nr - 1)) * k;
         }
         alignas(64) float tile[NJ * kRows];
-        micro_nt<NI, NV, NJ>(k, ap, brows, tile);
+        micro_nt<NI, NV, NJ>({1, k, 0, 1}, ap, brows, tile);
         for (std::size_t i = 0; i < mr; ++i) {
           float* crow = c.data + (i0 + i) * c.cols + j0;
           for (std::size_t j = 0; j < nr; ++j) {
@@ -956,23 +1210,17 @@ struct GemmKernels {
 
   /// Offsets of conv_backward's scratch spans (in floats) and their total.
   struct BackwardScratch {
-    std::size_t cols = 0;    // count x [patch, n]: every image's im2col
     std::size_t gout = 0;    // count x grad_out packed in dw_rows strips
-    std::size_t padded = 0;  // same-size convs: input planes, zero margins
+    std::size_t padded = 0;  // count x the input image in padded planes
     std::size_t wpack = 0;   // Wᵀ packed in MR-row strips over k = out_c
     std::size_t bpack = 0;   // one block's straddling grad_out NR strips
     std::size_t panel = 0;   // one row tile of the block's column gradients
     std::size_t total = 0;
   };
 
-  /// Zeros kept around each input plane of a same-size conv (stride 1,
-  /// output as wide as the input) so that every kernel row reads a whole
-  /// im2col row from it: |dy * width + dx| <= pad * (width + 1).
+  /// Whether a conv is same-size: stride 1, output as wide as the input.
   static constexpr bool same_size(const ConvShape& s, std::size_t ow) {
     return s.stride == 1 && ow == s.width;
-  }
-  static constexpr std::size_t plane_margin(const ConvShape& s) {
-    return s.pad * (s.width + 1);
   }
 
   static BackwardScratch backward_scratch(std::size_t count,
@@ -983,13 +1231,8 @@ struct GemmKernels {
         conv_out_extent(s.height, s) * conv_out_extent(s.width, s);
     const std::size_t patch = s.channels * s.kernel * s.kernel;
     BackwardScratch at;
-    at.gout = count * patch * n;
-    at.padded = at.gout + count * round_up(out_c, dw_rows(out_c)) * n;
-    at.total = at.padded;
-    if (same_size(s, conv_out_extent(s.width, s))) {
-      at.total += plane_margin(s) +
-                  count * s.channels * (s.height * s.width + plane_margin(s));
-    }
+    at.padded = count * round_up(out_c, dw_rows(out_c)) * n;
+    at.total = at.padded + count * padded_layout(s).image;
     if (input_grad) {
       const std::size_t cols = round_up(dx_block_images(count, n) * n, kNR);
       at.wpack = at.total;
@@ -1009,76 +1252,29 @@ struct GemmKernels {
     return backward_scratch(count, shape, out_c, input_grad).total;
   }
 
-  /// Every image's im2col rows, cols[img] = [patch, n]. A same-size conv
-  /// first copies each input plane into `padded` with plane_margin zeros
-  /// on both sides; then each kernel row of every plane is one whole-row
-  /// copy from its plane at the row's shift (taps outside the image read
-  /// margin zeros) plus zeros at the row's border columns, whose taps wrap
-  /// into a neighbouring row. The row geometry is worked out once per
-  /// kernel offset for all planes. Other shapes use image_panel per row.
-  static void im2col_rows(const float* images, std::size_t count,
-                          const ConvShape& s, std::size_t oh, std::size_t ow,
-                          float* padded, float* cols) {
-    const std::size_t n = oh * ow, taps = s.kernel * s.kernel;
-    const std::size_t patch = s.channels * taps;
-    const std::size_t plane = s.height * s.width;
-    const std::size_t image_size = s.channels * plane;
-    const auto general_row = [&](std::size_t img, std::size_t p) {
-      image_panel(images + img * image_size, s, oh, ow, p, 1, 0, n, n,
-                  cols + (img * patch + p) * n);
-    };
-    if (!same_size(s, ow)) {
-      for (std::size_t img = 0; img < count; ++img) {
-        for (std::size_t p = 0; p < patch; ++p) general_row(img, p);
-      }
-      return;
-    }
-    const std::size_t margin = plane_margin(s);
-    const std::size_t planes = count * s.channels;
-    for (std::size_t i = 0; i < margin; ++i) padded[i] = 0.0f;
-    for (std::size_t pl = 0; pl < planes; ++pl) {
-      float* dst = padded + margin + pl * (plane + margin);
-      const float* src = images + pl * plane;
-      for (std::size_t i = 0; i < plane; ++i) dst[i] = src[i];
-      for (std::size_t i = plane; i < plane + margin; ++i) dst[i] = 0.0f;
-    }
-    SameSizeRun run;
-    for (std::size_t t = 0; t < taps; ++t) {
-      const KernelRow row = kernel_row(t, s, oh, ow);
-      const bool runs = same_size_run(s, ow, row, run);
-      for (std::size_t img = 0, pl = 0; img < count; ++img) {
-        for (std::size_t p = t; p < patch; p += taps, ++pl) {
-          if (!runs) {
-            general_row(img, p);
-            continue;
-          }
-          float* __restrict out = cols + (img * patch + p) * n;
-          const float* __restrict src =
-              padded +
-              (static_cast<std::ptrdiff_t>(margin + pl * (plane + margin)) +
-               run.shift);
-          for (std::size_t j = 0; j < n; ++j) out[j] = src[j];
-          zero_borders(run, out);
-        }
-      }
-    }
-  }
-
-  /// Weight and bias gradients over `count` images. Each image's dot
-  /// products (and bias rows) are summed into fresh accumulators in
-  /// increasing pixel order, and the per-image results are added to the
-  /// running tile in image order: the chains of one gemm_nt(accumulate)
-  /// and one bias row sum per image. The image loop runs inside the tile
-  /// loop, so every dW tile is transposed and written back once. The
-  /// running sums start from zero (0.0f + the first image's sum, as after a
-  /// zero fill) or, with accumulate, from the stored gradients.
+  /// Weight and bias gradients over `count` images, read from their padded
+  /// planes (`padded`, padded_layout(s).image floats per image). Each
+  /// image's dot products (and bias rows) are summed into fresh accumulators
+  /// in increasing pixel order, and the per-image results are added to the
+  /// running tile in image order: the chains of one gemm_nt(accumulate) over
+  /// the image's im2col matrix and one bias row sum per image. A tile's taps
+  /// are broadcast from the padded planes one output row at a time (a
+  /// micro_nt walk), so no im2col matrix exists. The image loop runs inside
+  /// the tile loop, so every dW tile is transposed and written back once.
+  /// The running sums start from zero (0.0f + the first image's sum, as
+  /// after a zero fill) or, with accumulate, from the stored gradients.
   template <class NI, std::size_t NV, std::size_t NJ>
   static void weight_grad(const float* grad_out, std::size_t count,
-                          std::size_t out_c, std::size_t n, const float* cols,
-                          std::size_t patch, float* grad_weight,
+                          const ConvShape& s, std::size_t out_c,
+                          const float* padded, float* grad_weight,
                           float* grad_bias, bool accumulate, float* gpack) {
     using NV_t = typename NI::V;
     constexpr std::size_t kRows = NV * NI::kW;
+    const std::size_t oh = conv_out_extent(s.height, s);
+    const std::size_t ow = conv_out_extent(s.width, s);
+    const std::size_t n = oh * ow, patch = s.channels * s.kernel * s.kernel;
+    const PaddedLayout g = padded_layout(s);
+    const NtWalk walk{oh, ow, s.stride * g.wp, s.stride};
     const std::size_t strips = (out_c + kRows - 1) / kRows;
     const std::size_t strip_size = n * kRows;
     for (std::size_t img = 0; img < count; ++img) {
@@ -1126,15 +1322,17 @@ struct GemmKernels {
                                       : 0.0f;
           }
         }
+        // Fringe columns re-read the last valid tap; their sums are
+        // discarded below.
+        std::size_t taps[NJ];
+        for (std::size_t j = 0; j < NJ; ++j) {
+          taps[j] = tap_offset(j0 + (j < nr ? j : nr - 1), s, g);
+        }
         for (std::size_t img = 0; img < count; ++img) {
-          // Fringe columns re-read the last valid im2col row; their sums
-          // are discarded below.
-          const float* image_cols = cols + img * patch * n;
+          const float* image = padded + img * g.image;
           const float* brows[NJ];
-          for (std::size_t j = 0; j < NJ; ++j) {
-            brows[j] = image_cols + (j0 + (j < nr ? j : nr - 1)) * n;
-          }
-          micro_nt<NI, NV, NJ, true>(n, strip(img), brows, tile);
+          for (std::size_t j = 0; j < NJ; ++j) brows[j] = image + taps[j];
+          micro_nt<NI, NV, NJ, true>(walk, strip(img), brows, tile);
         }
         for (std::size_t i = 0; i < mr; ++i) {
           float* drow = grad_weight + (i0 + i) * patch + j0;
@@ -1239,33 +1437,36 @@ struct GemmKernels {
     }
   }
 
-  /// conv_forward's backward over `count` images (kernels.h): im2col of
-  /// every image once, then weight_grad and, when grad_images is not null,
-  /// input_grad. `scratch` holds conv_backward_scratch(count, ...) floats.
+  /// conv_forward's backward over `count` images (kernels.h): every image
+  /// copied once into zero-padded planes, then weight_grad and, when
+  /// grad_images is not null, input_grad. `scratch` holds
+  /// conv_backward_scratch(count, ...) floats.
   static void conv_backward(const float* images, std::size_t count,
                             const ConvShape& s, ConstMat weight,
                             const float* grad_out, float* grad_images,
                             float* grad_weight, float* grad_bias,
                             bool accumulate, float* scratch) {
-    const std::size_t oh = conv_out_extent(s.height, s);
-    const std::size_t ow = conv_out_extent(s.width, s);
-    const std::size_t n = oh * ow;
-    const std::size_t out_c = weight.rows, patch = weight.cols;
+    const std::size_t out_c = weight.rows;
     const BackwardScratch at =
         backward_scratch(count, s, out_c, grad_images != nullptr);
-    float* cols = scratch + at.cols;
-    im2col_rows(images, count, s, oh, ow, scratch + at.padded, cols);
+    const PaddedLayout g = padded_layout(s);
+    float* padded = scratch + at.padded;
+    for (std::size_t i = 0; i < count * g.image; ++i) padded[i] = 0.0f;
+    const std::size_t image_size = s.channels * s.height * s.width;
+    for (std::size_t img = 0; img < count; ++img) {
+      pad_image(images + img * image_size, s, g, padded + img * g.image);
+    }
     bool narrow = false;
     if constexpr (kHasNarrowNt) {
       if (out_c <= Cfg::NarrowIsa::kW) {
         narrow = true;
         weight_grad<typename Cfg::NarrowIsa, 1, Cfg::kNarrowNtNR>(
-            grad_out, count, out_c, n, cols, patch, grad_weight, grad_bias,
+            grad_out, count, s, out_c, padded, grad_weight, grad_bias,
             accumulate, scratch + at.gout);
       }
     }
     if (!narrow) {
-      weight_grad<Isa, kNtNV, kNtNR>(grad_out, count, out_c, n, cols, patch,
+      weight_grad<Isa, kNtNV, kNtNR>(grad_out, count, s, out_c, padded,
                                      grad_weight, grad_bias, accumulate,
                                      scratch + at.gout);
     }
@@ -1284,6 +1485,7 @@ struct GemmKernels {
 
   static constexpr GemmVariant variant(common::GemmIsa isa) {
     return {isa,
+            kW,
             {kMR, kNR, kKC, kMC, kNC},
             nt_blocking(),
             &gemm_nn,
@@ -1292,6 +1494,7 @@ struct GemmKernels {
             &gemm_nn_unpacked,
             &gemm_tn_unpacked,
             &conv_forward,
+            &conv_forward_direct,
             &conv_backward_scratch,
             &conv_backward,
             &im2col,

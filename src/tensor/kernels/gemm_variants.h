@@ -49,6 +49,7 @@ struct PackBuffers {
 
 struct GemmVariant {
   common::GemmIsa isa;  // common::gemm_isa_name(isa) names the variant
+  std::size_t lanes;    // floats per vector register
   Blocking nn;
   NtBlocking nt;
   // Preconditions (the dispatcher handles everything else): m, n, k > 0 and
@@ -69,6 +70,13 @@ struct GemmVariant {
   void (*conv_forward)(const float* images, std::size_t count,
                        const ConvShape& shape, ConstMat weight,
                        const float* bias, float* out, PackBuffers buffers);
+  // conv_forward without im2col, for the shapes direct_conv() accepts: the
+  // buffers hold the transposed weights (a: patch * out_c floats) and one
+  // zero-padded image (b: padded_image_floats(shape)).
+  void (*conv_forward_direct)(const float* images, std::size_t count,
+                              const ConvShape& shape, ConstMat weight,
+                              const float* bias, float* out,
+                              PackBuffers buffers);
   // conv_backward over one group of images: its scratch size in floats, and
   // the kernel (preconditions: count, out_c, patch and output pixels > 0;
   // accumulate adds to grad_weight/grad_bias instead of overwriting them).
@@ -97,6 +105,19 @@ struct GemmVariant {
 constexpr std::size_t kUnpackedMaxB = 8192;  // floats (32 KiB)
 constexpr bool unpacked_gemm(std::size_t k, std::size_t n) {
   return k * n <= kUnpackedMaxB;
+}
+
+/// Whether conv_forward runs direct (no im2col, output channels in vector
+/// lanes): out_c fills whole vectors and there are at least 16 of them.
+/// Eight-channel layers keep the packed GEMM, which is faster there. A shape
+/// rule only, like unpacked_gemm().
+constexpr bool direct_conv(std::size_t out_channels, std::size_t lanes) {
+  return out_channels % lanes == 0 && out_channels >= 16;
+}
+
+/// Floats of one image's planes with `pad` zeros on every side.
+constexpr std::size_t padded_image_floats(const ConvShape& s) {
+  return s.channels * (s.height + 2 * s.pad) * (s.width + 2 * s.pad);
 }
 
 extern const GemmVariant kBaselineVariant;

@@ -93,13 +93,18 @@ void col2im(const float* cols, std::size_t channels, std::size_t height,
             std::size_t stride, float* grad_image);
 
 // ---------------------------------------------------------------------------
-// Fused convolution forward over `count` consecutive NCHW images: weight is
+// Convolution forward over `count` consecutive NCHW images: weight is
 // [out_c, patch] with patch = channels*kernel*kernel, and out holds `count`
 // consecutive [out_c, out_h*out_w] planes with
 //   out[o, q] = (sum_p weight[o, p] * im2col(image)[p, q]) + bias[o]
 // — exactly the float chains of im2col followed by gemm_nn with a fused
-// bias_row, but the GEMM's B panels are packed straight from the image, so
-// no column buffer is written or read. bias may be nullptr.
+// bias_row, but no column buffer is written or read. When out_c fills whole
+// vectors of the active variant (16 or 32 on AVX-512) the sums are computed
+// directly, output channels in vector lanes and inputs broadcast from each
+// image's zero-padded planes; otherwise the GEMM's B panels are packed
+// straight from the image. Scratch is the calling thread's pack buffers
+// (the transposed weights and one padded image, or the GEMM's panels).
+// bias may be nullptr.
 // ---------------------------------------------------------------------------
 struct ConvShape {
   std::size_t channels = 0;
@@ -123,11 +128,15 @@ void conv_forward(const float* images, std::size_t count,
 // with exactly the float chains of the per-image composition im2col,
 // gemm_nt(accumulate), gemm_tn, col2im and per-row bias sums into zero-filled
 // gradients: each image's sums start from fresh accumulators in increasing q
-// and are added in image order. grad_images may be nullptr, which skips the
-// input gradient (a first layer's, which nothing reads); grad_weight and
-// grad_bias come out the same either way. `scratch` is caller-owned and
-// holds conv_backward_scratch(count, shape, out_c, grad_images != nullptr)
-// floats.
+// and are added in image order. No im2col matrix is built: the weight
+// gradient broadcasts its inputs from each image's zero-padded planes.
+// grad_images may be nullptr, which skips the input gradient (a first
+// layer's, which nothing reads); grad_weight and grad_bias come out the same
+// either way. `scratch` is caller-owned and holds
+// conv_backward_scratch(count, shape, out_c, grad_images != nullptr) floats:
+// the padded planes and packed output gradients of a group of images (whole
+// images up to ~1 MiB; larger minibatches run group by group), plus the
+// input gradient's packed weights and panel.
 // ---------------------------------------------------------------------------
 std::size_t conv_backward_scratch(std::size_t count, const ConvShape& shape,
                                   std::size_t out_channels, bool input_grad);

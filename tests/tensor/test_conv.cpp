@@ -176,53 +176,125 @@ std::vector<float> reference_conv_image(const Tensor& input, std::size_t img,
   return out;
 }
 
+/// Bit patterns, with every NaN mapped to one pattern: which NaN an
+/// operation returns depends on operand order, which the compiler may
+/// commute in the scalar reference, so only NaN positions are compared.
+std::vector<std::uint32_t> bits(const std::vector<float>& v) {
+  std::vector<std::uint32_t> out(v.size());
+  std::memcpy(out.data(), v.data(), v.size() * sizeof(float));
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (std::isnan(v[i])) out[i] = 0x7fc00000u;
+  }
+  return out;
+}
+
+/// Random values with exact signed zeros, NaN and infinities mixed in.
+std::vector<float> special_vec(std::size_t count, common::Rng& rng,
+                               bool specials) {
+  std::vector<float> v(count);
+  for (auto& x : v) {
+    x = static_cast<float>(rng.normal());
+    if (!specials) continue;
+    // Signed zeros are common; NaN and infinities rare enough that many
+    // sums stay finite.
+    const std::size_t pick = rng.uniform_index(128);
+    if (pick < 8) x = 0.0f;
+    if (pick >= 8 && pick < 16) x = -0.0f;
+    if (pick == 16) x = std::numeric_limits<float>::quiet_NaN();
+    if (pick == 17) x = std::numeric_limits<float>::infinity();
+    if (pick == 18) x = -std::numeric_limits<float>::infinity();
+  }
+  return v;
+}
+
+Tensor tensor_of(std::vector<std::size_t> shape, const std::vector<float>& v) {
+  Tensor t(std::move(shape));
+  std::copy(v.begin(), v.end(), t.data());
+  return t;
+}
+
 TEST(Conv2D, PackFromImageMatchesReferenceIm2ColGemmBitwise) {
-  // The fused path packs GEMM B panels straight from the image instead of
-  // materialising im2col; it must reproduce im2col+GEMM bit for bit for
-  // every variant this CPU runs, through the public op as well.
+  // Both forward paths must reproduce im2col + GEMM bit for bit: the packed
+  // GEMM that builds its B panels straight from the image, and the direct
+  // form (no im2col, output channels in vector lanes) the dispatcher picks
+  // when out_c fills whole vectors. Checked through the public op, the
+  // dispatcher's entry on every variant this CPU runs, and the direct table
+  // entry on every variant whose lanes out_c fills — over kernel sizes,
+  // pads, strides, non-square images, out_c 5, 16, 24 and 32, the five
+  // benchmark layers, a patch wider than KC at out_c 16, and batches of 1,
+  // 3 and 16. Images and biases carry ±0, NaN and ±inf; weights stay finite
+  // and nonzero (the reference gemm_nn skips zero weights).
   common::Rng rng(15);
-  const std::size_t channels = 3, out_c = 5;
+  struct Case {
+    std::size_t channels, out_c, h, w, kernel, pad, stride;
+  };
+  std::vector<Case> cases = {
+      {3, 8, 16, 16, 3, 1, 1}, {8, 16, 8, 8, 3, 1, 1}, {16, 32, 4, 4, 3, 1, 1},
+      {1, 8, 12, 12, 3, 1, 1}, {8, 16, 6, 6, 3, 1, 1}, {40, 16, 9, 7, 3, 1, 1},
+  };
   const std::pair<std::size_t, std::size_t> sizes[] = {{7, 11}, {12, 5}, {9, 9}};
-  for (std::size_t kernel : {1u, 3u, 5u}) {
-    for (std::size_t pad : {0u, 2u}) {
-      for (std::size_t stride : {1u, 2u}) {
-        for (const auto& [h, w] : sizes) {
-          if (h + 2 * pad < kernel || w + 2 * pad < kernel) continue;
-          for (std::size_t batch : {1u, 3u}) {
-            const ConvSpec spec{.in_channels = channels, .out_channels = out_c,
-                                .kernel = kernel, .pad = pad, .stride = stride};
-            const Tensor input = random_tensor({batch, channels, h, w}, rng);
-            const Tensor weight =
-                random_tensor({out_c, channels, kernel, kernel}, rng);
-            const Tensor bias = random_tensor({out_c}, rng);
-            const std::size_t oh = spec.out_dim(h), ow = spec.out_dim(w);
-            const std::size_t plane = out_c * oh * ow;
-            Tensor output({batch, out_c, oh, ow});
-            conv2d_forward(input, weight, bias, spec, output);
-            const kernels::ConvShape shape{channels, h, w, kernel, pad, stride};
-            std::vector<float> want;
-            for (std::size_t img = 0; img < batch; ++img) {
-              const auto one =
-                  reference_conv_image(input, img, weight, bias, spec);
-              want.insert(want.end(), one.begin(), one.end());
-            }
-            const std::vector<float> got(output.data(),
-                                         output.data() + batch * plane);
-            ASSERT_EQ(got, want) << "op kernel=" << kernel << " pad=" << pad
-                                 << " stride=" << stride << " " << h << "x" << w
-                                 << " batch=" << batch;
-            for (const auto* v : kernels::detail::host_variants()) {
-              std::vector<float> direct(batch * plane, -3.0f);
-              kernels::detail::conv_forward(
-                  *v, input.data(), batch, shape,
-                  {weight.data(), out_c, channels * kernel * kernel},
-                  bias.data(), direct.data());
-              ASSERT_EQ(direct, want) << common::gemm_isa_name(v->isa) << " kernel=" << kernel
-                                      << " pad=" << pad << " stride=" << stride
-                                      << " " << h << "x" << w
-                                      << " batch=" << batch;
-            }
+  for (std::size_t out_c : {5u, 16u, 24u, 32u}) {
+    for (std::size_t kernel : {1u, 3u, 5u}) {
+      for (std::size_t pad : {0u, 2u}) {
+        for (std::size_t stride : {1u, 2u}) {
+          for (const auto& [h, w] : sizes) {
+            if (h + 2 * pad < kernel || w + 2 * pad < kernel) continue;
+            cases.push_back({3, out_c, h, w, kernel, pad, stride});
           }
+        }
+      }
+    }
+  }
+  for (const Case& c : cases) {
+    for (std::size_t batch : {1u, 3u, 16u}) {
+      for (bool specials : {false, true}) {
+        const ConvSpec spec{.in_channels = c.channels, .out_channels = c.out_c,
+                            .kernel = c.kernel, .pad = c.pad,
+                            .stride = c.stride};
+        const std::size_t patch = c.channels * c.kernel * c.kernel;
+        const Tensor input = tensor_of(
+            {batch, c.channels, c.h, c.w},
+            special_vec(batch * c.channels * c.h * c.w, rng, specials));
+        const Tensor weight =
+            tensor_of({c.out_c, c.channels, c.kernel, c.kernel},
+                      special_vec(c.out_c * patch, rng, false));
+        const Tensor bias =
+            tensor_of({c.out_c}, special_vec(c.out_c, rng, specials));
+        const std::size_t oh = spec.out_dim(c.h), ow = spec.out_dim(c.w);
+        const std::size_t plane = c.out_c * oh * ow;
+        std::vector<float> want;
+        for (std::size_t img = 0; img < batch; ++img) {
+          const auto one = reference_conv_image(input, img, weight, bias, spec);
+          want.insert(want.end(), one.begin(), one.end());
+        }
+        const std::string where =
+            "c=" + std::to_string(c.channels) +
+            " out_c=" + std::to_string(c.out_c) + " " + std::to_string(c.h) +
+            "x" + std::to_string(c.w) + " kernel=" + std::to_string(c.kernel) +
+            " pad=" + std::to_string(c.pad) +
+            " stride=" + std::to_string(c.stride) +
+            " batch=" + std::to_string(batch) + (specials ? " specials" : "");
+        Tensor output({batch, c.out_c, oh, ow});
+        conv2d_forward(input, weight, bias, spec, output);
+        ASSERT_EQ(bits({output.data(), output.data() + batch * plane}),
+                  bits(want))
+            << "op " << where;
+        const kernels::ConvShape shape{c.channels, c.h, c.w, c.kernel, c.pad,
+                                       c.stride};
+        const kernels::ConstMat w{weight.data(), c.out_c, patch};
+        for (const auto* v : kernels::detail::host_variants()) {
+          const std::string isa = common::gemm_isa_name(v->isa);
+          std::vector<float> got(batch * plane, -3.0f);
+          kernels::detail::conv_forward(*v, input.data(), batch, shape, w,
+                                        bias.data(), got.data());
+          ASSERT_EQ(bits(got), bits(want)) << isa << " " << where;
+          if (c.out_c % v->lanes != 0) continue;
+          std::vector<float> wt(c.out_c * patch),
+              padded(kernels::detail::padded_image_floats(shape), -5.0f);
+          std::fill(got.begin(), got.end(), -3.0f);
+          v->conv_forward_direct(input.data(), batch, shape, w, bias.data(),
+                                 got.data(), {wt.data(), padded.data()});
+          ASSERT_EQ(bits(got), bits(want)) << isa << " direct " << where;
         }
       }
     }
@@ -288,37 +360,6 @@ ConvGrads reference_conv_backward(const std::vector<float>& input,
     }
   }
   return g;
-}
-
-/// Bit patterns, with every NaN mapped to one pattern: which NaN an
-/// operation returns depends on operand order, which the compiler may
-/// commute in the scalar reference, so only NaN positions are compared.
-std::vector<std::uint32_t> bits(const std::vector<float>& v) {
-  std::vector<std::uint32_t> out(v.size());
-  std::memcpy(out.data(), v.data(), v.size() * sizeof(float));
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (std::isnan(v[i])) out[i] = 0x7fc00000u;
-  }
-  return out;
-}
-
-/// Random values with exact signed zeros, NaN and infinities mixed in.
-std::vector<float> special_vec(std::size_t count, common::Rng& rng,
-                               bool specials) {
-  std::vector<float> v(count);
-  for (auto& x : v) {
-    x = static_cast<float>(rng.normal());
-    if (!specials) continue;
-    // Signed zeros are common; NaN and infinities rare enough that many
-    // sums stay finite.
-    const std::size_t pick = rng.uniform_index(128);
-    if (pick < 8) x = 0.0f;
-    if (pick >= 8 && pick < 16) x = -0.0f;
-    if (pick == 16) x = std::numeric_limits<float>::quiet_NaN();
-    if (pick == 17) x = std::numeric_limits<float>::infinity();
-    if (pick == 18) x = -std::numeric_limits<float>::infinity();
-  }
-  return v;
 }
 
 TEST(ConvBackward, MinibatchKernelMatchesReferenceCompositionBitwise) {
