@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
       const std::string epochs_label =
           (scale == 1.0 ? "I=" : common::format_double(scale, 1) + "I=") +
           std::to_string(config.hfl.local_epochs);
-      for (const auto [label, threshold] :
+      for (const auto& [label, threshold] :
            {std::pair<std::string, double>{"70% target",
                                            0.7 * config.target_accuracy},
             std::pair<std::string, double>{"target", config.target_accuracy}}) {

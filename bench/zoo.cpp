@@ -10,8 +10,8 @@
 // lower-is-better. The ranked tables live in separate top-level "ranking"
 // and "leaderboard" keys the gate ignores (rendered by tools/trace_summary).
 //
-//   ./zoo [--task mnist] [--samplers mach,uniform,...] \
-//         [--scenarios metro,campus,vehicular,flash_crowd] [--horizon N] \
+//   ./zoo [--task mnist] [--samplers mach,uniform,...]
+//         [--scenarios metro,campus,vehicular,flash_crowd] [--horizon N]
 //         [--faults SPEC] [--codec SPEC] [--out BENCH_zoo.json]
 //   env: REPRO_FULL=1 (paper scale), BENCH_SEEDS (default 2)
 #include "bench_util.h"

@@ -3,7 +3,7 @@
 // per-class recalls and communication cost. The kitchen-sink entry point for
 // exploring the library beyond the paper's fixed experiment grid.
 //
-//   ./experiment_runner --task fmnist --sampler oort --devices 60 --edges 8 \
+//   ./experiment_runner --task fmnist --sampler oort --devices 60 --edges 8
 //       --participation 0.4 --steps 150 --aggregation self_normalized
 //
 // Exit-code contract (what tools/sweep_runner and scripts key on):

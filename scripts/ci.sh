@@ -15,9 +15,12 @@ JOBS="${JOBS:-$(nproc 2>/dev/null || echo 4)}"
 
 echo "== configure =="
 # compile_commands.json lists every object's flags for the ISA object guard.
-cmake -B "$BUILD_DIR" -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
+# -Werror: every repository file must compile without a warning under the
+# default -Wall -Wextra (CMakeLists.txt keeps those flags warning-only).
+cmake -B "$BUILD_DIR" -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
+  -DCMAKE_CXX_FLAGS=-Werror
 
-echo "== build (-j$JOBS) =="
+echo "== build (-j$JOBS, warnings are errors) =="
 cmake --build "$BUILD_DIR" -j "$JOBS"
 
 # The AVX2/AVX-512 kernel variants are compiled with wider -m flags than the
@@ -353,6 +356,22 @@ cp "$sweep_dir/out/report.json" "$sweep_dir/report.before"
   || true  # still exits 1: the quarantined point stays quarantined
 cmp "$sweep_dir/report.before" "$sweep_dir/out/report.json"
 
+# Out-of-bounds check over the kernel layer. The conv kernels carve the
+# scratch span their caller sizes (conv_backward_scratch and friends); a
+# formula that comes up short makes them write past it, which corrupts the
+# heap with no report and fails far from the kernel. The tensor suite
+# hands every kernel exactly-sized buffers on every variant, so ASan's
+# redzones catch a write past any of them; the nn suite runs the layers
+# over their ScratchArena spans.
+echo "== address sanitizer (kernels + nn) =="
+ASAN_DIR="${ASAN_DIR:-${BUILD_DIR}-asan}"
+cmake -B "$ASAN_DIR" -S . \
+  -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer -g" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
+cmake --build "$ASAN_DIR" -j "$JOBS" --target test_tensor test_nn
+"$ASAN_DIR/tests/test_tensor"
+"$ASAN_DIR/tests/test_nn"
+
 if [ "${UBSAN:-1}" != "0" ]; then
   # Undefined-behaviour check over the kernel layer: a separate UBSan build
   # running the blocked-vs-reference equivalence suite for every GEMM
@@ -363,7 +382,7 @@ if [ "${UBSAN:-1}" != "0" ]; then
   # unit test, with the ISA-object guard re-run on the instrumented objects,
   # plus the nn suite (the backward_params hook, the skipped first-layer
   # input gradient and every layer's backward feed the minibatch
-  # conv_backward's scratch carving and fused col2im; GradNormBatch's
+  # conv_backward's scratch carving and lane transposes; GradNormBatch's
   # staging lanes feed the lane-norm kernels),
   # plus the checkpoint suite (byte-codec casts, CRC table indexing and the
   # raw-byte RNG state round-trips are the risky parts), plus the comm suite

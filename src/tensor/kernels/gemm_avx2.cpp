@@ -31,6 +31,8 @@ struct Avx2 {
   static MACH_INLINE void store_n(float* p, V v, std::size_t count) {
     _mm256_maskstore_ps(p, mask(count), v);
   }
+  // r[j] becomes element j of the eight rows passed in (lane l: row l).
+  static MACH_INLINE void transpose(V (&r)[kW]) { transpose8(r); }
 };
 
 /// Eight lane norms in two 256-bit accumulators (lanes 0-3 and 4-7): each
@@ -71,6 +73,8 @@ struct Avx2Config {
   static constexpr std::size_t kNtNR = 8;
   static constexpr std::size_t kDirectNV = 2;
   static constexpr std::size_t kDirectPixels = 12;
+  static constexpr std::size_t kDwChannels = 3;
+  static constexpr std::size_t kDwTaps = 4;
   static constexpr auto squared_norms = &avx2_squared_norms;
 };
 

@@ -32,6 +32,47 @@ struct Avx512 {
   static MACH_INLINE void store_n(float* p, V v, std::size_t count) {
     _mm512_mask_storeu_ps(p, mask(count), v);
   }
+  // r[j] becomes element j of the sixteen rows passed in (lane l: row l):
+  // 4x4 transposes inside each 128-bit lane, then two rounds of 128-bit
+  // lane shuffles. The all-lanes zero-masked forms are the plain
+  // instructions; the unmasked intrinsics trip GCC 12's
+  // -Wmaybe-uninitialized.
+  static constexpr __mmask16 kAll = 0xFFFF;
+  template <int kImm>
+  static MACH_INLINE V pairs(V a, V b) {
+    return _mm512_maskz_shuffle_ps(kAll, a, b, kImm);
+  }
+  template <int kImm>
+  static MACH_INLINE V lanes(V a, V b) {
+    return _mm512_maskz_shuffle_f32x4(kAll, a, b, kImm);
+  }
+  static MACH_INLINE void transpose(V (&r)[kW]) {
+    V t[16], u[16];
+#pragma GCC unroll 16
+    for (std::size_t l = 0; l < 16; l += 2) {
+      t[l] = _mm512_maskz_unpacklo_ps(kAll, r[l], r[l + 1]);
+      t[l + 1] = _mm512_maskz_unpackhi_ps(kAll, r[l], r[l + 1]);
+    }
+    // u[g + m], 128-bit lane L: element 4L + m of rows g .. g + 3.
+#pragma GCC unroll 16
+    for (std::size_t g = 0; g < 16; g += 4) {
+      u[g] = pairs<_MM_SHUFFLE(1, 0, 1, 0)>(t[g], t[g + 2]);
+      u[g + 1] = pairs<_MM_SHUFFLE(3, 2, 3, 2)>(t[g], t[g + 2]);
+      u[g + 2] = pairs<_MM_SHUFFLE(1, 0, 1, 0)>(t[g + 1], t[g + 3]);
+      u[g + 3] = pairs<_MM_SHUFFLE(3, 2, 3, 2)>(t[g + 1], t[g + 3]);
+    }
+#pragma GCC unroll 4
+    for (std::size_t m = 0; m < 4; ++m) {
+      const V x0 = lanes<_MM_SHUFFLE(1, 0, 1, 0)>(u[m], u[4 + m]);
+      const V x1 = lanes<_MM_SHUFFLE(3, 2, 3, 2)>(u[m], u[4 + m]);
+      const V y0 = lanes<_MM_SHUFFLE(1, 0, 1, 0)>(u[8 + m], u[12 + m]);
+      const V y1 = lanes<_MM_SHUFFLE(3, 2, 3, 2)>(u[8 + m], u[12 + m]);
+      r[m] = lanes<_MM_SHUFFLE(2, 0, 2, 0)>(x0, y0);
+      r[4 + m] = lanes<_MM_SHUFFLE(3, 1, 3, 1)>(x0, y0);
+      r[8 + m] = lanes<_MM_SHUFFLE(2, 0, 2, 0)>(x1, y1);
+      r[12 + m] = lanes<_MM_SHUFFLE(3, 1, 3, 1)>(x1, y1);
+    }
+  }
 };
 
 /// 256-bit lanes for the narrow gemm_nt tile (AVX-512VL gives them all 32
@@ -84,6 +125,8 @@ struct Avx512Config {
   static constexpr std::size_t kNtNR = 8;
   static constexpr std::size_t kDirectNV = 2;
   static constexpr std::size_t kDirectPixels = 16;
+  static constexpr std::size_t kDwChannels = 4;
+  static constexpr std::size_t kDwTaps = 6;
   using NarrowIsa = Avx512Ymm;
   static constexpr std::size_t kNarrowNtNR = 16;
   static constexpr auto squared_norms = &avx512_squared_norms;

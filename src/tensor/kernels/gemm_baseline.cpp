@@ -41,6 +41,10 @@ struct Sse2 {
       if (count == 3) _mm_store_ss(p + 2, _mm_movehl_ps(v, v));
     }
   }
+  // r[j] becomes element j of the four rows passed in (lane l: row l).
+  static MACH_INLINE void transpose(V (&r)[kW]) {
+    _MM_TRANSPOSE4_PS(r[0], r[1], r[2], r[3]);
+  }
 };
 using BaselineIsa = Sse2;
 #else
@@ -55,6 +59,7 @@ struct Scalar {
   static MACH_INLINE V mul(V a, V b) { return a * b; }
   static MACH_INLINE V load_n(const float* p, std::size_t) { return *p; }
   static MACH_INLINE void store_n(float* p, V v, std::size_t) { *p = v; }
+  static MACH_INLINE void transpose(V (&)[kW]) {}
 };
 using BaselineIsa = Scalar;
 #endif
@@ -118,6 +123,8 @@ struct BaselineConfig {
   static constexpr std::size_t kNtNR = 8;
   static constexpr std::size_t kDirectNV = 2;
   static constexpr std::size_t kDirectPixels = 12;
+  static constexpr std::size_t kDwChannels = 2;
+  static constexpr std::size_t kDwTaps = 4;
   static constexpr auto squared_norms = &baseline_squared_norms;
 };
 

@@ -6,8 +6,7 @@
 // degenerate-shape handling, the thread-local pack buffers (grown on first
 // use per thread, then reused, so steady-state GEMM calls perform zero heap
 // allocations), the packed-or-unpacked shape rule of gemm_nn / gemm_tn,
-// conv_backward's and conv_relu_pool_forward's grouping of minibatches, and
-// the choice itself.
+// conv_relu_pool_forward's grouping of minibatches, and the choice itself.
 #include <algorithm>
 #include <vector>
 
@@ -177,23 +176,6 @@ void conv_forward(const GemmVariant& variant, const float* images,
 
 namespace {
 
-/// Scratch (in floats) conv_backward aims to stay under: a minibatch runs as
-/// one group while its padded input planes and packed output gradients fit,
-/// and is split into groups of whole images beyond that. Splitting is lossless: a
-/// group continues from the weight and bias gradients the previous one
-/// stored.
-constexpr std::size_t kBackwardScratchBudget = std::size_t{1} << 18;
-
-std::size_t backward_group(std::size_t count, const ConvShape& shape,
-                           std::size_t out_channels) {
-  const std::size_t n = conv_out_extent(shape.height, shape) *
-                        conv_out_extent(shape.width, shape);
-  const std::size_t per_image =
-      padded_image_floats(shape) + round_up(out_channels, 16) * n;
-  return std::clamp<std::size_t>(kBackwardScratchBudget / per_image, 1,
-                                 std::max<std::size_t>(count, 1));
-}
-
 /// Images conv_relu_pool_forward convolves per GEMM call: as many whole
 /// images as kConvPoolGroupFloats (kernels.h) holds, at least one. At the
 /// benchmark's shapes a 16-image training minibatch is one group and a
@@ -211,9 +193,7 @@ std::size_t conv_backward_scratch(const GemmVariant& variant,
   if (count == 0 || out_channels == 0 || shape.channels * shape.kernel == 0) {
     return 0;
   }
-  return variant.conv_backward_scratch(
-      backward_group(count, shape, out_channels), shape, out_channels,
-      input_grad);
+  return variant.conv_backward_scratch(shape, out_channels, input_grad);
 }
 
 void conv_backward(const GemmVariant& variant, const float* images,
@@ -231,16 +211,8 @@ void conv_backward(const GemmVariant& variant, const float* images,
     }
     return;
   }
-  const std::size_t out_size = out_c * conv_out_extent(shape.height, shape) *
-                               conv_out_extent(shape.width, shape);
-  const std::size_t group = backward_group(count, shape, out_c);
-  for (std::size_t first = 0; first < count; first += group) {
-    variant.conv_backward(
-        images + first * image_size, std::min(group, count - first), shape,
-        weight, grad_out + first * out_size,
-        grad_images != nullptr ? grad_images + first * image_size : nullptr,
-        grad_weight, grad_bias, /*accumulate=*/first > 0, scratch);
-  }
+  variant.conv_backward(images, count, shape, weight, grad_out, grad_images,
+                        grad_weight, grad_bias, scratch);
 }
 
 void conv_relu_pool_forward(const GemmVariant& variant, const float* images,

@@ -18,11 +18,11 @@
 // conv_forward_direct (out_c in whole vectors) skips the GEMM form: output
 // channels sit in vector lanes and each input value is broadcast from a
 // zero-padded copy of the image's planes (see the direct section below).
-// conv_backward runs a whole minibatch: the weight gradient keeps gemm_nt's
-// dot-product tiles with the image loop inside the tile loop, broadcasting
-// from the same padded planes, and the input gradient is one gemm_tn-shaped
-// GEMM over images laid side by side with col2im fused into it (see
-// conv_backward below).
+// conv_backward runs a whole minibatch in blocks of kW images with the
+// images in the vector lanes: each image's chains of the reference
+// composition run side by side, so the input gradient needs no column panel
+// or col2im and every layer's weight gradient runs at full vector width
+// (see the lanes section below).
 // gemm_nt keeps its dot-product form: each tile holds MR_nt rows of C in
 // vector lanes and NR_nt columns, sums the full k into fresh accumulators
 // (A packed in MR_nt-row strips, B rows broadcast in place, so B needs no
@@ -105,16 +105,14 @@ MACH_INLINE void finish_norms(std::size_t lanes, std::size_t n, std::size_t i,
 }
 
 #if defined(__AVX__)
-/// 8x8 transpose: on return col[j] holds row[l][i + j] in lane l.
-MACH_INLINE void transpose8x8(const float* const (&row)[kMaxNormLanes],
-                              std::size_t i, __m256 (&col)[kMaxNormLanes]) {
+/// In-register 8x8 transpose: on return r[j] holds element j of the rows
+/// passed in, lane l from row l.
+MACH_INLINE void transpose8(__m256 (&r)[8]) {
   __m256 t[8], u[8];
 #pragma GCC unroll 8
   for (std::size_t l = 0; l < 8; l += 2) {
-    const __m256 r0 = _mm256_loadu_ps(row[l] + i);
-    const __m256 r1 = _mm256_loadu_ps(row[l + 1] + i);
-    t[l] = _mm256_unpacklo_ps(r0, r1);
-    t[l + 1] = _mm256_unpackhi_ps(r0, r1);
+    t[l] = _mm256_unpacklo_ps(r[l], r[l + 1]);
+    t[l + 1] = _mm256_unpackhi_ps(r[l], r[l + 1]);
   }
 #pragma GCC unroll 8
   for (std::size_t h = 0; h < 8; h += 4) {
@@ -125,18 +123,29 @@ MACH_INLINE void transpose8x8(const float* const (&row)[kMaxNormLanes],
   }
 #pragma GCC unroll 8
   for (std::size_t j = 0; j < 4; ++j) {
-    col[j] = _mm256_permute2f128_ps(u[j], u[j + 4], 0x20);
-    col[j + 4] = _mm256_permute2f128_ps(u[j], u[j + 4], 0x31);
+    r[j] = _mm256_permute2f128_ps(u[j], u[j + 4], 0x20);
+    r[j + 4] = _mm256_permute2f128_ps(u[j], u[j + 4], 0x31);
   }
+}
+
+/// 8x8 transpose: on return col[j] holds row[l][i + j] in lane l.
+MACH_INLINE void transpose8x8(const float* const (&row)[kMaxNormLanes],
+                              std::size_t i, __m256 (&col)[kMaxNormLanes]) {
+#pragma GCC unroll 8
+  for (std::size_t l = 0; l < 8; ++l) col[l] = _mm256_loadu_ps(row[l] + i);
+  transpose8(col);
 }
 #endif
 
 /// Cfg provides:
-///   Isa            vector traits: V, kW lanes, zero/load/store/bcast/add/mul
-///                  and load_n/store_n (the first count lanes only)
+///   Isa            vector traits: V, kW lanes, zero/load/store/bcast/add/mul,
+///                  load_n/store_n (the first count lanes only) and an
+///                  in-register kW x kW transpose
 ///   kMR, kNV       gemm_nn/gemm_tn register tile: kMR rows x kNV vectors
 ///   kKC, kMC, kNC  cache blocks (kMC % kMR == 0, kNC % (kNV * kW) == 0)
 ///   kNtNV, kNtNR   gemm_nt tile: kNtNV vectors of rows x kNtNR columns
+///   kDirectNV, kDirectPixels  conv_forward_direct tile
+///   kDwChannels, kDwTaps  conv_backward's weight-gradient lanes tile
 ///   squared_norms  the variant's lane-norm kernel (kernels.h)
 /// and optionally NarrowIsa + kNarrowNtNR, the gemm_nt tile (one NarrowIsa
 /// vector of rows) used when m <= NarrowIsa::kW.
@@ -429,56 +438,40 @@ struct GemmKernels {
     }
   }
 
-  /// The B side of a micro_nt tile: `rows` runs of k elements, run r of
-  /// column j starting at brows[j] + r * row_step with elements `step`
-  /// apart. gemm_nt reads one contiguous run per B row; the conv weight
-  /// gradient reads each output row's taps from a zero-padded plane.
-  struct NtWalk {
-    std::size_t rows, k, row_step, step;
-  };
-
   /// gemm_nt tile in dot-product form, computed transposed: the lanes of NV
   /// NI vectors run over NV * NI::kW rows of C (a packed A strip), the NJ
   /// columns come from the B rows `brows`, broadcast one element at a time.
-  /// Fresh accumulators sum the walk's rows * k elements in increasing
-  /// order; tile[j * NV * NI::kW + i] receives the sums (kAdd: that element
-  /// plus the sums).
-  template <class NI, std::size_t NV, std::size_t NJ, bool kAdd = false>
-  static MACH_INLINE void micro_nt(NtWalk walk, const float* ap,
+  /// Fresh accumulators sum the k products in increasing order;
+  /// tile[j * NV * NI::kW + i] receives the sums.
+  template <class NI, std::size_t NV, std::size_t NJ>
+  static MACH_INLINE void micro_nt(std::size_t k, const float* ap,
                                    const float* const* brows, float* tile) {
     using NV_t = typename NI::V;
     constexpr std::size_t kRows = NV * NI::kW;
     NV_t acc[NJ][NV];
-    const float* bj[NJ];
 #pragma GCC unroll 32
     for (std::size_t j = 0; j < NJ; ++j) {
-      bj[j] = brows[j];
 #pragma GCC unroll 16
       for (std::size_t v = 0; v < NV; ++v) acc[j][v] = NI::zero();
     }
-    for (std::size_t r = 0; r < walk.rows; ++r) {
-      for (std::size_t p = 0; p < walk.k; ++p, ap += kRows) {
-        NV_t a[NV];
+    for (std::size_t p = 0; p < k; ++p, ap += kRows) {
+      NV_t a[NV];
 #pragma GCC unroll 16
-        for (std::size_t v = 0; v < NV; ++v) a[v] = NI::load(ap + v * NI::kW);
+      for (std::size_t v = 0; v < NV; ++v) a[v] = NI::load(ap + v * NI::kW);
 #pragma GCC unroll 32
-        for (std::size_t j = 0; j < NJ; ++j) {
-          const NV_t bv = NI::bcast(bj[j][p * walk.step]);
+      for (std::size_t j = 0; j < NJ; ++j) {
+        const NV_t bv = NI::bcast(brows[j][p]);
 #pragma GCC unroll 16
-          for (std::size_t v = 0; v < NV; ++v) {
-            acc[j][v] = NI::add(acc[j][v], NI::mul(a[v], bv));
-          }
+        for (std::size_t v = 0; v < NV; ++v) {
+          acc[j][v] = NI::add(acc[j][v], NI::mul(a[v], bv));
         }
       }
-#pragma GCC unroll 32
-      for (std::size_t j = 0; j < NJ; ++j) bj[j] += walk.row_step;
     }
 #pragma GCC unroll 32
     for (std::size_t j = 0; j < NJ; ++j) {
 #pragma GCC unroll 16
       for (std::size_t v = 0; v < NV; ++v) {
-        float* t = tile + j * kRows + v * NI::kW;
-        NI::store(t, kAdd ? NI::add(NI::load(t), acc[j][v]) : acc[j][v]);
+        NI::store(tile + j * kRows + v * NI::kW, acc[j][v]);
       }
     }
   }
@@ -1061,80 +1054,6 @@ struct GemmKernels {
     }
   }
 
-  /// A kernel row p of a same-size conv (stride 1, output as wide as the
-  /// input) as one contiguous run: output pixel j reads (im2col) or adds
-  /// into (col2im) input pixel j + shift of the channel plane, and every
-  /// valid tap lies in the non-empty [lo, hi). Border columns (ox outside
-  /// rx) would wrap into a neighbouring row; `border` lists those whose
-  /// wrapped pixel lies inside the plane. One run serves every image of a
-  /// minibatch, so its geometry is worked out once per kernel row.
-  static constexpr std::size_t kMaxBorder = 256;
-  struct SameSizeRun {
-    std::size_t lo = 0, hi = 0;
-    std::ptrdiff_t shift = 0;
-    std::size_t borders = 0;
-    std::size_t border[kMaxBorder];
-  };
-
-  /// Fills `run` for `row`; false when the shape is not same-size, the row
-  /// has no valid tap at all (a pad as large as the image), or it has more
-  /// than kMaxBorder border pixels.
-  static bool same_size_run(const ConvShape& s, std::size_t ow,
-                            const KernelRow& row, SameSizeRun& run) {
-    const ValidRange ry = row.ry, rx = row.rx;
-    if (!same_size(s, ow) || ry.lo >= ry.hi || rx.lo >= rx.hi) return false;
-    run.shift = row.dy * static_cast<std::ptrdiff_t>(s.width) + row.dx;
-    run.borders = 0;
-    const std::size_t oh = s.height;  // same-size
-    if (oh * (ow - (rx.hi - rx.lo)) > kMaxBorder) return false;
-    // Trim the run to the plane; the trimmed pixels are border columns.
-    const auto plane_size = static_cast<std::ptrdiff_t>(s.height * s.width);
-    auto lo = static_cast<std::ptrdiff_t>(ry.lo * ow);
-    auto hi = static_cast<std::ptrdiff_t>(ry.hi * ow);
-    if (lo + run.shift < 0) lo = -run.shift;
-    if (hi + run.shift > plane_size) hi = plane_size - run.shift;
-    run.lo = static_cast<std::size_t>(lo);
-    run.hi = static_cast<std::size_t>(hi);
-    const auto add_border = [&](std::size_t j) {
-      const std::ptrdiff_t tap = static_cast<std::ptrdiff_t>(j) + run.shift;
-      if (tap >= 0 && tap < plane_size) run.border[run.borders++] = j;
-    };
-    for (std::size_t oy = 0; oy < oh; ++oy) {
-      for (std::size_t ox = 0; ox < rx.lo; ++ox) add_border(oy * ow + ox);
-      for (std::size_t ox = rx.hi; ox < ow; ++ox) add_border(oy * ow + ox);
-    }
-    return true;
-  }
-
-  /// Sets the border pixels of a run's source row to +0.
-  static MACH_INLINE void zero_borders(const SameSizeRun& run, float* row) {
-    for (std::size_t b = 0; b < run.borders; ++b) row[run.border[b]] = 0.0f;
-  }
-
-  /// col2im row of one image along a run whose border pixels in `src` are
-  /// +0 (zero_borders), so the run is one contiguous add: x + +0 is x for
-  /// every x the gradient can hold (it starts at +0 and a sum is -0 only if
-  /// both addends are). With `first` (the channel's first kernel row) the
-  /// plane is written rather than added to: 0.0f + x inside the run and
-  /// 0.0f outside, the values a zero fill followed by the add would leave.
-  static MACH_INLINE void run_col2im(const SameSizeRun& run,
-                                     std::size_t plane_size, bool first,
-                                     const float* src, float* plane) {
-    const std::size_t count = run.hi - run.lo;
-    const auto start = static_cast<std::size_t>(
-        static_cast<std::ptrdiff_t>(run.lo) + run.shift);
-    // The panel row and the gradient plane never overlap.
-    float* __restrict dst = plane + start;
-    const float* __restrict from = src + run.lo;
-    if (first) {
-      for (std::size_t t = 0; t < start; ++t) plane[t] = 0.0f;
-      for (std::size_t t = 0; t < count; ++t) dst[t] = 0.0f + from[t];
-      for (std::size_t t = start + count; t < plane_size; ++t) plane[t] = 0.0f;
-    } else {
-      for (std::size_t t = 0; t < count; ++t) dst[t] += from[t];
-    }
-  }
-
   /// gemm_nt over NV x NJ tiles of NI vectors: A is packed once over the full
   /// k (strips of NV * NI::kW rows, reused by every column tile); B rows are
   /// read in place.
@@ -1156,7 +1075,7 @@ struct GemmKernels {
           brows[j] = b.data + (j0 + (j < nr ? j : nr - 1)) * k;
         }
         alignas(64) float tile[NJ * kRows];
-        micro_nt<NI, NV, NJ>({1, k, 0, 1}, ap, brows, tile);
+        micro_nt<NI, NV, NJ>(k, ap, brows, tile);
         for (std::size_t i = 0; i < mr; ++i) {
           float* crow = c.data + (i0 + i) * c.cols + j0;
           for (std::size_t j = 0; j < nr; ++j) {
@@ -1183,295 +1102,451 @@ struct GemmKernels {
   }
 
   // -------------------------------------------------------------------------
-  // Convolution backward over a minibatch
+  // Convolution backward: a block of kW images in the vector lanes
   // -------------------------------------------------------------------------
+  //
+  // conv_backward runs a minibatch as blocks of kW images, the last one
+  // possibly partial. Inside a block element e of all its images is one
+  // vector ("lanes"), lane l holding image l, so every image's float chains
+  // of the reference composition run side by side, a full block at full
+  // vector width whatever the channel count or plane size. Lanes past the
+  // block's `live` images hold +0 and are never stored or reduced, but they
+  // are computed: a partial block costs a whole one.
 
-  static constexpr std::size_t round_up(std::size_t x, std::size_t to) {
-    return (x + to - 1) / to * to;
-  }
-
-  /// Rows per weight-gradient strip: gemm_nt's tile for m = out_c.
-  static constexpr std::size_t dw_rows(std::size_t out_c) {
-    if constexpr (kHasNarrowNt) {
-      if (out_c <= Cfg::NarrowIsa::kW) return Cfg::NarrowIsa::kW;
+  /// Rows into lanes: the vector of element t holds src[l * stride + t] in
+  /// lane l < live and +0 in the others; put(v) receives them for t = 0 ..
+  /// len - 1 in order. Each kW x kW block is transposed in registers.
+  template <class Put>
+  static MACH_INLINE void to_lanes(const float* src, std::size_t stride,
+                                   std::size_t len, std::size_t live,
+                                   Put&& put) {
+    for (std::size_t t0 = 0; t0 < len; t0 += kW) {
+      const std::size_t cols = min_size(kW, len - t0);
+      V r[kW];
+#pragma GCC unroll 16
+      for (std::size_t l = 0; l < kW; ++l) {
+        if (l >= live) {
+          r[l] = Isa::zero();
+        } else if (cols == kW) {
+          r[l] = Isa::load(src + l * stride + t0);
+        } else {
+          r[l] = Isa::load_n(src + l * stride + t0, cols);
+        }
+      }
+      Isa::transpose(r);
+#pragma GCC unroll 16
+      for (std::size_t j = 0; j < kW; ++j) {
+        if (j < cols) put(r[j]);
+      }
     }
-    return kNtMR;
   }
 
-  /// Images per input-gradient block: as many whole images as fit
-  /// kDxBlockColumns output columns, at least one. Blocks never split an
-  /// image, so each pixel gets all its contributions inside one block; a
-  /// block's panel (MR rows of it) stays within L1-sized scratch, and each
-  /// kernel row's geometry is worked out once per block.
-  static constexpr std::size_t kDxBlockColumns = 1024;
-  static std::size_t dx_block_images(std::size_t count, std::size_t n) {
-    return min_size(count, n >= kDxBlockColumns ? 1 : kDxBlockColumns / n);
+  /// The inverse for `len` consecutive lane vectors: dst[l * stride + t] =
+  /// lane l of lanes[t], written for l < live only.
+  static MACH_INLINE void from_lanes(const float* lanes, std::size_t len,
+                                     std::size_t live, float* dst,
+                                     std::size_t stride) {
+    for (std::size_t t0 = 0; t0 < len; t0 += kW) {
+      const std::size_t cols = min_size(kW, len - t0);
+      V r[kW];
+#pragma GCC unroll 16
+      for (std::size_t j = 0; j < kW; ++j) {
+        r[j] = j < cols ? Isa::load(lanes + (t0 + j) * kW) : Isa::zero();
+      }
+      Isa::transpose(r);
+#pragma GCC unroll 16
+      for (std::size_t l = 0; l < kW; ++l) {
+        if (l >= live) break;
+        float* row = dst + l * stride + t0;
+        if (cols == kW) {
+          Isa::store(row, r[l]);
+        } else {
+          Isa::store_n(row, r[l], cols);
+        }
+      }
+    }
   }
 
-  /// Offsets of conv_backward's scratch spans (in floats) and their total.
-  struct BackwardScratch {
-    std::size_t gout = 0;    // count x grad_out packed in dw_rows strips
-    std::size_t padded = 0;  // count x the input image in padded planes
-    std::size_t wpack = 0;   // Wᵀ packed in MR-row strips over k = out_c
-    std::size_t bpack = 0;   // one block's straddling grad_out NR strips
-    std::size_t panel = 0;   // one row tile of the block's column gradients
-    std::size_t total = 0;
+  /// Adds per-image sums to `cols` (1..kW) running gradients in image
+  /// order: sums + j * kW holds output j's sums (lane l: image l's), and
+  /// out[j] becomes ((start + lane 0) + lane 1) + ... over the live lanes,
+  /// start being +0 (first) or out[j]. One transpose turns the images into
+  /// vectors, so the ordered sums run kW outputs at a time.
+  static MACH_INLINE void add_lanes(const float* sums, std::size_t cols,
+                                    std::size_t live, bool first, float* out) {
+    V r[kW];
+#pragma GCC unroll 16
+    for (std::size_t j = 0; j < kW; ++j) {
+      r[j] = j < cols ? Isa::load(sums + j * kW) : Isa::zero();
+    }
+    Isa::transpose(r);
+    const bool whole = cols == kW;
+    V run = first   ? Isa::zero()
+            : whole ? Isa::load(out)
+                    : Isa::load_n(out, cols);
+#pragma GCC unroll 16
+    for (std::size_t l = 0; l < kW; ++l) {
+      if (l < live) run = Isa::add(run, r[l]);
+    }
+    if (whole) {
+      Isa::store(out, run);
+    } else {
+      Isa::store_n(out, run, cols);
+    }
+  }
+
+  /// One block's geometry. The lane buffers hold kW floats per element: dY
+  /// as [o][q], the input images in zero-padded planes [c][y][x] (the
+  /// direct forward's layout, g), dX as unpadded [c][y][x].
+  struct LaneGeometry {
+    const ConvShape& s;
+    PaddedLayout g;
+    std::size_t oh, ow, n;  // output rows, columns and pixels
+    std::size_t plane;      // input pixels per channel
+    std::size_t out_c;
   };
 
-  /// Whether a conv is same-size: stride 1, output as wide as the input.
-  static constexpr bool same_size(const ConvShape& s, std::size_t ow) {
-    return s.stride == 1 && ow == s.width;
+  /// Register budget of the lanes kernels: dW tiles of kDwChannels output
+  /// channels x kDwTaps taps (per variant), dX tiles of kDxChannels input
+  /// channels (8 measured fastest on every variant).
+  static constexpr std::size_t kDwChannels = Cfg::kDwChannels;
+  static constexpr std::size_t kDwTaps = Cfg::kDwTaps;
+  static constexpr std::size_t kDxChannels = 8;
+
+  /// R interleaved bias chains: lane l of sums + j * kW becomes image l's
+  /// +0 + dY[j][0] + dY[j][1] + ... over the n output pixels, for the R
+  /// output channels whose lanes start at dy, n * kW floats apart.
+  template <std::size_t R>
+  static MACH_INLINE void bias_sums(std::size_t n, const float* dy,
+                                    float* sums) {
+    V acc[R];
+#pragma GCC unroll 16
+    for (std::size_t j = 0; j < R; ++j) acc[j] = Isa::zero();
+    for (std::size_t q = 0; q < n; ++q, dy += kW) {
+#pragma GCC unroll 16
+      for (std::size_t j = 0; j < R; ++j) {
+        acc[j] = Isa::add(acc[j], Isa::load(dy + j * n * kW));
+      }
+    }
+#pragma GCC unroll 16
+    for (std::size_t j = 0; j < R; ++j) Isa::store(sums + j * kW, acc[j]);
   }
 
-  static BackwardScratch backward_scratch(std::size_t count,
-                                          const ConvShape& s,
-                                          std::size_t out_c,
-                                          bool input_grad) {
+  /// bias_sums over `rows` (1..R) output channels.
+  template <std::size_t R>
+  static MACH_INLINE void bias_fringe(std::size_t rows, std::size_t n,
+                                      const float* dy, float* sums) {
+    if constexpr (R > 1) {
+      if (rows < R) {
+        bias_fringe<R - 1>(rows, n, dy, sums);
+        return;
+      }
+    }
+    bias_sums<R>(n, dy, sums);
+  }
+
+  /// RO output channels x RT taps of the weight gradient: lane l of each
+  /// accumulator is image l's fresh chain of dY[o][q] * X[tap(p, q)] over
+  /// the output pixels q in increasing order, with X read from the padded
+  /// lane planes (a margin tap reads +0, the value im2col writes). `dy` is
+  /// the first channel's lanes, `taps` the taps' offsets in the planes;
+  /// chain (r, t) is stored at sums + (r * kW + t) * kW.
+  template <std::size_t RO, std::size_t RT>
+  static MACH_INLINE void dw_tile(const LaneGeometry& d, const float* dy,
+                                  const float* xl, const std::size_t* taps,
+                                  float* sums) {
+    V acc[RO][RT];
+#pragma GCC unroll 16
+    for (std::size_t r = 0; r < RO; ++r) {
+#pragma GCC unroll 16
+      for (std::size_t t = 0; t < RT; ++t) acc[r][t] = Isa::zero();
+    }
+    std::size_t tap[RT];
+#pragma GCC unroll 16
+    for (std::size_t t = 0; t < RT; ++t) tap[t] = taps[t];
+    const std::size_t dy_step = d.n * kW;
+    const std::size_t row_step = d.s.stride * d.g.wp * kW;
+    const std::size_t step = d.s.stride * kW;
+    for (std::size_t oy = 0; oy < d.oh; ++oy, xl += row_step) {
+      const float* x = xl;
+      for (std::size_t ox = 0; ox < d.ow; ++ox, x += step, dy += kW) {
+        V g[RO];
+#pragma GCC unroll 16
+        for (std::size_t r = 0; r < RO; ++r) g[r] = Isa::load(dy + r * dy_step);
+#pragma GCC unroll 16
+        for (std::size_t t = 0; t < RT; ++t) {
+          const V xv = Isa::load(x + tap[t]);
+#pragma GCC unroll 16
+          for (std::size_t r = 0; r < RO; ++r) {
+            acc[r][t] = Isa::add(acc[r][t], Isa::mul(g[r], xv));
+          }
+        }
+      }
+    }
+#pragma GCC unroll 16
+    for (std::size_t r = 0; r < RO; ++r) {
+#pragma GCC unroll 16
+      for (std::size_t t = 0; t < RT; ++t) {
+        Isa::store(sums + (r * kW + t) * kW, acc[r][t]);
+      }
+    }
+  }
+
+  /// dw_tile over `count` (1..RT) taps.
+  template <std::size_t RO, std::size_t RT>
+  static MACH_INLINE void dw_tap_fringe(std::size_t count,
+                                        const LaneGeometry& d, const float* dy,
+                                        const float* xl,
+                                        const std::size_t* taps, float* sums) {
+    if constexpr (RT > 1) {
+      if (count < RT) {
+        dw_tap_fringe<RO, RT - 1>(count, d, dy, xl, taps, sums);
+        return;
+      }
+    }
+    dw_tile<RO, RT>(d, dy, xl, taps, sums);
+  }
+
+  /// Output channels [o0, out_c) over a panel of `cols` (1..kW) taps
+  /// starting at p0: RO channels at a time (fewer at the end), each
+  /// channel's chains added to its dW row in image order.
+  template <std::size_t RO>
+  static MACH_INLINE void dw_panel(const LaneGeometry& d, std::size_t o0,
+                                   std::size_t p0, std::size_t cols,
+                                   const std::size_t* taps, const float* dyl,
+                                   const float* xl, std::size_t live,
+                                   bool first, float* grad_weight) {
+    const std::size_t patch = d.s.channels * d.s.kernel * d.s.kernel;
+    alignas(64) float sums[RO * kW * kW];
+    for (; o0 + RO <= d.out_c; o0 += RO) {
+      const float* dy = dyl + o0 * d.n * kW;
+      for (std::size_t t0 = 0; t0 < cols; t0 += kDwTaps) {
+        dw_tap_fringe<RO, kDwTaps>(min_size(kDwTaps, cols - t0), d, dy, xl,
+                                   taps + t0, sums + t0 * kW);
+      }
+#pragma GCC unroll 16
+      for (std::size_t r = 0; r < RO; ++r) {
+        add_lanes(sums + r * kW * kW, cols, live, first,
+                  grad_weight + (o0 + r) * patch + p0);
+      }
+    }
+    if constexpr (RO > 1) {
+      if (o0 < d.out_c) {
+        dw_panel<RO - 1>(d, o0, p0, cols, taps, dyl, xl, live, first,
+                         grad_weight);
+      }
+    }
+  }
+
+  /// db and dW of one block, from its dY lanes and padded input lanes,
+  /// added in image order to the running gradients (from +0 when `first`).
+  static void weight_grad(const LaneGeometry& d, const float* dyl,
+                          const float* xl, std::size_t live, bool first,
+                          float* grad_weight, float* grad_bias) {
+    const ConvShape& s = d.s;
+    alignas(64) float sums[kW * kW];
+    for (std::size_t o0 = 0; o0 < d.out_c; o0 += kW) {
+      const std::size_t cols = min_size(kW, d.out_c - o0);
+      for (std::size_t j = 0; j < cols; j += kDwChannels) {
+        bias_fringe<kDwChannels>(min_size(kDwChannels, cols - j), d.n,
+                                 dyl + (o0 + j) * d.n * kW, sums + j * kW);
+      }
+      add_lanes(sums, cols, live, first, grad_bias + o0);
+    }
+    const std::size_t patch = s.channels * s.kernel * s.kernel;
+    for (std::size_t p0 = 0; p0 < patch; p0 += kW) {
+      const std::size_t cols = min_size(kW, patch - p0);
+      std::size_t taps[kW];
+      for (std::size_t j = 0; j < cols; ++j) {
+        taps[j] = tap_offset(p0 + j, s, d.g) * kW;
+      }
+      dw_panel<kDwChannels>(d, 0, p0, cols, taps, dyl, xl, live, first,
+                            grad_weight);
+    }
+  }
+
+  /// The kernel offsets along one axis that carry input row (or column) i
+  /// to an output pixel: first, first + stride, ... (count of them, in
+  /// increasing order), reaching output rows out, out - 1, ...
+  struct TapRun {
+    std::size_t first = 0, count = 0, out = 0;
+  };
+
+  static MACH_INLINE TapRun tap_run(std::size_t i, const ConvShape& s,
+                                    std::size_t out_extent) {
+    // Offset k reaches output o = (i + pad - k) / stride when the division
+    // is exact and 0 <= o < out_extent.
+    const auto at = static_cast<std::ptrdiff_t>(i + s.pad);
+    const auto stride = static_cast<std::ptrdiff_t>(s.stride);
+    std::ptrdiff_t lo =
+        at - static_cast<std::ptrdiff_t>(out_extent - 1) * stride;
+    if (lo < 0) lo = 0;
+    std::ptrdiff_t hi = static_cast<std::ptrdiff_t>(s.kernel) - 1;
+    if (hi > at) hi = at;
+    const std::ptrdiff_t first = lo + (at - lo) % stride;
+    if (first > hi) return {};
+    return {static_cast<std::size_t>(first),
+            static_cast<std::size_t>((hi - first) / stride + 1),
+            static_cast<std::size_t>((at - first) / stride)};
+  }
+
+  /// dX of one input pixel for C input channels, in lanes: a running value
+  /// starts at +0 and, for each tap (ky, kx) in increasing order that
+  /// reaches an output pixel q, adds a fresh chain of W[o][c, ky, kx] *
+  /// dY[o][q] over o in increasing order (the weight broadcast) — gemm_tn's
+  /// column-gradient chain, then col2im's additions. Taps that reach no
+  /// output pixel add nothing, as in col2im: they are skipped, never
+  /// multiplied by a zero margin (an infinite weight would make NaN).
+  /// `wt` is the block's first channel in the [tap][o][c] weights.
+  template <std::size_t C>
+  static MACH_INLINE void dx_pixel(const LaneGeometry& d, TapRun ry,
+                                   TapRun rx, const float* dyl,
+                                   const float* wt, float* out) {
+    const ConvShape& s = d.s;
+    const std::size_t dy_step = d.n * kW;
+    V run[C];
+#pragma GCC unroll 16
+    for (std::size_t c = 0; c < C; ++c) run[c] = Isa::zero();
+    for (std::size_t a = 0; a < ry.count; ++a) {
+      const std::size_t ky = ry.first + a * s.stride, oy = ry.out - a;
+      for (std::size_t b = 0; b < rx.count; ++b) {
+        const std::size_t kx = rx.first + b * s.stride, ox = rx.out - b;
+        const float* g = dyl + (oy * d.ow + ox) * kW;
+        const float* w = wt + (ky * s.kernel + kx) * d.out_c * s.channels;
+        V chain[C];
+#pragma GCC unroll 16
+        for (std::size_t c = 0; c < C; ++c) chain[c] = Isa::zero();
+        for (std::size_t o = 0; o < d.out_c;
+             ++o, g += dy_step, w += s.channels) {
+          const V gv = Isa::load(g);
+#pragma GCC unroll 16
+          for (std::size_t c = 0; c < C; ++c) {
+            chain[c] = Isa::add(chain[c], Isa::mul(Isa::bcast(w[c]), gv));
+          }
+        }
+#pragma GCC unroll 16
+        for (std::size_t c = 0; c < C; ++c) run[c] = Isa::add(run[c], chain[c]);
+      }
+    }
+#pragma GCC unroll 16
+    for (std::size_t c = 0; c < C; ++c) {
+      Isa::store(out + c * d.plane * kW, run[c]);
+    }
+  }
+
+  /// dX lanes of input channels [c0, channels), C at a time and fewer at
+  /// the end, every input pixel of the block.
+  template <std::size_t C>
+  static MACH_INLINE void dx_channels(const LaneGeometry& d, std::size_t c0,
+                                      const float* dyl, const float* wt,
+                                      float* dxl) {
+    const ConvShape& s = d.s;
+    for (; c0 + C <= s.channels; c0 += C) {
+      float* out = dxl + c0 * d.plane * kW;
+      for (std::size_t iy = 0; iy < s.height; ++iy) {
+        const TapRun ry = tap_run(iy, s, d.oh);
+        for (std::size_t ix = 0; ix < s.width; ++ix, out += kW) {
+          dx_pixel<C>(d, ry, tap_run(ix, s, d.ow), dyl, wt + c0, out);
+        }
+      }
+    }
+    if constexpr (C > 1) {
+      if (c0 < s.channels) dx_channels<C - 1>(d, c0, dyl, wt, dxl);
+    }
+  }
+
+  /// Offsets of conv_backward's scratch spans (in floats) and their total:
+  /// one block's dY lanes, its padded input lanes (which hold the block's
+  /// dX lanes first, when there is an input gradient) and, with dX, the
+  /// weights as [tap][o][c].
+  struct BackwardScratch {
+    std::size_t dy = 0, planes = 0, wt = 0, total = 0;
+  };
+
+  static BackwardScratch backward_scratch(const ConvShape& s,
+                                          std::size_t out_c, bool input_grad) {
     const std::size_t n =
         conv_out_extent(s.height, s) * conv_out_extent(s.width, s);
-    const std::size_t patch = s.channels * s.kernel * s.kernel;
     BackwardScratch at;
-    at.padded = count * round_up(out_c, dw_rows(out_c)) * n;
-    at.total = at.padded + count * padded_layout(s).image;
+    at.planes = out_c * n * kW;
+    at.total = at.planes + padded_image_floats(s) * kW;
     if (input_grad) {
-      const std::size_t cols = round_up(dx_block_images(count, n) * n, kNR);
-      at.wpack = at.total;
-      at.bpack = at.wpack + round_up(patch, kMR) * out_c;
-      // NR strips straddle two images (and need packing) only when n is not
-      // a multiple of NR.
-      at.panel = at.bpack + (n % kNR == 0 ? 0 : out_c * cols);
-      at.total = at.panel + kMR * cols;
+      at.wt = at.total;
+      at.total = at.wt + out_c * s.channels * s.kernel * s.kernel;
     }
     return at;
   }
 
-  static std::size_t conv_backward_scratch(std::size_t count,
-                                           const ConvShape& shape,
+  static std::size_t conv_backward_scratch(const ConvShape& shape,
                                            std::size_t out_c,
                                            bool input_grad) {
-    return backward_scratch(count, shape, out_c, input_grad).total;
+    return backward_scratch(shape, out_c, input_grad).total;
   }
 
-  /// Weight and bias gradients over `count` images, read from their padded
-  /// planes (`padded`, padded_layout(s).image floats per image). Each
-  /// image's dot products (and bias rows) are summed into fresh accumulators
-  /// in increasing pixel order, and the per-image results are added to the
-  /// running tile in image order: the chains of one gemm_nt(accumulate) over
-  /// the image's im2col matrix and one bias row sum per image. A tile's taps
-  /// are broadcast from the padded planes one output row at a time (a
-  /// micro_nt walk), so no im2col matrix exists. The image loop runs inside
-  /// the tile loop, so every dW tile is transposed and written back once.
-  /// The running sums start from zero (0.0f + the first image's sum, as
-  /// after a zero fill) or, with accumulate, from the stored gradients.
-  template <class NI, std::size_t NV, std::size_t NJ>
-  static void weight_grad(const float* grad_out, std::size_t count,
-                          const ConvShape& s, std::size_t out_c,
-                          const float* padded, float* grad_weight,
-                          float* grad_bias, bool accumulate, float* gpack) {
-    using NV_t = typename NI::V;
-    constexpr std::size_t kRows = NV * NI::kW;
-    const std::size_t oh = conv_out_extent(s.height, s);
-    const std::size_t ow = conv_out_extent(s.width, s);
-    const std::size_t n = oh * ow, patch = s.channels * s.kernel * s.kernel;
-    const PaddedLayout g = padded_layout(s);
-    const NtWalk walk{oh, ow, s.stride * g.wp, s.stride};
-    const std::size_t strips = (out_c + kRows - 1) / kRows;
-    const std::size_t strip_size = n * kRows;
-    for (std::size_t img = 0; img < count; ++img) {
-      pack_a_n<kRows>(grad_out + img * out_c * n, n, out_c, n,
-                      gpack + img * strips * strip_size);
-    }
-    for (std::size_t st = 0; st < strips; ++st) {
-      const std::size_t i0 = st * kRows;
-      const std::size_t mr = min_size(kRows, out_c - i0);
-      const auto strip = [&](std::size_t img) {
-        return gpack + (img * strips + st) * strip_size;
-      };
-      // Bias: the packed strip holds pixel q's rows side by side, so the
-      // kRows row sums run as interleaved chains, one per vector lane.
-      alignas(64) float bsum[kRows];
-      for (std::size_t r = 0; r < kRows; ++r) {
-        bsum[r] = accumulate && r < mr ? grad_bias[i0 + r] : 0.0f;
-      }
-      for (std::size_t img = 0; img < count; ++img) {
-        const float* ap = strip(img);
-        NV_t acc[NV];
-#pragma GCC unroll 16
-        for (std::size_t v = 0; v < NV; ++v) acc[v] = NI::zero();
-        for (std::size_t q = 0; q < n; ++q) {
-#pragma GCC unroll 16
-          for (std::size_t v = 0; v < NV; ++v) {
-            acc[v] = NI::add(acc[v], NI::load(ap + q * kRows + v * NI::kW));
-          }
-        }
-#pragma GCC unroll 16
-        for (std::size_t v = 0; v < NV; ++v) {
-          float* b = bsum + v * NI::kW;
-          NI::store(b, NI::add(NI::load(b), acc[v]));
-        }
-      }
-      for (std::size_t r = 0; r < mr; ++r) grad_bias[i0 + r] = bsum[r];
-
-      for (std::size_t j0 = 0; j0 < patch; j0 += NJ) {
-        const std::size_t nr = min_size(NJ, patch - j0);
-        alignas(64) float tile[NJ * kRows];
-        for (std::size_t j = 0; j < NJ; ++j) {
-          for (std::size_t i = 0; i < kRows; ++i) {
-            tile[j * kRows + i] = accumulate && i < mr && j < nr
-                                      ? grad_weight[(i0 + i) * patch + j0 + j]
-                                      : 0.0f;
-          }
-        }
-        // Fringe columns re-read the last valid tap; their sums are
-        // discarded below.
-        std::size_t taps[NJ];
-        for (std::size_t j = 0; j < NJ; ++j) {
-          taps[j] = tap_offset(j0 + (j < nr ? j : nr - 1), s, g);
-        }
-        for (std::size_t img = 0; img < count; ++img) {
-          const float* image = padded + img * g.image;
-          const float* brows[NJ];
-          for (std::size_t j = 0; j < NJ; ++j) brows[j] = image + taps[j];
-          micro_nt<NI, NV, NJ, true>(walk, strip(img), brows, tile);
-        }
-        for (std::size_t i = 0; i < mr; ++i) {
-          float* drow = grad_weight + (i0 + i) * patch + j0;
-          for (std::size_t j = 0; j < nr; ++j) drow[j] = tile[j * kRows + i];
-        }
-      }
-    }
-  }
-
-  /// Input gradient over `count` images: dX = col2im(Wᵀ · grad_out) per
-  /// image. The GEMM runs over blocks of whole images laid side by side
-  /// along n, with Wᵀ packed once, and col2im is fused into it: a row tile
-  /// of kernel offsets p is computed across every column of the block into
-  /// `panel`, then its rows are added into the image gradients in
-  /// increasing p before the next row tile starts. Each column-gradient
-  /// element is the fresh k = out_c chain of gemm_tn, and each pixel adds
-  /// its contributions in col2im's order. On same-size runs a channel
-  /// plane's first offset row writes it (0.0f + x, or 0.0f where that row
-  /// has no tap) instead of adding, so no zero fill is needed; other shapes
-  /// zero the plane just before that row.
-  static void input_grad(const float* grad_out, std::size_t count,
-                         const ConvShape& s, ConstMat weight,
-                         float* grad_images, const BackwardScratch& at,
-                         float* scratch) {
-    const std::size_t oh = conv_out_extent(s.height, s);
-    const std::size_t ow = conv_out_extent(s.width, s);
-    const std::size_t n = oh * ow;
-    const std::size_t out_c = weight.rows, patch = weight.cols;
-    const std::size_t taps = s.kernel * s.kernel;
-    const std::size_t plane = s.height * s.width;
-    const std::size_t image_size = s.channels * plane;
-    float* wpack = scratch + at.wpack;
-    float* bpack = scratch + at.bpack;
-    float* panel = scratch + at.panel;
-    pack_a_t(weight.data, patch, patch, out_c, wpack);
-    const std::size_t per_block = dx_block_images(count, n);
-    for (std::size_t img0 = 0; img0 < count; img0 += per_block) {
-      const std::size_t images = min_size(per_block, count - img0);
-      const std::size_t cols = images * n;
-      const std::size_t ldp = round_up(cols, kNR);
-      // B: the block's output gradients, column img * n + q of row o being
-      // grad_out[img0 + img][o][q]. An NR-wide strip inside one image's
-      // row is read in place (rows n apart); strips that straddle two
-      // images or run past the block are packed, zero-padded, into bpack.
-      const float* gout = grad_out + img0 * out_c * n;
-      const auto in_place = [&](std::size_t j0) { return j0 % n + kNR <= n; };
-      for (std::size_t j0 = 0; j0 < ldp; j0 += kNR) {
-        if (in_place(j0)) continue;
-        float* strip = bpack + j0 * out_c;
-        for (std::size_t o = 0; o < out_c; ++o) {
-          std::size_t img = j0 / n, q = j0 % n;
-          for (std::size_t j = 0; j < kNR; ++j) {
-            strip[o * kNR + j] =
-                img < images ? gout[(img * out_c + o) * n + q] : 0.0f;
-            if (++q == n) {
-              q = 0;
-              ++img;
-            }
-          }
-        }
-      }
-      float* block_grad = grad_images + img0 * image_size;
-      SameSizeRun run;
-      for (std::size_t i0 = 0; i0 < patch; i0 += kMR) {
-        const float* ap = wpack + (i0 / kMR) * out_c * kMR;
-        for (std::size_t j0 = 0; j0 < ldp; j0 += kNR) {
-          if (in_place(j0)) {
-            micro_nn(out_c, ap, gout + (j0 / n * out_c) * n + j0 % n, n,
-                     panel + j0, ldp, /*zero_init=*/true, nullptr, nullptr);
-          } else {
-            micro_nn(out_c, ap, bpack + j0 * out_c, kNR, panel + j0, ldp,
-                     /*zero_init=*/true, nullptr, nullptr);
-          }
-        }
-        const std::size_t mr = min_size(kMR, patch - i0);
-        for (std::size_t r = 0; r < mr; ++r) {
-          const KernelRow row = kernel_row(i0 + r, s, oh, ow);
-          const bool first = (i0 + r) % taps == 0;
-          float* src = panel + r * ldp;
-          float* target = block_grad + row.channel * plane;
-          if (same_size_run(s, ow, row, run)) {
-            // Borders of every image first, so no add reloads a lane just
-            // stored.
-            for (std::size_t img = 0; img < images; ++img) {
-              zero_borders(run, src + img * n);
-            }
-            for (std::size_t img = 0; img < images; ++img) {
-              run_col2im(run, plane, first, src + img * n,
-                         target + img * image_size);
-            }
-            continue;
-          }
-          for (std::size_t img = 0; img < images; ++img) {
-            float* image_target = target + img * image_size;
-            if (first) {
-              for (std::size_t t = 0; t < plane; ++t) image_target[t] = 0.0f;
-            }
-            col2im_row(src + img * n, s, ow, row, image_target);
-          }
-        }
-      }
-    }
-  }
-
-  /// conv_forward's backward over `count` images (kernels.h): every image
-  /// copied once into zero-padded planes, then weight_grad and, when
-  /// grad_images is not null, input_grad. `scratch` holds
-  /// conv_backward_scratch(count, ...) floats.
+  /// conv_forward's backward over `count` images (kernels.h), kW images
+  /// per block: each block's dY is transposed into lanes; with grad_images
+  /// its dX is computed in lanes and transposed back; then its input images
+  /// go into the padded lane planes and its dW and db chains are added to
+  /// the running gradients in image order. `scratch` holds
+  /// conv_backward_scratch(...) floats.
   static void conv_backward(const float* images, std::size_t count,
                             const ConvShape& s, ConstMat weight,
                             const float* grad_out, float* grad_images,
                             float* grad_weight, float* grad_bias,
-                            bool accumulate, float* scratch) {
-    const std::size_t out_c = weight.rows;
+                            float* scratch) {
+    const std::size_t out_c = weight.rows, patch = weight.cols;
+    const std::size_t taps = s.kernel * s.kernel;
     const BackwardScratch at =
-        backward_scratch(count, s, out_c, grad_images != nullptr);
-    const PaddedLayout g = padded_layout(s);
-    float* padded = scratch + at.padded;
-    for (std::size_t i = 0; i < count * g.image; ++i) padded[i] = 0.0f;
-    const std::size_t image_size = s.channels * s.height * s.width;
-    for (std::size_t img = 0; img < count; ++img) {
-      pad_image(images + img * image_size, s, g, padded + img * g.image);
-    }
-    bool narrow = false;
-    if constexpr (kHasNarrowNt) {
-      if (out_c <= Cfg::NarrowIsa::kW) {
-        narrow = true;
-        weight_grad<typename Cfg::NarrowIsa, 1, Cfg::kNarrowNtNR>(
-            grad_out, count, s, out_c, padded, grad_weight, grad_bias,
-            accumulate, scratch + at.gout);
+        backward_scratch(s, out_c, grad_images != nullptr);
+    const std::size_t oh = conv_out_extent(s.height, s);
+    const std::size_t ow = conv_out_extent(s.width, s);
+    const LaneGeometry d{s,      padded_layout(s),   oh,   ow,
+                         oh * ow, s.height * s.width, out_c};
+    const std::size_t image_size = s.channels * d.plane;
+    const std::size_t out_size = out_c * d.n;
+    float* dyl = scratch + at.dy;
+    float* planes = scratch + at.planes;
+    float* wt = scratch + at.wt;
+    if (grad_images != nullptr) {
+      for (std::size_t o = 0; o < out_c; ++o) {
+        for (std::size_t c = 0; c < s.channels; ++c) {
+          for (std::size_t t = 0; t < taps; ++t) {
+            wt[(t * out_c + o) * s.channels + c] =
+                weight.data[o * patch + c * taps + t];
+          }
+        }
       }
     }
-    if (!narrow) {
-      weight_grad<Isa, kNtNV, kNtNR>(grad_out, count, s, out_c, padded,
-                                     grad_weight, grad_bias, accumulate,
-                                     scratch + at.gout);
-    }
-    if (grad_images != nullptr) {
-      input_grad(grad_out, count, s, weight, grad_images, at, scratch);
+    for (std::size_t b0 = 0; b0 < count; b0 += kW) {
+      const std::size_t live = min_size(kW, count - b0);
+      float* dy_out = dyl;
+      to_lanes(grad_out + b0 * out_size, out_size, out_size, live,
+               [&dy_out](V v) {
+                 Isa::store(dy_out, v);
+                 dy_out += kW;
+               });
+      if (grad_images != nullptr) {
+        dx_channels<kDxChannels>(d, 0, dyl, wt, planes);
+        from_lanes(planes, image_size, live, grad_images + b0 * image_size,
+                   image_size);
+      }
+      // The margins must read +0; the interior is rewritten below.
+      if (b0 == 0 || grad_images != nullptr) {
+        for (std::size_t i = 0; i < d.g.image * kW; ++i) planes[i] = 0.0f;
+      }
+      const float* block = images + b0 * image_size;
+      for (std::size_t c = 0; c < s.channels; ++c) {
+        float* row = planes + (c * d.g.plane + s.pad * d.g.wp + s.pad) * kW;
+        std::size_t x = 0;
+        to_lanes(block + c * d.plane, image_size, d.plane, live, [&](V v) {
+          Isa::store(row + x * kW, v);
+          if (++x == s.width) {
+            x = 0;
+            row += d.g.wp * kW;
+          }
+        });
+      }
+      weight_grad(d, dyl, planes, live, b0 == 0, grad_weight, grad_bias);
     }
   }
 

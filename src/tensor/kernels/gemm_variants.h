@@ -77,18 +77,16 @@ struct GemmVariant {
                               const ConvShape& shape, ConstMat weight,
                               const float* bias, float* out,
                               PackBuffers buffers);
-  // conv_backward over one group of images: its scratch size in floats, and
-  // the kernel (preconditions: count, out_c, patch and output pixels > 0;
-  // accumulate adds to grad_weight/grad_bias instead of overwriting them).
-  std::size_t (*conv_backward_scratch)(std::size_t count,
-                                       const ConvShape& shape,
+  // conv_backward over a minibatch, in blocks of `lanes` images: its
+  // scratch size in floats (one block's, whatever the count), and the
+  // kernel (preconditions: count, out_c, patch and output pixels > 0).
+  std::size_t (*conv_backward_scratch)(const ConvShape& shape,
                                        std::size_t out_channels,
                                        bool input_grad);
   void (*conv_backward)(const float* images, std::size_t count,
                         const ConvShape& shape, ConstMat weight,
                         const float* grad_out, float* grad_images,
-                        float* grad_weight, float* grad_bias, bool accumulate,
-                        float* scratch);
+                        float* grad_weight, float* grad_bias, float* scratch);
   // The B-panel builder of conv_forward run over the whole image: writes
   // the [channels*kernel*kernel, out_h*out_w] im2col matrix.
   void (*im2col)(const float* image, const ConvShape& shape, float* cols);

@@ -128,15 +128,19 @@ void conv_forward(const float* images, std::size_t count,
 // with exactly the float chains of the per-image composition im2col,
 // gemm_nt(accumulate), gemm_tn, col2im and per-row bias sums into zero-filled
 // gradients: each image's sums start from fresh accumulators in increasing q
-// and are added in image order. No im2col matrix is built: the weight
-// gradient broadcasts its inputs from each image's zero-padded planes.
+// and are added in image order. The images run in blocks of one vector's
+// lane count (16 on AVX-512; a partial block costs a whole one), image l of
+// a block in lane l, so no im2col matrix, column gradient or col2im pass
+// exists: dW reads its inputs from zero-padded lane planes, and dX adds, per
+// input pixel, the chains of the taps that reach an output pixel.
 // grad_images may be nullptr, which skips the input gradient (a first
 // layer's, which nothing reads); grad_weight and grad_bias come out the same
 // either way. `scratch` is caller-owned and holds
 // conv_backward_scratch(count, shape, out_c, grad_images != nullptr) floats:
-// the padded planes and packed output gradients of a group of images (whole
-// images up to ~1 MiB; larger minibatches run group by group), plus the
-// input gradient's packed weights and panel.
+// one block's output gradients and padded input planes in lanes (the
+// block's dX lanes use the planes' span first) and, with the input gradient,
+// the weights as [tap][o][c]. It does not grow with count (0 when count is
+// 0).
 // ---------------------------------------------------------------------------
 std::size_t conv_backward_scratch(std::size_t count, const ConvShape& shape,
                                   std::size_t out_channels, bool input_grad);

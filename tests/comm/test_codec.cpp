@@ -269,7 +269,9 @@ TEST(TopKCodec, SentPlusResidualEqualsCorrectedBitwise) {
   std::vector<float> out;
   codec->decode(wire, values.size(), reference, out);
   for (std::size_t i = 0; i < values.size(); ++i) {
-    if (!sent[i]) EXPECT_EQ(out[i], reference[i]) << i;
+    if (!sent[i]) {
+      EXPECT_EQ(out[i], reference[i]) << i;
+    }
   }
 }
 

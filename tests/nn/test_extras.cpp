@@ -40,7 +40,9 @@ TEST(Dropout, TrainingZeroesApproximatelyRateFraction) {
   EXPECT_NEAR(static_cast<double>(zeros) / 10000.0, 0.4, 0.03);
   // Inverted scaling keeps the expectation: survivors are 1/(1-0.4).
   for (std::size_t i = 0; i < x.numel(); ++i) {
-    if (y[i] != 0.0f) EXPECT_NEAR(y[i], 1.0f / 0.6f, 1e-5);
+    if (y[i] != 0.0f) {
+      EXPECT_NEAR(y[i], 1.0f / 0.6f, 1e-5);
+    }
   }
 }
 

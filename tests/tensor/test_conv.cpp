@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -362,13 +363,28 @@ ConvGrads reference_conv_backward(const std::vector<float>& input,
   return g;
 }
 
+/// Random nonzero weights, about one in 16 of them ±inf.
+std::vector<float> infinite_weights(std::size_t count, common::Rng& rng) {
+  std::vector<float> v = special_vec(count, rng, false);
+  for (auto& x : v) {
+    const std::size_t pick = rng.uniform_index(32);
+    if (pick == 0) x = std::numeric_limits<float>::infinity();
+    if (pick == 1) x = -std::numeric_limits<float>::infinity();
+  }
+  return v;
+}
+
 TEST(ConvBackward, MinibatchKernelMatchesReferenceCompositionBitwise) {
   // Every host variant, with and without the input gradient, over pads,
-  // kernel sizes, strides, batch sizes, non-square images, a patch wider
-  // than KC and more output channels than MC; the parameter gradients must
-  // not depend on whether dX is computed. Images and output gradients carry ±0, NaN
-  // and ±inf (weights stay finite and nonzero: the reference gemm_tn skips
-  // zero weights, which the contract only matches for finite products).
+  // kernel sizes, strides, non-square images, a patch wider than KC, more
+  // output channels than MC, and batches of 1, 3 and 16 as well as 5, 17
+  // and 33, which leave a partial block of images on every variant (4, 8
+  // and 16 lanes); the parameter gradients must not depend on whether dX
+  // is computed. Images and output gradients carry ±0, NaN and ±inf.
+  // Weights stay nonzero (the reference gemm_tn skips zero weights, which
+  // the contract only matches for finite products); on the five benchmark
+  // shapes a second set mixes ±inf into them, so a dX that multiplies a
+  // tap outside the output by +0 instead of skipping it gets NaN.
   common::Rng rng(21);
   struct Case {
     std::size_t channels, out_c, h, w, kernel, pad, stride;
@@ -380,9 +396,12 @@ TEST(ConvBackward, MinibatchKernelMatchesReferenceCompositionBitwise) {
       {40, 6, 5, 9, 3, 1, 1},  {2, 70, 6, 5, 3, 1, 1}, {1, 3, 13, 4, 3, 2, 1},
       {3, 4, 9, 7, 3, 1, 2},   {2, 5, 8, 8, 1, 0, 2},
   };
-  for (const Case& c : cases) {
-    for (std::size_t batch : {1u, 3u, 16u}) {
-      for (bool specials : {false, true}) {
+  constexpr std::size_t kBenchShapes = 5;  // the first five cases
+  for (std::size_t ci = 0; ci < std::size(cases); ++ci) {
+    const Case& c = cases[ci];
+    for (std::size_t batch : {1u, 3u, 5u, 16u, 17u, 33u}) {
+      for (int mode = 0; mode < (ci < kBenchShapes ? 4 : 2); ++mode) {
+        const bool specials = mode % 2 == 1, inf_weights = mode >= 2;
         const kernels::ConvShape shape{c.channels, c.h, c.w, c.kernel, c.pad,
                                        c.stride};
         const std::size_t oh = (c.h + 2 * c.pad - c.kernel) / c.stride + 1;
@@ -390,7 +409,9 @@ TEST(ConvBackward, MinibatchKernelMatchesReferenceCompositionBitwise) {
         const std::size_t patch = c.channels * c.kernel * c.kernel;
         const auto input =
             special_vec(batch * c.channels * c.h * c.w, rng, specials);
-        const auto weight = special_vec(c.out_c * patch, rng, false);
+        const auto weight = inf_weights
+                                ? infinite_weights(c.out_c * patch, rng)
+                                : special_vec(c.out_c * patch, rng, false);
         const auto grad_out =
             special_vec(batch * c.out_c * oh * ow, rng, specials);
         const ConvGrads want =
@@ -417,7 +438,9 @@ TEST(ConvBackward, MinibatchKernelMatchesReferenceCompositionBitwise) {
                 " pad=" + std::to_string(c.pad) +
                 " stride=" + std::to_string(c.stride) +
                 " batch=" + std::to_string(batch) +
-                (specials ? " specials" : "") + (with_dx ? " dx" : " no-dx");
+                (specials ? " specials" : "") +
+                (inf_weights ? " inf-weights" : "") +
+                (with_dx ? " dx" : " no-dx");
             ASSERT_EQ(bits(got.dw), bits(want.dw)) << where;
             ASSERT_EQ(bits(got.db), bits(want.db)) << where;
             if (with_dx) {
@@ -431,29 +454,33 @@ TEST(ConvBackward, MinibatchKernelMatchesReferenceCompositionBitwise) {
 }
 
 TEST(ConvBackward, LargeMinibatchesSplitIntoGroupsLosslessly) {
-  // Enough images that the minibatch runs as several groups, each
-  // continuing from the gradients the previous one stored.
+  // Enough images that the minibatch runs as several blocks of images, each
+  // continuing from the gradients the previous one stored, in scratch sized
+  // for one block whatever the count; 41 also leaves a partial last block.
   common::Rng rng(22);
   const kernels::ConvShape shape{8, 28, 28, 3, 1, 1};
-  const std::size_t batch = 40, out_c = 16, patch = 72;
-  const auto input = special_vec(batch * 8 * 28 * 28, rng, false);
-  const auto weight = special_vec(out_c * patch, rng, false);
-  const auto grad_out = special_vec(batch * out_c * 28 * 28, rng, false);
-  const ConvGrads want =
-      reference_conv_backward(input, batch, shape, weight, out_c, grad_out);
-  std::vector<float> scratch(
-      kernels::conv_backward_scratch(batch, shape, out_c, true));
-  EXPECT_LT(scratch.size(),
-            kernels::conv_backward_scratch(1, shape, out_c, true) * batch);
-  ConvGrads got{std::vector<float>(want.dx.size()),
-                std::vector<float>(want.dw.size()),
-                std::vector<float>(want.db.size())};
-  kernels::conv_backward(input.data(), batch, shape, {weight.data(), out_c, patch},
-                         grad_out.data(), got.dx.data(), got.dw.data(),
-                         got.db.data(), scratch.data());
-  EXPECT_EQ(bits(got.dw), bits(want.dw));
-  EXPECT_EQ(bits(got.db), bits(want.db));
-  EXPECT_EQ(bits(got.dx), bits(want.dx));
+  const std::size_t out_c = 16, patch = 72;
+  for (std::size_t batch : {40u, 41u}) {
+    const auto input = special_vec(batch * 8 * 28 * 28, rng, false);
+    const auto weight = special_vec(out_c * patch, rng, false);
+    const auto grad_out = special_vec(batch * out_c * 28 * 28, rng, false);
+    const ConvGrads want =
+        reference_conv_backward(input, batch, shape, weight, out_c, grad_out);
+    std::vector<float> scratch(
+        kernels::conv_backward_scratch(batch, shape, out_c, true));
+    EXPECT_EQ(scratch.size(),
+              kernels::conv_backward_scratch(1, shape, out_c, true));
+    ConvGrads got{std::vector<float>(want.dx.size()),
+                  std::vector<float>(want.dw.size()),
+                  std::vector<float>(want.db.size())};
+    kernels::conv_backward(input.data(), batch, shape,
+                           {weight.data(), out_c, patch}, grad_out.data(),
+                           got.dx.data(), got.dw.data(), got.db.data(),
+                           scratch.data());
+    EXPECT_EQ(bits(got.dw), bits(want.dw)) << "batch=" << batch;
+    EXPECT_EQ(bits(got.db), bits(want.db)) << "batch=" << batch;
+    EXPECT_EQ(bits(got.dx), bits(want.dx)) << "batch=" << batch;
+  }
 }
 
 TEST(ConvBackward, TensorOpSkipsOnlyTheInputGradient) {
