@@ -363,6 +363,8 @@ cmp "$sweep_dir/report.before" "$sweep_dir/out/report.json"
 # hands every kernel exactly-sized buffers on every variant, so ASan's
 # redzones catch a write past any of them; the nn suite runs the layers
 # over their ScratchArena spans.
+# Built at Release's -O2, like the other sanitizer stages: CMAKE_CXX_FLAGS
+# precede the build type's flags, so an -O level given here is overridden.
 echo "== address sanitizer (kernels + nn) =="
 ASAN_DIR="${ASAN_DIR:-${BUILD_DIR}-asan}"
 cmake -B "$ASAN_DIR" -S . \
@@ -399,11 +401,11 @@ if [ "${UBSAN:-1}" != "0" ]; then
   # validation layers, the journal's CRC framing / torn-tail byte walking,
   # and the orchestrator's waitpid status decoding are the risky parts; the
   # e2e tests fork UBSan-built child binaries, so the engine's drain/hang
-  # harness paths run sanitized too).
+  # harness paths run sanitized too). Built at Release's -O2.
   echo "== undefined behaviour sanitizer (kernels + ISA selection + nn + faults + ckpt + comm + sampling + mobility + scale + sweep) =="
   UBSAN_DIR="${UBSAN_DIR:-${BUILD_DIR}-ubsan}"
   cmake -B "$UBSAN_DIR" -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
-    -DCMAKE_CXX_FLAGS="-fsanitize=undefined -fno-sanitize-recover=all -g -O1" \
+    -DCMAKE_CXX_FLAGS="-fsanitize=undefined -fno-sanitize-recover=all -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=undefined"
   cmake --build "$UBSAN_DIR" -j "$JOBS" --target test_tensor test_common test_nn test_fault test_ckpt test_comm test_sampling test_mobility test_scale test_sweep
   check_isa_objects "$UBSAN_DIR"
@@ -423,11 +425,12 @@ if [ "${TSAN:-1}" != "0" ]; then
   # Data-race check over the runtime subsystem: a separate TSan build of the
   # thread-pool unit suite plus the parallel-determinism integration test
   # (the only paths that run worker threads). Filtered rather than the full
-  # suite because TSan's ~10x slowdown would dominate CI otherwise.
+  # suite because TSan's ~10x slowdown would dominate CI otherwise. Built at
+  # Release's -O2.
   echo "== thread sanitizer =="
   TSAN_DIR="${TSAN_DIR:-${BUILD_DIR}-tsan}"
   cmake -B "$TSAN_DIR" -S . \
-    -DCMAKE_CXX_FLAGS="-fsanitize=thread -g -O1" \
+    -DCMAKE_CXX_FLAGS="-fsanitize=thread -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   cmake --build "$TSAN_DIR" -j "$JOBS" --target test_runtime test_hfl test_fault test_obs test_comm test_sampling test_scale
   "$TSAN_DIR/tests/test_runtime"

@@ -2,16 +2,10 @@
 
 #include <stdexcept>
 
-#include "ckpt/bytes.h"
-
 namespace mach::core {
 
-GlobalMachSampler::GlobalMachSampler(MachOptions options)
-    : options_(options), transfer_(options.transfer) {}
-
 void GlobalMachSampler::bind(const hfl::FederationInfo& info) {
-  estimator_.emplace(info.num_devices, options_.ucb);
-  transfer_ = TransferFunction(options_.transfer);
+  MachSampler::bind(info);
   num_edges_ = std::max<std::size_t>(info.num_edges, 1);
   global_q_.assign(info.num_devices, 0.0);
   cached_t_.reset();
@@ -42,41 +36,13 @@ std::vector<double> GlobalMachSampler::edge_probabilities(
   return q;
 }
 
-void GlobalMachSampler::observe_training(const hfl::TrainingObservation& obs) {
-  if (estimator_) estimator_->record(obs.device, obs.local_grad_sq_norms);
-}
-
 void GlobalMachSampler::on_cloud_round(std::size_t t) {
-  if (estimator_) estimator_->on_cloud_round(t);
-  transfer_.advance_round();
+  MachSampler::on_cloud_round(t);
   cached_t_.reset();
 }
 
-bool GlobalMachSampler::introspect(obs::SamplerIntrospection& out) const {
-  if (!estimator_) return false;
-  fill_ucb_introspection(*estimator_, out);
-  return true;
-}
-
-void GlobalMachSampler::save_state(ckpt::ByteWriter& out) const {
-  out.u8(2);  // blob version (v2: SoA estimator accumulators)
-  out.u64(transfer_.rounds_seen());
-  out.boolean(estimator_.has_value());
-  if (estimator_) estimator_->save_state(out);
-  // global_q_/cached_t_ are a within-step cache, recomputed deterministically
-  // from the estimator on the next edge_probabilities() call — not state.
-}
-
 void GlobalMachSampler::load_state(ckpt::ByteReader& in) {
-  if (in.u8() != 2) {
-    throw ckpt::CorruptPayload("GlobalMachSampler: unknown state version");
-  }
-  transfer_.set_rounds_seen(static_cast<std::size_t>(in.u64()));
-  const bool had_estimator = in.boolean();
-  if (had_estimator != estimator_.has_value()) {
-    throw ckpt::CorruptPayload("GlobalMachSampler: estimator presence mismatch");
-  }
-  if (estimator_) estimator_->load_state(in);
+  MachSampler::load_state(in);
   cached_t_.reset();
 }
 

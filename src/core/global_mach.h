@@ -7,6 +7,9 @@
 // when normalising (Eq. 16's denominator runs over all of M, and the budget
 // is the federation-wide sum of K_n), so edges whose devices happen to hold
 // small gradient norms under-spend their channel capacity and vice versa.
+//
+// Everything else is MachSampler's: the same UcbEstimator experience,
+// transfer function, introspection and checkpoint blob.
 #pragma once
 
 #include <optional>
@@ -15,27 +18,23 @@
 
 namespace mach::core {
 
-class GlobalMachSampler final : public hfl::Sampler {
+class GlobalMachSampler final : public MachSampler {
  public:
-  explicit GlobalMachSampler(MachOptions options = {});
+  using MachSampler::MachSampler;
 
   std::string name() const override { return "mach_global"; }
   void bind(const hfl::FederationInfo& info) override;
   std::vector<double> edge_probabilities(const hfl::EdgeSamplingContext& ctx) override;
-  void observe_training(const hfl::TrainingObservation& obs) override;
   void on_cloud_round(std::size_t t) override;
-  bool introspect(obs::SamplerIntrospection& out) const override;
-  void save_state(ckpt::ByteWriter& out) const override;
   void load_state(ckpt::ByteReader& in) override;
 
  private:
   /// Recomputes the federation-wide strategy for time step `t`.
   void refresh_global_strategy(std::size_t t, double edge_capacity);
 
-  MachOptions options_;
-  std::optional<UcbEstimator> estimator_;
-  TransferFunction transfer_;
   std::size_t num_edges_ = 1;
+  // A within-step cache, recomputed deterministically from the estimator on
+  // the next edge_probabilities() call — not checkpointed state.
   std::vector<double> global_q_;     // per-device probabilities
   std::optional<std::size_t> cached_t_;
 };

@@ -41,20 +41,6 @@ std::vector<double> edge_sampling_probabilities(std::span<const double> g_square
   return sampling::budgeted_probabilities(smoothed, budget);
 }
 
-void fill_ucb_introspection(const UcbEstimator& estimator,
-                            obs::SamplerIntrospection& out) {
-  const std::size_t devices = estimator.num_devices();
-  out.g_squared.resize(devices);
-  out.buffer_sizes.resize(devices);
-  out.participations.resize(devices);
-  for (std::size_t m = 0; m < devices; ++m) {
-    const auto device = static_cast<std::uint32_t>(m);
-    out.g_squared[m] = estimator.estimate(device);
-    out.buffer_sizes[m] = estimator.buffer_size(device);
-    out.participations[m] = estimator.participations(device);
-  }
-}
-
 MachSampler::MachSampler(MachOptions options)
     : options_(options), transfer_(options.transfer) {}
 
@@ -91,7 +77,16 @@ void MachSampler::on_cloud_round(std::size_t t) {
 
 bool MachSampler::introspect(obs::SamplerIntrospection& out) const {
   if (!estimator_) return false;
-  fill_ucb_introspection(*estimator_, out);
+  const std::size_t devices = estimator_->num_devices();
+  out.g_squared.resize(devices);
+  out.buffer_sizes.resize(devices);
+  out.participations.resize(devices);
+  for (std::size_t m = 0; m < devices; ++m) {
+    const auto device = static_cast<std::uint32_t>(m);
+    out.g_squared[m] = estimator_->estimate(device);
+    out.buffer_sizes[m] = estimator_->buffer_size(device);
+    out.participations[m] = estimator_->participations(device);
+  }
   return true;
 }
 

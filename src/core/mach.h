@@ -34,12 +34,10 @@ std::vector<double> edge_sampling_probabilities(std::span<const double> g_square
                                                 double capacity,
                                                 const TransferFunction* transfer);
 
-/// Exports Algorithm 2's state (G~^2, buffer occupancy, participations) for
-/// run telemetry; shared by the MACH and global-MACH samplers.
-void fill_ucb_introspection(const UcbEstimator& estimator,
-                            obs::SamplerIntrospection& out);
-
-class MachSampler final : public hfl::Sampler {
+/// MACH (Algorithm 1): Algorithm 2's experience in a UcbEstimator, and each
+/// edge's strategy from Eq. 16–18 over its current members. GlobalMachSampler
+/// derives from it and replaces only the per-edge strategy.
+class MachSampler : public hfl::Sampler {
  public:
   explicit MachSampler(MachOptions options = {});
 
@@ -48,6 +46,7 @@ class MachSampler final : public hfl::Sampler {
   std::vector<double> edge_probabilities(const hfl::EdgeSamplingContext& ctx) override;
   void observe_training(const hfl::TrainingObservation& obs) override;
   void on_cloud_round(std::size_t t) override;
+  /// Exports Algorithm 2's state (G~^2, buffer occupancy, participations).
   bool introspect(obs::SamplerIntrospection& out) const override;
   void save_state(ckpt::ByteWriter& out) const override;
   void load_state(ckpt::ByteReader& in) override;
@@ -56,10 +55,12 @@ class MachSampler final : public hfl::Sampler {
   const UcbEstimator& estimator() const { return *estimator_; }
   const TransferFunction& transfer() const { return transfer_; }
 
- private:
+ protected:
   MachOptions options_;
   std::optional<UcbEstimator> estimator_;  // sized at bind()
   TransferFunction transfer_;
+
+ private:
   std::vector<double> g2_scratch_;  // reused per-edge estimate gather
 };
 

@@ -8,7 +8,8 @@
 // well under a second inside a fixed memory envelope:
 //
 //   * device state is structure-of-arrays with a fixed per-device byte
-//     budget (DeviceStateArrays, kBytesPerDevice documented below);
+//     budget: edge membership in DeviceStateArrays, Algorithm 2's
+//     experience in a UcbEstimator (bytes_per_device() documented below);
 //   * mobility is a GridMobilityStream — O(movers) per step, no
 //     materialised trace, 8-byte-per-device seekable cursor;
 //   * Eq. 16–18 sampling runs over per-edge Fenwick trees (incremental
@@ -16,9 +17,10 @@
 //     alias tables (O(1) batch draws, rebuilt when weights refresh).
 //
 // Fidelity contract. At scale the engine keeps the paper's *structure* —
-// UCB experience updating (Eq. 15, exact), transfer smoothing S(q̂)
-// (Eq. 17, exact), weighted sampling ∝ smoothed scores — but makes two
-// documented approximations to reach sublinear rounds:
+// UCB experience updating (Eq. 15, exact: the UcbEstimator MachSampler
+// folds into, with its optimistic prior and buffer clearing), transfer
+// smoothing S(q̂) (Eq. 17, exact), weighted sampling ∝ smoothed scores —
+// but makes two documented approximations to reach sublinear rounds:
 //   1. Eq. 16's denominator Σ G~² is maintained incrementally and the
 //      stored weights are renormalised lazily: an edge's weights are fully
 //      rebuilt when the incremental total drifts >`rebuild_drift` from the
@@ -41,6 +43,7 @@
 #include "common/rng.h"
 #include "core/device_soa.h"
 #include "core/transfer.h"
+#include "core/ucb.h"
 #include "mobility/stream.h"
 #include "sampling/alias.h"
 #include "sampling/fenwick.h"
@@ -79,8 +82,8 @@ struct ScaleRoundStats {
   std::size_t movers = 0;        // devices that switched edges this round
   std::size_t participants = 0;  // devices sampled across all edges
   std::size_t weight_rebuilds = 0;  // edges whose weights were renormalised
-  /// FNV-1a over (edge, device) pairs in draw order — two runs agree on
-  /// every sampled set iff the digests agree every round.
+  /// FNV-1a (ckpt::hash_u64) over (edge, device) pairs in draw order — two
+  /// runs agree on every sampled set iff the digests agree every round.
   std::uint64_t sample_digest = 0;
 };
 
@@ -97,20 +100,20 @@ class ScaleSimulator {
   std::size_t num_edges() const noexcept { return config_.num_edges; }
 
   /// Current G~² estimate of one device (Eq. 15; tests/introspection).
-  double estimate(std::uint32_t device) const;
+  double estimate(std::uint32_t device) const { return ucb_.estimate(device); }
   std::size_t participations(std::uint32_t device) const {
-    return devices_.participations.at(device);
+    return ucb_.participations(device);
   }
   /// Members of one edge (tests; O(|M_n|)).
   const std::vector<std::uint32_t>& edge_members(std::size_t edge) const {
     return edges_.at(edge).members;
   }
 
-  /// Documented fixed per-device budget: DeviceStateArrays (41) + mobility
-  /// cursor (8) + edge member entry (4) + Fenwick tree+values (16) + alias
-  /// table prob+alias (12) + growth headroom. memory_bytes() must stay
-  /// below bytes_per_device() * M + O(num_edges) — asserted by the tests
-  /// and the bench/scale RSS gate.
+  /// Documented fixed per-device budget: DeviceStateArrays (16) +
+  /// UcbEstimator (29) + mobility cursor (8) + edge member entry (4) +
+  /// Fenwick tree+values (16) + alias table prob+alias (12) + growth
+  /// headroom. memory_bytes() must stay below bytes_per_device() * M +
+  /// O(num_edges) — asserted by the tests and the bench/scale RSS gate.
   static constexpr std::size_t bytes_per_device() noexcept { return 128; }
 
   /// Actual bytes held by all per-device and per-edge structures.
@@ -142,7 +145,6 @@ class ScaleSimulator {
   /// nothing to store or checkpoint.
   double synth_grad_sq(std::uint32_t device, std::size_t t) const;
 
-  double exploration(std::uint32_t device) const;
   /// Eq. 17 smoothing of the Eq. 16 virtual probability under the edge's
   /// current reference denominator.
   double smoothed_weight(double g2_estimate, const EdgeState& edge) const;
@@ -158,15 +160,11 @@ class ScaleSimulator {
 
   ScaleConfig config_;
   TransferFunction transfer_;
+  UcbEstimator ucb_;
   DeviceStateArrays devices_;
   std::vector<EdgeState> edges_;
   mobility::GridMobilityStream stream_;
   common::Rng draw_rng_;
-  // Devices with buffered experience since the last cloud refresh.
-  std::vector<std::uint32_t> active_;
-  std::vector<std::uint8_t> in_active_;  // membership flag for active_
-  double population_max_ = 0.0;
-  std::size_t last_cloud_t_ = 0;
   std::size_t t_ = 0;
   // Reused per-round scratch (no steady-state allocation).
   std::vector<std::uint32_t> moved_;

@@ -17,6 +17,15 @@ UcbEstimator::UcbEstimator(std::size_t num_devices, UcbOptions options)
 
 void UcbEstimator::record(std::uint32_t device,
                           const std::vector<double>& grad_sq_norms) {
+  accumulate(device, grad_sq_norms);
+}
+
+void UcbEstimator::record(std::uint32_t device, double grad_sq_norm) {
+  accumulate(device, {&grad_sq_norm, 1});
+}
+
+void UcbEstimator::accumulate(std::uint32_t device,
+                              std::span<const double> grad_sq_norms) {
   double& sum = buffer_sum_.at(device);
   // Left-to-right fold in arrival order: the same additions, in the same
   // order, the buffered representation performed at refresh time.
@@ -31,26 +40,18 @@ void UcbEstimator::record(std::uint32_t device,
   }
 }
 
-void UcbEstimator::on_cloud_round(std::size_t t) {
-  last_cloud_t_ = t;
-  // Ascending device order — the same visit order as a full O(M) sweep over
-  // the devices with non-empty buffers, so the fold is bitwise unchanged.
-  std::sort(active_.begin(), active_.end());
-  for (const std::uint32_t m : active_) {
-    const double mean =
-        buffer_sum_[m] / static_cast<double>(buffer_count_[m]);
-    if ((flags_[m] & kHasEstimate) == 0 || mean > max_round_avg_[m]) {
-      max_round_avg_[m] = mean;
-    }
-    flags_[m] |= kHasEstimate;
-    population_max_ = std::max(population_max_, max_round_avg_[m]);
-    if (options_.clear_buffer_on_cloud_round) {
-      buffer_sum_[m] = 0.0;
-      buffer_count_[m] = 0;
-      flags_[m] &= static_cast<std::uint8_t>(~kInActiveList);
-    }
+void UcbEstimator::fold_round(std::uint32_t m) {
+  const double mean = buffer_sum_[m] / static_cast<double>(buffer_count_[m]);
+  if ((flags_[m] & kHasEstimate) == 0 || mean > max_round_avg_[m]) {
+    max_round_avg_[m] = mean;
   }
-  if (options_.clear_buffer_on_cloud_round) active_.clear();
+  flags_[m] |= kHasEstimate;
+  population_max_ = std::max(population_max_, max_round_avg_[m]);
+  if (options_.clear_buffer_on_cloud_round) {
+    buffer_sum_[m] = 0.0;
+    buffer_count_[m] = 0;
+    flags_[m] &= static_cast<std::uint8_t>(~kInActiveList);
+  }
 }
 
 double UcbEstimator::exploitation(std::uint32_t device) const {
@@ -71,6 +72,15 @@ double UcbEstimator::exploration(std::uint32_t device) const {
 
 double UcbEstimator::estimate(std::uint32_t device) const {
   return exploitation(device) + exploration(device);
+}
+
+std::size_t UcbEstimator::memory_bytes() const noexcept {
+  return buffer_sum_.capacity() * sizeof(double) +
+         buffer_count_.capacity() * sizeof(std::uint32_t) +
+         max_round_avg_.capacity() * sizeof(double) +
+         flags_.capacity() * sizeof(std::uint8_t) +
+         counts_.capacity() * sizeof(std::uint32_t) +
+         active_.capacity() * sizeof(std::uint32_t);
 }
 
 void UcbEstimator::save_state(ckpt::ByteWriter& out) const {

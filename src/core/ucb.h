@@ -16,9 +16,14 @@
 // state shrinks from an unbounded vector per device to 29 bytes per device.
 // Cloud-round refreshes walk only the devices that actually buffered
 // experience since the last refresh (O(participants), not O(M)).
+//
+// The only holder of Algorithm 2's per-device state: MachSampler (MACH-G
+// through it) and the million-device ScaleSimulator both fold into it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace mach::ckpt {
@@ -47,12 +52,29 @@ class UcbEstimator {
   /// Records one participation of `device`: the ||g||^2 values of its I
   /// local steps are folded into its experience accumulator (Eq. 14).
   void record(std::uint32_t device, const std::vector<double>& grad_sq_norms);
+  /// One ||g||^2 observation: the same fold as a one-element vector.
+  void record(std::uint32_t device, double grad_sq_norm);
 
   /// Cloud-round bookkeeping: folds buffered experience into the per-round
   /// maxima and (by default) clears it. Only devices that buffered since the
   /// last refresh are visited. `t` is the current global time step used in
   /// the log t exploration numerator.
-  void on_cloud_round(std::size_t t);
+  void on_cloud_round(std::size_t t) {
+    on_cloud_round(t, [](std::uint32_t) {});
+  }
+  /// The same, then `folded(m)` for every folded device m in ascending
+  /// order, before the buffers' list is cleared: the scale engine re-derives
+  /// their sampling weights there. `folded` must not record.
+  template <class Folded>
+  void on_cloud_round(std::size_t t, Folded&& folded) {
+    last_cloud_t_ = t;
+    // Ascending device order: the visit order of a full O(M) sweep over the
+    // devices with non-empty buffers, so the fold is bitwise unchanged.
+    std::sort(active_.begin(), active_.end());
+    for (const std::uint32_t m : active_) fold_round(m);
+    for (const std::uint32_t m : active_) folded(m);
+    if (options_.clear_buffer_on_cloud_round) active_.clear();
+  }
 
   /// Current estimate G~^2_m (Eq. 15). Never-participated devices return an
   /// optimistic value so they keep being explored.
@@ -76,6 +98,8 @@ class UcbEstimator {
   /// Fixed per-device state: sum(8) + count(4) + max_avg(8) + flags(1) +
   /// participations(4) + active-list slot(4).
   static constexpr std::size_t bytes_per_device() noexcept { return 29; }
+  /// Bytes actually held (capacities): the five arrays and the pending list.
+  std::size_t memory_bytes() const noexcept;
 
   /// Checkpointing: serialises all of Algorithm 2's accumulated state —
   /// experience accumulators, per-round maxima, participation counts, the
@@ -89,6 +113,10 @@ class UcbEstimator {
  private:
   static constexpr std::uint8_t kHasEstimate = 1;
   static constexpr std::uint8_t kInActiveList = 2;
+
+  void accumulate(std::uint32_t device, std::span<const double> grad_sq_norms);
+  /// One device's cloud-round fold (Alg. 2 lines 3–4).
+  void fold_round(std::uint32_t m);
 
   UcbOptions options_;
   // SoA per-device state (parallel arrays).

@@ -345,7 +345,6 @@ std::uint64_t HflSimulator::run_fingerprint(const Sampler& sampler,
   for (const double c : options_.edge_capacities) h = ckpt::hash_f64(h, c);
   h = ckpt::hash_f64(h, options_.min_probability);
   h = ckpt::hash_u64(h, static_cast<std::uint64_t>(options_.aggregation));
-  h = ckpt::hash_u64(h, options_.eval_every_cloud_rounds);
   h = ckpt::hash_u64(h, options_.eval_max_examples);
   h = ckpt::hash_u64(h, options_.track_global_grad_norm_examples);
   h = ckpt::hash_str(h, options_.faults.empty() ? "" : options_.faults.to_string());
@@ -1232,22 +1231,20 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
         sampler.introspect(event.sampler);
         observer_->on_cloud_round(event);
       }
-      if (cloud_rounds % options_.eval_every_cloud_rounds == 0) {
-        EvalPoint point;
-        {
-          const obs::SpanGuard span(timers_[obs::Phase::Evaluation],
-                                    "evaluation", static_cast<std::int64_t>(t));
-          point = evaluate_global(t + 1);
-        }
-        point.train_loss = window_participants > 0
-                               ? window_train_loss /
-                                     static_cast<double>(window_participants)
-                               : 0.0;
-        point.participants = window_participants;
-        record_eval(point);
-        window_train_loss = 0.0;
-        window_participants = 0;
+      EvalPoint point;
+      {
+        const obs::SpanGuard span(timers_[obs::Phase::Evaluation],
+                                  "evaluation", static_cast<std::int64_t>(t));
+        point = evaluate_global(t + 1);
       }
+      point.train_loss = window_participants > 0
+                             ? window_train_loss /
+                                   static_cast<double>(window_participants)
+                             : 0.0;
+      point.participants = window_participants;
+      record_eval(point);
+      window_train_loss = 0.0;
+      window_participants = 0;
     }
 
     // Snapshot after every `every` completed steps (never after the final

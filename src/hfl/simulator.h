@@ -85,8 +85,6 @@ struct HflOptions {
   double min_probability = 1e-3;
   /// Edge aggregation rule (see AggregationForm).
   AggregationForm aggregation = AggregationForm::Literal;
-  /// Evaluate the global model every `eval_every` cloud rounds (1 = every).
-  std::size_t eval_every_cloud_rounds = 1;
   /// Cap on test examples per evaluation (0 = all).
   std::size_t eval_max_examples = 0;
   /// Also measure ||∇f(w^t)||² (Theorem 1's left-hand side) at every

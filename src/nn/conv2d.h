@@ -36,7 +36,7 @@ class Conv2D final : public Layer {
 
   const tensor::Tensor& forward(const tensor::Tensor& input) override;
   const tensor::Tensor& backward(const tensor::Tensor& grad_output) override;
-  /// Parameter gradients only: skips the input gradient's GEMM and col2im.
+  /// Parameter gradients only: skips the input gradient.
   void backward_params(const tensor::Tensor& grad_output) override;
   std::vector<ParamRef> params() override { return params_.refs(); }
   void init_params(common::Rng& rng) override { params_.init(rng); }

@@ -13,10 +13,9 @@ namespace {
 constexpr std::uint32_t kMagic = 0x4d414348;      // "MACH" — flat weights
 constexpr std::uint32_t kOptimMagic = 0x4d4f5054;  // "MOPT" — optimizer state
 constexpr std::uint32_t kVersion = 1;
-// Optimizer kind discriminator inside a "MOPT" file: loading with the wrong
-// overload is a hard error, not a silent misinterpretation of the buffers.
+// Optimizer kind discriminator inside a "MOPT" file: a file of another kind
+// is a hard error, not a silent misinterpretation of the buffers.
 constexpr std::uint32_t kKindSgd = 1;
-constexpr std::uint32_t kKindAdam = 2;
 
 /// errno as captured right after the failed stream operation. ofstream/
 /// ifstream set errno on the underlying open/read/write syscalls, so this is
@@ -45,8 +44,8 @@ void read_bytes(std::ifstream& in, void* data, std::size_t bytes,
   if (!in) throw_io_error(what + ": truncated file", path);
 }
 
-/// Nested float buffers (SGD velocities, Adam moments): outer count, then
-/// per-buffer length + float32 payload.
+/// Nested float buffers (SGD velocities): outer count, then per-buffer
+/// length + float32 payload.
 void write_buffers(std::ofstream& out, const std::vector<std::vector<float>>& buffers,
                    const std::string& what, const std::string& path) {
   const auto outer = static_cast<std::uint64_t>(buffers.size());
@@ -152,20 +151,6 @@ void save_optimizer_state(const Sgd& optimizer, const std::string& path) {
   if (!out) throw_io_error(what + ": flush failed", path);
 }
 
-void save_optimizer_state(const Adam& optimizer, const std::string& path) {
-  const std::string what = "save_optimizer_state(adam)";
-  std::ofstream out = open_for_write(path, what);
-  write_bytes(out, &kOptimMagic, sizeof(kOptimMagic), what, path);
-  write_bytes(out, &kVersion, sizeof(kVersion), what, path);
-  write_bytes(out, &kKindAdam, sizeof(kKindAdam), what, path);
-  const auto steps = static_cast<std::uint64_t>(optimizer.steps_taken());
-  write_bytes(out, &steps, sizeof(steps), what, path);
-  write_buffers(out, optimizer.first_moments(), what, path);
-  write_buffers(out, optimizer.second_moments(), what, path);
-  out.flush();
-  if (!out) throw_io_error(what + ": flush failed", path);
-}
-
 void load_optimizer_state(Sgd& optimizer, const std::string& path) {
   const std::string what = "load_optimizer_state(sgd)";
   std::ifstream in = open_for_read(path, what);
@@ -173,20 +158,6 @@ void load_optimizer_state(Sgd& optimizer, const std::string& path) {
     throw std::runtime_error(what + ": " + path + " holds a different optimizer kind");
   }
   optimizer.set_velocities(read_buffers(in, what, path));
-}
-
-void load_optimizer_state(Adam& optimizer, const std::string& path) {
-  const std::string what = "load_optimizer_state(adam)";
-  std::ifstream in = open_for_read(path, what);
-  if (read_optimizer_preamble(in, what, path) != kKindAdam) {
-    throw std::runtime_error(what + ": " + path + " holds a different optimizer kind");
-  }
-  std::uint64_t steps = 0;
-  read_bytes(in, &steps, sizeof(steps), what, path);
-  std::vector<std::vector<float>> first = read_buffers(in, what, path);
-  std::vector<std::vector<float>> second = read_buffers(in, what, path);
-  optimizer.set_state(static_cast<std::size_t>(steps), std::move(first),
-                      std::move(second));
 }
 
 }  // namespace mach::nn

@@ -1,5 +1,5 @@
-// Border/interior split shared by im2col, col2im and the conv B-panel
-// packer. Internal linkage on purpose: the header is included by the ISA
+// Border/interior split shared by im2col and the conv B-panel packer.
+// Internal linkage on purpose: the header is included by the ISA
 // translation units, and each must get its own copy (DESIGN.md §9).
 #pragma once
 

@@ -239,11 +239,6 @@ void im2col(const GemmVariant& variant, const float* image,
   variant.im2col(image, shape, cols);
 }
 
-void col2im(const GemmVariant& variant, const float* cols,
-            const ConvShape& shape, float* grad_image) {
-  variant.col2im(cols, shape, grad_image);
-}
-
 }  // namespace detail
 
 void gemm_nn(ConstMat a, ConstMat b, Mat c, bool accumulate,
@@ -275,8 +270,7 @@ void im2col(const float* image, std::size_t channels, std::size_t height,
 void col2im(const float* cols, std::size_t channels, std::size_t height,
             std::size_t width, std::size_t kernel, std::size_t pad,
             std::size_t stride, float* grad_image) {
-  detail::active_variant().col2im(
-      cols, {channels, height, width, kernel, pad, stride}, grad_image);
+  ref::col2im(cols, channels, height, width, kernel, pad, stride, grad_image);
 }
 
 void conv_forward(const float* images, std::size_t count,

@@ -997,63 +997,6 @@ struct GemmKernels {
                 shape.channels * shape.kernel * shape.kernel, 0, n, n, cols);
   }
 
-  /// One im2col row p = (channel, ky, kx) of a convolution: the input
-  /// offset of its taps and the output pixels whose taps land inside the
-  /// image.
-  struct KernelRow {
-    std::size_t channel;
-    std::ptrdiff_t dy, dx;
-    ValidRange ry, rx;
-  };
-
-  static MACH_INLINE KernelRow kernel_row(std::size_t p, const ConvShape& s,
-                                          std::size_t oh, std::size_t ow) {
-    const std::size_t taps = s.kernel * s.kernel;
-    const auto pad = static_cast<std::ptrdiff_t>(s.pad);
-    KernelRow row;
-    row.channel = p / taps;
-    row.dy = static_cast<std::ptrdiff_t>((p % taps) / s.kernel) - pad;
-    row.dx = static_cast<std::ptrdiff_t>(p % s.kernel) - pad;
-    row.ry = valid_range(row.dy, s.stride, s.height, oh);
-    row.rx = valid_range(row.dx, s.stride, s.width, ow);
-    return row;
-  }
-
-  /// Adds im2col row `row` (src, ow-wide output rows) into its channel
-  /// plane of the image gradient: each valid output pixel adds into the
-  /// input pixel its tap reads, so no pixel gets two additions.
-  static MACH_INLINE void col2im_row(const float* src, const ConvShape& s,
-                                     std::size_t ow, const KernelRow& row,
-                                     float* plane) {
-    for (std::size_t oy = row.ry.lo; oy < row.ry.hi; ++oy) {
-      float* dst_row =
-          plane + static_cast<std::size_t>(
-                      static_cast<std::ptrdiff_t>(oy * s.stride) + row.dy) *
-                      s.width;
-      const float* src_row = src + oy * ow;
-      for (std::size_t ox = row.rx.lo; ox < row.rx.hi; ++ox) {
-        const auto ix = static_cast<std::ptrdiff_t>(ox * s.stride) + row.dx;
-        dst_row[static_cast<std::size_t>(ix)] += src_row[ox];
-      }
-    }
-  }
-
-  /// Adjoint of im2col: accumulates cols into the (caller-initialised) image
-  /// gradient. Each (channel, ky, kx) row adds at most one contribution to
-  /// any pixel, and rows are applied in increasing order — exactly the
-  /// additions of the reference loop, so every pixel's float chain matches.
-  static void col2im(const float* cols, const ConvShape& s, float* grad) {
-    const std::size_t oh = conv_out_extent(s.height, s);
-    const std::size_t ow = conv_out_extent(s.width, s);
-    const std::size_t n = oh * ow;
-    const std::size_t patch = s.channels * s.kernel * s.kernel;
-    for (std::size_t p = 0; p < patch; ++p) {
-      const KernelRow row = kernel_row(p, s, oh, ow);
-      col2im_row(cols + p * n, s, ow, row,
-                 grad + row.channel * s.height * s.width);
-    }
-  }
-
   /// gemm_nt over NV x NJ tiles of NI vectors: A is packed once over the full
   /// k (strips of NV * NI::kW rows, reused by every column tile); B rows are
   /// read in place.
@@ -1573,7 +1516,6 @@ struct GemmKernels {
             &conv_backward_scratch,
             &conv_backward,
             &im2col,
-            &col2im,
             Cfg::squared_norms};
   }
 };

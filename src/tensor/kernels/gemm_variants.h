@@ -90,8 +90,6 @@ struct GemmVariant {
   // The B-panel builder of conv_forward run over the whole image: writes
   // the [channels*kernel*kernel, out_h*out_w] im2col matrix.
   void (*im2col)(const float* image, const ConvShape& shape, float* cols);
-  // Its adjoint: accumulates cols into the image gradient.
-  void (*col2im)(const float* cols, const ConvShape& shape, float* grad_image);
   // kernels::squared_norms (lanes in [1, kMaxNormLanes]; any n).
   void (*squared_norms)(std::size_t lanes, std::size_t n, const float* x,
                         std::size_t stride, double* out);
@@ -158,7 +156,5 @@ void conv_relu_pool_forward(const GemmVariant& variant, const float* images,
                             std::uint8_t* codes, float* scratch);
 void im2col(const GemmVariant& variant, const float* image,
             const ConvShape& shape, float* cols);
-void col2im(const GemmVariant& variant, const float* cols,
-            const ConvShape& shape, float* grad_image);
 
 }  // namespace mach::tensor::kernels::detail

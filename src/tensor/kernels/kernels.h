@@ -78,10 +78,11 @@ void gemm_nt(ConstMat a, ConstMat b, Mat c, bool accumulate = false);
 // ---------------------------------------------------------------------------
 // im2col / col2im on one NCHW image plane (square kernel, symmetric zero
 // padding). `image` points at [channels, height, width]; `cols` holds
-// [channels*kernel*kernel, out_h*out_w]. Both split the zero-padded border
-// from the interior once per (channel, ky, kx) row instead of testing bounds
-// per element; im2col is conv_forward's B-panel builder run over the whole
-// image, built for each GEMM variant's ISA.
+// [channels*kernel*kernel, out_h*out_w]. im2col splits the zero-padded
+// border from the interior once per (channel, ky, kx) row instead of testing
+// bounds per element: it is conv_forward's B-panel builder run over the
+// whole image, built for each GEMM variant's ISA. No production path runs
+// col2im (conv_backward computes dX without it), so it is ref::col2im.
 // ---------------------------------------------------------------------------
 void im2col(const float* image, std::size_t channels, std::size_t height,
             std::size_t width, std::size_t kernel, std::size_t pad,
@@ -249,17 +250,13 @@ void squared_norms(std::size_t lanes, std::size_t n, const float* x,
 
 // ---------------------------------------------------------------------------
 // Fused optimiser update steps (per-element math identical to the loops
-// they replaced in nn::Sgd / nn::Adam).
+// they replaced in nn::Sgd).
 // ---------------------------------------------------------------------------
 void sgd_step(std::size_t n, float lr, float weight_decay, const float* grad,
               float* value);
 void sgd_momentum_step(std::size_t n, float lr, float momentum,
                        float weight_decay, const float* grad, float* velocity,
                        float* value);
-void adam_step(std::size_t n, double lr, double beta1, double beta2,
-               double correction1, double correction2, double epsilon,
-               float weight_decay, const float* grad, float* moment1,
-               float* moment2, float* value);
 
 // ---------------------------------------------------------------------------
 // Retained reference kernels — the seed implementation, kept verbatim as the

@@ -1,11 +1,10 @@
-// Dropout, Adam and checkpoint serialization.
+// Dropout and checkpoint serialization.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <memory>
 
-#include "nn/adam.h"
 #include "nn/dense.h"
 #include "nn/dropout.h"
 #include "nn/model.h"
@@ -77,50 +76,6 @@ TEST(Dropout, SequentialTogglesMode) {
   const double loss_a = model.evaluate(x, labels).loss;
   const double loss_b = model.evaluate(x, labels).loss;
   EXPECT_DOUBLE_EQ(loss_a, loss_b);
-}
-
-TEST(Adam, FirstStepMatchesClosedForm) {
-  Sequential model;
-  model.add(std::make_unique<Dense>(1, 1));
-  auto params = model.params();
-  params[0].value->flat()[0] = 1.0f;
-  params[0].grad->flat()[0] = 0.5f;
-  params[1].value->flat()[0] = 0.0f;
-  params[1].grad->flat()[0] = 0.0f;
-  Adam adam({.learning_rate = 0.1, .beta1 = 0.9, .beta2 = 0.999, .epsilon = 1e-8});
-  adam.step(model);
-  // Bias-corrected first step is -lr * sign(g) (for g != 0).
-  EXPECT_NEAR(params[0].value->flat()[0], 1.0f - 0.1f, 1e-5);
-  EXPECT_FLOAT_EQ(params[1].value->flat()[0], 0.0f);
-  EXPECT_EQ(adam.steps_taken(), 1u);
-}
-
-TEST(Adam, ResetClearsState) {
-  Sequential model;
-  model.add(std::make_unique<Dense>(1, 1));
-  auto params = model.params();
-  params[0].grad->flat()[0] = 1.0f;
-  Adam adam({.learning_rate = 0.1});
-  adam.step(model);
-  adam.reset();
-  EXPECT_EQ(adam.steps_taken(), 0u);
-}
-
-TEST(Adam, ConvergesOnQuadratic) {
-  // Minimise (w - 3)^2 by feeding grad = 2(w - 3).
-  Sequential model;
-  model.add(std::make_unique<Dense>(1, 1));
-  auto params = model.params();
-  params[0].value->flat()[0] = 0.0f;
-  params[1].value->flat()[0] = 0.0f;
-  Adam adam({.learning_rate = 0.1});
-  for (int i = 0; i < 500; ++i) {
-    const float w = params[0].value->flat()[0];
-    params[0].grad->flat()[0] = 2.0f * (w - 3.0f);
-    params[1].grad->flat()[0] = 0.0f;
-    adam.step(model);
-  }
-  EXPECT_NEAR(params[0].value->flat()[0], 3.0f, 0.05f);
 }
 
 TEST(Serialize, RoundTrip) {
