@@ -4,15 +4,18 @@
 // per-shape exact-equality spot check. Every GEMM variant this CPU can run
 // (baseline, AVX2, AVX-512) gets its own row per shape; the "variant" field
 // is part of each row's identity for bench_diff. Layer rows follow at the
-// end-to-end benchmark's shapes (16 images): the production conv forward per
-// variant against its packed-GEMM entry, the minibatch conv backward per
-// variant, with and without the input gradient, against the per-image
-// reference composition, and 2x2 max pooling against the seed loops (not
-// per variant: pooling is plain C++). Block rows time each conv stage's
-// fused nn::ConvBlock against the Conv2D -> ReLU -> MaxPool2x2 chain it
-// replaces, forward and backward, on the active variant; the first block's
-// backward skips the input gradient on both sides, as training does. Layer
-// rows also carry ms per call.
+// end-to-end benchmark's shapes (16 images): the minibatch conv forward and
+// backward per variant (the backward with and without the input gradient)
+// against the per-image reference composition (ref::im2col with
+// ref::gemm_nn, or with ref::gemm_nt, ref::gemm_tn and ref::col2im), and 2x2
+// max pooling against the seed loops (not per variant: pooling is plain
+// C++). Block rows time each conv stage's fused nn::ConvBlock against the
+// Conv2D -> ReLU -> MaxPool2x2 chain it replaces, forward and backward, on
+// the active variant; the first block's backward skips the input gradient
+// on both sides, as training does. The conv forward, conv backward (with
+// dx) and block rows repeat at 1, 4 and 8 images (group "counts"): the
+// convolutions run whole blocks of images in the vector lanes, so these
+// show what a partial block costs. Layer rows also carry ms per call.
 // Codec rows time the int8 transcode of a whole model message (the fleet MLP
 // and the CIFAR CNN) against the codec's scalar reference, in us per call;
 // their variant is the codec's compile-time path (sse2 or scalar). Fleet
@@ -202,16 +205,29 @@ const std::vector<ConvLayer>& bench_convs() {
   return convs;
 }
 
-/// Conv-forward rows at the end-to-end benchmark's layer shapes, 16 images
-/// per call, per variant: the production conv_forward (direct, without
-/// im2col, where the dispatcher's direct_conv rule picks it) against the
-/// packed-GEMM entry it replaces there. Both sides are checked against the
-/// reference composition ref::im2col + ref::gemm_nn with a bias row. Each
-/// call takes the next of kInputs distinct minibatches.
+/// Image counts of the layer rows: the minibatch (16, group "bench", which
+/// the CI perf gate compares by family) and partial lane blocks (1, 4 and
+/// 8 images, group "counts", whose names end in the count).
+constexpr std::size_t kLayerBatch = 16;
+constexpr std::size_t kLayerBatches[] = {kLayerBatch, 1, 4, 8};
+
+/// A layer row's case: the 16-image row keeps its name and group, a
+/// partial-block row appends its image count and goes to "counts".
+Case layer_case(const std::string& name, std::size_t batch, Op op,
+                std::size_t m, std::size_t k, std::size_t n) {
+  if (batch == kLayerBatch) return {name, "bench", op, m, k, n};
+  return {name + std::to_string(batch), "counts", op, m, k, n};
+}
+
+/// Conv-forward rows at the end-to-end benchmark's layer shapes, per
+/// variant and image count: the production conv_forward (a block of images
+/// in the vector lanes) against the reference composition ref::im2col +
+/// ref::gemm_nn with a bias row, per image. Each call takes the next of
+/// kInputs distinct minibatches.
 void conv_forward_rows(
     const std::vector<const kern::detail::GemmVariant*>& variants,
     double min_ms, common::Rng& rng, std::vector<Result>& results) {
-  constexpr std::size_t kInputs = 4, kBatch = 16;
+  constexpr std::size_t kInputs = 4;
   for (const ConvLayer& l : bench_convs()) {
     const kern::ConvShape shape{l.channels, l.h, l.h, 3, 1, 1};
     const std::size_t patch = l.channels * 9, n = l.h * l.h;
@@ -219,89 +235,82 @@ void conv_forward_rows(
     std::vector<float> weight(l.out_c * patch), bias(l.out_c);
     for (auto& v : weight) v = static_cast<float>(rng.normal());
     for (auto& v : bias) v = static_cast<float>(rng.normal());
-    std::vector<std::vector<float>> inputs(kInputs), want(kInputs);
     std::vector<float> cols(patch * n);
-    for (std::size_t i = 0; i < kInputs; ++i) {
-      inputs[i].resize(kBatch * image);
-      for (auto& v : inputs[i]) v = static_cast<float>(rng.normal());
-      want[i].resize(kBatch * out);
-      for (std::size_t img = 0; img < kBatch; ++img) {
-        kern::ref::im2col(inputs[i].data() + img * image, l.channels, l.h, l.h,
-                          3, 1, 1, cols.data());
-        kern::ref::gemm_nn({weight.data(), l.out_c, patch},
-                           {cols.data(), patch, n},
-                           {want[i].data() + img * out, l.out_c, n}, false,
-                           bias.data(), nullptr);
+    for (const std::size_t batch : kLayerBatches) {
+      std::vector<std::vector<float>> inputs(kInputs);
+      for (auto& input : inputs) {
+        input.resize(batch * image);
+        for (auto& v : input) v = static_cast<float>(rng.normal());
       }
-    }
-    const Case c{l.name + "_fwd16", "bench", Op::ConvFwd, l.out_c, patch,
-                 kBatch * n};
-    const double flops = 2.0 * static_cast<double>(c.m) *
-                         static_cast<double>(c.k) * static_cast<double>(c.n);
-    for (const auto* variant : variants) {
-      // The packed entry's buffers: A packed once (out_c <= MC, patch <=
-      // KC at these shapes), B panels of at most KC x NC.
-      const kern::detail::Blocking& bl = variant->nn;
-      const auto round_up = [](std::size_t x, std::size_t to) {
-        return (x + to - 1) / to * to;
-      };
-      std::vector<float> apack(round_up(l.out_c, bl.mr) * patch),
-          bpack(std::min(patch, bl.kc) * round_up(std::min(n, bl.nc), bl.nr));
-      std::vector<float> got(kBatch * out), packed(kBatch * out);
+      std::vector<float> want(batch * out), got(batch * out);
       std::size_t next = 0;
       const auto reference = [&] {
-        variant->conv_forward(inputs[next++ % kInputs].data(), kBatch, shape,
-                              {weight.data(), l.out_c, patch}, bias.data(),
-                              packed.data(), {apack.data(), bpack.data()});
+        const float* input = inputs[next++ % kInputs].data();
+        for (std::size_t img = 0; img < batch; ++img) {
+          kern::ref::im2col(input + img * image, l.channels, l.h, l.h, 3, 1, 1,
+                            cols.data());
+          kern::ref::gemm_nn({weight.data(), l.out_c, patch},
+                             {cols.data(), patch, n},
+                             {want.data() + img * out, l.out_c, n}, false,
+                             bias.data(), nullptr);
+        }
       };
-      const auto run = [&] {
-        kern::detail::conv_forward(*variant, inputs[next++ % kInputs].data(),
-                                   kBatch, shape,
-                                   {weight.data(), l.out_c, patch},
-                                   bias.data(), got.data());
-      };
-      bool exact = true;
-      for (std::size_t i = 0; i < kInputs; ++i) {
-        next = i;
-        reference();
-        next = i;
-        run();
-        exact = exact && got == want[i] && packed == want[i];
+      const Case c = layer_case(l.name + "_fwd", batch, Op::ConvFwd, l.out_c,
+                                patch, batch * n);
+      const double flops = 2.0 * static_cast<double>(c.m) *
+                           static_cast<double>(c.k) * static_cast<double>(c.n);
+      for (const auto* variant : variants) {
+        const auto run = [&] {
+          kern::detail::conv_forward(*variant, inputs[next++ % kInputs].data(),
+                                     batch, shape,
+                                     {weight.data(), l.out_c, patch},
+                                     bias.data(), got.data());
+        };
+        bool exact = true;
+        for (std::size_t i = 0; i < kInputs; ++i) {
+          next = i;
+          reference();
+          next = i;
+          run();
+          exact = exact && got == want;
+        }
+        const PairTiming t = time_pair(reference, run, min_ms);
+        Result r;
+        r.shape = c;
+        r.variant = common::gemm_isa_name(variant->isa);
+        r.exact = exact;
+        r.ref_gflops = flops / t.ref_s * 1e-9;
+        r.blocked_gflops = flops / t.run_s * 1e-9;
+        r.speedup = t.speedup();
+        r.ref_ms = t.ref_s * 1e3;
+        r.blocked_ms = t.run_s * 1e3;
+        results.push_back(r);
       }
-      const PairTiming t = time_pair(reference, run, min_ms);
-      Result r;
-      r.shape = c;
-      r.variant = common::gemm_isa_name(variant->isa);
-      r.exact = exact;
-      r.ref_gflops = flops / t.ref_s * 1e-9;
-      r.blocked_gflops = flops / t.run_s * 1e-9;
-      r.speedup = t.speedup();
-      r.ref_ms = t.ref_s * 1e3;
-      r.blocked_ms = t.run_s * 1e3;
-      results.push_back(r);
     }
   }
 }
 
-/// Gradients of a 16-image conv backward: the retained per-image reference
-/// composition (zero fills, ref::im2col, ref::gemm_nt accumulate, and with
-/// dx ref::gemm_tn + ref::col2im, then the bias row sums).
+/// Gradients of a conv backward over `batch` images: the retained
+/// per-image reference composition (zero fills, ref::im2col, ref::gemm_nt
+/// accumulate, and with dx ref::gemm_tn + ref::col2im, then the bias row
+/// sums).
 struct ConvBackwardBench {
-  static constexpr std::size_t kBatch = 16;
+  std::size_t batch;
   kern::ConvShape shape;
   std::size_t out_c, n, patch, image;
   std::vector<float> input, weight, grad_out;
   std::vector<float> cols, gcols;
 
-  ConvBackwardBench(const ConvLayer& l, common::Rng& rng)
-      : shape{l.channels, l.h, l.h, 3, 1, 1},
+  ConvBackwardBench(const ConvLayer& l, std::size_t batch, common::Rng& rng)
+      : batch(batch),
+        shape{l.channels, l.h, l.h, 3, 1, 1},
         out_c(l.out_c),
         n(l.h * l.h),
         patch(l.channels * 9),
         image(l.channels * l.h * l.h),
-        input(kBatch * image),
+        input(batch * image),
         weight(out_c * patch),
-        grad_out(kBatch * out_c * n),
+        grad_out(batch * out_c * n),
         cols(patch * n),
         gcols(patch * n) {
     for (auto& v : input) v = static_cast<float>(rng.normal());
@@ -312,8 +321,8 @@ struct ConvBackwardBench {
   void reference(bool dx, float* grad_images, float* dw, float* db) {
     std::fill_n(dw, out_c * patch, 0.0f);
     std::fill_n(db, out_c, 0.0f);
-    if (dx) std::fill_n(grad_images, kBatch * image, 0.0f);
-    for (std::size_t img = 0; img < kBatch; ++img) {
+    if (dx) std::fill_n(grad_images, batch * image, 0.0f);
+    for (std::size_t img = 0; img < batch; ++img) {
       const float* gout = grad_out.data() + img * out_c * n;
       kern::ref::im2col(input.data() + img * image, shape.channels,
                         shape.height, shape.width, 3, 1, 1, cols.data());
@@ -334,49 +343,63 @@ struct ConvBackwardBench {
   }
 };
 
-/// Conv-backward rows (per variant, with and without dx) and pooling rows
-/// at the end-to-end benchmark's layer shapes.
+/// One conv-backward row per variant: `dx` with or without the input
+/// gradient, over b's images.
+void conv_backward_row(
+    const std::vector<const kern::detail::GemmVariant*>& variants,
+    const ConvLayer& l, ConvBackwardBench& b, bool dx, double min_ms,
+    std::vector<Result>& results) {
+  const std::size_t pixels = b.batch * b.n;
+  const Case c = layer_case(l.name + (dx ? "_bwd" : "_bwd_nodx"), b.batch,
+                            dx ? Op::ConvBwd : Op::ConvBwdNoDx, b.out_c,
+                            b.patch, pixels);
+  std::vector<float> want_dx(dx ? b.batch * b.image : 0),
+      want_dw(b.out_c * b.patch), want_db(b.out_c);
+  const auto reference = [&] {
+    b.reference(dx, want_dx.data(), want_dw.data(), want_db.data());
+  };
+  reference();
+  // dW is one GEMM of 2 m k n flops; dX is a second.
+  const double flops = (dx ? 4.0 : 2.0) * static_cast<double>(c.m) *
+                       static_cast<double>(c.k) * static_cast<double>(c.n);
+  for (const auto* variant : variants) {
+    std::vector<float> got_dx(want_dx.size()), got_dw(want_dw.size()),
+        got_db(want_db.size());
+    std::vector<float> scratch(kern::detail::conv_backward_scratch(
+        *variant, b.batch, b.shape, b.out_c, dx));
+    const auto run = [&] {
+      kern::detail::conv_backward(
+          *variant, b.input.data(), b.batch, b.shape,
+          {b.weight.data(), b.out_c, b.patch}, b.grad_out.data(),
+          dx ? got_dx.data() : nullptr, got_dw.data(), got_db.data(),
+          scratch.data());
+    };
+    run();
+    Result r;
+    r.shape = c;
+    r.variant = common::gemm_isa_name(variant->isa);
+    r.exact = got_dx == want_dx && got_dw == want_dw && got_db == want_db;
+    const PairTiming t = time_pair(reference, run, min_ms);
+    r.ref_gflops = flops / t.ref_s * 1e-9;
+    r.blocked_gflops = flops / t.run_s * 1e-9;
+    r.speedup = t.speedup();
+    r.ref_ms = t.ref_s * 1e3;
+    r.blocked_ms = t.run_s * 1e3;
+    results.push_back(r);
+  }
+}
+
+/// Conv-backward rows (per variant: 16 images with and without dx, and
+/// the partial-block counts with dx) and pooling rows at the end-to-end
+/// benchmark's layer shapes.
 void layer_rows(const std::vector<const kern::detail::GemmVariant*>& variants,
                 double min_ms, common::Rng& rng, std::vector<Result>& results) {
   for (const ConvLayer& l : bench_convs()) {
-    ConvBackwardBench b(l, rng);
-    const std::size_t pixels = ConvBackwardBench::kBatch * b.n;
-    for (bool dx : {true, false}) {
-      Case c{l.name + (dx ? "_bwd" : "_bwd_nodx"), "bench",
-             dx ? Op::ConvBwd : Op::ConvBwdNoDx, b.out_c, b.patch, pixels};
-      std::vector<float> want_dx(dx ? pixels / b.n * b.image : 0),
-          want_dw(b.out_c * b.patch), want_db(b.out_c);
-      const auto reference = [&] {
-        b.reference(dx, want_dx.data(), want_dw.data(), want_db.data());
-      };
-      reference();
-      // dW is one GEMM of 2 m k n flops; dX is a second.
-      const double flops = (dx ? 4.0 : 2.0) * static_cast<double>(c.m) *
-                           static_cast<double>(c.k) * static_cast<double>(c.n);
-      for (const auto* variant : variants) {
-        std::vector<float> got_dx(want_dx.size()), got_dw(want_dw.size()),
-            got_db(want_db.size());
-        std::vector<float> scratch(kern::detail::conv_backward_scratch(
-            *variant, ConvBackwardBench::kBatch, b.shape, b.out_c, dx));
-        const auto run = [&] {
-          kern::detail::conv_backward(
-              *variant, b.input.data(), ConvBackwardBench::kBatch, b.shape,
-              {b.weight.data(), b.out_c, b.patch}, b.grad_out.data(),
-              dx ? got_dx.data() : nullptr, got_dw.data(), got_db.data(),
-              scratch.data());
-        };
-        run();
-        Result r;
-        r.shape = c;
-        r.variant = common::gemm_isa_name(variant->isa);
-        r.exact = got_dx == want_dx && got_dw == want_dw && got_db == want_db;
-        const PairTiming t = time_pair(reference, run, min_ms);
-        r.ref_gflops = flops / t.ref_s * 1e-9;
-        r.blocked_gflops = flops / t.run_s * 1e-9;
-        r.speedup = t.speedup();
-        r.ref_ms = t.ref_s * 1e3;
-        r.blocked_ms = t.run_s * 1e3;
-        results.push_back(r);
+    for (const std::size_t batch : kLayerBatches) {
+      ConvBackwardBench b(l, batch, rng);
+      conv_backward_row(variants, l, b, true, min_ms, results);
+      if (batch == kLayerBatch) {
+        conv_backward_row(variants, l, b, false, min_ms, results);
       }
     }
   }
@@ -394,7 +417,7 @@ void layer_rows(const std::vector<const kern::detail::GemmVariant*>& variants,
   const std::string active =
       common::gemm_isa_name(kern::detail::active_variant().isa);
   for (const ConvLayer& l : pools) {
-    const std::size_t batch = ConvBackwardBench::kBatch;
+    const std::size_t batch = kLayerBatch;
     const std::size_t planes = batch * l.channels, h = l.h;
     const std::size_t outputs = planes * (h / 2) * (h / 2);
     std::vector<tensor::Tensor> inputs;
@@ -490,81 +513,91 @@ bool same_bits(const tensor::Tensor& a, const tensor::Tensor& b) {
          std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
 }
 
+/// block_rows' rows for one stage at `batch` images.
+void block_rows_at(const ConvLayer& l, std::size_t batch, double min_ms,
+                   common::Rng& rng, std::vector<Result>& results) {
+  constexpr std::size_t kInputs = 4;
+  const std::string active =
+      common::gemm_isa_name(kern::detail::active_variant().isa);
+  const bool first = l.name.back() == '1';  // its model's first layer
+  std::vector<std::unique_ptr<Stage>> stages;
+  std::vector<tensor::Tensor> inputs, grads;
+  for (std::size_t i = 0; i < kInputs; ++i) {
+    stages.push_back(std::make_unique<Stage>(l, rng));
+    inputs.emplace_back(std::vector<std::size_t>{batch, l.channels, l.h, l.h});
+    for (auto& v : inputs.back().flat()) v = static_cast<float>(rng.normal());
+    grads.emplace_back(std::vector<std::size_t>{batch, l.out_c, l.h / 2, l.h / 2});
+    for (auto& v : grads.back().flat()) v = static_cast<float>(rng.normal());
+  }
+  // Exactness, and each backward stage's forward state.
+  bool fwd_exact = true, bwd_exact = true;
+  for (std::size_t i = 0; i < kInputs; ++i) {
+    Stage& s = *stages[i];
+    fwd_exact = fwd_exact &&
+                same_bits(s.block.forward(inputs[i]), s.chain_forward(inputs[i]));
+    const tensor::Tensor* got_dx = s.block_backward(grads[i], first);
+    const tensor::Tensor* want_dx = s.chain_backward(grads[i], first);
+    bwd_exact = bwd_exact && (first || same_bits(*got_dx, *want_dx));
+    const auto a = s.block.params(), b = s.conv.params();
+    for (std::size_t p = 0; p < a.size(); ++p) {
+      bwd_exact = bwd_exact && same_bits(*a[p].grad, *b[p].grad);
+    }
+  }
+  const std::size_t patch = l.channels * 9, pixels = batch * l.h * l.h;
+  for (bool fwd : {true, false}) {
+    const Case c = layer_case(l.name + (fwd ? "_fwd" : "_bwd"), batch,
+                              fwd ? Op::BlockFwd : Op::BlockBwd, l.out_c,
+                              patch, pixels);
+    std::size_t next = 0;
+    Stage& one = *stages[0];
+    const auto reference = [&] {
+      const std::size_t i = next++ % kInputs;
+      if (fwd) {
+        one.chain_forward(inputs[i]);
+      } else {
+        stages[i]->chain_backward(grads[i], first);
+      }
+    };
+    const auto run = [&] {
+      const std::size_t i = next++ % kInputs;
+      if (fwd) {
+        one.block.forward(inputs[i]);
+      } else {
+        stages[i]->block_backward(grads[i], first);
+      }
+    };
+    const PairTiming t = time_pair(reference, run, min_ms);
+    // The conv GEMMs: the forward, or dW plus (past the first block) dX.
+    const double flops = (fwd || first ? 2.0 : 4.0) * static_cast<double>(c.m) *
+                         static_cast<double>(c.k) * static_cast<double>(c.n);
+    Result r;
+    r.shape = c;
+    r.variant = active;
+    r.exact = fwd ? fwd_exact : bwd_exact;
+    r.ref_gflops = flops / t.ref_s * 1e-9;
+    r.blocked_gflops = flops / t.run_s * 1e-9;
+    r.speedup = t.speedup();
+    r.ref_ms = t.ref_s * 1e3;
+    r.blocked_ms = t.run_s * 1e3;
+    results.push_back(r);
+  }
+}
+
 /// Fused conv stages (nn::ConvBlock) against the chain at the end-to-end
-/// benchmark's shapes, 16 images, on the active variant. Forward calls take
-/// the next of kInputs distinct minibatches; backward calls run on the next
-/// of kInputs stages, each left by the forward of a distinct minibatch, so
-/// neither side replays one winner pattern to the branch predictor.
+/// benchmark's shapes on the active variant, at 16 images and the
+/// partial-block counts. Forward calls take the next of kInputs distinct
+/// minibatches; backward calls run on the next of kInputs stages, each
+/// left by the forward of a distinct minibatch, so neither side replays one
+/// winner pattern to the branch predictor.
 void block_rows(double min_ms, common::Rng& rng, std::vector<Result>& results) {
-  constexpr std::size_t kInputs = 4, kBatch = ConvBackwardBench::kBatch;
   const std::vector<ConvLayer> blocks = {
       {"bench_cifar_block1", 3, 8, 16},  {"bench_cifar_block2", 8, 16, 8},
       {"bench_cifar_block3", 16, 32, 4}, {"bench_mnist_block1", 1, 8, 12},
       {"bench_mnist_block2", 8, 16, 6},
   };
-  const std::string active =
-      common::gemm_isa_name(kern::detail::active_variant().isa);
   for (const ConvLayer& l : blocks) {
-    const bool first = l.name.back() == '1';  // its model's first layer
-    std::vector<std::unique_ptr<Stage>> stages;
-    std::vector<tensor::Tensor> inputs, grads;
-    for (std::size_t i = 0; i < kInputs; ++i) {
-      stages.push_back(std::make_unique<Stage>(l, rng));
-      inputs.emplace_back(std::vector<std::size_t>{kBatch, l.channels, l.h, l.h});
-      for (auto& v : inputs.back().flat()) v = static_cast<float>(rng.normal());
-      grads.emplace_back(std::vector<std::size_t>{kBatch, l.out_c, l.h / 2, l.h / 2});
-      for (auto& v : grads.back().flat()) v = static_cast<float>(rng.normal());
-    }
-    // Exactness, and each backward stage's forward state.
-    bool fwd_exact = true, bwd_exact = true;
-    for (std::size_t i = 0; i < kInputs; ++i) {
-      Stage& s = *stages[i];
-      fwd_exact = fwd_exact &&
-                  same_bits(s.block.forward(inputs[i]), s.chain_forward(inputs[i]));
-      const tensor::Tensor* got_dx = s.block_backward(grads[i], first);
-      const tensor::Tensor* want_dx = s.chain_backward(grads[i], first);
-      bwd_exact = bwd_exact && (first || same_bits(*got_dx, *want_dx));
-      const auto a = s.block.params(), b = s.conv.params();
-      for (std::size_t p = 0; p < a.size(); ++p) {
-        bwd_exact = bwd_exact && same_bits(*a[p].grad, *b[p].grad);
-      }
-    }
-    const std::size_t patch = l.channels * 9, pixels = kBatch * l.h * l.h;
-    for (bool fwd : {true, false}) {
-      Case c{l.name + (fwd ? "_fwd" : "_bwd"), "bench",
-             fwd ? Op::BlockFwd : Op::BlockBwd, l.out_c, patch, pixels};
-      std::size_t next = 0;
-      Stage& one = *stages[0];
-      const auto reference = [&] {
-        const std::size_t i = next++ % kInputs;
-        if (fwd) {
-          one.chain_forward(inputs[i]);
-        } else {
-          stages[i]->chain_backward(grads[i], first);
-        }
-      };
-      const auto run = [&] {
-        const std::size_t i = next++ % kInputs;
-        if (fwd) {
-          one.block.forward(inputs[i]);
-        } else {
-          stages[i]->block_backward(grads[i], first);
-        }
-      };
-      const PairTiming t = time_pair(reference, run, min_ms);
-      // The conv GEMMs: the forward, or dW plus (past the first block) dX.
-      const double flops = (fwd || first ? 2.0 : 4.0) * static_cast<double>(c.m) *
-                           static_cast<double>(c.k) * static_cast<double>(c.n);
-      Result r;
-      r.shape = c;
-      r.variant = active;
-      r.exact = fwd ? fwd_exact : bwd_exact;
-      r.ref_gflops = flops / t.ref_s * 1e-9;
-      r.blocked_gflops = flops / t.run_s * 1e-9;
-      r.speedup = t.speedup();
-      r.ref_ms = t.ref_s * 1e3;
-      r.blocked_ms = t.run_s * 1e3;
-      results.push_back(r);
+    for (const std::size_t batch : kLayerBatches) {
+      block_rows_at(l, batch, min_ms, rng, results);
     }
   }
 }

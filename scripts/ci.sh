@@ -365,10 +365,12 @@ cmp "$sweep_dir/report.before" "$sweep_dir/out/report.json"
 # over their ScratchArena spans.
 # Built at Release's -O2, like the other sanitizer stages: CMAKE_CXX_FLAGS
 # precede the build type's flags, so an -O level given here is overridden.
+# Every sanitizer build is -Werror too: instrumented code changes what GCC's
+# flow warnings see, and each stage's targets build warning-free.
 echo "== address sanitizer (kernels + nn) =="
 ASAN_DIR="${ASAN_DIR:-${BUILD_DIR}-asan}"
 cmake -B "$ASAN_DIR" -S . \
-  -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer -g" \
+  -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer -g -Werror" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
 cmake --build "$ASAN_DIR" -j "$JOBS" --target test_tensor test_nn
 "$ASAN_DIR/tests/test_tensor"
@@ -405,7 +407,7 @@ if [ "${UBSAN:-1}" != "0" ]; then
   echo "== undefined behaviour sanitizer (kernels + ISA selection + nn + faults + ckpt + comm + sampling + mobility + scale + sweep) =="
   UBSAN_DIR="${UBSAN_DIR:-${BUILD_DIR}-ubsan}"
   cmake -B "$UBSAN_DIR" -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
-    -DCMAKE_CXX_FLAGS="-fsanitize=undefined -fno-sanitize-recover=all -g" \
+    -DCMAKE_CXX_FLAGS="-fsanitize=undefined -fno-sanitize-recover=all -g -Werror" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=undefined"
   cmake --build "$UBSAN_DIR" -j "$JOBS" --target test_tensor test_common test_nn test_fault test_ckpt test_comm test_sampling test_mobility test_scale test_sweep
   check_isa_objects "$UBSAN_DIR"
@@ -430,7 +432,7 @@ if [ "${TSAN:-1}" != "0" ]; then
   echo "== thread sanitizer =="
   TSAN_DIR="${TSAN_DIR:-${BUILD_DIR}-tsan}"
   cmake -B "$TSAN_DIR" -S . \
-    -DCMAKE_CXX_FLAGS="-fsanitize=thread -g" \
+    -DCMAKE_CXX_FLAGS="-fsanitize=thread -g -Werror" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   cmake --build "$TSAN_DIR" -j "$JOBS" --target test_runtime test_hfl test_fault test_obs test_comm test_sampling test_scale
   "$TSAN_DIR/tests/test_runtime"

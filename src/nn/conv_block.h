@@ -4,10 +4,12 @@
 // The chain keeps the conv output, the ReLU output and a 4-byte pool index
 // per window for the last batch it ran (a 256-example evaluation chunk, in
 // the simulator). ConvBlock keeps the pooled output and a one-byte winner
-// code per window: the forward convolves groups of whole images into its
-// scratch arena and pools each group while it is in cache (DESIGN.md §9).
-// The backward expands the pooled gradient into the conv output's (sized by
-// the training batch) and runs the same conv_backward as Conv2D.
+// code per window: the forward convolves a block of images in the vector
+// lanes and applies the ReLU and the pool to the conv tile while it is in
+// registers, so the conv output is never stored; its scratch arena holds
+// one block's lanes, whatever the batch (DESIGN.md §9). The backward
+// expands the pooled gradient into the conv output's (sized by the training
+// batch) and runs the same conv_backward as Conv2D.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +34,8 @@ class ConvBlock final : public Layer {
   void init_params(common::Rng& rng) override { params_.init(rng); }
   std::string name() const override { return "ConvBlock"; }
 
-  /// Holds one conv-output group in the forward and conv_backward's scratch
-  /// in the backward.
+  /// Holds one block's forward lanes in the forward and conv_backward's
+  /// scratch in the backward.
   const tensor::ScratchArena* scratch_arena() const override { return &arena_; }
 
  private:

@@ -55,8 +55,10 @@ class Layer {
   /// layers ignore it.
   virtual void init_params(common::Rng& /*rng*/) {}
 
-  /// Toggles training-time behaviour (Dropout noise on/off). Most layers
-  /// behave identically in both modes and ignore this.
+  /// Tells the layer whether the passes that follow are training or
+  /// evaluation (Sequential sets it). Every layer here behaves the same in
+  /// both modes and ignores it; a wrapper can use it to tell the two apart
+  /// (bench/e2e's TimedLayer times them separately).
   virtual void set_training(bool /*training*/) {}
 
   /// The layer's scratch arena, if it owns one (Conv2D and ConvBlock do).

@@ -34,7 +34,7 @@ class Sequential {
   /// He-initialises every parameterised layer.
   void init_params(common::Rng& rng);
 
-  /// Propagates training/eval mode to every layer (Dropout etc.).
+  /// Propagates training/eval mode to every layer (Layer::set_training).
   /// forward_backward() switches to training mode, evaluate() to eval mode;
   /// call this only for custom loops using forward() directly.
   void set_training(bool training);

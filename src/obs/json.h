@@ -28,7 +28,9 @@ std::string json_number(double value);
 class JsonObjectWriter {
  public:
   void begin() {
-    buffer_ = "{";
+    // assign(1, '{'), not = "{": GCC 12 flags the literal assignment with a
+    // false -Wrestrict under -fsanitize=address.
+    buffer_.assign(1, '{');
     first_ = true;
   }
   void field(std::string_view key, std::string_view value);

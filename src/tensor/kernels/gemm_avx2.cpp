@@ -33,6 +33,35 @@ struct Avx2 {
   }
   // r[j] becomes element j of the eight rows passed in (lane l: row l).
   static MACH_INLINE void transpose(V (&r)[kW]) { transpose8(r); }
+  // maxps: a > b ? a : b, lane by lane.
+  static MACH_INLINE V max(V a, V b) { return _mm256_max_ps(a, b); }
+  // Lane-wise 0..3: the first of r0, r1, r2 equal to p, else 3, as int32
+  // (all-ones "not equal" lanes summed and negated).
+  static MACH_INLINE V pool_code(V r0, V r1, V r2, V p) {
+    const auto ne = [p](V r) {
+      return _mm256_castps_si256(_mm256_cmp_ps(r, p, _CMP_NEQ_UQ));
+    };
+    const __m256i n0 = ne(r0);
+    const __m256i n01 = _mm256_and_si256(n0, ne(r1));
+    const __m256i n012 = _mm256_and_si256(n01, ne(r2));
+    return _mm256_castsi256_ps(_mm256_sub_epi32(
+        _mm256_setzero_si256(),
+        _mm256_add_epi32(_mm256_add_epi32(n0, n01), n012)));
+  }
+  // The low byte of each of the first `count` int32 lanes (values 0..255).
+  static MACH_INLINE void store_bytes(std::uint8_t* p, V v, std::size_t count) {
+    const __m256i x = _mm256_castps_si256(v);
+    const __m128i words = _mm_packs_epi32(_mm256_castsi256_si128(x),
+                                          _mm256_extracti128_si256(x, 1));
+    const __m128i bytes = _mm_packus_epi16(words, words);
+    if (count == kW) {
+      _mm_storel_epi64(reinterpret_cast<__m128i*>(p), bytes);
+      return;
+    }
+    alignas(16) std::uint8_t all[16];
+    _mm_store_si128(reinterpret_cast<__m128i*>(all), bytes);
+    for (std::size_t i = 0; i < count; ++i) p[i] = all[i];
+  }
 };
 
 /// Eight lane norms in two 256-bit accumulators (lanes 0-3 and 4-7): each
@@ -71,8 +100,8 @@ struct Avx2Config {
   static constexpr std::size_t kNC = 256;
   static constexpr std::size_t kNtNV = 1;
   static constexpr std::size_t kNtNR = 8;
-  static constexpr std::size_t kDirectNV = 2;
-  static constexpr std::size_t kDirectPixels = 12;
+  static constexpr std::size_t kFwdChannels = 2;
+  static constexpr std::size_t kFwdWindows = 1;
   static constexpr std::size_t kDwChannels = 3;
   static constexpr std::size_t kDwTaps = 4;
   static constexpr auto squared_norms = &avx2_squared_norms;

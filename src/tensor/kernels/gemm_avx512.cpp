@@ -15,6 +15,10 @@ namespace {
 struct Avx512 {
   using V = __m512;
   static constexpr std::size_t kW = 16;
+  // New ops use the all-lanes zero-masked forms, which are the plain
+  // instructions: the unmasked intrinsics trip GCC 12's
+  // -Wmaybe-uninitialized.
+  static constexpr __mmask16 kAll = 0xFFFF;
   static MACH_INLINE V zero() { return _mm512_setzero_ps(); }
   static MACH_INLINE V load(const float* p) { return _mm512_loadu_ps(p); }
   static MACH_INLINE void store(float* p, V v) { _mm512_storeu_ps(p, v); }
@@ -32,12 +36,26 @@ struct Avx512 {
   static MACH_INLINE void store_n(float* p, V v, std::size_t count) {
     _mm512_mask_storeu_ps(p, mask(count), v);
   }
+  // maxps: a > b ? a : b, lane by lane.
+  static MACH_INLINE V max(V a, V b) { return _mm512_maskz_max_ps(kAll, a, b); }
+  // Lane-wise 0..3: the first of r0, r1, r2 equal to p, else 3, as int32.
+  static MACH_INLINE V pool_code(V r0, V r1, V r2, V p) {
+    const __mmask16 n0 = _mm512_cmp_ps_mask(r0, p, _CMP_NEQ_UQ);
+    const __mmask16 n01 = _mm512_mask_cmp_ps_mask(n0, r1, p, _CMP_NEQ_UQ);
+    const __mmask16 n012 = _mm512_mask_cmp_ps_mask(n01, r2, p, _CMP_NEQ_UQ);
+    const __m512i one = _mm512_set1_epi32(1);
+    __m512i code = _mm512_maskz_mov_epi32(n0, one);
+    code = _mm512_mask_add_epi32(code, n01, code, one);
+    code = _mm512_mask_add_epi32(code, n012, code, one);
+    return _mm512_castsi512_ps(code);
+  }
+  // The low byte of each of the first `count` int32 lanes.
+  static MACH_INLINE void store_bytes(std::uint8_t* p, V v, std::size_t count) {
+    _mm512_mask_cvtepi32_storeu_epi8(p, mask(count), _mm512_castps_si512(v));
+  }
   // r[j] becomes element j of the sixteen rows passed in (lane l: row l):
   // 4x4 transposes inside each 128-bit lane, then two rounds of 128-bit
-  // lane shuffles. The all-lanes zero-masked forms are the plain
-  // instructions; the unmasked intrinsics trip GCC 12's
-  // -Wmaybe-uninitialized.
-  static constexpr __mmask16 kAll = 0xFFFF;
+  // lane shuffles.
   template <int kImm>
   static MACH_INLINE V pairs(V a, V b) {
     return _mm512_maskz_shuffle_ps(kAll, a, b, kImm);
@@ -123,8 +141,8 @@ struct Avx512Config {
   static constexpr std::size_t kNC = 256;
   static constexpr std::size_t kNtNV = 1;
   static constexpr std::size_t kNtNR = 8;
-  static constexpr std::size_t kDirectNV = 2;
-  static constexpr std::size_t kDirectPixels = 16;
+  static constexpr std::size_t kFwdChannels = 6;
+  static constexpr std::size_t kFwdWindows = 1;
   static constexpr std::size_t kDwChannels = 4;
   static constexpr std::size_t kDwTaps = 6;
   using NarrowIsa = Avx512Ymm;

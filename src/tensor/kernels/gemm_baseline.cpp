@@ -45,6 +45,31 @@ struct Sse2 {
   static MACH_INLINE void transpose(V (&r)[kW]) {
     _MM_TRANSPOSE4_PS(r[0], r[1], r[2], r[3]);
   }
+  // maxps: a > b ? a : b, lane by lane.
+  static MACH_INLINE V max(V a, V b) { return _mm_max_ps(a, b); }
+  // Lane-wise 0..3: the first of r0, r1, r2 equal to p, else 3, as int32
+  // (all-ones "not equal" lanes summed and negated).
+  static MACH_INLINE V pool_code(V r0, V r1, V r2, V p) {
+    const auto ne = [p](V r) { return _mm_castps_si128(_mm_cmpneq_ps(r, p)); };
+    const __m128i n0 = ne(r0);
+    const __m128i n01 = _mm_and_si128(n0, ne(r1));
+    const __m128i n012 = _mm_and_si128(n01, ne(r2));
+    return _mm_castsi128_ps(_mm_sub_epi32(
+        _mm_setzero_si128(), _mm_add_epi32(_mm_add_epi32(n0, n01), n012)));
+  }
+  // The low byte of each of the first `count` int32 lanes (values 0..255).
+  static MACH_INLINE void store_bytes(std::uint8_t* p, V v, std::size_t count) {
+    const __m128i words =
+        _mm_packs_epi32(_mm_castps_si128(v), _mm_setzero_si128());
+    const int bytes = _mm_cvtsi128_si32(_mm_packus_epi16(words, words));
+    if (count == kW) {
+      __builtin_memcpy(p, &bytes, kW);
+      return;
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+      p[i] = static_cast<std::uint8_t>(bytes >> (8 * i));
+    }
+  }
 };
 using BaselineIsa = Sse2;
 #else
@@ -60,6 +85,15 @@ struct Scalar {
   static MACH_INLINE V load_n(const float* p, std::size_t) { return *p; }
   static MACH_INLINE void store_n(float* p, V v, std::size_t) { *p = v; }
   static MACH_INLINE void transpose(V (&)[kW]) {}
+  static MACH_INLINE V max(V a, V b) { return a > b ? a : b; }
+  // 0..3: the first of r0, r1, r2 equal to p, else 3, as int32 bits.
+  static MACH_INLINE V pool_code(V r0, V r1, V r2, V p) {
+    const unsigned n0 = r0 != p, n1 = r1 != p, n2 = r2 != p;
+    return __builtin_bit_cast(float, n0 + (n0 & n1) + (n0 & n1 & n2));
+  }
+  static MACH_INLINE void store_bytes(std::uint8_t* p, V v, std::size_t) {
+    *p = static_cast<std::uint8_t>(__builtin_bit_cast(unsigned, v));
+  }
 };
 using BaselineIsa = Scalar;
 #endif
@@ -121,8 +155,8 @@ struct BaselineConfig {
   static constexpr std::size_t kNC = 256;
   static constexpr std::size_t kNtNV = 4 / Isa::kW;
   static constexpr std::size_t kNtNR = 8;
-  static constexpr std::size_t kDirectNV = 2;
-  static constexpr std::size_t kDirectPixels = 12;
+  static constexpr std::size_t kFwdChannels = 2;
+  static constexpr std::size_t kFwdWindows = 1;
   static constexpr std::size_t kDwChannels = 2;
   static constexpr std::size_t kDwTaps = 4;
   static constexpr auto squared_norms = &baseline_squared_norms;

@@ -4,9 +4,9 @@
 // and every call goes through one function pointer. This TU is compiled for
 // the baseline ISA and owns everything the ISA TUs must not contain: the
 // degenerate-shape handling, the thread-local pack buffers (grown on first
-// use per thread, then reused, so steady-state GEMM calls perform zero heap
-// allocations), the packed-or-unpacked shape rule of gemm_nn / gemm_tn,
-// conv_relu_pool_forward's grouping of minibatches, and the choice itself.
+// use per thread, then reused, so steady-state GEMM and conv_forward calls
+// perform zero heap allocations), the packed-or-unpacked shape rule of
+// gemm_nn / gemm_tn, the convolutions' scratch sizes, and the choice itself.
 #include <algorithm>
 #include <vector>
 
@@ -46,7 +46,7 @@ std::size_t round_up(std::size_t x, std::size_t to) {
   return (x + to - 1) / to * to;
 }
 
-/// Pack buffers for an m x n x k gemm_nn/gemm_tn/conv_forward call, sized to
+/// Pack buffers for an m x n x k gemm_nn/gemm_tn call, sized to
 /// the blocks this call actually packs rather than the full MC x KC and
 /// KC x NC. At the paper's layer sizes that keeps every buffer well under
 /// glibc's mmap threshold: a 256 KiB per-thread buffer is mmapped, its
@@ -147,45 +147,36 @@ void squared_norms(const GemmVariant& variant, std::size_t lanes,
   }
 }
 
-void conv_forward(const GemmVariant& variant, const float* images,
-                  std::size_t count, const ConvShape& shape, ConstMat weight,
-                  const float* bias, float* out) {
-  const std::size_t oh = conv_out_extent(shape.height, shape);
-  const std::size_t ow = conv_out_extent(shape.width, shape);
-  const std::size_t plane = weight.rows * oh * ow;
-  if (count == 0 || plane == 0) return;
-  if (weight.cols == 0) {
-    for (std::size_t img = 0; img < count; ++img) {
-      empty_product({out + img * plane, weight.rows, oh * ow}, false, bias,
-                    nullptr);
-    }
-    return;
-  }
-  if (direct_conv(weight.rows, variant.lanes)) {
-    ThreadPackBuffers& t = tls_buffers();
-    variant.conv_forward_direct(
-        images, count, shape, weight, bias, out,
-        {ensure(t.a, weight.rows * weight.cols),
-         ensure(t.b, padded_image_floats(shape))});
-    return;
-  }
-  variant.conv_forward(
-      images, count, shape, weight, bias, out,
-      panel_buffers(variant, weight.rows, oh * ow, weight.cols));
-}
-
 namespace {
 
-/// Images conv_relu_pool_forward convolves per GEMM call: as many whole
-/// images as kConvPoolGroupFloats (kernels.h) holds, at least one. At the
-/// benchmark's shapes a 16-image training minibatch is one group and a
-/// 256-example evaluation chunk 4-16.
-std::size_t pool_group(std::size_t count, std::size_t plane) {
-  return std::clamp<std::size_t>(kConvPoolGroupFloats / plane, 1,
-                                 std::max<std::size_t>(count, 1));
+std::size_t conv_pixels(const ConvShape& shape) {
+  return conv_out_extent(shape.height, shape) *
+         conv_out_extent(shape.width, shape);
+}
+
+/// Scratch floats of conv_forward (pooled = false) or
+/// conv_relu_pool_forward (pooled = true): one block's padded lane planes,
+/// then its conv-output lanes, or its pooled and code lanes (a quarter of
+/// the pixels each). It does not depend on the image count.
+std::size_t forward_scratch(const GemmVariant& variant, const ConvShape& shape,
+                            std::size_t out_channels, bool pooled) {
+  const std::size_t pixels = conv_pixels(shape);
+  return (padded_image_floats(shape) +
+          out_channels * (pooled ? pixels / 2 : pixels)) *
+         variant.lanes;
 }
 
 }  // namespace
+
+void conv_forward(const GemmVariant& variant, const float* images,
+                  std::size_t count, const ConvShape& shape, ConstMat weight,
+                  const float* bias, float* out) {
+  if (count == 0 || weight.rows * conv_pixels(shape) == 0) return;
+  const std::size_t floats =
+      forward_scratch(variant, shape, weight.rows, /*pooled=*/false);
+  variant.conv_forward(images, count, shape, weight, bias, out,
+                       ensure(tls_buffers().a, floats));
+}
 
 std::size_t conv_backward_scratch(const GemmVariant& variant,
                                   std::size_t count, const ConvShape& shape,
@@ -215,28 +206,20 @@ void conv_backward(const GemmVariant& variant, const float* images,
                         grad_weight, grad_bias, scratch);
 }
 
+std::size_t conv_relu_pool_scratch(const GemmVariant& variant,
+                                   std::size_t count, const ConvShape& shape,
+                                   std::size_t out_channels) {
+  if (count == 0 || out_channels * conv_pixels(shape) == 0) return 0;
+  return forward_scratch(variant, shape, out_channels, true);
+}
+
 void conv_relu_pool_forward(const GemmVariant& variant, const float* images,
                             std::size_t count, const ConvShape& shape,
                             ConstMat weight, const float* bias, float* pooled,
                             std::uint8_t* codes, float* scratch) {
-  const std::size_t oh = conv_out_extent(shape.height, shape);
-  const std::size_t ow = conv_out_extent(shape.width, shape);
-  const std::size_t plane = weight.rows * oh * ow;
-  if (plane == 0) return;
-  const std::size_t image_size = shape.channels * shape.height * shape.width;
-  const std::size_t group = pool_group(count, plane);
-  for (std::size_t first = 0; first < count; first += group) {
-    const std::size_t images_in_group = std::min(group, count - first);
-    conv_forward(variant, images + first * image_size, images_in_group, shape,
-                 weight, bias, scratch);
-    relu_maxpool2x2(images_in_group * weight.rows * oh / 2, ow, scratch,
-                    pooled + first * plane / 4, codes + first * plane / 4);
-  }
-}
-
-void im2col(const GemmVariant& variant, const float* image,
-            const ConvShape& shape, float* cols) {
-  variant.im2col(image, shape, cols);
+  if (count == 0 || weight.rows * conv_pixels(shape) == 0) return;
+  variant.conv_relu_pool_forward(images, count, shape, weight, bias, pooled,
+                                 codes, scratch);
 }
 
 }  // namespace detail
@@ -263,8 +246,7 @@ void squared_norms(std::size_t lanes, std::size_t n, const float* x,
 void im2col(const float* image, std::size_t channels, std::size_t height,
             std::size_t width, std::size_t kernel, std::size_t pad,
             std::size_t stride, float* cols) {
-  detail::active_variant().im2col(
-      image, {channels, height, width, kernel, pad, stride}, cols);
+  ref::im2col(image, channels, height, width, kernel, pad, stride, cols);
 }
 
 void col2im(const float* cols, std::size_t channels, std::size_t height,
@@ -297,9 +279,8 @@ void conv_backward(const float* images, std::size_t count,
 
 std::size_t conv_relu_pool_scratch(std::size_t count, const ConvShape& shape,
                                    std::size_t out_channels) {
-  const std::size_t plane = out_channels * conv_out_extent(shape.height, shape) *
-                            conv_out_extent(shape.width, shape);
-  return plane == 0 ? 0 : detail::pool_group(count, plane) * plane;
+  return detail::conv_relu_pool_scratch(detail::active_variant(), count, shape,
+                                        out_channels);
 }
 
 void conv_relu_pool_forward(const float* images, std::size_t count,

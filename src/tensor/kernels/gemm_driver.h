@@ -3,26 +3,21 @@
 // Each gemm_<isa>.cpp translation unit defines a Cfg (vector traits plus
 // blocking) and instantiates GemmKernels<Cfg> once, under its own -m flags.
 //
-// Structure of gemm_nn / gemm_tn / conv_forward (classic BLIS-style,
-// single-threaded):
+// Structure of gemm_nn / gemm_tn (classic BLIS-style, single-threaded):
 //   * the driver tiles N into NC panels, K into KC blocks and M into MC
 //     blocks, packing the B panel (KC x NC, interleaved in NR-wide strips)
 //     and the A block (MC x KC, interleaved in MR-wide strips) into the
 //     caller's pack buffers so the micro-kernel streams contiguous memory;
-//     conv_forward instead builds each B panel straight from the NCHW image
-//     (a row-major slice of the virtual im2col matrix), which fuses im2col
-//     into the packing pass — the same builder is the production im2col;
 //   * the micro-kernel keeps an MR x NR accumulator tile in vector registers
 //     (MR rows of NV vectors) and applies kc rank-1 updates in increasing p
 //     order; edge tiles run the same kernel on a zero-padded copy.
-// conv_forward_direct (out_c in whole vectors) skips the GEMM form: output
-// channels sit in vector lanes and each input value is broadcast from a
-// zero-padded copy of the image's planes (see the direct section below).
-// conv_backward runs a whole minibatch in blocks of kW images with the
-// images in the vector lanes: each image's chains of the reference
-// composition run side by side, so the input gradient needs no column panel
-// or col2im and every layer's weight gradient runs at full vector width
-// (see the lanes section below).
+// The convolutions (conv_forward, conv_relu_pool_forward, conv_backward)
+// run a whole minibatch in blocks of kW images with the images in the
+// vector lanes: each image's chains of the reference composition run side
+// by side, so no layer needs an im2col matrix, a column gradient or col2im,
+// and every layer runs at full vector width whatever its channel count (see
+// the lanes section below). The forward pools a conv stage's output while
+// it is still in registers.
 // gemm_nt keeps its dot-product form: each tile holds MR_nt rows of C in
 // vector lanes and NR_nt columns, sums the full k into fresh accumulators
 // (A packed in MR_nt-row strips, B rows broadcast in place, so B needs no
@@ -60,20 +55,6 @@ namespace {
 
 MACH_INLINE std::size_t min_size(std::size_t a, std::size_t b) {
   return a < b ? a : b;
-}
-
-/// One run of an im2col row, for x in [xa, xb):
-///   out[x - xa] = x in [lo, hi) ? row[x + dx] : 0,
-/// reading only row[lo + dx, hi + dx) (lo <= hi are clamped to [xa, xb]).
-MACH_INLINE void copy_run(float* out, const float* row, std::ptrdiff_t dx,
-                          std::size_t xa, std::size_t xb, std::size_t lo,
-                          std::size_t hi) {
-  for (std::size_t x = xa; x < lo; ++x) out[x - xa] = 0.0f;
-  if (lo < hi) {
-    const float* from = row + (static_cast<std::ptrdiff_t>(lo) + dx);
-    for (std::size_t x = lo; x < hi; ++x) out[x - xa] = from[x - lo];
-  }
-  for (std::size_t x = hi; x < xb; ++x) out[x - xa] = 0.0f;
 }
 
 /// Lane-norm helpers for each variant's squared_norms (kernels.h). The
@@ -139,12 +120,16 @@ MACH_INLINE void transpose8x8(const float* const (&row)[kMaxNormLanes],
 
 /// Cfg provides:
 ///   Isa            vector traits: V, kW lanes, zero/load/store/bcast/add/mul,
-///                  load_n/store_n (the first count lanes only) and an
-///                  in-register kW x kW transpose
+///                  load_n/store_n (the first count lanes only), an
+///                  in-register kW x kW transpose, and for the pooled
+///                  forward max (maxps: a > b ? a : b), pool_code (the
+///                  window codes, as int32 lanes) and store_bytes (the low
+///                  byte of the first count int32 lanes)
 ///   kMR, kNV       gemm_nn/gemm_tn register tile: kMR rows x kNV vectors
 ///   kKC, kMC, kNC  cache blocks (kMC % kMR == 0, kNC % (kNV * kW) == 0)
 ///   kNtNV, kNtNR   gemm_nt tile: kNtNV vectors of rows x kNtNR columns
-///   kDirectNV, kDirectPixels  conv_forward_direct tile
+///   kFwdChannels, kFwdWindows  the forward's lanes tile: kFwdChannels
+///                  output channels x 2 rows x 2 * kFwdWindows pixels
 ///   kDwChannels, kDwTaps  conv_backward's weight-gradient lanes tile
 ///   squared_norms  the variant's lane-norm kernel (kernels.h)
 /// and optionally NarrowIsa + kNarrowNtNR, the gemm_nt tile (one NarrowIsa
@@ -219,121 +204,6 @@ struct GemmKernels {
       }
       bpack += kc * kNR;
     }
-  }
-
-  /// Columns [jc, jc + nc) of rows [pc, pc + kc) of the virtual im2col
-  /// matrix of one image (rows are (channel, ky, kx) kernel offsets, columns
-  /// output pixels), read straight from the image into a row-major panel
-  /// with leading dimension ldb; columns [nc, ldb) are zero-filled. Every
-  /// element equals what the reference im2col writes.
-  static void image_panel(const float* image, const ConvShape& s,
-                          std::size_t oh, std::size_t ow, std::size_t pc,
-                          std::size_t kc, std::size_t jc, std::size_t nc,
-                          std::size_t ldb, float* panel) {
-    const std::size_t taps = s.kernel * s.kernel;
-    // (ch, ky, kx) of row pc + p, advanced without dividing per row.
-    std::size_t ch = pc / taps;
-    std::size_t ky = (pc % taps) / s.kernel;
-    std::size_t kx = pc % s.kernel;
-    const std::size_t first_oy = jc / ow;
-    const std::size_t first_xa = jc % ow;
-    for (std::size_t p = 0; p < kc; ++p) {
-      if (p > 0 && ++kx == s.kernel) {
-        kx = 0;
-        if (++ky == s.kernel) {
-          ky = 0;
-          ++ch;
-        }
-      }
-      const auto dy = static_cast<std::ptrdiff_t>(ky) -
-                      static_cast<std::ptrdiff_t>(s.pad);
-      const auto dx = static_cast<std::ptrdiff_t>(kx) -
-                      static_cast<std::ptrdiff_t>(s.pad);
-      const ValidRange ry = valid_range(dy, s.stride, s.height, oh);
-      const ValidRange rx = valid_range(dx, s.stride, s.width, ow);
-      const float* plane = image + ch * s.height * s.width;
-      float* out = panel + p * ldb;
-      for (std::size_t j = nc; j < ldb; ++j) out[j] = 0.0f;
-      if (s.stride == 1 && ow == s.width) {
-        const std::ptrdiff_t shift =
-            dy * static_cast<std::ptrdiff_t>(s.width) + dx;
-        same_size_row(plane, s, ow, shift, ry, rx, jc, nc, first_oy, out);
-        continue;
-      }
-      std::size_t oy = first_oy;
-      std::size_t xa = first_xa;
-      for (std::size_t done = 0; done < nc;) {
-        // One run of consecutive pixels [xa, xb) within output row oy.
-        const std::size_t xb = min_size(ow, xa + (nc - done));
-        std::size_t lo = xa, hi = xa;
-        if (oy >= ry.lo && oy < ry.hi) {
-          lo = rx.lo < xa ? xa : min_size(rx.lo, xb);
-          hi = rx.hi < lo ? lo : min_size(rx.hi, xb);
-        }
-        const float* src = plane;
-        if (lo < hi) {
-          src += static_cast<std::size_t>(
-                     static_cast<std::ptrdiff_t>(oy * s.stride) + dy) *
-                 s.width;
-        }
-        if (s.stride == 1) {
-          copy_run(out + done, src, dx, xa, xb, lo, hi);
-        } else {
-          float* d = out + done;
-          for (std::size_t x = xa; x < lo; ++x) d[x - xa] = 0.0f;
-          for (std::size_t x = lo; x < hi; ++x) {
-            d[x - xa] = src[static_cast<std::size_t>(
-                static_cast<std::ptrdiff_t>(x * s.stride) + dx)];
-          }
-          for (std::size_t x = hi; x < xb; ++x) d[x - xa] = 0.0f;
-        }
-        done += xb - xa;
-        xa = 0;
-        ++oy;
-      }
-    }
-  }
-
-  /// image_panel row for a stride-1 conv whose output is as wide as its
-  /// input: pixel j reads plane[j + shift] (shift = dy * width + dx), so the
-  /// valid output rows are one contiguous block copy. The copy also fills
-  /// the border columns (ox outside rx, which read a neighbouring row), and
-  /// those are zeroed afterwards. The copy is trimmed at both ends to stay
-  /// inside the plane; the trimmed pixels are border columns too.
-  static MACH_INLINE void same_size_row(const float* plane, const ConvShape& s,
-                                        std::size_t ow, std::ptrdiff_t shift,
-                                        ValidRange ry, ValidRange rx,
-                                        std::size_t jc, std::size_t nc,
-                                        std::size_t first_oy, float* out) {
-    const std::size_t jend = jc + nc;
-    std::size_t a = ry.lo * ow, b = ry.hi * ow;
-    if (a < jc) a = jc;
-    if (b > jend) b = jend;
-    if (a >= b) {
-      for (std::size_t j = 0; j < nc; ++j) out[j] = 0.0f;
-      return;
-    }
-    for (std::size_t j = jc; j < a; ++j) out[j - jc] = 0.0f;
-    for (std::size_t j = b; j < jend; ++j) out[j - jc] = 0.0f;
-    const auto plane_size = static_cast<std::ptrdiff_t>(s.height * s.width);
-    auto lo = static_cast<std::ptrdiff_t>(a);
-    auto hi = static_cast<std::ptrdiff_t>(b);
-    if (lo + shift < 0) lo = -shift;
-    if (hi + shift > plane_size) hi = plane_size - shift;
-    if (lo < hi) {
-      const auto ulo = static_cast<std::size_t>(lo);
-      const auto uhi = static_cast<std::size_t>(hi);
-      copy_run(out + (ulo - jc), plane, shift, ulo, uhi, ulo, uhi);
-    }
-    // Border columns: a strided column of zeros per invalid ox.
-    const std::size_t first_row = (first_oy > ry.lo ? first_oy : ry.lo) * ow;
-    const auto zero_column = [&](std::size_t ox) {
-      std::size_t j = first_row + ox;
-      if (j < a) j += ow;
-      for (; j < b; j += ow) out[j - jc] = 0.0f;
-    };
-    for (std::size_t ox = 0; ox < rx.lo; ++ox) zero_column(ox);
-    for (std::size_t ox = rx.hi; ox < ow; ++ox) zero_column(ox);
   }
 
   // -------------------------------------------------------------------------
@@ -480,43 +350,31 @@ struct GemmKernels {
   // Drivers
   // -------------------------------------------------------------------------
 
-  /// Where a packed B panel's NR-wide strip j0 starts and how far apart its
-  /// rows are: NR-strip layout (pack_b) or one row-major panel (image).
-  struct PanelLayout {
-    std::size_t strip_step;  // floats between consecutive strips
-    std::size_t ldb;         // floats between consecutive rows of a strip
-  };
-
-  /// Shared packed-panel driver for gemm_nn, gemm_tn and conv_forward (they
-  /// differ only in how the A block and the B panel are packed). Loop order
-  /// jc -> pc -> ic keeps the k-blocks of any C element in increasing order.
-  /// pack_b_panel(pc, kc, jc, nc, bpack) fills bpack and returns its layout.
-  /// With kPrepackedA the caller has already packed A as one block (m <= MC,
-  /// k <= KC) into buf.a.
-  template <bool kTransposedA, bool kPrepackedA = false, class PackB>
-  static MACH_INLINE void nn_driver(ConstMat a, std::size_t k,
-                                    const PackB& pack_b_panel, Mat c,
+  /// Shared packed-panel driver for gemm_nn and gemm_tn (they differ only
+  /// in how the A block is packed). Loop order jc -> pc -> ic keeps the
+  /// k-blocks of any C element in increasing order.
+  template <bool kTransposedA>
+  static MACH_INLINE void nn_driver(ConstMat a, ConstMat b, Mat c,
                                     bool accumulate, const float* bias_row,
                                     const float* bias_col, PackBuffers buf) {
-    const std::size_t m = c.rows, n = c.cols;
+    const std::size_t m = c.rows, n = c.cols, k = b.rows;
     for (std::size_t jc = 0; jc < n; jc += kNC) {
       const std::size_t nc = min_size(kNC, n - jc);
       for (std::size_t pc = 0; pc < k; pc += kKC) {
         const std::size_t kc = min_size(kKC, k - pc);
         const bool zero_init = pc == 0 && !accumulate;
         const bool last = pc + kc == k;
-        const PanelLayout layout = pack_b_panel(pc, kc, jc, nc, buf.b);
+        pack_b(b.data + pc * b.cols + jc, b.cols, kc, nc, buf.b);
         for (std::size_t ic = 0; ic < m; ic += kMC) {
           const std::size_t mc = min_size(kMC, m - ic);
-          if constexpr (kPrepackedA) {
-          } else if constexpr (kTransposedA) {
+          if constexpr (kTransposedA) {
             pack_a_t(a.data + pc * a.cols + ic, a.cols, mc, kc, buf.a);
           } else {
             pack_a_n<kMR>(a.data + ic * a.cols + pc, a.cols, mc, kc, buf.a);
           }
           for (std::size_t j0 = 0; j0 < nc; j0 += kNR) {
             const std::size_t nr = min_size(kNR, nc - j0);
-            const float* bp = buf.b + (j0 / kNR) * layout.strip_step;
+            const float* bp = buf.b + (j0 / kNR) * kc * kNR;
             const float* bc =
                 last && bias_col != nullptr ? bias_col + jc + j0 : nullptr;
             for (std::size_t i0 = 0; i0 < mc; i0 += kMR) {
@@ -526,10 +384,10 @@ struct GemmKernels {
               const float* br =
                   last && bias_row != nullptr ? bias_row + ic + i0 : nullptr;
               if (mr == kMR && nr == kNR) {
-                micro_nn(kc, ap, bp, layout.ldb, ct, c.cols, zero_init, br, bc);
+                micro_nn(kc, ap, bp, kNR, ct, c.cols, zero_init, br, bc);
               } else {
-                micro_nn_edge(kc, ap, bp, layout.ldb, ct, c.cols, mr, nr,
-                              zero_init, br, bc);
+                micro_nn_edge(kc, ap, bp, kNR, ct, c.cols, mr, nr, zero_init,
+                              br, bc);
               }
             }
           }
@@ -541,22 +399,12 @@ struct GemmKernels {
   static void gemm_nn(ConstMat a, ConstMat b, Mat c, bool accumulate,
                       const float* bias_row, const float* bias_col,
                       PackBuffers buf) {
-    const auto pack = [b](std::size_t pc, std::size_t kc, std::size_t jc,
-                          std::size_t nc, float* bpack) {
-      pack_b(b.data + pc * b.cols + jc, b.cols, kc, nc, bpack);
-      return PanelLayout{kc * kNR, kNR};
-    };
-    nn_driver<false>(a, a.cols, pack, c, accumulate, bias_row, bias_col, buf);
+    nn_driver<false>(a, b, c, accumulate, bias_row, bias_col, buf);
   }
 
   static void gemm_tn(ConstMat a, ConstMat b, Mat c, bool accumulate,
                       PackBuffers buf) {
-    const auto pack = [b](std::size_t pc, std::size_t kc, std::size_t jc,
-                          std::size_t nc, float* bpack) {
-      pack_b(b.data + pc * b.cols + jc, b.cols, kc, nc, bpack);
-      return PanelLayout{kc * kNR, kNR};
-    };
-    nn_driver<true>(a, a.rows, pack, c, accumulate, nullptr, nullptr, buf);
+    nn_driver<true>(a, b, c, accumulate, nullptr, nullptr, buf);
   }
 
   // -------------------------------------------------------------------------
@@ -721,282 +569,6 @@ struct GemmKernels {
     unpacked_row_blocks<true, kMR>(a, b, c, 0, accumulate, nullptr, nullptr);
   }
 
-  /// conv_forward over `count` consecutive images. When the weights fit one
-  /// A block they are packed once for the whole batch.
-  static void conv_forward(const float* images, std::size_t count,
-                           const ConvShape& shape, ConstMat weight,
-                           const float* bias, float* out, PackBuffers buf) {
-    const std::size_t oh = conv_out_extent(shape.height, shape);
-    const std::size_t ow = conv_out_extent(shape.width, shape);
-    const std::size_t m = weight.rows, k = weight.cols, n = oh * ow;
-    const std::size_t image_size = shape.channels * shape.height * shape.width;
-    const bool shared_a = m <= kMC && k <= kKC;
-    if (shared_a) pack_a_n<kMR>(weight.data, k, m, k, buf.a);
-    for (std::size_t img = 0; img < count; ++img) {
-      const float* image = images + img * image_size;
-      const auto pack = [image, &shape, oh, ow](std::size_t pc, std::size_t kc,
-                                                std::size_t jc, std::size_t nc,
-                                                float* bpack) {
-        const std::size_t ldb = (nc + kNR - 1) / kNR * kNR;
-        image_panel(image, shape, oh, ow, pc, kc, jc, nc, ldb, bpack);
-        return PanelLayout{kNR, ldb};
-      };
-      const Mat c{out + img * m * n, m, n};
-      if (shared_a) {
-        nn_driver<false, true>(weight, k, pack, c, false, bias, nullptr, buf);
-      } else {
-        nn_driver<false>(weight, k, pack, c, false, bias, nullptr, buf);
-      }
-    }
-  }
-
-  // -------------------------------------------------------------------------
-  // Convolutions on zero-padded planes (no im2col)
-  // -------------------------------------------------------------------------
-
-  /// An image's planes copied into (height + 2 pad) x (width + 2 pad) planes
-  /// whose margins hold +0.0f, the value im2col writes for a tap outside the
-  /// image: tap (c, ky, kx) of output pixel (oy, ox) is then element
-  /// (oy * stride + ky) * wp + ox * stride + kx of padded plane c, with no
-  /// bounds test.
-  struct PaddedLayout {
-    std::size_t wp;     // padded row length
-    std::size_t plane;  // floats per padded plane
-    std::size_t image;  // floats per padded image
-  };
-
-  static MACH_INLINE PaddedLayout padded_layout(const ConvShape& s) {
-    const std::size_t wp = s.width + 2 * s.pad;
-    return {wp, (s.height + 2 * s.pad) * wp, padded_image_floats(s)};
-  }
-
-  /// Copies an image into the interior of its padded planes (the margins
-  /// are left as they are).
-  static void pad_image(const float* image, const ConvShape& s,
-                        const PaddedLayout& g, float* padded) {
-    for (std::size_t c = 0; c < s.channels; ++c) {
-      float* dst = padded + c * g.plane + s.pad * g.wp + s.pad;
-      for (std::size_t y = 0; y < s.height; ++y, dst += g.wp, image += s.width) {
-        for (std::size_t x = 0; x < s.width; ++x) dst[x] = image[x];
-      }
-    }
-  }
-
-  /// Offset of tap p = (c, ky, kx) in a padded image.
-  static MACH_INLINE std::size_t tap_offset(std::size_t p, const ConvShape& s,
-                                            const PaddedLayout& g) {
-    const std::size_t taps = s.kernel * s.kernel;
-    return p / taps * g.plane + (p % taps) / s.kernel * g.wp + p % s.kernel;
-  }
-
-  /// Register budget of the direct forward: kDirectNV vectors of output
-  /// channels per block, RY = 2 output rows x up to kDirectPixels / (2 NV)
-  /// pixels of each per tile.
-  static constexpr std::size_t kDirectNV = Cfg::kDirectNV;
-  static constexpr std::size_t kDirectPixels = Cfg::kDirectPixels;
-
-  /// The direct forward's geometry for one image: output rows and columns
-  /// and the distances, in the padded image, between output rows and
-  /// between neighbouring pixels.
-  struct DirectGeometry {
-    const ConvShape& s;
-    PaddedLayout g;
-    std::size_t oh, ow, row_step, step, out_c;
-  };
-
-  /// One tile: RY output rows x RX pixels x NV vectors of output channels,
-  /// the channels in vector lanes. `in` is tap (0, 0, 0) of the tile's first
-  /// pixel in the padded image, `w` the block's first channel in the
-  /// transposed weights [patch][out_c]. Every accumulator starts at +0, adds
-  /// weight * input over the taps p = (c, ky, kx) in increasing order (each
-  /// input value broadcast to all lanes) and then the bias: micro_nn's chain
-  /// for every pixel and channel, with the same operand order. The sums are
-  /// transposed through a stack tile into the NCHW output at `out`.
-  template <std::size_t NV, std::size_t RY, std::size_t RX>
-  static MACH_INLINE void direct_tile(const DirectGeometry& d, const float* in,
-                                      const float* w, const float* bias,
-                                      float* out) {
-    V acc[RY][RX][NV];
-#pragma GCC unroll 16
-    for (std::size_t t = 0; t < RY; ++t) {
-#pragma GCC unroll 16
-      for (std::size_t x = 0; x < RX; ++x) {
-#pragma GCC unroll 16
-        for (std::size_t v = 0; v < NV; ++v) acc[t][x][v] = Isa::zero();
-      }
-    }
-    const ConvShape& s = d.s;
-    for (std::size_t c = 0; c < s.channels; ++c, in += d.g.plane) {
-      const float* row = in;
-      for (std::size_t ky = 0; ky < s.kernel; ++ky, row += d.g.wp) {
-        for (std::size_t kx = 0; kx < s.kernel; ++kx, w += d.out_c) {
-          V wv[NV];
-#pragma GCC unroll 16
-          for (std::size_t v = 0; v < NV; ++v) wv[v] = Isa::load(w + v * kW);
-#pragma GCC unroll 16
-          for (std::size_t t = 0; t < RY; ++t) {
-#pragma GCC unroll 16
-            for (std::size_t x = 0; x < RX; ++x) {
-              const V xv = Isa::bcast(row[t * d.row_step + x * d.step + kx]);
-#pragma GCC unroll 16
-              for (std::size_t v = 0; v < NV; ++v) {
-                acc[t][x][v] = Isa::add(acc[t][x][v], Isa::mul(wv[v], xv));
-              }
-            }
-          }
-        }
-      }
-    }
-    constexpr std::size_t kChannels = NV * kW;
-    alignas(64) float tile[RY * RX * kChannels];
-#pragma GCC unroll 16
-    for (std::size_t v = 0; v < NV; ++v) {
-      const V b = bias != nullptr ? Isa::load(bias + v * kW) : Isa::zero();
-#pragma GCC unroll 16
-      for (std::size_t t = 0; t < RY; ++t) {
-#pragma GCC unroll 16
-        for (std::size_t x = 0; x < RX; ++x) {
-          const V sum = bias != nullptr ? Isa::add(acc[t][x][v], b) : acc[t][x][v];
-          Isa::store(tile + (t * RX + x) * kChannels + v * kW, sum);
-        }
-      }
-    }
-    const std::size_t n = d.oh * d.ow;
-    for (std::size_t o = 0; o < kChannels; ++o) {
-#pragma GCC unroll 16
-      for (std::size_t t = 0; t < RY; ++t) {
-#pragma GCC unroll 16
-        for (std::size_t x = 0; x < RX; ++x) {
-          out[o * n + t * d.ow + x] = tile[(t * RX + x) * kChannels + o];
-        }
-      }
-    }
-  }
-
-  /// A tile of `pixels` (1..RX) pixels per row: RX is a compile-time count,
-  /// so each pixel's input offset is an immediate when the step is 1.
-  template <std::size_t NV, std::size_t RY, std::size_t RX>
-  static MACH_INLINE void direct_fringe(std::size_t pixels,
-                                        const DirectGeometry& d,
-                                        const float* in, const float* w,
-                                        const float* bias, float* out) {
-    if constexpr (RX > 1) {
-      if (pixels < RX) {
-        direct_fringe<NV, RY, RX - 1>(pixels, d, in, w, bias, out);
-        return;
-      }
-    }
-    direct_tile<NV, RY, RX>(d, in, w, bias, out);
-  }
-
-  /// RY output rows starting at oy, all columns, one block of NV vectors.
-  template <std::size_t NV, std::size_t RY>
-  static MACH_INLINE void direct_rows(const DirectGeometry& d,
-                                      const float* padded, std::size_t oy,
-                                      const float* w, const float* bias,
-                                      float* out) {
-    constexpr std::size_t kRX = kDirectPixels / (2 * NV);
-    static_assert(kRX >= 1, "the direct tile holds at least one pixel");
-    for (std::size_t ox = 0; ox < d.ow; ox += kRX) {
-      direct_fringe<NV, RY, kRX>(min_size(kRX, d.ow - ox), d,
-                                 padded + oy * d.row_step + ox * d.step, w,
-                                 bias, out + oy * d.ow + ox);
-    }
-  }
-
-  /// Every output pixel of one image for a block of NV channel vectors.
-  template <std::size_t NV>
-  static MACH_INLINE void direct_block(const DirectGeometry& d,
-                                       const float* padded, const float* w,
-                                       const float* bias, float* out) {
-    std::size_t oy = 0;
-    for (; oy + 2 <= d.oh; oy += 2) {
-      direct_rows<NV, 2>(d, padded, oy, w, bias, out);
-    }
-    if (oy < d.oh) direct_rows<NV, 1>(d, padded, oy, w, bias, out);
-  }
-
-  /// The channel blocks [v0, vectors) of one image, kDirectNV vectors per
-  /// block and a narrower last one.
-  template <std::size_t NV>
-  static MACH_INLINE void direct_blocks(const DirectGeometry& d,
-                                        std::size_t vectors,
-                                        const float* padded, const float* wt,
-                                        const float* bias, float* out) {
-    const std::size_t n = d.oh * d.ow;
-    std::size_t v0 = 0;
-    for (; v0 + NV <= vectors; v0 += NV) {
-      direct_block<NV>(d, padded, wt + v0 * kW,
-                       bias != nullptr ? bias + v0 * kW : nullptr,
-                       out + v0 * kW * n);
-    }
-    if constexpr (NV > 1) {
-      if (v0 < vectors) {
-        direct_blocks<NV - 1>(d, vectors - v0, padded, wt + v0 * kW,
-                              bias != nullptr ? bias + v0 * kW : nullptr,
-                              out + v0 * kW * n);
-      }
-    }
-  }
-
-  /// Each image copied into the padded planes once, then every channel
-  /// block over it.
-  static MACH_INLINE void direct_images(const float* images, std::size_t count,
-                                        const DirectGeometry& d,
-                                        const float* wt, const float* bias,
-                                        float* out, float* padded) {
-    const ConvShape& s = d.s;
-    const std::size_t image_size = s.channels * s.height * s.width;
-    const std::size_t out_size = d.out_c * d.oh * d.ow;
-    for (std::size_t img = 0; img < count; ++img) {
-      pad_image(images + img * image_size, s, d.g, padded);
-      direct_blocks<kDirectNV>(d, d.out_c / kW, padded, wt, bias,
-                               out + img * out_size);
-    }
-  }
-
-  /// conv_forward for out_c a multiple of kW (the dispatcher's direct_conv
-  /// rule): the weights are transposed once per call into buf.a =
-  /// [patch][out_c], and each image is copied once into the zero-padded
-  /// planes in buf.b, which every tile reads in place (direct_tile). The
-  /// sums are the packed path's: its KC blocks spill exact partial sums, so
-  /// one unsplit chain per output matches it.
-  static void conv_forward_direct(const float* images, std::size_t count,
-                                  const ConvShape& s, ConstMat weight,
-                                  const float* bias, float* out,
-                                  PackBuffers buf) {
-    const std::size_t out_c = weight.rows, patch = weight.cols;
-    for (std::size_t p = 0; p < patch; ++p) {
-      for (std::size_t o = 0; o < out_c; ++o) {
-        buf.a[p * out_c + o] = weight.data[o * patch + p];
-      }
-    }
-    const PaddedLayout g = padded_layout(s);
-    for (std::size_t i = 0; i < g.image; ++i) buf.b[i] = 0.0f;
-    DirectGeometry d{s,
-                     g,
-                     conv_out_extent(s.height, s),
-                     conv_out_extent(s.width, s),
-                     s.stride * g.wp,
-                     s.stride,
-                     out_c};
-    if (s.stride == 1) {
-      // A literal step: every pixel offset in a tile becomes an immediate.
-      d.step = 1;
-      direct_images(images, count, d, buf.a, bias, out, buf.b);
-    } else {
-      direct_images(images, count, d, buf.a, bias, out, buf.b);
-    }
-  }
-
-  static void im2col(const float* image, const ConvShape& shape, float* cols) {
-    const std::size_t oh = conv_out_extent(shape.height, shape);
-    const std::size_t ow = conv_out_extent(shape.width, shape);
-    const std::size_t n = oh * ow;
-    image_panel(image, shape, oh, ow, 0,
-                shape.channels * shape.kernel * shape.kernel, 0, n, n, cols);
-  }
-
   /// gemm_nt over NV x NJ tiles of NI vectors: A is packed once over the full
   /// k (strips of NV * NI::kW rows, reused by every column tile); B rows are
   /// read in place.
@@ -1045,16 +617,40 @@ struct GemmKernels {
   }
 
   // -------------------------------------------------------------------------
-  // Convolution backward: a block of kW images in the vector lanes
+  // Convolutions: a block of kW images in the vector lanes
   // -------------------------------------------------------------------------
   //
-  // conv_backward runs a minibatch as blocks of kW images, the last one
-  // possibly partial. Inside a block element e of all its images is one
-  // vector ("lanes"), lane l holding image l, so every image's float chains
-  // of the reference composition run side by side, a full block at full
-  // vector width whatever the channel count or plane size. Lanes past the
-  // block's `live` images hold +0 and are never stored or reduced, but they
-  // are computed: a partial block costs a whole one.
+  // conv_forward, conv_relu_pool_forward and conv_backward run a minibatch
+  // as blocks of kW images, the last one possibly partial. Inside a block
+  // element e of all its images is one vector ("lanes"), lane l holding
+  // image l, so every image's float chains of the reference composition run
+  // side by side, a full block at full vector width whatever the channel
+  // count or plane size. Lanes past the block's `live` images hold +0 and
+  // are never stored or reduced, but they are computed: a partial block
+  // costs a whole one.
+
+  /// A block's input images in (height + 2 pad) x (width + 2 pad) lane
+  /// planes whose margins hold +0.0f, the value im2col writes for a tap
+  /// outside the image: tap (c, ky, kx) of output pixel (oy, ox) is then
+  /// element (oy * stride + ky) * wp + ox * stride + kx of padded plane c,
+  /// with no bounds test.
+  struct PaddedLayout {
+    std::size_t wp;     // padded row length
+    std::size_t plane;  // elements per padded plane
+    std::size_t image;  // elements per padded image
+  };
+
+  static MACH_INLINE PaddedLayout padded_layout(const ConvShape& s) {
+    const std::size_t wp = s.width + 2 * s.pad;
+    return {wp, (s.height + 2 * s.pad) * wp, padded_image_floats(s)};
+  }
+
+  /// Offset of tap p = (c, ky, kx) in a padded image.
+  static MACH_INLINE std::size_t tap_offset(std::size_t p, const ConvShape& s,
+                                            const PaddedLayout& g) {
+    const std::size_t taps = s.kernel * s.kernel;
+    return p / taps * g.plane + (p % taps) / s.kernel * g.wp + p % s.kernel;
+  }
 
   /// Rows into lanes: the vector of element t holds src[l * stride + t] in
   /// lane l < live and +0 in the others; put(v) receives them for t = 0 ..
@@ -1084,10 +680,24 @@ struct GemmKernels {
     }
   }
 
+  /// The first `cols` lanes of v at p: floats, or the window codes' bytes.
+  static MACH_INLINE void put_lanes(float* p, V v, std::size_t cols) {
+    if (cols == kW) {
+      Isa::store(p, v);
+    } else {
+      Isa::store_n(p, v, cols);
+    }
+  }
+  static MACH_INLINE void put_lanes(std::uint8_t* p, V v, std::size_t cols) {
+    Isa::store_bytes(p, v, cols);
+  }
+
   /// The inverse for `len` consecutive lane vectors: dst[l * stride + t] =
-  /// lane l of lanes[t], written for l < live only.
+  /// lane l of lanes[t], written for l < live only (as a byte for code
+  /// lanes).
+  template <class T>
   static MACH_INLINE void from_lanes(const float* lanes, std::size_t len,
-                                     std::size_t live, float* dst,
+                                     std::size_t live, T* dst,
                                      std::size_t stride) {
     for (std::size_t t0 = 0; t0 < len; t0 += kW) {
       const std::size_t cols = min_size(kW, len - t0);
@@ -1100,15 +710,286 @@ struct GemmKernels {
 #pragma GCC unroll 16
       for (std::size_t l = 0; l < kW; ++l) {
         if (l >= live) break;
-        float* row = dst + l * stride + t0;
-        if (cols == kW) {
-          Isa::store(row, r[l]);
-        } else {
-          Isa::store_n(row, r[l], cols);
+        put_lanes(dst + l * stride + t0, r[l], cols);
+      }
+    }
+  }
+
+  /// A block's `live` images (NCHW, from `block`) into the interior of the
+  /// padded lane planes; the margins are left as they are.
+  static MACH_INLINE void load_planes(const float* block, const ConvShape& s,
+                                      const PaddedLayout& g, std::size_t live,
+                                      float* planes) {
+    const std::size_t plane = s.height * s.width;
+    for (std::size_t c = 0; c < s.channels; ++c) {
+      float* row = planes + (c * g.plane + s.pad * g.wp + s.pad) * kW;
+      std::size_t x = 0;
+      to_lanes(block + c * plane, s.channels * plane, plane, live, [&](V v) {
+        Isa::store(row + x * kW, v);
+        if (++x == s.width) {
+          x = 0;
+          row += g.wp * kW;
+        }
+      });
+    }
+  }
+
+  // Forward. A tile holds kFwdChannels output channels x RY output rows x
+  // RX pixels of a block in registers; with RY = 2 and RX even every 2x2
+  // pooling window is whole in it, so the pooled forward applies the ReLU
+  // and picks each window's winner there and only the pooled values and
+  // codes leave the tile.
+
+  static constexpr std::size_t kFwdChannels = Cfg::kFwdChannels;
+  static constexpr std::size_t kFwdPixels = 2 * Cfg::kFwdWindows;
+
+  /// One block's forward geometry: output rows and columns, the lane floats
+  /// between the inputs of neighbouring output rows and pixels, and the
+  /// per-channel lane vectors of the tile's destination (output pixels, or
+  /// windows when pooling).
+  struct ForwardGeometry {
+    const ConvShape& s;
+    PaddedLayout g;
+    std::size_t oh, ow, out_c, patch, row_step, step, per_channel;
+  };
+
+  /// RO channels x RY rows x RX pixels: lane l of acc[r][t][i] becomes
+  /// image l's +0 + W[r][p] * X[tap p of pixel (t, i)] over the taps p =
+  /// (c, ky, kx) in increasing order, + bias[r] — micro_nn's chain, the
+  /// weight the first operand and broadcast, the input loaded from the lane
+  /// planes at `x` (tap (0, 0, 0) of the tile's first pixel). `w` is the
+  /// first channel's weight row; bias may be nullptr.
+  template <std::size_t RO, std::size_t RY, std::size_t RX>
+  static MACH_INLINE void forward_sums(const ForwardGeometry& d,
+                                       const float* x, const float* w,
+                                       const float* bias,
+                                       V (&acc)[RO][RY][RX]) {
+#pragma GCC unroll 16
+    for (std::size_t r = 0; r < RO; ++r) {
+#pragma GCC unroll 16
+      for (std::size_t t = 0; t < RY; ++t) {
+#pragma GCC unroll 16
+        for (std::size_t i = 0; i < RX; ++i) acc[r][t][i] = Isa::zero();
+      }
+    }
+    const ConvShape& s = d.s;
+    for (std::size_t c = 0; c < s.channels; ++c, x += d.g.plane * kW) {
+      const float* row = x;
+      for (std::size_t ky = 0; ky < s.kernel; ++ky, row += d.g.wp * kW) {
+        for (std::size_t kx = 0; kx < s.kernel; ++kx, ++w) {
+          V xv[RY][RX];
+#pragma GCC unroll 16
+          for (std::size_t t = 0; t < RY; ++t) {
+#pragma GCC unroll 16
+            for (std::size_t i = 0; i < RX; ++i) {
+              xv[t][i] = Isa::load(row + t * d.row_step + i * d.step + kx * kW);
+            }
+          }
+#pragma GCC unroll 16
+          for (std::size_t r = 0; r < RO; ++r) {
+            const V wv = Isa::bcast(w[r * d.patch]);
+#pragma GCC unroll 16
+            for (std::size_t t = 0; t < RY; ++t) {
+#pragma GCC unroll 16
+              for (std::size_t i = 0; i < RX; ++i) {
+                acc[r][t][i] = Isa::add(acc[r][t][i], Isa::mul(wv, xv[t][i]));
+              }
+            }
+          }
+        }
+      }
+    }
+    if (bias == nullptr) return;
+#pragma GCC unroll 16
+    for (std::size_t r = 0; r < RO; ++r) {
+      const V b = Isa::bcast(bias[r]);
+#pragma GCC unroll 16
+      for (std::size_t t = 0; t < RY; ++t) {
+#pragma GCC unroll 16
+        for (std::size_t i = 0; i < RX; ++i) {
+          acc[r][t][i] = Isa::add(acc[r][t][i], b);
         }
       }
     }
   }
+
+  /// The tile at output row oy, column ox of RO channels whose destination
+  /// lanes start at `out` ([channel][row][column] of output pixels), or,
+  /// with kPool, at `out` and `codes` ([channel][row][column] of windows).
+  /// Pooling: each candidate becomes r = max(x, +0) (x > 0 ? x : +0), the
+  /// window's value is the largest r and its code the first position
+  /// (top-left, top-right, bottom-left, bottom-right) whose r equals it.
+  template <bool kPool, std::size_t RO, std::size_t RY, std::size_t RX>
+  static MACH_INLINE void forward_tile(const ForwardGeometry& d,
+                                       std::size_t oy, std::size_t ox,
+                                       const float* planes, const float* w,
+                                       const float* bias, float* out,
+                                       float* codes) {
+    V acc[RO][RY][RX];
+    forward_sums(d, planes + oy * d.row_step + ox * d.step, w, bias, acc);
+    if constexpr (kPool) {
+      static_assert(RY == 2 && RX % 2 == 0, "pooling tiles hold whole windows");
+      const V zero = Isa::zero();
+      const std::size_t first = (oy / 2) * (d.ow / 2) + ox / 2;
+#pragma GCC unroll 16
+      for (std::size_t r = 0; r < RO; ++r) {
+#pragma GCC unroll 16
+        for (std::size_t j = 0; j < RX / 2; ++j) {
+          const V r0 = Isa::max(acc[r][0][2 * j], zero);
+          const V r1 = Isa::max(acc[r][0][2 * j + 1], zero);
+          const V r2 = Isa::max(acc[r][1][2 * j], zero);
+          const V r3 = Isa::max(acc[r][1][2 * j + 1], zero);
+          const V p = Isa::max(Isa::max(r0, r1), Isa::max(r2, r3));
+          const std::size_t at = (r * d.per_channel + first + j) * kW;
+          Isa::store(out + at, p);
+          Isa::store(codes + at, Isa::pool_code(r0, r1, r2, p));
+        }
+      }
+    } else {
+#pragma GCC unroll 16
+      for (std::size_t r = 0; r < RO; ++r) {
+#pragma GCC unroll 16
+        for (std::size_t t = 0; t < RY; ++t) {
+#pragma GCC unroll 16
+          for (std::size_t i = 0; i < RX; ++i) {
+            const std::size_t at = r * d.per_channel + (oy + t) * d.ow + ox + i;
+            Isa::store(out + at * kW, acc[r][t][i]);
+          }
+        }
+      }
+    }
+  }
+
+  /// A tile of `pixels` (1..RX, even when pooling) pixels per row.
+  template <bool kPool, std::size_t RO, std::size_t RY, std::size_t RX>
+  static MACH_INLINE void forward_fringe(std::size_t pixels,
+                                         const ForwardGeometry& d,
+                                         std::size_t oy, std::size_t ox,
+                                         const float* planes, const float* w,
+                                         const float* bias, float* out,
+                                         float* codes) {
+    constexpr std::size_t kStep = kPool ? 2 : 1;
+    if constexpr (RX > kStep) {
+      if (pixels < RX) {
+        forward_fringe<kPool, RO, RY, RX - kStep>(pixels, d, oy, ox, planes, w,
+                                                  bias, out, codes);
+        return;
+      }
+    }
+    forward_tile<kPool, RO, RY, RX>(d, oy, ox, planes, w, bias, out, codes);
+  }
+
+  /// RY output rows from oy, every column, for RO channels.
+  template <bool kPool, std::size_t RO, std::size_t RY>
+  static MACH_INLINE void forward_rows(const ForwardGeometry& d,
+                                       std::size_t oy, const float* planes,
+                                       const float* w, const float* bias,
+                                       float* out, float* codes) {
+    for (std::size_t ox = 0; ox < d.ow; ox += kFwdPixels) {
+      forward_fringe<kPool, RO, RY, kFwdPixels>(min_size(kFwdPixels, d.ow - ox),
+                                                d, oy, ox, planes, w, bias,
+                                                out, codes);
+    }
+  }
+
+  /// Output channels [o0, out_c) of one block, RO at a time and fewer at
+  /// the end, in row pairs (and a last single row when oh is odd, which
+  /// pooling never has).
+  template <bool kPool, std::size_t RO>
+  static void forward_channels(const ForwardGeometry& d, std::size_t o0,
+                               const float* planes, const float* weight,
+                               const float* bias, float* out, float* codes) {
+    for (; o0 + RO <= d.out_c; o0 += RO) {
+      const float* w = weight + o0 * d.patch;
+      const float* b = bias != nullptr ? bias + o0 : nullptr;
+      float* o = out + o0 * d.per_channel * kW;
+      float* cd = kPool ? codes + o0 * d.per_channel * kW : nullptr;
+      std::size_t oy = 0;
+      for (; oy + 2 <= d.oh; oy += 2) {
+        forward_rows<kPool, RO, 2>(d, oy, planes, w, b, o, cd);
+      }
+      if constexpr (!kPool) {
+        if (oy < d.oh) forward_rows<kPool, RO, 1>(d, oy, planes, w, b, o, cd);
+      }
+    }
+    if constexpr (RO > 1) {
+      if (o0 < d.out_c) {
+        forward_channels<kPool, RO - 1>(d, o0, planes, weight, bias, out,
+                                        codes);
+      }
+    }
+  }
+
+  static ForwardGeometry forward_geometry(const ConvShape& s, ConstMat weight,
+                                          bool pool) {
+    const std::size_t oh = conv_out_extent(s.height, s);
+    const std::size_t ow = conv_out_extent(s.width, s);
+    const PaddedLayout g = padded_layout(s);
+    return {s,
+            g,
+            oh,
+            ow,
+            weight.rows,
+            weight.cols,
+            s.stride * g.wp * kW,
+            s.stride * kW,
+            pool ? oh / 2 * (ow / 2) : oh * ow};
+  }
+
+  /// Runs `each(b0, live)` for every block once its images are in the
+  /// padded lane planes (whose margins are zeroed once per call).
+  template <class Each>
+  static MACH_INLINE void forward_blocks(const float* images, std::size_t count,
+                                         const ForwardGeometry& d,
+                                         float* planes, Each&& each) {
+    for (std::size_t i = 0; i < d.g.image * kW; ++i) planes[i] = 0.0f;
+    const std::size_t image_size = d.s.channels * d.s.height * d.s.width;
+    for (std::size_t b0 = 0; b0 < count; b0 += kW) {
+      const std::size_t live = min_size(kW, count - b0);
+      load_planes(images + b0 * image_size, d.s, d.g, live, planes);
+      each(b0, live);
+    }
+  }
+
+  /// conv_forward over `count` images (kernels.h). `scratch` holds the
+  /// padded lane planes, then the block's conv-output lanes [o][oy][ox],
+  /// which go to the NCHW output through from_lanes.
+  static void conv_forward(const float* images, std::size_t count,
+                           const ConvShape& s, ConstMat weight,
+                           const float* bias, float* out, float* scratch) {
+    const ForwardGeometry d = forward_geometry(s, weight, false);
+    const std::size_t out_size = d.out_c * d.per_channel;
+    float* lanes = scratch + d.g.image * kW;
+    forward_blocks(images, count, d, scratch, [&](std::size_t b0,
+                                                  std::size_t live) {
+      forward_channels<false, kFwdChannels>(d, 0, scratch, weight.data, bias,
+                                            lanes, nullptr);
+      from_lanes(lanes, out_size, live, out + b0 * out_size, out_size);
+    });
+  }
+
+  /// conv_relu_pool_forward over `count` images (kernels.h). `scratch`
+  /// holds the padded lane planes, then the block's pooled lanes and code
+  /// lanes (int32 codes), both [o][py][px]; from_lanes writes them as NCHW
+  /// floats and bytes. The conv output is never stored.
+  static void conv_relu_pool_forward(const float* images, std::size_t count,
+                                     const ConvShape& s, ConstMat weight,
+                                     const float* bias, float* pooled,
+                                     std::uint8_t* codes, float* scratch) {
+    const ForwardGeometry d = forward_geometry(s, weight, true);
+    const std::size_t windows = d.out_c * d.per_channel;
+    float* pooled_lanes = scratch + d.g.image * kW;
+    float* code_lanes = pooled_lanes + windows * kW;
+    forward_blocks(images, count, d, scratch, [&](std::size_t b0,
+                                                  std::size_t live) {
+      forward_channels<true, kFwdChannels>(d, 0, scratch, weight.data, bias,
+                                           pooled_lanes, code_lanes);
+      from_lanes(pooled_lanes, windows, live, pooled + b0 * windows, windows);
+      from_lanes(code_lanes, windows, live, codes + b0 * windows, windows);
+    });
+  }
+
+  // Backward.
 
   /// Adds per-image sums to `cols` (1..kW) running gradients in image
   /// order: sums + j * kW holds output j's sums (lane l: image l's), and
@@ -1138,9 +1019,9 @@ struct GemmKernels {
     }
   }
 
-  /// One block's geometry. The lane buffers hold kW floats per element: dY
-  /// as [o][q], the input images in zero-padded planes [c][y][x] (the
-  /// direct forward's layout, g), dX as unpadded [c][y][x].
+  /// One block's backward geometry. The lane buffers hold kW floats per
+  /// element: dY as [o][q], the input images in zero-padded planes
+  /// [c][y][x] (layout g), dX as unpadded [c][y][x].
   struct LaneGeometry {
     const ConvShape& s;
     PaddedLayout g;
@@ -1477,18 +1358,7 @@ struct GemmKernels {
       if (b0 == 0 || grad_images != nullptr) {
         for (std::size_t i = 0; i < d.g.image * kW; ++i) planes[i] = 0.0f;
       }
-      const float* block = images + b0 * image_size;
-      for (std::size_t c = 0; c < s.channels; ++c) {
-        float* row = planes + (c * d.g.plane + s.pad * d.g.wp + s.pad) * kW;
-        std::size_t x = 0;
-        to_lanes(block + c * d.plane, image_size, d.plane, live, [&](V v) {
-          Isa::store(row + x * kW, v);
-          if (++x == s.width) {
-            x = 0;
-            row += d.g.wp * kW;
-          }
-        });
-      }
+      load_planes(images + b0 * image_size, s, d.g, live, planes);
       weight_grad(d, dyl, planes, live, b0 == 0, grad_weight, grad_bias);
     }
   }
@@ -1512,10 +1382,9 @@ struct GemmKernels {
             &gemm_nn_unpacked,
             &gemm_tn_unpacked,
             &conv_forward,
-            &conv_forward_direct,
+            &conv_relu_pool_forward,
             &conv_backward_scratch,
             &conv_backward,
-            &im2col,
             Cfg::squared_norms};
   }
 };

@@ -1,6 +1,7 @@
 // The GEMM variant table behind kernels::gemm_nn / gemm_tn / gemm_nt,
-// kernels::conv_forward / conv_backward / conv_relu_pool_forward and
-// kernels::squared_norms (internal to the kernel layer and its tests).
+// kernels::conv_forward / conv_relu_pool_forward / conv_backward (a block
+// of `lanes` images in the vector lanes) and kernels::squared_norms
+// (internal to the kernel layer and its tests).
 //
 // Each variant is one instantiation of the shared drivers in gemm_driver.h,
 // compiled in its own translation unit with its own ISA flags:
@@ -22,9 +23,9 @@
 
 namespace mach::tensor::kernels::detail {
 
-/// Register tile and cache blocks of the gemm_nn / gemm_tn / conv_forward
-/// driver: an mr x nr micro-kernel tile over kc x nc packed B panels and
-/// mc x kc packed A blocks.
+/// Register tile and cache blocks of the gemm_nn / gemm_tn driver: an
+/// mr x nr micro-kernel tile over kc x nc packed B panels and mc x kc
+/// packed A blocks.
 struct Blocking {
   std::size_t mr, nr, kc, mc, nc;
 };
@@ -67,16 +68,17 @@ struct GemmVariant {
   void (*gemm_nn_unpacked)(ConstMat a, ConstMat b, Mat c, bool accumulate,
                            const float* bias_row, const float* bias_col);
   void (*gemm_tn_unpacked)(ConstMat a, ConstMat b, Mat c, bool accumulate);
+  // conv_forward / conv_relu_pool_forward over a minibatch, in blocks of
+  // `lanes` images (preconditions: count, out_c and output pixels > 0; the
+  // scratch holds one block's padded lane planes, then its conv-output
+  // lanes, or its pooled and code lanes; the dispatcher sizes it).
   void (*conv_forward)(const float* images, std::size_t count,
                        const ConvShape& shape, ConstMat weight,
-                       const float* bias, float* out, PackBuffers buffers);
-  // conv_forward without im2col, for the shapes direct_conv() accepts: the
-  // buffers hold the transposed weights (a: patch * out_c floats) and one
-  // zero-padded image (b: padded_image_floats(shape)).
-  void (*conv_forward_direct)(const float* images, std::size_t count,
-                              const ConvShape& shape, ConstMat weight,
-                              const float* bias, float* out,
-                              PackBuffers buffers);
+                       const float* bias, float* out, float* scratch);
+  void (*conv_relu_pool_forward)(const float* images, std::size_t count,
+                                 const ConvShape& shape, ConstMat weight,
+                                 const float* bias, float* pooled,
+                                 std::uint8_t* codes, float* scratch);
   // conv_backward over a minibatch, in blocks of `lanes` images: its
   // scratch size in floats (one block's, whatever the count), and the
   // kernel (preconditions: count, out_c, patch and output pixels > 0).
@@ -87,9 +89,6 @@ struct GemmVariant {
                         const ConvShape& shape, ConstMat weight,
                         const float* grad_out, float* grad_images,
                         float* grad_weight, float* grad_bias, float* scratch);
-  // The B-panel builder of conv_forward run over the whole image: writes
-  // the [channels*kernel*kernel, out_h*out_w] im2col matrix.
-  void (*im2col)(const float* image, const ConvShape& shape, float* cols);
   // kernels::squared_norms (lanes in [1, kMaxNormLanes]; any n).
   void (*squared_norms)(std::size_t lanes, std::size_t n, const float* x,
                         std::size_t stride, double* out);
@@ -101,14 +100,6 @@ struct GemmVariant {
 constexpr std::size_t kUnpackedMaxB = 8192;  // floats (32 KiB)
 constexpr bool unpacked_gemm(std::size_t k, std::size_t n) {
   return k * n <= kUnpackedMaxB;
-}
-
-/// Whether conv_forward runs direct (no im2col, output channels in vector
-/// lanes): out_c fills whole vectors and there are at least 16 of them.
-/// Eight-channel layers keep the packed GEMM, which is faster there. A shape
-/// rule only, like unpacked_gemm().
-constexpr bool direct_conv(std::size_t out_channels, std::size_t lanes) {
-  return out_channels % lanes == 0 && out_channels >= 16;
 }
 
 /// Floats of one image's planes with `pad` zeros on every side.
@@ -150,11 +141,12 @@ void conv_backward(const GemmVariant& variant, const float* images,
                    std::size_t count, const ConvShape& shape, ConstMat weight,
                    const float* grad_out, float* grad_images,
                    float* grad_weight, float* grad_bias, float* scratch);
+std::size_t conv_relu_pool_scratch(const GemmVariant& variant,
+                                   std::size_t count, const ConvShape& shape,
+                                   std::size_t out_channels);
 void conv_relu_pool_forward(const GemmVariant& variant, const float* images,
                             std::size_t count, const ConvShape& shape,
                             ConstMat weight, const float* bias, float* pooled,
                             std::uint8_t* codes, float* scratch);
-void im2col(const GemmVariant& variant, const float* image,
-            const ConvShape& shape, float* cols);
 
 }  // namespace mach::tensor::kernels::detail

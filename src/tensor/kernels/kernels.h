@@ -7,13 +7,14 @@
 //
 //   * kernels::*       — the production kernels: register-blocked micro-kernel
 //                        GEMMs over packed A/B panels (or, for a B that fits
-//                        in L1, over A and B in place), branch-free
+//                        in L1, over A and B in place), convolutions with a
+//                        minibatch's images in the vector lanes, branch-free
 //                        elementwise loops the compiler auto-vectorises, fused
-//                        bias-add epilogues for the forward paths. The GEMMs
-//                        and the lane norms come in one variant per
-//                        instruction set (baseline x86-64, AVX2, AVX-512),
-//                        picked once per process from cpuid; gemm_variants.h
-//                        holds the table and its blocking.
+//                        bias-add epilogues for the forward paths. The GEMMs,
+//                        the convolutions and the lane norms come in one
+//                        variant per instruction set (baseline x86-64, AVX2,
+//                        AVX-512), picked once per process from cpuid;
+//                        gemm_variants.h holds the table and its blocking.
 //   * kernels::ref::*  — the retained reference kernels (the seed's naive
 //                        loops). They define the summation-order contract and
 //                        serve as the equivalence-test and microbench baseline.
@@ -41,8 +42,8 @@ namespace mach::tensor::kernels {
 
 // ---------------------------------------------------------------------------
 // Lightweight non-owning 2-D views. Row-major and fully packed (leading
-// dimension == cols), which every caller in this codebase satisfies: weight,
-// activation and im2col buffers are contiguous, and per-image slices of NCHW
+// dimension == cols), which every caller in this codebase satisfies: weight
+// and activation buffers are contiguous, and per-image slices of NCHW
 // tensors are contiguous [channels, h*w] planes.
 // ---------------------------------------------------------------------------
 struct ConstMat {
@@ -78,11 +79,9 @@ void gemm_nt(ConstMat a, ConstMat b, Mat c, bool accumulate = false);
 // ---------------------------------------------------------------------------
 // im2col / col2im on one NCHW image plane (square kernel, symmetric zero
 // padding). `image` points at [channels, height, width]; `cols` holds
-// [channels*kernel*kernel, out_h*out_w]. im2col splits the zero-padded
-// border from the interior once per (channel, ky, kx) row instead of testing
-// bounds per element: it is conv_forward's B-panel builder run over the
-// whole image, built for each GEMM variant's ISA. No production path runs
-// col2im (conv_backward computes dX without it), so it is ref::col2im.
+// [channels*kernel*kernel, out_h*out_w]. No production path runs either
+// (the convolutions below read their inputs from zero-padded lane planes),
+// so both are the reference loops: ref::im2col and ref::col2im.
 // ---------------------------------------------------------------------------
 void im2col(const float* image, std::size_t channels, std::size_t height,
             std::size_t width, std::size_t kernel, std::size_t pad,
@@ -99,12 +98,15 @@ void col2im(const float* cols, std::size_t channels, std::size_t height,
 // consecutive [out_c, out_h*out_w] planes with
 //   out[o, q] = (sum_p weight[o, p] * im2col(image)[p, q]) + bias[o]
 // — exactly the float chains of im2col followed by gemm_nn with a fused
-// bias_row, but no column buffer is written or read. When out_c fills whole
-// vectors of the active variant (16 or 32 on AVX-512) the sums are computed
-// directly, output channels in vector lanes and inputs broadcast from each
-// image's zero-padded planes; otherwise the GEMM's B panels are packed
-// straight from the image. Scratch is the calling thread's pack buffers
-// (the transposed weights and one padded image, or the GEMM's panels).
+// bias_row (+0, then each product in increasing p, then the bias), but no
+// column buffer is written or read. The images run in blocks of one
+// vector's lane count (16 on AVX-512; a partial block costs a whole one),
+// image l of a block in lane l: each block's images go into zero-padded
+// lane planes, and a register tile of output channels x 2 rows x 2 pixels
+// (per variant) sums every image's chains side by side, each weight
+// broadcast to all lanes. The block's output lanes go to NCHW through
+// in-register transposes. Any kernel, pad, stride and extent. Scratch is
+// the calling thread's pack buffer (one block's planes and output lanes).
 // bias may be nullptr.
 // ---------------------------------------------------------------------------
 struct ConvShape {
@@ -153,15 +155,22 @@ void conv_backward(const float* images, std::size_t count,
 // ---------------------------------------------------------------------------
 // One conv stage of the paper's CNNs in one pass: conv_forward, ReLU and 2x2
 // max pooling (stride 2) over `count` images whose conv output has even
-// height and width. The output is never held for the whole minibatch: the
-// GEMM runs over groups of whole images whose conv output fits
-// kConvPoolGroupFloats, into `scratch`, and each group is pooled while it is
-// still in cache. pooled holds count [out_c, out_h/2, out_w/2] planes and
-// codes one byte per window, laid out like pooled (relu_maxpool2x2).
-// `scratch` holds conv_relu_pool_scratch(count, shape, out_c) floats.
+// height and width. conv_forward's tiles hold whole 2x2 windows, so the
+// ReLU and the pool run on the registers and the conv output is never
+// stored. pooled holds count [out_c, out_h/2, out_w/2] planes and codes one
+// byte per window, laid out like pooled. Bit for bit what conv_forward,
+// relu() and ref::maxpool2x2_forward leave, with the winner stored as a
+// code (0 top-left, 1 top-right, 2 bottom-left, 3 bottom-right) instead of
+// a flat index:
+//   * every candidate first becomes r = x > 0 ? x : +0, so r is never NaN
+//     or -0 and equal values have equal bits;
+//   * the pooled value P is the largest r, and the code the first position
+//     (in the order above) whose r equals P, which is the pool's "first
+//     strictly greater candidate wins".
+// `scratch` holds conv_relu_pool_scratch(count, shape, out_c) floats: one
+// block's padded lane planes and its pooled and code lanes. It does not
+// grow with count (0 when count is 0).
 // ---------------------------------------------------------------------------
-inline constexpr std::size_t kConvPoolGroupFloats = std::size_t{1} << 15;
-
 std::size_t conv_relu_pool_scratch(std::size_t count, const ConvShape& shape,
                                    std::size_t out_channels);
 void conv_relu_pool_forward(const float* images, std::size_t count,
@@ -169,29 +178,13 @@ void conv_relu_pool_forward(const float* images, std::size_t count,
                             const float* bias, float* pooled,
                             std::uint8_t* codes, float* scratch);
 
-// ---------------------------------------------------------------------------
-// ReLU then 2x2 max pooling, stride 2, over `row_pairs` pairs of rows of
-// `width` (even) floats: an NCHW tensor of even height is planes * height / 2
-// row pairs, so no window straddles two planes. Bit for bit what relu()
-// followed by ref::maxpool2x2_forward leaves, with the winner stored as a
-// one-byte code (0 top-left, 1 top-right, 2 bottom-left, 3 bottom-right)
-// instead of a flat index:
-//   * every candidate first becomes r = x > 0 ? x : +0, so r is never NaN
-//     or -0 and equal values have equal bits;
-//   * the pooled value P is the largest r, and the code the first position
-//     (in the order above) whose r equals P, which is the pool's "first
-//     strictly greater candidate wins".
-// Windows are 2-8 wide at the paper's shapes, so the SSE2 loop puts four row
-// pairs in the vector lanes (4x4 transposes of their rows) and selects with
-// mask arithmetic only.
-// ---------------------------------------------------------------------------
-void relu_maxpool2x2(std::size_t row_pairs, std::size_t width, const float* x,
-                     float* pooled, std::uint8_t* codes);
-/// The gradient relu_maxpool2x2's input gets: +0 everywhere except at each
-/// window's code position, which holds P > 0 ? 0.0f + g : +0 — exactly
-/// what ref::maxpool2x2_backward and then relu_bwd (masked on the ReLU
-/// output) leave. Every cell is written once, two windows' four cells of a
-/// row per SSE2 store (no zero fill, no scatter).
+/// The gradient conv_relu_pool_forward's conv output gets, over `row_pairs`
+/// pairs of conv-output rows of `width` (even) floats (an NCHW tensor of
+/// even height is planes * height / 2 row pairs): +0 everywhere except at
+/// each window's code position, which holds P > 0 ? 0.0f + g : +0 —
+/// exactly what ref::maxpool2x2_backward and then relu_bwd (masked on the
+/// ReLU output) leave. Every cell is written once, two windows' four cells
+/// of a row per SSE2 store (no zero fill, no scatter).
 void relu_maxpool2x2_backward(std::size_t row_pairs, std::size_t width,
                               const float* pooled, const std::uint8_t* codes,
                               const float* grad_pooled, float* grad_x);

@@ -119,9 +119,8 @@ void conv2d_forward(const Tensor& input, const Tensor& weight, const Tensor& bia
     throw std::invalid_argument("conv2d_forward: bad output shape");
   }
   // Weight viewed in place as [out_c, patch], each image's output plane as
-  // [out_c, oh*ow]. The GEMM packs its B panels straight from the image (no
-  // im2col buffer) and fuses the bias into its epilogue — the same float
-  // chains as im2col, GEMM, then bias add.
+  // [out_c, oh*ow]: the same float chains as im2col, GEMM, then bias add,
+  // with no im2col buffer.
   const kern::ConvShape shape{spec.in_channels, h, w, spec.kernel, spec.pad,
                               spec.stride};
   kern::conv_forward(input.data(), batch, shape, {weight.data(), out_c, patch},

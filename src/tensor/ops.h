@@ -41,8 +41,9 @@ void add_row_bias(Tensor& x, const Tensor& bias);
 void sum_rows(const Tensor& grad, Tensor& bias_grad, bool accumulate = false);
 
 // ---------------------------------------------------------------------------
-// Convolution as GEMMs over the im2col matrix. Input NCHW, kernel [out_c,
-// in_c, kh, kw], symmetric zero padding `pad`.
+// Convolution, bit for bit the GEMM over the im2col matrix (im2col and
+// col2im are the reference's building blocks). Input NCHW, kernel
+// [out_c, in_c, kh, kw], symmetric zero padding `pad`.
 // ---------------------------------------------------------------------------
 struct ConvSpec {
   std::size_t in_channels = 0;
@@ -63,10 +64,11 @@ void im2col(const Tensor& input, std::size_t image_index, const ConvSpec& spec,
 void col2im(const Tensor& columns, std::size_t image_index, const ConvSpec& spec,
             Tensor& grad_input);
 
-/// Forward convolution over the whole minibatch. output must be [n, out_c,
-/// out_h, out_w]. The weight is viewed in place as [out_c, patch], the GEMM
-/// packs its B panels straight from the image and fuses the bias into its
-/// epilogue — no copies, no heap allocations once the pack buffers are warm.
+/// Forward convolution over the whole minibatch (kernels::conv_forward: a
+/// block of images in the vector lanes, each lane im2col + GEMM + bias's
+/// float chain). output must be [n, out_c, out_h, out_w]. The weight is
+/// viewed in place as [out_c, patch]; no heap allocations once the calling
+/// thread's scratch buffer is warm.
 void conv2d_forward(const Tensor& input, const Tensor& weight, const Tensor& bias,
                     const ConvSpec& spec, Tensor& output);
 /// Backward convolution over the whole minibatch (kernels::conv_backward):
@@ -81,11 +83,11 @@ void conv2d_backward(const Tensor& input, const Tensor& weight,
 // ---------------------------------------------------------------------------
 // Conv -> ReLU -> 2x2 max pool in one pass (nn::ConvBlock), bit for bit the
 // chain conv2d_forward, relu_forward, maxpool2x2_forward. The conv output
-// (even height and width) is never kept: kernels::conv_relu_pool_forward
-// convolves groups of whole images into one `arena` span of at most
-// kernels::kConvPoolGroupFloats (or one image) and pools each group. pooled
-// must be [n, out_c, out_h/2, out_w/2]; codes is resized to one byte per
-// window (its winner, kernels::relu_maxpool2x2).
+// (even height and width) is never stored: kernels::conv_relu_pool_forward
+// pools each conv tile in registers, with one block's lanes in one `arena`
+// span whatever the batch. pooled must be [n, out_c, out_h/2, out_w/2];
+// codes is resized to one byte per window (its winner,
+// kernels::conv_relu_pool_forward).
 // ---------------------------------------------------------------------------
 void conv2d_relu_pool_forward(const Tensor& input, const Tensor& weight,
                               const Tensor& bias, const ConvSpec& spec,

@@ -1,81 +1,62 @@
-// Dropout and checkpoint serialization.
+// Layer modes and checkpoint serialization.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "nn/dense.h"
-#include "nn/dropout.h"
+#include "nn/layer.h"
 #include "nn/model.h"
 #include "nn/serialize.h"
 
 namespace mach::nn {
 namespace {
 
-TEST(Dropout, RejectsBadRate) {
-  EXPECT_THROW(Dropout(-0.1), std::invalid_argument);
-  EXPECT_THROW(Dropout(1.0), std::invalid_argument);
-  EXPECT_NO_THROW(Dropout(0.0));
-  EXPECT_NO_THROW(Dropout(0.99));
-}
-
-TEST(Dropout, EvalModeIsPassThrough) {
-  Dropout layer(0.5);
-  layer.set_training(false);
-  tensor::Tensor x({1, 8}, {1, 2, 3, 4, 5, 6, 7, 8});
-  const auto& y = layer.forward(x);
-  for (std::size_t i = 0; i < 8; ++i) EXPECT_FLOAT_EQ(y[i], x[i]);
-}
-
-TEST(Dropout, TrainingZeroesApproximatelyRateFraction) {
-  Dropout layer(0.4, 7);
-  layer.set_training(true);
-  tensor::Tensor x({1, 10000});
-  x.fill(1.0f);
-  const auto& y = layer.forward(x);
-  std::size_t zeros = 0;
-  for (std::size_t i = 0; i < x.numel(); ++i) zeros += y[i] == 0.0f ? 1 : 0;
-  EXPECT_NEAR(static_cast<double>(zeros) / 10000.0, 0.4, 0.03);
-  // Inverted scaling keeps the expectation: survivors are 1/(1-0.4).
-  for (std::size_t i = 0; i < x.numel(); ++i) {
-    if (y[i] != 0.0f) {
-      EXPECT_NEAR(y[i], 1.0f / 0.6f, 1e-5);
-    }
+/// A pass-through layer that records the last mode Sequential set.
+class ModeRecorder final : public Layer {
+ public:
+  explicit ModeRecorder(std::vector<bool>* modes) : modes_(modes) {}
+  const tensor::Tensor& forward(const tensor::Tensor& input) override {
+    output_ = input;
+    return output_;
   }
-}
-
-TEST(Dropout, BackwardUsesSameMask) {
-  Dropout layer(0.5, 9);
-  tensor::Tensor x({1, 100});
-  x.fill(2.0f);
-  const auto& y = layer.forward(x);
-  tensor::Tensor g({1, 100});
-  g.fill(1.0f);
-  const auto& gin = layer.backward(g);
-  for (std::size_t i = 0; i < 100; ++i) {
-    if (y[i] == 0.0f) {
-      EXPECT_FLOAT_EQ(gin[i], 0.0f);
-    } else {
-      EXPECT_FLOAT_EQ(gin[i], 2.0f);  // 1/(1-0.5)
-    }
+  const tensor::Tensor& backward(const tensor::Tensor& grad_output) override {
+    grad_ = grad_output;
+    return grad_;
   }
-}
+  void set_training(bool training) override { modes_->push_back(training); }
+  std::string name() const override { return "ModeRecorder"; }
+
+ private:
+  std::vector<bool>* modes_;
+  tensor::Tensor output_, grad_;
+};
 
 TEST(Dropout, SequentialTogglesMode) {
+  // evaluate() puts every layer in eval mode and forward_backward() in
+  // training mode; wrappers such as bench/e2e's TimedLayer rely on it.
+  std::vector<bool> modes;
   Sequential model;
   model.add(std::make_unique<Dense>(4, 4))
-      .add(std::make_unique<Dropout>(0.9, 11))
+      .add(std::make_unique<ModeRecorder>(&modes))
       .add(std::make_unique<Dense>(4, 2));
   common::Rng rng(1);
   model.init_params(rng);
   tensor::Tensor x({8, 4});
   for (auto& v : x.flat()) v = 1.0f;
   const std::vector<int> labels = {0, 1, 0, 1, 0, 1, 0, 1};
-  // evaluate() must be deterministic (dropout off).
-  const double loss_a = model.evaluate(x, labels).loss;
-  const double loss_b = model.evaluate(x, labels).loss;
-  EXPECT_DOUBLE_EQ(loss_a, loss_b);
+  model.evaluate(x, labels);
+  ASSERT_EQ(modes.size(), 1u);
+  EXPECT_FALSE(modes.back());
+  model.forward_backward(x, labels);
+  ASSERT_EQ(modes.size(), 2u);
+  EXPECT_TRUE(modes.back());
+  model.evaluate(x, labels);
+  ASSERT_EQ(modes.size(), 3u);
+  EXPECT_FALSE(modes.back());
 }
 
 TEST(Serialize, RoundTrip) {

@@ -215,15 +215,15 @@ Tensor tensor_of(std::vector<std::size_t> shape, const std::vector<float>& v) {
 }
 
 TEST(Conv2D, PackFromImageMatchesReferenceIm2ColGemmBitwise) {
-  // Both forward paths must reproduce im2col + GEMM bit for bit: the packed
-  // GEMM that builds its B panels straight from the image, and the direct
-  // form (no im2col, output channels in vector lanes) the dispatcher picks
-  // when out_c fills whole vectors. Checked through the public op, the
-  // dispatcher's entry on every variant this CPU runs, and the direct table
-  // entry on every variant whose lanes out_c fills — over kernel sizes,
-  // pads, strides, non-square images, out_c 5, 16, 24 and 32, the five
-  // benchmark layers, a patch wider than KC at out_c 16, and batches of 1,
-  // 3 and 16. Images and biases carry ±0, NaN and ±inf; weights stay finite
+  // The forward must reproduce im2col + GEMM bit for bit: a block of
+  // images in the vector lanes, each lane running micro_nn's chain (+0,
+  // the products in increasing tap order, then the bias). Checked through
+  // the public op and the dispatcher's entry on every variant this CPU
+  // runs — over kernel sizes, pads, strides, non-square and odd images
+  // (pixel and row fringes), out_c 5, 16, 24 and 32 (channel fringes), the
+  // five benchmark layers, a patch wider than KC at out_c 16, and batches
+  // of 1, 3, 5, 16, 17 and 33, so that every variant meets a partial
+  // block. Images and biases carry ±0, NaN and ±inf; weights stay finite
   // and nonzero (the reference gemm_nn skips zero weights).
   common::Rng rng(15);
   struct Case {
@@ -247,7 +247,7 @@ TEST(Conv2D, PackFromImageMatchesReferenceIm2ColGemmBitwise) {
     }
   }
   for (const Case& c : cases) {
-    for (std::size_t batch : {1u, 3u, 16u}) {
+    for (std::size_t batch : {1u, 3u, 5u, 16u, 17u, 33u}) {
       for (bool specials : {false, true}) {
         const ConvSpec spec{.in_channels = c.channels, .out_channels = c.out_c,
                             .kernel = c.kernel, .pad = c.pad,
@@ -289,13 +289,6 @@ TEST(Conv2D, PackFromImageMatchesReferenceIm2ColGemmBitwise) {
           kernels::detail::conv_forward(*v, input.data(), batch, shape, w,
                                         bias.data(), got.data());
           ASSERT_EQ(bits(got), bits(want)) << isa << " " << where;
-          if (c.out_c % v->lanes != 0) continue;
-          std::vector<float> wt(c.out_c * patch),
-              padded(kernels::detail::padded_image_floats(shape), -5.0f);
-          std::fill(got.begin(), got.end(), -3.0f);
-          v->conv_forward_direct(input.data(), batch, shape, w, bias.data(),
-                                 got.data(), {wt.data(), padded.data()});
-          ASSERT_EQ(bits(got), bits(want)) << isa << " direct " << where;
         }
       }
     }
@@ -303,22 +296,31 @@ TEST(Conv2D, PackFromImageMatchesReferenceIm2ColGemmBitwise) {
 }
 
 TEST(Conv2D, PackFromImageCoversWidePatchesAcrossKBlocks) {
-  // patch = 40 * 3 * 3 = 360 > KC for every variant, and 33 x 17 output
-  // pixels leave ragged NR strips: the image packer must honour both cuts.
+  // patch = 40 * 3 * 3 = 360 > KC for every variant: each lane runs one
+  // unsplit chain over all 360 taps, which must equal the reference's, and
+  // 33 x 17 output pixels leave an odd row and ragged pixel tiles. One image
+  // and a whole block plus one.
   common::Rng rng(16);
   const ConvSpec spec{.in_channels = 40, .out_channels = 6, .kernel = 3,
                       .pad = 1, .stride = 1};
-  const Tensor input = random_tensor({1, 40, 33, 17}, rng);
-  const Tensor weight = random_tensor({6, 40, 3, 3}, rng);
-  const Tensor bias = random_tensor({6}, rng);
-  const auto want = reference_conv_image(input, 0, weight, bias, spec);
-  const kernels::ConvShape shape{40, 33, 17, 3, 1, 1};
-  for (const auto* v : kernels::detail::host_variants()) {
-    std::vector<float> got(want.size());
-    kernels::detail::conv_forward(*v, input.data(), 1, shape,
-                                  {weight.data(), 6, 360}, bias.data(),
-                                  got.data());
-    ASSERT_EQ(got, want) << common::gemm_isa_name(v->isa);
+  for (std::size_t batch : {1u, 17u}) {
+    const Tensor input = random_tensor({batch, 40, 33, 17}, rng);
+    const Tensor weight = random_tensor({6, 40, 3, 3}, rng);
+    const Tensor bias = random_tensor({6}, rng);
+    std::vector<float> want;
+    for (std::size_t img = 0; img < batch; ++img) {
+      const auto one = reference_conv_image(input, img, weight, bias, spec);
+      want.insert(want.end(), one.begin(), one.end());
+    }
+    const kernels::ConvShape shape{40, 33, 17, 3, 1, 1};
+    for (const auto* v : kernels::detail::host_variants()) {
+      std::vector<float> got(want.size());
+      kernels::detail::conv_forward(*v, input.data(), batch, shape,
+                                    {weight.data(), 6, 360}, bias.data(),
+                                    got.data());
+      ASSERT_EQ(got, want) << common::gemm_isa_name(v->isa) << " batch "
+                           << batch;
+    }
   }
 }
 
@@ -509,9 +511,10 @@ TEST(ConvBackward, TensorOpSkipsOnlyTheInputGradient) {
 TEST(ConvReluPool, GroupedForwardMatchesConvReluPoolOnEveryVariant) {
   // conv_relu_pool_forward against conv_forward, relu and the seed pool
   // loops on every host variant: the five benchmark conv stages, a shape
-  // with odd window counts, and one whose single image exceeds the group
-  // budget; minibatches of one group, several, and a partial last group;
-  // images and biases with ±0, NaN and ±inf.
+  // with odd window counts, and a wide one (70 channels, 24 x 24);
+  // minibatches of one image, a whole AVX-512 block and 37 (a partial last
+  // block on every variant); images and biases with ±0, NaN and ±inf. The
+  // scratch is one block's, the same at every image count.
   common::Rng rng(24);
   struct Case {
     std::size_t channels, out_c, h, w;
@@ -531,8 +534,10 @@ TEST(ConvReluPool, GroupedForwardMatchesConvReluPoolOnEveryVariant) {
         const auto bias = special_vec(c.out_c, rng, specials);
         const std::size_t scratch_size =
             kernels::conv_relu_pool_scratch(batch, shape, c.out_c);
-        EXPECT_LE(scratch_size, std::max(kernels::kConvPoolGroupFloats, plane));
-        EXPECT_EQ(scratch_size % plane, 0u);
+        for (std::size_t other : {1u, 16u, 256u}) {
+          EXPECT_EQ(kernels::conv_relu_pool_scratch(other, shape, c.out_c),
+                    scratch_size);
+        }
         for (const auto* v : kernels::detail::host_variants()) {
           std::vector<float> conv(batch * plane), relu_out(batch * plane);
           kernels::detail::conv_forward(*v, input.data(), batch, shape,
@@ -589,8 +594,13 @@ TEST(ConvReluPool, TensorOpMatchesTheChainOpsInOneGroupSpan) {
   };
   EXPECT_EQ(bits(vec(got)), bits(vec(want)));
   ASSERT_EQ(codes.size(), want.numel());
-  // 40 images of 2,048 conv outputs run as groups of 16.
-  EXPECT_EQ(arena.stats().capacity_floats, 16u * 8 * 16 * 16);
+  // One span of one block's scratch, whatever the image count.
+  const kernels::ConvShape shape{3, 16, 16, 3, 1, 1};
+  const std::size_t one_block = kernels::conv_relu_pool_scratch(40, shape, 8);
+  EXPECT_EQ(arena.stats().capacity_floats, one_block);
+  for (std::size_t count : {1u, 16u, 256u}) {
+    EXPECT_EQ(kernels::conv_relu_pool_scratch(count, shape, 8), one_block);
+  }
 
   Tensor grad = random_tensor(want.shape(), rng);
   Tensor want_dx(conv.shape()), got_dx(conv.shape());

@@ -9,7 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "common/cpu_isa.h"
 #include "common/rng.h"
+#include "tensor/kernels/gemm_variants.h"
 #include "tensor/kernels/kernels.h"
 
 namespace mach::tensor {
@@ -248,12 +250,15 @@ TEST(MaxPool, MatchesTheSeedLoopsBitwiseOnTiesNaNAndSignedZeros) {
 }
 
 TEST(ReluMaxPool, MatchesReluThenTheSeedPoolBitwise) {
-  // The fused ReLU + pool kernel against relu() followed by the seed pool
-  // loops: ties keep the first candidate, NaN, -inf and -0 become +0 first,
-  // and each code names the seed loop's argmax. Widths with an odd window
-  // count and row-pair counts off a multiple of four reach the tails; the
-  // backward must equal the seed backward followed by relu_bwd masked on
-  // the ReLU output, which a -0 gradient leaves as +0.
+  // The fused ReLU + pool against relu() followed by the seed pool loops,
+  // driven through conv_relu_pool_forward on every variant as a one-channel
+  // 1x1 convolution of weight 1, pad 0 and no bias, each plane one image:
+  // its conv output is +0 + 1 * x, which the ReLU maps exactly as it maps
+  // x. Ties keep the first candidate, NaN, -inf and -0 become +0 first, and
+  // each code names the seed loop's argmax. Widths with an odd window count
+  // and image counts off a multiple of every lane count reach the tails;
+  // the backward must equal the seed backward followed by relu_bwd masked
+  // on the ReLU output, which a -0 gradient leaves as +0.
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
   const float values[] = {-1.0f, 0.0f, -0.0f, 1.0f, 1.0f, 2.0f, nan, inf, -inf};
@@ -262,6 +267,7 @@ TEST(ReluMaxPool, MatchesReluThenTheSeedPoolBitwise) {
     std::memcpy(out.data(), v.data(), v.size() * sizeof(float));
     return out;
   };
+  const float one = 1.0f;
   common::Rng rng(43);
   const std::vector<std::vector<std::size_t>> shapes = {  // planes, h, w
       {1, 2, 2},  {3, 2, 6},   {5, 4, 4},    {2, 6, 10}, {7, 2, 12},
@@ -269,27 +275,39 @@ TEST(ReluMaxPool, MatchesReluThenTheSeedPoolBitwise) {
   for (const auto& s : shapes) {
     const std::size_t planes = s[0], h = s[1], w = s[2];
     const std::size_t size = planes * h * w, outputs = size / 4;
+    const kernels::ConvShape identity{1, h, w, 1, 0, 1};
     for (const bool normal : {false, true}) {
       std::vector<float> x(size);
       for (auto& v : x) {
         v = normal && rng.uniform_index(4) != 0 ? static_cast<float>(rng.normal())
                                                 : values[rng.uniform_index(9)];
       }
-      std::vector<float> relu_x(size), want(outputs), got(outputs, -5.0f);
+      std::vector<float> relu_x(size), want(outputs);
       std::vector<std::uint32_t> argmax(outputs);
-      std::vector<std::uint8_t> codes(outputs, 9);
       kernels::relu(size, x.data(), relu_x.data());
       kernels::ref::maxpool2x2_forward(relu_x.data(), planes, h, w, want.data(),
                                        argmax.data());
-      kernels::relu_maxpool2x2(planes * h / 2, w, x.data(), got.data(),
-                               codes.data());
       const std::string where = std::to_string(planes) + "x" +
                                 std::to_string(h) + "x" + std::to_string(w) +
                                 (normal ? " normal" : " specials");
-      ASSERT_EQ(bits(got), bits(want)) << where;
-      for (std::size_t i = 0; i < outputs; ++i) {
-        const std::uint32_t at = argmax[i];
-        ASSERT_EQ(codes[i], (at % w) % 2 + 2 * ((at / w) % 2)) << where << " " << i;
+      std::vector<float> got;
+      std::vector<std::uint8_t> codes;
+      for (const auto* v : kernels::detail::host_variants()) {
+        got.assign(outputs, -5.0f);
+        codes.assign(outputs, 9);
+        std::vector<float> scratch(kernels::detail::conv_relu_pool_scratch(
+            *v, planes, identity, 1));
+        kernels::detail::conv_relu_pool_forward(
+            *v, x.data(), planes, identity, {&one, 1, 1}, nullptr, got.data(),
+            codes.data(), scratch.data());
+        const std::string at = std::string(common::gemm_isa_name(v->isa)) +
+                               " " + where;
+        ASSERT_EQ(bits(got), bits(want)) << at;
+        for (std::size_t i = 0; i < outputs; ++i) {
+          const std::uint32_t a = argmax[i];
+          ASSERT_EQ(codes[i], (a % w) % 2 + 2 * ((a / w) % 2))
+              << at << " " << i;
+        }
       }
 
       std::vector<float> gout(outputs);
