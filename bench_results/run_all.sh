@@ -6,5 +6,4 @@ export BENCH_SEEDS=5
 ../build/bench/fig5_participation > fig5.log 2>&1
 ../build/bench/table1_local_epochs > table1.log 2>&1
 ../build/bench/ablation_mach --task fmnist > ablation.log 2>&1
-../build/bench/micro_substrate --benchmark_min_time=0.2 > micro.log 2>&1
 echo DONE

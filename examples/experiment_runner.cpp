@@ -365,12 +365,13 @@ int main(int argc, char** argv) {
             << " steps\n";
 
   const auto& cost = simulator.last_run_cost();
-  std::cout << "communication:  " << cost.device_uploads << " device uploads, "
-            << cost.device_downloads << " downloads, " << cost.probe_downloads
-            << " probes, " << cost.edge_uploads + cost.cloud_broadcasts
-            << " edge-cloud messages (" << cost.total_bytes() / 1024 << " KiB)\n";
+  const auto& ledger = cost.ledger;
+  std::cout << "communication:  " << ledger.device_upload.messages
+            << " device uploads, " << ledger.device_download.messages
+            << " downloads, " << ledger.probe_download.messages << " probes, "
+            << ledger.edge_upload.messages + ledger.cloud_broadcast.messages
+            << " edge-cloud messages (" << ledger.total_bytes() / 1024 << " KiB)\n";
   if (!config.hfl.comm.all_fp32()) {
-    const auto& ledger = cost.ledger;
     std::cout << "encoded bytes:  device up " << ledger.device_upload.bytes / 1024
               << " KiB (retries " << ledger.retry_upload.bytes / 1024
               << " KiB), down " << ledger.device_download.bytes / 1024
@@ -390,7 +391,7 @@ int main(int argc, char** argv) {
       first = false;
       std::cout << entry.name.substr(6) << "=" << entry.value;
     }
-    std::cout << " (" << cost.retry_uploads << " retry uploads)\n";
+    std::cout << " (" << ledger.retry_upload.messages << " retry uploads)\n";
   }
 
   if (cli.get_bool("confusion")) {

@@ -5,8 +5,6 @@
 #
 #   ./scripts/ci.sh              # build into ./build (default)
 #   BUILD_DIR=ci-build ./scripts/ci.sh
-#   TSAN=0 ./scripts/ci.sh       # skip the ThreadSanitizer stage
-#   UBSAN=0 ./scripts/ci.sh      # skip the UBSan kernels-equivalence stage
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -376,88 +374,84 @@ cmake --build "$ASAN_DIR" -j "$JOBS" --target test_tensor test_nn
 "$ASAN_DIR/tests/test_tensor"
 "$ASAN_DIR/tests/test_nn"
 
-if [ "${UBSAN:-1}" != "0" ]; then
-  # Undefined-behaviour check over the kernel layer: a separate UBSan build
-  # running the blocked-vs-reference equivalence suite for every GEMM
-  # variant the CPU runs (pointer arithmetic, masked edge tiles, the packed
-  # and image-panel indexing, the unpacked path's masked and zero-padded
-  # fringe accesses and the lane-norm kernels' transposed row loads are the
-  # risky parts) plus the ISA-selection
-  # unit test, with the ISA-object guard re-run on the instrumented objects,
-  # plus the nn suite (the backward_params hook, the skipped first-layer
-  # input gradient and every layer's backward feed the minibatch
-  # conv_backward's scratch carving and lane transposes; GradNormBatch's
-  # staging lanes feed the lane-norm kernels),
-  # plus the checkpoint suite (byte-codec casts, CRC table indexing and the
-  # raw-byte RNG state round-trips are the risky parts), plus the comm suite
-  # with a raised fuzz budget (float<->bits bit_casts, wire byte packing,
-  # int8 narrowing and the int8 codec's SSE2 casts, saturating packs and
-  # tail loops, checked against its scalar reference over many random
-  # lengths, are the risky parts), plus the sampling + scale suites (Fenwick node index
-  # arithmetic, alias-bucket uniform splitting and the hash-based synthetic
-  # gradient mixing are the risky parts; test_sampling now also carries the
-  # whole-registry conformance suite, so every zoo sampler's probability
-  # arithmetic runs sanitized), plus the mobility suite (the scenario spec
-  # parser's from_chars walking and its fuzz sweep are the risky parts),
-  # plus the sweep suite with a raised fuzz budget (the spec parser's strict
-  # validation layers, the journal's CRC framing / torn-tail byte walking,
-  # and the orchestrator's waitpid status decoding are the risky parts; the
-  # e2e tests fork UBSan-built child binaries, so the engine's drain/hang
-  # harness paths run sanitized too). Built at Release's -O2.
-  echo "== undefined behaviour sanitizer (kernels + ISA selection + nn + faults + ckpt + comm + sampling + mobility + scale + sweep) =="
-  UBSAN_DIR="${UBSAN_DIR:-${BUILD_DIR}-ubsan}"
-  cmake -B "$UBSAN_DIR" -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
-    -DCMAKE_CXX_FLAGS="-fsanitize=undefined -fno-sanitize-recover=all -g -Werror" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=undefined"
-  cmake --build "$UBSAN_DIR" -j "$JOBS" --target test_tensor test_common test_nn test_fault test_ckpt test_comm test_sampling test_mobility test_scale test_sweep
-  check_isa_objects "$UBSAN_DIR"
-  "$UBSAN_DIR/tests/test_tensor"
-  "$UBSAN_DIR/tests/test_common" --gtest_filter='GemmIsaSelection.*'
-  "$UBSAN_DIR/tests/test_nn"
-  "$UBSAN_DIR/tests/test_fault"
-  "$UBSAN_DIR/tests/test_ckpt"
-  MACH_CODEC_FUZZ_ITERS=2000 "$UBSAN_DIR/tests/test_comm"
-  "$UBSAN_DIR/tests/test_sampling"
-  "$UBSAN_DIR/tests/test_mobility"
-  "$UBSAN_DIR/tests/test_scale"
-  MACH_SWEEP_FUZZ_ITERS=1500 "$UBSAN_DIR/tests/test_sweep"
-fi
+# Undefined-behaviour check over the kernel layer: a separate UBSan build
+# running the blocked-vs-reference equivalence suite for every GEMM
+# variant the CPU runs (pointer arithmetic, masked edge tiles, the packed
+# and image-panel indexing, the unpacked path's masked and zero-padded
+# fringe accesses and the lane-norm kernels' transposed row loads are the
+# risky parts) plus the ISA-selection
+# unit test, with the ISA-object guard re-run on the instrumented objects,
+# plus the nn suite (the backward_params hook, the skipped first-layer
+# input gradient and every layer's backward feed the minibatch
+# conv_backward's scratch carving and lane transposes; GradNormBatch's
+# staging lanes feed the lane-norm kernels),
+# plus the checkpoint suite (byte-codec casts, CRC table indexing and the
+# raw-byte RNG state round-trips are the risky parts), plus the comm suite
+# with a raised fuzz budget (float<->bits bit_casts, wire byte packing,
+# int8 narrowing and the int8 codec's SSE2 casts, saturating packs and
+# tail loops, checked against its scalar reference over many random
+# lengths, are the risky parts), plus the sampling + scale suites (Fenwick node index
+# arithmetic, alias-bucket uniform splitting and the hash-based synthetic
+# gradient mixing are the risky parts; test_sampling now also carries the
+# whole-registry conformance suite, so every zoo sampler's probability
+# arithmetic runs sanitized), plus the mobility suite (the scenario spec
+# parser's from_chars walking and its fuzz sweep are the risky parts),
+# plus the sweep suite with a raised fuzz budget (the spec parser's strict
+# validation layers, the journal's CRC framing / torn-tail byte walking,
+# and the orchestrator's waitpid status decoding are the risky parts; the
+# e2e tests fork UBSan-built child binaries, so the engine's drain/hang
+# harness paths run sanitized too). Built at Release's -O2.
+echo "== undefined behaviour sanitizer (kernels + ISA selection + nn + faults + ckpt + comm + sampling + mobility + scale + sweep) =="
+UBSAN_DIR="${UBSAN_DIR:-${BUILD_DIR}-ubsan}"
+cmake -B "$UBSAN_DIR" -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
+  -DCMAKE_CXX_FLAGS="-fsanitize=undefined -fno-sanitize-recover=all -g -Werror" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=undefined"
+cmake --build "$UBSAN_DIR" -j "$JOBS" --target test_tensor test_common test_nn test_fault test_ckpt test_comm test_sampling test_mobility test_scale test_sweep
+check_isa_objects "$UBSAN_DIR"
+"$UBSAN_DIR/tests/test_tensor"
+"$UBSAN_DIR/tests/test_common" --gtest_filter='GemmIsaSelection.*'
+"$UBSAN_DIR/tests/test_nn"
+"$UBSAN_DIR/tests/test_fault"
+"$UBSAN_DIR/tests/test_ckpt"
+MACH_CODEC_FUZZ_ITERS=2000 "$UBSAN_DIR/tests/test_comm"
+"$UBSAN_DIR/tests/test_sampling"
+"$UBSAN_DIR/tests/test_mobility"
+"$UBSAN_DIR/tests/test_scale"
+MACH_SWEEP_FUZZ_ITERS=1500 "$UBSAN_DIR/tests/test_sweep"
 
-if [ "${TSAN:-1}" != "0" ]; then
-  # Data-race check over the runtime subsystem: a separate TSan build of the
-  # thread-pool unit suite plus the parallel-determinism integration test
-  # (the only paths that run worker threads). Filtered rather than the full
-  # suite because TSan's ~10x slowdown would dominate CI otherwise. Built at
-  # Release's -O2.
-  echo "== thread sanitizer =="
-  TSAN_DIR="${TSAN_DIR:-${BUILD_DIR}-tsan}"
-  cmake -B "$TSAN_DIR" -S . \
-    -DCMAKE_CXX_FLAGS="-fsanitize=thread -g -Werror" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
-  cmake --build "$TSAN_DIR" -j "$JOBS" --target test_runtime test_hfl test_fault test_obs test_comm test_sampling test_scale
-  "$TSAN_DIR/tests/test_runtime"
-  # ParallelDeterminism includes a MACH-P run: probes batch their gradient
-  # norms on the coordinator while each worker slot batches its own. It and
-  # the call-order test also run a world whose steps train several
-  # sections, workers claiming jobs from one shared counter.
-  "$TSAN_DIR/tests/test_hfl" --gtest_filter='ParallelDeterminism.*:ProfilerIntegration.*:Simulator.SamplersObserveEachStepAfterItsLastDecision'
-  # Every registered sampler driven through real 2- and 4-worker simulator
-  # runs: samplers are coordinator-only by contract; TSan proves none of the
-  # zoo's per-device state is touched from worker threads.
-  "$TSAN_DIR/tests/test_sampling" --gtest_filter='*RunsBitwiseIdenticalAcrossThreadCounts*'
-  # The fault replay/determinism suites drive 2- and 4-worker runs with the
-  # injector active — the only new code reachable from worker threads.
-  "$TSAN_DIR/tests/test_fault" --gtest_filter='FaultDeterminism.*:FailureReplay.*'
-  # Span profiler: per-track rings written from worker threads, merged at the
-  # barrier — the thread_local binding and merge must be race-free; phase-
-  # tagged guards charge only their own thread's accumulators.
-  "$TSAN_DIR/tests/test_obs" --gtest_filter='SpanProfiler.*:PhaseSpanGuard.*'
-  # Lossy-codec runs at 2 and 4 workers: transcodes are coordinator-only by
-  # design; TSan proves no codec state is touched from worker threads.
-  "$TSAN_DIR/tests/test_comm" --gtest_filter='CommIntegration.*'
-  # Scale engine determinism/resume suite: single-threaded by design — TSan
-  # proves nothing in the million-device round loop spawns hidden threads.
-  "$TSAN_DIR/tests/test_scale"
-fi
+# Data-race check over the runtime subsystem: a separate TSan build of the
+# thread-pool unit suite plus the parallel-determinism integration test
+# (the only paths that run worker threads). Filtered rather than the full
+# suite because TSan's ~10x slowdown would dominate CI otherwise. Built at
+# Release's -O2.
+echo "== thread sanitizer =="
+TSAN_DIR="${TSAN_DIR:-${BUILD_DIR}-tsan}"
+cmake -B "$TSAN_DIR" -S . \
+  -DCMAKE_CXX_FLAGS="-fsanitize=thread -g -Werror" \
+  -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
+cmake --build "$TSAN_DIR" -j "$JOBS" --target test_runtime test_hfl test_fault test_obs test_comm test_sampling test_scale
+"$TSAN_DIR/tests/test_runtime"
+# ParallelDeterminism includes a MACH-P run: probes batch their gradient
+# norms on the coordinator while each worker slot batches its own. It and
+# the call-order test also run a world whose steps train several
+# sections, workers claiming jobs from one shared counter.
+"$TSAN_DIR/tests/test_hfl" --gtest_filter='ParallelDeterminism.*:ProfilerIntegration.*:Simulator.SamplersObserveEachStepAfterItsLastDecision'
+# Every registered sampler driven through real 2- and 4-worker simulator
+# runs: samplers are coordinator-only by contract; TSan proves none of the
+# zoo's per-device state is touched from worker threads.
+"$TSAN_DIR/tests/test_sampling" --gtest_filter='*RunsBitwiseIdenticalAcrossThreadCounts*'
+# The fault replay/determinism suites drive 2- and 4-worker runs with the
+# injector active — the only new code reachable from worker threads.
+"$TSAN_DIR/tests/test_fault" --gtest_filter='FaultDeterminism.*:FailureReplay.*'
+# Span profiler: per-track rings written from worker threads, merged at the
+# barrier — the thread_local binding and merge must be race-free; phase-
+# tagged guards charge only their own thread's accumulators.
+"$TSAN_DIR/tests/test_obs" --gtest_filter='SpanProfiler.*:PhaseSpanGuard.*'
+# Lossy-codec runs at 2 and 4 workers: transcodes are coordinator-only by
+# design; TSan proves no codec state is touched from worker threads.
+"$TSAN_DIR/tests/test_comm" --gtest_filter='CommIntegration.*'
+# Scale engine determinism/resume suite: single-threaded by design — TSan
+# proves nothing in the million-device round loop spawns hidden threads.
+"$TSAN_DIR/tests/test_scale"
 
 echo "CI OK"

@@ -26,6 +26,5 @@ cd "$out_dir"
 "$repo_root/build/bench/table1_local_epochs"   | tee table1.log
 "$repo_root/build/bench/ablation_mach" --task fmnist | tee ablation_mach.log
 "$repo_root/build/bench/ablation_mobility" --task mnist | tee ablation_mobility.log
-"$repo_root/build/bench/micro_substrate" --benchmark_min_time=0.2 | tee micro.log
 
 echo "All outputs in $out_dir"

@@ -21,8 +21,11 @@ namespace mach::ckpt {
 /// Payload format version written by HflSimulator (bump on layout changes).
 /// v2: CommunicationCost gained the encoded-byte ledger + mixed-size flag,
 /// and lossy-codec runs append error-feedback residuals and the last cloud
-/// broadcast (src/comm/). v1 snapshots cannot resume a v2 engine.
-inline constexpr std::uint32_t kRunStateVersion = 2;
+/// broadcast (src/comm/). v3: the communication section is the Transport's
+/// (hfl/transport.h): the ledger, then the codec state; the legacy message
+/// counters, model size and mixed-size flag are gone. A snapshot of another
+/// version cannot resume the engine (callers start from step 0).
+inline constexpr std::uint32_t kRunStateVersion = 3;
 
 struct RunStateHeader {
   std::uint64_t fingerprint = 0;      // run-configuration hash (see above)

@@ -1,12 +1,12 @@
 // Encoded-byte ledger: what the simulated network actually moved, per link.
 //
-// CommunicationCost's message counters say how many model messages crossed
-// each link; the ledger says how many *bytes* those messages were after the
-// link's codec ran — the quantity the paper's channel-budget framing (Eq.
-// 3–4) actually constrains. The engine charges every message at the codec's
-// encoded size, including messages whose payload never arrived (dropped
-// uploads consumed no bytes because the device vanished before transmitting,
-// but straggler retransmissions pay the full encoded payload per attempt).
+// Per link, the ledger counts the model messages that crossed it and how many
+// *bytes* they were after the link's codec ran — the quantity the paper's
+// channel-budget framing (Eq. 3–4) actually constrains. The engine's
+// Transport charges every message at the codec's encoded size, including
+// messages whose payload never arrived (dropped uploads consumed no bytes
+// because the device vanished before transmitting, but straggler
+// retransmissions pay the full encoded payload per attempt).
 //
 // Codec wire sizes are value-independent (Codec::encoded_bytes), so the
 // ledger is pure integer arithmetic: maintaining it never touches the model
@@ -41,9 +41,8 @@ struct LinkTraffic {
 struct ByteLedger {
   LinkTraffic device_download;   // edge model -> device (Eq. 4's start)
   LinkTraffic device_upload;     // trained model -> edge (incl. retries)
-  /// Straggler retransmissions (fault layer). These bytes are already part
-  /// of device_upload — this tracks the redundant share, mirroring
-  /// CommunicationCost::retry_uploads.
+  /// Straggler retransmissions (fault layer). These messages are already
+  /// part of device_upload — this tracks the redundant share.
   LinkTraffic retry_upload;
   LinkTraffic probe_download;    // oracle probes (MACH-P)
   LinkTraffic edge_upload;       // edge model -> cloud
@@ -55,8 +54,7 @@ struct ByteLedger {
   std::uint64_t total_messages() const noexcept;
   /// Device<->edge bytes only (the per-edge channel-budget view).
   std::uint64_t device_link_bytes() const noexcept;
-  /// True when no traffic has been recorded (e.g. a hand-built
-  /// CommunicationCost that never went through the engine).
+  /// True when no traffic has been recorded.
   bool empty() const noexcept;
 
   ByteLedger& operator+=(const ByteLedger& other) noexcept;

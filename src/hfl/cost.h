@@ -1,22 +1,19 @@
 // Communication-cost accounting for the hierarchical wireless network.
 //
 // The paper frames device sampling as minimising convergence error under
-// *time-averaged cost constraints* (the per-edge channel budget K_n). This
-// module counts the messages the simulated system actually exchanges so
-// experiments can report cost alongside time-to-accuracy:
+// *time-averaged cost constraints* (the per-edge channel budget K_n). The
+// engine's Transport (hfl/transport.h) charges every model message the
+// simulated system exchanges to `ledger`, per link and at the link codec's
+// *encoded* size, so experiments can report cost alongside time-to-accuracy:
 //   * device <-> edge: one model download per sampled device per step
-//     (Eq. 4's starting point) and one model upload after local updating;
+//     (Eq. 4's starting point) and one model upload per attempt after local
+//     updating;
 //   * oracle probes (MACH-P only): one extra model download per probed
 //     device per step;
 //   * edge <-> cloud: per cloud round (Eq. 6), each edge uploads its model
 //     and receives the new global model.
-//
-// Byte truth lives in `ledger` (src/comm/): the engine charges every message
-// at its link codec's *encoded* size, so total_bytes() reports what actually
-// crossed the wire — 4·model_parameters per message only when the link runs
-// the fp32 identity codec. The legacy fp32 product remains available as
-// assumed_fp32_bytes() (and as the fallback for hand-built accumulators that
-// never went through the engine).
+// The ledger is the only message count. assumed_fp32_bytes() prices the same
+// messages at uncompressed fp32, for compression-ratio readouts.
 #pragma once
 
 #include <cassert>
@@ -27,57 +24,24 @@
 namespace mach::hfl {
 
 struct CommunicationCost {
-  std::size_t device_downloads = 0;   // edge model -> device
-  std::size_t device_uploads = 0;     // local model -> edge
-  /// Straggler retransmissions (fault injection); these attempts are already
-  /// included in device_uploads — this counts the redundant share.
-  std::size_t retry_uploads = 0;
-  std::size_t probe_downloads = 0;    // oracle probes (MACH-P)
-  std::size_t edge_uploads = 0;       // edge model -> cloud
-  std::size_t cloud_broadcasts = 0;   // global model -> edge
-  /// Scalar parameters per model message (for byte conversion).
+  /// Scalar parameters per model message (for the fp32 comparison).
   std::size_t model_parameters = 0;
-  /// Encoded bytes per link, maintained by the engine alongside the message
-  /// counters above (fp32 links charge exactly 4·model_parameters/message).
+  /// Messages and encoded bytes per link.
   comm::ByteLedger ledger;
   /// Sticky accumulation-error flag: set when operator+= folded together
-  /// accumulators with different nonzero model_parameters. Byte totals from
-  /// the legacy fp32 product are under-counted past that point; the ledger
-  /// (per-message charges) stays exact. Surfaced by tools/trace_summary.
+  /// accumulators with different nonzero model_parameters. The fp32
+  /// comparison is under-counted past that point; the ledger (per-message
+  /// charges) stays exact. Surfaced by tools/trace_summary.
   bool mixed_model_sizes = false;
 
-  std::size_t total_model_messages() const noexcept {
-    return device_downloads + device_uploads + probe_downloads + edge_uploads +
-           cloud_broadcasts;
-  }
-
-  /// Total bytes assuming uncompressed float32 parameters on every link (the
-  /// pre-codec reporting convention; kept for comparison against `ledger`).
+  /// Total bytes the ledger's messages would take as uncompressed float32
+  /// parameters on every link (the pre-codec reporting convention).
   std::size_t assumed_fp32_bytes() const noexcept {
-    return total_model_messages() * model_parameters * sizeof(float);
-  }
-
-  /// Total bytes moved: the encoded-byte ledger when the engine maintained
-  /// one, else the fp32 assumption (hand-built accumulators).
-  std::size_t total_bytes() const noexcept {
-    if (!ledger.empty()) return static_cast<std::size_t>(ledger.total_bytes());
-    return assumed_fp32_bytes();
-  }
-
-  /// Device-edge messages per time step (the channel-budget view, Eq. 3).
-  double device_messages_per_step(std::size_t steps) const noexcept {
-    if (steps == 0) return 0.0;
-    return static_cast<double>(device_downloads + device_uploads) /
-           static_cast<double>(steps);
+    return static_cast<std::size_t>(ledger.total_messages()) * model_parameters *
+           sizeof(float);
   }
 
   CommunicationCost& operator+=(const CommunicationCost& other) noexcept {
-    device_downloads += other.device_downloads;
-    device_uploads += other.device_uploads;
-    retry_uploads += other.retry_uploads;
-    probe_downloads += other.probe_downloads;
-    edge_uploads += other.edge_uploads;
-    cloud_broadcasts += other.cloud_broadcasts;
     ledger += other.ledger;
     mixed_model_sizes |= other.mixed_model_sizes;
     // model_parameters is a per-message size, not a count: accumulating runs

@@ -14,12 +14,6 @@ void ResidualPool::reset(std::size_t num_devices, std::size_t stride) {
   slab_.shrink_to_fit();
 }
 
-std::span<float> ResidualPool::get(std::uint32_t device) {
-  const std::uint32_t slot = handles_.at(device);
-  if (slot == kNoSlot) return {};
-  return {slab_.data() + static_cast<std::size_t>(slot) * stride_, stride_};
-}
-
 std::span<const float> ResidualPool::get(std::uint32_t device) const {
   const std::uint32_t slot = handles_.at(device);
   if (slot == kNoSlot) return {};

@@ -37,28 +37,14 @@ class ResidualPool {
   /// True once reset() has been called with a nonzero device count.
   bool enabled() const noexcept { return !handles_.empty(); }
   std::size_t num_devices() const noexcept { return handles_.size(); }
-  std::size_t stride() const noexcept { return stride_; }
-  /// Devices currently owning a residual slab slot.
-  std::size_t allocated() const noexcept { return allocated_; }
-
-  bool has(std::uint32_t device) const {
-    return handles_.at(device) != kNoSlot;
-  }
 
   /// The device's residual, or an empty span when it never participated.
-  std::span<float> get(std::uint32_t device);
   std::span<const float> get(std::uint32_t device) const;
 
   /// The device's residual, allocating (zero-filled) on first use. An
   /// allocation may move the slab: spans returned earlier are invalidated,
   /// so fetch the span immediately before each use.
   std::span<float> get_or_alloc(std::uint32_t device);
-
-  /// Slab + handle bytes actually reserved (capacity) — scale accounting.
-  std::size_t memory_bytes() const noexcept {
-    return slab_.capacity() * sizeof(float) +
-           handles_.capacity() * sizeof(std::uint32_t);
-  }
 
   /// Wire-compatible with the historical vector-per-device serialisation.
   void save_state(ckpt::ByteWriter& out) const;

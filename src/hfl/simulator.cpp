@@ -37,15 +37,14 @@ HflSimulator::HflSimulator(const data::Dataset& train, const data::Dataset& test
       schedule_(schedule),
       options_(options),
       model_(model_factory()),
+      // Throws on codec parameters out of range.
+      transport_(options_.comm, partition_.size(), schedule_.num_edges(),
+                 model_.num_parameters()),
       engine_rng_(common::split_seed(
           options.sampling_seed != 0 ? options.sampling_seed : options.seed,
           0xe791)) {
   if (partition_.size() != schedule_.num_devices()) {
     throw std::invalid_argument("HflSimulator: partition/schedule device mismatch");
-  }
-  if (!options_.edge_capacities.empty() &&
-      options_.edge_capacities.size() != schedule_.num_edges()) {
-    throw std::invalid_argument("HflSimulator: edge_capacities size mismatch");
   }
   if (options_.local_epochs == 0 || options_.cloud_interval == 0 ||
       options_.batch_size == 0) {
@@ -64,7 +63,6 @@ HflSimulator::HflSimulator(const data::Dataset& train, const data::Dataset& test
   global_ = model_.get_parameters();
   param_count_ = global_.size();
   edge_models_.assign(schedule_.num_edges(), global_);
-  // Sized once: a job's start view may point into a plan's downlink buffer.
   plans_.resize(schedule_.num_edges());
   device_rngs_.reserve(partition_.size());
   for (std::size_t m = 0; m < partition_.size(); ++m) {
@@ -76,41 +74,9 @@ HflSimulator::HflSimulator(const data::Dataset& train, const data::Dataset& test
     replicas_ = std::make_unique<runtime::ModelReplicaPool>(model_factory, workers);
     worker_scratch_.resize(workers);
   }
-  // Transfer codecs: built once (immutable), encoded sizes cached — the
-  // ledger charges per message without touching the model path.
-  codec_device_up_ = comm::make_codec(options_.comm.device_up);
-  codec_device_down_ = comm::make_codec(options_.comm.device_down);
-  codec_probe_ = comm::make_codec(options_.comm.probe);
-  codec_edge_up_ = comm::make_codec(options_.comm.edge_up);
-  codec_cloud_down_ = comm::make_codec(options_.comm.cloud_down);
-  comm_lossy_ = !options_.comm.all_fp32();
-  bytes_device_up_ = codec_device_up_->encoded_bytes(param_count_);
-  bytes_device_down_ = codec_device_down_->encoded_bytes(param_count_);
-  bytes_probe_ = codec_probe_->encoded_bytes(param_count_);
-  bytes_edge_up_ = codec_edge_up_->encoded_bytes(param_count_);
-  bytes_cloud_down_ = codec_cloud_down_->encoded_bytes(param_count_);
 }
 
-void HflSimulator::transcode(const comm::Codec& codec,
-                             std::span<const float> values,
-                             std::span<const float> reference,
-                             std::span<float> residual,
-                             std::vector<float>& out, std::int64_t t,
-                             std::int64_t id) {
-  {
-    const obs::SpanGuard span("comm.encode", t, id);
-    codec.encode(values, reference, residual, wire_);
-  }
-  if (ctr_comm_encodes_ != nullptr) ctr_comm_encodes_->add();
-  {
-    const obs::SpanGuard span("comm.decode", t, id);
-    codec.decode(wire_, values.size(), reference, out);
-  }
-  if (ctr_comm_decodes_ != nullptr) ctr_comm_decodes_->add();
-}
-
-double HflSimulator::edge_capacity(std::size_t edge) const {
-  if (!options_.edge_capacities.empty()) return options_.edge_capacities.at(edge);
+double HflSimulator::edge_capacity(std::size_t /*edge*/) const {
   return options_.participation * static_cast<double>(num_devices()) /
          static_cast<double>(num_edges());
 }
@@ -128,17 +94,15 @@ FederationInfo HflSimulator::federation_info() const {
   return info;
 }
 
-double HflSimulator::learning_rate_at(std::size_t t) const {
-  return options_.learning_rate / (1.0 + options_.lr_decay * static_cast<double>(t));
-}
-
 void HflSimulator::train_device(std::size_t t, std::uint32_t device,
                                 std::size_t edge,
                                 const std::vector<float>& edge_model,
-                                double learning_rate, nn::Sequential& model,
-                                StepScratch& scratch, DeviceSlot& out) {
+                                nn::Sequential& model, StepScratch& scratch,
+                                DeviceSlot& out) {
   model.set_parameters(edge_model);
-  nn::Sgd sgd({.learning_rate = learning_rate, .momentum = 0.0, .weight_decay = 0.0});
+  nn::Sgd sgd({.learning_rate = options_.learning_rate,
+               .momentum = 0.0,
+               .weight_decay = 0.0});
   TrainingObservation& obs = out.observation;
   obs.t = t;
   obs.device = device;
@@ -159,7 +123,7 @@ void HflSimulator::train_device(std::size_t t, std::uint32_t device,
   model.get_parameters(out.params);
 }
 
-void HflSimulator::train_jobs(std::size_t t, double learning_rate) {
+void HflSimulator::train_jobs(std::size_t t) {
   if (device_slots_.size() < jobs_.size()) device_slots_.resize(jobs_.size());
   if (pool_ == nullptr) {
     for (std::size_t j = 0; j < jobs_.size(); ++j) {
@@ -167,7 +131,7 @@ void HflSimulator::train_jobs(std::size_t t, double learning_rate) {
       const obs::SpanGuard span(timers_[obs::Phase::DeviceTraining],
                                 "device_train", static_cast<std::int64_t>(t),
                                 job.device);
-      train_device(t, job.device, job.edge, *job.start, learning_rate, model_,
+      train_device(t, job.device, job.edge, *job.start, model_,
                    coordinator_scratch_, device_slots_[j]);
     }
     coordinator_scratch_.norms.flush();
@@ -199,7 +163,7 @@ void HflSimulator::train_jobs(std::size_t t, double learning_rate) {
           const TrainingJob& job = jobs_[j];
           const obs::SpanGuard span("device_train",
                                     static_cast<std::int64_t>(t), job.device);
-          train_device(t, job.device, job.edge, *job.start, learning_rate,
+          train_device(t, job.device, job.edge, *job.start,
                        replicas_->model(slot), worker_scratch_[slot],
                        device_slots_[j]);
         }
@@ -225,10 +189,7 @@ void HflSimulator::probe_gradient_norm(std::uint32_t device, double* result) {
 EvalPoint HflSimulator::evaluate_global(std::size_t t) {
   EvalPoint point;
   point.t = t;
-  std::size_t total = test_.size();
-  if (options_.eval_max_examples != 0) {
-    total = std::min(total, options_.eval_max_examples);
-  }
+  const std::size_t total = test_.size();
   // Test evaluation is sharded into fixed chunks; each chunk's statistics
   // land in a slot and the fold below walks the slots in chunk order, so the
   // serial and parallel paths produce bitwise-identical sums.
@@ -339,13 +300,8 @@ std::uint64_t HflSimulator::run_fingerprint(const Sampler& sampler,
   h = ckpt::hash_u64(h, options_.cloud_interval);
   h = ckpt::hash_u64(h, options_.batch_size);
   h = ckpt::hash_f64(h, options_.learning_rate);
-  h = ckpt::hash_f64(h, options_.lr_decay);
   h = ckpt::hash_f64(h, options_.participation);
-  h = ckpt::hash_u64(h, options_.edge_capacities.size());
-  for (const double c : options_.edge_capacities) h = ckpt::hash_f64(h, c);
-  h = ckpt::hash_f64(h, options_.min_probability);
   h = ckpt::hash_u64(h, static_cast<std::uint64_t>(options_.aggregation));
-  h = ckpt::hash_u64(h, options_.eval_max_examples);
   h = ckpt::hash_u64(h, options_.track_global_grad_norm_examples);
   h = ckpt::hash_str(h, options_.faults.empty() ? "" : options_.faults.to_string());
   h = ckpt::hash_str(h, options_.comm.all_fp32() ? "" : options_.comm.to_string());
@@ -407,36 +363,8 @@ void HflSimulator::save_checkpoint(Sampler& sampler, std::size_t steps,
   out.u64(device_rngs_.size());
   for (const auto& rng : device_rngs_) ckpt::write_rng(out, rng);
 
-  // Communication-cost accumulators.
-  out.u64(cost_.device_downloads);
-  out.u64(cost_.device_uploads);
-  out.u64(cost_.retry_uploads);
-  out.u64(cost_.probe_downloads);
-  out.u64(cost_.edge_uploads);
-  out.u64(cost_.cloud_broadcasts);
-  out.u64(cost_.model_parameters);
-  // v2: the encoded-byte ledger (pure integer accumulators) plus the sticky
-  // mixed-size flag. Always present, even when every link is fp32.
-  out.boolean(cost_.mixed_model_sizes);
-  const auto write_link = [&out](const comm::LinkTraffic& link) {
-    out.u64(link.messages);
-    out.u64(link.bytes);
-  };
-  write_link(cost_.ledger.device_download);
-  write_link(cost_.ledger.device_upload);
-  write_link(cost_.ledger.retry_upload);
-  write_link(cost_.ledger.probe_download);
-  write_link(cost_.ledger.edge_upload);
-  write_link(cost_.ledger.cloud_broadcast);
-  // v2: lossy-codec model state — per-device error-feedback residuals (empty
-  // until a device first uploads through a stateful codec) and the reference
-  // model the cloud last broadcast. Absent when every link is fp32, so the
-  // fingerprint-compatible fp32 payload stays minimal.
-  out.boolean(comm_lossy_);
-  if (comm_lossy_) {
-    upload_residuals_.save_state(out);
-    out.vec_f32(last_broadcast_);
-  }
+  // The byte ledger and codec state.
+  transport_.save_state(out);
 
   // Recorded evaluation trajectory (the final CSV is regenerated from this,
   // which is what makes resumed CSVs byte-identical).
@@ -518,36 +446,7 @@ std::size_t HflSimulator::restore_run_state(Sampler& sampler, std::size_t steps,
   }
   for (auto& rng : device_rngs_) ckpt::read_rng(in, rng);
 
-  cost_.device_downloads = in.u64();
-  cost_.device_uploads = in.u64();
-  cost_.retry_uploads = in.u64();
-  cost_.probe_downloads = in.u64();
-  cost_.edge_uploads = in.u64();
-  cost_.cloud_broadcasts = in.u64();
-  cost_.model_parameters = in.u64();
-  cost_.mixed_model_sizes = in.boolean();
-  const auto read_link = [&in](comm::LinkTraffic& link) {
-    link.messages = in.u64();
-    link.bytes = in.u64();
-  };
-  read_link(cost_.ledger.device_download);
-  read_link(cost_.ledger.device_upload);
-  read_link(cost_.ledger.retry_upload);
-  read_link(cost_.ledger.probe_download);
-  read_link(cost_.ledger.edge_upload);
-  read_link(cost_.ledger.cloud_broadcast);
-  const bool snapshot_lossy = in.boolean();
-  if (snapshot_lossy != comm_lossy_) {
-    // Unreachable in practice: the codec spec feeds the fingerprint above.
-    throw ckpt::CorruptPayload("checkpoint: codec state/config mismatch");
-  }
-  if (comm_lossy_) {
-    upload_residuals_.load_state(in);
-    last_broadcast_ = in.vec_f32();
-    if (last_broadcast_.size() != param_count_) {
-      throw ckpt::CorruptPayload("checkpoint: broadcast model size mismatch");
-    }
-  }
+  transport_.load_state(in);
 
   const std::uint64_t num_points = in.u64();
   for (std::uint64_t i = 0; i < num_points; ++i) {
@@ -604,8 +503,6 @@ std::size_t HflSimulator::restore_run_state(Sampler& sampler, std::size_t steps,
 MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
   sampler.bind(federation_info());
   MetricsRecorder metrics;
-  cost_ = CommunicationCost{};
-  cost_.model_parameters = param_count_;
   timers_.reset();
   registry_.reset();
 
@@ -675,28 +572,9 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
     ctr_fault_updates_lost = &registry_.counter("fault_updates_lost");
   }
 
-  // Codec instruments follow the same rule: they only exist when some link
-  // actually transcodes, so an all-fp32 run keeps the registry snapshot (and
-  // the run_end trace line) byte-identical to pre-codec builds.
-  ctr_comm_encodes_ = nullptr;
-  ctr_comm_decodes_ = nullptr;
-  if (comm_lossy_) {
-    ctr_comm_encodes_ = &registry_.counter("comm_encodes");
-    ctr_comm_decodes_ = &registry_.counter("comm_decodes");
-  }
-
-  // Codec model state, (re)initialised before any resume restore overwrites
-  // it: error-feedback residuals start empty (allocated lazily on a device's
-  // first encode) and the cloud's last broadcast starts at the initial
-  // global model every edge was constructed with.
-  upload_residuals_.reset(0, 0);
-  last_broadcast_.clear();
-  if (comm_lossy_) {
-    if (codec_device_up_->stateful()) {
-      upload_residuals_.reset(num_devices(), param_count_);
-    }
-    last_broadcast_ = global_;
-  }
+  // Codec instruments and state follow the same rule (see Transport), and
+  // are (re)initialised before any resume restore overwrites them.
+  transport_.begin_run(registry_, global_);
 
   // Resume path: apply the pending snapshot after instrument registration
   // (restore is lookup-or-create against the same names, so the cached
@@ -732,7 +610,7 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
     event.num_edges = num_edges();
     event.cloud_interval = options_.cloud_interval;
     if (faults_on) event.fault_spec = options_.faults.to_string();
-    if (comm_lossy_) event.codec_spec = options_.comm.to_string();
+    if (transport_.lossy()) event.codec_spec = options_.comm.to_string();
     observer_->on_run_begin(event);
   }
 
@@ -765,8 +643,9 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
   std::size_t num_observed = 0;           // observations_ queued this step
 
   // Plans one edge round on the coordinator: outage fate, oracle probes, the
-  // sampler's clamped q, the Bernoulli draws, the decoded downlink, fault
-  // fates and the byte ledger. Only arriving devices become training jobs.
+  // sampler's clamped q, the Bernoulli draws, the download and the fault
+  // fates with their upload attempts. Only arriving devices become training
+  // jobs.
   const auto plan_edge = [&](EdgePlan& plan, std::size_t t, std::size_t n,
                              const std::vector<std::uint32_t>& devices) {
     plan.edge = n;
@@ -794,26 +673,14 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
       ctx.devices = devices;
       if (sampler.needs_oracle()) {
         oracle_norms.resize(devices.size());
-        // One encoded probe broadcast serves every device in this edge
-        // round: probing is memoryless (no reference, no residual), so the
-        // decode is shared and each device is charged one message.
-        const std::vector<float>* probe_view = &edge_model;
-        if (!codec_probe_->lossless()) {
-          transcode(*codec_probe_, edge_model, {}, {}, probe_model_,
-                    static_cast<std::int64_t>(t),
-                    static_cast<std::int64_t>(n));
-          probe_view = &probe_model_;
-        }
-        // Probing never changes parameters: one load serves every probe,
-        // and the norms are evaluated in batches before the sampler reads
-        // them.
-        model_.set_parameters(*probe_view);
+        // Probing never changes parameters: one load of the probe broadcast
+        // serves every probe, and the norms are evaluated in batches before
+        // the sampler reads them.
+        model_.set_parameters(transport_.probe(edge_model, devices.size(), t, n));
         for (std::size_t i = 0; i < devices.size(); ++i) {
           probe_gradient_norm(devices[i], &oracle_norms[i]);
         }
         coordinator_scratch_.norms.flush();
-        cost_.probe_downloads += devices.size();
-        cost_.ledger.probe_download.add(devices.size(), bytes_probe_);
         ctx.oracle_grad_sq_norms = oracle_norms;
       }
       plan.probs = sampler.edge_probabilities(ctx);
@@ -821,8 +688,8 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
         throw std::logic_error("sampler returned wrong probability count");
       }
       for (auto& q : plan.probs) {
-        if (q < options_.min_probability) ctr_floor_clamps.add();
-        q = std::clamp(q, options_.min_probability, 1.0);
+        if (q < kMinProbability) ctr_floor_clamps.add();
+        q = std::clamp(q, kMinProbability, 1.0);
         hist_q.observe(q);
       }
     }
@@ -837,55 +704,30 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
       }
     }
     const std::size_t num_sampled = plan.sampled.size();
-    cost_.device_downloads += num_sampled;  // devices fetch w_n^t (Eq. 4)
-    cost_.ledger.device_download.add(num_sampled, bytes_device_down_);
-    // Downlink transcode: every sampled device trains from the *decoded*
-    // broadcast, so one decode per edge round, into the plan's own buffer,
-    // stands in for all of them (the encoding is deterministic, all devices
-    // receive the same bytes). The fp32 identity codec skips this entirely —
-    // `device_view` aliasing the edge model is what keeps the default path
-    // bitwise equal to pre-codec builds.
-    plan.device_view = &edge_model;
-    if (!codec_device_down_->lossless() && num_sampled > 0) {
-      transcode(*codec_device_down_, edge_model, {}, {}, plan.downlink,
-                static_cast<std::int64_t>(t), static_cast<std::int64_t>(n));
-      plan.device_view = &plan.downlink;
-    }
-    if (!faults_on) {
-      cost_.device_uploads += num_sampled;  // devices return w_m^{t+1}
-      cost_.ledger.device_upload.add(num_sampled, bytes_device_up_);
-    } else {
+    // Every sampled device trains from the model it received (one decode
+    // per edge round stands in for all of them: the encoding is
+    // deterministic, all devices receive the same bytes).
+    plan.device_view = &transport_.download(edge_model, num_sampled, t, n);
+    std::size_t attempts = num_sampled;  // devices return w_m^{t+1}
+    std::size_t retries = 0;
+    if (faults_on) {
       // Fates are decided on the coordinator before training, one hashed
       // RNG stream per (t, edge, device): thread-count independent and
-      // exactly replayable. Dropped devices vanish before uploading;
-      // stragglers pay one upload per attempt (counted even when every
+      // exactly replayable. Dropped devices vanish before uploading; every
+      // other device pays one upload per attempt (counted even when every
       // attempt misses the timeout budget).
       const obs::SpanGuard span("fault_fates", static_cast<std::int64_t>(t),
                                 static_cast<std::int64_t>(n));
       plan.fates.resize(num_sampled);
+      attempts = 0;
       for (std::size_t k = 0; k < num_sampled; ++k) {
         plan.fates[k] = injector_.device_fate(t, n, devices[plan.sampled[k]]);
         const fault::DeviceFaultDecision& fate = plan.fates[k];
-        switch (fate.fate) {
-          case fault::DeviceFate::Completed:
-            cost_.device_uploads += 1;
-            cost_.ledger.device_upload.add(1, bytes_device_up_);
-            break;
-          case fault::DeviceFate::Dropped:
-            break;
-          case fault::DeviceFate::StragglerArrived:
-          case fault::DeviceFate::StragglerTimedOut:
-            // Every attempt crosses the wire at the encoded size — codecs
-            // produce value-independent message sizes precisely so lost
-            // retransmissions can be charged without encoding anything.
-            cost_.device_uploads += 1 + fate.retries;
-            cost_.retry_uploads += fate.retries;
-            cost_.ledger.device_upload.add(1 + fate.retries, bytes_device_up_);
-            cost_.ledger.retry_upload.add(fate.retries, bytes_device_up_);
-            break;
-        }
+        if (fate.fate != fault::DeviceFate::Dropped) attempts += 1 + fate.retries;
+        retries += fate.retries;
       }
     }
+    transport_.upload_attempts(attempts, retries);
     // Non-arriving devices never train: their update is lost either way,
     // the sampler must not observe them, and skipping keeps their local RNG
     // streams unconsumed (so a device's future minibatch draws do not
@@ -897,8 +739,8 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
   };
 
   // Reduces one edge round once its arrivals have trained, in edge order:
-  // uplink transcodes, the Horvitz-Thompson accumulation and fold, counters
-  // and observer events. The arrivals' observations are queued for the
+  // uploads, the Horvitz-Thompson accumulation and fold, counters and
+  // observer events. The arrivals' observations are queued for the
   // sampler, which receives them after the step's last decision.
   const auto reduce_edge = [&](const EdgePlan& plan, std::size_t t,
                                const std::vector<std::uint32_t>& devices) {
@@ -929,14 +771,16 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
     double weight_sq_total = 0.0;  // for the HT-variance diagnostic
     const std::size_t num_sampled = plan.sampled.size();
     std::size_t num_arrived = 0;
-    std::size_t round_dropped = 0;
-    std::size_t round_straggler_arrivals = 0;
-    std::size_t round_straggler_timeouts = 0;
-    std::size_t round_retries = 0;
-    survivors_.clear();
-    lost_.clear();
-    // One EdgeAggregation scope per edge round: uplink transcodes, the
-    // queued observations and the Horvitz-Thompson accumulation and fold.
+    obs::FaultSummary& faults = round_faults_;
+    faults.active = faults_on;
+    faults.num_dropped = 0;
+    faults.num_straggler_arrivals = 0;
+    faults.num_straggler_timeouts = 0;
+    faults.num_retries = 0;
+    faults.survivors.clear();
+    faults.lost.clear();
+    // One EdgeAggregation scope per edge round: uploads, the queued
+    // observations and the Horvitz-Thompson accumulation and fold.
     {
       const obs::SpanGuard reduce_span(timers_[obs::Phase::EdgeAggregation],
                                        "edge_reduce",
@@ -947,21 +791,21 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
         const std::size_t i = plan.sampled[k];
         if (faults_on) {
           const fault::DeviceFaultDecision& fate = plan.fates[k];
-          round_retries += fate.retries;
+          faults.num_retries += fate.retries;
           if (!fate.arrived) {
             // Update lost: no observer event, no sampler experience, no HT
             // contribution. Survivor weights absorb the loss below.
-            lost_.push_back(devices[i]);
+            faults.lost.push_back(devices[i]);
             if (fate.fate == fault::DeviceFate::Dropped) {
-              ++round_dropped;
+              ++faults.num_dropped;
             } else {
-              ++round_straggler_timeouts;
+              ++faults.num_straggler_timeouts;
             }
             continue;
           }
-          survivors_.push_back(devices[i]);
+          faults.survivors.push_back(devices[i]);
           if (fate.fate == fault::DeviceFate::StragglerArrived) {
-            ++round_straggler_arrivals;
+            ++faults.num_straggler_arrivals;
           }
         }
         ++num_arrived;
@@ -998,32 +842,19 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
         weight_total += ht_weight;
         weight_sq_total += ht_weight * ht_weight;
         const auto weight = static_cast<float>(ht_weight);
-        // Uplink transcode, on the coordinator in sampled order (bitwise
-        // deterministic at any thread count). The upload's reference frame
-        // is the *decoded downlink* the device trained from — for delta
-        // codecs (top-k) the edge reconstructs reference + sparse delta, and
-        // the untransmitted remainder feeds the device's error-feedback
-        // residual for its next participation.
-        const std::vector<float>* upload_view = &device_slot.params;
-        if (!codec_device_up_->lossless()) {
-          const std::span<float> residual =
-              codec_device_up_->stateful()
-                  ? upload_residuals_.get_or_alloc(devices[i])
-                  : std::span<float>{};
-          transcode(*codec_device_up_, device_slot.params, device_view,
-                    residual, decoded_upload_, static_cast<std::int64_t>(t),
-                    static_cast<std::int64_t>(devices[i]));
-          upload_view = &decoded_upload_;
-        }
+        // The upload as the edge decodes it, on the coordinator in sampled
+        // order (bitwise deterministic at any thread count), coded against
+        // the model the device trained from.
+        const std::vector<float>& upload =
+            transport_.upload(devices[i], device_slot.params, device_view, t);
         if (options_.aggregation == AggregationForm::UpdateForm) {
           // HT-weighted deltas (the form the paper's proof analyses) against
           // the model the device actually received.
-          tensor::kernels::axpy_delta(param_count_, weight,
-                                      upload_view->data(), device_view.data(),
-                                      aggregate.data());
+          tensor::kernels::axpy_delta(param_count_, weight, upload.data(),
+                                      device_view.data(), aggregate.data());
         } else {
           // HT-weighted parameters (Eq. 5).
-          tensor::kernels::axpy(param_count_, weight, upload_view->data(),
+          tensor::kernels::axpy(param_count_, weight, upload.data(),
                                 aggregate.data());
         }
       }
@@ -1051,15 +882,11 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
     ctr_edge_aggs.add();
     if (num_arrived == 0) ctr_empty_edges.add();
     if (faults_on) {
-      if (round_dropped > 0) ctr_fault_drops->add(round_dropped);
-      if (round_straggler_arrivals > 0) {
-        ctr_fault_straggler_arrivals->add(round_straggler_arrivals);
-      }
-      if (round_straggler_timeouts > 0) {
-        ctr_fault_straggler_timeouts->add(round_straggler_timeouts);
-      }
-      if (round_retries > 0) ctr_fault_retries->add(round_retries);
-      if (!lost_.empty()) ctr_fault_updates_lost->add(lost_.size());
+      ctr_fault_drops->add(faults.num_dropped);
+      ctr_fault_straggler_arrivals->add(faults.num_straggler_arrivals);
+      ctr_fault_straggler_timeouts->add(faults.num_straggler_timeouts);
+      ctr_fault_retries->add(faults.num_retries);
+      ctr_fault_updates_lost->add(faults.lost.size());
     }
     if (observer_ != nullptr) {
       obs::EdgeAggregatedEvent event;
@@ -1068,22 +895,14 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
       event.capacity = edge_capacity(n);
       event.num_devices = devices.size();
       event.num_sampled = num_sampled;
-      event.q = obs::QSummary::from(plan.probs, options_.min_probability);
+      event.q = obs::QSummary::from(plan.probs, kMinProbability);
       event.ht_weight_sum = weight_total;
       if (num_arrived > 0) {
         const double mean_w = weight_total / static_cast<double>(num_arrived);
         event.ht_weight_variance =
             weight_sq_total / static_cast<double>(num_arrived) - mean_w * mean_w;
       }
-      if (faults_on) {
-        event.faults.active = true;
-        event.faults.num_dropped = round_dropped;
-        event.faults.num_straggler_arrivals = round_straggler_arrivals;
-        event.faults.num_straggler_timeouts = round_straggler_timeouts;
-        event.faults.num_retries = round_retries;
-        event.faults.survivors = survivors_;
-        event.faults.lost = lost_;
-      }
+      if (faults_on) event.faults = faults;
       observer_->on_edge_aggregated(event);
     }
   };
@@ -1094,10 +913,26 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
   const std::size_t flush_at =
       kFlushDevicesPerWorker * (pool_ != nullptr ? pool_->num_workers() : 0);
 
+  // The status.json heartbeat once `step` steps are complete.
+  const auto heartbeat = [&](std::size_t step) {
+    obs::StatusSnapshot snap;
+    snap.sampler = sampler.name();
+    snap.step = step;
+    snap.start_step = start_t;
+    snap.total_steps = steps;
+    snap.cloud_rounds = cloud_rounds;
+    snap.devices_trained = ctr_trained.value();
+    if (faults_on) snap.faults_lost = ctr_fault_updates_lost->value();
+    if (profiler_ != nullptr) snap.spans_dropped = profiler_->spans_dropped();
+    const obs::ResourceSample resource = resources_->latest();
+    snap.current_rss_kb = resource.usage.current_rss_kb;
+    snap.peak_rss_kb = resource.usage.peak_rss_kb;
+    return snap;
+  };
+
   for (std::size_t t = start_t; t < steps; ++t) {
     const obs::SpanGuard round_span("round", static_cast<std::int64_t>(t));
-    const double lr = learning_rate_at(t);
-    gauge_lr.set(lr);
+    gauge_lr.set(options_.learning_rate);
     const auto per_edge = schedule_.devices_per_edge(t);
     if (observer_ != nullptr) {
       obs::StepBeginEvent event;
@@ -1114,7 +949,7 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
     // edge order.
     std::size_t in_flight = 0;  // planned edges, plans_[0, in_flight)
     const auto flush = [&] {
-      train_jobs(t, lr);
+      train_jobs(t);
       for (std::size_t p = 0; p < in_flight; ++p) {
         reduce_edge(plans_[p], t, per_edge[plans_[p].edge]);
       }
@@ -1165,18 +1000,9 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
             continue;
           }
           surviving_mass += weight;
-          const auto w = static_cast<float>(weight);
-          // Uplink transcode: the cloud folds the *decoded* edge upload. The
-          // reference frame is the model the cloud last broadcast (which
-          // both ends know), so delta codecs ship edge drift, not weights.
-          const std::vector<float>* up_view = &edge_models_[n];
-          if (!codec_edge_up_->lossless()) {
-            transcode(*codec_edge_up_, edge_models_[n], last_broadcast_,
-                      {}, decoded_upload_, static_cast<std::int64_t>(t),
-                      static_cast<std::int64_t>(n));
-            up_view = &decoded_upload_;
-          }
-          tensor::kernels::axpy(param_count_, w, up_view->data(),
+          // The cloud folds the edge model as it decoded it.
+          tensor::kernels::axpy(param_count_, static_cast<float>(weight),
+                                transport_.edge_upload(edge_models_[n], t, n).data(),
                                 global_.data());
         }
         if (!cloud_lost.empty()) {
@@ -1191,23 +1017,11 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
             global_ = prev_global;  // every upload lost: keep w^t
           }
         }
-        // Broadcast (downlink assumed reliable, lost uploads included).
-        // Edges receive the *decoded* broadcast; the cloud also keeps it as
-        // the reference frame for next round's delta uploads (deterministic
-        // encoding means both ends can reproduce it exactly).
-        const std::vector<float>* broadcast_view = &global_;
-        if (!codec_cloud_down_->lossless()) {
-          transcode(*codec_cloud_down_, global_, {}, {},
-                    broadcast_model_, static_cast<std::int64_t>(t), -1);
-          broadcast_view = &broadcast_model_;
-        }
-        for (auto& edge_model : edge_models_) edge_model = *broadcast_view;
-        if (comm_lossy_) last_broadcast_ = *broadcast_view;
+        // Broadcast (downlink assumed reliable, lost uploads included):
+        // every edge receives the global model as it decoded it.
+        const std::vector<float>& received = transport_.broadcast(global_, t);
+        for (auto& edge_model : edge_models_) edge_model = received;
       }
-      cost_.edge_uploads += num_edges();
-      cost_.cloud_broadcasts += num_edges();
-      cost_.ledger.edge_upload.add(num_edges(), bytes_edge_up_);
-      cost_.ledger.cloud_broadcast.add(num_edges(), bytes_cloud_down_);
       if (faults_on && !cloud_lost.empty()) {
         ctr_fault_cloud_lost->add(cloud_lost.size());
       }
@@ -1300,33 +1114,18 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
     // a fully-completed step.
     if (profiler_ != nullptr) profiler_->merge_thread_rings();
     if (resources_ != nullptr) resources_->maybe_sample();
-    if (status_ != nullptr) {
-      obs::StatusSnapshot snap;
-      snap.sampler = sampler.name();
-      snap.step = done;
-      snap.start_step = start_t;
-      snap.total_steps = steps;
-      snap.cloud_rounds = cloud_rounds;
-      snap.devices_trained = ctr_trained.value();
-      if (ctr_fault_updates_lost != nullptr) {
-        snap.faults_lost = ctr_fault_updates_lost->value();
-      }
-      if (profiler_ != nullptr) snap.spans_dropped = profiler_->spans_dropped();
-      const obs::ResourceSample resource = resources_->latest();
-      snap.current_rss_kb = resource.usage.current_rss_kb;
-      snap.peak_rss_kb = resource.usage.peak_rss_kb;
-      status_->maybe_write(snap);
-    }
+    if (status_ != nullptr) status_->maybe_write(heartbeat(done));
   }
   if (observer_ != nullptr) {
+    const CommunicationCost& cost = transport_.cost();
     obs::RunEndEvent event;
     event.steps = steps;
     event.cloud_rounds = cloud_rounds;
     event.phases = &timers_;
     event.registry = &registry_;
-    event.ledger = &cost_.ledger;
-    event.assumed_fp32_bytes = cost_.assumed_fp32_bytes();
-    event.mixed_model_sizes = cost_.mixed_model_sizes;
+    event.ledger = &cost.ledger;
+    event.assumed_fp32_bytes = cost.assumed_fp32_bytes();
+    event.mixed_model_sizes = cost.mixed_model_sizes;
     observer_->on_run_end(event);
   }
 
@@ -1336,20 +1135,7 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
   // simulation result is already complete.
   if (resources_ != nullptr) resources_->force_sample();
   if (status_ != nullptr) {
-    obs::StatusSnapshot snap;
-    snap.sampler = sampler.name();
-    snap.step = interrupted_at_.value_or(steps);
-    snap.start_step = start_t;
-    snap.total_steps = steps;
-    snap.cloud_rounds = cloud_rounds;
-    snap.devices_trained = ctr_trained.value();
-    if (ctr_fault_updates_lost != nullptr) {
-      snap.faults_lost = ctr_fault_updates_lost->value();
-    }
-    if (profiler_ != nullptr) snap.spans_dropped = profiler_->spans_dropped();
-    const obs::ResourceSample resource = resources_->latest();
-    snap.current_rss_kb = resource.usage.current_rss_kb;
-    snap.peak_rss_kb = resource.usage.peak_rss_kb;
+    obs::StatusSnapshot snap = heartbeat(interrupted_at_.value_or(steps));
     // A drained (stop_flag) run is terminal but not finished; its final
     // document bypasses the interval gate, and the AbortScope above then
     // upgrades it with aborted=true on scope exit.

@@ -23,12 +23,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "ckpt/manager.h"
 #include "ckpt/options.h"
-#include "comm/codec.h"
 #include "comm/config.h"
 #include "common/rng.h"
 #include "data/dataset.h"
@@ -37,8 +35,8 @@
 #include "fault/schedule.h"
 #include "hfl/cost.h"
 #include "hfl/metrics.h"
-#include "hfl/residual_pool.h"
 #include "hfl/sampler.h"
+#include "hfl/transport.h"
 #include "mobility/schedule.h"
 #include "nn/model.h"
 #include "nn/norm_batch.h"
@@ -71,22 +69,17 @@ enum class AggregationForm {
   UpdateForm,
 };
 
+/// Floor applied to sampling probabilities to keep inverse weights finite.
+inline constexpr double kMinProbability = 1e-3;
+
 struct HflOptions {
   std::size_t local_epochs = 10;       // I in Eq. (4)
   std::size_t cloud_interval = 5;      // T_g
   std::size_t batch_size = 16;         // |xi| per local step
   double learning_rate = 0.01;         // gamma
-  double lr_decay = 0.0;               // gamma_t = gamma / (1 + decay * t)
   double participation = 0.5;          // sets K_n = participation * |M| / |N|
-  /// Optional per-edge capacity override (size == num_edges); empty means
-  /// the uniform capacity derived from `participation`.
-  std::vector<double> edge_capacities;
-  /// Floor applied to sampling probabilities to keep inverse weights finite.
-  double min_probability = 1e-3;
   /// Edge aggregation rule (see AggregationForm).
   AggregationForm aggregation = AggregationForm::Literal;
-  /// Cap on test examples per evaluation (0 = all).
-  std::size_t eval_max_examples = 0;
   /// Also measure ||∇f(w^t)||² (Theorem 1's left-hand side) at every
   /// evaluation, over a fixed training-data sample of this many examples
   /// (0 disables the measurement).
@@ -108,9 +101,9 @@ struct HflOptions {
   runtime::ParallelConfig parallel;
   /// Crash-tolerant checkpointing (src/ckpt/). With `checkpoint.every` > 0
   /// the engine freezes its full run state — model parameters, every RNG
-  /// stream (including cached Box–Muller halves), sampler experience,
-  /// communication counters, recorded metrics, the instrument registry and
-  /// the attached trace sink's byte cursor — into an atomic CRC-checked
+  /// stream (including cached Box–Muller halves), sampler experience, the
+  /// byte ledger and codec state, recorded metrics, the instrument registry
+  /// and the attached trace sink's byte cursor — into an atomic CRC-checked
   /// snapshot after every N completed steps. A run restored from such a
   /// snapshot (see set_resume_payload) replays the remaining steps bitwise
   /// identically to the uninterrupted run, at any thread count.
@@ -149,13 +142,10 @@ struct HflOptions {
   /// exactly what a supervisor's watchdog must detect; nothing but SIGKILL
   /// gets the process out.
   std::size_t hang_at = 0;
-  /// Per-link transfer codecs (src/comm/). The default (all links fp32)
-  /// takes the exact pre-codec model path — bitwise identical to a build
-  /// without the comm layer — while the encoded-byte ledger (pure integer
-  /// arithmetic) still runs. Lossy codecs transcode every model message
-  /// through encode→decode on the coordinator thread, so runs stay bitwise
-  /// identical at any thread count; the top-k upload codec's per-device
-  /// error-feedback residuals are part of checkpointed run state.
+  /// Per-link transfer codecs (src/comm/), applied by the engine's
+  /// Transport. The all-fp32 default takes the exact pre-codec model path
+  /// while the encoded-byte ledger still runs; lossy codecs transcode on the
+  /// coordinator thread, so runs stay bitwise identical at any thread count.
   comm::CommConfig comm;
 };
 
@@ -185,8 +175,10 @@ class HflSimulator {
   /// (per-class view of the long-tail learning progress).
   ConfusionMatrix evaluate_confusion();
 
-  /// Communication counters accumulated by the most recent run().
-  const CommunicationCost& last_run_cost() const noexcept { return cost_; }
+  /// Traffic of the most recent run() (live while it runs).
+  const CommunicationCost& last_run_cost() const noexcept {
+    return transport_.cost();
+  }
 
   /// Attaches one telemetry observer (nullptr detaches). Non-owning; the
   /// observer must outlive every subsequent run(). Observers are strictly
@@ -263,8 +255,7 @@ class HflSimulator {
     std::vector<double> probs;           // clamped q per present device
     std::vector<std::uint32_t> sampled;  // Bernoulli hits, device-list indices
     std::vector<fault::DeviceFaultDecision> fates;  // parallel to sampled
-    std::vector<float> downlink;         // decoded downlink (lossy codecs)
-    /// The model its devices received: edge_models_[edge] or `downlink`.
+    /// The model its devices received (Transport::download).
     const std::vector<float>* device_view = nullptr;
     std::size_t first_job = 0;           // its first arrival's index in jobs_
   };
@@ -299,27 +290,18 @@ class HflSimulator {
   /// parameters and the observation. Each local step's ||g||^2 is staged in
   /// scratch.norms and lands in out.observation when that batch is flushed.
   void train_device(std::size_t t, std::uint32_t device, std::size_t edge,
-                    const std::vector<float>& edge_model, double learning_rate,
-                    nn::Sequential& model, StepScratch& scratch,
-                    DeviceSlot& out);
+                    const std::vector<float>& edge_model, nn::Sequential& model,
+                    StepScratch& scratch, DeviceSlot& out);
 
   /// Trains every job in jobs_ into device_slots_ (Eq. 4). With a pool, one
   /// parallel section whose workers claim job indices from a shared counter;
   /// without one, each job in order on model_.
-  void train_jobs(std::size_t t, double learning_rate);
+  void train_jobs(std::size_t t);
 
   /// ||g||^2 probe used for samplers with needs_oracle() (MACH-P), on
   /// model_, which must hold the probed edge model. Staged in the
   /// coordinator's norm batch; `*result` is written when it is flushed.
   void probe_gradient_norm(std::uint32_t device, double* result);
-
-  /// One wire round-trip through `codec`: encodes `values` (against
-  /// `reference` / `residual` where the codec uses them) into the reusable
-  /// wire buffer and decodes it into `out`, emitting comm.encode/comm.decode
-  /// spans. Runs on the coordinator thread only.
-  void transcode(const comm::Codec& codec, std::span<const float> values,
-                 std::span<const float> reference, std::span<float> residual,
-                 std::vector<float>& out, std::int64_t t, std::int64_t id);
 
   /// Freezes the complete run state into an atomic snapshot: emits the
   /// checkpoint marker + cursor to the observer first (so the marker itself
@@ -339,8 +321,6 @@ class HflSimulator {
                                 std::size_t& window_participants,
                                 MetricsRecorder& metrics);
 
-  double learning_rate_at(std::size_t t) const;
-
   const data::Dataset& train_;
   const data::Dataset& test_;
   data::Partition partition_;
@@ -351,7 +331,7 @@ class HflSimulator {
   std::size_t param_count_ = 0;
   std::vector<float> global_;       // w^t
   std::vector<std::vector<float>> edge_models_;  // w_n^t
-  CommunicationCost cost_;
+  Transport transport_;             // every model message and its bytes
   common::Rng engine_rng_;
   std::vector<common::Rng> device_rngs_;  // local minibatch randomness
 
@@ -370,37 +350,9 @@ class HflSimulator {
   // decided on the coordinator when an edge is planned, from per-event
   // hashed RNG streams — identical at any thread count.
   fault::FaultInjector injector_;
-  std::vector<std::uint64_t> survivors_;           // device ids, per round
-  std::vector<std::uint64_t> lost_;                // device ids, per round
-
-  // Communication-codec runtime (src/comm/). Codec objects are immutable
-  // and built once in the constructor; with the all-fp32 default none of the
-  // lossy machinery below runs and the model path is untouched.
-  std::unique_ptr<comm::Codec> codec_device_up_;
-  std::unique_ptr<comm::Codec> codec_device_down_;
-  std::unique_ptr<comm::Codec> codec_probe_;
-  std::unique_ptr<comm::Codec> codec_edge_up_;
-  std::unique_ptr<comm::Codec> codec_cloud_down_;
-  bool comm_lossy_ = false;  // any link non-fp32
-  // Encoded bytes per message on each link (value-independent).
-  std::uint64_t bytes_device_up_ = 0;
-  std::uint64_t bytes_device_down_ = 0;
-  std::uint64_t bytes_probe_ = 0;
-  std::uint64_t bytes_edge_up_ = 0;
-  std::uint64_t bytes_cloud_down_ = 0;
-  /// Per-device error-feedback residuals of the upload codec, packed into
-  /// one contiguous slab with a u32 handle per device (inactive unless the
-  /// codec is stateful); checkpointed so resume is bitwise identical.
-  ResidualPool upload_residuals_;
-  /// The last cloud broadcast as the edges received it — the shared
-  /// reference both ends of a delta-coded edge→cloud upload agree on.
-  std::vector<float> last_broadcast_;
-  std::vector<float> probe_model_;      // decoded probe payload
-  std::vector<float> decoded_upload_;   // decoded device/edge upload payload
-  std::vector<float> broadcast_model_;  // decoded cloud broadcast payload
-  comm::Encoded wire_;                  // reused encode buffer
-  obs::Counter* ctr_comm_encodes_ = nullptr;  // set per run when lossy
-  obs::Counter* ctr_comm_decodes_ = nullptr;
+  /// The realised faults of the edge round being reduced, tallied once for
+  /// both the fault counters and the edge_agg event.
+  obs::FaultSummary round_faults_;
 
   obs::RunObserver* observer_ = nullptr;  // non-owning; see set_observer
   obs::PhaseTimerSet timers_;

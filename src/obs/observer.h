@@ -30,7 +30,7 @@ struct QSummary {
   double mean = 0.0;
   double max = 0.0;
   double sum = 0.0;               // expected participants; feasible when <= K_n
-  std::size_t clamped_to_floor = 0;  // entries raised to HflOptions::min_probability
+  std::size_t clamped_to_floor = 0;  // entries raised to hfl::kMinProbability
   std::size_t clamped_to_one = 0;    // entries lowered to 1
 
   /// Builds the summary from the engine's already-clamped q vector.

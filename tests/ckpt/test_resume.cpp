@@ -2,13 +2,15 @@
 // resumed — even at a different thread count, even with fault injection
 // active — finishes with byte-identical CSVs, global parameters and
 // canonicalised traces vs the same run left uninterrupted. Also covers the
-// torn-latest fallback (resume one interval earlier, never crash) and the
-// fingerprint guard against resuming a foreign configuration.
+// torn-latest fallback (resume one interval earlier, never crash), the
+// fingerprint guard against resuming a foreign configuration and the payload
+// version gate.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -285,6 +287,65 @@ TEST(CheckpointResume, ForeignConfigurationIsRejectedByTheFingerprint) {
 
   fs::remove_all(dir);
   std::remove(trace_path.c_str());
+}
+
+TEST(CheckpointResume, SnapshotOfAnotherVersionStartsFromStepZero) {
+  // run_experiment resumes only payloads of the engine's own layout
+  // (kRunStateVersion). A snapshot of any other version is skipped with a
+  // warning and the run starts over: same metrics and, run_begin line and
+  // baseline evaluation included, the same trace as a fresh run.
+  ExperimentConfig config = resume_scenario(91);
+  const std::string dir = fresh_dir("ckpt_version_gate");
+  config.hfl.checkpoint.dir = dir;
+  config.hfl.checkpoint.every = 3;
+  struct Run {
+    std::string csv;
+    std::vector<std::string> trace;
+  };
+  const auto run = [&config](bool resume) {
+    config.hfl.checkpoint.resume = resume;
+    std::ostringstream jsonl;
+    Run out;
+    {
+      obs::JsonlTraceWriter trace(jsonl);
+      auto sampler = core::make_sampler("mach");
+      out.csv = csv_of(run_experiment(config, *sampler, &trace).metrics,
+                       "ckpt_version_gate");
+    }
+    out.trace = canonical_trace(jsonl.str());
+    return out;
+  };
+  const auto relabel_latest = [&dir](std::uint32_t version) {
+    // run_experiment keeps each run's snapshots in its own subdirectory.
+    std::vector<fs::path> runs;
+    for (const auto& entry : fs::directory_iterator(dir)) runs.push_back(entry.path());
+    ASSERT_EQ(runs.size(), 1u);
+    const ckpt::CheckpointManager manager(runs.front().string());
+    auto latest = manager.load_latest();
+    ASSERT_TRUE(latest.has_value());
+    ASSERT_EQ(latest->step, 6u);  // snapshots at t = 3 and 6 for horizon 8
+    manager.save(latest->step, version, latest->payload);
+  };
+
+  const Run fresh = run(/*resume=*/false);
+  relabel_latest(ckpt::kRunStateVersion + 1);
+  const Run gated = run(/*resume=*/true);
+  EXPECT_EQ(gated.csv, fresh.csv);
+  ASSERT_EQ(gated.trace.size(), fresh.trace.size());
+  for (std::size_t i = 0; i < fresh.trace.size(); ++i) {
+    EXPECT_EQ(gated.trace[i], fresh.trace[i]) << "event " << i;
+  }
+
+  // Control: the same payload under the engine's version does resume, so
+  // its trace starts at the snapshot (no run_begin line).
+  relabel_latest(ckpt::kRunStateVersion);
+  const Run resumed = run(/*resume=*/true);
+  EXPECT_EQ(resumed.csv, fresh.csv);
+  ASSERT_FALSE(resumed.trace.empty());
+  EXPECT_EQ(resumed.trace.front().find("\"run_begin\""), std::string::npos);
+  EXPECT_LT(resumed.trace.size(), fresh.trace.size());
+
+  fs::remove_all(dir);
 }
 
 }  // namespace

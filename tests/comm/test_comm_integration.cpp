@@ -1,7 +1,8 @@
 // Engine-level codec guarantees: the fp32 default takes the exact pre-codec
 // path, lossy runs stay thread-count deterministic and checkpoint-resumable,
-// and the byte ledger matches the message counters times the encoded payload
-// size exactly — including straggler retransmissions under fault injection.
+// and the byte ledger counts the messages the run's events imply at the
+// encoded payload size — including straggler retransmissions under fault
+// injection.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -146,52 +147,82 @@ TEST(CommIntegration, LossyCodecActuallyChangesTheModelPath) {
   EXPECT_LT(lossy.cost.ledger.total_bytes(), lossy.cost.assumed_fp32_bytes());
 }
 
-// Satellite: under a straggler/dropout schedule, the ledger equals the
-// message counters times the codec's value-independent payload size exactly
-// — successful uploads plus every retransmission attempt, with the redundant
-// retry share broken out, and dropped devices charged nothing.
+/// The message counts a run's own events imply for each link.
+class LinkEventTally final : public obs::RunObserver {
+ public:
+  void on_edge_aggregated(const obs::EdgeAggregatedEvent& event) override {
+    if (!event.faults.edge_outage) probed += event.num_devices;
+    sampled += event.num_sampled;
+    dropped += event.faults.num_dropped;
+    retries += event.faults.num_retries;
+  }
+  void on_cloud_round(const obs::CloudRoundEvent& /*event*/) override {
+    ++cloud_rounds;
+  }
+
+  std::uint64_t probed = 0;
+  std::uint64_t sampled = 0;
+  std::uint64_t dropped = 0;
+  std::uint64_t retries = 0;
+  std::uint64_t cloud_rounds = 0;
+};
+
+// Under a straggler/dropout schedule, the ledger counts exactly the messages
+// the run's events imply — one download per sampled device, one upload per
+// attempt with the redundant retry share broken out, dropped devices charged
+// nothing, one edge upload and one broadcast per edge and cloud round — and
+// its bytes are those counts times the link codec's value-independent
+// payload size.
 TEST(CommIntegration, LedgerMatchesCountersTimesEncodedSizeUnderFaults) {
   const ExperimentConfig config = comm_scenario(64);
   const ExperimentArtifacts artifacts = build_experiment(config);
-  const fault::FaultSchedule faults = fault::FaultSchedule::parse(
+  HflOptions options = config.hfl;
+  options.seed = config.seed;
+  options.faults = fault::FaultSchedule::parse(
       "dropout:p=0.2;straggler:p=0.35,delay=1.5,timeout=1,backoff=0.5,"
       "retries=2;seed=99");
 
   for (const char* spec : {"fp32", "int8", "up=topk:k=0.1,down=bf16"}) {
     SCOPED_TRACE(spec);
-    const comm::CommConfig comm = comm::CommConfig::parse(spec);
-    const RunArtifacts run = run_with(artifacts, config, comm, 1, faults);
-    const CommunicationCost& cost = run.cost;
+    options.comm = comm::CommConfig::parse(spec);
+    HflSimulator simulator(artifacts.train, artifacts.test, artifacts.partition,
+                           artifacts.schedule, make_model_factory(config),
+                           options);
+    LinkEventTally events;
+    simulator.set_observer(&events);
+    auto sampler = core::make_sampler("mach_p");  // probes every round
+    simulator.run(*sampler, config.horizon);
+    const CommunicationCost& cost = simulator.last_run_cost();
     ASSERT_GT(cost.model_parameters, 0u);
-    ASSERT_GT(cost.retry_uploads, 0u)
+    ASSERT_GT(events.retries, 0u)
         << "schedule produced no retries — property not exercised";
-    ASSERT_GT(cost.device_uploads, 0u);
+    ASSERT_GT(events.dropped, 0u)
+        << "schedule produced no dropouts — property not exercised";
 
-    const auto size_of = [&](const comm::CodecSpec& link) {
-      return comm::make_codec(link)->encoded_bytes(cost.model_parameters);
-    };
     const comm::ByteLedger& ledger = cost.ledger;
-    // Message counts mirror the legacy counters (uploads include retries).
-    EXPECT_EQ(ledger.device_upload.messages, cost.device_uploads);
-    EXPECT_EQ(ledger.retry_upload.messages, cost.retry_uploads);
-    EXPECT_EQ(ledger.device_download.messages, cost.device_downloads);
-    EXPECT_EQ(ledger.probe_download.messages, cost.probe_downloads);
-    EXPECT_EQ(ledger.edge_upload.messages, cost.edge_uploads);
-    EXPECT_EQ(ledger.cloud_broadcast.messages, cost.cloud_broadcasts);
+    EXPECT_EQ(ledger.device_download.messages, events.sampled);
+    EXPECT_EQ(ledger.device_upload.messages,
+              events.sampled - events.dropped + events.retries);
+    EXPECT_EQ(ledger.retry_upload.messages, events.retries);
+    EXPECT_EQ(ledger.probe_download.messages, events.probed);
+    EXPECT_EQ(ledger.edge_upload.messages,
+              events.cloud_rounds * simulator.num_edges());
+    EXPECT_EQ(ledger.cloud_broadcast.messages,
+              events.cloud_rounds * simulator.num_edges());
+
     // Bytes are exactly messages x encoded payload, per link codec.
-    EXPECT_EQ(ledger.device_upload.bytes,
-              cost.device_uploads * size_of(comm.device_up));
-    EXPECT_EQ(ledger.retry_upload.bytes,
-              cost.retry_uploads * size_of(comm.device_up));
-    EXPECT_EQ(ledger.device_download.bytes,
-              cost.device_downloads * size_of(comm.device_down));
-    EXPECT_EQ(ledger.probe_download.bytes,
-              cost.probe_downloads * size_of(comm.probe));
-    EXPECT_EQ(ledger.edge_upload.bytes,
-              cost.edge_uploads * size_of(comm.edge_up));
-    EXPECT_EQ(ledger.cloud_broadcast.bytes,
-              cost.cloud_broadcasts * size_of(comm.cloud_down));
-    if (comm.all_fp32()) {
+    const auto sized = [&](const comm::LinkTraffic& link,
+                           const comm::CodecSpec& codec) {
+      EXPECT_EQ(link.bytes, link.messages * comm::make_codec(codec)->encoded_bytes(
+                                                cost.model_parameters));
+    };
+    sized(ledger.device_upload, options.comm.device_up);
+    sized(ledger.retry_upload, options.comm.device_up);
+    sized(ledger.device_download, options.comm.device_down);
+    sized(ledger.probe_download, options.comm.probe);
+    sized(ledger.edge_upload, options.comm.edge_up);
+    sized(ledger.cloud_broadcast, options.comm.cloud_down);
+    if (options.comm.all_fp32()) {
       EXPECT_EQ(ledger.total_bytes(), cost.assumed_fp32_bytes());
     }
   }
@@ -199,7 +230,7 @@ TEST(CommIntegration, LedgerMatchesCountersTimesEncodedSizeUnderFaults) {
 
 TEST(CommIntegration, StatefulTopKResumeIsBitwiseIdentical) {
   // SIGKILL-and-resume with per-device error-feedback residuals in flight:
-  // the v2 snapshot carries the residual bank and the last broadcast, so the
+  // the snapshot carries the residual bank and the last broadcast, so the
   // continued run is indistinguishable from the uninterrupted one.
   const ExperimentConfig config = comm_scenario(65);
   const ExperimentArtifacts built = build_experiment(config);

@@ -66,21 +66,17 @@ TEST(ByteLedger, EmptyOnlyWhenNoLinkRecordedTraffic) {
   EXPECT_FALSE(ledger.empty());
 }
 
-// The CommunicationCost bridge: with an empty ledger total_bytes() falls back
-// to the legacy fp32 product; once the engine populates the ledger the
-// encoded bytes win.
+// The CommunicationCost bridge: the ledger's bytes are what crossed the
+// wire, and the fp32 counterfactual prices the ledger's own message counts.
 TEST(ByteLedger, CostBridgePrefersLedgerBytes) {
   hfl::CommunicationCost cost;
-  cost.device_downloads = 10;
-  cost.device_uploads = 10;
   cost.model_parameters = 100;
-  EXPECT_EQ(cost.assumed_fp32_bytes(), 20u * 400u);
-  EXPECT_EQ(cost.total_bytes(), cost.assumed_fp32_bytes());
+  EXPECT_EQ(cost.assumed_fp32_bytes(), 0u);
 
   cost.ledger.device_download.add(10, 250);  // e.g. bf16: 2 B/param + ...
   cost.ledger.device_upload.add(10, 250);
-  EXPECT_EQ(cost.total_bytes(), 5000u);
-  EXPECT_EQ(cost.assumed_fp32_bytes(), 8000u);  // fp32 counterfactual intact
+  EXPECT_EQ(cost.ledger.total_bytes(), 5000u);
+  EXPECT_EQ(cost.assumed_fp32_bytes(), 20u * 400u);  // fp32 counterfactual
 }
 
 TEST(ByteLedger, CostAccumulationMergesLedgers) {

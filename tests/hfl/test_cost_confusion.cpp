@@ -26,37 +26,38 @@ ExperimentConfig tiny_config(std::uint64_t seed = 1) {
 
 TEST(CommunicationCost, ArithmeticHelpers) {
   CommunicationCost cost;
-  cost.device_downloads = 10;
-  cost.device_uploads = 10;
-  cost.edge_uploads = 4;
-  cost.cloud_broadcasts = 4;
-  cost.probe_downloads = 2;
+  cost.ledger.device_download.add(10, 104);
+  cost.ledger.device_upload.add(10, 104);
+  cost.ledger.retry_upload.add(3, 104);  // already part of device_upload
+  cost.ledger.edge_upload.add(4, 104);
+  cost.ledger.cloud_broadcast.add(4, 104);
+  cost.ledger.probe_download.add(2, 104);
   cost.model_parameters = 100;
-  EXPECT_EQ(cost.total_model_messages(), 30u);
-  EXPECT_EQ(cost.total_bytes(), 30u * 100u * sizeof(float));
-  EXPECT_DOUBLE_EQ(cost.device_messages_per_step(10), 2.0);
-  EXPECT_DOUBLE_EQ(cost.device_messages_per_step(0), 0.0);
+  EXPECT_EQ(cost.ledger.total_messages(), 30u);
+  EXPECT_EQ(cost.ledger.total_bytes(), 30u * 104u);
+  EXPECT_EQ(cost.assumed_fp32_bytes(), 30u * 100u * sizeof(float));
 
   CommunicationCost other;
-  other.device_downloads = 5;
+  other.ledger.device_download.add(5, 104);
   cost += other;
-  EXPECT_EQ(cost.device_downloads, 15u);
+  EXPECT_EQ(cost.ledger.device_download.messages, 15u);
   // Accumulating into `cost` must not lose its per-message size either.
   EXPECT_EQ(cost.model_parameters, 100u);
 }
 
 TEST(CommunicationCost, AccumulationKeepsModelParameters) {
   // Regression: += used to drop model_parameters, so folding a populated
-  // cost into a default-constructed accumulator reported total_bytes() == 0.
+  // cost into a default-constructed accumulator priced its messages at 0
+  // fp32 bytes.
   CommunicationCost run;
-  run.device_downloads = 10;
-  run.device_uploads = 10;
+  run.ledger.device_download.add(10, 1024);
+  run.ledger.device_upload.add(10, 1024);
   run.model_parameters = 256;
 
   CommunicationCost accumulated;
   accumulated += run;
   EXPECT_EQ(accumulated.model_parameters, 256u);
-  EXPECT_EQ(accumulated.total_bytes(), 20u * 256u * sizeof(float));
+  EXPECT_EQ(accumulated.assumed_fp32_bytes(), 20u * 256u * sizeof(float));
 
   // A second run of the same model keeps the size and the clean flag.
   CommunicationCost same;
@@ -85,7 +86,7 @@ TEST(CommunicationCost, MixedModelSizesAssertAndSetTheStickyFlag) {
   mixed.mixed_model_sizes = true;  // as a surviving NDEBUG fold would leave it
   CommunicationCost more;
   more.model_parameters = 256;
-  more.device_uploads = 3;
+  more.ledger.device_upload.add(3, 1024);
   mixed += more;
   EXPECT_TRUE(mixed.mixed_model_sizes);
   EXPECT_EQ(mixed.model_parameters, 256u);
@@ -107,13 +108,15 @@ TEST(CommunicationCost, FullParticipationCountsExactly) {
   sampling::FullParticipationSampler sampler;
   sim.run(sampler, 20);
   const auto& cost = sim.last_run_cost();
+  const comm::ByteLedger& ledger = cost.ledger;
   // Every device participates every step.
-  EXPECT_EQ(cost.device_downloads, 8u * 20u);
-  EXPECT_EQ(cost.device_uploads, 8u * 20u);
-  EXPECT_EQ(cost.probe_downloads, 0u);
+  EXPECT_EQ(ledger.device_download.messages, 8u * 20u);
+  EXPECT_EQ(ledger.device_upload.messages, 8u * 20u);
+  EXPECT_EQ(ledger.retry_upload.messages, 0u);
+  EXPECT_EQ(ledger.probe_download.messages, 0u);
   // Cloud rounds at t = 0, 5, 10, 15 -> 4 rounds x 2 edges each direction.
-  EXPECT_EQ(cost.edge_uploads, 8u);
-  EXPECT_EQ(cost.cloud_broadcasts, 8u);
+  EXPECT_EQ(ledger.edge_upload.messages, 8u);
+  EXPECT_EQ(ledger.cloud_broadcast.messages, 8u);
   EXPECT_GT(cost.model_parameters, 0u);
 }
 
@@ -126,12 +129,12 @@ TEST(CommunicationCost, SamplingRespectsExpectedBudget) {
                    artifacts.schedule, make_model_factory(config), options);
   sampling::UniformSampler sampler;
   sim.run(sampler, 20);
-  const auto& cost = sim.last_run_cost();
+  const comm::ByteLedger& ledger = sim.last_run_cost().ledger;
   // Expected participants per step = participation * devices = 4; allow
   // generous Monte-Carlo slack around 4 * 20 = 80.
-  EXPECT_GT(cost.device_uploads, 40u);
-  EXPECT_LT(cost.device_uploads, 120u);
-  EXPECT_EQ(cost.device_uploads, cost.device_downloads);
+  EXPECT_GT(ledger.device_upload.messages, 40u);
+  EXPECT_LT(ledger.device_upload.messages, 120u);
+  EXPECT_EQ(ledger.device_upload.messages, ledger.device_download.messages);
 }
 
 TEST(CommunicationCost, OracleProbesAreCounted) {
@@ -144,7 +147,7 @@ TEST(CommunicationCost, OracleProbesAreCounted) {
   core::MachOracleSampler sampler;
   sim.run(sampler, 20);
   // Every device in every edge is probed at every step.
-  EXPECT_EQ(sim.last_run_cost().probe_downloads, 8u * 20u);
+  EXPECT_EQ(sim.last_run_cost().ledger.probe_download.messages, 8u * 20u);
 }
 
 TEST(Confusion, BasicCounting) {
