@@ -8,9 +8,10 @@
 //
 // Exit-code contract (what tools/sweep_runner and scripts key on):
 //   0   run completed
-//   2   configuration/usage error (bad flag, unknown preset, unusable path,
-//       snapshot version mismatch) — retrying the same argv cannot succeed
-//   3   runtime failure (exception out of the engine) — retryable
+//   2   configuration/usage error (bad flag, unknown preset, unusable path)
+//       — retrying the same argv cannot succeed
+//   3   runtime failure (exception out of the engine, a snapshot of another
+//       configuration or data world included) — retryable
 //   75  drained: SIGTERM/SIGINT arrived, the run checkpointed at the next
 //       step barrier and exited; rerun with --resume to continue (75 =
 //       EX_TEMPFAIL, "temporary failure, retry later")
@@ -20,11 +21,7 @@
 #include <memory>
 #include <optional>
 
-#include "ckpt/bytes.h"
-#include "ckpt/manager.h"
-#include "ckpt/run_state.h"
 #include "common/cli.h"
-#include "common/log.h"
 #include "common/table.h"
 #include "comm/config.h"
 #include "core/registry.h"
@@ -253,35 +250,12 @@ int main(int argc, char** argv) {
                                     artifacts.partition, artifacts.schedule,
                                     mach::hfl::make_model_factory(config), options);
 
-  // Resolve --resume before any trace file is opened: the snapshot header
-  // carries the trace cursor the writer must truncate back to.
-  std::optional<mach::ckpt::RunStateHeader> resume_header;
-  if (checkpoint.resume) {
-    mach::ckpt::CheckpointManager manager(checkpoint.dir, checkpoint.keep);
-    auto loaded = manager.load_latest();
-    if (loaded.has_value()) {
-      if (loaded->version != mach::ckpt::kRunStateVersion) {
-        std::cerr << "--resume: snapshot payload version " << loaded->version
-                  << " does not match this engine's version "
-                  << mach::ckpt::kRunStateVersion
-                  << " (delete " << checkpoint.dir << " to start fresh)\n";
-        return kExitConfig;
-      }
-      try {
-        mach::ckpt::ByteReader reader(loaded->payload);
-        resume_header = mach::ckpt::RunStateHeader::decode(reader);
-      } catch (const mach::ckpt::CorruptPayload& error) {
-        std::cerr << "--resume: " << error.what() << "\n";
-        return kExitConfig;
-      }
-      simulator.set_resume_payload(std::move(loaded->payload));
-      std::cout << "resuming from " << checkpoint.dir << " at step "
-                << resume_header->next_t << "\n";
-    } else {
-      mach::common::log_warn(
-          "resume: no usable snapshot in " + checkpoint.dir +
-          " -- starting from step 0");
-    }
+  // The engine read the --resume snapshot; its header carries the trace
+  // cursor the writer must truncate back to.
+  const auto resume_header = simulator.resume_header();
+  if (resume_header.has_value()) {
+    std::cout << "resuming from " << checkpoint.dir << " at step "
+              << resume_header->next_t << "\n";
   }
 
   // Fail fast on unwritable profiling paths, matching --trace: the exports

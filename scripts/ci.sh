@@ -317,6 +317,15 @@ fi
 cmp "$ckpt_dir/ref.csv" "$ckpt_dir/run.csv"
 grep -q '"event":"checkpoint"' "$ckpt_dir/run.jsonl"
 "$BUILD_DIR/tools/trace_summary" "$ckpt_dir/run.jsonl" | grep -q 'checkpointed run'
+# The same snapshots under another data world (here the long-tail ratio,
+# which changes the label marginal and partition but no engine option) must
+# be rejected by the fingerprint, not resumed.
+if "$BUILD_DIR/examples/experiment_runner" "${resume_args[@]}" --long_tail 0.3 \
+  --checkpoint_every 3 --checkpoint_dir "$ckpt_dir/snaps" --resume \
+  > "$ckpt_dir/foreign.log" 2>&1; then
+  echo "resuming into another data world was expected to fail"; exit 1
+fi
+grep -q 'fingerprint mismatch' "$ckpt_dir/foreign.log"
 
 echo "== sweep orchestrator smoke =="
 # Self-healing sweep end to end: a 6-point sweep where one injected config

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "ckpt/file.h"
+#include "ckpt/run_state.h"
 #include "common/log.h"
 
 namespace mach::ckpt {
@@ -57,10 +58,10 @@ CheckpointManager::CheckpointManager(std::string dir, std::size_t keep)
   }
 }
 
-std::string CheckpointManager::save(std::uint64_t step, std::uint32_t version,
+std::string CheckpointManager::save(std::uint64_t step,
                                     std::span<const std::uint8_t> payload) const {
   const std::string path = (fs::path(dir_) / snapshot_name(step)).string();
-  write_checkpoint_file(path, version, payload);
+  write_checkpoint_file(path, kRunStateVersion, payload);
 
   // Keep the newest `keep_` snapshots; everything older is garbage. Deleting
   // after the rename means a crash mid-GC leaves extra files, never fewer.
@@ -94,18 +95,23 @@ std::optional<LoadedCheckpoint> CheckpointManager::load_latest() const {
   std::vector<std::string> snapshots = list();
   for (auto it = snapshots.rbegin(); it != snapshots.rend(); ++it) {
     std::string error;
-    if (auto blob = read_checkpoint_file(*it, &error)) {
+    auto blob = read_checkpoint_file(*it, &error);
+    // Another payload layout cannot resume this engine: skipped like a torn
+    // file, so an older snapshot of the current layout still can.
+    if (blob.has_value() && blob->version != kRunStateVersion) {
+      error = *it + ": payload version " + std::to_string(blob->version) +
+              " (this engine reads " + std::to_string(kRunStateVersion) + ")";
+      blob.reset();
+    }
+    if (blob.has_value()) {
       LoadedCheckpoint loaded;
       loaded.step = parse_step(fs::path(*it).filename().string()).value_or(0);
-      loaded.version = blob->version;
       loaded.payload = std::move(blob->payload);
-      loaded.path = *it;
       // Name what was actually restored: after a corrupt-latest fallback the
       // "resumed from" step differs from the newest filename, and a silent
       // substitution is exactly what an operator debugging lost work needs
       // surfaced.
-      common::log_info("checkpoint: loaded ", loaded.path, " (step ",
-                       loaded.step, ")");
+      common::log_info("checkpoint: loaded ", *it, " (step ", loaded.step, ")");
       return loaded;
     }
     common::log_warn("checkpoint: skipping invalid snapshot — ", error,

@@ -13,8 +13,10 @@ struct CheckpointOptions {
   std::size_t every = 0;
   /// Snapshots retained per run (older ones are garbage-collected).
   std::size_t keep = 2;
-  /// Continue from the newest valid snapshot in `dir` instead of starting
-  /// over. With no usable snapshot the run starts from step 0 (logged).
+  /// Continue from the newest usable snapshot in `dir` instead of starting
+  /// over: the engine reads it at construction, skipping torn files and
+  /// snapshots of another payload version (CheckpointManager::load_latest).
+  /// With no usable snapshot the run starts from step 0 (logged).
   bool resume = false;
   /// Test/CI harness: hard-kill the process (SIGKILL — no destructors, no
   /// flushes) immediately after the snapshot for this step is durable.

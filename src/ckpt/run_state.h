@@ -2,13 +2,15 @@
 //
 // The HFL engine owns the full payload encoding (it knows every member it
 // must freeze), but the header below is deliberately factored out and
-// placed first in the payload so CLIs can recover the resume coordinates —
-// which step to continue from and where to truncate the JSONL trace —
-// without decoding model parameters or sampler blobs. The fingerprint pins
-// the snapshot to the run configuration that produced it; everything that
-// changes the deterministic event sequence feeds the hash, and thread count
-// deliberately does not (runs are bitwise identical at any `--threads`, so
-// resuming at a different worker count is legal and tested).
+// placed first in the payload: the engine decodes it when it reads a
+// snapshot at construction and exposes it (HflSimulator::resume_header),
+// so a CLI learns which step the run continues from and where to truncate
+// its JSONL trace before any step runs. The fingerprint pins the snapshot
+// to the run that produced it; everything that changes the deterministic
+// event sequence feeds the hash (the data world and the mobility rows the
+// run reaches included), and thread count deliberately does not (runs are
+// bitwise identical at any `--threads`, so resuming at a different worker
+// count is legal and tested).
 #pragma once
 
 #include <cstdint>
@@ -18,14 +20,17 @@
 
 namespace mach::ckpt {
 
-/// Payload format version written by HflSimulator (bump on layout changes).
-/// v2: CommunicationCost gained the encoded-byte ledger + mixed-size flag,
-/// and lossy-codec runs append error-feedback residuals and the last cloud
+/// Payload format version CheckpointManager writes and reads (bump on layout
+/// changes, or when an old snapshot can no longer match). v2:
+/// CommunicationCost gained the encoded-byte ledger + mixed-size flag, and
+/// lossy-codec runs append error-feedback residuals and the last cloud
 /// broadcast (src/comm/). v3: the communication section is the Transport's
 /// (hfl/transport.h): the ledger, then the codec state; the legacy message
-/// counters, model size and mixed-size flag are gone. A snapshot of another
-/// version cannot resume the engine (callers start from step 0).
-inline constexpr std::uint32_t kRunStateVersion = 3;
+/// counters, model size and mixed-size flag are gone. v4: same layout, but
+/// the fingerprint also covers the data world, so no v3 fingerprint
+/// matches. CheckpointManager::load_latest skips a snapshot of another
+/// version like a torn one.
+inline constexpr std::uint32_t kRunStateVersion = 4;
 
 struct RunStateHeader {
   std::uint64_t fingerprint = 0;      // run-configuration hash (see above)

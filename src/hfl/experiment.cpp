@@ -5,10 +5,8 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "ckpt/manager.h"
 #include "ckpt/run_state.h"
 #include "common/cli.h"
-#include "common/log.h"
 #include "mobility/mobility_model.h"
 #include "nn/activations.h"
 #include "nn/dense.h"
@@ -250,22 +248,6 @@ RunResult run_experiment(const ExperimentConfig& config, Sampler& sampler,
   HflSimulator simulator(artifacts.train, artifacts.test, std::move(artifacts.partition),
                          artifacts.schedule, make_model_factory(config), options);
   simulator.set_observer(observer);
-  if (options.checkpoint.resume) {
-    ckpt::CheckpointManager manager(options.checkpoint.dir, options.checkpoint.keep);
-    if (auto loaded = manager.load_latest()) {
-      if (loaded->version != ckpt::kRunStateVersion) {
-        common::log_warn("resume: snapshot in " + options.checkpoint.dir +
-                         " has payload version " + std::to_string(loaded->version) +
-                         " (engine writes " + std::to_string(ckpt::kRunStateVersion) +
-                         ") -- starting from step 0");
-      } else {
-        simulator.set_resume_payload(std::move(loaded->payload));
-      }
-    } else {
-      common::log_warn("resume: no usable snapshot in " + options.checkpoint.dir +
-                       " -- starting from step 0");
-    }
-  }
   RunResult result;
   result.sampler_name = sampler.name();
   result.metrics = simulator.run(sampler, config.horizon);

@@ -74,6 +74,20 @@ HflSimulator::HflSimulator(const data::Dataset& train, const data::Dataset& test
     replicas_ = std::make_unique<runtime::ModelReplicaPool>(model_factory, workers);
     worker_scratch_.resize(workers);
   }
+  if (options_.checkpoint.enabled()) {
+    ckpt_manager_ = std::make_unique<ckpt::CheckpointManager>(
+        options_.checkpoint.dir, options_.checkpoint.keep);
+  }
+  if (options_.checkpoint.resume) {
+    if (auto loaded = ckpt_manager_->load_latest()) {
+      ckpt::ByteReader in(loaded->payload);
+      resume_header_ = ckpt::RunStateHeader::decode(in);
+      resume_payload_ = std::move(loaded->payload);
+    } else {
+      common::log_warn("resume: no usable snapshot in ", options_.checkpoint.dir,
+                       " -- starting from step 0");
+    }
+  }
 }
 
 double HflSimulator::edge_capacity(std::size_t /*edge*/) const {
@@ -307,14 +321,39 @@ std::uint64_t HflSimulator::run_fingerprint(const Sampler& sampler,
   h = ckpt::hash_str(h, options_.comm.all_fp32() ? "" : options_.comm.to_string());
   h = ckpt::hash_str(h, sampler.name());
   h = ckpt::hash_u64(h, steps);
-  // The mobility world itself: scenario presets and layout knobs (stations,
-  // hotspots, stay probability, ...) change the device->edge association
-  // stream without touching any hyperparameter above, and resuming into a
-  // different world silently corrupts the run.
+  // The world itself, which no knob above pins and which resuming into
+  // another one would silently corrupt. Mobility: scenario presets and
+  // layout knobs (stations, hotspots, stay probability, ...) change the
+  // device->edge association; only the rows this run reaches matter.
   h = ckpt::hash_u64(h, schedule_.horizon());
-  for (std::size_t t = 0; t < schedule_.horizon(); ++t) {
+  for (std::size_t t = 0; t < std::min(steps, schedule_.horizon()); ++t) {
     for (std::size_t device = 0; device < num_devices(); ++device) {
       h = ckpt::hash_u64(h, schedule_.edge_of(t, device));
+    }
+  }
+  // Data: the task, long-tail ratio, redundancy and data seed reach the run
+  // only through the partition and the two splits. Every index and label
+  // counts, and one feature per example (example i's element i mod numel)
+  // stands in for its features: all of them are ~30 MB in a 2,000-device
+  // world.
+  for (const auto& part : partition_) {
+    h = ckpt::hash_u64(h, part.size());
+    for (const std::size_t index : part) h = ckpt::hash_u64(h, index);
+  }
+  for (const data::Dataset* split : {&train_, &test_}) {
+    const std::size_t size = split->size();
+    const std::size_t numel = split->example_numel();
+    const auto sampled = [numel](std::size_t i) { return i * numel + i % numel; };
+    const float* features = split->features().data();
+    h = ckpt::hash_u64(h, size);
+    for (const std::size_t dim : split->example_shape()) h = ckpt::hash_u64(h, dim);
+    for (std::size_t i = 0; numel > 0 && i < size; ++i) {
+      // The sampled features lie cache lines apart, mostly outside the
+      // cache: fetching ahead keeps their loads off the hash chain's
+      // critical path (about half the digest's time at 2,000 devices).
+      if (i + 16 < size) __builtin_prefetch(features + sampled(i + 16));
+      h = ckpt::hash_u64(h, static_cast<std::uint32_t>(split->labels()[i]));
+      h = ckpt::hash_f64(h, features[sampled(i)]);
     }
   }
   return h;
@@ -339,7 +378,7 @@ void HflSimulator::save_checkpoint(Sampler& sampler, std::size_t steps,
 
   ckpt::ByteWriter out;
   ckpt::RunStateHeader header;
-  header.fingerprint = run_fingerprint(sampler, steps);
+  header.fingerprint = fingerprint_;
   header.next_t = next_t;
   header.total_steps = steps;
   header.cloud_rounds = cloud_rounds;
@@ -403,26 +442,24 @@ void HflSimulator::save_checkpoint(Sampler& sampler, std::size_t steps,
   out.str(sampler.name());
   sampler.save_state(out);
 
-  ckpt_manager_->save(next_t, ckpt::kRunStateVersion,
-                      std::span<const std::uint8_t>(out.data()));
+  ckpt_manager_->save(next_t, std::span<const std::uint8_t>(out.data()));
 }
 
-std::size_t HflSimulator::restore_run_state(Sampler& sampler, std::size_t steps,
-                                            std::size_t& cloud_rounds,
-                                            double& window_train_loss,
-                                            std::size_t& window_participants,
-                                            MetricsRecorder& metrics) {
-  ckpt::ByteReader in(resume_payload_);
-  const ckpt::RunStateHeader header = ckpt::RunStateHeader::decode(in);
-  if (header.fingerprint != run_fingerprint(sampler, steps)) {
+void HflSimulator::restore_run_state(Sampler& sampler, std::size_t steps,
+                                     MetricsRecorder& metrics) {
+  const ckpt::RunStateHeader& header = *resume_header_;
+  if (header.fingerprint != fingerprint_) {
     throw std::runtime_error(
         "checkpoint: fingerprint mismatch — the snapshot was produced by a "
-        "different run configuration (seed/topology/hyperparameters/sampler/"
-        "steps must match; thread count may differ)");
+        "different run configuration or data world (seed/topology/"
+        "hyperparameters/sampler/steps/data must match; thread count may "
+        "differ)");
   }
   if (header.total_steps != steps || header.next_t > steps) {
     throw std::runtime_error("checkpoint: step horizon mismatch");
   }
+  ckpt::ByteReader in(resume_payload_);
+  ckpt::RunStateHeader::decode(in);  // read into `header` at construction
 
   global_ = in.vec_f32();
   if (global_.size() != param_count_) {
@@ -493,11 +530,8 @@ std::size_t HflSimulator::restore_run_state(Sampler& sampler, std::size_t steps,
   if (!in.at_end()) {
     throw ckpt::CorruptPayload("checkpoint: trailing bytes after run state");
   }
-
-  cloud_rounds = header.cloud_rounds;
-  window_train_loss = header.window_train_loss;
-  window_participants = header.window_participants;
-  return static_cast<std::size_t>(header.next_t);
+  resume_header_.reset();  // consumed: a later run() starts over
+  resume_payload_ = {};
 }
 
 MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
@@ -576,30 +610,24 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
   // are (re)initialised before any resume restore overwrites them.
   transport_.begin_run(registry_, global_);
 
-  // Resume path: apply the pending snapshot after instrument registration
+  // Resume path: the run starts at the position of the snapshot read at
+  // construction (a default header is step 0 with empty eval-window
+  // accumulators). Its state is applied after instrument registration
   // (restore is lookup-or-create against the same names, so the cached
   // references above stay live) and before any event is emitted — the
   // run_begin line and baseline evaluation already happened in the original
   // run and live in the truncated trace / restored recorder.
-  double window_train_loss = 0.0;
-  std::size_t window_participants = 0;
-  std::size_t cloud_rounds = 0;
-  std::size_t start_t = 0;
-  const bool resumed = !resume_payload_.empty();
-
-  if (options_.checkpoint.every > 0 || options_.checkpoint.resume) {
-    if (ckpt_manager_ == nullptr) {
-      ckpt_manager_ = std::make_unique<ckpt::CheckpointManager>(
-          options_.checkpoint.dir, options_.checkpoint.keep);
-    }
+  const bool resumed = resume_header_.has_value();
+  const ckpt::RunStateHeader start = resume_header_.value_or(ckpt::RunStateHeader{});
+  const std::size_t start_t = start.next_t;
+  std::size_t cloud_rounds = start.cloud_rounds;
+  double window_train_loss = start.window_train_loss;
+  std::size_t window_participants = start.window_participants;
+  // Once per run, and only when a snapshot is written or checked.
+  if (options_.checkpoint.every > 0 || resumed) {
+    fingerprint_ = run_fingerprint(sampler, steps);
   }
-
-  if (resumed) {
-    start_t = restore_run_state(sampler, steps, cloud_rounds, window_train_loss,
-                                window_participants, metrics);
-    resume_payload_.clear();
-    resume_payload_.shrink_to_fit();
-  }
+  if (resumed) restore_run_state(sampler, steps, metrics);
 
   if (!resumed && observer_ != nullptr) {
     obs::RunBeginEvent event;
@@ -1061,12 +1089,18 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
       window_participants = 0;
     }
 
-    // Snapshot after every `every` completed steps (never after the final
-    // step — the run is about to finish anyway and a resumable snapshot
-    // would outlive its purpose).
+    // Snapshot after every `every` completed steps, and at a cooperative
+    // drain (SIGTERM/SIGINT via HflOptions::stop_flag), which then returns
+    // early: the resumed run replays the remaining steps bitwise-identically,
+    // so a drained fleet loses nothing but wall-clock time. Never after the
+    // final step — the run is about to finish anyway and a resumable
+    // snapshot would outlive its purpose.
     const std::size_t done = t + 1;
-    if (options_.checkpoint.every > 0 && done % options_.checkpoint.every == 0 &&
-        done < steps) {
+    const bool drain = options_.stop_flag != nullptr &&
+                       *options_.stop_flag != 0 && done < steps;
+    const bool periodic = options_.checkpoint.every > 0 &&
+                          done % options_.checkpoint.every == 0 && done < steps;
+    if (periodic || (drain && options_.checkpoint.every > 0)) {
       {
         const obs::SpanGuard span(timers_[obs::Phase::Checkpoint], "checkpoint",
                                   static_cast<std::int64_t>(done));
@@ -1074,10 +1108,11 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
                         window_participants, metrics);
       }
       // CI/test harness: simulate preemption by hard-killing the process the
-      // moment the first snapshot at or past `kill_at` is durable. SIGKILL
-      // on purpose — no destructors, no stream flushes, exactly the crash
-      // the resume path must survive.
-      if (options_.checkpoint.kill_at > 0 && done >= options_.checkpoint.kill_at) {
+      // moment the first periodic snapshot at or past `kill_at` is durable.
+      // SIGKILL on purpose — no destructors, no stream flushes, exactly the
+      // crash the resume path must survive.
+      if (periodic && options_.checkpoint.kill_at > 0 &&
+          done >= options_.checkpoint.kill_at) {
         ::kill(::getpid(), SIGKILL);
       }
     }
@@ -1092,19 +1127,7 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
       for (;;) ::pause();
     }
 
-    // Cooperative drain (SIGTERM/SIGINT via HflOptions::stop_flag): make the
-    // completed work durable with one extra snapshot if the interval block
-    // above didn't just write one, then return early. The resumed run
-    // replays the remaining steps bitwise-identically, so a drained fleet
-    // loses nothing but wall-clock time.
-    if (options_.stop_flag != nullptr && *options_.stop_flag != 0 &&
-        done < steps) {
-      if (options_.checkpoint.every > 0 && done % options_.checkpoint.every != 0) {
-        const obs::SpanGuard span(timers_[obs::Phase::Checkpoint], "checkpoint",
-                                  static_cast<std::int64_t>(done));
-        save_checkpoint(sampler, steps, done, cloud_rounds, window_train_loss,
-                        window_participants, metrics);
-      }
+    if (drain) {
       interrupted_at_ = done;
       break;
     }

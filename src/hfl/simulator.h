@@ -23,10 +23,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "ckpt/manager.h"
 #include "ckpt/options.h"
+#include "ckpt/run_state.h"
 #include "comm/config.h"
 #include "common/rng.h"
 #include "data/dataset.h"
@@ -104,9 +106,10 @@ struct HflOptions {
   /// stream (including cached Box–Muller halves), sampler experience, the
   /// byte ledger and codec state, recorded metrics, the instrument registry
   /// and the attached trace sink's byte cursor — into an atomic CRC-checked
-  /// snapshot after every N completed steps. A run restored from such a
-  /// snapshot (see set_resume_payload) replays the remaining steps bitwise
-  /// identically to the uninterrupted run, at any thread count.
+  /// snapshot after every N completed steps. With `checkpoint.resume` the
+  /// engine reads the newest usable snapshot at construction (see
+  /// resume_header), and its first run() replays the remaining steps
+  /// bitwise identically to the uninterrupted run, at any thread count.
   ckpt::CheckpointOptions checkpoint;
   /// Fault-injection schedule (device dropout, stragglers vs per-edge
   /// timeouts, edge outages, cloud upload loss — see fault/schedule.h). The
@@ -186,24 +189,21 @@ class HflSimulator {
   /// (the RNG stream is untouched), only what gets reported.
   void set_observer(obs::RunObserver* observer) noexcept { observer_ = observer; }
 
-  /// Hands the engine a decoded checkpoint payload (ckpt::CheckpointManager
-  /// load → CheckpointBlob::payload) to continue from. The next run() call
-  /// consumes it: it validates the fingerprint against its own configuration
-  /// and the bound sampler, restores every piece of run state, skips the
-  /// run_begin event and baseline evaluation (both already happened in the
-  /// original run) and resumes the step loop at the recorded `next_t`.
-  /// Throws ckpt::CorruptPayload (malformed snapshot) or std::runtime_error
-  /// (configuration mismatch) from within that run() call.
-  void set_resume_payload(std::vector<std::uint8_t> payload) {
-    resume_payload_ = std::move(payload);
+  /// Header of the snapshot the next run() continues from: with
+  /// HflOptions::checkpoint.resume set, the constructor reads the newest
+  /// usable snapshot in checkpoint.dir (ckpt::CheckpointManager::load_latest)
+  /// so a caller can open its trace at the recorded cursor and report
+  /// `next_t` before the run starts. nullopt when resume is off, when no
+  /// snapshot is usable (logged; the run starts from step 0) and once a
+  /// run() has consumed it. That run() checks the fingerprint against its
+  /// own configuration and sampler, restores every piece of run state,
+  /// skips the run_begin event and baseline evaluation (both happened in the
+  /// original run) and resumes the step loop at `next_t`; it throws
+  /// ckpt::CorruptPayload (malformed snapshot) or std::runtime_error
+  /// (another configuration or data world).
+  const std::optional<ckpt::RunStateHeader>& resume_header() const noexcept {
+    return resume_header_;
   }
-
-  /// Configuration hash recorded in snapshots (see ckpt/run_state.h). Covers
-  /// everything that shapes the deterministic event sequence — topology,
-  /// seeds, hyperparameters, aggregation form, fault spec, sampler name and
-  /// the horizon — and deliberately excludes the thread count (resuming at a
-  /// different `--threads` is legal).
-  std::uint64_t run_fingerprint(const Sampler& sampler, std::size_t steps) const;
 
   /// Wall-clock phase breakdown of the most recent run() (always recorded,
   /// observer or not — each phase scope is one phase-tagged obs::SpanGuard,
@@ -303,6 +303,14 @@ class HflSimulator {
   /// coordinator's norm batch; `*result` is written when it is flushed.
   void probe_gradient_norm(std::uint32_t device, double* result);
 
+  /// Configuration hash recorded in snapshots (see ckpt/run_state.h). Covers
+  /// everything that shapes the deterministic event sequence — topology,
+  /// seeds, hyperparameters, aggregation form, fault and codec specs,
+  /// sampler name, the horizon, the mobility rows the run reaches and the
+  /// data world (splits and partition) — and deliberately excludes the
+  /// thread count (resuming at a different `--threads` is legal).
+  std::uint64_t run_fingerprint(const Sampler& sampler, std::size_t steps) const;
+
   /// Freezes the complete run state into an atomic snapshot: emits the
   /// checkpoint marker + cursor to the observer first (so the marker itself
   /// is covered by the recorded trace offset), then encodes and writes via
@@ -312,14 +320,11 @@ class HflSimulator {
                        std::size_t window_participants,
                        const MetricsRecorder& metrics);
 
-  /// Applies a decoded snapshot payload; returns the step to resume at.
-  /// Must run after Sampler::bind and instrument registration. Throws
-  /// ckpt::CorruptPayload / std::runtime_error (see set_resume_payload).
-  std::size_t restore_run_state(Sampler& sampler, std::size_t steps,
-                                std::size_t& cloud_rounds,
-                                double& window_train_loss,
-                                std::size_t& window_participants,
-                                MetricsRecorder& metrics);
+  /// Applies and consumes the snapshot read at construction. Must run after
+  /// Sampler::bind, instrument registration and the fingerprint. Throws
+  /// ckpt::CorruptPayload / std::runtime_error (see resume_header).
+  void restore_run_state(Sampler& sampler, std::size_t steps,
+                         MetricsRecorder& metrics);
 
   const data::Dataset& train_;
   const data::Dataset& test_;
@@ -366,9 +371,12 @@ class HflSimulator {
   bool profile_export_ok_ = true;
   std::optional<std::size_t> interrupted_at_;
 
-  // Checkpoint runtime (null until a run with checkpoint.every > 0 starts).
+  // Checkpoint runtime (null with checkpointing off). The snapshot to resume
+  // from is read at construction and consumed by the next run().
   std::unique_ptr<ckpt::CheckpointManager> ckpt_manager_;
-  std::vector<std::uint8_t> resume_payload_;  // consumed by the next run()
+  std::optional<ckpt::RunStateHeader> resume_header_;
+  std::vector<std::uint8_t> resume_payload_;   // resume_header_'s snapshot
+  std::uint64_t fingerprint_ = 0;  // run_fingerprint of the run in progress
 };
 
 }  // namespace mach::hfl

@@ -1,6 +1,7 @@
 // Checkpoint file-format and directory-manager coverage: atomic write/read
 // round-trips, torn-file detection (short header, truncated payload, flipped
-// bits vs CRC), keep-K garbage collection and the corrupt-latest fallback.
+// bits vs CRC), keep-K garbage collection, the corrupt-latest fallback and
+// the version rule (snapshots of another payload version are skipped).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 
 #include "ckpt/file.h"
 #include "ckpt/manager.h"
+#include "ckpt/run_state.h"
 
 namespace mach::ckpt {
 namespace {
@@ -127,7 +129,7 @@ TEST(CheckpointManager, KeepsOnlyTheNewestK) {
   const std::string dir = fresh_dir("ckpt_gc");
   CheckpointManager manager(dir, 2);
   for (std::uint64_t step : {2, 4, 6, 8}) {
-    manager.save(step, 1, payload_of({static_cast<std::uint8_t>(step)}));
+    manager.save(step, payload_of({static_cast<std::uint8_t>(step)}));
   }
   const auto snapshots = manager.list();
   ASSERT_EQ(snapshots.size(), 2u);
@@ -139,8 +141,8 @@ TEST(CheckpointManager, KeepsOnlyTheNewestK) {
 TEST(CheckpointManager, LoadLatestReturnsTheNewestValidSnapshot) {
   const std::string dir = fresh_dir("ckpt_latest");
   CheckpointManager manager(dir, 3);
-  manager.save(3, 1, payload_of({3}));
-  manager.save(5, 1, payload_of({5}));
+  manager.save(3, payload_of({3}));
+  manager.save(5, payload_of({5}));
   const auto loaded = manager.load_latest();
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->step, 5u);
@@ -151,8 +153,8 @@ TEST(CheckpointManager, LoadLatestReturnsTheNewestValidSnapshot) {
 TEST(CheckpointManager, TornLatestFallsBackToThePreviousSnapshot) {
   const std::string dir = fresh_dir("ckpt_fallback");
   CheckpointManager manager(dir, 3);
-  manager.save(3, 1, payload_of({3, 3, 3}));
-  manager.save(5, 1, payload_of({5, 5, 5}));
+  manager.save(3, payload_of({3, 3, 3}));
+  manager.save(5, payload_of({5, 5, 5}));
   // Tear the newest file the way SIGKILL mid-write would (partial content).
   const auto snapshots = manager.list();
   ASSERT_EQ(snapshots.size(), 2u);
@@ -164,11 +166,31 @@ TEST(CheckpointManager, TornLatestFallsBackToThePreviousSnapshot) {
   fs::remove_all(dir);
 }
 
+TEST(CheckpointManager, SnapshotsOfAnotherVersionAreSkipped) {
+  const std::string dir = fresh_dir("ckpt_versions");
+  CheckpointManager manager(dir, 3);
+  manager.save(3, payload_of({3}));
+  manager.save(5, payload_of({5}));
+  // The newest file carries another payload layout: it cannot resume the
+  // engine, so the older snapshot of the current layout is used.
+  const auto snapshots = manager.list();
+  ASSERT_EQ(snapshots.size(), 2u);
+  write_checkpoint_file(snapshots.back(), kRunStateVersion + 1, payload_of({5}));
+  const auto loaded = manager.load_latest();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->step, 3u);
+  EXPECT_EQ(loaded->payload, payload_of({3}));
+  // Only other versions left (an older layout too): nothing resumes.
+  write_checkpoint_file(snapshots.front(), kRunStateVersion - 1, payload_of({3}));
+  EXPECT_FALSE(manager.load_latest().has_value());
+  fs::remove_all(dir);
+}
+
 TEST(CheckpointManager, AllSnapshotsCorruptMeansNoResume) {
   const std::string dir = fresh_dir("ckpt_all_bad");
   CheckpointManager manager(dir, 2);
-  manager.save(2, 1, payload_of({2, 2}));
-  manager.save(4, 1, payload_of({4, 4}));
+  manager.save(2, payload_of({2, 2}));
+  manager.save(4, payload_of({4, 4}));
   for (const auto& path : manager.list()) truncate_file(path, 5);
   EXPECT_FALSE(manager.load_latest().has_value());
   fs::remove_all(dir);
@@ -177,7 +199,7 @@ TEST(CheckpointManager, AllSnapshotsCorruptMeansNoResume) {
 TEST(CheckpointManager, ForeignFilesInTheDirAreIgnored) {
   const std::string dir = fresh_dir("ckpt_foreign");
   CheckpointManager manager(dir, 2);
-  manager.save(7, 1, payload_of({7}));
+  manager.save(7, payload_of({7}));
   {
     std::ofstream junk(dir + "/notes.txt");
     junk << "not a checkpoint";

@@ -3,8 +3,8 @@
 // active — finishes with byte-identical CSVs, global parameters and
 // canonicalised traces vs the same run left uninterrupted. Also covers the
 // torn-latest fallback (resume one interval earlier, never crash), the
-// fingerprint guard against resuming a foreign configuration and the payload
-// version gate.
+// fingerprint guard against resuming a foreign configuration or data world
+// and the payload version rule.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -17,7 +17,7 @@
 
 #include <unistd.h>
 
-#include "ckpt/bytes.h"
+#include "ckpt/file.h"
 #include "ckpt/manager.h"
 #include "ckpt/run_state.h"
 #include "core/registry.h"
@@ -33,8 +33,9 @@ namespace fs = std::filesystem;
 using mach::test::canonical_trace;
 using mach::test::slurp;
 
-ExperimentConfig resume_scenario(std::uint64_t seed) {
-  ExperimentConfig config = ExperimentConfig::smoke(data::TaskKind::MnistLike);
+ExperimentConfig resume_scenario(std::uint64_t seed,
+                                 data::TaskKind task = data::TaskKind::MnistLike) {
+  ExperimentConfig config = ExperimentConfig::smoke(task);
   config.num_devices = 8;
   config.num_edges = 2;
   config.train_per_device = 30;
@@ -103,30 +104,26 @@ RunOutput run_full(const ExperimentArtifacts& built, const ExperimentConfig& con
   return out;
 }
 
-/// Continues from the newest valid snapshot in `ckpt_dir` — the CLI resume
-/// flow: load, decode the header, truncate-and-append the trace, hand the
-/// payload to a fresh simulator.
+/// Continues from the newest usable snapshot in `ckpt_dir` — the CLI resume
+/// flow: the engine reads the snapshot, the trace is truncated to its cursor
+/// and appended to.
 RunOutput run_resumed(const ExperimentArtifacts& built, const ExperimentConfig& config,
                       std::size_t threads, const std::string& ckpt_dir,
                       const std::string& trace_path, std::size_t every) {
-  ckpt::CheckpointManager manager(ckpt_dir);
-  auto loaded = manager.load_latest();
-  if (!loaded.has_value()) {
+  HflOptions options = options_for(config, threads, ckpt_dir, every);
+  options.checkpoint.resume = true;
+  HflSimulator simulator(built.train, built.test, built.partition, built.schedule,
+                         make_model_factory(config), options);
+  const auto header = simulator.resume_header();
+  if (!header.has_value()) {
     throw std::runtime_error("test: no usable snapshot in " + ckpt_dir);
   }
-  ckpt::ByteReader reader(loaded->payload);
-  const ckpt::RunStateHeader header = ckpt::RunStateHeader::decode(reader);
-  EXPECT_TRUE(header.has_trace_cursor);
-
-  HflSimulator simulator(built.train, built.test, built.partition, built.schedule,
-                         make_model_factory(config),
-                         options_for(config, threads, ckpt_dir, every));
+  EXPECT_TRUE(header->has_trace_cursor);
   RunOutput out;
   {
-    const obs::TraceCursor cursor{header.trace_bytes, header.trace_lines};
+    const obs::TraceCursor cursor{header->trace_bytes, header->trace_lines};
     obs::JsonlTraceWriter trace(trace_path, cursor);
     simulator.set_observer(&trace);
-    simulator.set_resume_payload(loaded->payload);
     auto sampler = core::make_sampler("mach");
     const MetricsRecorder metrics = simulator.run(*sampler, config.horizon);
     out.csv = csv_of(metrics, "ckpt_resumed");
@@ -289,11 +286,46 @@ TEST(CheckpointResume, ForeignConfigurationIsRejectedByTheFingerprint) {
   std::remove(trace_path.c_str());
 }
 
+TEST(CheckpointResume, AnotherDataWorldIsRejectedByTheFingerprint) {
+  const ExperimentConfig config = resume_scenario(83);
+  const ExperimentArtifacts built = build_experiment(config);
+  const std::string dir = fresh_dir("ckpt_foreign_data");
+  const std::string trace_path = testing::TempDir() + "ckpt_foreign_data.jsonl";
+
+  run_full(built, config, 1, dir, trace_path, /*every=*/2);
+
+  // Seed, topology, hyperparameters and mobility stay fixed; only the data
+  // changes: first the long-tail ratio (label marginal and partition), then
+  // the task (fmnist's images under the same overrides). Continuing from
+  // this snapshot would train another world's model.
+  ExperimentConfig long_tail = config;
+  long_tail.long_tail_ratio = 0.3;
+  for (const ExperimentConfig& other :
+       {long_tail, resume_scenario(83, data::TaskKind::FmnistLike)}) {
+    const ExperimentArtifacts world = build_experiment(other);
+    const mobility::MobilitySchedule& a = built.schedule;
+    const mobility::MobilitySchedule& b = world.schedule;
+    ASSERT_EQ(a.horizon(), b.horizon());
+    for (std::size_t t = 0; t < a.horizon(); ++t) {
+      for (std::size_t m = 0; m < a.num_devices(); ++m) {
+        ASSERT_EQ(a.edge_of(t, m), b.edge_of(t, m));
+      }
+    }
+    EXPECT_THROW(run_resumed(world, other, 1, dir, trace_path, /*every=*/2),
+                 std::runtime_error);
+  }
+
+  fs::remove_all(dir);
+  std::remove(trace_path.c_str());
+}
+
 TEST(CheckpointResume, SnapshotOfAnotherVersionStartsFromStepZero) {
-  // run_experiment resumes only payloads of the engine's own layout
-  // (kRunStateVersion). A snapshot of any other version is skipped with a
-  // warning and the run starts over: same metrics and, run_begin line and
-  // baseline evaluation included, the same trace as a fresh run.
+  // The engine resumes only payloads of its own layout (kRunStateVersion):
+  // CheckpointManager skips a snapshot of any other version like a torn
+  // one. With every snapshot relabelled, run_experiment starts over: same
+  // metrics and, run_begin line and baseline evaluation included, the same
+  // trace as a fresh run. With only the newest relabelled it resumes from
+  // the older one.
   ExperimentConfig config = resume_scenario(91);
   const std::string dir = fresh_dir("ckpt_version_gate");
   config.hfl.checkpoint.dir = dir;
@@ -315,20 +347,33 @@ TEST(CheckpointResume, SnapshotOfAnotherVersionStartsFromStepZero) {
     out.trace = canonical_trace(jsonl.str());
     return out;
   };
-  const auto relabel_latest = [&dir](std::uint32_t version) {
+  const auto markers = [](const Run& run) {
+    std::size_t count = 0;
+    for (const auto& event : run.trace) {
+      if (event.find("\"checkpoint\"") != std::string::npos) ++count;
+    }
+    return count;
+  };
+  // Rewrites snapshots under another version word, payload unchanged.
+  const auto relabel = [&dir](std::uint32_t version, bool newest_only) {
     // run_experiment keeps each run's snapshots in its own subdirectory.
     std::vector<fs::path> runs;
     for (const auto& entry : fs::directory_iterator(dir)) runs.push_back(entry.path());
     ASSERT_EQ(runs.size(), 1u);
-    const ckpt::CheckpointManager manager(runs.front().string());
-    auto latest = manager.load_latest();
-    ASSERT_TRUE(latest.has_value());
-    ASSERT_EQ(latest->step, 6u);  // snapshots at t = 3 and 6 for horizon 8
-    manager.save(latest->step, version, latest->payload);
+    std::vector<std::string> snapshots =
+        ckpt::CheckpointManager(runs.front().string()).list();
+    ASSERT_EQ(snapshots.size(), 2u);  // t = 3 and 6 for horizon 8
+    if (newest_only) snapshots.erase(snapshots.begin());
+    for (const std::string& path : snapshots) {
+      auto blob = ckpt::read_checkpoint_file(path);
+      ASSERT_TRUE(blob.has_value());
+      ckpt::write_checkpoint_file(path, version, blob->payload);
+    }
   };
 
   const Run fresh = run(/*resume=*/false);
-  relabel_latest(ckpt::kRunStateVersion + 1);
+  ASSERT_EQ(markers(fresh), 2u);
+  relabel(ckpt::kRunStateVersion + 1, /*newest_only=*/false);
   const Run gated = run(/*resume=*/true);
   EXPECT_EQ(gated.csv, fresh.csv);
   ASSERT_EQ(gated.trace.size(), fresh.trace.size());
@@ -336,14 +381,31 @@ TEST(CheckpointResume, SnapshotOfAnotherVersionStartsFromStepZero) {
     EXPECT_EQ(gated.trace[i], fresh.trace[i]) << "event " << i;
   }
 
-  // Control: the same payload under the engine's version does resume, so
-  // its trace starts at the snapshot (no run_begin line).
-  relabel_latest(ckpt::kRunStateVersion);
+  // The gated run rewrote both snapshots. A newer snapshot of another
+  // version does not hide the older one: the run resumes at t = 3, so its
+  // trace is the fresh trace's tail after the first marker, holding the
+  // t = 6 marker and no run_begin line.
+  relabel(ckpt::kRunStateVersion + 1, /*newest_only=*/true);
+  const Run fallback = run(/*resume=*/true);
+  EXPECT_EQ(fallback.csv, fresh.csv);
+  ASSERT_FALSE(fallback.trace.empty());
+  EXPECT_EQ(fallback.trace.front().find("\"run_begin\""), std::string::npos);
+  EXPECT_EQ(markers(fallback), 1u);
+  ASSERT_LT(fallback.trace.size(), fresh.trace.size());
+  const std::size_t skipped = fresh.trace.size() - fallback.trace.size();
+  for (std::size_t i = 0; i < fallback.trace.size(); ++i) {
+    EXPECT_EQ(fallback.trace[i], fresh.trace[skipped + i]) << "event " << i;
+  }
+
+  // Control: the same payloads under the engine's version do resume, from
+  // the newest (t = 6), so no marker is left to write.
+  relabel(ckpt::kRunStateVersion, /*newest_only=*/false);
   const Run resumed = run(/*resume=*/true);
   EXPECT_EQ(resumed.csv, fresh.csv);
   ASSERT_FALSE(resumed.trace.empty());
   EXPECT_EQ(resumed.trace.front().find("\"run_begin\""), std::string::npos);
-  EXPECT_LT(resumed.trace.size(), fresh.trace.size());
+  EXPECT_EQ(markers(resumed), 0u);
+  EXPECT_LT(resumed.trace.size(), fallback.trace.size());
 
   fs::remove_all(dir);
 }

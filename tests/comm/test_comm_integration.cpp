@@ -15,9 +15,6 @@
 
 #include <unistd.h>
 
-#include "ckpt/bytes.h"
-#include "ckpt/manager.h"
-#include "ckpt/run_state.h"
 #include "comm/codec.h"
 #include "comm/config.h"
 #include "core/registry.h"
@@ -300,21 +297,16 @@ TEST(CommIntegration, StatefulTopKResumeIsBitwiseIdentical) {
   // Resume from the newest snapshot, at a different thread count.
   RunArtifacts resumed;
   {
-    ckpt::CheckpointManager manager(crash_dir);
-    auto loaded = manager.load_latest();
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(loaded->version, ckpt::kRunStateVersion);
-    ckpt::ByteReader reader(loaded->payload);
-    const ckpt::RunStateHeader header = ckpt::RunStateHeader::decode(reader);
-    ASSERT_TRUE(header.has_trace_cursor);
-
+    HflOptions options = options_for(3, crash_dir);
+    options.checkpoint.resume = true;
     HflSimulator simulator(built.train, built.test, built.partition,
-                           built.schedule, make_model_factory(config),
-                           options_for(3, crash_dir));
-    const obs::TraceCursor cursor{header.trace_bytes, header.trace_lines};
+                           built.schedule, make_model_factory(config), options);
+    const auto header = simulator.resume_header();
+    ASSERT_TRUE(header.has_value());
+    ASSERT_TRUE(header->has_trace_cursor);
+    const obs::TraceCursor cursor{header->trace_bytes, header->trace_lines};
     obs::JsonlTraceWriter trace(crash_trace, cursor);
     simulator.set_observer(&trace);
-    simulator.set_resume_payload(loaded->payload);
     auto sampler = core::make_sampler("mach");
     const MetricsRecorder metrics = simulator.run(*sampler, config.horizon);
     resumed.csv = csv_of(metrics, "comm_ckpt_resumed");
