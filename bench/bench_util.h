@@ -137,30 +137,6 @@ inline void apply_codec_flag(const common::CliParser& cli,
   }
 }
 
-/// Registers the shared --scenario flag: any bench can rerun its sweep inside
-/// a named mobility world (mobility/scenario.h presets, optional overrides).
-/// The empty default keeps each task preset's own mobility untouched.
-inline void add_scenario_flag(common::CliParser& cli) {
-  cli.add_flag("scenario", std::string(""),
-               "mobility scenario preset, e.g. 'vehicular' or "
-               "'metro:stay=0.6,stations=80' "
-               "(metro|campus|vehicular|flash_crowd; empty = preset default)");
-}
-
-/// Applies the parsed --scenario flag to one experiment config. A bad spec
-/// exits with the offending part named.
-inline void apply_scenario_flag(const common::CliParser& cli,
-                                hfl::ExperimentConfig& config) {
-  const std::string spec = cli.get_string("scenario");
-  if (spec.empty()) return;
-  try {
-    hfl::apply_scenario(mobility::Scenario::parse(spec), config);
-  } catch (const std::invalid_argument& error) {
-    std::cerr << "--scenario: " << error.what() << "\n";
-    std::exit(1);
-  }
-}
-
 /// Registers the shared checkpoint/resume flags. With a directory set, every
 /// (task, sampler, seed) run of the sweep snapshots its full state into its
 /// own subdirectory of --checkpoint_dir; --resume continues each run from its
@@ -218,14 +194,6 @@ inline void print_mode_banner(const std::string& experiment) {
             << ", seeds per point: " << bench_seeds().size() << "\n\n";
 }
 
-/// Steps-to-target for one (config, sampler) pair, averaged over seeds.
-inline hfl::AveragedTimeToTarget run_algo(const hfl::ExperimentConfig& config,
-                                          const std::string& sampler_name,
-                                          std::span<const std::uint64_t> seeds) {
-  return hfl::averaged_time_to_target(
-      config, [&] { return core::make_sampler(sampler_name); }, seeds);
-}
-
 /// Curve-averaged result: runs per-seed, averages the accuracy curves
 /// point-wise (the paper's "average for smoothing"), and reads the
 /// time-to-target off the mean curve. Far less sensitive to heavy-tailed
@@ -271,16 +239,6 @@ inline CurveResult run_algo_curve(const hfl::ExperimentConfig& config,
 inline std::string steps_cell(const CurveResult& result, std::size_t horizon) {
   if (!result.steps_to_target) return ">" + std::to_string(horizon);
   return std::to_string(*result.steps_to_target);
-}
-
-/// "134.0" or ">240" when some run never reached the target.
-inline std::string steps_cell(const hfl::AveragedTimeToTarget& result,
-                              std::size_t horizon) {
-  if (result.reach_rate < 1.0) {
-    if (result.reach_rate == 0.0) return ">" + std::to_string(horizon);
-    return common::format_double(result.mean_steps, 1) + "*";
-  }
-  return common::format_double(result.mean_steps, 1);
 }
 
 class Stopwatch {

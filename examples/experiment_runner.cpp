@@ -8,10 +8,10 @@
 //
 // Exit-code contract (what tools/sweep_runner and scripts key on):
 //   0   run completed
-//   2   configuration/usage error (bad flag, unknown preset, unusable path)
+//   2   configuration/usage error (bad flag, unknown preset, unusable path,
+//       a --resume snapshot of another configuration or data world)
 //       — retrying the same argv cannot succeed
-//   3   runtime failure (exception out of the engine, a snapshot of another
-//       configuration or data world included) — retryable
+//   3   runtime failure (exception out of the engine) — retryable
 //   75  drained: SIGTERM/SIGINT arrived, the run checkpointed at the next
 //       step barrier and exited; rerun with --resume to continue (75 =
 //       EX_TEMPFAIL, "temporary failure, retry later")

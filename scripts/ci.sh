@@ -319,11 +319,15 @@ grep -q '"event":"checkpoint"' "$ckpt_dir/run.jsonl"
 "$BUILD_DIR/tools/trace_summary" "$ckpt_dir/run.jsonl" | grep -q 'checkpointed run'
 # The same snapshots under another data world (here the long-tail ratio,
 # which changes the label marginal and partition but no engine option) must
-# be rejected by the fingerprint, not resumed.
-if "$BUILD_DIR/examples/experiment_runner" "${resume_args[@]}" --long_tail 0.3 \
+# be rejected by the fingerprint, not resumed, with exit 2: a configuration
+# error that no retry can fix (tools/sweep_runner quarantines it at once).
+foreign_status=0
+"$BUILD_DIR/examples/experiment_runner" "${resume_args[@]}" --long_tail 0.3 \
   --checkpoint_every 3 --checkpoint_dir "$ckpt_dir/snaps" --resume \
-  > "$ckpt_dir/foreign.log" 2>&1; then
-  echo "resuming into another data world was expected to fail"; exit 1
+  > "$ckpt_dir/foreign.log" 2>&1 || foreign_status=$?
+if [[ "$foreign_status" -ne 2 ]]; then
+  echo "resuming into another data world exited $foreign_status, expected 2"
+  exit 1
 fi
 grep -q 'fingerprint mismatch' "$ckpt_dir/foreign.log"
 

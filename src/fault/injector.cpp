@@ -115,4 +115,66 @@ double FaultInjector::arrival_probability(std::size_t edge,
   return survive_dropout * survive_straggle;
 }
 
+void FaultInjector::begin_run(obs::MetricsRegistry& registry) {
+  if (!enabled_) return;
+  dropouts_ = &registry.counter("fault_dropouts");
+  straggler_arrivals_ = &registry.counter("fault_straggler_arrivals");
+  straggler_timeouts_ = &registry.counter("fault_straggler_timeouts");
+  retries_ = &registry.counter("fault_retries");
+  updates_lost_ = &registry.counter("fault_updates_lost");
+  outage_rounds_ = &registry.counter("fault_edge_outage_rounds");
+  cloud_uploads_lost_ = &registry.counter("fault_cloud_uploads_lost");
+}
+
+bool FaultInjector::begin_round(std::size_t t, std::size_t edge,
+                                obs::FaultSummary& summary) {
+  summary.active = enabled_;
+  summary.edge_outage = enabled_ && edge_out(t, edge);
+  summary.num_dropped = summary.num_straggler_arrivals = 0;
+  summary.num_straggler_timeouts = summary.num_retries = 0;
+  summary.survivors.clear();
+  summary.lost.clear();
+  if (summary.edge_outage) outage_rounds_->add();
+  return summary.edge_outage;
+}
+
+void FaultInjector::decide_round(std::size_t t, std::size_t edge,
+                                 std::span<const std::uint32_t> devices,
+                                 std::span<const std::uint32_t> sampled,
+                                 std::vector<std::uint32_t>& arrivals,
+                                 obs::FaultSummary& summary) {
+  if (!enabled_) {
+    arrivals.assign(sampled.begin(), sampled.end());
+    return;
+  }
+  arrivals.clear();
+  const obs::SpanGuard span("fault_fates", static_cast<std::int64_t>(t),
+                            static_cast<std::int64_t>(edge));
+  for (const std::uint32_t i : sampled) {
+    const DeviceFaultDecision decision = device_fate(t, edge, devices[i]);
+    summary.num_dropped += decision.fate == DeviceFate::Dropped;
+    summary.num_straggler_arrivals += decision.fate == DeviceFate::StragglerArrived;
+    summary.num_straggler_timeouts += decision.fate == DeviceFate::StragglerTimedOut;
+    summary.num_retries += decision.retries;
+    (decision.arrived ? summary.survivors : summary.lost).push_back(devices[i]);
+    if (decision.arrived) arrivals.push_back(i);
+  }
+  dropouts_->add(summary.num_dropped);
+  straggler_arrivals_->add(summary.num_straggler_arrivals);
+  straggler_timeouts_->add(summary.num_straggler_timeouts);
+  retries_->add(summary.num_retries);
+  updates_lost_->add(summary.lost.size());
+}
+
+void FaultInjector::lost_uploads(
+    std::size_t t, std::span<const std::vector<std::uint32_t>> per_edge,
+    std::vector<std::uint64_t>& lost) {
+  lost.clear();
+  if (!enabled_) return;
+  for (std::size_t edge = 0; edge < per_edge.size(); ++edge) {
+    if (!per_edge[edge].empty() && cloud_upload_lost(t, edge)) lost.push_back(edge);
+  }
+  cloud_uploads_lost_->add(lost.size());
+}
+
 }  // namespace mach::fault

@@ -15,11 +15,19 @@
 // the surviving set): device survival is an independent thinning with known
 // probability, so 1/(|M_n| q_m a_m) keeps the edge aggregate unbiased —
 // the property tests/hfl/test_ht_unbiased.cpp checks by Monte Carlo.
+//
+// It is also the engine's whole fault policy: it decides and tallies each
+// edge round's fates (obs::FaultSummary and the fault_* counters) and names
+// each cloud round's lost uploads. Disabled, it answers as fault-free with
+// no draw (every sampled device arrives, a = 1), so the engine has one path.
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "fault/schedule.h"
+#include "obs/observer.h"
 
 namespace mach::fault {
 
@@ -48,7 +56,7 @@ struct DeviceFaultDecision {
 
 class FaultInjector {
  public:
-  /// Disabled injector: enabled() is false and no query may assume faults.
+  /// Disabled injector: enabled() is false and it answers as fault-free.
   FaultInjector() = default;
 
   /// `run_seed` feeds the derived fault stream when the schedule does not
@@ -56,7 +64,6 @@ class FaultInjector {
   FaultInjector(FaultSchedule schedule, std::uint64_t run_seed);
 
   bool enabled() const noexcept { return enabled_; }
-  const FaultSchedule& schedule() const noexcept { return schedule_; }
 
   /// Arrival budget for `edge` (per-edge override or the straggler default).
   double edge_timeout(std::size_t edge) const noexcept;
@@ -73,8 +80,36 @@ class FaultInjector {
 
   /// P(update arrives | sampled) for a device on `edge` under the schedule:
   /// (1 - p_drop) * (1 - p_straggle * P(every attempt misses the budget)).
-  /// Matches the sampling procedure of device_fate exactly.
+  /// Matches the sampling procedure of device_fate exactly (1 when disabled).
   double arrival_probability(std::size_t edge, std::uint32_t device) const;
+
+  /// Registers the fault_* counters when enabled. Call it at the start of a
+  /// run, before a resume restores the registry.
+  void begin_run(obs::MetricsRegistry& registry);
+
+  /// Opens the round of `edge` at step `t`: resets `summary`, and returns
+  /// true (the outage marked and counted) when the edge is out.
+  bool begin_round(std::size_t t, std::size_t edge, obs::FaultSummary& summary);
+
+  /// Decides the fates of the round's `sampled` devices (indices into
+  /// `devices`) in sampled order: `arrivals` gets the indices whose update
+  /// arrives, `summary` and the counters every fate.
+  void decide_round(std::size_t t, std::size_t edge,
+                    std::span<const std::uint32_t> devices,
+                    std::span<const std::uint32_t> sampled,
+                    std::vector<std::uint32_t>& arrivals,
+                    obs::FaultSummary& summary);
+
+  /// Fills `lost` with the edges with devices whose upload to step `t`'s
+  /// cloud round is lost (ascending) and counts them.
+  void lost_uploads(std::size_t t,
+                    std::span<const std::vector<std::uint32_t>> per_edge,
+                    std::vector<std::uint64_t>& lost);
+
+  /// fault_updates_lost so far (0 when disabled).
+  std::uint64_t updates_lost() const noexcept {
+    return updates_lost_ != nullptr ? updates_lost_->value() : 0;
+  }
 
  private:
   bool dropout_targets(std::uint32_t device) const noexcept;
@@ -84,6 +119,14 @@ class FaultInjector {
   FaultSchedule schedule_;
   std::uint64_t seed_ = 0;
   bool enabled_ = false;
+  // The fault_* counters (null until begin_run registers them).
+  obs::Counter* dropouts_ = nullptr;
+  obs::Counter* straggler_arrivals_ = nullptr;
+  obs::Counter* straggler_timeouts_ = nullptr;
+  obs::Counter* retries_ = nullptr;
+  obs::Counter* updates_lost_ = nullptr;
+  obs::Counter* outage_rounds_ = nullptr;
+  obs::Counter* cloud_uploads_lost_ = nullptr;
 };
 
 }  // namespace mach::fault

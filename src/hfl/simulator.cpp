@@ -5,6 +5,7 @@
 #include <cmath>
 #include <csignal>
 #include <stdexcept>
+#include <utility>
 
 #include <unistd.h>
 
@@ -25,6 +26,12 @@ constexpr std::size_t kEvalChunk = 256;
 /// per pool worker, or after a step's last edge. It bounds the result slots
 /// held at once; a serial engine (no workers) flushes after every edge.
 constexpr std::size_t kFlushDevicesPerWorker = 16;
+/// Span ring capacity per profiler track (overflow drops the oldest, counted).
+constexpr std::size_t kSpanRingCapacity = 16384;
+/// Minimum seconds between status.json heartbeat writes.
+constexpr double kStatusIntervalSeconds = 0.5;
+/// Minimum seconds between resource-usage samples (RSS/CPU counters).
+constexpr double kResourceIntervalSeconds = 0.25;
 }  // namespace
 
 HflSimulator::HflSimulator(const data::Dataset& train, const data::Dataset& test,
@@ -449,14 +456,14 @@ void HflSimulator::restore_run_state(Sampler& sampler, std::size_t steps,
                                      MetricsRecorder& metrics) {
   const ckpt::RunStateHeader& header = *resume_header_;
   if (header.fingerprint != fingerprint_) {
-    throw std::runtime_error(
+    throw std::invalid_argument(
         "checkpoint: fingerprint mismatch — the snapshot was produced by a "
         "different run configuration or data world (seed/topology/"
         "hyperparameters/sampler/steps/data must match; thread count may "
         "differ)");
   }
   if (header.total_steps != steps || header.next_t > steps) {
-    throw std::runtime_error("checkpoint: step horizon mismatch");
+    throw std::invalid_argument("checkpoint: step horizon mismatch");
   }
   ckpt::ByteReader in(resume_payload_);
   ckpt::RunStateHeader::decode(in);  // read into `header` at construction
@@ -522,9 +529,9 @@ void HflSimulator::restore_run_state(Sampler& sampler, std::size_t steps,
 
   const std::string sampler_name = in.str();
   if (sampler_name != sampler.name()) {
-    throw std::runtime_error("checkpoint: sampler mismatch (snapshot has '" +
-                             sampler_name + "', run uses '" + sampler.name() +
-                             "')");
+    throw std::invalid_argument("checkpoint: sampler mismatch (snapshot has '" +
+                                sampler_name + "', run uses '" +
+                                sampler.name() + "')");
   }
   sampler.load_state(in);
   if (!in.at_end()) {
@@ -551,18 +558,16 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
   status_.reset();
   profile_export_ok_ = true;
   interrupted_at_.reset();
-  if (options_.profile.spans_enabled()) {
+  if (!options_.profile.trace_path.empty()) {
     const std::size_t tracks = 1 + (pool_ != nullptr ? pool_->num_workers() : 0);
-    profiler_ = std::make_unique<obs::SpanProfiler>(
-        tracks, options_.profile.ring_capacity);
+    profiler_ = std::make_unique<obs::SpanProfiler>(tracks, kSpanRingCapacity);
   }
-  if (options_.profile.any_enabled()) {
-    resources_ = std::make_unique<obs::ResourceSampler>(
-        options_.profile.resource_interval_seconds);
+  if (profiler_ != nullptr || !options_.profile.status_path.empty()) {
+    resources_ = std::make_unique<obs::ResourceSampler>(kResourceIntervalSeconds);
   }
   if (!options_.profile.status_path.empty()) {
-    status_ = std::make_unique<obs::StatusWriter>(
-        options_.profile.status_path, options_.profile.status_interval_seconds);
+    status_ = std::make_unique<obs::StatusWriter>(options_.profile.status_path,
+                                                  kStatusIntervalSeconds);
   }
   // If anything below throws, the scope unwind re-writes the last heartbeat
   // with aborted=true — a terminal document for watchers, with no atexit
@@ -585,29 +590,10 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
   obs::Histogram& hist_q = registry_.histogram(
       "sampling_probability", {0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0});
 
-  // Fault instruments only exist when a schedule is active: an all-zero
-  // schedule must leave the registry snapshot (and thus the run_end trace
-  // line) byte-identical to a fault-free run.
-  const bool faults_on = injector_.enabled();
-  obs::Counter* ctr_fault_drops = nullptr;
-  obs::Counter* ctr_fault_straggler_arrivals = nullptr;
-  obs::Counter* ctr_fault_straggler_timeouts = nullptr;
-  obs::Counter* ctr_fault_retries = nullptr;
-  obs::Counter* ctr_fault_outages = nullptr;
-  obs::Counter* ctr_fault_cloud_lost = nullptr;
-  obs::Counter* ctr_fault_updates_lost = nullptr;
-  if (faults_on) {
-    ctr_fault_drops = &registry_.counter("fault_dropouts");
-    ctr_fault_straggler_arrivals = &registry_.counter("fault_straggler_arrivals");
-    ctr_fault_straggler_timeouts = &registry_.counter("fault_straggler_timeouts");
-    ctr_fault_retries = &registry_.counter("fault_retries");
-    ctr_fault_outages = &registry_.counter("fault_edge_outage_rounds");
-    ctr_fault_cloud_lost = &registry_.counter("fault_cloud_uploads_lost");
-    ctr_fault_updates_lost = &registry_.counter("fault_updates_lost");
-  }
-
-  // Codec instruments and state follow the same rule (see Transport), and
-  // are (re)initialised before any resume restore overwrites them.
+  // Fault and codec instruments only exist when a schedule is active or a
+  // link is lossy (a fault-free fp32 run's run_end line never names them),
+  // and are (re)initialised before any resume restore overwrites them.
+  injector_.begin_run(registry_);
   transport_.begin_run(registry_, global_);
 
   // Resume path: the run starts at the position of the snapshot read at
@@ -637,7 +623,7 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
     event.num_devices = num_devices();
     event.num_edges = num_edges();
     event.cloud_interval = options_.cloud_interval;
-    if (faults_on) event.fault_spec = options_.faults.to_string();
+    if (injector_.enabled()) event.fault_spec = options_.faults.to_string();
     if (transport_.lossy()) event.codec_spec = options_.comm.to_string();
     observer_->on_run_begin(event);
   }
@@ -667,7 +653,6 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
   std::vector<float> aggregate(param_count_);
   std::vector<double> oracle_norms;
   std::vector<std::uint64_t> cloud_lost;  // edges whose upload was lost
-  std::vector<float> prev_global;         // w^t backup for all-lost rounds
   std::size_t num_observed = 0;           // observations_ queued this step
 
   // Plans one edge round on the coordinator: outage fate, oracle probes, the
@@ -679,11 +664,8 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
     plan.edge = n;
     plan.first_job = jobs_.size();
     // Transient edge outage: the edge runs no round at all — no sampling
-    // draws, no training, the edge model carries over unchanged. The
-    // Bernoulli stream is untouched because fault decisions never consume
-    // engine randomness.
-    plan.outage = faults_on && injector_.edge_out(t, n);
-    if (plan.outage) return;
+    // draws, no training, the edge model carries over unchanged.
+    if (injector_.begin_round(t, n, plan.faults)) return;
     const std::vector<float>& edge_model = edge_models_[n];
     const obs::SpanGuard edge_span("edge_round", static_cast<std::int64_t>(t),
                                    static_cast<std::int64_t>(n));
@@ -736,33 +718,17 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
     // per edge round stands in for all of them: the encoding is
     // deterministic, all devices receive the same bytes).
     plan.device_view = &transport_.download(edge_model, num_sampled, t, n);
-    std::size_t attempts = num_sampled;  // devices return w_m^{t+1}
-    std::size_t retries = 0;
-    if (faults_on) {
-      // Fates are decided on the coordinator before training, one hashed
-      // RNG stream per (t, edge, device): thread-count independent and
-      // exactly replayable. Dropped devices vanish before uploading; every
-      // other device pays one upload per attempt (counted even when every
-      // attempt misses the timeout budget).
-      const obs::SpanGuard span("fault_fates", static_cast<std::int64_t>(t),
-                                static_cast<std::int64_t>(n));
-      plan.fates.resize(num_sampled);
-      attempts = 0;
-      for (std::size_t k = 0; k < num_sampled; ++k) {
-        plan.fates[k] = injector_.device_fate(t, n, devices[plan.sampled[k]]);
-        const fault::DeviceFaultDecision& fate = plan.fates[k];
-        if (fate.fate != fault::DeviceFate::Dropped) attempts += 1 + fate.retries;
-        retries += fate.retries;
-      }
-    }
-    transport_.upload_attempts(attempts, retries);
-    // Non-arriving devices never train: their update is lost either way,
-    // the sampler must not observe them, and skipping keeps their local RNG
-    // streams unconsumed (so a device's future minibatch draws do not
-    // depend on past fault outcomes).
-    for (std::size_t k = 0; k < num_sampled; ++k) {
-      if (faults_on && !plan.fates[k].arrived) continue;
-      jobs_.push_back({devices[plan.sampled[k]], n, plan.device_view});
+    // Fates are decided before training, from hashed per-(t, edge, device)
+    // streams. Dropped devices never upload; the others pay one upload per
+    // attempt, arrived or not. Only arrivals train: a lost device's local
+    // RNG stream stays unconsumed, and the sampler never observes it.
+    injector_.decide_round(t, n, devices, plan.sampled, plan.arrivals,
+                           plan.faults);
+    const obs::FaultSummary& faults = plan.faults;
+    transport_.upload_attempts(num_sampled - faults.num_dropped + faults.num_retries,
+                               faults.num_retries);
+    for (const std::uint32_t i : plan.arrivals) {
+      jobs_.push_back({devices[i], n, plan.device_view});
     }
   };
 
@@ -773,16 +739,14 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
   const auto reduce_edge = [&](const EdgePlan& plan, std::size_t t,
                                const std::vector<std::uint32_t>& devices) {
     const std::size_t n = plan.edge;
-    if (plan.outage) {
-      ctr_fault_outages->add();
+    obs::EdgeAggregatedEvent event;  // emitted when an observer is attached
+    event.t = t;
+    event.edge = n;
+    event.capacity = edge_capacity(n);
+    event.num_devices = devices.size();
+    if (plan.faults.edge_outage) {
       if (observer_ != nullptr) {
-        obs::EdgeAggregatedEvent event;
-        event.t = t;
-        event.edge = n;
-        event.capacity = edge_capacity(n);
-        event.num_devices = devices.size();
-        event.faults.active = true;
-        event.faults.edge_outage = true;
+        event.faults = plan.faults;
         observer_->on_edge_aggregated(event);
       }
       return;
@@ -790,23 +754,14 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
     std::vector<float>& edge_model = edge_models_[n];
     const std::vector<float>& device_view = *plan.device_view;
     // Ordered reduction: observer events, queued observations and the
-    // Horvitz-Thompson accumulation all walk the edge's slots in
-    // sampled-device order — float addition order matches at any thread
-    // count.
+    // Horvitz-Thompson accumulation walk the edge's arrivals (a lost update
+    // has none) in sampled order: float addition order matches at any
+    // thread count.
     std::fill(aggregate.begin(), aggregate.end(), 0.0f);
     const double inv_edge_size = 1.0 / static_cast<double>(devices.size());
     double weight_total = 0.0;
     double weight_sq_total = 0.0;  // for the HT-variance diagnostic
-    const std::size_t num_sampled = plan.sampled.size();
-    std::size_t num_arrived = 0;
-    obs::FaultSummary& faults = round_faults_;
-    faults.active = faults_on;
-    faults.num_dropped = 0;
-    faults.num_straggler_arrivals = 0;
-    faults.num_straggler_timeouts = 0;
-    faults.num_retries = 0;
-    faults.survivors.clear();
-    faults.lost.clear();
+    const std::size_t num_arrived = plan.arrivals.size();
     // One EdgeAggregation scope per edge round: uploads, the queued
     // observations and the Horvitz-Thompson accumulation and fold.
     {
@@ -814,32 +769,10 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
                                        "edge_reduce",
                                        static_cast<std::int64_t>(t),
                                        static_cast<std::int64_t>(n));
-      std::size_t job = plan.first_job;
-      for (std::size_t k = 0; k < num_sampled; ++k) {
-        const std::size_t i = plan.sampled[k];
-        if (faults_on) {
-          const fault::DeviceFaultDecision& fate = plan.fates[k];
-          faults.num_retries += fate.retries;
-          if (!fate.arrived) {
-            // Update lost: no observer event, no sampler experience, no HT
-            // contribution. Survivor weights absorb the loss below.
-            faults.lost.push_back(devices[i]);
-            if (fate.fate == fault::DeviceFate::Dropped) {
-              ++faults.num_dropped;
-            } else {
-              ++faults.num_straggler_timeouts;
-            }
-            continue;
-          }
-          faults.survivors.push_back(devices[i]);
-          if (fate.fate == fault::DeviceFate::StragglerArrived) {
-            ++faults.num_straggler_arrivals;
-          }
-        }
-        ++num_arrived;
-        const DeviceSlot& device_slot = device_slots_[job++];
+      for (std::size_t k = 0; k < num_arrived; ++k) {
+        const std::size_t i = plan.arrivals[k];
+        const DeviceSlot& device_slot = device_slots_[plan.first_job + k];
         const TrainingObservation& observation = device_slot.observation;
-        ctr_trained.add();
         window_train_loss += observation.mean_loss;
         ++window_participants;
         if (observer_ != nullptr) {
@@ -860,13 +793,12 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
         observations_[num_observed++] = observation;
         // Eq. 5's weight over the surviving set: the realised inclusion
         // probability of an *arriving* device is q_m * a_m, where a_m is the
-        // schedule's analytic arrival probability (independent thinning), so
-        // dividing by it keeps the edge aggregate exactly unbiased.
-        double q_effective = plan.probs[i];
-        if (faults_on) {
-          q_effective *= injector_.arrival_probability(n, devices[i]);
-        }
-        const double ht_weight = inv_edge_size / q_effective;
+        // schedule's analytic arrival probability (independent thinning;
+        // exactly 1 without faults), so dividing by it keeps the edge
+        // aggregate exactly unbiased.
+        const double ht_weight =
+            inv_edge_size /
+            (plan.probs[i] * injector_.arrival_probability(n, devices[i]));
         weight_total += ht_weight;
         weight_sq_total += ht_weight * ht_weight;
         const auto weight = static_cast<float>(ht_weight);
@@ -907,22 +839,11 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
         }
       }
     }
+    ctr_trained.add(num_arrived);
     ctr_edge_aggs.add();
     if (num_arrived == 0) ctr_empty_edges.add();
-    if (faults_on) {
-      ctr_fault_drops->add(faults.num_dropped);
-      ctr_fault_straggler_arrivals->add(faults.num_straggler_arrivals);
-      ctr_fault_straggler_timeouts->add(faults.num_straggler_timeouts);
-      ctr_fault_retries->add(faults.num_retries);
-      ctr_fault_updates_lost->add(faults.lost.size());
-    }
     if (observer_ != nullptr) {
-      obs::EdgeAggregatedEvent event;
-      event.t = t;
-      event.edge = n;
-      event.capacity = edge_capacity(n);
-      event.num_devices = devices.size();
-      event.num_sampled = num_sampled;
+      event.num_sampled = plan.sampled.size();
       event.q = obs::QSummary::from(plan.probs, kMinProbability);
       event.ht_weight_sum = weight_total;
       if (num_arrived > 0) {
@@ -930,7 +851,7 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
         event.ht_weight_variance =
             weight_sq_total / static_cast<double>(num_arrived) - mean_w * mean_w;
       }
-      if (faults_on) event.faults = faults;
+      event.faults = plan.faults;
       observer_->on_edge_aggregated(event);
     }
   };
@@ -950,7 +871,7 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
     snap.total_steps = steps;
     snap.cloud_rounds = cloud_rounds;
     snap.devices_trained = ctr_trained.value();
-    if (faults_on) snap.faults_lost = ctr_fault_updates_lost->value();
+    snap.faults_lost = injector_.updates_lost();
     if (profiler_ != nullptr) snap.spans_dropped = profiler_->spans_dropped();
     const obs::ResourceSample resource = resources_->latest();
     snap.current_rss_kb = resource.usage.current_rss_kb;
@@ -1005,53 +926,46 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
 
     // Edge-to-cloud communication (Eq. 6) on the paper's t mod T_g schedule.
     if (t % options_.cloud_interval == 0) {
-      cloud_lost.clear();
       {
         const obs::SpanGuard span(timers_[obs::Phase::CloudAggregation],
                                   "cloud_aggregate",
                                   static_cast<std::int64_t>(t));
-        // Losing every upload must keep the previous global model; back it
-        // up before the in-place fold (only when losses are possible).
-        const bool cloud_faults =
-            faults_on && options_.faults.cloud_loss.probability > 0.0;
-        if (cloud_faults) prev_global = global_;
-        std::fill(global_.begin(), global_.end(), 0.0f);
-        const double inv_all = 1.0 / static_cast<double>(num_devices());
-        double total_mass = 0.0;
-        double surviving_mass = 0.0;
-        for (std::size_t n = 0; n < num_edges(); ++n) {
-          const double weight = static_cast<double>(per_edge[n].size()) * inv_all;
-          if (weight == 0.0) continue;
-          total_mass += weight;
-          if (cloud_faults && injector_.cloud_upload_lost(t, n)) {
-            cloud_lost.push_back(n);
-            continue;
+        // Which uploads are lost is a pure hash of (t, edge), so it is
+        // decided before the fold: a round that loses every upload keeps
+        // w^t and never touches it.
+        injector_.lost_uploads(t, per_edge, cloud_lost);
+        const auto uploading = std::ranges::count_if(
+            per_edge, [](const auto& devices) { return !devices.empty(); });
+        if (std::cmp_less(cloud_lost.size(), uploading)) {
+          std::fill(global_.begin(), global_.end(), 0.0f);
+          const double inv_all = 1.0 / static_cast<double>(num_devices());
+          double total_mass = 0.0;
+          double surviving_mass = 0.0;
+          for (std::size_t n = 0; n < num_edges(); ++n) {
+            const double weight = static_cast<double>(per_edge[n].size()) * inv_all;
+            if (weight == 0.0) continue;
+            total_mass += weight;
+            if (std::ranges::binary_search(cloud_lost, n)) continue;
+            surviving_mass += weight;
+            // The cloud folds the edge model as it decoded it.
+            const std::vector<float>& upload =
+                transport_.edge_upload(edge_models_[n], t, n);
+            tensor::kernels::axpy(param_count_, static_cast<float>(weight),
+                                  upload.data(), global_.data());
           }
-          surviving_mass += weight;
-          // The cloud folds the edge model as it decoded it.
-          tensor::kernels::axpy(param_count_, static_cast<float>(weight),
-                                transport_.edge_upload(edge_models_[n], t, n).data(),
-                                global_.data());
-        }
-        if (!cloud_lost.empty()) {
-          if (surviving_mass > 0.0) {
+          if (!cloud_lost.empty()) {
             // Eq. 6 renormalised over the surviving edge mass: surviving
             // edges keep their relative |M_n| weights, the overall scale
             // matches the loss-free fold.
             tensor::kernels::scale(
                 param_count_, static_cast<float>(total_mass / surviving_mass),
                 global_.data());
-          } else {
-            global_ = prev_global;  // every upload lost: keep w^t
           }
         }
         // Broadcast (downlink assumed reliable, lost uploads included):
         // every edge receives the global model as it decoded it.
         const std::vector<float>& received = transport_.broadcast(global_, t);
         for (auto& edge_model : edge_models_) edge_model = received;
-      }
-      if (faults_on && !cloud_lost.empty()) {
-        ctr_fault_cloud_lost->add(cloud_lost.size());
       }
       {
         // UCB refresh (Alg. 2) is sampler work, charged to its phase.
@@ -1066,10 +980,8 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
         event.t = t;
         event.round = cloud_rounds;
         event.num_edges = num_edges();
-        if (faults_on) {
-          event.faults_active = true;
-          event.lost_edges = cloud_lost;
-        }
+        event.faults_active = injector_.enabled();
+        event.lost_edges = cloud_lost;
         sampler.introspect(event.sampler);
         observer_->on_cloud_round(event);
       }

@@ -34,7 +34,6 @@
 #include "data/dataset.h"
 #include "data/partition.h"
 #include "fault/injector.h"
-#include "fault/schedule.h"
 #include "hfl/cost.h"
 #include "hfl/metrics.h"
 #include "hfl/sampler.h"
@@ -113,13 +112,12 @@ struct HflOptions {
   ckpt::CheckpointOptions checkpoint;
   /// Fault-injection schedule (device dropout, stragglers vs per-edge
   /// timeouts, edge outages, cloud upload loss — see fault/schedule.h). The
-  /// default (empty) schedule takes the exact fault-free code path: every
-  /// output is bitwise identical to a run without the fault layer. With
-  /// faults active, survivors' Horvitz-Thompson weights are divided by the
-  /// schedule's analytic arrival probability, keeping Eq. 5 unbiased over
-  /// the surviving set; samplers only observe devices that actually
-  /// reported. Fault draws are deterministic per (t, edge, device) — runs
-  /// replay bitwise-identically at any thread count.
+  /// default (empty) schedule makes no fault draw: every output is bitwise
+  /// identical to a run without the fault layer. With faults active,
+  /// survivors' Horvitz-Thompson weights are divided by the schedule's
+  /// analytic arrival probability, keeping Eq. 5 unbiased over the surviving
+  /// set; samplers only observe devices that actually reported. Fault draws
+  /// are pure functions of (t, edge, device) (fault/injector.h).
   fault::FaultSchedule faults;
   /// Deep profiling (src/obs/span_profiler.h). With `profile.trace_path` set
   /// the engine records hierarchical spans (round → edge round → device
@@ -127,7 +125,7 @@ struct HflOptions {
   /// zero allocations per span — merges them at step barriers and writes
   /// a Chrome trace-event JSON (Perfetto-loadable) at run end. With
   /// `profile.status_path` set it additionally rewrites a status.json
-  /// heartbeat (atomic rename) every `status_interval_seconds`. Profiling is
+  /// heartbeat (atomic rename) at most every half second. Profiling is
   /// strictly passive: the default (both paths empty) takes the exact
   /// pre-profiler code path, and even with profiling on the RNG streams,
   /// trace events and CSV output are untouched.
@@ -199,8 +197,8 @@ class HflSimulator {
   /// own configuration and sampler, restores every piece of run state,
   /// skips the run_begin event and baseline evaluation (both happened in the
   /// original run) and resumes the step loop at `next_t`; it throws
-  /// ckpt::CorruptPayload (malformed snapshot) or std::runtime_error
-  /// (another configuration or data world).
+  /// ckpt::CorruptPayload (malformed snapshot) or std::invalid_argument
+  /// (another configuration or data world: retrying cannot succeed).
   const std::optional<ckpt::RunStateHeader>& resume_header() const noexcept {
     return resume_header_;
   }
@@ -251,10 +249,10 @@ class HflSimulator {
   /// One per edge in flight, reused across steps (capacity included).
   struct EdgePlan {
     std::size_t edge = 0;
-    bool outage = false;                 // the edge runs no round at all
     std::vector<double> probs;           // clamped q per present device
     std::vector<std::uint32_t> sampled;  // Bernoulli hits, device-list indices
-    std::vector<fault::DeviceFaultDecision> fates;  // parallel to sampled
+    std::vector<std::uint32_t> arrivals;  // sampled and arriving, likewise
+    obs::FaultSummary faults;  // edge_outage: the edge runs no round at all
     /// The model its devices received (Transport::download).
     const std::vector<float>* device_view = nullptr;
     std::size_t first_job = 0;           // its first arrival's index in jobs_
@@ -322,7 +320,7 @@ class HflSimulator {
 
   /// Applies and consumes the snapshot read at construction. Must run after
   /// Sampler::bind, instrument registration and the fingerprint. Throws
-  /// ckpt::CorruptPayload / std::runtime_error (see resume_header).
+  /// ckpt::CorruptPayload / std::invalid_argument (see resume_header).
   void restore_run_state(Sampler& sampler, std::size_t steps,
                          MetricsRecorder& metrics);
 
@@ -351,13 +349,7 @@ class HflSimulator {
   std::vector<StepScratch> worker_scratch_;  // one per pool slot
   std::vector<nn::StepStats> eval_slots_;  // one per evaluation chunk, reused
 
-  // Fault-injection runtime (inactive with an empty schedule). Fates are
-  // decided on the coordinator when an edge is planned, from per-event
-  // hashed RNG streams — identical at any thread count.
-  fault::FaultInjector injector_;
-  /// The realised faults of the edge round being reduced, tallied once for
-  /// both the fault counters and the edge_agg event.
-  obs::FaultSummary round_faults_;
+  fault::FaultInjector injector_;  // the fault policy (off: fault-free)
 
   obs::RunObserver* observer_ = nullptr;  // non-owning; see set_observer
   obs::PhaseTimerSet timers_;

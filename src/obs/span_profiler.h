@@ -124,17 +124,6 @@ struct ProfileOptions {
   std::string trace_path;
   /// Live status.json heartbeat path ("" = off). Independent of spans.
   std::string status_path;
-  /// Ring capacity (spans) per track. Overflow drops oldest, counted.
-  std::size_t ring_capacity = 16384;
-  /// Minimum seconds between status.json heartbeat writes.
-  double status_interval_seconds = 0.5;
-  /// Minimum seconds between resource-usage samples (RSS/CPU counters).
-  double resource_interval_seconds = 0.25;
-
-  bool spans_enabled() const noexcept { return !trace_path.empty(); }
-  bool any_enabled() const noexcept {
-    return spans_enabled() || !status_path.empty();
-  }
 };
 
 /// One completed timed scope. `name` must point at a string literal (or any

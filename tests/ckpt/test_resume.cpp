@@ -277,10 +277,10 @@ TEST(CheckpointResume, ForeignConfigurationIsRejectedByTheFingerprint) {
 
   // Same topology, different seed: the event sequence diverges from step 0,
   // so continuing from this snapshot would be silently wrong. The
-  // fingerprint turns it into a hard error.
+  // fingerprint turns it into a configuration error: retrying cannot help.
   ExperimentConfig other = resume_scenario(82);
   EXPECT_THROW(run_resumed(built, other, 1, dir, trace_path, /*every=*/2),
-               std::runtime_error);
+               std::invalid_argument);
 
   fs::remove_all(dir);
   std::remove(trace_path.c_str());
@@ -312,7 +312,7 @@ TEST(CheckpointResume, AnotherDataWorldIsRejectedByTheFingerprint) {
       }
     }
     EXPECT_THROW(run_resumed(world, other, 1, dir, trace_path, /*every=*/2),
-                 std::runtime_error);
+                 std::invalid_argument);
   }
 
   fs::remove_all(dir);

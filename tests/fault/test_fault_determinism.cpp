@@ -5,6 +5,7 @@
 //      metrics CSV, fault counters and the whole canonicalised trace;
 //   2. with an all-zero schedule, every artifact is bitwise identical to a
 //      run that never touched the fault layer at all.
+// Plus the cloud fold's all-lost round, which keeps the global model.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -181,6 +182,44 @@ TEST(FaultDeterminism, FaultSeedChangesOnlyTheFaultHistory) {
   // ...while the realised runs differ (different survivors -> different
   // parameters).
   EXPECT_NE(run_a.params, run_b.params);
+}
+
+TEST(FaultDeterminism, EveryCloudUploadLostKeepsTheGlobalModel) {
+  // With every edge upload lost, each cloud round keeps w^t: the fold never
+  // touches the global model, so it ends the run as initialised, while each
+  // cloud round counts one lost upload per edge with devices.
+  const ExperimentConfig config = fault_scenario(54);
+  const ExperimentArtifacts artifacts = build_experiment(config);
+  HflOptions options = config.hfl;
+  options.seed = config.seed;
+  options.faults = fault::FaultSchedule::parse("cloud_loss:p=1");
+  HflSimulator simulator(artifacts.train, artifacts.test, artifacts.partition,
+                         artifacts.schedule, make_model_factory(config),
+                         options);
+  const std::vector<float> initial = simulator.global_parameters();
+  auto sampler = core::make_sampler("mach");
+  simulator.run(*sampler, config.horizon);
+  EXPECT_EQ(simulator.global_parameters(), initial);
+
+  std::uint64_t expected_lost = 0;
+  std::size_t cloud_rounds = 0;
+  for (std::size_t t = 0; t < config.horizon; t += config.hfl.cloud_interval) {
+    ++cloud_rounds;
+    for (const auto& devices : artifacts.schedule.devices_per_edge(t)) {
+      if (!devices.empty()) ++expected_lost;
+    }
+  }
+  ASSERT_GT(cloud_rounds, 1u);
+  std::uint64_t lost = 0, trained = 0;
+  for (const auto& entry : simulator.metrics_registry().snapshot().counters) {
+    if (entry.name == "fault_cloud_uploads_lost") lost = entry.value;
+    if (entry.name == "devices_trained") trained = entry.value;
+  }
+  EXPECT_EQ(lost, expected_lost);
+  // Not vacuous: the edges trained, and without the loss the model moves.
+  EXPECT_GT(trained, 0u);
+  EXPECT_NE(run_with(artifacts, config, fault::FaultSchedule{}, 1).params,
+            initial);
 }
 
 }  // namespace

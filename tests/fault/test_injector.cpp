@@ -1,13 +1,17 @@
 // FaultInjector: decisions are pure functions of (seed, coordinates), the
-// analytic arrival probability matches the realised fate frequencies, and
-// the straggler retry ladder respects the per-edge timeout budget.
+// analytic arrival probability matches the realised fate frequencies, the
+// straggler retry ladder respects the per-edge timeout budget, and the
+// per-round call tallies exactly what the per-device fates say.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "fault/injector.h"
 #include "fault/schedule.h"
+#include "obs/registry.h"
 
 namespace mach::fault {
 namespace {
@@ -214,6 +218,103 @@ TEST(FaultInjector, DeviceAndCloudStreamsAreDisjoint) {
   }
   EXPECT_GT(agree, 0u);
   EXPECT_LT(agree, trials);
+}
+
+std::uint64_t counter_value(const obs::MetricsRegistry& registry,
+                            const std::string& name) {
+  for (const auto& entry : registry.snapshot().counters) {
+    if (entry.name == name) return entry.value;
+  }
+  ADD_FAILURE() << "counter " << name << " not registered";
+  return 0;
+}
+
+TEST(FaultInjector, RoundTallyMatchesPerDeviceFates) {
+  // The round call must equal a fold over device_fate in sampled order:
+  // arrivals (device-list indices), survivors, lost devices, fate counts,
+  // retries and the upload attempts the engine charges from them.
+  const FaultSchedule schedule = FaultSchedule::parse(
+      "dropout:p=0.3;straggler:p=0.5,delay=1.5,timeout=1,backoff=0.5,"
+      "retries=2;seed=13");
+  FaultInjector injector(schedule, 1);
+  obs::MetricsRegistry registry;
+  injector.begin_run(registry);
+  const std::vector<std::uint32_t> devices = {40, 3, 17, 8, 25, 11, 2, 33, 19, 6};
+  const std::vector<std::uint32_t> sampled = {0, 2, 3, 5, 6, 8, 9};
+  const std::size_t edge = 1;
+  std::vector<std::uint32_t> arrivals;
+  obs::FaultSummary summary;
+  std::size_t dropped = 0, straggler_arrivals = 0, timeouts = 0, retries = 0,
+              lost = 0;
+  for (std::size_t t = 0; t < 40; ++t) {
+    SCOPED_TRACE("t=" + std::to_string(t));
+    ASSERT_FALSE(injector.begin_round(t, edge, summary));
+    injector.decide_round(t, edge, devices, sampled, arrivals, summary);
+
+    obs::FaultSummary expected;
+    std::vector<std::uint32_t> expected_arrivals;
+    std::size_t attempts = 0;
+    for (const std::uint32_t i : sampled) {
+      const DeviceFaultDecision fate = injector.device_fate(t, edge, devices[i]);
+      expected.num_retries += fate.retries;
+      if (fate.fate != DeviceFate::Dropped) attempts += 1 + fate.retries;
+      if (fate.fate == DeviceFate::Dropped) ++expected.num_dropped;
+      if (fate.fate == DeviceFate::StragglerArrived) ++expected.num_straggler_arrivals;
+      if (fate.fate == DeviceFate::StragglerTimedOut) ++expected.num_straggler_timeouts;
+      if (fate.arrived) {
+        expected_arrivals.push_back(i);
+        expected.survivors.push_back(devices[i]);
+      } else {
+        expected.lost.push_back(devices[i]);
+      }
+    }
+    EXPECT_TRUE(summary.active);
+    EXPECT_FALSE(summary.edge_outage);
+    EXPECT_EQ(arrivals, expected_arrivals);
+    EXPECT_EQ(summary.survivors, expected.survivors);
+    EXPECT_EQ(summary.lost, expected.lost);
+    EXPECT_EQ(summary.num_dropped, expected.num_dropped);
+    EXPECT_EQ(summary.num_straggler_arrivals, expected.num_straggler_arrivals);
+    EXPECT_EQ(summary.num_straggler_timeouts, expected.num_straggler_timeouts);
+    EXPECT_EQ(summary.num_retries, expected.num_retries);
+    EXPECT_EQ(sampled.size() - summary.num_dropped + summary.num_retries, attempts);
+    dropped += expected.num_dropped;
+    straggler_arrivals += expected.num_straggler_arrivals;
+    timeouts += expected.num_straggler_timeouts;
+    retries += expected.num_retries;
+    lost += expected.lost.size();
+  }
+  // Every fate kind fired, and the counters hold the rounds' sums.
+  EXPECT_GT(dropped, 0u);
+  EXPECT_GT(straggler_arrivals, 0u);
+  EXPECT_GT(timeouts, 0u);
+  EXPECT_GT(retries, 0u);
+  EXPECT_EQ(counter_value(registry, "fault_dropouts"), dropped);
+  EXPECT_EQ(counter_value(registry, "fault_straggler_arrivals"), straggler_arrivals);
+  EXPECT_EQ(counter_value(registry, "fault_straggler_timeouts"), timeouts);
+  EXPECT_EQ(counter_value(registry, "fault_retries"), retries);
+  EXPECT_EQ(counter_value(registry, "fault_updates_lost"), lost);
+  EXPECT_EQ(injector.updates_lost(), lost);
+
+  // Disabled: every sampled device arrives, nothing is tallied and no
+  // counter is registered.
+  FaultInjector disabled;
+  obs::MetricsRegistry quiet;
+  disabled.begin_run(quiet);
+  EXPECT_TRUE(quiet.snapshot().counters.empty());
+  EXPECT_FALSE(disabled.begin_round(0, edge, summary));
+  disabled.decide_round(0, edge, devices, sampled, arrivals, summary);
+  EXPECT_EQ(arrivals, sampled);
+  for (const std::uint32_t i : sampled) {
+    EXPECT_EQ(disabled.arrival_probability(edge, devices[i]), 1.0);
+  }
+  EXPECT_FALSE(summary.active);
+  EXPECT_EQ(summary.num_dropped + summary.num_straggler_arrivals +
+                summary.num_straggler_timeouts + summary.num_retries,
+            0u);
+  EXPECT_TRUE(summary.survivors.empty());
+  EXPECT_TRUE(summary.lost.empty());
+  EXPECT_EQ(disabled.updates_lost(), 0u);
 }
 
 }  // namespace
