@@ -56,7 +56,8 @@ inline bool full_mode() { return common::env_flag("REPRO_FULL"); }
 inline void add_threads_flag(common::CliParser& cli) {
   cli.add_flag("threads", static_cast<std::int64_t>(0),
                "worker threads for device training/evaluation "
-               "(0 = all hardware threads, 1 = serial)");
+               "(0 = all hardware threads, 1 = one worker, the calling "
+               "thread)");
 }
 
 /// Applies the parsed --threads flag to one experiment config.

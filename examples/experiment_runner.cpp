@@ -86,8 +86,8 @@ int main(int argc, char** argv) {
   cli.add_flag("cnn", false, "use the paper CNN instead of the smoke MLP");
   cli.add_flag("threads", static_cast<std::int64_t>(1),
                "worker threads for device training/evaluation "
-               "(1 = serial, 0 = all hardware threads; results are "
-               "bitwise identical at any value)");
+               "(1 = one worker, the calling thread; 0 = all hardware "
+               "threads; results are bitwise identical at any value)");
   cli.add_flag("faults", std::string(""),
                "fault-injection spec, e.g. "
                "'dropout:p=0.1;straggler:p=0.2,timeout=1.5;cloud_loss:p=0.05' "
@@ -135,7 +135,18 @@ int main(int argc, char** argv) {
                "run (atomic rename; safe to poll)");
   if (!cli.parse(argc, argv)) return cli.help_requested() ? kExitOk : kExitConfig;
 
-  auto config = mach::hfl::ExperimentConfig::preset(parse_task(cli.get_string("task")));
+  // A typo in --task or --aggregation is a configuration error like any other
+  // bad flag value: exit 2, which a sweep quarantines instead of retrying.
+  data::TaskKind task{};
+  hfl::AggregationForm aggregation{};
+  try {
+    task = parse_task(cli.get_string("task"));
+    aggregation = parse_aggregation(cli.get_string("aggregation"));
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "configuration error: " << error.what() << "\n";
+    return kExitConfig;
+  }
+  auto config = mach::hfl::ExperimentConfig::preset(task);
   // Scenario first, explicit flags after: --stay_prob etc. override the preset.
   const std::string scenario_spec = cli.get_string("scenario");
   if (!scenario_spec.empty()) {
@@ -183,7 +194,7 @@ int main(int argc, char** argv) {
     config.model = mach::hfl::ModelKind::PaperCnn;
     config.data_spec = mach::data::SyntheticSpec::preset(config.task);
   }
-  config.hfl.aggregation = parse_aggregation(cli.get_string("aggregation"));
+  config.hfl.aggregation = aggregation;
   if (cli.get_int("threads") >= 0) {
     config.hfl.parallel.threads = static_cast<std::size_t>(cli.get_int("threads"));
   }

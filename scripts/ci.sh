@@ -88,8 +88,8 @@ cmp <(grep -v '^{"event":"run_end"' "$trace") \
   <(grep -v '^{"event":"run_end"' "$trace4")
 "$BUILD_DIR/tools/trace_summary" "$trace" > /dev/null
 # A faulted int8 world with ~160 arrivals per step: the 4-worker run trains
-# and reduces several times per step (16 arrivals per worker), the serial
-# one after every edge; the traces must still match.
+# and reduces several times per step (16 arrivals per worker), the
+# one-worker run after every edge; the traces must still match.
 flush_args=(--devices 400 --edges 8 --steps 10 --local_epochs 1 --codec int8
   --faults 'dropout:p=0.1;straggler:p=0.2,timeout=1.5;edge_outage:edge=0,from=2,to=4')
 "$BUILD_DIR/examples/experiment_runner" "${flush_args[@]}" --threads 1 \
@@ -242,15 +242,21 @@ trap 'rm -f "$trace" "$trace4" "$prof_json" "$status_json" "$fault_trace" "$code
   --baseline BENCH_zoo.json --current BENCH_zoo.json > /dev/null
 
 echo "== scenario flag smoke =="
-# --scenario composes with the rest of the CLI and rejects bad specs.
+# --scenario composes with the rest of the CLI. A bad --scenario, --task or
+# --aggregation value is a configuration error: exit 2 exactly, which
+# tools/sweep_runner quarantines at once instead of retrying.
 "$BUILD_DIR/examples/experiment_runner" \
   --devices 8 --edges 2 --steps 6 --local_epochs 1 \
   --sampler churn_aware --scenario 'vehicular:stations=16' \
   | grep -q 'scenario=vehicular:stations=16'
-if "$BUILD_DIR/examples/experiment_runner" --scenario bogus --steps 2 \
-  > /dev/null 2>&1; then
-  echo "unknown scenario preset was expected to fail"; exit 1
-fi
+for bad_flag in --scenario --task --aggregation; do
+  bad_status=0
+  "$BUILD_DIR/examples/experiment_runner" "$bad_flag" bogus --steps 2 \
+    > /dev/null 2>&1 || bad_status=$?
+  if [ "$bad_status" -ne 2 ]; then
+    echo "$bad_flag bogus exited $bad_status, expected 2"; exit 1
+  fi
+done
 
 echo "== scale smoke (10k devices, RSS ceiling) =="
 # Million-device engine end to end at CI scale: a 10k-device run must stay
@@ -321,15 +327,18 @@ grep -q '"event":"checkpoint"' "$ckpt_dir/run.jsonl"
 # which changes the label marginal and partition but no engine option) must
 # be rejected by the fingerprint, not resumed, with exit 2: a configuration
 # error that no retry can fix (tools/sweep_runner quarantines it at once).
+# The rejected resume must leave the trace it was pointed at untouched.
+cp "$ckpt_dir/run.jsonl" "$ckpt_dir/run.before.jsonl"
 foreign_status=0
 "$BUILD_DIR/examples/experiment_runner" "${resume_args[@]}" --long_tail 0.3 \
   --checkpoint_every 3 --checkpoint_dir "$ckpt_dir/snaps" --resume \
-  > "$ckpt_dir/foreign.log" 2>&1 || foreign_status=$?
+  --trace "$ckpt_dir/run.jsonl" > "$ckpt_dir/foreign.log" 2>&1 || foreign_status=$?
 if [[ "$foreign_status" -ne 2 ]]; then
   echo "resuming into another data world exited $foreign_status, expected 2"
   exit 1
 fi
 grep -q 'fingerprint mismatch' "$ckpt_dir/foreign.log"
+cmp "$ckpt_dir/run.before.jsonl" "$ckpt_dir/run.jsonl"
 
 echo "== sweep orchestrator smoke =="
 # Self-healing sweep end to end: a 6-point sweep where one injected config
@@ -433,9 +442,10 @@ MACH_CODEC_FUZZ_ITERS=2000 "$UBSAN_DIR/tests/test_comm"
 MACH_SWEEP_FUZZ_ITERS=1500 "$UBSAN_DIR/tests/test_sweep"
 
 # Data-race check over the runtime subsystem: a separate TSan build of the
-# thread-pool unit suite plus the parallel-determinism integration test
-# (the only paths that run worker threads). Filtered rather than the full
-# suite because TSan's ~10x slowdown would dominate CI otherwise. Built at
+# whole thread-pool unit suite plus the parallel-determinism integration test
+# (the only paths that run pool threads; both race the calling thread's
+# slice 0 against the pool's threads). Filtered rather than the full suite
+# because TSan's ~10x slowdown would dominate CI otherwise. Built at
 # Release's -O2.
 echo "== thread sanitizer =="
 TSAN_DIR="${TSAN_DIR:-${BUILD_DIR}-tsan}"
@@ -445,7 +455,8 @@ cmake -B "$TSAN_DIR" -S . \
 cmake --build "$TSAN_DIR" -j "$JOBS" --target test_runtime test_hfl test_fault test_obs test_comm test_sampling test_scale
 "$TSAN_DIR/tests/test_runtime"
 # ParallelDeterminism includes a MACH-P run: probes batch their gradient
-# norms on the coordinator while each worker slot batches its own. It and
+# norms in slot 0's batch on the coordinator between sections, and each slot
+# batches its own training norms inside them. It and
 # the call-order test also run a world whose steps train several
 # sections, workers claiming jobs from one shared counter.
 "$TSAN_DIR/tests/test_hfl" --gtest_filter='ParallelDeterminism.*:ProfilerIntegration.*:Simulator.SamplersObserveEachStepAfterItsLastDecision'

@@ -24,7 +24,7 @@ namespace {
 constexpr std::size_t kEvalChunk = 256;
 /// Pending edges are trained and reduced once their arrivals reach this many
 /// per pool worker, or after a step's last edge. It bounds the result slots
-/// held at once; a serial engine (no workers) flushes after every edge.
+/// held at once; a one-worker engine flushes after every edge.
 constexpr std::size_t kFlushDevicesPerWorker = 16;
 /// Span ring capacity per profiler track (overflow drops the oldest, counted).
 constexpr std::size_t kSpanRingCapacity = 16384;
@@ -43,10 +43,15 @@ HflSimulator::HflSimulator(const data::Dataset& train, const data::Dataset& test
       partition_(std::move(partition)),
       schedule_(schedule),
       options_(options),
-      model_(model_factory()),
+      pool_(runtime::resolve_threads(options_.parallel)),
+      slots_([&] {
+        std::vector<PoolSlot> slots(pool_.num_workers());
+        for (PoolSlot& slot : slots) slot.model = model_factory();
+        return slots;
+      }()),
       // Throws on codec parameters out of range.
       transport_(options_.comm, partition_.size(), schedule_.num_edges(),
-                 model_.num_parameters()),
+                 slots_.front().model.num_parameters()),
       engine_rng_(common::split_seed(
           options.sampling_seed != 0 ? options.sampling_seed : options.seed,
           0xe791)) {
@@ -66,20 +71,14 @@ HflSimulator::HflSimulator(const data::Dataset& train, const data::Dataset& test
     injector_ = fault::FaultInjector(options_.faults, options_.seed);
   }
   common::Rng init_rng(common::split_seed(options_.seed, 0x1417));
-  model_.init_params(init_rng);
-  global_ = model_.get_parameters();
+  slots_.front().model.init_params(init_rng);
+  global_ = slots_.front().model.get_parameters();
   param_count_ = global_.size();
   edge_models_.assign(schedule_.num_edges(), global_);
   plans_.resize(schedule_.num_edges());
   device_rngs_.reserve(partition_.size());
   for (std::size_t m = 0; m < partition_.size(); ++m) {
     device_rngs_.emplace_back(common::split_seed(options_.seed, 0xd00 + m));
-  }
-  const std::size_t workers = runtime::resolve_threads(options_.parallel);
-  if (workers > 1) {
-    pool_ = std::make_unique<runtime::ThreadPool>(workers);
-    replicas_ = std::make_unique<runtime::ModelReplicaPool>(model_factory, workers);
-    worker_scratch_.resize(workers);
   }
   if (options_.checkpoint.enabled()) {
     ckpt_manager_ = std::make_unique<ckpt::CheckpointManager>(
@@ -118,8 +117,8 @@ FederationInfo HflSimulator::federation_info() const {
 void HflSimulator::train_device(std::size_t t, std::uint32_t device,
                                 std::size_t edge,
                                 const std::vector<float>& edge_model,
-                                nn::Sequential& model, StepScratch& scratch,
-                                DeviceSlot& out) {
+                                PoolSlot& slot, DeviceSlot& out) {
+  nn::Sequential& model = slot.model;
   model.set_parameters(edge_model);
   nn::Sgd sgd({.learning_rate = options_.learning_rate,
                .momentum = 0.0,
@@ -132,11 +131,11 @@ void HflSimulator::train_device(std::size_t t, std::uint32_t device,
   double loss_total = 0.0;
   auto& rng = device_rngs_[device];
   const obs::SpanGuard span("local_sgd", static_cast<std::int64_t>(t), device);
-  data::Batch& batch = scratch.batch;
+  data::Batch& batch = slot.batch;
   for (std::size_t tau = 0; tau < options_.local_epochs; ++tau) {
     train_.sample_batch(partition_[device], options_.batch_size, rng, batch);
     const nn::StepStats stats = model.forward_backward(batch.features, batch.labels);
-    scratch.norms.add(model, &obs.local_grad_sq_norms[tau]);
+    slot.norms.add(model, &obs.local_grad_sq_norms[tau]);
     sgd.step(model);
     loss_total += stats.loss;
   }
@@ -145,23 +144,11 @@ void HflSimulator::train_device(std::size_t t, std::uint32_t device,
 }
 
 void HflSimulator::train_jobs(std::size_t t) {
-  if (device_slots_.size() < jobs_.size()) device_slots_.resize(jobs_.size());
-  if (pool_ == nullptr) {
-    for (std::size_t j = 0; j < jobs_.size(); ++j) {
-      const TrainingJob& job = jobs_[j];
-      const obs::SpanGuard span(timers_[obs::Phase::DeviceTraining],
-                                "device_train", static_cast<std::int64_t>(t),
-                                job.device);
-      train_device(t, job.device, job.edge, *job.start, model_,
-                   coordinator_scratch_, device_slots_[j]);
-    }
-    coordinator_scratch_.norms.flush();
-    return;
-  }
   if (jobs_.empty()) return;
+  if (device_slots_.size() < jobs_.size()) device_slots_.resize(jobs_.size());
   // One DeviceTraining scope per section, on the coordinator's track: the
   // phase records the section's wall time, so the breakdown shows the
-  // realised speedup. The workers' device_train spans are profile-only.
+  // realised speedup. The slots' device_train spans are profile-only.
   const obs::SpanGuard section_span(timers_[obs::Phase::DeviceTraining],
                                     "train_section",
                                     static_cast<std::int64_t>(t));
@@ -169,28 +156,24 @@ void HflSimulator::train_jobs(std::size_t t) {
   // job reads only its start model, its shard and its device's RNG stream
   // and writes only its own slot, so which worker ran it changes no bit.
   std::atomic<std::size_t> next_job{0};
-  pool_->parallel_for(
-      0, std::min(jobs_.size(), pool_->num_workers()),
+  pool_.parallel_for(
+      0, std::min(jobs_.size(), pool_.num_workers()),
       [&](std::size_t /*slice*/, std::size_t slot) {
-        // Bind this worker to its slot's span track for the duration of the
-        // slice (slot ownership is exclusive within a section, so the track
-        // ring is single-writer).
-        std::optional<obs::SpanProfiler::ThreadScope> track_scope;
-        if (profiler_ != nullptr) {
-          track_scope.emplace(profiler_.get(),
-                              static_cast<std::uint32_t>(slot + 1));
-        }
+        // Bind the slice's thread to its slot's span track for the slice
+        // (slot ownership is exclusive within a section, so the track ring
+        // is single-writer; the coordinator's own binding returns after).
+        const obs::SpanProfiler::ThreadScope track(
+            profiler_.get(), static_cast<std::uint32_t>(slot + 1));
         for (std::size_t j = next_job++; j < jobs_.size(); j = next_job++) {
           const TrainingJob& job = jobs_[j];
           const obs::SpanGuard span("device_train",
                                     static_cast<std::int64_t>(t), job.device);
-          train_device(t, job.device, job.edge, *job.start,
-                       replicas_->model(slot), worker_scratch_[slot],
+          train_device(t, job.device, job.edge, *job.start, slots_[slot],
                        device_slots_[j]);
         }
       });
-  // The workers' partial norm batches, before the reduction reads any norm.
-  for (StepScratch& scratch : worker_scratch_) scratch.norms.flush();
+  // The slots' partial norm batches, before the reduction reads any norm.
+  for (PoolSlot& slot : slots_) slot.norms.flush();
 }
 
 void HflSimulator::probe_gradient_norm(std::uint32_t device, double* result) {
@@ -201,45 +184,44 @@ void HflSimulator::probe_gradient_norm(std::uint32_t device, double* result) {
   constexpr std::size_t kProbeCap = 16;
   const auto& shard = partition_[device];
   const std::size_t count = std::min(shard.size(), kProbeCap);
-  data::Batch& batch = coordinator_scratch_.batch;
-  train_.gather(std::span<const std::size_t>(shard.data(), count), batch);
-  model_.forward_backward(batch.features, batch.labels);
-  coordinator_scratch_.norms.add(model_, result);
+  PoolSlot& slot = slots_.front();
+  train_.gather(std::span<const std::size_t>(shard.data(), count), slot.batch);
+  slot.model.forward_backward(slot.batch.features, slot.batch.labels);
+  slot.norms.add(slot.model, result);
+}
+
+void HflSimulator::for_each_test_chunk(
+    std::int64_t t,
+    const std::function<void(std::size_t, nn::Sequential&, const data::Batch&)>&
+        fn) {
+  const std::size_t total = test_.size();
+  const std::size_t chunks = runtime::num_chunks(total, kEvalChunk);
+  pool_.parallel_for(0, chunks, [&](std::size_t c, std::size_t slot) {
+    const obs::SpanProfiler::ThreadScope track(
+        profiler_.get(), static_cast<std::uint32_t>(slot + 1));
+    const obs::SpanGuard span("eval_chunk", t, static_cast<std::int64_t>(c));
+    std::vector<std::size_t> indices;
+    runtime::fill_iota(indices, runtime::chunk_range(c, total, kEvalChunk));
+    nn::Sequential& model = slots_[slot].model;
+    model.set_parameters(global_);
+    fn(c, model, test_.gather(indices));
+  });
 }
 
 EvalPoint HflSimulator::evaluate_global(std::size_t t) {
   EvalPoint point;
   point.t = t;
-  const std::size_t total = test_.size();
   // Test evaluation is sharded into fixed chunks; each chunk's statistics
-  // land in a slot and the fold below walks the slots in chunk order, so the
-  // serial and parallel paths produce bitwise-identical sums.
-  const std::size_t chunks = runtime::num_chunks(total, kEvalChunk);
-  eval_slots_.assign(chunks, nn::StepStats{});
-  const auto eval_chunk = [&](std::size_t c, nn::Sequential& model,
-                              std::vector<std::size_t>& indices) {
-    runtime::fill_iota(indices, runtime::chunk_range(c, total, kEvalChunk));
-    const data::Batch batch = test_.gather(indices);
-    eval_slots_[c] = model.evaluate(batch.features, batch.labels);
-  };
-  if (pool_ != nullptr && chunks > 1) {
-    replicas_->publish(&global_);
-    pool_->parallel_for(0, chunks, [&](std::size_t c, std::size_t slot) {
-      std::optional<obs::SpanProfiler::ThreadScope> track_scope;
-      if (profiler_ != nullptr) {
-        track_scope.emplace(profiler_.get(),
-                            static_cast<std::uint32_t>(slot + 1));
-      }
-      const obs::SpanGuard span("eval_chunk", static_cast<std::int64_t>(t),
-                                static_cast<std::int64_t>(c));
-      std::vector<std::size_t> indices;
-      eval_chunk(c, replicas_->synced_model(slot), indices);
-    });
-  } else {
-    model_.set_parameters(global_);
-    std::vector<std::size_t> indices;
-    for (std::size_t c = 0; c < chunks; ++c) eval_chunk(c, model_, indices);
-  }
+  // land in a slot and the fold below walks the slots in chunk order, so
+  // every worker count produces bitwise-identical sums.
+  eval_slots_.assign(runtime::num_chunks(test_.size(), kEvalChunk),
+                     nn::StepStats{});
+  for_each_test_chunk(static_cast<std::int64_t>(t),
+                      [&](std::size_t c, nn::Sequential& model,
+                          const data::Batch& batch) {
+                        eval_slots_[c] =
+                            model.evaluate(batch.features, batch.labels);
+                      });
   std::size_t correct = 0;
   double loss = 0.0;
   std::size_t seen = 0;
@@ -260,24 +242,22 @@ EvalPoint HflSimulator::evaluate_global(std::size_t t) {
     std::vector<std::size_t> sample(count);
     for (std::size_t i = 0; i < count; ++i) sample[i] = i;
     const data::Batch batch = train_.gather(sample);
-    model_.set_parameters(global_);
-    model_.forward_backward(batch.features, batch.labels);
-    point.global_grad_sq_norm = model_.grad_squared_norm();
+    nn::Sequential& model = slots_.front().model;
+    model.set_parameters(global_);
+    model.forward_backward(batch.features, batch.labels);
+    point.global_grad_sq_norm = model.grad_squared_norm();
   }
   return point;
 }
 
 ConfusionMatrix HflSimulator::evaluate_confusion() {
   ConfusionMatrix confusion(test_.num_classes());
-  const std::size_t total = test_.size();
-  const std::size_t chunks = runtime::num_chunks(total, kEvalChunk);
   // Per-chunk (label, prediction) pairs; merged in chunk order below so the
   // matrix fills identically at any thread count.
-  std::vector<std::vector<std::pair<int, int>>> predictions(chunks);
-  const auto classify_chunk = [&](std::size_t c, nn::Sequential& model,
-                                  std::vector<std::size_t>& indices) {
-    runtime::fill_iota(indices, runtime::chunk_range(c, total, kEvalChunk));
-    const data::Batch batch = test_.gather(indices);
+  std::vector<std::vector<std::pair<int, int>>> predictions(
+      runtime::num_chunks(test_.size(), kEvalChunk));
+  for_each_test_chunk(-1, [&](std::size_t c, nn::Sequential& model,
+                              const data::Batch& batch) {
     model.set_training(false);
     const tensor::Tensor& logits = model.forward(batch.features);
     const std::size_t classes = logits.dim(1);
@@ -291,18 +271,7 @@ ConfusionMatrix HflSimulator::evaluate_confusion() {
       }
       out.emplace_back(batch.labels[row], static_cast<int>(best));
     }
-  };
-  if (pool_ != nullptr && chunks > 1) {
-    replicas_->publish(&global_);
-    pool_->parallel_for(0, chunks, [&](std::size_t c, std::size_t slot) {
-      std::vector<std::size_t> indices;
-      classify_chunk(c, replicas_->synced_model(slot), indices);
-    });
-  } else {
-    model_.set_parameters(global_);
-    std::vector<std::size_t> indices;
-    for (std::size_t c = 0; c < chunks; ++c) classify_chunk(c, model_, indices);
-  }
+  });
   for (const auto& chunk : predictions) {
     for (const auto& [label, predicted] : chunk) confusion.add(label, predicted);
   }
@@ -559,8 +528,8 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
   profile_export_ok_ = true;
   interrupted_at_.reset();
   if (!options_.profile.trace_path.empty()) {
-    const std::size_t tracks = 1 + (pool_ != nullptr ? pool_->num_workers() : 0);
-    profiler_ = std::make_unique<obs::SpanProfiler>(tracks, kSpanRingCapacity);
+    profiler_ = std::make_unique<obs::SpanProfiler>(1 + pool_.num_workers(),
+                                                    kSpanRingCapacity);
   }
   if (profiler_ != nullptr || !options_.profile.status_path.empty()) {
     resources_ = std::make_unique<obs::ResourceSampler>(kResourceIntervalSeconds);
@@ -573,10 +542,9 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
   // with aborted=true — a terminal document for watchers, with no atexit
   // hook. Inert when the heartbeat is off or the final write was `finished`.
   const obs::StatusWriter::AbortScope status_abort_scope(status_.get());
-  // Track 0 (coordinator) binding for the whole run; workers bind per
-  // parallel section to track slot+1.
-  std::optional<obs::SpanProfiler::ThreadScope> profile_scope;
-  if (profiler_ != nullptr) profile_scope.emplace(profiler_.get(), 0);
+  // Track 0 (coordinator) binding for the whole run; slices bind per
+  // parallel section to track slot+1, slot 0's on this thread.
+  const obs::SpanProfiler::ThreadScope profile_scope(profiler_.get(), 0);
 
   // Inner-loop instruments: references are cached once here, so the hot path
   // pays one add per event. None of this touches the RNG stream — attaching
@@ -686,11 +654,12 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
         // Probing never changes parameters: one load of the probe broadcast
         // serves every probe, and the norms are evaluated in batches before
         // the sampler reads them.
-        model_.set_parameters(transport_.probe(edge_model, devices.size(), t, n));
+        slots_.front().model.set_parameters(
+            transport_.probe(edge_model, devices.size(), t, n));
         for (std::size_t i = 0; i < devices.size(); ++i) {
           probe_gradient_norm(devices[i], &oracle_norms[i]);
         }
-        coordinator_scratch_.norms.flush();
+        slots_.front().norms.flush();
         ctx.oracle_grad_sq_norms = oracle_norms;
       }
       plan.probs = sampler.edge_probabilities(ctx);
@@ -857,10 +826,12 @@ MetricsRecorder HflSimulator::run(Sampler& sampler, std::size_t steps) {
   };
 
   // Pending edges flush (train, then reduce) once their arrivals reach this
-  // many: kFlushDevicesPerWorker per pool worker, which is every edge on a
-  // serial engine — the classic per-edge order and memory.
-  const std::size_t flush_at =
-      kFlushDevicesPerWorker * (pool_ != nullptr ? pool_->num_workers() : 0);
+  // many: kFlushDevicesPerWorker per pool worker. A one-worker engine
+  // flushes after every edge: its section runs on this thread anyway, and
+  // the per-edge order keeps each edge's probes, training and reduction
+  // together (what bench/e2e's tracer assumes, DESIGN §8) and its memory.
+  const std::size_t workers = pool_.num_workers();
+  const std::size_t flush_at = workers > 1 ? kFlushDevicesPerWorker * workers : 0;
 
   // The status.json heartbeat once `step` steps are complete.
   const auto heartbeat = [&](std::size_t step) {

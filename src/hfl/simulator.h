@@ -48,7 +48,6 @@
 #include "obs/status_writer.h"
 #include "runtime/parallel_config.h"
 #include "runtime/thread_pool.h"
-#include "runtime/worker_context.h"
 
 namespace mach::hfl {
 
@@ -90,15 +89,15 @@ struct HflOptions {
   /// derive from `seed`. Lets tests vary the sampling realisation while
   /// keeping model init and minibatch draws fixed (Lemma 1 Monte-Carlo).
   std::uint64_t sampling_seed = 0;
-  /// Worker threads for device training and evaluation sharding (1 = the
-  /// classic serial path, 0 = hardware_concurrency). Any value produces
+  /// Workers for device training and evaluation sharding (1 = one worker,
+  /// the calling thread; 0 = hardware_concurrency). Any value produces
   /// bitwise-identical runs. Each step plans every edge round on the
   /// coordinator, trains the planned arrivals of several edges in one
-  /// parallel section (each device on a worker's model replica, against its
-  /// own RNG stream), then reduces the edges in edge order; every
-  /// floating-point reduction (Eq. 5 edge aggregation, evaluation chunk
-  /// folds) happens serially in index order, and samplers observe the
-  /// step's arrivals only after its last decision (see Sampler).
+  /// parallel section (each device on its slot's model, against its own RNG
+  /// stream; the coordinator's thread runs slot 0), then reduces the edges
+  /// in edge order; every floating-point reduction (Eq. 5 edge aggregation,
+  /// evaluation chunk folds) happens serially in index order, and samplers
+  /// observe the step's arrivals only after its last decision (see Sampler).
   runtime::ParallelConfig parallel;
   /// Crash-tolerant checkpointing (src/ckpt/). With `checkpoint.every` > 0
   /// the engine freezes its full run state — model parameters, every RNG
@@ -150,10 +149,9 @@ struct HflOptions {
   comm::CommConfig comm;
 };
 
-/// Builds a fresh untrained model; invoked once for the serial scratch model
-/// and, when HflOptions::parallel asks for workers, once more per worker
-/// replica (the simulator reuses these model objects for every device,
-/// swapping flat parameter vectors).
+/// Builds a fresh untrained model; invoked once per worker slot (the
+/// simulator reuses these model objects for every device, probe and
+/// evaluation chunk, swapping flat parameter vectors).
 using ModelFactory = std::function<nn::Sequential()>;
 
 class HflSimulator {
@@ -275,31 +273,40 @@ class HflSimulator {
     std::vector<float> params;  // trained parameters w_m^{t+1}
   };
 
-  /// Reused buffers of the per-device hot path, one set per scratch model
-  /// (the coordinator's model_ and each worker replica): the minibatch and
-  /// the gradient-norm batch its local steps and probes feed.
-  struct StepScratch {
+  /// One pool slot's scratch model and the reused buffers of its per-device
+  /// hot path: the minibatch and the gradient-norm batch its local steps and
+  /// probes feed. Slice k of every section runs on slot k; slot 0 (the
+  /// coordinator's thread) also serves the coordinator between sections.
+  struct PoolSlot {
+    nn::Sequential model;
     data::Batch batch;
     nn::GradNormBatch norms;
   };
 
-  /// One local-update phase for a device (Eq. 4) on the given scratch model
-  /// (the shared serial model or a worker replica) into `out`: the trained
-  /// parameters and the observation. Each local step's ||g||^2 is staged in
-  /// scratch.norms and lands in out.observation when that batch is flushed.
+  /// One local-update phase for a device (Eq. 4) on the slot's model into
+  /// `out`: the trained parameters and the observation. Each local step's
+  /// ||g||^2 is staged in slot.norms and lands in out.observation when that
+  /// batch is flushed.
   void train_device(std::size_t t, std::uint32_t device, std::size_t edge,
-                    const std::vector<float>& edge_model, nn::Sequential& model,
-                    StepScratch& scratch, DeviceSlot& out);
+                    const std::vector<float>& edge_model, PoolSlot& slot,
+                    DeviceSlot& out);
 
-  /// Trains every job in jobs_ into device_slots_ (Eq. 4). With a pool, one
-  /// parallel section whose workers claim job indices from a shared counter;
-  /// without one, each job in order on model_.
+  /// Trains every job in jobs_ into device_slots_ (Eq. 4): one parallel
+  /// section whose slices claim job indices from a shared counter.
   void train_jobs(std::size_t t);
 
-  /// ||g||^2 probe used for samplers with needs_oracle() (MACH-P), on
-  /// model_, which must hold the probed edge model. Staged in the
-  /// coordinator's norm batch; `*result` is written when it is flushed.
+  /// ||g||^2 probe used for samplers with needs_oracle() (MACH-P), on slot
+  /// 0's model, which must hold the probed edge model. Staged in slot 0's
+  /// norm batch; `*result` is written when it is flushed.
   void probe_gradient_norm(std::uint32_t device, double* result);
+
+  /// Runs fn(chunk, model, batch) for every kEvalChunk-example chunk of the
+  /// test split in one parallel section; each chunk first loads global_ into
+  /// its slot's model. Callers fold the chunks' results in chunk order.
+  void for_each_test_chunk(
+      std::int64_t t,
+      const std::function<void(std::size_t chunk, nn::Sequential& model,
+                               const data::Batch& batch)>& fn);
 
   /// Configuration hash recorded in snapshots (see ckpt/run_state.h). Covers
   /// everything that shapes the deterministic event sequence — topology,
@@ -330,7 +337,8 @@ class HflSimulator {
   const mobility::MobilitySchedule& schedule_;
   HflOptions options_;
 
-  nn::Sequential model_;            // shared scratch model (serial path)
+  runtime::ThreadPool pool_;        // the coordinator's thread runs slot 0
+  std::vector<PoolSlot> slots_;     // one per pool slot
   std::size_t param_count_ = 0;
   std::vector<float> global_;       // w^t
   std::vector<std::vector<float>> edge_models_;  // w_n^t
@@ -338,15 +346,10 @@ class HflSimulator {
   common::Rng engine_rng_;
   std::vector<common::Rng> device_rngs_;  // local minibatch randomness
 
-  // Parallel execution runtime (null in serial mode, i.e. threads <= 1).
-  std::unique_ptr<runtime::ThreadPool> pool_;
-  std::unique_ptr<runtime::ModelReplicaPool> replicas_;
   std::vector<EdgePlan> plans_;            // one per edge, used in flight order
   std::vector<TrainingJob> jobs_;          // the pending edges' arrivals
   std::vector<DeviceSlot> device_slots_;   // one per job, reused
   std::vector<TrainingObservation> observations_;  // the step's, queued
-  StepScratch coordinator_scratch_;        // with model_
-  std::vector<StepScratch> worker_scratch_;  // one per pool slot
   std::vector<nn::StepStats> eval_slots_;  // one per evaluation chunk, reused
 
   fault::FaultInjector injector_;  // the fault policy (off: fault-free)

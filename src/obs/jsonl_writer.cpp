@@ -170,28 +170,39 @@ JsonlTraceWriter::JsonlTraceWriter(const std::string& path,
         std::to_string(size) + " bytes) than the checkpoint cursor (" +
         std::to_string(resume_from.byte_offset) + ") — wrong file?");
   }
-  // Drop everything the crashed process wrote after its last snapshot; the
-  // resumed run re-emits those events identically.
-  std::filesystem::resize_file(path, resume_from.byte_offset, ec);
-  if (ec) {
-    throw std::runtime_error("JsonlTraceWriter: cannot truncate " + path + ": " +
-                             ec.message());
-  }
-  // in|out|ate ("r+", positioned at end) rather than app: append-mode
-  // streams pin every write to end-of-file but leave tellp() unreliable,
-  // and the next snapshot needs an exact byte cursor from tellp().
-  owned_ = std::make_unique<std::ofstream>(
-      path, std::ios::in | std::ios::out | std::ios::ate);
+  // in|out ("r+") rather than app: append-mode streams pin every write to
+  // end-of-file but leave tellp() unreliable, and the next snapshot needs an
+  // exact byte cursor from tellp(). Opening writes nothing.
+  owned_ = std::make_unique<std::ofstream>(path, std::ios::in | std::ios::out);
   out_ = owned_.get();
   if (!*owned_) {
     throw std::runtime_error("JsonlTraceWriter: cannot reopen " + path);
   }
   lines_ = static_cast<std::size_t>(resume_from.lines);
+  resume_path_ = path;
+  resume_bytes_ = resume_from.byte_offset;
 }
 
 JsonlTraceWriter::~JsonlTraceWriter() { out_->flush(); }
 
+void JsonlTraceWriter::truncate_to_cursor() {
+  if (!resume_bytes_.has_value()) return;
+  // Drop everything the crashed process wrote after its last snapshot; the
+  // resumed run re-emits those events identically. Deferred to the first
+  // write: the engine checks the snapshot before its first event, so a
+  // rejected resume never reaches this.
+  std::error_code ec;
+  std::filesystem::resize_file(resume_path_, *resume_bytes_, ec);
+  if (ec) {
+    throw std::runtime_error("JsonlTraceWriter: cannot truncate " + resume_path_ +
+                             ": " + ec.message());
+  }
+  out_->seekp(static_cast<std::streamoff>(*resume_bytes_));
+  resume_bytes_.reset();
+}
+
 void JsonlTraceWriter::write_line(std::string line) {
+  truncate_to_cursor();
   *out_ << line << '\n';
   ++lines_;
   if (options_.flush_every_event) out_->flush();
@@ -295,6 +306,7 @@ void JsonlTraceWriter::on_checkpoint(const CheckpointEvent& event) {
 }
 
 std::optional<TraceCursor> JsonlTraceWriter::checkpoint_cursor() {
+  truncate_to_cursor();
   out_->flush();
   const std::ostream::pos_type pos = out_->tellp();
   if (pos < 0) return std::nullopt;

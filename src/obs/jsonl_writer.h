@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 
@@ -43,8 +44,10 @@ class JsonlTraceWriter final : public RunObserver {
   /// Resume constructor: truncates the existing trace at `path` to the
   /// cursor recorded in a checkpoint (discarding events the crashed process
   /// wrote after its last durable snapshot) and appends from there. Throws
-  /// std::runtime_error when the file is missing or shorter than the cursor
-  /// (the trace does not match the snapshot).
+  /// std::runtime_error when the file is missing, shorter than the cursor
+  /// (the trace does not match the snapshot) or cannot be opened. The file
+  /// is truncated only at the first line or cursor query, so a run that
+  /// rejects its snapshot before emitting anything leaves it untouched.
   JsonlTraceWriter(const std::string& path, const TraceCursor& resume_from,
                    JsonlTraceOptions options = {});
   ~JsonlTraceWriter() override;
@@ -66,11 +69,15 @@ class JsonlTraceWriter final : public RunObserver {
 
  private:
   void write_line(std::string line);
+  /// The resume constructor's deferred truncation (no-op once done).
+  void truncate_to_cursor();
 
   JsonlTraceOptions options_;
   std::unique_ptr<std::ofstream> owned_;  // set when constructed from a path
   std::ostream* out_;
   std::size_t lines_ = 0;
+  std::string resume_path_;                  // pending truncation: the file
+  std::optional<std::uint64_t> resume_bytes_;  // and the cursor to cut it to
 };
 
 }  // namespace mach::obs

@@ -1,10 +1,9 @@
 // Fixed-size chunking of an index range [0, total).
 //
-// Both evaluation paths (test-set accuracy/loss and the confusion matrix)
-// walk the test split in contiguous chunks and gather each chunk into one
-// batch; these helpers are the single source of that chunk geometry, shared
-// by the serial loops and the thread-pool dispatch so the two paths cannot
-// drift apart.
+// Both evaluation passes (test-set accuracy/loss and the confusion matrix)
+// walk the test split in contiguous chunks, one parallel section over the
+// chunks, and gather each chunk into one batch; these helpers are the single
+// source of that chunk geometry.
 #pragma once
 
 #include <algorithm>

@@ -1,11 +1,11 @@
 // Degree-of-parallelism knob for the runtime subsystem.
 //
-// The simulator's device-training and evaluation fan-out is gated on one
-// number: `threads == 1` keeps the classic single-model serial path,
-// `threads >= 2` dispatches across that many worker replicas, and
-// `threads == 0` asks for one worker per hardware thread. Whatever the
-// value, results are bitwise identical (see thread_pool.h for the
-// determinism contract) — the knob trades wall-clock only.
+// The simulator's device-training and evaluation fan-out runs on one pool of
+// `threads` workers, each with its own model: `threads == 1` is a pool of
+// one, the calling thread, `threads >= 2` adds that many minus one pool
+// threads, and `threads == 0` asks for one worker per hardware thread.
+// Whatever the value, results are bitwise identical (see thread_pool.h for
+// the determinism contract) — the knob trades wall-clock only.
 #pragma once
 
 #include <cstddef>
@@ -14,7 +14,8 @@
 namespace mach::runtime {
 
 struct ParallelConfig {
-  /// Worker count: 1 = serial path (default), 0 = hardware_concurrency.
+  /// Worker count: 1 = the calling thread alone (default), 0 =
+  /// hardware_concurrency.
   std::size_t threads = 1;
 };
 

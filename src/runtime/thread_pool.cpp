@@ -15,7 +15,9 @@ namespace {
 /// freed what first, and the arenas fragment by a timing-dependent amount:
 /// on the 4-thread MNIST benchmark peak RSS crept from 53 to 72 MiB over
 /// 40 s once training got faster. Pinning the threshold at glibc's default
-/// keeps the footprint a function of the work, not of thread timing.
+/// keeps the footprint a function of the work, not of thread timing. Only a
+/// pool that spawns a thread pins: a pool of one leaves a single-threaded
+/// process on glibc's own policy.
 void pin_mmap_threshold() {
 #if defined(__GLIBC__)
   static const int pinned = mallopt(M_MMAP_THRESHOLD, 128 * 1024);
@@ -23,8 +25,9 @@ void pin_mmap_threshold() {
 #endif
 }
 
-/// Set for the lifetime of every pool worker thread; parallel_for consults
-/// it to reject nested sections from any pool.
+/// Set for the lifetime of every pool thread, and on a calling thread while
+/// it runs its slice 0; parallel_for consults it to reject nested sections
+/// from any pool.
 thread_local bool tls_inside_worker = false;
 }  // namespace
 
@@ -34,9 +37,9 @@ ThreadPool::ThreadPool(std::size_t workers) {
   if (workers == 0) {
     throw std::invalid_argument("ThreadPool: zero workers (resolve_threads first)");
   }
-  pin_mmap_threshold();
-  threads_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
+  if (workers > 1) pin_mmap_threshold();
+  threads_.reserve(workers - 1);
+  for (std::size_t i = 1; i < workers; ++i) {
     threads_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -90,19 +93,24 @@ void ThreadPool::parallel_for(
   if (begin >= end) return;
   const std::size_t count = end - begin;
   const std::size_t slices = std::min(count, num_workers());
+  // Even static partition: slice k covers the half-open index range
+  // [begin + k*count/slices, begin + (k+1)*count/slices).
+  const auto slice = [&](std::size_t k) {
+    return Task{begin + k * count / slices, begin + (k + 1) * count / slices, k};
+  };
   {
     std::unique_lock<std::mutex> lock(mutex_);
     fn_ = &fn;
     first_error_ = nullptr;
     unfinished_ = slices;
-    for (std::size_t k = 0; k < slices; ++k) {
-      // Even static partition: slice k covers the half-open index range
-      // [begin + k*count/slices, begin + (k+1)*count/slices).
-      queue_.push_back(Task{begin + k * count / slices,
-                            begin + (k + 1) * count / slices, k});
-    }
+    for (std::size_t k = 1; k < slices; ++k) queue_.push_back(slice(k));
   }
-  work_available_.notify_all();
+  if (slices > 1) work_available_.notify_all();
+  // Slice 0 on the calling thread, flagged as a worker while it runs so a
+  // section nested in it is rejected like one from a pool thread.
+  tls_inside_worker = true;
+  run_task(slice(0));
+  tls_inside_worker = false;
   std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(mutex_);

@@ -20,7 +20,7 @@
 //                        serve as the equivalence-test and microbench baseline.
 //
 // Determinism contract (relied on by the parallel runtime's bitwise
-// serial-vs-parallel equality): every kernel is single-threaded and uses a
+// equality across worker counts): every kernel is single-threaded and uses a
 // FIXED summation order identical to the reference kernel's order —
 //   * gemm_nn / gemm_tn: C[i,j] accumulates its k contributions in increasing
 //     p order directly into the output accumulator (cache blocking only

@@ -5,6 +5,11 @@
 // and attaching an observer must not perturb the run at all.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -293,11 +298,14 @@ TEST(TraceE2E, PhaseScopeCountsMatchTheEngineCounters) {
   ASSERT_GT(count(counters["fault_dropouts"]), 0u);
   ASSERT_GT(count(counters["fault_edge_outage_rounds"]), 0u);
 
-  // One thread: one DeviceTraining scope per device that trained, one
-  // EdgeAggregation scope per edge round that ran (outages run none), and
-  // one SamplerDecision scope per such edge round and per UCB refresh.
+  // One thread: one DeviceTraining scope (train_section) per edge round
+  // that trained a device (a one-worker engine flushes after every edge, and
+  // a flush without arrivals runs no section), one EdgeAggregation scope per
+  // edge round that ran (outages run none), and one SamplerDecision scope
+  // per such edge round and per UCB refresh.
   EXPECT_EQ(count(phases["device_training"]["count"]),
-            count(counters["devices_trained"]));
+            count(counters["edge_aggregations"]) -
+                count(counters["edge_rounds_no_participant"]));
   EXPECT_EQ(count(phases["edge_aggregation"]["count"]),
             count(counters["edge_aggregations"]));
   EXPECT_EQ(count(phases["sampler_decision"]["count"]),
@@ -305,6 +313,41 @@ TEST(TraceE2E, PhaseScopeCountsMatchTheEngineCounters) {
   EXPECT_EQ(count(phases["cloud_aggregation"]["count"]), cloud_rounds);
   EXPECT_EQ(count(phases["evaluation"]["count"]),
             count(counters["evaluations"]));
+}
+
+TEST(TraceE2E, ResumeWriterTruncatesOnlyAtItsFirstLine) {
+  const std::string path = ::testing::TempDir() + "resume_writer_" +
+                           std::to_string(::getpid()) + ".jsonl";
+  const auto slurp = [&path] {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const std::string prefix = "{\"event\":\"step\",\"t\":0}\n";
+  const std::string tail = "{\"event\":\"step\",\"t\":1}\n";
+  std::ofstream(path, std::ios::binary) << prefix << tail;
+  const obs::TraceCursor cursor{prefix.size(), 1};
+
+  // A writer destroyed before any event (the engine rejected the snapshot)
+  // leaves the file as it was.
+  { const obs::JsonlTraceWriter writer(path, cursor); }
+  EXPECT_EQ(slurp(), prefix + tail);
+
+  // Its first event cuts the file to the cursor and appends there.
+  obs::CheckpointEvent event;
+  event.t = 3;
+  event.steps = 6;
+  std::ostringstream line;
+  obs::JsonlTraceWriter(line).on_checkpoint(event);
+  {
+    obs::JsonlTraceWriter writer(path, cursor);
+    writer.on_checkpoint(event);
+    EXPECT_EQ(writer.lines_written(), 2u);
+    const auto position = writer.checkpoint_cursor();
+    ASSERT_TRUE(position.has_value());
+    EXPECT_EQ(position->byte_offset, prefix.size() + line.str().size());
+  }
+  EXPECT_EQ(slurp(), prefix + line.str());
+  std::remove(path.c_str());
 }
 
 }  // namespace

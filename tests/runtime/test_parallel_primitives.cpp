@@ -1,19 +1,15 @@
 // Unit tests for the runtime building blocks around the thread pool:
-// chunk geometry, per-slot model replicas, the thread-count knob, and the
-// now-atomic obs::Counter under concurrent increments.
+// chunk geometry, the thread-count knob, and the now-atomic obs::Counter
+// under concurrent increments.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <thread>
 #include <vector>
 
-#include "nn/dense.h"
-#include "nn/model.h"
 #include "obs/registry.h"
 #include "runtime/chunking.h"
 #include "runtime/parallel_config.h"
 #include "runtime/thread_pool.h"
-#include "runtime/worker_context.h"
 
 namespace mach::runtime {
 namespace {
@@ -62,76 +58,6 @@ TEST(ParallelConfig, ResolveThreads) {
   EXPECT_EQ(resolve_threads(ParallelConfig{6}), 6u);
   const std::size_t hw = resolve_threads(ParallelConfig{0});
   EXPECT_GE(hw, 1u);  // 0 resolves to hardware_concurrency (>= 1 fallback)
-}
-
-ModelBuilder tiny_builder() {
-  return [] {
-    nn::Sequential model;
-    model.add(std::make_unique<nn::Dense>(3, 2));
-    return model;
-  };
-}
-
-TEST(ModelReplicaPool, BuildsDistinctReplicas) {
-  ModelReplicaPool pool(tiny_builder(), 3);
-  EXPECT_EQ(pool.size(), 3u);
-  // Distinct objects: writing one slot's parameters must not leak into
-  // another slot.
-  const std::vector<float> a(pool.model(0).num_parameters(), 1.0f);
-  const std::vector<float> b(pool.model(1).num_parameters(), 2.0f);
-  pool.model(0).set_parameters(a);
-  pool.model(1).set_parameters(b);
-  EXPECT_EQ(pool.model(0).get_parameters(), a);
-  EXPECT_EQ(pool.model(1).get_parameters(), b);
-}
-
-TEST(ModelReplicaPool, SyncedModelThrowsBeforePublish) {
-  ModelReplicaPool pool(tiny_builder(), 1);
-  EXPECT_THROW(pool.synced_model(0), std::logic_error);
-}
-
-TEST(ModelReplicaPool, SyncedModelSeesThePublishedParameters) {
-  ModelReplicaPool pool(tiny_builder(), 2);
-  const std::size_t n = pool.model(0).num_parameters();
-  std::vector<float> first(n, 0.5f);
-  pool.publish(&first);
-  EXPECT_EQ(pool.synced_model(0).get_parameters(), first);
-  EXPECT_EQ(pool.synced_model(1).get_parameters(), first);
-
-  // A new publish() generation must invalidate every slot's cached copy.
-  std::vector<float> second(n, -1.25f);
-  pool.publish(&second);
-  EXPECT_EQ(pool.synced_model(1).get_parameters(), second);
-  EXPECT_EQ(pool.synced_model(0).get_parameters(), second);
-}
-
-TEST(ModelReplicaPool, SyncIsLazyPerGeneration) {
-  ModelReplicaPool pool(tiny_builder(), 1);
-  const std::size_t n = pool.model(0).num_parameters();
-  std::vector<float> params(n, 3.0f);
-  pool.publish(&params);
-  (void)pool.synced_model(0);
-  // Mutating the replica after the sync and re-requesting the same
-  // generation must NOT re-copy: callers within one section rely on a
-  // single copy per slot per publish.
-  const std::vector<float> scribbled(n, 9.0f);
-  pool.model(0).set_parameters(scribbled);
-  EXPECT_EQ(pool.synced_model(0).get_parameters(), scribbled);
-}
-
-TEST(ModelReplicaPool, ReplicasAreUsableFromWorkers) {
-  // The simulator's actual pattern: publish on the coordinator, train each
-  // slot's replica inside a section. Slot-distinct access needs no locking.
-  ModelReplicaPool replicas(tiny_builder(), 2);
-  ThreadPool pool(2);
-  const std::size_t n = replicas.model(0).num_parameters();
-  std::vector<float> params(n, 0.125f);
-  replicas.publish(&params);
-  std::vector<std::vector<float>> out(4);
-  pool.parallel_for(0, out.size(), [&](std::size_t i, std::size_t slot) {
-    out[i] = replicas.synced_model(slot).get_parameters();
-  });
-  for (const auto& copy : out) EXPECT_EQ(copy, params);
 }
 
 TEST(Counter, ConcurrentIncrementsDoNotLoseUpdates) {

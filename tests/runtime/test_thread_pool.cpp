@@ -1,5 +1,5 @@
-// ThreadPool contract tests: static partitioning, exception propagation,
-// nested-section rejection and clean shutdown.
+// ThreadPool contract tests: static partitioning, slice 0 on the calling
+// thread, exception propagation, nested-section rejection and clean shutdown.
 #include "runtime/thread_pool.h"
 
 #include <gtest/gtest.h>
@@ -7,6 +7,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace mach::runtime {
@@ -44,7 +45,7 @@ TEST(ThreadPool, EmptyRangeIsANoop) {
 TEST(ThreadPool, SlotAssignmentIsAStaticPartition) {
   // The index→slot mapping must be a pure function of (range, workers):
   // contiguous, non-decreasing, identical across repeated sections. This is
-  // the property per-slot model replicas rely on.
+  // the property the simulator's per-slot models rely on.
   ThreadPool pool(3);
   const std::size_t n = 17;
   std::vector<std::size_t> first(n), second(n);
@@ -72,6 +73,17 @@ TEST(ThreadPool, PropagatesTheFirstException) {
                           if (i == 7) throw std::runtime_error("boom");
                         }),
       std::runtime_error);
+  // A throw in slice 0, which runs on the calling thread: the other slice
+  // still runs to its end before the section rethrows.
+  std::atomic<int> other_slice{0};
+  EXPECT_THROW(pool.parallel_for(0, 10,
+                                 [&](std::size_t i, std::size_t slot) {
+                                   if (i == 0) throw std::runtime_error("caller");
+                                   if (slot != 0) other_slice.fetch_add(1);
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(other_slice.load(), 5);
+  EXPECT_FALSE(ThreadPool::inside_worker());
   // The pool must stay usable after a throwing section.
   std::atomic<int> sum{0};
   pool.parallel_for(0, 10, [&](std::size_t i, std::size_t) {
@@ -110,6 +122,45 @@ TEST(ThreadPool, InsideWorkerIsFalseOnTheCallingThread) {
   pool.parallel_for(0, 1,
                     [&](std::size_t, std::size_t) { inside = ThreadPool::inside_worker(); });
   EXPECT_TRUE(inside);
+  EXPECT_FALSE(ThreadPool::inside_worker());
+}
+
+TEST(ThreadPool, SliceZeroRunsOnTheCallingThread) {
+  ThreadPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> slots(12);
+  std::vector<std::thread::id> threads(12);
+  pool.parallel_for(0, 12, [&](std::size_t i, std::size_t slot) {
+    slots[i] = slot;
+    threads[i] = std::this_thread::get_id();
+  });
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    SCOPED_TRACE(i);
+    if (slots[i] == 0) {
+      EXPECT_EQ(threads[i], caller);
+    } else {
+      EXPECT_NE(threads[i], caller);
+    }
+  }
+  EXPECT_EQ(slots.front(), 0u);
+  EXPECT_EQ(slots.back(), 2u);
+}
+
+TEST(ThreadPool, OneWorkerRunsInline) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.num_workers(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> threads(5);
+  std::vector<int> inside(5, 0);
+  pool.parallel_for(0, 5, [&](std::size_t i, std::size_t slot) {
+    EXPECT_EQ(slot, 0u);
+    threads[i] = std::this_thread::get_id();
+    inside[i] = ThreadPool::inside_worker() ? 1 : 0;
+  });
+  for (std::size_t i = 0; i < threads.size(); ++i) {
+    EXPECT_EQ(threads[i], caller) << i;
+    EXPECT_EQ(inside[i], 1) << i;
+  }
   EXPECT_FALSE(ThreadPool::inside_worker());
 }
 
