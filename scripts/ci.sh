@@ -376,6 +376,17 @@ cp "$sweep_dir/out/report.json" "$sweep_dir/report.before"
   || true  # still exits 1: the quarantined point stays quarantined
 cmp "$sweep_dir/report.before" "$sweep_dir/out/report.json"
 
+echo "== mobility trace smoke =="
+# The record -> replay -> schedule path outside the engine (generate_trace,
+# TraceReplay, MobilitySchedule::from_trace): a small world must report its
+# churn and write a trace CSV that starts with the header Trace::read_csv
+# requires.
+mobility_csv="$(mktemp -t hfl_mobility_XXXXXX.csv)"
+trap 'rm -f "$trace" "$trace4" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json" "$zoo_json" "$mobility_csv"; rm -rf "$kernels_dir" "$scale_dir" "$ckpt_dir" "$sweep_dir"' EXIT
+"$BUILD_DIR/examples/mobility_trace_demo" --devices 20 --stations 12 \
+  --edges 3 --horizon 30 --csv "$mobility_csv" | grep -q 'Station-level churn'
+[ "$(head -n 1 "$mobility_csv")" = "device,station,t_start,t_end" ]
+
 # Out-of-bounds check over the kernel layer. The conv kernels carve the
 # scratch span their caller sizes (conv_backward_scratch and friends); a
 # formula that comes up short makes them write past it, which corrupts the

@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
+#include <utility>
 
 #include "ckpt/bytes.h"
 #include "ckpt/crc32.h"
@@ -19,28 +20,12 @@ namespace {
 constexpr std::uint8_t kMagic[8] = {'M', 'A', 'C', 'H', 'C', 'K', 'P', 0x01};
 constexpr std::size_t kHeaderSize = 8 + 4 + 8 + 4;
 
-[[noreturn]] void throw_errno(const std::string& what, const std::string& path) {
-  const int err = errno;
-  throw std::runtime_error(what + " " + path + ": " + std::strerror(err));
-}
-
-/// POSIX write loop (handles short writes / EINTR).
-void write_all(int fd, const std::uint8_t* data, std::size_t size,
-               const std::string& path) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("checkpoint: cannot write", path);
-    }
-    done += static_cast<std::size_t>(n);
-  }
-}
-
-void fsync_path(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return;  // best effort: some filesystems refuse O_RDONLY on dirs
+/// Persists a rename: fsyncs the directory holding `path`. Best effort:
+/// some filesystems refuse O_RDONLY on directories.
+void fsync_parent_dir(const std::string& path) {
+  const std::string dir = std::filesystem::path(path).parent_path().string();
+  const int fd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY);
+  if (fd < 0) return;
   ::fsync(fd);
   ::close(fd);
 }
@@ -52,6 +37,48 @@ bool fail(std::string* error, std::string reason) {
 
 }  // namespace
 
+void throw_errno(const std::string& what, const std::string& path) {
+  const int err = errno;
+  throw std::runtime_error(what + " " + path + ": " + std::strerror(err));
+}
+
+void write_all(int fd, std::span<const std::uint8_t> bytes,
+               const std::string& path) {
+  std::size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::write(fd, bytes.data() + done, bytes.size() - done);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      throw_errno("cannot write", path);
+    }
+    done += static_cast<std::size_t>(n);
+  }
+}
+
+void write_durable_file(
+    const std::string& path,
+    std::initializer_list<std::span<const std::uint8_t>> parts) {
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) throw_errno("cannot create", tmp);
+  try {
+    for (const auto part : parts) write_all(fd, part, tmp);
+    if (::fsync(fd) != 0) throw_errno("fsync failed for", tmp);
+    // close(2) releases the descriptor even when it fails: never close twice.
+    if (::close(std::exchange(fd, -1)) != 0) throw_errno("close failed for", tmp);
+    if (::rename(tmp.c_str(), path.c_str()) != 0) {
+      throw_errno("rename failed for", path);
+    }
+  } catch (...) {
+    if (fd >= 0) ::close(fd);
+    ::unlink(tmp.c_str());
+    throw;
+  }
+  // Persist the rename itself, so the new entry survives a power cut, not
+  // just a process kill.
+  fsync_parent_dir(path);
+}
+
 void write_checkpoint_file(const std::string& path, std::uint32_t version,
                            std::span<const std::uint8_t> payload) {
   ByteWriter header;
@@ -59,30 +86,7 @@ void write_checkpoint_file(const std::string& path, std::uint32_t version,
   header.u32(version);
   header.u64(payload.size());
   header.u32(crc32(payload));
-
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) throw_errno("checkpoint: cannot create", tmp);
-  try {
-    write_all(fd, header.data().data(), header.size(), tmp);
-    write_all(fd, payload.data(), payload.size(), tmp);
-    if (::fsync(fd) != 0) throw_errno("checkpoint: fsync failed for", tmp);
-  } catch (...) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    throw;
-  }
-  if (::close(fd) != 0) {
-    ::unlink(tmp.c_str());
-    throw_errno("checkpoint: close failed for", tmp);
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    throw_errno("checkpoint: rename failed for", path);
-  }
-  // Persist the rename itself: fsync the containing directory so the new
-  // entry survives a power cut, not just a process kill.
-  fsync_path(std::filesystem::path(path).parent_path().string());
+  write_durable_file(path, {header.data(), payload});
 }
 
 std::optional<CheckpointBlob> read_checkpoint_file(const std::string& path,

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "mobility/stream.h"
-
 namespace mach::mobility {
 
 MarkovMobilityModel::MarkovMobilityModel(std::vector<Point> stations, double stay_prob,
@@ -85,12 +83,24 @@ std::uint32_t HomeBiasedWaypointModel::next_station(std::uint32_t device,
 Trace generate_trace(MobilityModel& model, std::size_t num_devices,
                      std::size_t horizon, std::uint64_t seed) {
   if (horizon == 0) throw std::invalid_argument("generate_trace: zero horizon");
-  // Time-major streaming with per-device RNG streams draws the exact same
-  // sequence per device as the historical device-major loop did, and
-  // materialise_trace buffers runs per device so the record order (and the
-  // golden traces hashed from it) is unchanged.
-  ModelTraceStream stream(model, num_devices, seed);
-  return materialise_trace(stream, horizon);
+  Trace trace(num_devices, model.num_stations(), horizon);
+  for (std::uint32_t m = 0; m < num_devices; ++m) {
+    // One RNG stream per device: its first draw is the initial station, the
+    // rest its transitions, so a device's records depend on no other device.
+    common::Rng rng(common::split_seed(seed, 0x40b1 + m));
+    std::uint32_t station = model.initial_station(m, rng);
+    std::uint32_t run_start = 0;
+    for (std::uint32_t t = 1; t < horizon; ++t) {
+      const std::uint32_t next = model.next_station(m, station, rng);
+      if (next != station) {
+        trace.add_record({m, station, run_start, t});
+        station = next;
+        run_start = t;
+      }
+    }
+    trace.add_record({m, station, run_start, static_cast<std::uint32_t>(horizon)});
+  }
+  return trace;
 }
 
 }  // namespace mach::mobility

@@ -37,27 +37,6 @@ MobilitySchedule MobilitySchedule::from_trace(const TraceReplay& replay,
   return MobilitySchedule(clustering.num_clusters(), devices, horizon, std::move(grid));
 }
 
-MobilitySchedule MobilitySchedule::from_stream(TraceStream& stream,
-                                               const Clustering& clustering,
-                                               std::size_t horizon) {
-  if (stream.t() != 0) {
-    throw std::invalid_argument(
-        "MobilitySchedule::from_stream: stream not at step 0");
-  }
-  const std::size_t devices = stream.num_devices();
-  std::vector<std::uint32_t> grid(horizon * devices);
-  std::vector<std::uint32_t> moved;
-  for (std::size_t t = 0; t < horizon; ++t) {
-    if (t > 0) stream.advance(moved);
-    const auto stations = stream.stations();
-    for (std::size_t m = 0; m < devices; ++m) {
-      grid[t * devices + m] = clustering.assignment.at(stations[m]);
-    }
-  }
-  return MobilitySchedule(clustering.num_clusters(), devices, horizon,
-                          std::move(grid));
-}
-
 MobilitySchedule MobilitySchedule::stationary(std::size_t num_edges,
                                               std::size_t num_devices,
                                               std::size_t horizon, common::Rng& rng) {

@@ -9,7 +9,6 @@
 
 #include "common/rng.h"
 #include "mobility/stations.h"
-#include "mobility/stream.h"
 #include "mobility/trace.h"
 
 namespace mach::mobility {
@@ -24,13 +23,6 @@ class MobilitySchedule {
   /// Maps each trace step through the clustering: edge = cluster(station).
   static MobilitySchedule from_trace(const TraceReplay& replay,
                                      const Clustering& clustering);
-
-  /// Materialises `horizon` steps of a stream (which must be at step 0)
-  /// through the clustering. Paper-scale convenience — at million-device
-  /// scale consume the stream directly instead of densifying it.
-  static MobilitySchedule from_stream(TraceStream& stream,
-                                      const Clustering& clustering,
-                                      std::size_t horizon);
 
   /// Devices never move: a fixed random edge per device.
   static MobilitySchedule stationary(std::size_t num_edges, std::size_t num_devices,

@@ -2,211 +2,10 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 
-#include "ckpt/rng_codec.h"
+#include "common/rng.h"
 
 namespace mach::mobility {
-
-void TraceStream::seek(std::size_t target) {
-  if (target < t()) {
-    throw std::invalid_argument("TraceStream::seek: target before current step");
-  }
-  std::vector<std::uint32_t> moved;
-  while (t() < target) advance(moved);
-}
-
-// ---------------------------------------------------------------------------
-// ModelTraceStream
-
-ModelTraceStream::ModelTraceStream(MobilityModel& model,
-                                   std::size_t num_devices, std::uint64_t seed)
-    : model_(model) {
-  rngs_.reserve(num_devices);
-  stations_.resize(num_devices);
-  for (std::uint32_t m = 0; m < num_devices; ++m) {
-    // The exact streams generate_trace uses: device m's first draw is its
-    // initial station, subsequent draws its transitions.
-    rngs_.emplace_back(common::split_seed(seed, 0x40b1 + m));
-    stations_[m] = model.initial_station(m, rngs_[m]);
-  }
-}
-
-void ModelTraceStream::advance(std::vector<std::uint32_t>& moved) {
-  moved.clear();
-  ++t_;
-  for (std::uint32_t m = 0; m < stations_.size(); ++m) {
-    const std::uint32_t next = model_.next_station(m, stations_[m], rngs_[m]);
-    if (next != stations_[m]) {
-      stations_[m] = next;
-      moved.push_back(m);
-    }
-  }
-}
-
-void ModelTraceStream::save_cursor(ckpt::ByteWriter& out) const {
-  out.u64(t_);
-  out.u64(stations_.size());
-  for (std::size_t m = 0; m < stations_.size(); ++m) {
-    ckpt::write_rng(out, rngs_[m]);
-    out.u32(stations_[m]);
-  }
-}
-
-void ModelTraceStream::load_cursor(ckpt::ByteReader& in) {
-  t_ = static_cast<std::size_t>(in.u64());
-  if (in.u64() != stations_.size()) {
-    throw ckpt::CorruptPayload("ModelTraceStream: device count mismatch");
-  }
-  for (std::size_t m = 0; m < stations_.size(); ++m) {
-    ckpt::read_rng(in, rngs_[m]);
-    const std::uint32_t station = in.u32();
-    if (station >= model_.num_stations()) {
-      throw ckpt::CorruptPayload("ModelTraceStream: station id out of range");
-    }
-    stations_[m] = station;
-  }
-}
-
-std::size_t ModelTraceStream::memory_bytes() const noexcept {
-  return rngs_.capacity() * sizeof(common::Rng) +
-         stations_.capacity() * sizeof(std::uint32_t);
-}
-
-// ---------------------------------------------------------------------------
-// ReplayTraceStream
-
-ReplayTraceStream::ReplayTraceStream(const Trace& trace)
-    : num_stations_(trace.num_stations()), horizon_(trace.horizon()) {
-  const std::size_t devices = trace.num_devices();
-  if (devices == 0 || horizon_ == 0) {
-    throw std::invalid_argument("ReplayTraceStream: empty trace dimensions");
-  }
-  // Bucket records per device (counting sort keeps this O(records)).
-  std::vector<std::uint32_t> counts(devices, 0);
-  for (const auto& r : trace.records()) ++counts[r.device];
-  offsets_.assign(devices + 1, 0);
-  for (std::size_t m = 0; m < devices; ++m) {
-    offsets_[m + 1] = offsets_[m] + counts[m];
-  }
-  sorted_.resize(trace.records().size());
-  {
-    std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
-    for (const auto& r : trace.records()) sorted_[cursor[r.device]++] = r;
-  }
-  std::size_t max_duration = 1;
-  for (std::size_t m = 0; m < devices; ++m) {
-    auto begin = sorted_.begin() + offsets_[m];
-    auto end = sorted_.begin() + offsets_[m + 1];
-    std::sort(begin, end, [](const TraceRecord& a, const TraceRecord& b) {
-      return a.t_start < b.t_start;
-    });
-    // The partition property TraceReplay enforces, without the dense grid:
-    // records must tile [0, horizon) exactly.
-    std::uint32_t expected = 0;
-    for (auto it = begin; it != end; ++it) {
-      if (it->t_start > expected) {
-        throw std::invalid_argument(
-            "ReplayTraceStream: device " + std::to_string(m) +
-            " uncovered at t=" + std::to_string(expected));
-      }
-      if (it->t_start < expected) {
-        throw std::invalid_argument(
-            "ReplayTraceStream: overlapping records for device " +
-            std::to_string(m) + " at t=" + std::to_string(it->t_start));
-      }
-      expected = it->t_end;
-      max_duration = std::max<std::size_t>(max_duration, it->t_end - it->t_start);
-    }
-    if (expected != horizon_) {
-      throw std::invalid_argument(
-          "ReplayTraceStream: device " + std::to_string(m) +
-          " uncovered at t=" + std::to_string(expected));
-    }
-  }
-  window_ = max_duration + 1;
-  index_.assign(devices, 0);
-  stations_.resize(devices);
-  for (std::size_t m = 0; m < devices; ++m) {
-    stations_[m] = sorted_[offsets_[m]].station;
-  }
-  rebuild_calendar();
-}
-
-void ReplayTraceStream::rebuild_calendar() {
-  calendar_.assign(window_, {});
-  for (std::uint32_t m = 0; m < stations_.size(); ++m) {
-    const std::uint32_t end = sorted_[offsets_[m] + index_[m]].t_end;
-    if (end < horizon_) calendar_[end % window_].push_back(m);
-  }
-}
-
-void ReplayTraceStream::advance(std::vector<std::uint32_t>& moved) {
-  moved.clear();
-  if (t_ + 1 >= horizon_) {
-    throw std::out_of_range("ReplayTraceStream: advance past horizon");
-  }
-  ++t_;
-  auto& due = calendar_[t_ % window_];
-  std::sort(due.begin(), due.end());
-  for (const std::uint32_t m : due) {
-    ++index_[m];
-    const TraceRecord& record = sorted_[offsets_[m] + index_[m]];
-    if (record.t_end < horizon_) {
-      calendar_[record.t_end % window_].push_back(m);
-    }
-    if (record.station != stations_[m]) {
-      stations_[m] = record.station;
-      moved.push_back(m);
-    }
-  }
-  due.clear();
-}
-
-void ReplayTraceStream::save_cursor(ckpt::ByteWriter& out) const {
-  out.u64(t_);
-  out.u64(index_.size());
-  for (const std::uint32_t idx : index_) out.u32(idx);
-}
-
-void ReplayTraceStream::load_cursor(ckpt::ByteReader& in) {
-  const std::size_t t = static_cast<std::size_t>(in.u64());
-  if (t >= horizon_) {
-    throw ckpt::CorruptPayload("ReplayTraceStream: cursor past horizon");
-  }
-  if (in.u64() != index_.size()) {
-    throw ckpt::CorruptPayload("ReplayTraceStream: device count mismatch");
-  }
-  for (std::uint32_t m = 0; m < index_.size(); ++m) {
-    const std::uint32_t idx = in.u32();
-    if (idx >= offsets_[m + 1] - offsets_[m]) {
-      throw ckpt::CorruptPayload("ReplayTraceStream: record index out of range");
-    }
-    const TraceRecord& record = sorted_[offsets_[m] + idx];
-    if (record.t_start > t || t >= record.t_end) {
-      throw ckpt::CorruptPayload(
-          "ReplayTraceStream: cursor outside record interval");
-    }
-    index_[m] = idx;
-    stations_[m] = record.station;
-  }
-  t_ = t;
-  rebuild_calendar();
-}
-
-std::size_t ReplayTraceStream::memory_bytes() const noexcept {
-  std::size_t calendar_bytes = calendar_.capacity() * sizeof(calendar_[0]);
-  for (const auto& bucket : calendar_) {
-    calendar_bytes += bucket.capacity() * sizeof(std::uint32_t);
-  }
-  return sorted_.capacity() * sizeof(TraceRecord) +
-         (offsets_.capacity() + index_.capacity() + stations_.capacity()) *
-             sizeof(std::uint32_t) +
-         calendar_bytes;
-}
-
-// ---------------------------------------------------------------------------
-// GridMobilityStream
 
 GridMobilityStream::GridMobilityStream(const Config& config) : config_(config) {
   if (config_.num_devices == 0 || config_.num_stations == 0) {
@@ -309,40 +108,6 @@ std::size_t GridMobilityStream::memory_bytes() const noexcept {
   return (stations_.capacity() + next_move_.capacity()) *
              sizeof(std::uint32_t) +
          calendar_bytes;
-}
-
-// ---------------------------------------------------------------------------
-
-Trace materialise_trace(TraceStream& stream, std::size_t horizon) {
-  if (horizon == 0) {
-    throw std::invalid_argument("materialise_trace: zero horizon");
-  }
-  if (stream.t() != 0) {
-    throw std::invalid_argument("materialise_trace: stream not at step 0");
-  }
-  const std::size_t devices = stream.num_devices();
-  Trace trace(devices, stream.num_stations(), horizon);
-  // Buffer runs per device so records land in device-major order — the exact
-  // order generate_trace emits (golden traces depend on it).
-  std::vector<std::vector<TraceRecord>> runs(devices);
-  std::vector<std::uint32_t> current(stream.stations().begin(),
-                                     stream.stations().end());
-  std::vector<std::uint32_t> run_start(devices, 0);
-  std::vector<std::uint32_t> moved;
-  for (std::uint32_t t = 1; t < horizon; ++t) {
-    stream.advance(moved);
-    for (const std::uint32_t m : moved) {
-      runs[m].push_back({m, current[m], run_start[m], t});
-      current[m] = stream.stations()[m];
-      run_start[m] = t;
-    }
-  }
-  for (std::uint32_t m = 0; m < devices; ++m) {
-    runs[m].push_back({m, current[m], run_start[m],
-                       static_cast<std::uint32_t>(horizon)});
-    for (const auto& record : runs[m]) trace.add_record(record);
-  }
-  return trace;
 }
 
 }  // namespace mach::mobility

@@ -1,29 +1,16 @@
-// Streaming device→station association: the O(active-devices) alternative to
-// materialising a full Trace and its dense TraceReplay grid.
+// Streaming device→station association for populations too large to
+// materialise as a Trace and its dense O(M·T) TraceReplay grid.
 //
-// A TraceStream holds the association vector for *one* step at a time and
-// advances in place, reporting only the devices that moved. Memory is O(M)
-// regardless of horizon (a dense replay is O(M·T)), and per-step cost is
-// O(movers) for the calendar-based implementations — the property the
-// million-device scale engine rests on. Every stream exposes a seekable
-// cursor (save_cursor/load_cursor) so checkpoint/resume replays the exact
-// same association sequence bit-for-bit from any step.
-//
-// Implementations:
-//   * ModelTraceStream  — drives a MobilityModel with one RNG stream per
-//     device (the same split_seed(seed, 0x40b1 + m) streams generate_trace
-//     uses), so its per-step associations are bitwise identical to replaying
-//     the materialised trace. O(M) per step; cursor = per-device RNG states.
-//   * ReplayTraceStream — streams an existing Trace's records through a
-//     calendar of end-times without building the dense grid. Validates the
-//     same partition invariants as TraceReplay (no overlap, full coverage)
-//     up front in O(records log records). O(movers) per step.
-//   * GridMobilityStream — synthetic million-device generator. Transitions
-//     are pure hash functions of (seed, device, move-time): no per-device
-//     RNG state exists, so the cursor is just (t, station, next-move) ≈ 8
-//     bytes per device. A calendar ring of due-lists makes a step cost
-//     O(devices whose dwell expires), which at mean dwell d̄ is M/d̄ — far
-//     below M for realistic dwell times.
+// GridMobilityStream holds the association vector for *one* step at a time
+// and advances in place, reporting only the devices that moved. Transitions
+// are pure hash functions of (seed, device, move-time): no per-device RNG
+// state exists, so the cursor (save_cursor/load_cursor) is just (t, station,
+// next-move) ≈ 8 bytes per device, and checkpoint/resume replays the exact
+// same association sequence bit-for-bit from any step. A calendar ring of
+// due-lists makes a step cost O(devices whose dwell expires), which at mean
+// dwell d̄ is M/d̄ — far below M for realistic dwell times. It is the mobility
+// of the million-device scale engine (core/scale_sim.h); paper-scale runs
+// replay a Trace instead (mobility_model.h → trace.h → schedule.h).
 #pragma once
 
 #include <cstdint>
@@ -31,121 +18,13 @@
 #include <vector>
 
 #include "ckpt/bytes.h"
-#include "common/rng.h"
-#include "mobility/mobility_model.h"
-#include "mobility/trace.h"
 
 namespace mach::mobility {
 
-class TraceStream {
- public:
-  virtual ~TraceStream() = default;
-  TraceStream(const TraceStream&) = delete;
-  TraceStream& operator=(const TraceStream&) = delete;
-
-  virtual std::size_t num_devices() const noexcept = 0;
-  virtual std::size_t num_stations() const noexcept = 0;
-
-  /// Current step index (starts at 0).
-  virtual std::size_t t() const noexcept = 0;
-
-  /// Station of every device at the current step.
-  virtual std::span<const std::uint32_t> stations() const noexcept = 0;
-
-  /// Advances to step t()+1. `moved` is cleared and filled with the devices
-  /// whose station changed, in ascending device order.
-  virtual void advance(std::vector<std::uint32_t>& moved) = 0;
-
-  /// Serialises everything needed to continue the stream bit-for-bit.
-  virtual void save_cursor(ckpt::ByteWriter& out) const = 0;
-  /// Restores a cursor saved by the same stream configuration. Throws
-  /// ckpt::CorruptPayload on dimension mismatch.
-  virtual void load_cursor(ckpt::ByteReader& in) = 0;
-
-  /// Bytes of state held per the stream (scale accounting).
-  virtual std::size_t memory_bytes() const noexcept = 0;
-
-  /// Advances until t() == target (target must be >= t()).
-  void seek(std::size_t target);
-
- protected:
-  TraceStream() = default;
-};
-
-/// Drives a MobilityModel one step at a time with the same per-device RNG
-/// streams as generate_trace — associations are bitwise identical to the
-/// materialised trace at every step.
-class ModelTraceStream final : public TraceStream {
- public:
-  ModelTraceStream(MobilityModel& model, std::size_t num_devices,
-                   std::uint64_t seed);
-
-  std::size_t num_devices() const noexcept override { return stations_.size(); }
-  std::size_t num_stations() const noexcept override {
-    return model_.num_stations();
-  }
-  std::size_t t() const noexcept override { return t_; }
-  std::span<const std::uint32_t> stations() const noexcept override {
-    return stations_;
-  }
-  void advance(std::vector<std::uint32_t>& moved) override;
-  void save_cursor(ckpt::ByteWriter& out) const override;
-  void load_cursor(ckpt::ByteReader& in) override;
-  std::size_t memory_bytes() const noexcept override;
-
- private:
-  MobilityModel& model_;
-  std::vector<common::Rng> rngs_;         // one stream per device
-  std::vector<std::uint32_t> stations_;
-  std::size_t t_ = 0;
-};
-
-/// Streams a materialised Trace without the dense O(M·T) replay grid.
-/// Construction groups records per device, validates the partition property
-/// (every device covered by exactly one record at every step), and builds a
-/// calendar of record end-times so a step costs O(devices whose record ends).
-class ReplayTraceStream final : public TraceStream {
- public:
-  explicit ReplayTraceStream(const Trace& trace);
-
-  std::size_t num_devices() const noexcept override { return stations_.size(); }
-  std::size_t num_stations() const noexcept override { return num_stations_; }
-  std::size_t horizon() const noexcept { return horizon_; }
-  std::size_t t() const noexcept override { return t_; }
-  std::span<const std::uint32_t> stations() const noexcept override {
-    return stations_;
-  }
-  /// Advancing past horizon()-1 throws std::out_of_range.
-  void advance(std::vector<std::uint32_t>& moved) override;
-  void save_cursor(ckpt::ByteWriter& out) const override;
-  void load_cursor(ckpt::ByteReader& in) override;
-  std::size_t memory_bytes() const noexcept override;
-
- private:
-  void rebuild_calendar();
-
-  std::size_t num_stations_ = 0;
-  std::size_t horizon_ = 0;
-  // Per-device records, contiguous in time, concatenated; device m's records
-  // occupy [offsets_[m], offsets_[m + 1]).
-  std::vector<TraceRecord> sorted_;
-  std::vector<std::uint32_t> offsets_;
-  std::vector<std::uint32_t> index_;     // current record per device
-  std::vector<std::uint32_t> stations_;
-  // Calendar ring: bucket (end % window_) lists devices whose current record
-  // ends at that step. window_ = max record duration + 1, so due-times never
-  // collide with later wraps.
-  std::vector<std::vector<std::uint32_t>> calendar_;
-  std::size_t window_ = 1;
-  std::size_t t_ = 0;
-};
-
 /// Synthetic mobility over a population too large to materialise: station
 /// choices and dwell times are pure hashes of (seed, device, move-time).
-/// There is no stored RNG state, so a cursor is (t, stations, next_move) —
-/// 8 bytes per device — and two streams with the same config replay
-/// identically from any step.
-class GridMobilityStream final : public TraceStream {
+/// Two streams with the same config replay identically from any step.
+class GridMobilityStream {
  public:
   struct Config {
     std::size_t num_devices = 0;
@@ -158,18 +37,23 @@ class GridMobilityStream final : public TraceStream {
 
   explicit GridMobilityStream(const Config& config);
 
-  std::size_t num_devices() const noexcept override { return stations_.size(); }
-  std::size_t num_stations() const noexcept override {
-    return config_.num_stations;
-  }
-  std::size_t t() const noexcept override { return t_; }
-  std::span<const std::uint32_t> stations() const noexcept override {
-    return stations_;
-  }
-  void advance(std::vector<std::uint32_t>& moved) override;
-  void save_cursor(ckpt::ByteWriter& out) const override;
-  void load_cursor(ckpt::ByteReader& in) override;
-  std::size_t memory_bytes() const noexcept override;
+  /// Current step index (starts at 0).
+  std::size_t t() const noexcept { return t_; }
+  /// Station of every device at the current step.
+  std::span<const std::uint32_t> stations() const noexcept { return stations_; }
+
+  /// Advances to step t()+1. `moved` is cleared and filled with the devices
+  /// whose station changed, in ascending device order.
+  void advance(std::vector<std::uint32_t>& moved);
+
+  /// Serialises everything needed to continue the stream bit-for-bit.
+  void save_cursor(ckpt::ByteWriter& out) const;
+  /// Restores a cursor saved by the same configuration. Throws
+  /// ckpt::CorruptPayload on a dimension mismatch or an out-of-range field.
+  void load_cursor(ckpt::ByteReader& in);
+
+  /// Bytes of state the stream holds (scale accounting).
+  std::size_t memory_bytes() const noexcept;
 
   /// Fixed per-device state: one station id + one next-move step.
   static constexpr std::size_t bytes_per_device() noexcept {
@@ -192,10 +76,5 @@ class GridMobilityStream final : public TraceStream {
   std::size_t window_ = 2;
   std::size_t t_ = 0;
 };
-
-/// Materialises `horizon` steps of a stream into a Trace (device-major record
-/// order, matching generate_trace). Intended for paper-scale use and tests;
-/// at million-device scale consume the stream directly.
-Trace materialise_trace(TraceStream& stream, std::size_t horizon);
 
 }  // namespace mach::mobility

@@ -153,11 +153,9 @@ Trace discretize_telecom_records(const std::vector<TelecomRecord>& records,
 std::vector<TelecomRecord> read_telecom_csv(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("read_telecom_csv: cannot open " + path);
-  std::vector<TelecomRecord> records;
-  std::string line;
-  std::getline(in, line);  // header
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
+  // Throws std::runtime_error on a line without four fields, and
+  // std::invalid_argument/std::out_of_range on a bad id or timestamp.
+  const auto parse = [](const std::string& line) {
     std::stringstream ss(line);
     std::string device, station, start, end;
     if (!std::getline(ss, device, ',') || !std::getline(ss, station, ',') ||
@@ -169,7 +167,28 @@ std::vector<TelecomRecord> read_telecom_csv(const std::string& path) {
     record.station = static_cast<std::uint32_t>(std::stoul(station));
     record.start_time = parse_telecom_timestamp(start);
     record.end_time = parse_telecom_timestamp(end);
-    records.push_back(record);
+    return record;
+  };
+  std::vector<TelecomRecord> records;
+  std::string line;
+  if (std::getline(in, line)) {
+    // The header is required: skipping a first line that is a session would
+    // drop it without a word, and the discretiser's gap filling would hide
+    // the loss.
+    bool is_record = true;
+    try {
+      parse(line);
+    } catch (const std::exception&) {
+      is_record = false;
+    }
+    if (is_record) {
+      throw std::runtime_error("read_telecom_csv: missing header at line 1: " +
+                               line);
+    }
+  }
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    records.push_back(parse(line));
   }
   return records;
 }

@@ -58,7 +58,8 @@ struct TelecomImportOptions {
 Trace discretize_telecom_records(const std::vector<TelecomRecord>& records,
                                  const TelecomImportOptions& options);
 
-/// Reads "device_id,station_id,start,end" CSV (header required).
+/// Reads "device_id,station_id,start,end" CSV. The header is required: a
+/// first line that parses as a session throws, naming line 1.
 std::vector<TelecomRecord> read_telecom_csv(const std::string& path);
 
 /// Writes records in the same schema.

@@ -42,20 +42,28 @@ Trace Trace::read_csv(const std::string& path, std::size_t num_devices,
   if (!in) throw std::runtime_error("Trace::read_csv: cannot open " + path);
   Trace trace(num_devices, num_stations, horizon);
   std::string line;
-  std::getline(in, line);  // header
-  std::size_t line_no = 1;
+  std::size_t line_no = 0;
   const auto fail = [&](const std::string& what) {
     throw std::runtime_error("Trace::read_csv: " + what + " at line " +
                              std::to_string(line_no) + ": " + line);
   };
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
+  const auto parse = [&](TraceRecord& r) {
     std::istringstream ss(line);
-    TraceRecord r;
     char comma = 0;
     ss >> r.device >> comma >> r.station >> comma >> r.t_start >> comma >> r.t_end;
-    if (!ss) fail("malformed record");
+    return static_cast<bool>(ss);
+  };
+  while (std::getline(in, line)) {
+    ++line_no;
+    TraceRecord r;
+    if (line_no == 1) {
+      // The header is required: skipping a first line that is a record
+      // would drop that record without a word.
+      if (parse(r)) fail("missing header");
+      continue;
+    }
+    if (line.empty()) continue;
+    if (!parse(r)) fail("malformed record");
     // Validate here (not just in add_record) so a bad file reports the line
     // that broke instead of silently corrupting replay downstream.
     if (r.device >= num_devices) fail("device id out of range");

@@ -39,7 +39,8 @@ class Trace {
 
   /// Serialises to a simple CSV (device,station,t_start,t_end).
   bool write_csv(const std::string& path) const;
-  /// Parses a CSV produced by write_csv.
+  /// Parses a CSV produced by write_csv. Its header line is required: a
+  /// first line that parses as a record throws, naming line 1.
   static Trace read_csv(const std::string& path, std::size_t num_devices,
                         std::size_t num_stations, std::size_t horizon);
 

@@ -3,14 +3,13 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 
 #include "ckpt/bytes.h"
 #include "ckpt/crc32.h"
+#include "ckpt/file.h"
 #include "common/log.h"
 
 namespace mach::sweep {
@@ -22,33 +21,6 @@ constexpr std::size_t kFrameHeader = 4 + 4;  // payload length + CRC
 // A journal record is a few hundred bytes; anything claiming more is a
 // corrupt length field, not a record.
 constexpr std::uint32_t kMaxPayload = 1u << 20;
-
-[[noreturn]] void throw_errno(const std::string& what, const std::string& path) {
-  const int err = errno;
-  throw std::runtime_error(what + " " + path + ": " + std::strerror(err));
-}
-
-void write_all(int fd, const std::uint8_t* data, std::size_t size,
-               const std::string& path) {
-  std::size_t done = 0;
-  while (done < size) {
-    const ssize_t n = ::write(fd, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("sweep journal: cannot write", path);
-    }
-    done += static_cast<std::size_t>(n);
-  }
-}
-
-void fsync_dir_of(const std::string& path) {
-  const std::string dir =
-      std::filesystem::path(path).parent_path().string();
-  const int fd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY);
-  if (fd < 0) return;  // best effort, matching ckpt/file.cpp
-  ::fsync(fd);
-  ::close(fd);
-}
 
 std::vector<std::uint8_t> encode(const JournalRecord& record) {
   ckpt::ByteWriter payload;
@@ -140,31 +112,13 @@ SweepJournal::SweepJournal(std::string path) : path_(std::move(path)) {
       common::log_warn("sweep journal: dropping ", repaired_bytes_,
                        " torn tail byte(s) from ", path_);
     }
-    const std::string tmp = path_ + ".tmp." + std::to_string(::getpid());
-    const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-    if (fd < 0) throw_errno("sweep journal: cannot create", tmp);
-    try {
-      if (valid == 0) {
-        write_all(fd, kMagic, sizeof(kMagic), tmp);
-      } else {
-        write_all(fd, raw.data(), valid, tmp);
-      }
-      if (::fsync(fd) != 0) throw_errno("sweep journal: fsync failed for", tmp);
-    } catch (...) {
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      throw;
-    }
-    ::close(fd);
-    if (::rename(tmp.c_str(), path_.c_str()) != 0) {
-      ::unlink(tmp.c_str());
-      throw_errno("sweep journal: rename failed for", path_);
-    }
-    fsync_dir_of(path_);
+    ckpt::write_durable_file(
+        path_, {valid == 0 ? std::span<const std::uint8_t>(kMagic)
+                           : std::span<const std::uint8_t>(raw.data(), valid)});
   }
 
   fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND);
-  if (fd_ < 0) throw_errno("sweep journal: cannot open for append", path_);
+  if (fd_ < 0) ckpt::throw_errno("sweep journal: cannot open for append", path_);
 }
 
 SweepJournal::~SweepJournal() {
@@ -180,8 +134,10 @@ void SweepJournal::append(const JournalRecord& record) {
   bytes.insert(bytes.end(), payload.begin(), payload.end());
   // One write, one fsync: either the whole frame is durable or replay drops
   // it as a torn tail — never a half-applied state transition.
-  write_all(fd_, bytes.data(), bytes.size(), path_);
-  if (::fsync(fd_) != 0) throw_errno("sweep journal: fsync failed for", path_);
+  ckpt::write_all(fd_, bytes, path_);
+  if (::fsync(fd_) != 0) {
+    ckpt::throw_errno("sweep journal: fsync failed for", path_);
+  }
   fold(record);
   records_.push_back(record);
 }

@@ -6,9 +6,9 @@
 // being a ckpt::ByteWriter blob. Every append is a single write(2) followed
 // by fsync, so a record is either fully durable or part of a torn tail; on
 // open, replay stops at the first frame that is short, CRC-corrupt or
-// undecodable, and the valid prefix is rewritten through the standard
-// temp + fsync + rename dance (the same discipline as checkpoint files) so
-// the next append lands on a clean end-of-file.
+// undecodable, and the valid prefix is rewritten through
+// ckpt::write_durable_file (temp + fsync + rename, the writer of checkpoint
+// files) so the next append lands on a clean end-of-file.
 //
 // Replay folds records into one PointState per config fingerprint. Records
 // also carry the full canonical config string, so a restarted sweep can

@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "ckpt/file.h"
 #include "common/log.h"
 #include "obs/heartbeat.h"
 #include "obs/json.h"
@@ -39,42 +40,6 @@ double steady_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-[[noreturn]] void throw_errno(const std::string& what, const std::string& path) {
-  const int err = errno;
-  throw std::runtime_error(what + " " + path + ": " + std::strerror(err));
-}
-
-void write_file_atomic(const std::string& path, std::string_view content) {
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) throw_errno("sweep: cannot create", tmp);
-  std::size_t done = 0;
-  while (done < content.size()) {
-    const ssize_t n = ::write(fd, content.data() + done, content.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      throw_errno("sweep: cannot write", tmp);
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0 || ::close(fd) != 0) {
-    ::unlink(tmp.c_str());
-    throw_errno("sweep: fsync/close failed for", tmp);
-  }
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    throw_errno("sweep: rename failed for", path);
-  }
-  const std::string dir = fs::path(path).parent_path().string();
-  const int dfd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY);
-  if (dfd >= 0) {
-    ::fsync(dfd);
-    ::close(dfd);
-  }
 }
 
 /// Accuracy metrics recovered from a completed run's curve.csv (header:
@@ -484,7 +449,10 @@ SweepResult Supervisor::run() {
   if (result.pending == 0) {
     const std::string report = render_report(spec_, journal_, runs_dir_);
     result.report_path = (fs::path(options_.out_dir) / "report.json").string();
-    write_file_atomic(result.report_path, report);
+    ckpt::write_durable_file(
+        result.report_path,
+        {std::span(reinterpret_cast<const std::uint8_t*>(report.data()),
+                   report.size())});
   }
   return result;
 }

@@ -1,13 +1,17 @@
 // Checkpoint file-format and directory-manager coverage: atomic write/read
 // round-trips, torn-file detection (short header, truncated payload, flipped
-// bits vs CRC), keep-K garbage collection, the corrupt-latest fallback and
-// the version rule (snapshots of another payload version are skipped).
+// bits vs CRC), failed writes that leave no temp file, keep-K garbage
+// collection, the corrupt-latest fallback and the version rule (snapshots of
+// another payload version are skipped).
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -119,6 +123,41 @@ TEST(CheckpointFile, BitFlipInPayloadFailsTheCrc) {
   EXPECT_FALSE(read_checkpoint_file(path, &error).has_value());
   EXPECT_NE(error.find("CRC"), std::string::npos) << error;
   std::remove(path.c_str());
+}
+
+std::ptrdiff_t entries_in(const std::string& dir) {
+  return std::distance(fs::directory_iterator(dir), fs::directory_iterator());
+}
+
+TEST(CheckpointFile, WriteIntoAMissingDirectoryThrowsAndLeavesNoTemp) {
+  const std::string dir =
+      fresh_dir("ckpt_missing_" + std::to_string(::getpid()));
+  const std::string path = dir + "/snap.mach";
+  try {
+    write_checkpoint_file(path, 1, payload_of({1, 2, 3}));
+    ADD_FAILURE() << "wrote into a missing directory";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path + ".tmp."), std::string::npos)
+        << e.what();
+  }
+  // Nothing was created: neither the directory nor a temp file in it.
+  EXPECT_FALSE(fs::exists(dir));
+}
+
+TEST(CheckpointFile, FailedRenameClosesAndUnlinksTheTemp) {
+  // A non-empty directory at the target makes rename(2) fail after the temp
+  // file was written, fsync'd and closed.
+  const std::string dir = fresh_dir("ckpt_rename_" + std::to_string(::getpid()));
+  const std::string path = dir + "/snap.mach";
+  fs::create_directories(path + "/occupied");
+  const std::ptrdiff_t descriptors = entries_in("/proc/self/fd");
+  EXPECT_THROW(write_checkpoint_file(path, 1, payload_of({1, 2, 3})),
+               std::runtime_error);
+  EXPECT_EQ(entries_in("/proc/self/fd"), descriptors);
+  // Only the occupied target is left: no temp file survives.
+  EXPECT_EQ(entries_in(dir), 1);
+  EXPECT_TRUE(fs::is_directory(path));
+  fs::remove_all(dir);
 }
 
 TEST(CheckpointManager, EmptyDirIsRejected) {

@@ -87,28 +87,6 @@ TEST(MobilitySchedule, FromTraceMapsThroughClustering) {
   EXPECT_EQ(schedule.edge_of(2, 1), 0u);
 }
 
-TEST(MobilitySchedule, FromStreamMatchesFromTrace) {
-  StationLayoutSpec layout;
-  layout.num_stations = 12;
-  auto stations = generate_stations(layout, 4);
-  const auto clustering = cluster_stations(stations, 3, 4);
-  MarkovMobilityModel model_a(stations, 0.5, 10.0);
-  MarkovMobilityModel model_b(stations, 0.5, 10.0);
-  const Trace trace = generate_trace(model_a, 20, 25, 4);
-  const TraceReplay replay(trace);
-  const auto dense = MobilitySchedule::from_trace(replay, clustering);
-  ModelTraceStream stream(model_b, 20, 4);
-  const auto streamed = MobilitySchedule::from_stream(stream, clustering, 25);
-  ASSERT_EQ(streamed.num_edges(), dense.num_edges());
-  ASSERT_EQ(streamed.horizon(), dense.horizon());
-  for (std::size_t t = 0; t < 25; ++t) {
-    for (std::size_t m = 0; m < 20; ++m) {
-      ASSERT_EQ(streamed.edge_of(t, m), dense.edge_of(t, m))
-          << "t=" << t << " device=" << m;
-    }
-  }
-}
-
 TEST(MobilitySchedule, DevicesPerEdgeIntoMatchesAllocatingVersion) {
   common::Rng rng(3);
   const auto schedule = MobilitySchedule::uniform_random(4, 30, 6, rng);

@@ -1,159 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "ckpt/bytes.h"
-#include "common/rng.h"
-#include "mobility/mobility_model.h"
-#include "mobility/stations.h"
 #include "mobility/stream.h"
-#include "mobility/trace.h"
 
 namespace mach::mobility {
 namespace {
-
-std::vector<Point> test_stations(std::size_t count, std::uint64_t seed) {
-  common::Rng rng(seed);
-  std::vector<Point> points(count);
-  for (auto& p : points) p = {rng.uniform(0.0, 10.0), rng.uniform(0.0, 10.0)};
-  return points;
-}
-
-TEST(ModelTraceStream, MatchesGenerateTraceAtEveryStep) {
-  constexpr std::size_t kDevices = 23;
-  constexpr std::size_t kHorizon = 60;
-  MarkovMobilityModel model(test_stations(7, 11), 0.6, 3.0);
-  const Trace trace = generate_trace(model, kDevices, kHorizon, 42);
-  const TraceReplay replay(trace);
-
-  MarkovMobilityModel stream_model(test_stations(7, 11), 0.6, 3.0);
-  ModelTraceStream stream(stream_model, kDevices, 42);
-  std::vector<std::uint32_t> moved;
-  for (std::size_t t = 0; t < kHorizon; ++t) {
-    if (t > 0) stream.advance(moved);
-    for (std::size_t m = 0; m < kDevices; ++m) {
-      ASSERT_EQ(stream.stations()[m], replay.station_of(t, m))
-          << "t=" << t << " device=" << m;
-    }
-  }
-}
-
-TEST(ModelTraceStream, MaterialiseReproducesGenerateTraceBitwise) {
-  MarkovMobilityModel model_a(test_stations(5, 3), 0.5, 2.0);
-  MarkovMobilityModel model_b(test_stations(5, 3), 0.5, 2.0);
-  const Trace direct = generate_trace(model_a, 12, 40, 7);
-  ModelTraceStream stream(model_b, 12, 7);
-  const Trace streamed = materialise_trace(stream, 40);
-  ASSERT_EQ(direct.records().size(), streamed.records().size());
-  for (std::size_t i = 0; i < direct.records().size(); ++i) {
-    EXPECT_EQ(direct.records()[i].device, streamed.records()[i].device);
-    EXPECT_EQ(direct.records()[i].station, streamed.records()[i].station);
-    EXPECT_EQ(direct.records()[i].t_start, streamed.records()[i].t_start);
-    EXPECT_EQ(direct.records()[i].t_end, streamed.records()[i].t_end);
-  }
-}
-
-TEST(ModelTraceStream, CursorRoundTripContinuesBitwise) {
-  MarkovMobilityModel model(test_stations(6, 5), 0.55, 2.5);
-  MarkovMobilityModel model_copy(test_stations(6, 5), 0.55, 2.5);
-  ModelTraceStream live(model, 15, 9);
-  live.seek(17);
-  ckpt::ByteWriter cursor;
-  live.save_cursor(cursor);
-
-  ModelTraceStream restored(model_copy, 15, 9);
-  ckpt::ByteReader in(cursor.data());
-  restored.load_cursor(in);
-  EXPECT_EQ(restored.t(), 17u);
-
-  std::vector<std::uint32_t> moved_a;
-  std::vector<std::uint32_t> moved_b;
-  for (int step = 0; step < 25; ++step) {
-    live.advance(moved_a);
-    restored.advance(moved_b);
-    ASSERT_EQ(moved_a, moved_b) << "step " << step;
-    for (std::size_t m = 0; m < 15; ++m) {
-      ASSERT_EQ(live.stations()[m], restored.stations()[m]);
-    }
-  }
-}
-
-TEST(ReplayTraceStream, MatchesDenseReplayAtEveryStep) {
-  HomeBiasedWaypointModel model(test_stations(8, 21), 17, 0.4, 0.3, 3.0, 5);
-  const Trace trace = generate_trace(model, 17, 50, 5);
-  const TraceReplay dense(trace);
-  ReplayTraceStream stream(trace);
-  std::vector<std::uint32_t> moved;
-  for (std::size_t t = 0; t < 50; ++t) {
-    if (t > 0) stream.advance(moved);
-    for (std::size_t m = 0; m < 17; ++m) {
-      ASSERT_EQ(stream.stations()[m], dense.station_of(t, m))
-          << "t=" << t << " device=" << m;
-    }
-  }
-}
-
-TEST(ReplayTraceStream, MovedListsAreAscendingAndExact) {
-  MarkovMobilityModel model(test_stations(4, 2), 0.3, 2.0);
-  const Trace trace = generate_trace(model, 9, 30, 13);
-  const TraceReplay dense(trace);
-  ReplayTraceStream stream(trace);
-  std::vector<std::uint32_t> moved;
-  for (std::size_t t = 1; t < 30; ++t) {
-    stream.advance(moved);
-    std::vector<std::uint32_t> expected;
-    for (std::uint32_t m = 0; m < 9; ++m) {
-      if (dense.station_of(t, m) != dense.station_of(t - 1, m)) {
-        expected.push_back(m);
-      }
-    }
-    ASSERT_EQ(moved, expected) << "t=" << t;
-  }
-}
-
-TEST(ReplayTraceStream, ValidatesPartitionLikeDenseReplay) {
-  Trace gap(2, 3, 10);
-  gap.add_record({0, 1, 0, 10});
-  gap.add_record({1, 2, 0, 4});  // device 1 uncovered from t=4
-  EXPECT_THROW(ReplayTraceStream{gap}, std::invalid_argument);
-
-  Trace overlap(1, 3, 6);
-  overlap.add_record({0, 0, 0, 4});
-  overlap.add_record({0, 1, 3, 6});
-  EXPECT_THROW(ReplayTraceStream{overlap}, std::invalid_argument);
-
-  Trace ok(1, 3, 6);
-  ok.add_record({0, 0, 0, 4});
-  ok.add_record({0, 1, 4, 6});
-  EXPECT_NO_THROW(ReplayTraceStream{ok});
-}
-
-TEST(ReplayTraceStream, CursorRoundTripContinuesBitwise) {
-  MarkovMobilityModel model(test_stations(6, 8), 0.5, 2.0);
-  const Trace trace = generate_trace(model, 11, 40, 3);
-  ReplayTraceStream live(trace);
-  live.seek(19);
-  ckpt::ByteWriter cursor;
-  live.save_cursor(cursor);
-
-  ReplayTraceStream restored(trace);
-  ckpt::ByteReader in(cursor.data());
-  restored.load_cursor(in);
-  EXPECT_EQ(restored.t(), 19u);
-
-  std::vector<std::uint32_t> moved_a;
-  std::vector<std::uint32_t> moved_b;
-  for (std::size_t t = 20; t < 40; ++t) {
-    live.advance(moved_a);
-    restored.advance(moved_b);
-    ASSERT_EQ(moved_a, moved_b) << "t=" << t;
-    for (std::size_t m = 0; m < 11; ++m) {
-      ASSERT_EQ(live.stations()[m], restored.stations()[m]);
-    }
-  }
-  EXPECT_THROW(live.advance(moved_a), std::out_of_range);
-}
 
 TEST(GridMobilityStream, DeterministicAcrossInstances) {
   const GridMobilityStream::Config config{
@@ -197,7 +52,8 @@ TEST(GridMobilityStream, CursorRoundTripContinuesBitwise) {
       .num_devices = 300, .num_stations = 25, .seed = 19,
       .min_dwell = 1, .max_dwell = 7};
   GridMobilityStream live(config);
-  live.seek(33);
+  std::vector<std::uint32_t> moved;
+  for (int step = 0; step < 33; ++step) live.advance(moved);
   ckpt::ByteWriter cursor;
   live.save_cursor(cursor);
   // Cursor stays at the fixed per-device budget: t + count + 8B per device.

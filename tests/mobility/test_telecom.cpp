@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "mobility/stations.h"
 
@@ -126,6 +129,40 @@ TEST(TelecomCsv, RoundTrip) {
 
 TEST(TelecomCsv, MissingFileThrows) {
   EXPECT_THROW(read_telecom_csv("/no/such.csv"), std::runtime_error);
+}
+
+TEST(TelecomCsv, RejectsAMissingHeader) {
+  // Device 0 at station 1 for steps 0-2 and at station 2 for steps 3-5.
+  // Read without its header, the first session would be skipped as one and
+  // gap filling would put device 0 at station 2 for all six steps.
+  const std::string sessions =
+      "0,1,2014-06-01 00:00:00,2014-06-01 03:00:00\n"
+      "0,2,2014-06-01 03:00:00,2014-06-01 06:00:00\n"
+      "1,0,2014-06-01 00:00:00,2014-06-01 06:00:00\n";
+  const std::string path =
+      testing::TempDir() + "telecom_no_header_" + std::to_string(::getpid()) +
+      ".csv";
+  {
+    std::ofstream out(path);
+    out << sessions;
+  }
+  try {
+    read_telecom_csv(path);
+    ADD_FAILURE() << "a header-less file was read";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 1"), std::string::npos)
+        << e.what();
+  }
+  {
+    std::ofstream out(path);
+    out << "device_id,station_id,start_time,end_time\n" << sessions;
+  }
+  const auto records = read_telecom_csv(path);
+  ASSERT_EQ(records.size(), 3u);
+  const TraceReplay replay(discretize_telecom_records(records, small_options()));
+  EXPECT_EQ(replay.station_of(2, 0), 1u);
+  EXPECT_EQ(replay.station_of(3, 0), 2u);
+  std::remove(path.c_str());
 }
 
 TEST(TelecomPipeline, SynthesizeDiscretizeRoundTrip) {

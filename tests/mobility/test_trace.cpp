@@ -6,6 +6,7 @@
 #include <fstream>
 #include <string>
 
+#include "ckpt/run_state.h"
 #include "mobility/mobility_model.h"
 #include "mobility/stations.h"
 
@@ -92,10 +93,12 @@ TEST(Trace, MeanDwellOfEmptyTraceIsZero) {
 }
 
 namespace {
-std::string write_lines(const std::string& name, const std::string& body) {
+std::string write_lines(const std::string& name, const std::string& body,
+                        bool header = true) {
   const std::string path = testing::TempDir() + name;
   std::ofstream out(path);
-  out << "device,station,t_start,t_end\n" << body;
+  if (header) out << "device,station,t_start,t_end\n";
+  out << body;
   return path;
 }
 
@@ -114,6 +117,7 @@ TEST(Trace, ReadCsvRejectsBadRecordsWithLineContext) {
     const char* name;
     const char* body;
     const char* expect;  // substring of the error message
+    bool header = true;
   };
   const Case cases[] = {
       {"empty_interval.csv", "0,1,0,4\n1,2,5,5\n", "t_end <= t_start"},
@@ -122,9 +126,12 @@ TEST(Trace, ReadCsvRejectsBadRecordsWithLineContext) {
       {"bad_station.csv", "0,7,0,4\n", "station id out of range"},
       {"past_horizon.csv", "0,1,0,99\n", "past the horizon"},
       {"garbage.csv", "0,1,zero,4\n", "malformed record"},
+      // Without its header the first record would be skipped as one.
+      {"no_header.csv", "0,1,0,4\n0,2,4,16\n", "missing header at line 1",
+       false},
   };
   for (const auto& c : cases) {
-    const std::string path = write_lines(c.name, c.body);
+    const std::string path = write_lines(c.name, c.body, c.header);
     const std::string error = read_csv_error(path);
     EXPECT_NE(error.find(c.expect), std::string::npos)
         << c.name << ": " << error;
@@ -227,6 +234,36 @@ TEST(GenerateTrace, ZeroHorizonThrows) {
   const std::vector<Point> stations = {{0, 0}};
   MarkovMobilityModel model(stations, 0.5, 1.0);
   EXPECT_THROW(generate_trace(model, 1, 0, 1), std::invalid_argument);
+}
+
+/// One ckpt::hash_u64 chain over every record's (device, station, t_start,
+/// t_end), in record order.
+std::uint64_t records_digest(const Trace& trace) {
+  std::uint64_t h = ckpt::kHashSeed;
+  for (const auto& r : trace.records()) {
+    h = ckpt::hash_u64(h, r.device);
+    h = ckpt::hash_u64(h, r.station);
+    h = ckpt::hash_u64(h, r.t_start);
+    h = ckpt::hash_u64(h, r.t_end);
+  }
+  return h;
+}
+
+TEST(GenerateTrace, RecordsArePinned) {
+  // Recorded values: a change to the per-device RNG streams, their draw
+  // order or the device-major record order moves them (and with them every
+  // golden run, whose schedule is replayed from these records).
+  StationLayoutSpec layout;
+  layout.num_stations = 20;
+  const auto stations = generate_stations(layout, 9);
+  MarkovMobilityModel markov(stations, 0.7, 20.0);
+  EXPECT_EQ(records_digest(generate_trace(markov, 60, 80, 3)), 0xbf8862686b0701faULL);
+  HomeBiasedWaypointModel waypoint(stations, 40, 0.4, 0.3, 20.0, 5);
+  EXPECT_EQ(records_digest(generate_trace(waypoint, 40, 120, 5)), 0xaddfb1b8f1e7d76dULL);
+  // Horizon 1: one record per device, from the initial draw alone.
+  const Trace single = generate_trace(markov, 25, 1, 11);
+  EXPECT_EQ(single.records().size(), 25u);
+  EXPECT_EQ(records_digest(single), 0x2922d5ab93748f8aULL);
 }
 
 }  // namespace
