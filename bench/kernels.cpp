@@ -17,12 +17,14 @@
 // convolutions run whole blocks of images in the vector lanes, so these
 // show what a partial block costs. Layer rows also carry ms per call.
 // Codec rows time the int8 transcode of a whole model message (the fleet MLP
-// and the CIFAR CNN) against the codec's scalar reference, in us per call;
-// their variant is the codec's compile-time path (sse2 or scalar). Fleet
+// and the CIFAR CNN) per variant, the codec's wire rule on that variant's
+// int8 entries, against the codec's scalar reference, in us per call. Fleet
 // rows time, per variant and in us per call, the fleet MLP's Dense GEMMs at
 // the local step's batch of 4 and the MACH-P probe's 16, and one 8-lane
 // squared_norms call over 2,410-parameter gradients against eight serial
-// squared_norm chains.
+// squared_norm chains. Update rows time one sgd_step and one axpy over a
+// whole model (2,410 and 14,938 floats) per variant against the naive
+// loops, in us per call.
 // Results are printed as a table and written as BENCH_kernels.json.
 //
 //   ./kernels [--min_ms 150] [--out BENCH_kernels.json]
@@ -59,7 +61,7 @@ namespace kern = tensor::kernels;
 
 enum class Op {
   Nn, Tn, Nt, ConvFwd, ConvBwd, ConvBwdNoDx, PoolFwd, PoolBwd, BlockFwd,
-  BlockBwd, Int8Encode, Int8Decode, GradNorms
+  BlockBwd, Int8Encode, Int8Decode, GradNorms, SgdStep, Axpy
 };
 
 struct Case {
@@ -100,6 +102,8 @@ const char* op_name(Op op) {
     case Op::Int8Encode: return "int8_encode";
     case Op::Int8Decode: return "int8_decode";
     case Op::GradNorms: return "grad_norms";
+    case Op::SgdStep: return "sgd_step";
+    case Op::Axpy: return "axpy";
   }
   return "?";
 }
@@ -602,68 +606,153 @@ void block_rows(double min_ms, common::Rng& rng, std::vector<Result>& results) {
   }
 }
 
-/// int8 encode and decode of one model message, production path against
-/// the scalar reference, at the parameter counts of the fleet MLP and the
-/// CIFAR CNN. Each call takes the next of kInputs distinct tensors.
-void codec_rows(double min_ms, common::Rng& rng, std::vector<Result>& results) {
-#if defined(__SSE2__)
-  const std::string path = "sse2";
-#else
-  const std::string path = "scalar";
-#endif
+/// The parameter counts of the fleet MLP and the CIFAR CNN: one model
+/// message, one optimiser step.
+const std::vector<std::pair<std::string, std::size_t>>& bench_models() {
+  static const std::vector<std::pair<std::string, std::size_t>> models = {
+      {"bench_fleet", 2410}, {"bench_cifar", 14938}};
+  return models;
+}
+
+/// A row in us per call.
+Result per_call_row(const std::string& name, Op op, std::size_t count,
+                    const kern::detail::GemmVariant& variant, bool exact,
+                    const PairTiming& t) {
+  Result r;
+  r.shape = {name, "bench", op, count, 1, 1};
+  r.variant = common::gemm_isa_name(variant.isa);
+  r.exact = exact;
+  r.speedup = t.speedup();
+  r.ref_us = t.ref_s * 1e6;
+  r.blocked_us = t.run_s * 1e6;
+  return r;
+}
+
+/// int8 encode and decode of one model message per variant (the codec's
+/// wire rule on that variant's int8 entries) against the scalar reference.
+/// Each call takes the next of kInputs distinct tensors.
+void codec_rows(const std::vector<const kern::detail::GemmVariant*>& variants,
+                double min_ms, common::Rng& rng, std::vector<Result>& results) {
   constexpr std::size_t kInputs = 4;
-  const auto codec = comm::make_codec({.kind = comm::CodecKind::Int8});
-  const std::vector<std::pair<std::string, std::size_t>> models = {
-      {"bench_fleet_int8", 2410}, {"bench_cifar_int8", 14938}};
-  for (const auto& [name, count] : models) {
+  for (const auto& [model, count] : bench_models()) {
     std::vector<std::vector<float>> inputs(kInputs, std::vector<float>(count));
     for (auto& input : inputs) {
       for (auto& v : input) v = static_cast<float>(rng.normal() * 0.05);
     }
     std::vector<comm::Encoded> wires(kInputs);
-    bool encode_exact = true, decode_exact = true;
+    std::vector<std::vector<float>> decoded(kInputs);
     for (std::size_t i = 0; i < kInputs; ++i) {
-      comm::Encoded want;
-      codec->encode(inputs[i], {}, {}, wires[i]);
-      comm::detail::int8_encode_reference(inputs[i], want);
-      encode_exact = encode_exact && wires[i].bytes == want.bytes;
-      std::vector<float> got_out, want_out;
-      codec->decode(wires[i], count, {}, got_out);
-      comm::detail::int8_decode_reference(wires[i], count, want_out);
-      decode_exact = decode_exact &&
-                     std::memcmp(got_out.data(), want_out.data(),
-                                 count * sizeof(float)) == 0;
+      comm::detail::int8_encode_reference(inputs[i], wires[i]);
+      comm::detail::int8_decode_reference(wires[i], count, decoded[i]);
     }
     comm::Encoded wire;
     std::vector<float> out;
     std::size_t next = 0;
-    for (bool encode : {true, false}) {
-      const auto reference = [&] {
-        const std::size_t i = next++ % kInputs;
-        if (encode) {
-          comm::detail::int8_encode_reference(inputs[i], wire);
-        } else {
-          comm::detail::int8_decode_reference(wires[i], count, out);
-        }
-      };
-      const auto run = [&] {
-        const std::size_t i = next++ % kInputs;
-        if (encode) {
-          codec->encode(inputs[i], {}, {}, wire);
-        } else {
-          codec->decode(wires[i], count, {}, out);
-        }
-      };
-      Result r;
-      r.shape = {name + (encode ? "_encode" : "_decode"), "bench",
-                 encode ? Op::Int8Encode : Op::Int8Decode, count, 1, 1};
-      r.variant = path;
-      r.exact = encode ? encode_exact : decode_exact;
-      const PairTiming t = time_pair(reference, run, min_ms);
-      r.speedup = t.speedup();
-      r.ref_us = t.ref_s * 1e6;
-      r.blocked_us = t.run_s * 1e6;
-      results.push_back(r);
+    for (const auto* variant : variants) {
+      bool encode_exact = true, decode_exact = true;
+      for (std::size_t i = 0; i < kInputs; ++i) {
+        comm::detail::int8_encode(*variant, inputs[i], wire);
+        encode_exact = encode_exact && wire.bytes == wires[i].bytes;
+        comm::detail::int8_decode(*variant, wires[i], count, out);
+        decode_exact = decode_exact &&
+                       std::memcmp(out.data(), decoded[i].data(),
+                                   count * sizeof(float)) == 0;
+      }
+      for (bool encode : {true, false}) {
+        const auto reference = [&] {
+          const std::size_t i = next++ % kInputs;
+          if (encode) {
+            comm::detail::int8_encode_reference(inputs[i], wire);
+          } else {
+            comm::detail::int8_decode_reference(wires[i], count, out);
+          }
+        };
+        const auto run = [&] {
+          const std::size_t i = next++ % kInputs;
+          if (encode) {
+            comm::detail::int8_encode(*variant, inputs[i], wire);
+          } else {
+            comm::detail::int8_decode(*variant, wires[i], count, out);
+          }
+        };
+        results.push_back(per_call_row(
+            model + (encode ? "_int8_encode" : "_int8_decode"),
+            encode ? Op::Int8Encode : Op::Int8Decode, count, *variant,
+            encode ? encode_exact : decode_exact,
+            time_pair(reference, run, min_ms)));
+      }
+    }
+  }
+}
+
+/// The naive loops the optimiser and aggregation entries replaced
+/// (nn/sgd.cpp, hfl/simulator.cpp).
+void naive_sgd_step(std::size_t n, float lr, float weight_decay,
+                    const float* grad, float* value) {
+  for (std::size_t j = 0; j < n; ++j) {
+    value[j] -= lr * (grad[j] + weight_decay * value[j]);
+  }
+}
+
+void naive_axpy(std::size_t n, float alpha, const float* x, float* y) {
+  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
+}
+
+/// One sgd_step and one axpy over a whole model per variant, against the
+/// naive loops. Both update in place, so each side keeps its own state and
+/// alternates signs (the values stay bounded). Exactness compares one call
+/// of each from the same state.
+void update_rows(const std::vector<const kern::detail::GemmVariant*>& variants,
+                 double min_ms, common::Rng& rng,
+                 std::vector<Result>& results) {
+  const float lr = 0.05f, decay = 1e-4f;
+  for (const auto& [model, count] : bench_models()) {
+    std::vector<float> grad(count), start(count);
+    for (auto& v : grad) v = static_cast<float>(rng.normal() * 0.05);
+    for (auto& v : start) v = static_cast<float>(rng.normal() * 0.1);
+    for (const auto* variant : variants) {
+      std::vector<float> want = start, got = start;
+      naive_sgd_step(count, lr, decay, grad.data(), want.data());
+      variant->sgd_step(count, lr, decay, grad.data(), got.data());
+      const bool sgd_exact = want == got;
+      want = start;
+      got = start;
+      naive_axpy(count, 0.37f, grad.data(), want.data());
+      variant->axpy(count, 0.37f, grad.data(), got.data());
+      const bool axpy_exact = want == got;
+
+      std::vector<float> ref_state = start, run_state = start;
+      float ref_sign = 1.0f, run_sign = 1.0f;
+      results.push_back(per_call_row(
+          model + "_sgd_step", Op::SgdStep, count, *variant, sgd_exact,
+          time_pair(
+              [&] {
+                ref_sign = -ref_sign;
+                naive_sgd_step(count, ref_sign * lr, decay, grad.data(),
+                               ref_state.data());
+              },
+              [&] {
+                run_sign = -run_sign;
+                variant->sgd_step(count, run_sign * lr, decay, grad.data(),
+                                  run_state.data());
+              },
+              min_ms)));
+      ref_state = start;
+      run_state = start;
+      results.push_back(per_call_row(
+          model + "_axpy", Op::Axpy, count, *variant, axpy_exact,
+          time_pair(
+              [&] {
+                ref_sign = -ref_sign;
+                naive_axpy(count, ref_sign * 0.37f, grad.data(),
+                           ref_state.data());
+              },
+              [&] {
+                run_sign = -run_sign;
+                variant->axpy(count, run_sign * 0.37f, grad.data(),
+                              run_state.data());
+              },
+              min_ms)));
     }
   }
 }
@@ -825,8 +914,9 @@ int main(int argc, char** argv) {
   conv_forward_rows(variants, min_ms, rng, results);
   layer_rows(variants, min_ms, rng, results);
   block_rows(min_ms, rng, results);
-  codec_rows(min_ms, rng, results);
+  codec_rows(variants, min_ms, rng, results);
   grad_norm_rows(variants, min_ms, rng, results);
+  update_rows(variants, min_ms, rng, results);
 
   common::Table table(
       {"case", "variant", "op", "m", "k", "n", "ref GF/s", "blk GF/s", "blk ms",

@@ -12,24 +12,28 @@
 // at most scale/2 everywhere except the clamp boundary, where it is still
 // below scale. An all-zero tensor encodes scale = 0 and decodes exactly.
 //
-// Two implementations of the same rule. On x86-64 encode and decode run as
-// SSE2 loops (every x86-64 CPU has SSE2), 16 parameters per iteration; on
-// other CPUs, and as the reference the tests and bench/kernels compare the
-// vector loops with byte for byte, they are the scalar loops below.
+// This file keeps the wire rule: the scale header, the all-zero payload of
+// a zero scale and the scalar x / scale branch for tiny tensors. Its three
+// vector loops — max|x|, quantisation against a finite reciprocal and
+// dequantisation — are kernel entries (kernels::int8_max_abs,
+// int8_quantise, int8_dequantise), one per instruction-set variant like the
+// GEMMs, so they run 4, 8 or 16 floats wide. The scalar loops below are the
+// reference the tests and bench/kernels compare every variant's entries
+// with, byte for byte.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
-
 #include "comm/codec_impl.h"
 #include "comm/wire.h"
+#include "tensor/kernels/gemm_variants.h"
+#include "tensor/kernels/kernels.h"
 
 namespace mach::comm::detail {
 namespace {
+
+namespace kernels = tensor::kernels;
 
 /// The wire rule for one element y = x · (1/scale) (x / scale for a tiny
 /// tensor): round half away from zero with std::lround — the scale keeps
@@ -43,158 +47,82 @@ std::uint8_t quantise(float y) {
 }
 
 /// max|x|; NaN never sets it (a > max_abs is false).
-float max_abs_scalar(std::span<const float> values) {
+float max_abs_scalar(std::size_t n, const float* x) {
   float max_abs = 0.0f;
-  for (const float v : values) {
-    const float a = std::fabs(v);
+  for (std::size_t i = 0; i < n; ++i) {
+    const float a = std::fabs(x[i]);
     if (a > max_abs) max_abs = a;
   }
   return max_abs;
 }
 
-/// Writes the scale header and sizes the payload to 4 + count bytes, all
-/// zero; returns where the count quantised bytes go.
-std::uint8_t* begin_payload(Encoded& out, float scale, std::size_t count) {
-  out.bytes.clear();
-  wire::put_f32(out.bytes, scale);
-  out.bytes.resize(4 + count, 0);
-  return out.bytes.data() + 4;
-}
-
-/// Scalar quantisation against a nonzero scale. When max|x| < 127 / FLT_MAX
-/// the reciprocal overflows to +inf, which would send every element —
-/// zeros and positives included — to the NaN/overflow code -127; those
-/// tensors divide by the scale instead.
-void quantise_scalar(std::span<const float> values, float scale,
+void quantise_scalar(std::size_t n, const float* x, float inv_scale,
                      std::uint8_t* q) {
-  const float inv_scale = 1.0f / scale;
-  if (std::isfinite(inv_scale)) {
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      q[i] = quantise(values[i] * inv_scale);
-    }
-  } else {
-    for (std::size_t i = 0; i < values.size(); ++i) {
-      q[i] = quantise(values[i] / scale);
-    }
-  }
-}
-
-/// Checks the payload size, sizes `out` and returns the header's scale.
-float begin_decode(const Encoded& in, std::size_t count,
-                   std::vector<float>& out) {
-  if (in.bytes.size() != 4 + count) {
-    throw std::runtime_error("int8 codec: payload size mismatch");
-  }
-  out.resize(count);
-  return wire::get_f32(in.bytes.data());
+  for (std::size_t i = 0; i < n; ++i) q[i] = quantise(x[i] * inv_scale);
 }
 
 /// q · scale for each of n bytes.
-void dequantise_scalar(const std::uint8_t* q, std::size_t n, float scale,
+void dequantise_scalar(std::size_t n, const std::uint8_t* q, float scale,
                        float* out) {
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = static_cast<float>(static_cast<std::int8_t>(q[i])) * scale;
   }
 }
 
-#if defined(__SSE2__)
+/// One implementation of the three loops (kernels.h's contracts).
+struct Int8Loops {
+  float (*max_abs)(std::size_t n, const float* x);
+  void (*quantise)(std::size_t n, const float* x, float inv_scale,
+                   std::uint8_t* q);
+  void (*dequantise)(std::size_t n, const std::uint8_t* q, float scale,
+                     float* out);
+};
 
-/// max|x| over `values`. _mm_max_ps(a, acc) returns acc when a is NaN, as
-/// the scalar `if (a > max_abs)` skips it; max is exact, so neither the four
-/// accumulators nor the lane order can change the result.
-float max_abs_sse2(std::span<const float> values) {
-  const __m128 abs_mask = _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff));
-  const float* x = values.data();
+constexpr Int8Loops kScalarLoops = {&max_abs_scalar, &quantise_scalar,
+                                    &dequantise_scalar};
+constexpr Int8Loops kKernelLoops = {&kernels::int8_max_abs,
+                                    &kernels::int8_quantise,
+                                    &kernels::int8_dequantise};
+
+Int8Loops variant_loops(const kernels::detail::GemmVariant& variant) {
+  return {variant.int8_max_abs, variant.int8_quantise,
+          variant.int8_dequantise};
+}
+
+/// The wire rule. The payload is sized once and each byte written once:
+/// a reused buffer's old bytes are all overwritten.
+void encode_with(const Int8Loops& loops, std::span<const float> values,
+                 Encoded& out) {
   const std::size_t n = values.size();
-  __m128 acc0 = _mm_setzero_ps(), acc1 = acc0, acc2 = acc0, acc3 = acc0;
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    acc0 = _mm_max_ps(_mm_and_ps(_mm_loadu_ps(x + i), abs_mask), acc0);
-    acc1 = _mm_max_ps(_mm_and_ps(_mm_loadu_ps(x + i + 4), abs_mask), acc1);
-    acc2 = _mm_max_ps(_mm_and_ps(_mm_loadu_ps(x + i + 8), abs_mask), acc2);
-    acc3 = _mm_max_ps(_mm_and_ps(_mm_loadu_ps(x + i + 12), abs_mask), acc3);
-  }
-  for (; i + 4 <= n; i += 4) {
-    acc0 = _mm_max_ps(_mm_and_ps(_mm_loadu_ps(x + i), abs_mask), acc0);
-  }
-  const __m128 acc = _mm_max_ps(_mm_max_ps(acc0, acc1), _mm_max_ps(acc2, acc3));
-  alignas(16) float lanes[4];
-  _mm_store_ps(lanes, acc);
-  return std::max({lanes[0], lanes[1], lanes[2], lanes[3],
-                   max_abs_scalar(values.subspan(i))});
-}
-
-/// Four lanes of quantise() without the clamp: y = x · inv_scale, then
-/// trunc(y) plus the sign of y where |y − trunc(y)| ≥ 0.5. For |y| < 2^23
-/// both trunc(y) and the fraction are exact, so this is std::lround; the
-/// scale keeps |y| below 191. A NaN lane converts to INT32_MIN (the ISA's
-/// "integer indefinite"), which the saturating packs turn into -127.
-__m128i round_half_away(__m128 x, __m128 inv_scale) {
-  const __m128 abs_mask = _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff));
-  const __m128 y = _mm_mul_ps(x, inv_scale);
-  const __m128i t = _mm_cvttps_epi32(y);
-  const __m128 frac = _mm_sub_ps(y, _mm_cvtepi32_ps(t));
-  const __m128i away = _mm_castps_si128(
-      _mm_cmpge_ps(_mm_and_ps(frac, abs_mask), _mm_set1_ps(0.5f)));
-  // ±1 with the sign of y: (y's sign bit smeared) | 1.
-  const __m128i unit =
-      _mm_or_si128(_mm_srai_epi32(_mm_castps_si128(y), 31), _mm_set1_epi32(1));
-  return _mm_add_epi32(t, _mm_and_si128(away, unit));
-}
-
-/// Quantises a tensor whose reciprocal scale is finite, 16 parameters per
-/// store; the tail runs the scalar rule.
-void quantise_sse2(std::span<const float> values, float inv_scale,
-                   std::uint8_t* q) {
   const float* x = values.data();
-  const std::size_t n = values.size();
-  const __m128 inv = _mm_set1_ps(inv_scale);
-  const __m128i lo = _mm_set1_epi16(-127), hi = _mm_set1_epi16(127);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i q0 = round_half_away(_mm_loadu_ps(x + i), inv);
-    const __m128i q1 = round_half_away(_mm_loadu_ps(x + i + 4), inv);
-    const __m128i q2 = round_half_away(_mm_loadu_ps(x + i + 8), inv);
-    const __m128i q3 = round_half_away(_mm_loadu_ps(x + i + 12), inv);
-    // int32 -> int16 with saturation, clamp to ±127, int16 -> int8.
-    const __m128i w01 =
-        _mm_min_epi16(_mm_max_epi16(_mm_packs_epi32(q0, q1), lo), hi);
-    const __m128i w23 =
-        _mm_min_epi16(_mm_max_epi16(_mm_packs_epi32(q2, q3), lo), hi);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(q + i),
-                     _mm_packs_epi16(w01, w23));
+  const float scale = loops.max_abs(n, x) / 127.0f;
+  out.bytes.resize(4 + n);
+  wire::set_f32(out.bytes.data(), scale);
+  std::uint8_t* q = out.bytes.data() + 4;
+  if (scale == 0.0f) {  // every |x| is 0 (or NaN): every code is 0
+    std::fill_n(q, n, std::uint8_t{0});
+    return;
   }
-  for (; i < n; ++i) q[i] = quantise(x[i] * inv_scale);
+  const float inv_scale = 1.0f / scale;
+  if (std::isfinite(inv_scale)) {
+    loops.quantise(n, x, inv_scale, q);
+  } else {
+    // max|x| < 127 / FLT_MAX: the reciprocal overflows to +inf, which would
+    // send every element — zeros and positives included — to the
+    // NaN/overflow code -127, so these tensors divide by the scale.
+    for (std::size_t i = 0; i < n; ++i) q[i] = quantise(x[i] / scale);
+  }
 }
 
-/// q · scale for every byte, 16 per iteration: sign-extend to 32 bits,
-/// convert (exact) and multiply — one multiply per element, as the scalar
-/// loop does.
-void dequantise_sse2(const std::uint8_t* q, std::size_t n, float scale,
-                     float* out) {
-  const __m128 s = _mm_set1_ps(scale);
-  const __m128i zero = _mm_setzero_si128();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + i));
-    const __m128i b_sign = _mm_cmpgt_epi8(zero, b);
-    const __m128i w_lo = _mm_unpacklo_epi8(b, b_sign);
-    const __m128i w_hi = _mm_unpackhi_epi8(b, b_sign);
-    const __m128i lo_sign = _mm_cmpgt_epi16(zero, w_lo);
-    const __m128i hi_sign = _mm_cmpgt_epi16(zero, w_hi);
-    const __m128i d0 = _mm_unpacklo_epi16(w_lo, lo_sign);
-    const __m128i d1 = _mm_unpackhi_epi16(w_lo, lo_sign);
-    const __m128i d2 = _mm_unpacklo_epi16(w_hi, hi_sign);
-    const __m128i d3 = _mm_unpackhi_epi16(w_hi, hi_sign);
-    _mm_storeu_ps(out + i, _mm_mul_ps(_mm_cvtepi32_ps(d0), s));
-    _mm_storeu_ps(out + i + 4, _mm_mul_ps(_mm_cvtepi32_ps(d1), s));
-    _mm_storeu_ps(out + i + 8, _mm_mul_ps(_mm_cvtepi32_ps(d2), s));
-    _mm_storeu_ps(out + i + 12, _mm_mul_ps(_mm_cvtepi32_ps(d3), s));
+void decode_with(const Int8Loops& loops, const Encoded& in, std::size_t count,
+                 std::vector<float>& out) {
+  if (in.bytes.size() != 4 + count) {
+    throw std::runtime_error("int8 codec: payload size mismatch");
   }
-  dequantise_scalar(q + i, n - i, scale, out + i);
+  out.resize(count);
+  loops.dequantise(count, in.bytes.data() + 4, wire::get_f32(in.bytes.data()),
+                   out.data());
 }
-
-#endif  // __SSE2__
 
 class Int8Codec final : public Codec {
  public:
@@ -207,45 +135,36 @@ class Int8Codec final : public Codec {
 
   void encode(std::span<const float> values, std::span<const float> /*reference*/,
               std::span<float> /*residual*/, Encoded& out) const override {
-#if defined(__SSE2__)
-    const float scale = max_abs_sse2(values) / 127.0f;
-    std::uint8_t* q = begin_payload(out, scale, values.size());
-    if (scale == 0.0f) return;
-    const float inv_scale = 1.0f / scale;
-    if (std::isfinite(inv_scale)) {
-      quantise_sse2(values, inv_scale, q);
-    } else {
-      quantise_scalar(values, scale, q);
-    }
-#else
-    int8_encode_reference(values, out);
-#endif
+    encode_with(kKernelLoops, values, out);
   }
 
   void decode(const Encoded& in, std::size_t count,
               std::span<const float> /*reference*/,
               std::vector<float>& out) const override {
-#if defined(__SSE2__)
-    const float scale = begin_decode(in, count, out);
-    dequantise_sse2(in.bytes.data() + 4, count, scale, out.data());
-#else
-    int8_decode_reference(in, count, out);
-#endif
+    decode_with(kKernelLoops, in, count, out);
   }
 };
 
 }  // namespace
 
 void int8_encode_reference(std::span<const float> values, Encoded& out) {
-  const float scale = max_abs_scalar(values) / 127.0f;
-  std::uint8_t* q = begin_payload(out, scale, values.size());
-  if (scale != 0.0f) quantise_scalar(values, scale, q);
+  encode_with(kScalarLoops, values, out);
 }
 
 void int8_decode_reference(const Encoded& in, std::size_t count,
                            std::vector<float>& out) {
-  const float scale = begin_decode(in, count, out);
-  dequantise_scalar(in.bytes.data() + 4, count, scale, out.data());
+  decode_with(kScalarLoops, in, count, out);
+}
+
+void int8_encode(const tensor::kernels::detail::GemmVariant& variant,
+                 std::span<const float> values, Encoded& out) {
+  encode_with(variant_loops(variant), values, out);
+}
+
+void int8_decode(const tensor::kernels::detail::GemmVariant& variant,
+                 const Encoded& in, std::size_t count,
+                 std::vector<float>& out) {
+  decode_with(variant_loops(variant), in, count, out);
 }
 
 std::unique_ptr<Codec> make_int8_codec() { return std::make_unique<Int8Codec>(); }

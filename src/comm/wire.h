@@ -29,6 +29,12 @@ inline void put_f32(std::vector<std::uint8_t>& out, float v) {
   put_u32(out, std::bit_cast<std::uint32_t>(v));
 }
 
+/// Writes v's four little-endian bytes at p (a payload sized beforehand).
+inline void set_f32(std::uint8_t* p, float v) {
+  const std::uint32_t bits = std::bit_cast<std::uint32_t>(v);
+  for (int b = 0; b < 4; ++b) p[b] = static_cast<std::uint8_t>(bits >> (8 * b));
+}
+
 inline std::uint16_t get_u16(const std::uint8_t* p) {
   return static_cast<std::uint16_t>(static_cast<std::uint16_t>(p[0]) |
                                     (static_cast<std::uint16_t>(p[1]) << 8));

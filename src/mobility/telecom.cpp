@@ -1,6 +1,7 @@
 #include "mobility/telecom.h"
 
 #include <algorithm>
+#include <charconv>
 #include <limits>
 #include <cstdio>
 #include <fstream>
@@ -153,42 +154,65 @@ Trace discretize_telecom_records(const std::vector<TelecomRecord>& records,
 std::vector<TelecomRecord> read_telecom_csv(const std::string& path) {
   std::ifstream in(path);
   if (!in) throw std::runtime_error("read_telecom_csv: cannot open " + path);
-  // Throws std::runtime_error on a line without four fields, and
-  // std::invalid_argument/std::out_of_range on a bad id or timestamp.
-  const auto parse = [](const std::string& line) {
+  std::string line;
+  std::size_t line_no = 0;
+  const auto fail = [&](const std::string& what) {
+    throw std::runtime_error("read_telecom_csv: " + path + ": " + what +
+                             " at line " + std::to_string(line_no) + ": " +
+                             line);
+  };
+  // An id is a whole decimal uint32: no sign, no trailing text, no wrap.
+  const auto parse_id = [&](const std::string& text, const char* field) {
+    std::uint32_t id = 0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, id);
+    if (ec != std::errc() || ptr != end) {
+      fail(std::string("bad ") + field + " '" + text + "'");
+    }
+    return id;
+  };
+  const auto parse_time = [&](const std::string& text, const char* field) {
+    try {
+      return parse_telecom_timestamp(text);
+    } catch (const std::invalid_argument&) {
+      fail(std::string("bad ") + field + " '" + text + "'");
+    }
+    return std::int64_t{0};
+  };
+  // Parses `line`; every error is a std::runtime_error naming the path, the
+  // line number and the field.
+  const auto parse = [&] {
     std::stringstream ss(line);
     std::string device, station, start, end;
     if (!std::getline(ss, device, ',') || !std::getline(ss, station, ',') ||
         !std::getline(ss, start, ',') || !std::getline(ss, end)) {
-      throw std::runtime_error("read_telecom_csv: malformed line: " + line);
+      fail("malformed line");
     }
     TelecomRecord record;
-    record.device = static_cast<std::uint32_t>(std::stoul(device));
-    record.station = static_cast<std::uint32_t>(std::stoul(station));
-    record.start_time = parse_telecom_timestamp(start);
-    record.end_time = parse_telecom_timestamp(end);
+    record.device = parse_id(device, "device_id");
+    record.station = parse_id(station, "station_id");
+    record.start_time = parse_time(start, "start_time");
+    record.end_time = parse_time(end, "end_time");
     return record;
   };
   std::vector<TelecomRecord> records;
-  std::string line;
   if (std::getline(in, line)) {
+    line_no = 1;
     // The header is required: skipping a first line that is a session would
     // drop it without a word, and the discretiser's gap filling would hide
     // the loss.
     bool is_record = true;
     try {
-      parse(line);
-    } catch (const std::exception&) {
+      parse();
+    } catch (const std::runtime_error&) {
       is_record = false;
     }
-    if (is_record) {
-      throw std::runtime_error("read_telecom_csv: missing header at line 1: " +
-                               line);
-    }
+    if (is_record) fail("missing header");
   }
   while (std::getline(in, line)) {
+    ++line_no;
     if (line.empty()) continue;
-    records.push_back(parse(line));
+    records.push_back(parse());
   }
   return records;
 }

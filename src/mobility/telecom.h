@@ -59,7 +59,10 @@ Trace discretize_telecom_records(const std::vector<TelecomRecord>& records,
                                  const TelecomImportOptions& options);
 
 /// Reads "device_id,station_id,start,end" CSV. The header is required: a
-/// first line that parses as a session throws, naming line 1.
+/// first line that parses as a session throws, naming line 1. Ids are whole
+/// decimal uint32 values; a line without four fields, a bad id (sign,
+/// trailing text, above 2^32 - 1) or a bad timestamp throws
+/// std::runtime_error naming the path, the line number and the field.
 std::vector<TelecomRecord> read_telecom_csv(const std::string& path);
 
 /// Writes records in the same schema.

@@ -1,73 +1,89 @@
-// Elementwise, reduction and fused-optimiser kernels. Branch-free loops with
-// per-element expressions copied exactly from the naive implementations they
-// replace (ops.cpp, nn/sgd.cpp, hfl/simulator.cpp), so results
-// are bitwise identical. Compiled with -O3 -ffp-contract=off: the compiler
-// may vectorise the independent-lane loops freely, but must not fuse mul+add
-// into FMA (which would round differently from the scalar reference).
+// The public elementwise, optimiser and int8 kernels, and the loops that
+// stay on the baseline ISA.
 //
-// The reductions (dot, squared_norm) and the ordered sums (col_sums) are
-// NOT reassociated: their fixed summation chains are part of
-// the determinism contract (gradient-norm observables must not depend on
-// thread count or ISA), so they intentionally stay serial chains.
+// relu, relu_bwd, axpy, axpy_delta, scale, scale_copy, vadd,
+// add_bias_rows, col_sums, sgd_step, sgd_momentum_step and the int8 codec's
+// loops dispatch through the active variant, as the GEMMs do: each is
+// written once in vector_loops.h and runs 4, 8 or 16 floats wide, with the
+// per-element expressions of the naive loops they replaced (ops.cpp,
+// nn/sgd.cpp, hfl/simulator.cpp, comm/int8_codec.cpp), so results are
+// bitwise identical on every variant. At the fleet MLP's 2,410 parameters
+// the data sits in L1 and the loops are compute-bound, so width pays
+// (DESIGN.md §9 has the per-call numbers).
 //
-// These loops are memory-bound at the paper's model sizes, so they are built
-// for the baseline ISA only; the GEMMs are where wider vectors pay (see
-// gemm_variants.h).
+// What stays here, built for the baseline ISA with -O3 -ffp-contract=off:
+//   * dot and squared_norm, whose fixed summation chains are part of the
+//     determinism contract (gradient-norm observables must not depend on
+//     thread count or ISA), so each stays one serial chain; several chains
+//     side by side are kernels::squared_norms;
+//   * the maxpool2x2_backward scatter, whose stores go through an index.
+#include "tensor/kernels/gemm_variants.h"
 #include "tensor/kernels/kernels.h"
 
 namespace mach::tensor::kernels {
 
 void relu(std::size_t n, const float* x, float* y) {
-  for (std::size_t i = 0; i < n; ++i) y[i] = x[i] > 0.0f ? x[i] : 0.0f;
+  detail::active_variant().relu(n, x, y);
 }
 
 void relu_bwd(std::size_t n, const float* x, const float* gy, float* gx) {
-  // gy[i] is loaded whether or not it is selected: a load under the
-  // condition may not be speculated, which kept this loop a scalar,
-  // mispredicting branch.
-  for (std::size_t i = 0; i < n; ++i) {
-    const float g = gy[i];
-    gx[i] = x[i] > 0.0f ? g : 0.0f;
-  }
+  detail::active_variant().relu_bwd(n, x, gy, gx);
 }
 
 void axpy(std::size_t n, float alpha, const float* x, float* y) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
+  detail::active_variant().axpy(n, alpha, x, y);
 }
 
 void axpy_delta(std::size_t n, float alpha, const float* x, const float* base,
                 float* y) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * (x[i] - base[i]);
+  detail::active_variant().axpy_delta(n, alpha, x, base, y);
 }
 
 void scale(std::size_t n, float alpha, float* x) {
-  for (std::size_t i = 0; i < n; ++i) x[i] *= alpha;
+  detail::active_variant().scale(n, alpha, x);
 }
 
 void scale_copy(std::size_t n, float alpha, const float* x, float* y) {
-  for (std::size_t i = 0; i < n; ++i) y[i] = alpha * x[i];
+  detail::active_variant().scale_copy(n, alpha, x, y);
 }
 
 void vadd(std::size_t n, const float* x, float* y) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += x[i];
+  detail::active_variant().vadd(n, x, y);
 }
 
 void add_bias_rows(std::size_t m, std::size_t n, const float* bias, float* x) {
-  for (std::size_t i = 0; i < m; ++i) {
-    float* row = x + i * n;
-    for (std::size_t j = 0; j < n; ++j) row[j] += bias[j];
-  }
+  detail::active_variant().add_bias_rows(m, n, bias, x);
 }
 
 void col_sums(std::size_t m, std::size_t n, const float* x, float* out,
               bool accumulate) {
-  if (!accumulate) {
-    for (std::size_t j = 0; j < n; ++j) out[j] = 0.0f;
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* row = x + i * n;
-    for (std::size_t j = 0; j < n; ++j) out[j] += row[j];
-  }
+  detail::active_variant().col_sums(m, n, x, out, accumulate);
+}
+
+void sgd_step(std::size_t n, float lr, float weight_decay, const float* grad,
+              float* value) {
+  detail::active_variant().sgd_step(n, lr, weight_decay, grad, value);
+}
+
+void sgd_momentum_step(std::size_t n, float lr, float momentum,
+                       float weight_decay, const float* grad, float* velocity,
+                       float* value) {
+  detail::active_variant().sgd_momentum_step(n, lr, momentum, weight_decay,
+                                             grad, velocity, value);
+}
+
+float int8_max_abs(std::size_t n, const float* x) {
+  return detail::active_variant().int8_max_abs(n, x);
+}
+
+void int8_quantise(std::size_t n, const float* x, float inv_scale,
+                   std::uint8_t* q) {
+  detail::active_variant().int8_quantise(n, x, inv_scale, q);
+}
+
+void int8_dequantise(std::size_t n, const std::uint8_t* q, float scale,
+                     float* out) {
+  detail::active_variant().int8_dequantise(n, q, scale, out);
 }
 
 void maxpool2x2_backward(std::size_t outputs, const float* gy,
@@ -92,23 +108,6 @@ double squared_norm(std::size_t n, const float* x) {
     total += v * v;
   }
   return total;
-}
-
-void sgd_step(std::size_t n, float lr, float weight_decay, const float* grad,
-              float* value) {
-  for (std::size_t j = 0; j < n; ++j) {
-    value[j] -= lr * (grad[j] + weight_decay * value[j]);
-  }
-}
-
-void sgd_momentum_step(std::size_t n, float lr, float momentum,
-                       float weight_decay, const float* grad, float* velocity,
-                       float* value) {
-  for (std::size_t j = 0; j < n; ++j) {
-    const float g = grad[j] + weight_decay * value[j];
-    velocity[j] = momentum * velocity[j] + g;
-    value[j] -= lr * velocity[j];
-  }
 }
 
 }  // namespace mach::tensor::kernels

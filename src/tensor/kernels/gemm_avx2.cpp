@@ -1,4 +1,5 @@
-// AVX2 GEMM variant: 256-bit vectors, built with -mavx2 -O3
+// AVX2 variant (GEMMs, convolutions, lane norms and the elementwise,
+// optimiser and int8 loops): 256-bit vectors, built with -mavx2 -O3
 // -ffp-contract=off (no -mfma: multiply and add stay separate roundings).
 // Only reached when cpuid reports AVX2; see gemm_driver.h for the rules
 // this TU must follow so none of its code leaks into other callers.
@@ -18,7 +19,15 @@ struct Avx2 {
   static MACH_INLINE void store(float* p, V v) { _mm256_storeu_ps(p, v); }
   static MACH_INLINE V bcast(float x) { return _mm256_set1_ps(x); }
   static MACH_INLINE V add(V a, V b) { return _mm256_add_ps(a, b); }
+  static MACH_INLINE V sub(V a, V b) { return _mm256_sub_ps(a, b); }
   static MACH_INLINE V mul(V a, V b) { return _mm256_mul_ps(a, b); }
+  static MACH_INLINE V abs(V v) {
+    return _mm256_and_ps(v, _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff)));
+  }
+  // x > 0 ? g : +0, lane by lane.
+  static MACH_INLINE V select_positive(V x, V g) {
+    return _mm256_and_ps(_mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_GT_OQ), g);
+  }
   // The first `count` lanes (1..8); masked-off lanes are not read or
   // written, so the access may end anywhere.
   static MACH_INLINE __m256i mask(std::size_t count) {
@@ -61,6 +70,54 @@ struct Avx2 {
     alignas(16) std::uint8_t all[16];
     _mm_store_si128(reinterpret_cast<__m128i*>(all), bytes);
     for (std::size_t i = 0; i < count; ++i) p[i] = all[i];
+  }
+  // The int8 codec's lanes, as on SSE2 (gemm_baseline.cpp): trunc(y) plus
+  // the sign of y where |y - trunc(y)| >= 0.5; NaN lanes give INT32_MIN.
+  using I = __m256i;
+  static MACH_INLINE I round_half_away(V y) {
+    const __m256i t = _mm256_cvttps_epi32(y);
+    const __m256 frac = _mm256_sub_ps(y, _mm256_cvtepi32_ps(t));
+    const __m256i away = _mm256_castps_si256(
+        _mm256_cmp_ps(abs(frac), _mm256_set1_ps(0.5f), _CMP_GE_OQ));
+    const __m256i unit = _mm256_or_si256(
+        _mm256_srai_epi32(_mm256_castps_si256(y), 31), _mm256_set1_epi32(1));
+    return _mm256_add_epi32(t, _mm256_and_si256(away, unit));
+  }
+  // Saturating packs work within each 128-bit half, so the four vectors'
+  // bytes come out as dwords q0.lo q1.lo q2.lo q3.lo | q0.hi ... q3.hi and
+  // one dword permute restores their order.
+  static MACH_INLINE void store_int8x4(std::uint8_t* p, const I (&q)[4]) {
+    const __m256i lo = _mm256_set1_epi16(-127), hi = _mm256_set1_epi16(127);
+    const __m256i w01 = _mm256_min_epi16(
+        _mm256_max_epi16(_mm256_packs_epi32(q[0], q[1]), lo), hi);
+    const __m256i w23 = _mm256_min_epi16(
+        _mm256_max_epi16(_mm256_packs_epi32(q[2], q[3]), lo), hi);
+    const __m256i bytes = _mm256_permutevar8x32_epi32(
+        _mm256_packs_epi16(w01, w23), _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), bytes);
+  }
+  static MACH_INLINE void store_int8_n(std::uint8_t* p, I q, std::size_t count) {
+    const __m128i words = _mm_min_epi16(
+        _mm_max_epi16(_mm_packs_epi32(_mm256_castsi256_si128(q),
+                                      _mm256_extracti128_si256(q, 1)),
+                      _mm_set1_epi16(-127)),
+        _mm_set1_epi16(127));
+    const __m128i bytes = _mm_packs_epi16(words, words);
+    if (count == kW) {
+      _mm_storel_epi64(reinterpret_cast<__m128i*>(p), bytes);
+      return;
+    }
+    alignas(16) std::uint8_t all[16];
+    _mm_store_si128(reinterpret_cast<__m128i*>(all), bytes);
+    for (std::size_t i = 0; i < count; ++i) p[i] = all[i];
+  }
+  static MACH_INLINE V load_int8(const std::uint8_t* p) {
+    return _mm256_cvtepi32_ps(_mm256_cvtepi8_epi32(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p))));
+  }
+  static MACH_INLINE void load_int8x4(const std::uint8_t* p, V (&v)[4]) {
+#pragma GCC unroll 4
+    for (std::size_t k = 0; k < 4; ++k) v[k] = load_int8(p + k * kW);
   }
 };
 

@@ -1,4 +1,5 @@
-// AVX-512 GEMM variant: 512-bit vectors, built with -mavx512f -mavx512vl
+// AVX-512 variant (GEMMs, convolutions, lane norms and the elementwise,
+// optimiser and int8 loops): 512-bit vectors, built with -mavx512f -mavx512vl
 // -O3 -ffp-contract=off. -ffp-contract=off matters most here: AVX-512F
 // includes FMA, and a contracted multiply-add would round once instead of
 // twice. Only reached when cpuid reports AVX2, AVX-512F and AVX-512VL; see
@@ -24,7 +25,17 @@ struct Avx512 {
   static MACH_INLINE void store(float* p, V v) { _mm512_storeu_ps(p, v); }
   static MACH_INLINE V bcast(float x) { return _mm512_set1_ps(x); }
   static MACH_INLINE V add(V a, V b) { return _mm512_add_ps(a, b); }
+  static MACH_INLINE V sub(V a, V b) { return _mm512_sub_ps(a, b); }
   static MACH_INLINE V mul(V a, V b) { return _mm512_mul_ps(a, b); }
+  // An integer and (AVX-512F; the float and is AVX-512DQ).
+  static MACH_INLINE V abs(V v) {
+    return _mm512_castsi512_ps(_mm512_maskz_and_epi32(
+        kAll, _mm512_castps_si512(v), _mm512_set1_epi32(0x7fffffff)));
+  }
+  // x > 0 ? g : +0, lane by lane.
+  static MACH_INLINE V select_positive(V x, V g) {
+    return _mm512_maskz_mov_ps(_mm512_cmp_ps_mask(x, zero(), _CMP_GT_OQ), g);
+  }
   // The first `count` lanes (1..16); masked-off lanes are not read or
   // written, so the access may end anywhere.
   static MACH_INLINE __mmask16 mask(std::size_t count) {
@@ -52,6 +63,39 @@ struct Avx512 {
   // The low byte of each of the first `count` int32 lanes.
   static MACH_INLINE void store_bytes(std::uint8_t* p, V v, std::size_t count) {
     _mm512_mask_cvtepi32_storeu_epi8(p, mask(count), _mm512_castps_si512(v));
+  }
+  // The int8 codec's lanes, as on SSE2 (gemm_baseline.cpp): trunc(y) plus
+  // the sign of y where |y - trunc(y)| >= 0.5; NaN lanes give INT32_MIN.
+  using I = __m512i;
+  static MACH_INLINE I round_half_away(V y) {
+    const __m512i t = _mm512_maskz_cvttps_epi32(kAll, y);
+    const V frac = sub(y, _mm512_maskz_cvtepi32_ps(kAll, t));
+    const __mmask16 away =
+        _mm512_cmp_ps_mask(abs(frac), bcast(0.5f), _CMP_GE_OQ);
+    const __m512i unit = _mm512_maskz_or_epi32(
+        kAll, _mm512_maskz_srai_epi32(kAll, _mm512_castps_si512(y), 31),
+        _mm512_set1_epi32(1));
+    return _mm512_mask_add_epi32(t, away, t, unit);
+  }
+  // Clamped to ±127 in int32, then vpmovdb (truncating) stores the bytes.
+  static MACH_INLINE void store_int8_n(std::uint8_t* p, I q, std::size_t count) {
+    const __m512i clamped = _mm512_maskz_min_epi32(
+        kAll, _mm512_maskz_max_epi32(kAll, q, _mm512_set1_epi32(-127)),
+        _mm512_set1_epi32(127));
+    _mm512_mask_cvtepi32_storeu_epi8(p, mask(count), clamped);
+  }
+  static MACH_INLINE void store_int8x4(std::uint8_t* p, const I (&q)[4]) {
+#pragma GCC unroll 4
+    for (std::size_t k = 0; k < 4; ++k) store_int8_n(p + k * kW, q[k], kW);
+  }
+  static MACH_INLINE V load_int8(const std::uint8_t* p) {
+    return _mm512_maskz_cvtepi32_ps(
+        kAll, _mm512_maskz_cvtepi8_epi32(
+                  kAll, _mm_loadu_si128(reinterpret_cast<const __m128i*>(p))));
+  }
+  static MACH_INLINE void load_int8x4(const std::uint8_t* p, V (&v)[4]) {
+#pragma GCC unroll 4
+    for (std::size_t k = 0; k < 4; ++k) v[k] = load_int8(p + k * kW);
   }
   // r[j] becomes element j of the sixteen rows passed in (lane l: row l):
   // 4x4 transposes inside each 128-bit lane, then two rounds of 128-bit

@@ -1,5 +1,6 @@
 // Baseline GEMM variant: the 4x8 register tile on 128-bit SSE2 vectors,
-// which every x86-64 CPU has (a scalar tile elsewhere). It is the fallback
+// which every x86-64 CPU has (a scalar tile elsewhere), and the
+// elementwise, optimiser and int8 loops 4 floats wide. It is the fallback
 // the dispatcher picks when the CPU has no AVX2, and the yardstick the wider
 // variants are measured against. Built with -O3 -ffp-contract=off only.
 #include "tensor/kernels/gemm_driver.h"
@@ -21,7 +22,15 @@ struct Sse2 {
   static MACH_INLINE void store(float* p, V v) { _mm_storeu_ps(p, v); }
   static MACH_INLINE V bcast(float x) { return _mm_set1_ps(x); }
   static MACH_INLINE V add(V a, V b) { return _mm_add_ps(a, b); }
+  static MACH_INLINE V sub(V a, V b) { return _mm_sub_ps(a, b); }
   static MACH_INLINE V mul(V a, V b) { return _mm_mul_ps(a, b); }
+  static MACH_INLINE V abs(V v) {
+    return _mm_and_ps(v, _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff)));
+  }
+  // x > 0 ? g : +0, lane by lane.
+  static MACH_INLINE V select_positive(V x, V g) {
+    return _mm_and_ps(_mm_cmpgt_ps(x, _mm_setzero_ps()), g);
+  }
   // The first `count` lanes (1..4). SSE2 has no masked loads (and only a
   // non-temporal masked store), so a fringe is copied into a zero-padded
   // register, and back, with 4- and 8-byte accesses of just those lanes.
@@ -70,6 +79,67 @@ struct Sse2 {
       p[i] = static_cast<std::uint8_t>(bytes >> (8 * i));
     }
   }
+  // The int8 codec's lanes. round_half_away: t = trunc(y) (cvttps2dq), plus
+  // the sign of y where |y - t| >= 0.5. For |y| < 2^23 both t and y - t are
+  // exact, so this is std::lround. A NaN lane converts to INT32_MIN (the
+  // ISA's "integer indefinite"), which the saturating packs clamp to -127.
+  using I = __m128i;
+  static MACH_INLINE I round_half_away(V y) {
+    const __m128i t = _mm_cvttps_epi32(y);
+    const __m128 frac = _mm_sub_ps(y, _mm_cvtepi32_ps(t));
+    const __m128i away =
+        _mm_castps_si128(_mm_cmpge_ps(abs(frac), _mm_set1_ps(0.5f)));
+    // ±1 with the sign of y: (y's sign bit smeared) | 1.
+    const __m128i unit = _mm_or_si128(_mm_srai_epi32(_mm_castps_si128(y), 31),
+                                      _mm_set1_epi32(1));
+    return _mm_add_epi32(t, _mm_and_si128(away, unit));
+  }
+  // int32 -> int16 with saturation, clamp to ±127, int16 -> int8.
+  static MACH_INLINE __m128i clamp_words(__m128i w) {
+    return _mm_min_epi16(_mm_max_epi16(w, _mm_set1_epi16(-127)),
+                         _mm_set1_epi16(127));
+  }
+  static MACH_INLINE void store_int8x4(std::uint8_t* p, const I (&q)[4]) {
+    const __m128i w01 = clamp_words(_mm_packs_epi32(q[0], q[1]));
+    const __m128i w23 = clamp_words(_mm_packs_epi32(q[2], q[3]));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), _mm_packs_epi16(w01, w23));
+  }
+  static MACH_INLINE void store_int8_n(std::uint8_t* p, I q, std::size_t count) {
+    const __m128i w = clamp_words(_mm_packs_epi32(q, q));
+    const int bytes = _mm_cvtsi128_si32(_mm_packs_epi16(w, w));
+    if (count == kW) {
+      __builtin_memcpy(p, &bytes, kW);
+      return;
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+      p[i] = static_cast<std::uint8_t>(bytes >> (8 * i));
+    }
+  }
+  // Sixteen bytes at once: each sign-extended through int16 by unpacking
+  // with its sign mask.
+  static MACH_INLINE void load_int8x4(const std::uint8_t* p, V (&v)[4]) {
+    const __m128i zero = _mm_setzero_si128();
+    const __m128i b = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+    const __m128i b_sign = _mm_cmpgt_epi8(zero, b);
+    const __m128i w_lo = _mm_unpacklo_epi8(b, b_sign);
+    const __m128i w_hi = _mm_unpackhi_epi8(b, b_sign);
+    const __m128i lo_sign = _mm_cmpgt_epi16(zero, w_lo);
+    const __m128i hi_sign = _mm_cmpgt_epi16(zero, w_hi);
+    v[0] = _mm_cvtepi32_ps(_mm_unpacklo_epi16(w_lo, lo_sign));
+    v[1] = _mm_cvtepi32_ps(_mm_unpackhi_epi16(w_lo, lo_sign));
+    v[2] = _mm_cvtepi32_ps(_mm_unpacklo_epi16(w_hi, hi_sign));
+    v[3] = _mm_cvtepi32_ps(_mm_unpackhi_epi16(w_hi, hi_sign));
+  }
+  // Four bytes: each to the top of its int32 lane, then an arithmetic
+  // shift sign-extends it.
+  static MACH_INLINE V load_int8(const std::uint8_t* p) {
+    int bytes;
+    __builtin_memcpy(&bytes, p, kW);
+    const __m128i zero = _mm_setzero_si128();
+    const __m128i top = _mm_unpacklo_epi16(
+        zero, _mm_unpacklo_epi8(zero, _mm_cvtsi32_si128(bytes)));
+    return _mm_cvtepi32_ps(_mm_srai_epi32(top, 24));
+  }
 };
 using BaselineIsa = Sse2;
 #else
@@ -81,7 +151,10 @@ struct Scalar {
   static MACH_INLINE void store(float* p, V v) { *p = v; }
   static MACH_INLINE V bcast(float x) { return x; }
   static MACH_INLINE V add(V a, V b) { return a + b; }
+  static MACH_INLINE V sub(V a, V b) { return a - b; }
   static MACH_INLINE V mul(V a, V b) { return a * b; }
+  static MACH_INLINE V abs(V v) { return __builtin_fabsf(v); }
+  static MACH_INLINE V select_positive(V x, V g) { return x > 0.0f ? g : 0.0f; }
   static MACH_INLINE V load_n(const float* p, std::size_t) { return *p; }
   static MACH_INLINE void store_n(float* p, V v, std::size_t) { *p = v; }
   static MACH_INLINE void transpose(V (&)[kW]) {}
@@ -93,6 +166,24 @@ struct Scalar {
   }
   static MACH_INLINE void store_bytes(std::uint8_t* p, V v, std::size_t) {
     *p = static_cast<std::uint8_t>(__builtin_bit_cast(unsigned, v));
+  }
+  // The int8 codec's rule: std::lround's half away from zero, NaN -> -127.
+  using I = long;
+  static MACH_INLINE I round_half_away(V y) {
+    return y != y ? -127L : __builtin_lroundf(y);
+  }
+  static MACH_INLINE void store_int8_n(std::uint8_t* p, I q, std::size_t) {
+    const I clamped = q < -127L ? -127L : (q > 127L ? 127L : q);
+    *p = static_cast<std::uint8_t>(static_cast<std::int8_t>(clamped));
+  }
+  static MACH_INLINE void store_int8x4(std::uint8_t* p, const I (&q)[4]) {
+    for (std::size_t k = 0; k < 4; ++k) store_int8_n(p + k, q[k], 1);
+  }
+  static MACH_INLINE V load_int8(const std::uint8_t* p) {
+    return static_cast<float>(static_cast<std::int8_t>(*p));
+  }
+  static MACH_INLINE void load_int8x4(const std::uint8_t* p, V (&v)[4]) {
+    for (std::size_t k = 0; k < 4; ++k) v[k] = load_int8(p + k);
   }
 };
 using BaselineIsa = Scalar;

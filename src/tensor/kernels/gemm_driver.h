@@ -43,12 +43,11 @@
 
 #include "tensor/kernels/conv_geometry.h"
 #include "tensor/kernels/gemm_variants.h"
+#include "tensor/kernels/vector_loops.h"
 
 #if defined(__AVX__)
 #include <immintrin.h>
 #endif
-
-#define MACH_INLINE inline __attribute__((always_inline))
 
 namespace mach::tensor::kernels::detail {
 namespace {
@@ -132,8 +131,10 @@ MACH_INLINE void transpose8x8(const float* const (&row)[kMaxNormLanes],
 ///                  output channels x 2 rows x 2 * kFwdWindows pixels
 ///   kDwChannels, kDwTaps  conv_backward's weight-gradient lanes tile
 ///   squared_norms  the variant's lane-norm kernel (kernels.h)
-/// and optionally NarrowIsa + kNarrowNtNR, the gemm_nt tile (one NarrowIsa
-/// vector of rows) used when m <= NarrowIsa::kW.
+/// (Isa also provides what VectorLoops<Isa> in vector_loops.h needs for the
+/// table's elementwise, optimiser and int8 entries), and optionally
+/// NarrowIsa + kNarrowNtNR, the gemm_nt tile (one NarrowIsa vector of rows)
+/// used when m <= NarrowIsa::kW.
 template <class Cfg>
 struct GemmKernels {
   using Isa = typename Cfg::Isa;
@@ -1371,6 +1372,8 @@ struct GemmKernels {
     }
   }
 
+  using Loops = VectorLoops<Isa>;
+
   static constexpr GemmVariant variant(common::GemmIsa isa) {
     return {isa,
             kW,
@@ -1385,7 +1388,21 @@ struct GemmKernels {
             &conv_relu_pool_forward,
             &conv_backward_scratch,
             &conv_backward,
-            Cfg::squared_norms};
+            Cfg::squared_norms,
+            &Loops::relu,
+            &Loops::relu_bwd,
+            &Loops::axpy,
+            &Loops::axpy_delta,
+            &Loops::scale,
+            &Loops::scale_copy,
+            &Loops::vadd,
+            &Loops::add_bias_rows,
+            &Loops::col_sums,
+            &Loops::sgd_step,
+            &Loops::sgd_momentum_step,
+            &Loops::int8_max_abs,
+            &Loops::int8_quantise,
+            &Loops::int8_dequantise};
   }
 };
 

@@ -1,10 +1,13 @@
 // The GEMM variant table behind kernels::gemm_nn / gemm_tn / gemm_nt,
 // kernels::conv_forward / conv_relu_pool_forward / conv_backward (a block
-// of `lanes` images in the vector lanes) and kernels::squared_norms
-// (internal to the kernel layer and its tests).
+// of `lanes` images in the vector lanes), kernels::squared_norms, and the
+// lane-independent elementwise, optimiser and int8 loops (internal to the
+// kernel layer, the int8 codec's per-variant entry points, their tests and
+// bench/kernels).
 //
-// Each variant is one instantiation of the shared drivers in gemm_driver.h,
-// compiled in its own translation unit with its own ISA flags:
+// Each variant is one instantiation of the shared drivers in gemm_driver.h
+// and the loops in vector_loops.h, compiled in its own translation unit
+// with its own ISA flags:
 //
 //   gemm_baseline.cpp  plain x86-64 (SSE2)      -O3 -ffp-contract=off
 //   gemm_avx2.cpp      -mavx2                   -O3 -ffp-contract=off
@@ -16,6 +19,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/cpu_isa.h"
@@ -92,6 +96,30 @@ struct GemmVariant {
   // kernels::squared_norms (lanes in [1, kMaxNormLanes]; any n).
   void (*squared_norms)(std::size_t lanes, std::size_t n, const float* x,
                         std::size_t stride, double* out);
+  // The lane-independent loops (vector_loops.h), each the kernels.h
+  // function of the same name at this variant's width (any n, m).
+  void (*relu)(std::size_t n, const float* x, float* y);
+  void (*relu_bwd)(std::size_t n, const float* x, const float* gy, float* gx);
+  void (*axpy)(std::size_t n, float alpha, const float* x, float* y);
+  void (*axpy_delta)(std::size_t n, float alpha, const float* x,
+                     const float* base, float* y);
+  void (*scale)(std::size_t n, float alpha, float* x);
+  void (*scale_copy)(std::size_t n, float alpha, const float* x, float* y);
+  void (*vadd)(std::size_t n, const float* x, float* y);
+  void (*add_bias_rows)(std::size_t m, std::size_t n, const float* bias,
+                        float* x);
+  void (*col_sums)(std::size_t m, std::size_t n, const float* x, float* out,
+                   bool accumulate);
+  void (*sgd_step)(std::size_t n, float lr, float weight_decay,
+                   const float* grad, float* value);
+  void (*sgd_momentum_step)(std::size_t n, float lr, float momentum,
+                            float weight_decay, const float* grad,
+                            float* velocity, float* value);
+  float (*int8_max_abs)(std::size_t n, const float* x);
+  void (*int8_quantise)(std::size_t n, const float* x, float inv_scale,
+                        std::uint8_t* q);
+  void (*int8_dequantise)(std::size_t n, const std::uint8_t* q, float scale,
+                          float* out);
 };
 
 /// Whether gemm_nn / gemm_tn run unpacked: B (k x n) fits in L1 with room

@@ -9,12 +9,16 @@
 //                        GEMMs over packed A/B panels (or, for a B that fits
 //                        in L1, over A and B in place), convolutions with a
 //                        minibatch's images in the vector lanes, branch-free
-//                        elementwise loops the compiler auto-vectorises, fused
-//                        bias-add epilogues for the forward paths. The GEMMs,
-//                        the convolutions and the lane norms come in one
+//                        elementwise and optimiser loops, the int8 codec's
+//                        vector loops, fused bias-add epilogues for the
+//                        forward paths. The GEMMs, the convolutions, the lane
+//                        norms and the lane-independent loops come in one
 //                        variant per instruction set (baseline x86-64, AVX2,
 //                        AVX-512), picked once per process from cpuid;
 //                        gemm_variants.h holds the table and its blocking.
+//                        The serial reductions (dot, squared_norm), the max
+//                        pool scatter and the ReLU + pool gradient expansion
+//                        run on the baseline ISA only.
 //   * kernels::ref::*  — the retained reference kernels (the seed's naive
 //                        loops). They define the summation-order contract and
 //                        serve as the equivalence-test and microbench baseline.
@@ -190,12 +194,13 @@ void relu_maxpool2x2_backward(std::size_t row_pairs, std::size_t width,
                               const float* grad_pooled, float* grad_x);
 
 // ---------------------------------------------------------------------------
-// Elementwise kernels (branch-free, auto-vectorizable; exact per-element
-// semantics match the naive loops they replaced).
+// Elementwise kernels (branch-free, one vector of the active variant per
+// step; exact per-element semantics match the naive loops they replaced).
 // ---------------------------------------------------------------------------
+/// y[i] = x[i] > 0 ? x[i] : 0
 void relu(std::size_t n, const float* x, float* y);
-/// gx[i] = x[i] > 0 ? gy[i] : 0 (gy is read unconditionally, so the loop
-/// if-converts to a blend instead of a data-dependent branch).
+/// gx[i] = x[i] > 0 ? gy[i] : 0 (a lane select, never a data-dependent
+/// branch; a masked lane is +0 whatever gy holds).
 void relu_bwd(std::size_t n, const float* x, const float* gy, float* gx);
 /// y[i] += alpha * x[i]
 void axpy(std::size_t n, float alpha, const float* x, float* y);
@@ -215,7 +220,7 @@ void col_sums(std::size_t m, std::size_t n, const float* x, float* out,
               bool accumulate);
 /// Max-pool backward: gx = 0, then gx[argmax[i]] = 0.0f + gy[i]. Each
 /// input cell lies in at most one window, so this equals the zero fill plus
-/// scatter-add.
+/// scatter-add (a scatter: baseline ISA only).
 void maxpool2x2_backward(std::size_t outputs, const float* gy,
                          const std::uint32_t* argmax, std::size_t inputs,
                          float* gx);
@@ -250,6 +255,23 @@ void sgd_step(std::size_t n, float lr, float weight_decay, const float* grad,
 void sgd_momentum_step(std::size_t n, float lr, float momentum,
                        float weight_decay, const float* grad, float* velocity,
                        float* value);
+
+// ---------------------------------------------------------------------------
+// The int8 codec's vector loops (comm/int8_codec.cpp keeps the wire rule:
+// the scale header, scale = max|x| / 127, and the x / scale branch for a
+// tensor whose reciprocal scale overflows).
+// ---------------------------------------------------------------------------
+/// max|x| over n floats (0 when n is 0); a NaN never sets it.
+float int8_max_abs(std::size_t n, const float* x);
+/// q[i] = x[i] · inv_scale rounded half away from zero and clamped to
+/// [-127, 127], as a two's-complement byte; NaN encodes as -127. inv_scale
+/// must be finite and every |x[i] · inv_scale| below 2^31 (the codec's
+/// 127 / max|x| keeps it at most ~127).
+void int8_quantise(std::size_t n, const float* x, float inv_scale,
+                   std::uint8_t* q);
+/// out[i] = float(int8(q[i])) · scale.
+void int8_dequantise(std::size_t n, const std::uint8_t* q, float scale,
+                     float* out);
 
 // ---------------------------------------------------------------------------
 // Retained reference kernels — the seed implementation, kept verbatim as the

@@ -13,7 +13,9 @@
 #include "comm/codec.h"
 #include "comm/codec_impl.h"
 #include "comm/wire.h"
+#include "common/cpu_isa.h"
 #include "common/rng.h"
+#include "tensor/kernels/gemm_variants.h"
 
 namespace mach::comm {
 namespace {
@@ -129,10 +131,12 @@ TEST(CodecFuzz, Int8StaysWithinHalfScale) {
 }
 
 TEST(CodecFuzz, Int8MatchesReference) {
-  // The production int8 loops (SSE2 on x86-64) against the scalar
-  // reference: identical bytes, bit-identical decodes. Lengths cover every
-  // tail mod 16; the specials cover NaN, ±inf, subnormals, exact ties and
+  // The int8 codec and every kernel variant's int8 entries (4, 8 or 16
+  // floats wide) against the scalar reference: identical bytes,
+  // bit-identical decodes. Lengths cover every tail mod 64 (four 16-wide
+  // vectors); the specials cover NaN, ±inf, subnormals, exact ties and
   // scales whose reciprocal overflows.
+  const auto variants = tensor::kernels::detail::host_variants();
   common::Rng rng(0x18ef);
   const auto codec = make_codec({.kind = CodecKind::Int8});
   for (std::size_t iter = 0; iter < fuzz_iters(); ++iter) {
@@ -168,17 +172,26 @@ TEST(CodecFuzz, Int8MatchesReference) {
       }
     }
     Encoded got, want;
-    codec->encode(values, {}, {}, got);
     detail::int8_encode_reference(values, want);
-    ASSERT_EQ(got.bytes, want.bytes) << "iter " << iter << " count " << count;
     std::vector<float> got_out, want_out;
-    codec->decode(got, count, {}, got_out);
     detail::int8_decode_reference(want, count, want_out);
-    ASSERT_EQ(got_out.size(), count);
-    for (std::size_t i = 0; i < count; ++i) {
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(got_out[i]),
-                std::bit_cast<std::uint32_t>(want_out[i]))
-          << "iter " << iter << " index " << i;
+    const auto check = [&](const char* path) {
+      ASSERT_EQ(got.bytes, want.bytes)
+          << path << " iter " << iter << " count " << count;
+      ASSERT_EQ(got_out.size(), count) << path;
+      for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(got_out[i]),
+                  std::bit_cast<std::uint32_t>(want_out[i]))
+            << path << " iter " << iter << " index " << i;
+      }
+    };
+    codec->encode(values, {}, {}, got);
+    codec->decode(got, count, {}, got_out);
+    check("codec");
+    for (const auto* v : variants) {
+      detail::int8_encode(*v, values, got);
+      detail::int8_decode(*v, want, count, got_out);
+      check(common::gemm_isa_name(v->isa));
     }
   }
 }

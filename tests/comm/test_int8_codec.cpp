@@ -1,8 +1,10 @@
-// The int8 codec's production path (SSE2 loops on x86-64) against its
-// retained scalar reference: the encoded bytes must be identical and the
-// decoded floats bit-identical, over every tail length, exact rounding ties,
-// special values and both sides of the tiny-tensor threshold. Also pins the
-// tiny-tensor fix: a tensor whose 1/scale overflows keeps zeros and signs.
+// The int8 codec's vector loops — the codec itself (the active kernel
+// variant) and every kernel variant this CPU runs (baseline, AVX2, AVX-512:
+// 4, 8 or 16 floats wide) — against its retained scalar reference: the
+// encoded bytes must be identical and the decoded floats bit-identical, over
+// every tail length, exact rounding ties, special values and both sides of
+// the tiny-tensor threshold. Also pins the tiny-tensor fix: a tensor whose
+// 1/scale overflows keeps zeros and signs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +17,9 @@
 
 #include "comm/codec.h"
 #include "comm/codec_impl.h"
+#include "common/cpu_isa.h"
 #include "common/rng.h"
+#include "tensor/kernels/gemm_variants.h"
 
 namespace mach::comm {
 namespace {
@@ -28,9 +32,19 @@ constexpr float kFloatMin = std::numeric_limits<float>::min();
 /// Below this max|x| the reciprocal of scale = max|x| / 127 overflows.
 const float kTinyThreshold = 127.0f / std::numeric_limits<float>::max();
 
-/// Encodes `values` with the production codec and the scalar reference and
-/// expects identical bytes; then decodes those bytes both ways and expects
-/// bit-identical floats.
+void expect_same_bits(const std::vector<float>& got,
+                      const std::vector<float>& want, const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want[i]))
+        << label << " index " << i;
+  }
+}
+
+/// Encodes `values` with the production codec, with every kernel variant's
+/// int8 entries and with the scalar reference, and expects identical bytes;
+/// then decodes those bytes each way and expects bit-identical floats.
 void expect_matches_reference(const std::vector<float>& values,
                               const std::string& label) {
   const auto codec = make_codec({.kind = CodecKind::Int8});
@@ -42,11 +56,14 @@ void expect_matches_reference(const std::vector<float>& values,
   std::vector<float> got_out, want_out;
   codec->decode(got, values.size(), {}, got_out);
   detail::int8_decode_reference(want, values.size(), want_out);
-  ASSERT_EQ(got_out.size(), want_out.size()) << label;
-  for (std::size_t i = 0; i < got_out.size(); ++i) {
-    ASSERT_EQ(std::bit_cast<std::uint32_t>(got_out[i]),
-              std::bit_cast<std::uint32_t>(want_out[i]))
-        << label << " index " << i;
+  expect_same_bits(got_out, want_out, label);
+  for (const auto* v : tensor::kernels::detail::host_variants()) {
+    const std::string isa =
+        label + " " + std::string(common::gemm_isa_name(v->isa));
+    detail::int8_encode(*v, values, got);
+    ASSERT_EQ(got.bytes, want.bytes) << isa;
+    detail::int8_decode(*v, want, values.size(), got_out);
+    expect_same_bits(got_out, want_out, isa);
   }
 }
 
@@ -58,10 +75,11 @@ std::vector<float> normal_tensor(common::Rng& rng, std::size_t count) {
 
 TEST(Int8Codec, MatchesReferenceAtEveryTailLength) {
   common::Rng rng(0x1a8);
-  // 0-40 covers every length mod 16 (the vector step) at least twice; the
-  // three large sizes are the benchmark models' parameter counts.
+  // 0-140 covers every length mod 64 (four 16-wide vectors, the widest
+  // variant's quantisation step) at least twice; the three large sizes are
+  // the benchmark models' parameter counts.
   std::vector<std::size_t> lengths;
-  for (std::size_t n = 0; n <= 40; ++n) lengths.push_back(n);
+  for (std::size_t n = 0; n <= 140; ++n) lengths.push_back(n);
   for (std::size_t n : {2410u, 6218u, 14938u}) lengths.push_back(n);
   for (const std::size_t n : lengths) {
     expect_matches_reference(normal_tensor(rng, n), "n=" + std::to_string(n));
@@ -109,8 +127,9 @@ TEST(Int8Codec, MatchesReferenceOnSpecialValues) {
                                        -kNaN,      kDenormMin,   -kDenormMin,
                                        kFloatMin,  -kFloatMin,   1e-40f,
                                        -3e-39f,    1.0f,         -1.0f};
-  // Every special at every position of a 16-wide block and its tail.
-  for (std::size_t n : {1u, 7u, 16u, 17u, 35u}) {
+  // Every special at every position of a 16-wide vector, a block of four,
+  // and their tails.
+  for (std::size_t n : {1u, 7u, 16u, 17u, 35u, 79u}) {
     for (const float special : specials) {
       for (std::size_t at = 0; at < n; ++at) {
         common::Rng rng(n * 131 + at);
@@ -122,8 +141,8 @@ TEST(Int8Codec, MatchesReferenceOnSpecialValues) {
     }
   }
   // A NaN never displaces the maximum, wherever the two fall among the
-  // 16-wide blocks, the 4-wide remainder, the scalar tail and the lanes.
-  for (std::size_t n : {20u, 29u, 35u}) {
+  // blocks of four vectors, the single vectors, the fringe and the lanes.
+  for (std::size_t n : {20u, 29u, 35u, 75u}) {
     for (std::size_t nan_at = 0; nan_at < n; ++nan_at) {
       for (std::size_t max_at = 0; max_at < n; ++max_at) {
         if (max_at == nan_at) continue;
@@ -247,7 +266,8 @@ TEST(Int8Codec, MatchesReferenceAcrossTheTinyThreshold) {
 
 TEST(Int8Codec, DecodeMatchesReferenceForEveryByte) {
   // Every byte value (including -128, which no encoder emits) at every
-  // position mod 16, under normal, subnormal, zero and non-finite scales.
+  // position mod 16, under normal, subnormal, zero and non-finite scales,
+  // on the codec and on every kernel variant.
   std::vector<float> values(256 + 13);
   Encoded wire;
   wire.bytes.resize(4 + values.size());
@@ -264,11 +284,11 @@ TEST(Int8Codec, DecodeMatchesReferenceForEveryByte) {
     std::vector<float> got, want;
     codec->decode(wire, values.size(), {}, got);
     detail::int8_decode_reference(wire, values.size(), want);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
-                std::bit_cast<std::uint32_t>(want[i]))
-          << "scale " << scale << " index " << i;
+    const std::string label = "scale " + std::to_string(scale);
+    expect_same_bits(got, want, label);
+    for (const auto* v : tensor::kernels::detail::host_variants()) {
+      detail::int8_decode(*v, wire, values.size(), got);
+      expect_same_bits(got, want, label + " " + common::gemm_isa_name(v->isa));
     }
   }
   EXPECT_THROW(codec->decode(wire, values.size() + 1, {}, values),

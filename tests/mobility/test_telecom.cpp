@@ -165,6 +165,39 @@ TEST(TelecomCsv, RejectsAMissingHeader) {
   std::remove(path.c_str());
 }
 
+TEST(TelecomCsv, RejectsBadIdsWithContext) {
+  // Each id once as the device and once as the station of line 3: not a
+  // number, past uint32 (2^32 + 1, which a cast would wrap to 1) and a
+  // number with trailing text.
+  const std::string path =
+      testing::TempDir() + "telecom_bad_id_" + std::to_string(::getpid()) +
+      ".csv";
+  for (const std::string id : {"x", "4294967297", "12x"}) {
+    for (const bool device : {true, false}) {
+      {
+        std::ofstream out(path);
+        out << "device_id,station_id,start_time,end_time\n"
+            << "0,1,2014-06-01 00:00:00,2014-06-01 03:00:00\n"
+            << (device ? id + ",1" : "0," + id)
+            << ",2014-06-01 03:00:00,2014-06-01 06:00:00\n";
+      }
+      try {
+        read_telecom_csv(path);
+        ADD_FAILURE() << "id '" << id << "' was read";
+      } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(path), std::string::npos) << what;
+        EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+        EXPECT_NE(what.find(device ? "device_id" : "station_id"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("'" + id + "'"), std::string::npos) << what;
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
 TEST(TelecomPipeline, SynthesizeDiscretizeRoundTrip) {
   // Full pipeline: model -> raw timestamped records -> CSV -> discretised
   // trace -> replay, exactly how a real dataset would flow in.

@@ -2,7 +2,8 @@
 // reference kernels over randomized and adversarial shapes. Every GEMM case
 // runs once per variant this CPU supports (baseline, AVX2, AVX-512), reached
 // through the internal variant table, with the tile-edge cases derived from
-// that variant's own blocking.
+// that variant's own blocking; so do the elementwise and optimiser loops,
+// against their naive forms, at lengths off every vector width.
 //
 // Tolerance policy: EXACT bitwise equality (EXPECT_EQ on floats, no
 // epsilon). The blocked kernels are required to reproduce the reference's
@@ -439,43 +440,53 @@ TEST(KernelEquivalence, ElementwiseExact) {
   const std::size_t n = 1037;  // non-multiple of any vector width
   const auto x = random_vec(n, rng);
   const auto y0 = random_vec(n, rng);
-
-  std::vector<float> got(n), want(n);
-  relu(n, x.data(), got.data());
-  for (std::size_t i = 0; i < n; ++i) want[i] = x[i] > 0.0f ? x[i] : 0.0f;
-  EXPECT_EQ(got, want);
-
-  relu_bwd(n, x.data(), y0.data(), got.data());
-  for (std::size_t i = 0; i < n; ++i) want[i] = x[i] > 0.0f ? y0[i] : 0.0f;
-  EXPECT_EQ(got, want);
-
-  got = y0;
-  want = y0;
-  axpy(n, 0.37f, x.data(), got.data());
-  for (std::size_t i = 0; i < n; ++i) want[i] += 0.37f * x[i];
-  EXPECT_EQ(got, want);
-
   const auto base = random_vec(n, rng);
-  got = y0;
-  want = y0;
-  axpy_delta(n, -1.25f, x.data(), base.data(), got.data());
-  for (std::size_t i = 0; i < n; ++i) want[i] += -1.25f * (x[i] - base[i]);
-  EXPECT_EQ(got, want);
+  for (const auto* v : detail::host_variants()) {
+    SCOPED_TRACE(common::gemm_isa_name(v->isa));
+    std::vector<float> got(n), want(n);
+    v->relu(n, x.data(), got.data());
+    for (std::size_t i = 0; i < n; ++i) want[i] = x[i] > 0.0f ? x[i] : 0.0f;
+    EXPECT_EQ(got, want);
 
-  got = y0;
-  want = y0;
-  scale(n, 0.81f, got.data());
-  for (std::size_t i = 0; i < n; ++i) want[i] *= 0.81f;
-  EXPECT_EQ(got, want);
+    v->relu_bwd(n, x.data(), y0.data(), got.data());
+    for (std::size_t i = 0; i < n; ++i) want[i] = x[i] > 0.0f ? y0[i] : 0.0f;
+    EXPECT_EQ(got, want);
 
-  scale_copy(n, -0.5f, x.data(), got.data());
-  for (std::size_t i = 0; i < n; ++i) want[i] = -0.5f * x[i];
-  EXPECT_EQ(got, want);
+    got = y0;
+    want = y0;
+    v->axpy(n, 0.37f, x.data(), got.data());
+    for (std::size_t i = 0; i < n; ++i) want[i] += 0.37f * x[i];
+    EXPECT_EQ(got, want);
 
-  got = y0;
-  want = y0;
-  vadd(n, x.data(), got.data());
-  for (std::size_t i = 0; i < n; ++i) want[i] = y0[i] + x[i];
+    got = y0;
+    want = y0;
+    v->axpy_delta(n, -1.25f, x.data(), base.data(), got.data());
+    for (std::size_t i = 0; i < n; ++i) want[i] += -1.25f * (x[i] - base[i]);
+    EXPECT_EQ(got, want);
+
+    got = y0;
+    want = y0;
+    v->scale(n, 0.81f, got.data());
+    for (std::size_t i = 0; i < n; ++i) want[i] *= 0.81f;
+    EXPECT_EQ(got, want);
+
+    v->scale_copy(n, -0.5f, x.data(), got.data());
+    for (std::size_t i = 0; i < n; ++i) want[i] = -0.5f * x[i];
+    EXPECT_EQ(got, want);
+
+    got = y0;
+    want = y0;
+    v->vadd(n, x.data(), got.data());
+    for (std::size_t i = 0; i < n; ++i) want[i] = y0[i] + x[i];
+    EXPECT_EQ(got, want);
+  }
+  // The public kernels run the active variant.
+  std::vector<float> got = y0, want = y0;
+  axpy(n, 0.37f, x.data(), got.data());
+  detail::active_variant().axpy(n, 0.37f, x.data(), want.data());
+  EXPECT_EQ(got, want);
+  relu(n, x.data(), got.data());
+  detail::active_variant().relu(n, x.data(), want.data());
   EXPECT_EQ(got, want);
 }
 
@@ -491,7 +502,8 @@ std::vector<std::uint32_t> bits(const std::vector<float>& v) {
 TEST(KernelEquivalence, ReluBackwardExactOnSignedZerosAndNaN) {
   // x mixes signs, +-0, NaN and infinities; gy carries the same specials so
   // a selected NaN or -0 must pass through unchanged and a masked one must
-  // become +0, exactly as the conditional-load form produced.
+  // become +0, exactly as the conditional-load form produced. relu sees the
+  // same specials: NaN and -0 become +0.
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
   const std::vector<float> specials = {1.5f, -2.0f, 0.0f, -0.0f, nan, -nan,
@@ -507,10 +519,80 @@ TEST(KernelEquivalence, ReluBackwardExactOnSignedZerosAndNaN) {
                 ? specials[i % specials.size()]
                 : static_cast<float>(rng.normal());
   }
-  std::vector<float> got(n, 7.0f), want(n);
-  relu_bwd(n, x.data(), gy.data(), got.data());
-  for (std::size_t i = 0; i < n; ++i) want[i] = x[i] > 0.0f ? gy[i] : 0.0f;
-  EXPECT_EQ(bits(got), bits(want));
+  std::vector<float> want(n), want_relu(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    want[i] = x[i] > 0.0f ? gy[i] : 0.0f;
+    want_relu[i] = x[i] > 0.0f ? x[i] : 0.0f;
+  }
+  for (const auto* v : detail::host_variants()) {
+    SCOPED_TRACE(common::gemm_isa_name(v->isa));
+    std::vector<float> got(n, 7.0f);
+    v->relu_bwd(n, x.data(), gy.data(), got.data());
+    EXPECT_EQ(bits(got), bits(want));
+    v->relu(n, x.data(), got.data());
+    EXPECT_EQ(bits(got), bits(want_relu));
+  }
+}
+
+TEST(KernelEquivalence, OptimiserAndBiasLoopsExactAtEveryWidth) {
+  // Lengths below, at and off each vector width (4, 8, 16); 10 and 32 are
+  // the fleet MLP's bias sizes. Each loop against its naive form, on every
+  // variant, with the values that follow from the same inputs.
+  const float lr = 0.05f, decay = 1e-3f, momentum = 0.9f;
+  common::Rng rng(15);
+  for (const std::size_t n : {1u, 7u, 10u, 16u, 17u, 32u, 1037u}) {
+    const auto grad = random_vec(n, rng);
+    const auto value = random_vec(n, rng);
+    const auto velocity = random_vec(n, rng);
+    std::vector<float> want_sgd = value;
+    for (std::size_t j = 0; j < n; ++j) {
+      want_sgd[j] -= lr * (grad[j] + decay * want_sgd[j]);
+    }
+    std::vector<float> want_value = value, want_velocity = velocity;
+    for (std::size_t j = 0; j < n; ++j) {
+      const float g = grad[j] + decay * want_value[j];
+      want_velocity[j] = momentum * want_velocity[j] + g;
+      want_value[j] -= lr * want_velocity[j];
+    }
+    const std::size_t m = 5;
+    const auto rows = random_vec(m * n, rng);
+    std::vector<float> want_bias = rows;
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < n; ++j) want_bias[i * n + j] += grad[j];
+    }
+    std::vector<float> want_sums(n, 0.0f);
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < n; ++j) want_sums[j] += rows[i * n + j];
+    }
+    std::vector<float> want_acc = value;
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < n; ++j) want_acc[j] += rows[i * n + j];
+    }
+    for (const auto* v : detail::host_variants()) {
+      SCOPED_TRACE(std::string(common::gemm_isa_name(v->isa)) +
+                   " n=" + std::to_string(n));
+      std::vector<float> got = value;
+      v->sgd_step(n, lr, decay, grad.data(), got.data());
+      EXPECT_EQ(got, want_sgd);
+
+      std::vector<float> got_value = value, got_velocity = velocity;
+      v->sgd_momentum_step(n, lr, momentum, decay, grad.data(),
+                           got_velocity.data(), got_value.data());
+      EXPECT_EQ(got_velocity, want_velocity);
+      EXPECT_EQ(got_value, want_value);
+
+      got = rows;
+      v->add_bias_rows(m, n, grad.data(), got.data());
+      EXPECT_EQ(got, want_bias);
+
+      got.assign(n, 7.0f);  // overwritten, not accumulated
+      v->col_sums(m, n, rows.data(), got.data(), /*accumulate=*/false);
+      EXPECT_EQ(got, want_sums);
+      got = value;
+      v->col_sums(m, n, rows.data(), got.data(), /*accumulate=*/true);
+      EXPECT_EQ(got, want_acc);
+    }
+  }
 }
 
 TEST(KernelEquivalence, ReductionsMatchStrictOrderChains) {
