@@ -47,7 +47,7 @@ hfl::AggregationForm parse_aggregation(const std::string& name) {
   throw std::invalid_argument("unknown aggregation form: " + name);
 }
 
-// Exit-code contract (documented in the file comment and DESIGN.md §16).
+// Exit-code contract (documented in the file comment and DESIGN.md §15).
 constexpr int kExitOk = 0;
 constexpr int kExitConfig = 2;
 constexpr int kExitRuntime = 3;

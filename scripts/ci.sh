@@ -258,55 +258,13 @@ for bad_flag in --scenario --task --aggregation; do
   fi
 done
 
-echo "== scale smoke (10k devices, RSS ceiling) =="
-# Million-device engine end to end at CI scale: a 10k-device run must stay
-# inside the fixed per-device memory budget and a 512 MiB process RSS
-# ceiling (bench/scale exits 1 otherwise), and trace_summary must render
-# the result. The committed BENCH_scale.json is the full default sweep (to
-# 1M); the smoke runs its 10k x 100 case with the same seed and rounds, and
-# the gate compares that case on what the stage resolves: the accounted
-# engine state (state_bytes, per_device_bytes), which at equal rounds is
-# deterministic. Its wall times are ms-scale and move up to 2x with the
-# host's speed, and the committed row's peak_rss_kb is the whole sweep's
-# high-water mark (the 1M case's), so neither is compared.
-scale_dir="$(mktemp -d -t hfl_scale_XXXXXX)"
-scale_json="$scale_dir/scale.json"
-trap 'rm -f "$trace" "$trace4" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json" "$zoo_json"; rm -rf "$kernels_dir" "$scale_dir"' EXIT
-scale_rounds="$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["rounds"])' BENCH_scale.json)"
-"$BUILD_DIR/bench/scale" --devices 10000 --edges 100 --rounds "$scale_rounds" \
-  --rss_ceiling_mb 512 --out "$scale_json" > /dev/null
-"$BUILD_DIR/tools/trace_summary" "$scale_json" | grep -q 'worst round p95'
-"$BUILD_DIR/tools/bench_diff" \
-  --baseline "$scale_json" --current "$scale_json" > /dev/null
-python3 - BENCH_scale.json "$scale_json" "$scale_dir" <<'PY'
-import json, os, sys
-
-baseline, current, out_dir = sys.argv[1:]
-keep = ("devices", "edges", "state_bytes", "per_device_bytes")
-
-def state_rows(path, cases):
-    doc = json.load(open(path))
-    rows = [{k: r[k] for k in keep} for r in doc["results"]
-            if (r["devices"], r["edges"]) in cases]
-    return {"bench": "scale", "results": rows}
-
-for name, path in (("state_base", baseline), ("state_now", current)):
-    rows = state_rows(path, {(10000, 100)})
-    if not rows["results"]:
-        sys.exit(f"{path} has no 10k x 100 case")
-    json.dump(rows, open(os.path.join(out_dir, name + ".json"), "w"))
-PY
-"$BUILD_DIR/tools/bench_diff" \
-  --baseline "$scale_dir/state_base.json" \
-  --current "$scale_dir/state_now.json" --threshold_pct 1
-
 echo "== crash-resume smoke =="
 # Kill-and-resume end-to-end: a fixed-seed run SIGKILLs itself right after a
 # mid-run snapshot becomes durable, then a resumed run (at a different thread
 # count) must reproduce the uninterrupted reference CSV byte for byte and
 # leave checkpoint markers in the trace.
 ckpt_dir="$(mktemp -d -t hfl_ckpt_XXXXXX)"
-trap 'rm -f "$trace" "$trace4" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json" "$zoo_json"; rm -rf "$kernels_dir" "$scale_dir" "$ckpt_dir"' EXIT
+trap 'rm -f "$trace" "$trace4" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json" "$zoo_json"; rm -rf "$kernels_dir" "$ckpt_dir"' EXIT
 resume_args=(--task mnist --devices 8 --edges 2 --steps 12 --local_epochs 2 --seed 11)
 "$BUILD_DIR/examples/experiment_runner" "${resume_args[@]}" --threads 1 \
   --csv "$ckpt_dir/ref.csv" --trace "$ckpt_dir/ref.jsonl" > /dev/null
@@ -346,7 +304,7 @@ echo "== sweep orchestrator smoke =="
 # config watchdog-killed twice then quarantined — reported via exit code 1
 # and a journaled failure history the report renderer surfaces.
 sweep_dir="$(mktemp -d -t hfl_sweep_XXXXXX)"
-trap 'rm -f "$trace" "$trace4" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json" "$zoo_json"; rm -rf "$kernels_dir" "$scale_dir" "$ckpt_dir" "$sweep_dir"' EXIT
+trap 'rm -f "$trace" "$trace4" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json" "$zoo_json"; rm -rf "$kernels_dir" "$ckpt_dir" "$sweep_dir"' EXIT
 cat > "$sweep_dir/spec.json" <<'SPEC'
 {
   "name": "ci_smoke",
@@ -382,7 +340,7 @@ echo "== mobility trace smoke =="
 # churn and write a trace CSV that starts with the header Trace::read_csv
 # requires.
 mobility_csv="$(mktemp -t hfl_mobility_XXXXXX.csv)"
-trap 'rm -f "$trace" "$trace4" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json" "$zoo_json" "$mobility_csv"; rm -rf "$kernels_dir" "$scale_dir" "$ckpt_dir" "$sweep_dir"' EXIT
+trap 'rm -f "$trace" "$trace4" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json" "$zoo_json" "$mobility_csv"; rm -rf "$kernels_dir" "$ckpt_dir" "$sweep_dir"' EXIT
 "$BUILD_DIR/examples/mobility_trace_demo" --devices 20 --stations 12 \
   --edges 3 --horizon 30 --csv "$mobility_csv" | grep -q 'Station-level churn'
 [ "$(head -n 1 "$mobility_csv")" = "device,station,t_start,t_end" ]
@@ -423,9 +381,7 @@ cmake --build "$ASAN_DIR" -j "$JOBS" --target test_tensor test_nn
 # with a raised fuzz budget (float<->bits bit_casts, wire byte packing,
 # int8 narrowing and the int8 codec's SSE2 casts, saturating packs and
 # tail loops, checked against its scalar reference over many random
-# lengths, are the risky parts), plus the sampling + scale suites (Fenwick node index
-# arithmetic, alias-bucket uniform splitting and the hash-based synthetic
-# gradient mixing are the risky parts; test_sampling now also carries the
+# lengths, are the risky parts), plus the sampling suite (it carries the
 # whole-registry conformance suite, so every zoo sampler's probability
 # arithmetic runs sanitized), plus the mobility suite (the scenario spec
 # parser's from_chars walking and its fuzz sweep are the risky parts),
@@ -434,12 +390,12 @@ cmake --build "$ASAN_DIR" -j "$JOBS" --target test_tensor test_nn
 # and the orchestrator's waitpid status decoding are the risky parts; the
 # e2e tests fork UBSan-built child binaries, so the engine's drain/hang
 # harness paths run sanitized too). Built at Release's -O2.
-echo "== undefined behaviour sanitizer (kernels + ISA selection + nn + faults + ckpt + comm + sampling + mobility + scale + sweep) =="
+echo "== undefined behaviour sanitizer (kernels + ISA selection + nn + faults + ckpt + comm + sampling + mobility + sweep) =="
 UBSAN_DIR="${UBSAN_DIR:-${BUILD_DIR}-ubsan}"
 cmake -B "$UBSAN_DIR" -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
   -DCMAKE_CXX_FLAGS="-fsanitize=undefined -fno-sanitize-recover=all -g -Werror" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=undefined"
-cmake --build "$UBSAN_DIR" -j "$JOBS" --target test_tensor test_common test_nn test_fault test_ckpt test_comm test_sampling test_mobility test_scale test_sweep
+cmake --build "$UBSAN_DIR" -j "$JOBS" --target test_tensor test_common test_nn test_fault test_ckpt test_comm test_sampling test_mobility test_sweep
 check_isa_objects "$UBSAN_DIR"
 "$UBSAN_DIR/tests/test_tensor"
 "$UBSAN_DIR/tests/test_common" --gtest_filter='GemmIsaSelection.*'
@@ -449,7 +405,6 @@ check_isa_objects "$UBSAN_DIR"
 MACH_CODEC_FUZZ_ITERS=2000 "$UBSAN_DIR/tests/test_comm"
 "$UBSAN_DIR/tests/test_sampling"
 "$UBSAN_DIR/tests/test_mobility"
-"$UBSAN_DIR/tests/test_scale"
 MACH_SWEEP_FUZZ_ITERS=1500 "$UBSAN_DIR/tests/test_sweep"
 
 # Data-race check over the runtime subsystem: a separate TSan build of the
@@ -463,7 +418,7 @@ TSAN_DIR="${TSAN_DIR:-${BUILD_DIR}-tsan}"
 cmake -B "$TSAN_DIR" -S . \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -g -Werror" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
-cmake --build "$TSAN_DIR" -j "$JOBS" --target test_runtime test_hfl test_fault test_obs test_comm test_sampling test_scale
+cmake --build "$TSAN_DIR" -j "$JOBS" --target test_runtime test_hfl test_fault test_obs test_comm test_sampling
 "$TSAN_DIR/tests/test_runtime"
 # ParallelDeterminism includes a MACH-P run: probes batch their gradient
 # norms in slot 0's batch on the coordinator between sections, and each slot
@@ -485,8 +440,5 @@ cmake --build "$TSAN_DIR" -j "$JOBS" --target test_runtime test_hfl test_fault t
 # Lossy-codec runs at 2 and 4 workers: transcodes are coordinator-only by
 # design; TSan proves no codec state is touched from worker threads.
 "$TSAN_DIR/tests/test_comm" --gtest_filter='CommIntegration.*'
-# Scale engine determinism/resume suite: single-threaded by design — TSan
-# proves nothing in the million-device round loop spawns hidden threads.
-"$TSAN_DIR/tests/test_scale"
 
 echo "CI OK"

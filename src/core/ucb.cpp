@@ -17,26 +17,18 @@ UcbEstimator::UcbEstimator(std::size_t num_devices, UcbOptions options)
 
 void UcbEstimator::record(std::uint32_t device,
                           const std::vector<double>& grad_sq_norms) {
-  accumulate(device, grad_sq_norms);
-}
-
-void UcbEstimator::record(std::uint32_t device, double grad_sq_norm) {
-  accumulate(device, {&grad_sq_norm, 1});
-}
-
-void UcbEstimator::accumulate(std::uint32_t device,
-                              std::span<const double> grad_sq_norms) {
   double& sum = buffer_sum_.at(device);
   // Left-to-right fold in arrival order: the same additions, in the same
   // order, the buffered representation performed at refresh time.
   for (const double g : grad_sq_norms) sum += g;
   ++counts_[device];
-  if (!grad_sq_norms.empty()) {
-    buffer_count_[device] += static_cast<std::uint32_t>(grad_sq_norms.size());
-    if ((flags_[device] & kInActiveList) == 0) {
-      flags_[device] |= kInActiveList;
-      active_.push_back(device);
-    }
+  buffer_count_[device] += static_cast<std::uint32_t>(grad_sq_norms.size());
+}
+
+void UcbEstimator::on_cloud_round(std::size_t t) {
+  last_cloud_t_ = t;
+  for (std::uint32_t m = 0; m < buffer_count_.size(); ++m) {
+    if (buffer_count_[m] > 0) fold_round(m);
   }
 }
 
@@ -50,7 +42,6 @@ void UcbEstimator::fold_round(std::uint32_t m) {
   if (options_.clear_buffer_on_cloud_round) {
     buffer_sum_[m] = 0.0;
     buffer_count_[m] = 0;
-    flags_[m] &= static_cast<std::uint8_t>(~kInActiveList);
   }
 }
 
@@ -72,15 +63,6 @@ double UcbEstimator::exploration(std::uint32_t device) const {
 
 double UcbEstimator::estimate(std::uint32_t device) const {
   return exploitation(device) + exploration(device);
-}
-
-std::size_t UcbEstimator::memory_bytes() const noexcept {
-  return buffer_sum_.capacity() * sizeof(double) +
-         buffer_count_.capacity() * sizeof(std::uint32_t) +
-         max_round_avg_.capacity() * sizeof(double) +
-         flags_.capacity() * sizeof(std::uint8_t) +
-         counts_.capacity() * sizeof(std::uint32_t) +
-         active_.capacity() * sizeof(std::uint32_t);
 }
 
 void UcbEstimator::save_state(ckpt::ByteWriter& out) const {
@@ -121,14 +103,6 @@ void UcbEstimator::load_state(ckpt::ByteReader& in) {
   for (auto& c : counts_) c = static_cast<std::uint32_t>(in.u64());
   population_max_ = in.f64();
   last_cloud_t_ = static_cast<std::size_t>(in.u64());
-  // Rebuild the active list from the restored buffer occupancy.
-  active_.clear();
-  for (std::size_t m = 0; m < buffer_count_.size(); ++m) {
-    if (buffer_count_[m] > 0) {
-      flags_[m] |= kInActiveList;
-      active_.push_back(static_cast<std::uint32_t>(m));
-    }
-  }
 }
 
 }  // namespace mach::core

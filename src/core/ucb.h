@@ -9,21 +9,16 @@
 // exploration term B = confidence radius shrinking with participations),
 // and the buffer is cleared (Alg. 2 line 4).
 //
-// Storage is structure-of-arrays with a fixed per-device byte budget: the
-// per-device experience buffer is held as a running (sum, count) pair — the
-// round mean Avg(G_m^t) is the same left-to-right fold either way, so the
-// estimates are bitwise identical to the buffered representation while the
-// state shrinks from an unbounded vector per device to 29 bytes per device.
-// Cloud-round refreshes walk only the devices that actually buffered
-// experience since the last refresh (O(participants), not O(M)).
+// Storage is structure-of-arrays: the per-device experience buffer is held
+// as a running (sum, count) pair — the round mean Avg(G_m^t) is the same
+// left-to-right fold either way, so the estimates are bitwise identical to
+// the buffered representation.
 //
 // The only holder of Algorithm 2's per-device state: MachSampler (MACH-G
-// through it) and the million-device ScaleSimulator both fold into it.
+// through it) folds into it.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace mach::ckpt {
@@ -52,29 +47,12 @@ class UcbEstimator {
   /// Records one participation of `device`: the ||g||^2 values of its I
   /// local steps are folded into its experience accumulator (Eq. 14).
   void record(std::uint32_t device, const std::vector<double>& grad_sq_norms);
-  /// One ||g||^2 observation: the same fold as a one-element vector.
-  void record(std::uint32_t device, double grad_sq_norm);
 
   /// Cloud-round bookkeeping: folds buffered experience into the per-round
-  /// maxima and (by default) clears it. Only devices that buffered since the
-  /// last refresh are visited. `t` is the current global time step used in
-  /// the log t exploration numerator.
-  void on_cloud_round(std::size_t t) {
-    on_cloud_round(t, [](std::uint32_t) {});
-  }
-  /// The same, then `folded(m)` for every folded device m in ascending
-  /// order, before the buffers' list is cleared: the scale engine re-derives
-  /// their sampling weights there. `folded` must not record.
-  template <class Folded>
-  void on_cloud_round(std::size_t t, Folded&& folded) {
-    last_cloud_t_ = t;
-    // Ascending device order: the visit order of a full O(M) sweep over the
-    // devices with non-empty buffers, so the fold is bitwise unchanged.
-    std::sort(active_.begin(), active_.end());
-    for (const std::uint32_t m : active_) fold_round(m);
-    for (const std::uint32_t m : active_) folded(m);
-    if (options_.clear_buffer_on_cloud_round) active_.clear();
-  }
+  /// maxima and (by default) clears it, device by device in ascending order
+  /// over the devices with a non-empty buffer. `t` is the current global
+  /// time step used in the log t exploration numerator.
+  void on_cloud_round(std::size_t t);
 
   /// Current estimate G~^2_m (Eq. 15). Never-participated devices return an
   /// optimistic value so they keep being explored.
@@ -95,12 +73,6 @@ class UcbEstimator {
   }
   std::size_t num_devices() const noexcept { return counts_.size(); }
 
-  /// Fixed per-device state: sum(8) + count(4) + max_avg(8) + flags(1) +
-  /// participations(4) + active-list slot(4).
-  static constexpr std::size_t bytes_per_device() noexcept { return 29; }
-  /// Bytes actually held (capacities): the five arrays and the pending list.
-  std::size_t memory_bytes() const noexcept;
-
   /// Checkpointing: serialises all of Algorithm 2's accumulated state —
   /// experience accumulators, per-round maxima, participation counts, the
   /// population maximum and the last cloud-round time.
@@ -112,9 +84,7 @@ class UcbEstimator {
 
  private:
   static constexpr std::uint8_t kHasEstimate = 1;
-  static constexpr std::uint8_t kInActiveList = 2;
 
-  void accumulate(std::uint32_t device, std::span<const double> grad_sq_norms);
   /// One device's cloud-round fold (Alg. 2 lines 3–4).
   void fold_round(std::uint32_t m);
 
@@ -125,8 +95,6 @@ class UcbEstimator {
   std::vector<double> max_round_avg_;       // max_{t'} Avg(G_m^{t'})
   std::vector<std::uint8_t> flags_;
   std::vector<std::uint32_t> counts_;       // sum_t' 1_m^{t'}
-  // Devices with a non-empty buffer — the only ones a refresh must visit.
-  std::vector<std::uint32_t> active_;
   double population_max_ = 0.0;
   std::size_t last_cloud_t_ = 0;
 };

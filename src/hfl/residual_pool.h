@@ -3,11 +3,10 @@
 //
 // With a stateful upload codec (top-k) every participating device owns a
 // param_count-sized residual. A vector per device costs an allocation, a
-// pointer triple and heap scatter per device — at million-device scale that
-// is both RAM and cache churn. The pool packs live residuals back-to-back in
-// one slab (allocated lazily, in first-participation order) and keeps only a
-// u32 slot handle per device, which is the representation the device-state
-// byte budget accounts for.
+// pointer triple and heap scatter per device, RAM and cache churn that grow
+// with the fleet. The pool packs live residuals back-to-back in one slab
+// (allocated lazily, in first-participation order) and keeps only a u32 slot
+// handle per device.
 //
 // The checkpoint wire format is exactly the historical one (u64 device
 // count, then one vec_f32 per device — empty when unallocated), so snapshots

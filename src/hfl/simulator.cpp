@@ -134,10 +134,9 @@ void HflSimulator::train_device(std::size_t t, std::uint32_t device,
   data::Batch& batch = slot.batch;
   for (std::size_t tau = 0; tau < options_.local_epochs; ++tau) {
     train_.sample_batch(partition_[device], options_.batch_size, rng, batch);
-    const nn::StepStats stats = model.forward_backward(batch.features, batch.labels);
+    loss_total += model.forward_backward(batch.features, batch.labels);
     slot.norms.add(model, &obs.local_grad_sq_norms[tau]);
     sgd.step(model);
-    loss_total += stats.loss;
   }
   obs.mean_loss = loss_total / static_cast<double>(options_.local_epochs);
   model.get_parameters(out.params);

@@ -43,8 +43,10 @@ void civil_from_days(std::int64_t z, int& year, int& month, int& day) {
 
 std::int64_t parse_telecom_timestamp(const std::string& text) {
   int year = 0, month = 0, day = 0, hour = 0, minute = 0, second = 0;
-  if (std::sscanf(text.c_str(), "%d-%d-%d %d:%d:%d", &year, &month, &day, &hour,
-                  &minute, &second) != 6) {
+  int consumed = -1;
+  if (std::sscanf(text.c_str(), "%d-%d-%d %d:%d:%d%n", &year, &month, &day,
+                  &hour, &minute, &second, &consumed) != 6 ||
+      static_cast<std::size_t>(consumed) != text.size()) {
     throw std::invalid_argument("parse_telecom_timestamp: malformed '" + text + "'");
   }
   if (month < 1 || month > 12 || day < 1 || day > 31 || hour < 0 || hour > 23 ||
@@ -52,7 +54,16 @@ std::int64_t parse_telecom_timestamp(const std::string& text) {
     throw std::invalid_argument("parse_telecom_timestamp: out-of-range '" + text +
                                 "'");
   }
-  return day_number(year, month, day) * 86400 + hour * 3600 + minute * 60 + second;
+  // A day past the end of its month (2014-02-31) would roll into the next
+  // one; only a real date survives the round trip through the day number.
+  const std::int64_t days = day_number(year, month, day);
+  int y = 0, m = 0, d = 0;
+  civil_from_days(days, y, m, d);
+  if (y != year || m != month || d != day) {
+    throw std::invalid_argument("parse_telecom_timestamp: no such date '" +
+                                text + "'");
+  }
+  return days * 86400 + hour * 3600 + minute * 60 + second;
 }
 
 std::string format_telecom_timestamp(std::int64_t seconds) {

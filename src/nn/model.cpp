@@ -28,17 +28,13 @@ const tensor::Tensor& Sequential::forward(const tensor::Tensor& input) {
   return *current;
 }
 
-StepStats Sequential::forward_backward(const tensor::Tensor& input,
-                                       std::span<const int> labels) {
+double Sequential::forward_backward(const tensor::Tensor& input,
+                                    std::span<const int> labels) {
   set_training(true);
   const tensor::Tensor& logits = forward(input);
   if (!probs_.same_shape(logits)) probs_ = tensor::Tensor(logits.shape());
   tensor::softmax(logits, probs_);
-
-  StepStats stats;
-  stats.batch_size = labels.size();
-  stats.loss = tensor::cross_entropy_loss(probs_, labels);
-  stats.correct = tensor::count_correct(logits, labels);
+  const double loss = tensor::cross_entropy_loss(probs_, labels);
 
   if (!grad_logits_.same_shape(logits)) grad_logits_ = tensor::Tensor(logits.shape());
   tensor::softmax_cross_entropy_backward(probs_, labels, grad_logits_);
@@ -51,7 +47,7 @@ StepStats Sequential::forward_backward(const tensor::Tensor& input,
     grad = &layers_[i]->backward(*grad);
   }
   if (first < layers_.size()) layers_[first]->backward_params(*grad);
-  return stats;
+  return loss;
 }
 
 double Sequential::grad_squared_norm() {

@@ -15,7 +15,7 @@
 
 namespace mach::nn {
 
-/// Result of a single forward/backward pass over one minibatch.
+/// Result of evaluating one minibatch.
 struct StepStats {
   double loss = 0.0;
   std::size_t correct = 0;
@@ -42,12 +42,12 @@ class Sequential {
   /// Forward pass; returns the logits (valid until the next forward).
   const tensor::Tensor& forward(const tensor::Tensor& input);
 
-  /// Forward + loss + backward; gradients are left in the layers' grad
-  /// tensors for the optimiser. Labels are class indices. Only parameter
-  /// gradients are produced: the first parameterised layer gets
-  /// backward_params() and the parameter-free layers before it get no
-  /// backward call at all.
-  StepStats forward_backward(const tensor::Tensor& input, std::span<const int> labels);
+  /// Forward + loss + backward; returns the minibatch's mean loss, and
+  /// leaves the gradients in the layers' grad tensors for the optimiser.
+  /// Labels are class indices. Only parameter gradients are produced: the
+  /// first parameterised layer gets backward_params() and the
+  /// parameter-free layers before it get no backward call at all.
+  double forward_backward(const tensor::Tensor& input, std::span<const int> labels);
 
   /// Loss/accuracy evaluation without gradient computation.
   StepStats evaluate(const tensor::Tensor& input, std::span<const int> labels);

@@ -66,9 +66,9 @@ MetricDirection metric_direction(std::string_view name) {
   if (ends_with(name, "_bytes") || name == "bytes_per_round") {
     return MetricDirection::LowerIsBetter;
   }
-  // Memory envelope (BENCH_scale.json): a fatter resident set or KiB-scale
-  // footprint for the same case is a regression.
-  if (contains(name, "rss") || ends_with(name, "_kb")) {
+  // Memory envelope (BENCH_e2e.json's peak_rss_mb): a fatter resident set
+  // for the same case is a regression.
+  if (contains(name, "rss")) {
     return MetricDirection::LowerIsBetter;
   }
   // Model quality (BENCH_comm.json accuracy-vs-bytes cases, BENCH_zoo.json

@@ -40,6 +40,10 @@ struct PartitionCase {
   std::function<Partition(const Dataset&, std::size_t, common::Rng&)> run;
 };
 
+// gtest otherwise prints the struct's raw bytes (heap pointers included)
+// into every parameterised test's listed name.
+void PrintTo(const PartitionCase& c, std::ostream* os) { *os << c.name; }
+
 class PartitionProperty
     : public ::testing::TestWithParam<std::tuple<PartitionCase, std::size_t,
                                                  std::uint64_t>> {};

@@ -31,12 +31,18 @@ TEST(TelecomTimestamp, LeapYearHandled) {
   const auto feb28 = parse_telecom_timestamp("2016-02-28 00:00:00");
   const auto mar01 = parse_telecom_timestamp("2016-03-01 00:00:00");
   EXPECT_EQ(mar01 - feb28, 2 * 86400);  // 2016 is a leap year
+  EXPECT_EQ(parse_telecom_timestamp("2016-02-29 00:00:00") - feb28, 86400);
 }
 
 TEST(TelecomTimestamp, RejectsMalformed) {
   EXPECT_THROW(parse_telecom_timestamp("not a date"), std::invalid_argument);
   EXPECT_THROW(parse_telecom_timestamp("2014-13-01 00:00:00"), std::invalid_argument);
   EXPECT_THROW(parse_telecom_timestamp("2014-01-01 25:00:00"), std::invalid_argument);
+  // Days past the end of their month, and text after the seconds field.
+  EXPECT_THROW(parse_telecom_timestamp("2014-02-31 00:00:00"), std::invalid_argument);
+  EXPECT_THROW(parse_telecom_timestamp("2014-02-29 00:00:00"), std::invalid_argument);
+  EXPECT_THROW(parse_telecom_timestamp("2014-06-01 00:00:00junk"),
+               std::invalid_argument);
 }
 
 TelecomImportOptions small_options() {

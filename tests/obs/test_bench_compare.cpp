@@ -50,7 +50,8 @@ TEST(MetricDirection, NameConventionMatchesTheEmitters) {
             MetricDirection::LowerIsBetter);
   EXPECT_EQ(metric_direction("final_accuracy"),
             MetricDirection::HigherIsBetter);
-  // Memory envelope (BENCH_scale.json): a fatter RSS is a regression.
+  // Memory envelope (BENCH_e2e.json): a fatter RSS is a regression.
+  EXPECT_EQ(metric_direction("peak_rss_mb"), MetricDirection::LowerIsBetter);
   EXPECT_EQ(metric_direction("peak_rss_kb"), MetricDirection::LowerIsBetter);
   EXPECT_EQ(metric_direction("current_rss_kb"), MetricDirection::LowerIsBetter);
   EXPECT_EQ(metric_direction("per_device_bytes"),

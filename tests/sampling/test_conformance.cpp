@@ -216,13 +216,16 @@ TEST_P(SamplerConformance, RunsBitwiseIdenticalAcrossThreadCounts) {
 }
 
 TEST_P(SamplerConformance, CheckpointRoundTripResumesBitForBit) {
-  // Drive to a midpoint, snapshot, restore into a freshly constructed
-  // sampler (bind first, exactly like the engine's resume path), then feed
-  // both the identical continuation and demand bitwise-equal q streams.
+  // Drive to a midpoint between cloud rounds (step 5's observations are
+  // still buffered, so the snapshot carries experience not yet folded),
+  // snapshot, restore into a freshly constructed sampler (bind first,
+  // exactly like the engine's resume path), then feed both the identical
+  // continuation and demand bitwise-equal q streams.
   const HarnessWorld world;
+  ASSERT_EQ(world.cloud_interval, 2u);
   auto original = make_bound();
   common::Rng warmup_rng(0xBEEFu);
-  test::drive_steps(*original, world, 5, warmup_rng);
+  test::drive_steps(*original, world, 6, warmup_rng);
 
   ckpt::ByteWriter writer;
   original->save_state(writer);
@@ -233,7 +236,7 @@ TEST_P(SamplerConformance, CheckpointRoundTripResumesBitForBit) {
 
   common::Rng rng_a(0x99u);
   common::Rng rng_b(0x99u);
-  for (std::size_t t = 5; t < 9; ++t) {
+  for (std::size_t t = 6; t < 10; ++t) {
     const auto q_original = test::drive_step(*original, world, t, rng_a);
     const auto q_restored = test::drive_step(*restored, world, t, rng_b);
     ASSERT_EQ(q_original.size(), q_restored.size()) << "t=" << t;

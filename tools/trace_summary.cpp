@@ -100,8 +100,7 @@ void print_usage() {
          "  * Chrome span profile (--profile): per-span breakdown, round\n"
          "    latency percentiles, slowest devices/edges, dropped spans;\n"
          "  * status heartbeat (--status): live-run snapshot + staleness;\n"
-         "  * BENCH_*.json results: gates, per-case wall-time percentiles\n"
-         "    and peak RSS (BENCH_scale.json).\n\n"
+         "  * BENCH_*.json results: hardware, gates and the zoo ranking.\n\n"
          "Flags:\n"
          "  --devices N   rows in the top-device/edge tables (default 5, 0 off)\n"
          "  --help        this message\n";
@@ -373,9 +372,8 @@ int summarize_sweep_report(const JsonValue& doc, const std::string& path) {
 }
 
 /// Summary of a BENCH_*.json document (any bench/ emitter): the embedded
-/// hardware context, the top-level pass/fail gates, and — when the results
-/// carry them (BENCH_scale.json) — per-case wall-time percentiles and peak
-/// RSS, with the worst case called out for quick triage.
+/// hardware context, the top-level pass/fail gates and, for BENCH_zoo.json,
+/// the sampler ranking.
 int summarize_bench(const JsonValue& doc, const std::string& path) {
   std::cout << "=== bench results: " << path << " (bench \""
             << doc.string_or("bench", "?") << "\") ===\n";
@@ -393,11 +391,9 @@ int summarize_bench(const JsonValue& doc, const std::string& path) {
   for (const auto& [name, value] : doc.as_object()) {
     if (!value.is_bool()) continue;
     // Pass/fail gates follow the bench/ naming convention; other booleans
-    // are configuration echoes (e.g. alias_draws).
+    // are printed as flags.
     const bool is_gate = name.find("_met") != std::string::npos ||
                          name.find("_ok") != std::string::npos ||
-                         name.find("within") != std::string::npos ||
-                         name.find("linear") != std::string::npos ||
                          name.find("passed") != std::string::npos;
     if (is_gate) {
       std::cout << "gate " << name << ": "
@@ -444,62 +440,8 @@ int summarize_bench(const JsonValue& doc, const std::string& path) {
     return 0;
   }
 
-  // Case labels come from the same identity fields tools/bench_diff keys on.
-  const auto case_label = [](const JsonValue& entry) {
-    std::string label;
-    for (const char* field : {"task", "codec", "kernel", "name", "case",
-                              "sampler", "scenario", "devices", "edges"}) {
-      const JsonValue& value = entry[field];
-      if (value.is_string()) {
-        if (!label.empty()) label += ' ';
-        label += value.as_string();
-      } else if (value.is_number()) {
-        if (!label.empty()) label += ' ';
-        label += field;
-        label += '=';
-        label += mach::common::format_double(value.as_number(), 0);
-      }
-    }
-    return label.empty() ? std::string("(unkeyed)") : label;
-  };
-
-  bool any_latency = false;
-  for (const JsonValue& entry : results.as_array()) {
-    any_latency = any_latency || entry["round_p50_ms"].is_number();
-  }
-  if (!any_latency) {
-    std::cout << results.as_array().size()
-              << " case(s); no per-round wall-time fields (round_p50_ms) — "
-                 "use tools/bench_diff for metric-level comparison\n";
-    return 0;
-  }
-
-  mach::common::Table table(
-      {"case", "p50 ms", "p95 ms", "max ms", "B/device", "peak RSS MiB"});
-  double worst_p95 = 0.0;
-  std::string worst_case;
-  double max_rss_kb = 0.0;
-  for (const JsonValue& entry : results.as_array()) {
-    if (!entry.is_object()) continue;
-    const double p95 = entry.number_or("round_p95_ms", 0.0);
-    const double rss_kb = entry.number_or("peak_rss_kb", 0.0);
-    if (p95 > worst_p95) {
-      worst_p95 = p95;
-      worst_case = case_label(entry);
-    }
-    max_rss_kb = std::max(max_rss_kb, rss_kb);
-    table.row()
-        .cell(case_label(entry))
-        .cell(entry.number_or("round_p50_ms", 0.0), 3)
-        .cell(p95, 3)
-        .cell(entry.number_or("round_max_ms", 0.0), 3)
-        .cell(entry.number_or("per_device_bytes", 0.0), 1)
-        .cell(rss_kb / 1024.0, 1);
-  }
-  table.print(std::cout);
-  std::cout << "worst round p95: " << mach::common::format_double(worst_p95, 3)
-            << " ms (" << worst_case << "), max case peak RSS "
-            << mach::common::format_double(max_rss_kb / 1024.0, 1) << " MiB\n";
+  std::cout << results.as_array().size()
+            << " case(s) — use tools/bench_diff for metric-level comparison\n";
   return 0;
 }
 
