@@ -5,7 +5,10 @@
 //
 //   ./mobility_trace_demo [--devices N] [--stations N] [--edges N]
 //                         [--horizon T] [--stay P] [--csv path]
+//
+// A bad flag value prints `error: ...` on stderr and exits 1.
 #include <iostream>
+#include <stdexcept>
 
 #include "common/cli.h"
 #include "common/table.h"
@@ -13,19 +16,11 @@
 #include "mobility/schedule.h"
 #include "mobility/stations.h"
 
-int main(int argc, char** argv) {
-  using namespace mach;
+namespace {
 
-  common::CliParser cli("Generate and inspect a synthetic telecom mobility trace.");
-  cli.add_flag("devices", static_cast<std::int64_t>(100), "number of mobile devices");
-  cli.add_flag("stations", static_cast<std::int64_t>(60), "number of base stations");
-  cli.add_flag("edges", static_cast<std::int64_t>(10), "number of main edges (clusters)");
-  cli.add_flag("horizon", static_cast<std::int64_t>(200), "trace length in time steps");
-  cli.add_flag("stay", 0.8, "per-step probability of staying at the current station");
-  cli.add_flag("seed", static_cast<std::int64_t>(42), "random seed");
-  cli.add_flag("csv", std::string(""), "optional path for the raw trace CSV");
-  if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
+using namespace mach;
 
+int run(const common::CliParser& cli) {
   const auto devices = static_cast<std::size_t>(cli.get_int("devices"));
   const auto horizon = static_cast<std::size_t>(cli.get_int("horizon"));
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
@@ -78,4 +73,32 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  mach::common::CliParser cli("Generate and inspect a synthetic telecom mobility trace.");
+  cli.add_flag("devices", static_cast<std::int64_t>(100), "number of mobile devices");
+  cli.add_flag("stations", static_cast<std::int64_t>(60), "number of base stations");
+  cli.add_flag("edges", static_cast<std::int64_t>(10), "number of main edges (clusters)");
+  cli.add_flag("horizon", static_cast<std::int64_t>(200), "trace length in time steps");
+  cli.add_flag("stay", 0.8, "per-step probability of staying at the current station");
+  cli.add_flag("seed", static_cast<std::int64_t>(42), "random seed");
+  cli.add_flag("csv", std::string(""), "optional path for the raw trace CSV");
+  if (!cli.parse(argc, argv)) return cli.help_requested() ? 0 : 1;
+  // Counts are checked before run() casts them to size_t, where a negative
+  // one would become a count near 2^64.
+  for (const char* flag : {"devices", "stations", "edges", "horizon"}) {
+    if (cli.get_int(flag) <= 0) {
+      std::cerr << "error: --" << flag << " must be positive\n";
+      return 1;
+    }
+  }
+  try {
+    return run(cli);
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "error: " << error.what() << '\n';
+    return 1;
+  }
 }

@@ -337,13 +337,25 @@ cmp "$sweep_dir/report.before" "$sweep_dir/out/report.json"
 echo "== mobility trace smoke =="
 # The record -> replay -> schedule path outside the engine (generate_trace,
 # TraceReplay, MobilitySchedule::from_trace): a small world must report its
-# churn and write a trace CSV that starts with the header Trace::read_csv
-# requires.
+# churn and write a trace CSV that starts with the header of the schema
+# Trace::write_csv writes, the dataset's (device, station, t_start, t_end)
+# columns.
 mobility_csv="$(mktemp -t hfl_mobility_XXXXXX.csv)"
 trap 'rm -f "$trace" "$trace4" "$prof_json" "$status_json" "$fault_trace" "$codec_trace" "$comm_json" "$zoo_json" "$mobility_csv"; rm -rf "$kernels_dir" "$ckpt_dir" "$sweep_dir"' EXIT
 "$BUILD_DIR/examples/mobility_trace_demo" --devices 20 --stations 12 \
   --edges 3 --horizon 30 --csv "$mobility_csv" | grep -q 'Station-level churn'
 [ "$(head -n 1 "$mobility_csv")" = "device,station,t_start,t_end" ]
+# A count of zero and a stay probability of one are rejected with a message
+# and exit 1 (they used to end in std::terminate).
+for bad_flag in --devices=0 --stay=1.0; do
+  demo_status=0
+  demo_err="$("$BUILD_DIR/examples/mobility_trace_demo" "$bad_flag" 2>&1 >/dev/null)" \
+    || demo_status=$?
+  if [ "$demo_status" -ne 1 ] || [ -z "$demo_err" ]; then
+    echo "mobility_trace_demo $bad_flag must exit 1 with a message, got $demo_status"
+    exit 1
+  fi
+done
 
 # Out-of-bounds check over the kernel layer. The conv kernels carve the
 # scratch span their caller sizes (conv_backward_scratch and friends); a

@@ -1,15 +1,12 @@
 #include "hfl/experiment.h"
 
 #include <iomanip>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 
 #include "ckpt/run_state.h"
 #include "common/cli.h"
 #include "mobility/mobility_model.h"
-#include "nn/activations.h"
-#include "nn/dense.h"
 #include "nn/factory.h"
 
 namespace mach::hfl {
@@ -184,12 +181,7 @@ ModelFactory make_model_factory(const ExperimentConfig& config) {
     const std::size_t hidden = config.mlp_hidden;
     const std::size_t classes = spec.classes;
     return [features, hidden, classes] {
-      nn::Sequential model;
-      model.add(std::make_unique<nn::Flatten>())
-          .add(std::make_unique<nn::Dense>(features, hidden))
-          .add(std::make_unique<nn::ReLU>())
-          .add(std::make_unique<nn::Dense>(hidden, classes));
-      return model;
+      return nn::make_mlp(features, hidden, classes);
     };
   }
   if (config.task == data::TaskKind::CifarLike) {

@@ -23,75 +23,32 @@ MarkovMobilityModel::MarkovMobilityModel(std::vector<Point> stations, double sta
   }
 }
 
-std::uint32_t MarkovMobilityModel::initial_station(std::uint32_t /*device*/,
-                                                   common::Rng& rng) {
+std::uint32_t MarkovMobilityModel::initial_station(common::Rng& rng) const {
   return static_cast<std::uint32_t>(rng.uniform_index(stations_.size()));
 }
 
-std::uint32_t MarkovMobilityModel::next_station(std::uint32_t /*device*/,
-                                                std::uint32_t current,
-                                                common::Rng& rng) {
+std::uint32_t MarkovMobilityModel::next_station(std::uint32_t current,
+                                                common::Rng& rng) const {
   if (rng.uniform() < stay_prob_) return current;
   const std::size_t next = rng.categorical(kernels_[current]);
   // Single-station layouts have an all-zero kernel: stay put.
   return next < stations_.size() ? static_cast<std::uint32_t>(next) : current;
 }
 
-HomeBiasedWaypointModel::HomeBiasedWaypointModel(std::vector<Point> stations,
-                                                 std::size_t num_devices,
-                                                 double home_prob, double trip_prob,
-                                                 double range, std::uint64_t seed)
-    : stations_(std::move(stations)),
-      home_prob_(home_prob),
-      trip_prob_(trip_prob),
-      range_(range) {
-  if (stations_.empty()) throw std::invalid_argument("HomeBiasedWaypointModel: no stations");
-  if (range_ <= 0.0) throw std::invalid_argument("HomeBiasedWaypointModel: bad range");
-  common::Rng rng(common::split_seed(seed, 0x803e));
-  homes_.resize(num_devices);
-  for (auto& h : homes_) {
-    h = static_cast<std::uint32_t>(rng.uniform_index(stations_.size()));
-  }
-}
-
-std::uint32_t HomeBiasedWaypointModel::initial_station(std::uint32_t device,
-                                                       common::Rng& /*rng*/) {
-  return homes_.at(device);
-}
-
-std::uint32_t HomeBiasedWaypointModel::next_station(std::uint32_t device,
-                                                    std::uint32_t current,
-                                                    common::Rng& rng) {
-  const std::uint32_t home = homes_.at(device);
-  if (current == home) {
-    if (rng.uniform() >= trip_prob_) return current;  // stay home
-  } else if (rng.uniform() < home_prob_) {
-    return home;  // end the trip
-  } else if (rng.uniform() >= 0.5) {
-    return current;  // linger at the trip destination
-  }
-  // Pick a trip destination near the current station (distance-decay).
-  std::vector<double> weights(stations_.size(), 0.0);
-  for (std::size_t d = 0; d < stations_.size(); ++d) {
-    if (d == current) continue;
-    weights[d] = std::exp(-distance(stations_[current], stations_[d]) / range_);
-  }
-  const std::size_t next = rng.categorical(weights);
-  return next < stations_.size() ? static_cast<std::uint32_t>(next) : current;
-}
-
-Trace generate_trace(MobilityModel& model, std::size_t num_devices,
+Trace generate_trace(const MarkovMobilityModel& model, std::size_t num_devices,
                      std::size_t horizon, std::uint64_t seed) {
   if (horizon == 0) throw std::invalid_argument("generate_trace: zero horizon");
+  // Trace's constructor bounds num_devices and horizon by the uint32_t
+  // counters below, which would otherwise wrap and never end.
   Trace trace(num_devices, model.num_stations(), horizon);
   for (std::uint32_t m = 0; m < num_devices; ++m) {
     // One RNG stream per device: its first draw is the initial station, the
     // rest its transitions, so a device's records depend on no other device.
     common::Rng rng(common::split_seed(seed, 0x40b1 + m));
-    std::uint32_t station = model.initial_station(m, rng);
+    std::uint32_t station = model.initial_station(rng);
     std::uint32_t run_start = 0;
     for (std::uint32_t t = 1; t < horizon; ++t) {
-      const std::uint32_t next = model.next_station(m, station, rng);
+      const std::uint32_t next = model.next_station(station, rng);
       if (next != station) {
         trace.add_record({m, station, run_start, t});
         station = next;

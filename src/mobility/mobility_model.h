@@ -1,19 +1,14 @@
-// Device mobility models that synthesise telecom-style traces.
+// The device mobility model that synthesises the runs' access traces.
 //
 // The paper treats B[t][n,m] (which edge a device touches at step t) as
 // known input replayed from the Shanghai Telecom dataset, and cites Markov
-// mobility models as the standard way to obtain it. We implement two models
-// over the synthetic station layout:
-//   * MarkovMobilityModel  — first-order Markov chain whose transition
-//     kernel prefers nearby stations (distance-decay), with a tunable
-//     stay probability controlling dwell times;
-//   * HomeBiasedWaypointModel — each device owns a home station and
-//     alternates between commuting trips and returning home, giving the
-//     recurrent daily patterns observed in real telecom traces.
+// mobility models as the standard way to obtain it. MarkovMobilityModel is a
+// first-order Markov chain over the synthetic station layout whose
+// transition kernel prefers nearby stations (distance-decay), with a tunable
+// stay probability controlling dwell times.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -22,37 +17,16 @@
 
 namespace mach::mobility {
 
-class MobilityModel {
- public:
-  virtual ~MobilityModel() = default;
-  MobilityModel(const MobilityModel&) = delete;
-  MobilityModel& operator=(const MobilityModel&) = delete;
-
-  virtual std::uint32_t initial_station(std::uint32_t device, common::Rng& rng) = 0;
-  virtual std::uint32_t next_station(std::uint32_t device, std::uint32_t current,
-                                     common::Rng& rng) = 0;
-  virtual std::size_t num_stations() const noexcept = 0;
-
- protected:
-  MobilityModel() = default;
-};
-
-class MarkovMobilityModel final : public MobilityModel {
+class MarkovMobilityModel {
  public:
   /// `stay_prob` is the per-step probability of keeping the current station;
   /// `range` is the distance-decay scale of the movement kernel
   /// (weight ∝ exp(-distance / range)).
   MarkovMobilityModel(std::vector<Point> stations, double stay_prob, double range);
 
-  std::uint32_t initial_station(std::uint32_t device, common::Rng& rng) override;
-  std::uint32_t next_station(std::uint32_t device, std::uint32_t current,
-                             common::Rng& rng) override;
-  std::size_t num_stations() const noexcept override { return stations_.size(); }
-
-  /// Transition weights out of `station` (excluding the stay mass).
-  const std::vector<double>& move_kernel(std::size_t station) const {
-    return kernels_[station];
-  }
+  std::uint32_t initial_station(common::Rng& rng) const;
+  std::uint32_t next_station(std::uint32_t current, common::Rng& rng) const;
+  std::size_t num_stations() const noexcept { return stations_.size(); }
 
  private:
   std::vector<Point> stations_;
@@ -60,33 +34,9 @@ class MarkovMobilityModel final : public MobilityModel {
   std::vector<std::vector<double>> kernels_;
 };
 
-class HomeBiasedWaypointModel final : public MobilityModel {
- public:
-  /// `home_prob`: per-step probability of heading home when away;
-  /// `trip_prob`: per-step probability of starting a trip when home;
-  /// `range`: distance-decay scale for trip destinations.
-  HomeBiasedWaypointModel(std::vector<Point> stations, std::size_t num_devices,
-                          double home_prob, double trip_prob, double range,
-                          std::uint64_t seed);
-
-  std::uint32_t initial_station(std::uint32_t device, common::Rng& rng) override;
-  std::uint32_t next_station(std::uint32_t device, std::uint32_t current,
-                             common::Rng& rng) override;
-  std::size_t num_stations() const noexcept override { return stations_.size(); }
-
-  std::uint32_t home_of(std::uint32_t device) const { return homes_.at(device); }
-
- private:
-  std::vector<Point> stations_;
-  std::vector<std::uint32_t> homes_;
-  double home_prob_;
-  double trip_prob_;
-  double range_;
-};
-
 /// Simulates `horizon` steps of the model for every device and compresses
 /// constant runs into trace records.
-Trace generate_trace(MobilityModel& model, std::size_t num_devices,
+Trace generate_trace(const MarkovMobilityModel& model, std::size_t num_devices,
                      std::size_t horizon, std::uint64_t seed);
 
 }  // namespace mach::mobility

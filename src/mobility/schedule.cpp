@@ -68,15 +68,6 @@ std::vector<std::vector<std::uint32_t>> MobilitySchedule::devices_per_edge(
   return result;
 }
 
-void MobilitySchedule::devices_per_edge_into(
-    std::size_t t, std::vector<std::vector<std::uint32_t>>& out) const {
-  out.resize(num_edges_);
-  for (auto& members : out) members.clear();
-  for (std::size_t m = 0; m < num_devices_; ++m) {
-    out[edge_of(t, m)].push_back(static_cast<std::uint32_t>(m));
-  }
-}
-
 double MobilitySchedule::churn_rate() const noexcept {
   if (horizon_ < 2) return 0.0;
   std::size_t switches = 0;

@@ -44,11 +44,6 @@ class MobilitySchedule {
   /// M_n^t: the device set of each edge at step t (Eq. 1's partition).
   std::vector<std::vector<std::uint32_t>> devices_per_edge(std::size_t t) const;
 
-  /// Allocation-free devices_per_edge: reuses `out`'s outer and inner
-  /// capacity across calls (the per-round hot path at scale).
-  void devices_per_edge_into(
-      std::size_t t, std::vector<std::vector<std::uint32_t>>& out) const;
-
   /// Fraction of (t>0, device) pairs that switched edges — edge-level churn.
   double churn_rate() const noexcept;
 

@@ -1,13 +1,18 @@
 #include "mobility/trace.h"
 
 #include <fstream>
-#include <sstream>
+#include <limits>
 #include <stdexcept>
 
 namespace mach::mobility {
 
 Trace::Trace(std::size_t num_devices, std::size_t num_stations, std::size_t horizon)
-    : num_devices_(num_devices), num_stations_(num_stations), horizon_(horizon) {}
+    : num_devices_(num_devices), num_stations_(num_stations), horizon_(horizon) {
+  constexpr std::size_t kMaxId = std::numeric_limits<std::uint32_t>::max();
+  if (num_devices > kMaxId || num_stations > kMaxId || horizon > kMaxId) {
+    throw std::invalid_argument("Trace: dimensions exceed the uint32_t record ids");
+  }
+}
 
 void Trace::add_record(TraceRecord record) {
   if (record.device >= num_devices_ || record.station >= num_stations_) {
@@ -34,45 +39,6 @@ bool Trace::write_csv(const std::string& path) const {
     out << r.device << ',' << r.station << ',' << r.t_start << ',' << r.t_end << '\n';
   }
   return static_cast<bool>(out);
-}
-
-Trace Trace::read_csv(const std::string& path, std::size_t num_devices,
-                      std::size_t num_stations, std::size_t horizon) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("Trace::read_csv: cannot open " + path);
-  Trace trace(num_devices, num_stations, horizon);
-  std::string line;
-  std::size_t line_no = 0;
-  const auto fail = [&](const std::string& what) {
-    throw std::runtime_error("Trace::read_csv: " + what + " at line " +
-                             std::to_string(line_no) + ": " + line);
-  };
-  const auto parse = [&](TraceRecord& r) {
-    std::istringstream ss(line);
-    char comma = 0;
-    ss >> r.device >> comma >> r.station >> comma >> r.t_start >> comma >> r.t_end;
-    return static_cast<bool>(ss);
-  };
-  while (std::getline(in, line)) {
-    ++line_no;
-    TraceRecord r;
-    if (line_no == 1) {
-      // The header is required: skipping a first line that is a record
-      // would drop that record without a word.
-      if (parse(r)) fail("missing header");
-      continue;
-    }
-    if (line.empty()) continue;
-    if (!parse(r)) fail("malformed record");
-    // Validate here (not just in add_record) so a bad file reports the line
-    // that broke instead of silently corrupting replay downstream.
-    if (r.device >= num_devices) fail("device id out of range");
-    if (r.station >= num_stations) fail("station id out of range");
-    if (r.t_end <= r.t_start) fail("record has t_end <= t_start");
-    if (r.t_end > horizon) fail("record extends past the horizon");
-    trace.add_record(r);
-  }
-  return trace;
 }
 
 TraceReplay::TraceReplay(const Trace& trace)

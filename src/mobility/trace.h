@@ -1,10 +1,10 @@
-// Telecom-style access traces and their replay into per-step associations.
+// Access traces and their replay into per-step associations.
 //
-// A trace is a list of (device, station, t_start, t_end) records — the same
-// schema as the Shanghai Telecom dataset the paper replays. Traces are
-// produced by a mobility model (see mobility_model.h) or can be constructed
-// directly in tests; TraceReplay resolves, for every discrete time step, the
-// station each device is accessing.
+// A trace is a list of (device, station, t_start, t_end) records, the
+// schema of the Shanghai Telecom dataset the paper replays. Runs build their
+// trace with generate_trace (mobility_model.h); tests also construct traces
+// directly. TraceReplay resolves, for every discrete time step, the station
+// each device is accessing.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +24,8 @@ struct TraceRecord {
 
 class Trace {
  public:
+  /// Throws std::invalid_argument if a dimension exceeds the uint32_t ids
+  /// of TraceRecord.
   Trace(std::size_t num_devices, std::size_t num_stations, std::size_t horizon);
 
   void add_record(TraceRecord record);
@@ -37,12 +39,9 @@ class Trace {
   /// Average record duration in steps.
   double mean_dwell() const noexcept;
 
-  /// Serialises to a simple CSV (device,station,t_start,t_end).
+  /// Serialises to a CSV with a header line (device,station,t_start,t_end)
+  /// and one line per record.
   bool write_csv(const std::string& path) const;
-  /// Parses a CSV produced by write_csv. Its header line is required: a
-  /// first line that parses as a record throws, naming line 1.
-  static Trace read_csv(const std::string& path, std::size_t num_devices,
-                        std::size_t num_stations, std::size_t horizon);
 
  private:
   std::size_t num_devices_;

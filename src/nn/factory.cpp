@@ -44,7 +44,8 @@ Sequential make_cnn3(std::size_t channels, std::size_t height, std::size_t width
 
 Sequential make_mlp(std::size_t features, std::size_t hidden, std::size_t classes) {
   Sequential model;
-  model.add(std::make_unique<Dense>(features, hidden))
+  model.add(std::make_unique<Flatten>())
+      .add(std::make_unique<Dense>(features, hidden))
       .add(std::make_unique<ReLU>())
       .add(std::make_unique<Dense>(hidden, classes));
   return model;

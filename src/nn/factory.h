@@ -1,7 +1,8 @@
 // Builders for the model architectures used in the paper's evaluation:
 //   - 2 conv + 2 fc for the MNIST / FMNIST tasks,
 //   - 3 conv + 2 fc for the CIFAR10 task,
-// plus a small MLP used by fast tests and smoke-mode benches.
+// plus the small MLP that hfl::make_model_factory builds for the smoke
+// preset and the fleet benchmark worlds.
 #pragma once
 
 #include <cstddef>
@@ -21,7 +22,8 @@ Sequential make_cnn2(std::size_t channels, std::size_t height, std::size_t width
 Sequential make_cnn3(std::size_t channels, std::size_t height, std::size_t width,
                      std::size_t classes);
 
-/// Two-layer MLP over flat feature vectors: fc-relu-fc.
+/// Two-layer MLP: flatten, then fc-relu-fc. The input is [batch, features]
+/// or any shape whose trailing dimensions hold `features` values (images).
 Sequential make_mlp(std::size_t features, std::size_t hidden, std::size_t classes);
 
 }  // namespace mach::nn

@@ -87,16 +87,6 @@ TEST(MobilitySchedule, FromTraceMapsThroughClustering) {
   EXPECT_EQ(schedule.edge_of(2, 1), 0u);
 }
 
-TEST(MobilitySchedule, DevicesPerEdgeIntoMatchesAllocatingVersion) {
-  common::Rng rng(3);
-  const auto schedule = MobilitySchedule::uniform_random(4, 30, 6, rng);
-  std::vector<std::vector<std::uint32_t>> reused;
-  for (std::size_t t = 0; t < 6; ++t) {
-    schedule.devices_per_edge_into(t, reused);
-    EXPECT_EQ(reused, schedule.devices_per_edge(t)) << "t=" << t;
-  }
-}
-
 TEST(MobilitySchedule, EdgeChurnNotAboveStationChurn) {
   // Moving between stations of the same cluster is not an edge switch, so
   // edge churn is bounded by station churn.

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
 
 #include "ckpt/run_state.h"
@@ -65,86 +69,38 @@ TEST(TraceReplay, ChurnRate) {
   EXPECT_NEAR(replay.churn_rate(), 1.0 / 3.0, 1e-12);
 }
 
-TEST(Trace, CsvRoundTrip) {
+TEST(Trace, WriteCsvWritesHeaderAndRecords) {
   Trace trace(2, 3, 8);
   trace.add_record({0, 2, 0, 8});
   trace.add_record({1, 1, 0, 4});
   trace.add_record({1, 0, 4, 8});
-  const std::string path = testing::TempDir() + "trace_roundtrip.csv";
+  const std::string path = testing::TempDir() + "trace_write_" +
+                           std::to_string(::getpid()) + ".csv";
   ASSERT_TRUE(trace.write_csv(path));
-  const Trace loaded = Trace::read_csv(path, 2, 3, 8);
-  ASSERT_EQ(loaded.records().size(), trace.records().size());
-  for (std::size_t i = 0; i < loaded.records().size(); ++i) {
-    EXPECT_EQ(loaded.records()[i].device, trace.records()[i].device);
-    EXPECT_EQ(loaded.records()[i].station, trace.records()[i].station);
-    EXPECT_EQ(loaded.records()[i].t_start, trace.records()[i].t_start);
-    EXPECT_EQ(loaded.records()[i].t_end, trace.records()[i].t_end);
-  }
+  std::ifstream in(path, std::ios::binary);
+  const std::string written((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+  EXPECT_EQ(written,
+            "device,station,t_start,t_end\n"
+            "0,2,0,8\n"
+            "1,1,0,4\n"
+            "1,0,4,8\n");
   std::remove(path.c_str());
 }
 
-TEST(Trace, ReadCsvMissingFileThrows) {
-  EXPECT_THROW(Trace::read_csv("/no/such/file.csv", 1, 1, 1), std::runtime_error);
+TEST(Trace, RejectsDimensionsPastRecordIds) {
+  // TraceRecord's ids are uint32_t, and generate_trace counts devices and
+  // steps in uint32_t: one more would wrap its loops.
+  constexpr std::size_t kMaxId = std::numeric_limits<std::uint32_t>::max();
+  ASSERT_THROW(Trace(kMaxId + 1, 1, 1), std::invalid_argument);
+  ASSERT_THROW(Trace(1, kMaxId + 1, 1), std::invalid_argument);
+  ASSERT_THROW(Trace(1, 1, kMaxId + 1), std::invalid_argument);
+  EXPECT_NO_THROW(Trace(kMaxId, kMaxId, kMaxId));
 }
 
 TEST(Trace, MeanDwellOfEmptyTraceIsZero) {
   const Trace trace(3, 2, 10);
   EXPECT_DOUBLE_EQ(trace.mean_dwell(), 0.0);
-}
-
-namespace {
-std::string write_lines(const std::string& name, const std::string& body,
-                        bool header = true) {
-  const std::string path = testing::TempDir() + name;
-  std::ofstream out(path);
-  if (header) out << "device,station,t_start,t_end\n";
-  out << body;
-  return path;
-}
-
-std::string read_csv_error(const std::string& path) {
-  try {
-    Trace::read_csv(path, 4, 4, 16);
-  } catch (const std::runtime_error& e) {
-    return e.what();
-  }
-  return {};
-}
-}  // namespace
-
-TEST(Trace, ReadCsvRejectsBadRecordsWithLineContext) {
-  struct Case {
-    const char* name;
-    const char* body;
-    const char* expect;  // substring of the error message
-    bool header = true;
-  };
-  const Case cases[] = {
-      {"empty_interval.csv", "0,1,0,4\n1,2,5,5\n", "t_end <= t_start"},
-      {"inverted_interval.csv", "2,0,6,3\n", "t_end <= t_start"},
-      {"bad_device.csv", "0,1,0,4\n9,1,0,4\n", "device id out of range"},
-      {"bad_station.csv", "0,7,0,4\n", "station id out of range"},
-      {"past_horizon.csv", "0,1,0,99\n", "past the horizon"},
-      {"garbage.csv", "0,1,zero,4\n", "malformed record"},
-      // Without its header the first record would be skipped as one.
-      {"no_header.csv", "0,1,0,4\n0,2,4,16\n", "missing header at line 1",
-       false},
-  };
-  for (const auto& c : cases) {
-    const std::string path = write_lines(c.name, c.body, c.header);
-    const std::string error = read_csv_error(path);
-    EXPECT_NE(error.find(c.expect), std::string::npos)
-        << c.name << ": " << error;
-    // Every rejection names the offending line so a corrupt multi-GB trace
-    // file is debuggable.
-    EXPECT_NE(error.find("at line"), std::string::npos) << c.name;
-    std::remove(path.c_str());
-  }
-  // The line number is 1-based and counts the header.
-  const std::string path = write_lines("line_number.csv", "0,1,0,4\n1,2,4,4\n");
-  const std::string error = read_csv_error(path);
-  EXPECT_NE(error.find("at line 3"), std::string::npos) << error;
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -204,30 +160,9 @@ TEST(MarkovMobilityModel, PrefersNearbyStations) {
   int outlier = 0;
   const int n = 2000;
   for (int i = 0; i < n; ++i) {
-    if (model.next_station(0, 0, rng) == 3u) ++outlier;
+    if (model.next_station(0, rng) == 3u) ++outlier;
   }
   EXPECT_LT(outlier, n / 100);
-}
-
-TEST(HomeBiasedWaypointModel, StartsAtHomeAndReturns) {
-  StationLayoutSpec layout;
-  layout.num_stations = 15;
-  const auto stations = generate_stations(layout, 5);
-  HomeBiasedWaypointModel model(stations, 10, 0.5, 0.3, 20.0, 5);
-  common::Rng rng(6);
-  for (std::uint32_t m = 0; m < 10; ++m) {
-    EXPECT_EQ(model.initial_station(m, rng), model.home_of(m));
-  }
-  // Over a long run, a device spends a plurality of time at home.
-  const Trace trace = generate_trace(model, 10, 300, 6);
-  const TraceReplay replay(trace);
-  for (std::uint32_t m = 0; m < 10; ++m) {
-    std::size_t at_home = 0;
-    for (std::size_t t = 0; t < replay.horizon(); ++t) {
-      if (replay.station_of(t, m) == model.home_of(m)) ++at_home;
-    }
-    EXPECT_GT(at_home, replay.horizon() / 5);
-  }
 }
 
 TEST(GenerateTrace, ZeroHorizonThrows) {
@@ -258,8 +193,6 @@ TEST(GenerateTrace, RecordsArePinned) {
   const auto stations = generate_stations(layout, 9);
   MarkovMobilityModel markov(stations, 0.7, 20.0);
   EXPECT_EQ(records_digest(generate_trace(markov, 60, 80, 3)), 0xbf8862686b0701faULL);
-  HomeBiasedWaypointModel waypoint(stations, 40, 0.4, 0.3, 20.0, 5);
-  EXPECT_EQ(records_digest(generate_trace(waypoint, 40, 120, 5)), 0xaddfb1b8f1e7d76dULL);
   // Horizon 1: one record per device, from the initial draw alone.
   const Trace single = generate_trace(markov, 25, 1, 11);
   EXPECT_EQ(single.records().size(), 25u);

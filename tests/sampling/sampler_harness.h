@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -76,14 +77,18 @@ struct HarnessWorld {
   }
 };
 
-/// Drives one full coordinator step: edge_probabilities per edge in index
-/// order (the engine's call order), Bernoulli participation draws in device
-/// order feeding observe_training, and on_cloud_round at the T_g boundary.
-/// Returns the concatenated q vectors of all edges, for bitwise comparison.
+/// Drives one full coordinator step in the engine's call order:
+/// edge_probabilities per edge in index order, with Bernoulli participation
+/// draws in device order after each decision; then, after the step's last
+/// decision, observe_training for every participant in edge order and then
+/// device order (DESIGN §8's fourth invariant); then on_cloud_round at the
+/// T_g boundary. Returns the concatenated q vectors of all edges, for
+/// bitwise comparison.
 inline std::vector<double> drive_step(hfl::Sampler& sampler,
                                       const HarnessWorld& world, std::size_t t,
                                       common::Rng& rng) {
   std::vector<double> all_q;
+  std::vector<hfl::TrainingObservation> observations;
   for (std::size_t edge = 0; edge < world.num_edges; ++edge) {
     const auto devices = world.members(t, edge);
     hfl::EdgeSamplingContext ctx;
@@ -108,10 +113,11 @@ inline std::vector<double> drive_step(hfl::Sampler& sampler,
       obs.local_grad_sq_norms = {base, base * 0.9, base * 0.8};
       obs.mean_loss =
           1.0 + 0.1 * static_cast<double>((devices[i] * 13 + t) % 7);
-      sampler.observe_training(obs);
+      observations.push_back(std::move(obs));
     }
     all_q.insert(all_q.end(), q.begin(), q.end());
   }
+  for (const auto& obs : observations) sampler.observe_training(obs);
   if (t % world.cloud_interval == 0) sampler.on_cloud_round(t);
   return all_q;
 }
