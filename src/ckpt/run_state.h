@@ -28,9 +28,13 @@ namespace mach::ckpt {
 /// (hfl/transport.h): the ledger, then the codec state; the legacy message
 /// counters, model size and mixed-size flag are gone. v4: same layout, but
 /// the fingerprint also covers the data world, so no v3 fingerprint
-/// matches. CheckpointManager::load_latest skips a snapshot of another
-/// version like a torn one.
-inline constexpr std::uint32_t kRunStateVersion = 4;
+/// matches. v5: same layout, but the GEMM and convolution chains round each
+/// multiply-add once (fused), so the model, gradients and sampler state a
+/// v4 snapshot froze came from other arithmetic: continued under fused
+/// kernels, it would match neither build's uninterrupted run.
+/// CheckpointManager::load_latest skips a snapshot of another version like
+/// a torn one.
+inline constexpr std::uint32_t kRunStateVersion = 5;
 
 struct RunStateHeader {
   std::uint64_t fingerprint = 0;      // run-configuration hash (see above)

@@ -9,6 +9,7 @@ CpuFeatures detect_cpu_features() {
   // state (XCR0), so a reported feature is safe to execute.
   __builtin_cpu_init();
   features.avx2 = __builtin_cpu_supports("avx2") != 0;
+  features.fma = __builtin_cpu_supports("fma") != 0;
   features.avx512f = __builtin_cpu_supports("avx512f") != 0;
   features.avx512vl = __builtin_cpu_supports("avx512vl") != 0;
 #endif
@@ -16,7 +17,7 @@ CpuFeatures detect_cpu_features() {
 }
 
 GemmIsa select_gemm_isa(const CpuFeatures& features) {
-  if (!features.avx2) return GemmIsa::kBaseline;
+  if (!features.avx2 || !features.fma) return GemmIsa::kBaseline;
   if (features.avx512f && features.avx512vl) return GemmIsa::kAvx512;
   return GemmIsa::kAvx2;
 }

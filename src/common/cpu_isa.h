@@ -15,6 +15,7 @@ enum class GemmIsa { kBaseline = 0, kAvx2 = 1, kAvx512 = 2 };
 /// The CPU features the selection looks at.
 struct CpuFeatures {
   bool avx2 = false;
+  bool fma = false;
   bool avx512f = false;
   bool avx512vl = false;
 };
@@ -22,8 +23,9 @@ struct CpuFeatures {
 /// Features of the CPU this process runs on (all false off x86-64).
 CpuFeatures detect_cpu_features();
 
-/// Pure selection rule: AVX-512F+VL (on top of AVX2) -> avx512, AVX2 ->
-/// avx2, anything else -> baseline.
+/// Pure selection rule: AVX-512F+VL (on top of AVX2 and FMA) -> avx512,
+/// AVX2 and FMA -> avx2, anything else -> baseline. Both vector variants
+/// run their GEMM and convolution chains on FMA instructions.
 GemmIsa select_gemm_isa(const CpuFeatures& features);
 
 /// select_gemm_isa(detect_cpu_features()), computed once per process.

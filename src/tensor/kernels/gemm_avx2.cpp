@@ -1,8 +1,10 @@
 // AVX2 variant (GEMMs, convolutions, lane norms and the elementwise,
-// optimiser and int8 loops): 256-bit vectors, built with -mavx2 -O3
-// -ffp-contract=off (no -mfma: multiply and add stay separate roundings).
-// Only reached when cpuid reports AVX2; see gemm_driver.h for the rules
-// this TU must follow so none of its code leaks into other callers.
+// optimiser and int8 loops): 256-bit vectors, built with -mavx2 -mfma -O3
+// -ffp-contract=off. -mfma is for the GEMM and convolution chain steps'
+// explicit vfmadd (fmadd below); -ffp-contract=off keeps every other
+// multiply and add separately rounded. Only reached when cpuid reports AVX2
+// and FMA; see gemm_driver.h for the rules this TU must follow so none of
+// its code leaks into other callers.
 #include <immintrin.h>
 
 #include "tensor/kernels/gemm_driver.h"
@@ -21,6 +23,8 @@ struct Avx2 {
   static MACH_INLINE V add(V a, V b) { return _mm256_add_ps(a, b); }
   static MACH_INLINE V sub(V a, V b) { return _mm256_sub_ps(a, b); }
   static MACH_INLINE V mul(V a, V b) { return _mm256_mul_ps(a, b); }
+  // a * b + c, rounded once.
+  static MACH_INLINE V fmadd(V a, V b, V c) { return _mm256_fmadd_ps(a, b, c); }
   static MACH_INLINE V abs(V v) {
     return _mm256_and_ps(v, _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff)));
   }

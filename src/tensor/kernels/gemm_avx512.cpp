@@ -1,10 +1,11 @@
 // AVX-512 variant (GEMMs, convolutions, lane norms and the elementwise,
 // optimiser and int8 loops): 512-bit vectors, built with -mavx512f -mavx512vl
-// -O3 -ffp-contract=off. -ffp-contract=off matters most here: AVX-512F
-// includes FMA, and a contracted multiply-add would round once instead of
-// twice. Only reached when cpuid reports AVX2, AVX-512F and AVX-512VL; see
-// gemm_driver.h for the rules this TU must follow so none of its code leaks
-// into other callers.
+// -mfma -O3 -ffp-contract=off. The GEMM and convolution chain steps are
+// explicit fused multiply-adds (fmadd below; -mfma for the 256-bit narrow
+// tile's); -ffp-contract=off keeps the compiler from fusing any other
+// multiply and add, which AVX-512F could everywhere. Only reached when
+// cpuid reports AVX2, FMA, AVX-512F and AVX-512VL; see gemm_driver.h for the
+// rules this TU must follow so none of its code leaks into other callers.
 #include <immintrin.h>
 
 #include "tensor/kernels/gemm_driver.h"
@@ -27,6 +28,8 @@ struct Avx512 {
   static MACH_INLINE V add(V a, V b) { return _mm512_add_ps(a, b); }
   static MACH_INLINE V sub(V a, V b) { return _mm512_sub_ps(a, b); }
   static MACH_INLINE V mul(V a, V b) { return _mm512_mul_ps(a, b); }
+  // a * b + c, rounded once.
+  static MACH_INLINE V fmadd(V a, V b, V c) { return _mm512_fmadd_ps(a, b, c); }
   // An integer and (AVX-512F; the float and is AVX-512DQ).
   static MACH_INLINE V abs(V v) {
     return _mm512_castsi512_ps(_mm512_maskz_and_epi32(
@@ -148,6 +151,7 @@ struct Avx512Ymm {
   static MACH_INLINE V bcast(float x) { return _mm256_set1_ps(x); }
   static MACH_INLINE V add(V a, V b) { return _mm256_add_ps(a, b); }
   static MACH_INLINE V mul(V a, V b) { return _mm256_mul_ps(a, b); }
+  static MACH_INLINE V fmadd(V a, V b, V c) { return _mm256_fmadd_ps(a, b, c); }
 };
 
 /// Eight lane norms in one 512-bit accumulator: each 8x8 block is

@@ -1,8 +1,11 @@
 // Baseline GEMM variant: the 4x8 register tile on 128-bit SSE2 vectors,
 // which every x86-64 CPU has (a scalar tile elsewhere), and the
 // elementwise, optimiser and int8 loops 4 floats wide. It is the fallback
-// the dispatcher picks when the CPU has no AVX2, and the yardstick the wider
-// variants are measured against. Built with -O3 -ffp-contract=off only.
+// the dispatcher picks when the CPU has no AVX2 or no FMA, and the
+// yardstick the wider variants are measured against. Built with -O3
+// -ffp-contract=off only: SSE2 has no fused multiply-add, so the chain
+// steps' fmadd calls libm's fmaf lane by lane (the same single rounding,
+// only slowly).
 #include "tensor/kernels/gemm_driver.h"
 
 #if defined(__SSE2__)
@@ -24,6 +27,17 @@ struct Sse2 {
   static MACH_INLINE V add(V a, V b) { return _mm_add_ps(a, b); }
   static MACH_INLINE V sub(V a, V b) { return _mm_sub_ps(a, b); }
   static MACH_INLINE V mul(V a, V b) { return _mm_mul_ps(a, b); }
+  // a * b + c rounded once, lane by lane.
+  static MACH_INLINE V fmadd(V a, V b, V c) {
+    alignas(16) float x[kW], y[kW], z[kW];
+    _mm_store_ps(x, a);
+    _mm_store_ps(y, b);
+    _mm_store_ps(z, c);
+    for (std::size_t l = 0; l < kW; ++l) {
+      z[l] = __builtin_fmaf(x[l], y[l], z[l]);
+    }
+    return _mm_load_ps(z);
+  }
   static MACH_INLINE V abs(V v) {
     return _mm_and_ps(v, _mm_castsi128_ps(_mm_set1_epi32(0x7fffffff)));
   }
@@ -153,6 +167,7 @@ struct Scalar {
   static MACH_INLINE V add(V a, V b) { return a + b; }
   static MACH_INLINE V sub(V a, V b) { return a - b; }
   static MACH_INLINE V mul(V a, V b) { return a * b; }
+  static MACH_INLINE V fmadd(V a, V b, V c) { return __builtin_fmaf(a, b, c); }
   static MACH_INLINE V abs(V v) { return __builtin_fabsf(v); }
   static MACH_INLINE V select_positive(V x, V g) { return x > 0.0f ? g : 0.0f; }
   static MACH_INLINE V load_n(const float* p, std::size_t) { return *p; }

@@ -26,10 +26,13 @@
 // m does not leave half of every wide vector idle.
 //
 // Determinism: every C element accumulates its k contributions in strictly
-// increasing p order with separate multiply and add (the TUs are compiled
-// with -ffp-contract=off, so no FMA), and KC blocking spills the exact
-// partial sum to C between blocks. The float chains are therefore those of
-// the reference kernels for every variant and every vector width.
+// increasing p order, each step one fused multiply-add (Isa::fmadd: a * b +
+// acc rounded once, as the reference's std::fma), and KC blocking spills the
+// exact partial sum to C between blocks. A fused multiply-add is correctly
+// rounded, so the float chains are those of the reference kernels for every
+// variant and every vector width. Nothing else fuses: the TUs are compiled
+// with -ffp-contract=off, so every other multiply and add (biases, the
+// elementwise and optimiser loops, the int8 and norm loops) rounds twice.
 //
 // One-definition rule: everything here has internal linkage (anonymous
 // namespace), and the ISA TUs use no std:: templates, no thread_local and no
@@ -119,7 +122,8 @@ MACH_INLINE void transpose8x8(const float* const (&row)[kMaxNormLanes],
 
 /// Cfg provides:
 ///   Isa            vector traits: V, kW lanes, zero/load/store/bcast/add/mul,
-///                  load_n/store_n (the first count lanes only), an
+///                  fmadd(a, b, c) (a * b + c rounded once, the chain
+///                  step), load_n/store_n (the first count lanes only), an
 ///                  in-register kW x kW transpose, and for the pooled
 ///                  forward max (maxps: a > b ? a : b), pool_code (the
 ///                  window codes, as int32 lanes) and store_bytes (the low
@@ -212,9 +216,9 @@ struct GemmKernels {
   // -------------------------------------------------------------------------
 
   /// MR x NR tile for gemm_nn / gemm_tn (B rows ldb apart): load C (or
-  /// start from zero), apply kc rank-1 updates in increasing p order, add
-  /// the optional bias (row bias first, then column bias, as the reference
-  /// does), store.
+  /// start from zero), apply kc rank-1 updates in increasing p order (one
+  /// fused multiply-add per element and p), add the optional bias (row bias
+  /// first, then column bias, as the reference does), store.
   static MACH_INLINE void micro_nn(std::size_t kc, const float* ap,
                                    const float* bp, std::size_t ldb, float* ct,
                                    std::size_t ldc, bool zero_init,
@@ -247,7 +251,7 @@ struct GemmKernels {
         const V av = Isa::bcast(apr[r]);
 #pragma GCC unroll 16
         for (std::size_t v = 0; v < kNV; ++v) {
-          acc[r][v] = Isa::add(acc[r][v], Isa::mul(av, b[v]));
+          acc[r][v] = Isa::fmadd(av, b[v], acc[r][v]);
         }
       }
     }
@@ -334,7 +338,7 @@ struct GemmKernels {
         const NV_t bv = NI::bcast(brows[j][p]);
 #pragma GCC unroll 16
         for (std::size_t v = 0; v < NV; ++v) {
-          acc[j][v] = NI::add(acc[j][v], NI::mul(a[v], bv));
+          acc[j][v] = NI::fmadd(a[v], bv, acc[j][v]);
         }
       }
     }
@@ -465,7 +469,7 @@ struct GemmKernels {
         const V av = Isa::bcast(kTransposedA ? a[p * lda + r] : a[r * lda + p]);
 #pragma GCC unroll 16
         for (std::size_t v = 0; v < NV; ++v) {
-          acc[r][v] = Isa::add(acc[r][v], Isa::mul(av, bv[v]));
+          acc[r][v] = Isa::fmadd(av, bv[v], acc[r][v]);
         }
       }
     }
@@ -793,7 +797,7 @@ struct GemmKernels {
             for (std::size_t t = 0; t < RY; ++t) {
 #pragma GCC unroll 16
               for (std::size_t i = 0; i < RX; ++i) {
-                acc[r][t][i] = Isa::add(acc[r][t][i], Isa::mul(wv, xv[t][i]));
+                acc[r][t][i] = Isa::fmadd(wv, xv[t][i], acc[r][t][i]);
               }
             }
           }
@@ -1103,7 +1107,7 @@ struct GemmKernels {
           const V xv = Isa::load(x + tap[t]);
 #pragma GCC unroll 16
           for (std::size_t r = 0; r < RO; ++r) {
-            acc[r][t] = Isa::add(acc[r][t], Isa::mul(g[r], xv));
+            acc[r][t] = Isa::fmadd(g[r], xv, acc[r][t]);
           }
         }
       }
@@ -1246,7 +1250,7 @@ struct GemmKernels {
           const V gv = Isa::load(g);
 #pragma GCC unroll 16
           for (std::size_t c = 0; c < C; ++c) {
-            chain[c] = Isa::add(chain[c], Isa::mul(Isa::bcast(w[c]), gv));
+            chain[c] = Isa::fmadd(Isa::bcast(w[c]), gv, chain[c]);
           }
         }
 #pragma GCC unroll 16

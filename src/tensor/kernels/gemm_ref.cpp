@@ -1,10 +1,12 @@
-// Reference kernels: the seed's naive loops, retained verbatim (modulo the
-// raw-pointer view interface). They define the summation-order contract the
-// blocked kernels must reproduce bitwise, and they are the baseline the
-// kernels microbench reports speedups against. Do not "optimise" this file —
-// its value is being the simple, obviously-correct yardstick.
+// Reference kernels: the seed's naive loops (modulo the raw-pointer view
+// interface), with each GEMM multiply-accumulate step one std::fma, rounded
+// once. They define the summation-order contract the blocked kernels must
+// reproduce bitwise, and they are the baseline the kernels microbench
+// reports speedups against. Do not "optimise" this file — its value is
+// being the simple, obviously-correct yardstick.
 #include "tensor/kernels/kernels.h"
 
+#include <cmath>
 #include <cstdint>
 
 namespace mach::tensor::kernels::ref {
@@ -22,7 +24,9 @@ void gemm_nn(ConstMat a, ConstMat b, Mat c, bool accumulate,
       if (aval == 0.0f) continue;
       const float* brow = b.data + p * n;
       float* crow = c.data + i * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += aval * brow[j];
+      for (std::size_t j = 0; j < n; ++j) {
+        crow[j] = std::fma(aval, brow[j], crow[j]);
+      }
     }
   }
   if (bias_row != nullptr) {
@@ -51,7 +55,9 @@ void gemm_tn(ConstMat a, ConstMat b, Mat c, bool accumulate) {
       const float aval = arow[i];
       if (aval == 0.0f) continue;
       float* crow = c.data + i * n;
-      for (std::size_t j = 0; j < n; ++j) crow[j] += aval * brow[j];
+      for (std::size_t j = 0; j < n; ++j) {
+        crow[j] = std::fma(aval, brow[j], crow[j]);
+      }
     }
   }
 }
@@ -67,7 +73,9 @@ void gemm_nt(ConstMat a, ConstMat b, Mat c, bool accumulate) {
     for (std::size_t j = 0; j < n; ++j) {
       const float* brow = b.data + j * k;
       float acc = 0.0f;
-      for (std::size_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
+      for (std::size_t p = 0; p < k; ++p) {
+        acc = std::fma(arow[p], brow[p], acc);
+      }
       crow[j] += acc;
     }
   }

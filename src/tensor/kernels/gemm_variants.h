@@ -9,13 +9,15 @@
 // and the loops in vector_loops.h, compiled in its own translation unit
 // with its own ISA flags:
 //
-//   gemm_baseline.cpp  plain x86-64 (SSE2)      -O3 -ffp-contract=off
-//   gemm_avx2.cpp      -mavx2                   -O3 -ffp-contract=off
-//   gemm_avx512.cpp    -mavx512f -mavx512vl     -O3 -ffp-contract=off
+//   gemm_baseline.cpp  plain x86-64 (SSE2)          -O3 -ffp-contract=off
+//   gemm_avx2.cpp      -mavx2 -mfma                 -O3 -ffp-contract=off
+//   gemm_avx512.cpp    -mavx512f -mavx512vl -mfma   -O3 -ffp-contract=off
 //
 // gemm_dispatch.cpp picks the widest variant the CPU supports, once, via
 // common::host_gemm_isa(). All variants keep the summation order kernels.h
-// specifies, so they are bitwise interchangeable.
+// specifies, with each GEMM and convolution chain step one fused
+// multiply-add (an FMA instruction on avx2 and avx512, libm's fmaf lane by
+// lane on the baseline), so they are bitwise interchangeable.
 #pragma once
 
 #include <cstddef>

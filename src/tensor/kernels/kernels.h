@@ -27,16 +27,24 @@
 // equality across worker counts): every kernel is single-threaded and uses a
 // FIXED summation order identical to the reference kernel's order —
 //   * gemm_nn / gemm_tn: C[i,j] accumulates its k contributions in increasing
-//     p order directly into the output accumulator (cache blocking only
-//     spills/reloads the exact partial value, which is lossless);
+//     p order directly into the output accumulator, each step one fused
+//     multiply-add, fma(a, b, C[i,j]) (cache blocking only spills/reloads the
+//     exact partial value, which is lossless);
 //   * gemm_nt: a fresh accumulator per element sums k products in increasing
-//     p order and is added to C once at the end (dot-product form);
+//     p order, one fused multiply-add each, and is added to C once at the end
+//     (dot-product form);
+//   * the convolutions run these chains per image (conv_forward: gemm_nn's;
+//     conv_backward: gemm_nt's for dW, gemm_tn's plus col2im's additions for
+//     dX);
 //   * reductions (dot, squared_norm, column and bias sums): strict element
 //     order.
-// Because the order is fixed and float mul/add are exactly rounded, every
-// GEMM variant and the reference kernels produce bitwise-identical results,
-// at any thread count and on any CPU, provided FMA contraction is disabled
-// (see the build flags: the kernel TUs are compiled with -ffp-contract=off).
+// Because the order is fixed and a fused multiply-add, like a float mul or
+// add, is exactly rounded, every GEMM variant and the reference kernels
+// (std::fma) produce bitwise-identical results, at any thread count and on
+// any CPU. Nothing else may fuse: the kernel TUs are compiled with
+// -ffp-contract=off, so biases and the elementwise, optimiser, int8, norm
+// and pooling loops round each multiply and add separately, as their naive
+// forms do.
 #pragma once
 
 #include <cstddef>

@@ -10,8 +10,10 @@
 //     int8_quantise, int8_dequantise).
 //
 // Every element's value is the naive loop's: the same operations on the
-// same operands in the same order, with separate multiply and add (the ISA
-// TUs build with -ffp-contract=off). col_sums keeps each column's sum in a
+// same operands in the same order, with separate multiply and add — never
+// the traits' fmadd, which only the GEMM and convolution chains use, and
+// the ISA TUs build with -ffp-contract=off, so the compiler fuses nothing
+// either. col_sums keeps each column's sum in a
 // register across the rows, in increasing row order, which is the naive
 // chain. So every variant's entries are bitwise interchangeable.
 //

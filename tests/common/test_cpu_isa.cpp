@@ -7,9 +7,11 @@
 namespace mach::common {
 namespace {
 
-CpuFeatures features(bool avx2, bool avx512f, bool avx512vl) {
+CpuFeatures features(bool avx2, bool avx512f, bool avx512vl,
+                     bool fma = true) {
   CpuFeatures f;
   f.avx2 = avx2;
+  f.fma = fma;
   f.avx512f = avx512f;
   f.avx512vl = avx512vl;
   return f;
@@ -31,6 +33,18 @@ TEST(GemmIsaSelection, Avx2PicksAvx2) {
 
 TEST(GemmIsaSelection, Avx512FAndVlPicksAvx512) {
   EXPECT_EQ(select_gemm_isa(features(true, true, true)), GemmIsa::kAvx512);
+}
+
+// Both vector variants run their GEMM and convolution chains on fused
+// multiply-adds, so a CPU (or masked virtual CPU) without FMA falls back.
+TEST(GemmIsaSelection, Avx2WithoutFmaPicksBaseline) {
+  EXPECT_EQ(select_gemm_isa(features(true, false, false, /*fma=*/false)),
+            GemmIsa::kBaseline);
+}
+
+TEST(GemmIsaSelection, Avx512FAndVlWithoutFmaPicksBaseline) {
+  EXPECT_EQ(select_gemm_isa(features(true, true, true, /*fma=*/false)),
+            GemmIsa::kBaseline);
 }
 
 TEST(GemmIsaSelection, HostChoiceFollowsTheDetectedFeatures) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -324,6 +325,90 @@ TEST(Conv2D, PackFromImageCoversWidePatchesAcrossKBlocks) {
   }
 }
 
+/// Operands on which a fused and an unfused multiply-add differ: h·h is
+/// 1 + 2⁻¹¹ + 2⁻²⁴ exactly, so fma(h, h, c) = 2⁻²⁴, while the product alone
+/// rounds to 1 + 2⁻¹¹ (a tie, to even) and then adding c gives 0.
+constexpr float kFmaH = 1.0f + 0x1p-12f;
+constexpr float kFmaC = -(1.0f + 0x1p-11f);
+
+/// Every element of `got` is `want`, bit for bit.
+void expect_all(const std::vector<float>& got, float want,
+                const std::string& what) {
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+              std::bit_cast<std::uint32_t>(want))
+        << what << " i=" << i << " got " << got[i];
+  }
+}
+
+TEST(Conv2D, ForwardChainStepsRoundOnceLikeStdFma) {
+  // Only the centre taps carry weight: c over channel 0, an all-ones plane,
+  // and h over channel 1, an all-h plane (the other channels are random
+  // under zero weights). So every output's chain is +0, c, exact zero
+  // products, h·h and a +0 bias: 2⁻²⁴ with one std::fma per step, +0 with
+  // a separate multiply and add, and the ReLU and pool keep the 2⁻²⁴. The
+  // bitwise cases compare the kernels with the reference, which would pass
+  // if both stopped fusing; this asserts the fused value for the reference
+  // composition and for every host variant's conv_forward and
+  // conv_relu_pool_forward, at channel and pixel fringes and partial and
+  // several blocks of images.
+  const float fused = std::fma(kFmaH, kFmaH, kFmaC);
+  ASSERT_EQ(fused, 0x1p-24f);
+  common::Rng rng(17);
+  struct Case {
+    std::size_t channels, out_c, h, w;
+  };
+  const Case cases[] = {{2, 5, 8, 10}, {3, 16, 8, 8}, {4, 24, 6, 12}};
+  for (const Case& c : cases) {
+    const std::size_t patch = c.channels * 9, pixels = c.h * c.w;
+    std::vector<float> weight(c.out_c * patch, 0.0f);
+    for (std::size_t o = 0; o < c.out_c; ++o) {
+      weight[o * patch + 4] = kFmaC;
+      weight[o * patch + 9 + 4] = kFmaH;
+    }
+    const std::vector<float> bias(c.out_c, 0.0f);
+    const kernels::ConvShape shape{c.channels, c.h, c.w, 3, 1, 1};
+    const ConvSpec spec{.in_channels = c.channels, .out_channels = c.out_c,
+                        .kernel = 3, .pad = 1, .stride = 1};
+    for (std::size_t batch : {1u, 5u, 16u, 17u}) {
+      std::vector<float> input =
+          special_vec(batch * c.channels * pixels, rng, false);
+      for (std::size_t img = 0; img < batch; ++img) {
+        float* x = input.data() + img * c.channels * pixels;
+        std::fill_n(x, pixels, 1.0f);
+        std::fill_n(x + pixels, pixels, kFmaH);
+      }
+      const std::string where =
+          "c=" + std::to_string(c.channels) +
+          " out_c=" + std::to_string(c.out_c) + " " + std::to_string(c.h) +
+          "x" + std::to_string(c.w) + " batch=" + std::to_string(batch);
+      const Tensor input_t = tensor_of({batch, c.channels, c.h, c.w}, input);
+      const Tensor weight_t = tensor_of({c.out_c, c.channels, 3, 3}, weight);
+      const Tensor bias_t = tensor_of({c.out_c}, bias);
+      for (std::size_t img = 0; img < batch; ++img) {
+        expect_all(reference_conv_image(input_t, img, weight_t, bias_t, spec),
+                   fused, "reference " + where);
+      }
+      const kernels::ConstMat w{weight.data(), c.out_c, patch};
+      for (const auto* v : kernels::detail::host_variants()) {
+        const std::string isa = common::gemm_isa_name(v->isa);
+        std::vector<float> out(batch * c.out_c * pixels, -1.0f);
+        kernels::detail::conv_forward(*v, input.data(), batch, shape, w,
+                                      bias.data(), out.data());
+        expect_all(out, fused, isa + " conv " + where);
+        std::vector<float> scratch(kernels::detail::conv_relu_pool_scratch(
+            *v, batch, shape, c.out_c));
+        std::vector<float> pooled(batch * c.out_c * pixels / 4, -1.0f);
+        std::vector<std::uint8_t> codes(pooled.size());
+        kernels::detail::conv_relu_pool_forward(
+            *v, input.data(), batch, shape, w, bias.data(), pooled.data(),
+            codes.data(), scratch.data());
+        expect_all(pooled, fused, isa + " conv+relu+pool " + where);
+      }
+    }
+  }
+}
+
 /// Gradients of the per-image reference composition: zero-filled dX, dW
 /// and db, then per image ref::im2col, ref::gemm_nt accumulating into dW,
 /// ref::gemm_tn into column gradients, ref::col2im into dX and the bias row
@@ -449,6 +534,104 @@ TEST(ConvBackward, MinibatchKernelMatchesReferenceCompositionBitwise) {
               ASSERT_EQ(bits(got.dx), bits(want.dx)) << where;
             }
           }
+        }
+      }
+    }
+  }
+}
+
+TEST(ConvBackward, ChainStepsRoundOnceLikeStdFma) {
+  // dW, through 1x1 kernels: every image has x = 1 at pixel 0 and h at
+  // pixel 1 (then zeros) in each channel, and dY = c and h there, so each
+  // image's chain for every dW[o][c] is +0, c, h·h, exact zero products:
+  // 2⁻²⁴ with one std::fma per step (0 without), and the minibatch adds
+  // the images' values exactly. dX, through 3x3 kernels with pad 1: only
+  // the centre taps carry weight, c in output channel 0 and h in channel 1,
+  // over dY planes of ones and of h (the other channels are random under
+  // zero weights), so every input pixel's centre-tap chain over the output
+  // channels, and with it dX, is 2⁻²⁴. Asserted for the reference
+  // composition and every host variant, at tile fringes and partial and
+  // several blocks of images.
+  const float fused = std::fma(kFmaH, kFmaH, kFmaC);
+  ASSERT_EQ(fused, 0x1p-24f);
+  common::Rng rng(26);
+  struct Case {
+    std::size_t channels, out_c, h, w;
+  };
+  const Case cases[] = {{7, 5, 4, 6}, {3, 2, 7, 5}, {8, 16, 6, 6},
+                        {5, 9, 4, 9}};
+  for (const Case& c : cases) {
+    const std::size_t pixels = c.h * c.w;
+    for (std::size_t batch : {1u, 5u, 17u}) {
+      const std::string where =
+          "c=" + std::to_string(c.channels) +
+          " out_c=" + std::to_string(c.out_c) + " " + std::to_string(c.h) +
+          "x" + std::to_string(c.w) + " batch=" + std::to_string(batch);
+      // dW.
+      {
+        const kernels::ConvShape shape{c.channels, c.h, c.w, 1, 0, 1};
+        std::vector<float> input(batch * c.channels * pixels, 0.0f);
+        for (std::size_t plane = 0; plane < batch * c.channels; ++plane) {
+          input[plane * pixels] = 1.0f;
+          input[plane * pixels + 1] = kFmaH;
+        }
+        std::vector<float> grad_out(batch * c.out_c * pixels, 0.0f);
+        for (std::size_t plane = 0; plane < batch * c.out_c; ++plane) {
+          grad_out[plane * pixels] = kFmaC;
+          grad_out[plane * pixels + 1] = kFmaH;
+        }
+        const auto weight = special_vec(c.out_c * c.channels, rng, false);
+        const float want = static_cast<float>(batch) * fused;
+        expect_all(reference_conv_backward(input, batch, shape, weight,
+                                           c.out_c, grad_out)
+                       .dw,
+                   want, "reference dW " + where);
+        for (const auto* v : kernels::detail::host_variants()) {
+          std::vector<float> scratch(kernels::detail::conv_backward_scratch(
+              *v, batch, shape, c.out_c, false));
+          std::vector<float> dw(c.out_c * c.channels, -1.0f), db(c.out_c);
+          kernels::detail::conv_backward(
+              *v, input.data(), batch, shape, {weight.data(), c.out_c,
+                                               c.channels},
+              grad_out.data(), nullptr, dw.data(), db.data(), scratch.data());
+          expect_all(dw, want,
+                     std::string(common::gemm_isa_name(v->isa)) + " dW " +
+                         where);
+        }
+      }
+      // dX.
+      {
+        const kernels::ConvShape shape{c.channels, c.h, c.w, 3, 1, 1};
+        const std::size_t patch = c.channels * 9;
+        std::vector<float> weight(c.out_c * patch, 0.0f);
+        for (std::size_t ch = 0; ch < c.channels; ++ch) {
+          weight[ch * 9 + 4] = kFmaC;
+          weight[patch + ch * 9 + 4] = kFmaH;
+        }
+        std::vector<float> grad_out =
+            special_vec(batch * c.out_c * pixels, rng, false);
+        for (std::size_t img = 0; img < batch; ++img) {
+          float* dy = grad_out.data() + img * c.out_c * pixels;
+          std::fill_n(dy, pixels, 1.0f);
+          std::fill_n(dy + pixels, pixels, kFmaH);
+        }
+        const auto input = special_vec(batch * c.channels * pixels, rng, false);
+        expect_all(reference_conv_backward(input, batch, shape, weight,
+                                           c.out_c, grad_out)
+                       .dx,
+                   fused, "reference dX " + where);
+        for (const auto* v : kernels::detail::host_variants()) {
+          std::vector<float> scratch(kernels::detail::conv_backward_scratch(
+              *v, batch, shape, c.out_c, true));
+          std::vector<float> dx(input.size(), -1.0f), dw(weight.size()),
+              db(c.out_c);
+          kernels::detail::conv_backward(
+              *v, input.data(), batch, shape, {weight.data(), c.out_c, patch},
+              grad_out.data(), dx.data(), dw.data(), db.data(),
+              scratch.data());
+          expect_all(dx, fused,
+                     std::string(common::gemm_isa_name(v->isa)) + " dX " +
+                         where);
         }
       }
     }

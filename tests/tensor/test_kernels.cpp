@@ -7,11 +7,13 @@
 //
 // Tolerance policy: EXACT bitwise equality (EXPECT_EQ on floats, no
 // epsilon). The blocked kernels are required to reproduce the reference's
-// per-element float addition chains exactly (see kernels.h): cache blocking
-// only spills/reloads exact partial sums, the kernel TUs are built with
-// -ffp-contract=off, and reductions are never reassociated. Exactness is
-// what PR 2's serial-vs-parallel bitwise-equality contract rests on, so a
-// near-miss here is a real defect, not rounding noise.
+// per-element float chains exactly (see kernels.h): cache blocking only
+// spills/reloads exact partial sums, each GEMM chain step is one fused
+// multiply-add on both sides, the kernel TUs are built with
+// -ffp-contract=off so nothing else fuses, and reductions are never
+// reassociated. Exactness is what the serial-vs-parallel bitwise-equality
+// contract rests on, so a near-miss here is a real defect, not rounding
+// noise.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -332,6 +334,83 @@ TEST(KernelEquivalence, UnpackedEntriesExactOnEveryShape) {
                             {got.data(), c.m, c.n}, accumulate);
         expect_same(got, want, describe(*v, c) + " tn");
       }
+    }
+  }
+}
+
+/// Operands on which a fused and an unfused multiply-add differ: h·h is
+/// 1 + 2⁻¹¹ + 2⁻²⁴ exactly, so fma(h, h, c) = 2⁻²⁴, while the product alone
+/// rounds to 1 + 2⁻¹¹ (a tie, to even) and then adding c gives 0.
+constexpr float kFmaH = 1.0f + 0x1p-12f;
+constexpr float kFmaC = -(1.0f + 0x1p-11f);
+
+TEST(KernelEquivalence, ChainStepsRoundOnceLikeStdFma) {
+  // Every element's chain is +0, then c·1 at p = 0, exact zero products,
+  // then h·h at p = k − 1: one std::fma per step gives 2⁻²⁴, a separate
+  // multiply and add 0. The equivalence cases above compare the kernels
+  // with the reference, so they would pass if both stopped fusing; this
+  // asserts the fused value itself, for the reference and for every host
+  // variant's gemm_nn, gemm_tn and gemm_nt (packed, unpacked, both gemm_nt
+  // tiles, tile fringes, and a k past KC that spills the partial sum).
+  const float fused = std::fma(kFmaH, kFmaH, kFmaC);
+  ASSERT_EQ(fused, 0x1p-24f);
+  ASSERT_EQ(kFmaH * kFmaH + kFmaC, 0.0f);
+  const auto expect_fused = [fused](const std::vector<float>& got,
+                                    const std::string& what) {
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                std::bit_cast<std::uint32_t>(fused))
+          << what << " i=" << i << " got " << got[i];
+    }
+  };
+  common::Rng rng(13);
+  for (const auto* v : detail::host_variants()) {
+    const detail::Blocking& b = v->nn;
+    const detail::NtBlocking& t = v->nt;
+    const GemmCase cases[] = {
+        {1, 2, 1},
+        {b.mr + 1, 3, b.nr + 1},
+        {t.mr + 1, 9, t.nr - 1},
+        {t.narrow_mr > 0 ? t.narrow_mr : 3, 5, 17},
+        {b.mc + 1, b.kc + 7, 13},                       // unpacked, k > KC
+        {17, b.kc + 7, 40},                             // packed, k > KC
+        {5, 2, detail::kUnpackedMaxB / 2 + 9},          // packed, k = 2
+        {16, 72, 196},
+    };
+    for (const GemmCase& c : cases) {
+      const std::size_t last = c.k - 1;
+      std::vector<float> a(c.m * c.k, 0.0f), at(c.k * c.m, 0.0f);
+      for (std::size_t i = 0; i < c.m; ++i) {
+        a[i * c.k] = at[i] = kFmaC;
+        a[i * c.k + last] = at[last * c.m + i] = kFmaH;
+      }
+      auto bm = random_vec(c.k * c.n, rng);   // [k, n]
+      auto bt = random_vec(c.n * c.k, rng);   // [n, k]
+      for (std::size_t j = 0; j < c.n; ++j) {
+        bm[j] = bt[j * c.k] = 1.0f;
+        bm[last * c.n + j] = bt[j * c.k + last] = kFmaH;
+      }
+      const ConstMat a_nn{a.data(), c.m, c.k}, a_tn{at.data(), c.k, c.m};
+      const ConstMat b_nn{bm.data(), c.k, c.n}, b_nt{bt.data(), c.n, c.k};
+      std::vector<float> out(c.m * c.n, -1.0f);
+      const Mat o{out.data(), c.m, c.n};
+      const std::string where = describe(*v, c);
+      ref::gemm_nn(a_nn, b_nn, o, false);
+      expect_fused(out, where + " ref nn");
+      ref::gemm_tn(a_tn, b_nn, o, false);
+      expect_fused(out, where + " ref tn");
+      ref::gemm_nt(a_nn, b_nt, o, false);
+      expect_fused(out, where + " ref nt");
+      detail::gemm_nn(*v, a_nn, b_nn, o);
+      expect_fused(out, where + " nn");
+      detail::gemm_tn(*v, a_tn, b_nn, o);
+      expect_fused(out, where + " tn");
+      detail::gemm_nt(*v, a_nn, b_nt, o);
+      expect_fused(out, where + " nt");
+      v->gemm_nn_unpacked(a_nn, b_nn, o, false, nullptr, nullptr);
+      expect_fused(out, where + " nn unpacked");
+      v->gemm_tn_unpacked(a_tn, b_nn, o, false);
+      expect_fused(out, where + " tn unpacked");
     }
   }
 }
